@@ -21,11 +21,9 @@
 #include "experiments/sweep.hpp"
 #include "metrics/tree_metrics.hpp"
 #include "net/graph_underlay.hpp"
-#include "net/routing.hpp"
 #include "overlay/membership.hpp"
 #include "sim/simulator.hpp"
 #include "topology/transit_stub.hpp"
-#include "topology/waxman.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 #include "wire/wire.hpp"
@@ -117,9 +115,10 @@ void BM_RunOnceCrashChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
 
   // Crash churn is the walk-heaviest configuration (every departure triggers
-  // orphan reconnection walks), so the alloc counters here gate the
-  // zero-allocation claim of the TreeWalk path: once the arena is warm, a
-  // full run must not grow the walk scratch.
+  // orphan reconnection walks) and the only one with a failure detector on
+  // every member, so the alloc counters here gate the zero-allocation claim
+  // of the TreeWalk path and the heartbeat slab: once the arena is warm, a
+  // full run allocates nothing (allocs_per_iter == 0, like BM_RunOnceArena).
   const std::uint64_t grows_before = scratch.grow_events();
   const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
@@ -243,168 +242,6 @@ BENCHMARK(BM_RunOnceCoord)
     ->Arg(2048)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
-
-/// The BM_RunOnceCoord shape with intra-run parallelism on (threads:0 = all
-/// hardware workers): probe batches fan out over the shared TaskPool with a
-/// serial FIFO commit, chunk floods shard per source-subtree with a serial
-/// reduction. Scalars are bit-identical to the serial run by contract
-/// (tests/test_intra_run.cpp), so the perf gates here are the engagement
-/// counters — par_floods_per_iter proves the sharded flood actually ran —
-/// because the recording host may be a single vCPU, where wall clock proves
-/// nothing. speedup_vs_serial is the informational headline: >= 1.5x
-/// expected at /65536 on a multi-core host. par_probe_batches_per_iter is
-/// reported but usually 0 on coordinate substrates: grid-mode placement
-/// answers locate() without landmark probes and walk batches stay under the
-/// fan-out floor — the landmark-substrate probe fan-out is pinned by
-/// tests/test_intra_run.cpp instead. arena_grow_per_iter must stay 0 — the
-/// shard buffers live in the same arena as everything else (allocs_per_iter
-/// is reported, not gated: pool task handoff may allocate outside the arena
-/// contract).
-void BM_RunOnceCoordPar(benchmark::State& state) {
-  experiments::RunConfig cfg;
-  cfg.substrate = experiments::Substrate::kCoordPlane;
-  cfg.protocol = experiments::Proto::kVdm;
-  cfg.scenario.target_members = static_cast<std::size_t>(state.range(0));
-  cfg.scenario.join_phase = 400.0;
-  cfg.scenario.total_time = 1200.0;
-  cfg.scenario.churn_interval = 200.0;
-  cfg.scenario.settle_time = 50.0;
-  cfg.scenario.churn_rate = 0.01;
-  cfg.session.chunk_rate = 0.1;
-  // Locating-first joins probe the landmark set in one batch — the shape
-  // that feeds the parallel probe path (walk steps alone stay under the
-  // batch-size floor).
-  cfg.session.join_mode = overlay::JoinMode::kConcurrent;
-  cfg.compute_mst_ratio = false;
-  cfg.seed = 7;
-  cfg.session.threads = 0;
-
-  experiments::RunConfig serial = cfg;
-  serial.session.threads = 1;
-  experiments::RunScratch scratch;
-  // Serial reference: warm the arena on the serial shape, then time one run.
-  benchmark::DoNotOptimize(experiments::run_once(serial, scratch));
-  const auto s0 = std::chrono::steady_clock::now();
-  const experiments::RunResult serial_r = experiments::run_once(serial, scratch);
-  const double serial_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - s0).count();
-
-  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm parallel
-  const std::uint64_t grows_before = scratch.grow_events();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  double par_secs = 0.0;
-  std::uint64_t floods = 0;
-  std::uint64_t batches = 0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    experiments::RunResult r = experiments::run_once(cfg, scratch);
-    par_secs +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    floods += r.parallel_floods;
-    batches += r.parallel_probe_batches;
-    // The bitwise contract, spot-checked on the cheapest scalar (the full
-    // cross-substrate sweep lives in tests/test_intra_run.cpp).
-    if (r.final_members != serial_r.final_members) {
-      state.SkipWithError("parallel run diverged from serial");
-      break;
-    }
-    benchmark::DoNotOptimize(r);
-  }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["par_floods_per_iter"] = static_cast<double>(floods) / iters;
-  state.counters["par_probe_batches_per_iter"] = static_cast<double>(batches) / iters;
-  state.counters["speedup_vs_serial"] =
-      par_secs > 0.0 ? serial_secs / (par_secs / iters) : 0.0;
-  state.counters["arena_grow_per_iter"] =
-      static_cast<double>(scratch.grow_events() - grows_before) / iters;
-  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
-}
-BENCHMARK(BM_RunOnceCoordPar)->Arg(65536)->Unit(benchmark::kMillisecond);
-
-/// Incremental SSSP repair vs fresh Dijkstra on a Waxman router graph. Each
-/// iteration replays a fixed list of paired raise/lower delay edits
-/// (Graph::mutable_link) and re-queries eight warm source trees after every
-/// edit, so the Router repairs just the affected cone each time; the pairing
-/// nets the delays back to their originals, keeping the bench steady-state
-/// for any iteration count. repair_visit_fraction is the o(V) gate: nodes
-/// re-settled per edit over the full-rebuild equivalent (sources x V) —
-/// far below 1, independent of host speed. full_recomputes_per_iter counts
-/// give-up fallbacks (expected 0 here). speedup_vs_full_dijkstra compares
-/// against the pre-repair behaviour (clear_cache + rebuild every warm tree
-/// after each edit), timed once outside the loop.
-void BM_IncrementalReroute(benchmark::State& state) {
-  util::Rng rng(7);
-  topo::WaxmanParams wp;
-  wp.num_routers = static_cast<std::size_t>(state.range(0));
-  wp.loss_max = 0.02;
-  topo::WaxmanTopology topo = topo::make_waxman(wp, rng);
-  net::Graph& g = topo.graph;
-  const std::size_t n = g.num_nodes();
-
-  std::vector<net::NodeId> sources;
-  for (std::size_t i = 0; i < 8; ++i) {
-    sources.push_back(static_cast<net::NodeId>((n * i) / 8));
-  }
-  struct Edit {
-    net::LinkId link;
-    double factor;
-  };
-  std::vector<Edit> edits;
-  for (int i = 0; i < 32; ++i) {
-    const auto l = static_cast<net::LinkId>(
-        rng.uniform_int(0, static_cast<std::int64_t>(g.num_links()) - 1));
-    const double f = rng.uniform(1.05, 2.0);
-    edits.push_back({l, f});
-    edits.push_back({l, 1.0 / f});
-  }
-
-  // Fresh-Dijkstra reference: rebuild every warm tree after each edit, the
-  // cost the repair path replaces. One pass, timed with its own Router.
-  const auto f0 = std::chrono::steady_clock::now();
-  {
-    net::Router fresh(g);
-    for (const net::NodeId s : sources) fresh.delay(s, 0);
-    for (const Edit& e : edits) {
-      g.mutable_link(e.link).delay *= e.factor;
-      fresh.clear_cache();
-      for (const net::NodeId s : sources) fresh.delay(s, 0);
-    }
-  }
-  const double full_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
-
-  net::Router router(g);
-  for (const net::NodeId s : sources) router.delay(s, 0);  // warm trees
-  const std::uint64_t visits_before = router.repair_visits();
-  const std::uint64_t fulls_before = router.full_recomputes();
-  double repair_secs = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const Edit& e : edits) {
-      g.mutable_link(e.link).delay *= e.factor;
-      for (const net::NodeId s : sources) {
-        benchmark::DoNotOptimize(router.delay(s, 0));
-      }
-    }
-    repair_secs +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  const double total_edits = iters * static_cast<double>(edits.size());
-  const double visits_per_edit =
-      static_cast<double>(router.repair_visits() - visits_before) / total_edits;
-  state.counters["repair_visits_per_edit"] = visits_per_edit;
-  state.counters["repair_visit_fraction"] =
-      visits_per_edit / (static_cast<double>(sources.size()) * static_cast<double>(n));
-  state.counters["full_recomputes_per_iter"] =
-      static_cast<double>(router.full_recomputes() - fulls_before) / iters;
-  state.counters["speedup_vs_full_dijkstra"] =
-      repair_secs > 0.0
-          ? (full_secs / static_cast<double>(edits.size())) / (repair_secs / total_edits)
-          : 0.0;
-}
-BENCHMARK(BM_IncrementalReroute)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Flash crowd on the coordinate-embedded US underlay: a 1024-member
 /// steady-state overlay absorbs range(0) simultaneous joiners through the
@@ -533,7 +370,7 @@ BENCHMARK(BM_RunManyScaling)
 // ------------------------------------------------------------ event engine
 
 /// The event engine alone: schedule/fire churn with a live timer population
-/// the size of a paper run's (one Periodic per member plus in-flight
+/// the size of a paper run's (one re-armed timer per member plus in-flight
 /// control events). allocs_per_iter must be exactly 0 — the slab, the
 /// indexed heap and the inline callables make steady-state scheduling
 /// allocation-free.

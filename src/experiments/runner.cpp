@@ -522,8 +522,6 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
                                            *underlay, scratch.impl_->mst)
                     : 1.0;
   r.final_members = session.tree().alive_count();
-  r.parallel_floods = session.totals().parallel_floods;
-  r.parallel_probe_batches = session.totals().parallel_probe_batches;
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;
   r.profile_flood_secs = session.profile().flood_secs;

@@ -140,14 +140,6 @@ struct RunResult {
   double mst_ratio = 1.0;
   std::size_t final_members = 0;
 
-  /// Diagnostics (not golden-pinned, not thread-invariant by design):
-  /// whole-run counts of chunk floods that took the sharded multi-worker
-  /// path and probe batches that took the parallel compute/serial-commit
-  /// path. Zero on serial runs; benches gate on these to prove the parallel
-  /// machinery engaged when wall clock cannot (single-core hosts).
-  std::uint64_t parallel_floods = 0;
-  std::uint64_t parallel_probe_batches = 0;
-
   /// Wall-clock seconds per phase (vdmsim --profile); all zero unless
   /// config.session.profile. join covers every attaching walk (fresh,
   /// batched and reconnect), metrics the collector's capture sweeps.

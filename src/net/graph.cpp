@@ -31,16 +31,12 @@ LinkId Graph::add_link(NodeId a, NodeId b, double delay, double loss) {
 
 void Graph::mark_structural() {
   adjacency_dirty_ = true;
-  csr_patch_pending_ = false;  // the rebuild reads fresh delays anyway
-  mutation_log_.clear();       // stale against the new structure
   ++version_;
-  ++struct_version_;
 }
 
 std::span<const Graph::Arc> Graph::arcs(NodeId n) const {
   VDM_REQUIRE(n < num_nodes_);
   if (adjacency_dirty_) rebuild_adjacency();
-  if (csr_patch_pending_) patch_csr_delays();
   return {arcs_.data() + offsets_[n], offsets_[n + 1] - offsets_[n]};
 }
 
@@ -52,36 +48,13 @@ void Graph::rebuild_adjacency() const {
   }
   for (std::size_t i = 1; i <= num_nodes_; ++i) offsets_[i] += offsets_[i - 1];
   arcs_.resize(2 * links_.size());
-  arc_pos_.resize(2 * links_.size());
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
   for (LinkId id = 0; id < links_.size(); ++id) {
     const Link& l = links_[id];
-    arc_pos_[2 * id] = static_cast<std::uint32_t>(cursor_[l.a]);
-    arc_pos_[2 * id + 1] = static_cast<std::uint32_t>(cursor_[l.b]);
     arcs_[cursor_[l.a]++] = Arc{l.b, id, l.delay};
     arcs_[cursor_[l.b]++] = Arc{l.a, id, l.delay};
   }
   adjacency_dirty_ = false;
-  csr_patch_pending_ = false;
-  csr_patched_seq_ = mutation_seq_;
-}
-
-void Graph::patch_csr_delays() const {
-  if (mutation_seq_ - csr_patched_seq_ > mutation_log_.size()) {
-    // Edits older than the log window were lost; rebuild wholesale.
-    rebuild_adjacency();
-    return;
-  }
-  const std::size_t pending =
-      static_cast<std::size_t>(mutation_seq_ - csr_patched_seq_);
-  for (std::size_t i = mutation_log_.size() - pending;
-       i < mutation_log_.size(); ++i) {
-    const LinkId l = mutation_log_[i];
-    arcs_[arc_pos_[2 * l]].delay = links_[l].delay;
-    arcs_[arc_pos_[2 * l + 1]].delay = links_[l].delay;
-  }
-  csr_patched_seq_ = mutation_seq_;
-  csr_patch_pending_ = false;
 }
 
 void Graph::clear() {
@@ -96,8 +69,6 @@ std::size_t Graph::capacity_bytes() const {
   return links_.capacity() * sizeof(Link) +
          offsets_.capacity() * sizeof(std::size_t) +
          arcs_.capacity() * sizeof(Arc) +
-         arc_pos_.capacity() * sizeof(std::uint32_t) +
-         mutation_log_.capacity() * sizeof(LinkId) +
          cursor_.capacity() * sizeof(std::size_t);
 }
 

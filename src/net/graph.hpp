@@ -40,49 +40,7 @@ class Graph {
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_links() const { return links_.size(); }
   const Link& link(LinkId id) const { return links_[id]; }
-  /// Bumps version(): the caller may change delay/loss, so routing caches
-  /// keyed to the version must treat the graph as mutated. The edit is also
-  /// appended to the in-place mutation log, which lets the router repair
-  /// just the affected cone of each cached tree instead of recomputing it,
-  /// and lets the CSR adjacency patch the two cached arc delays in place.
-  Link& mutable_link(LinkId id) {
-    ++version_;
-    if (!adjacency_dirty_) {
-      // The log stores only the link id: repair derives increase/decrease
-      // from the tree's own (exact) distance sums, and the CSR patch reads
-      // the post-edit delay straight from links_. A structural edit pending
-      // rebuild subsumes everything, so nothing is logged in that state.
-      if (mutation_log_.size() == kMutationLogCap) {
-        mutation_log_.erase(mutation_log_.begin());
-      }
-      mutation_log_.push_back(id);
-      ++mutation_seq_;
-      csr_patch_pending_ = true;
-    }
-    return links_[id];
-  }
   const std::vector<Link>& links() const { return links_; }
-
-  // ---------------------------------------------------- in-place mutations
-  // Delay/loss edits through mutable_link() are the only non-structural
-  // mutation. Consumers that cache per-version state (Router trees, the CSR
-  // arc delays) catch up incrementally from this log instead of rebuilding.
-
-  /// Upper bound on retained log entries; older edits force consumers into
-  /// a full recompute exactly as a structural change would.
-  static constexpr std::size_t kMutationLogCap = 128;
-
-  /// Total in-place link edits ever logged (monotone, never reset). The log
-  /// holds the trailing `mutation_log().size()` of them.
-  std::uint64_t mutation_seq() const { return mutation_seq_; }
-
-  /// Trailing window of edited link ids, oldest first.
-  std::span<const LinkId> mutation_log() const { return mutation_log_; }
-
-  /// Bumped by every structural change (nodes/links added, clear()). A
-  /// consumer seeing this move must drop derived state wholesale; a
-  /// version() move alone means in-place edits covered by the log.
-  std::uint64_t struct_version() const { return struct_version_; }
 
   /// Half-edge as seen from one endpoint.
   struct Arc {
@@ -91,9 +49,7 @@ class Graph {
     double delay;
   };
 
-  /// Arcs leaving `n`. Triggers (re)building the CSR index if needed; after
-  /// in-place delay edits only the two cached arc copies per edited link
-  /// are patched, not the whole index.
+  /// Arcs leaving `n`. Triggers (re)building the CSR index if needed.
   std::span<const Arc> arcs(NodeId n) const;
 
   /// Degree of vertex n (number of incident links).
@@ -107,8 +63,10 @@ class Graph {
   /// allocation once the buffers are warm.
   bool connected(std::vector<char>& seen, std::vector<NodeId>& stack) const;
 
-  /// Monotone counter bumped on every mutation; routing caches use it to
-  /// detect staleness.
+  /// Monotone counter bumped on every mutation (nodes or links added,
+  /// clear()); routing caches use it to detect staleness. Links never change
+  /// once added: the simulated underlay's delays and losses stay fixed for
+  /// the whole run, as in the paper.
   std::uint64_t version() const { return version_; }
 
   /// Removes every node and link but keeps all allocated capacity, so a
@@ -126,21 +84,14 @@ class Graph {
  private:
   void mark_structural();
   void rebuild_adjacency() const;
-  void patch_csr_delays() const;
 
   std::size_t num_nodes_ = 0;
   std::vector<Link> links_;
   std::uint64_t version_ = 0;
-  std::uint64_t struct_version_ = 0;
-  std::vector<LinkId> mutation_log_;
-  std::uint64_t mutation_seq_ = 0;
 
   mutable bool adjacency_dirty_ = true;
-  mutable bool csr_patch_pending_ = false;
-  mutable std::uint64_t csr_patched_seq_ = 0;
   mutable std::vector<std::size_t> offsets_;  // CSR row starts, size num_nodes_+1
   mutable std::vector<Arc> arcs_;             // CSR payload, 2 * num_links
-  mutable std::vector<std::uint32_t> arc_pos_;  // link -> its two arcs_ slots
   mutable std::vector<std::size_t> cursor_;   // rebuild scratch, capacity kept
 };
 

@@ -56,7 +56,6 @@ class GraphUnderlay final : public Underlay {
   }
 
   const Graph& graph() const { return graph_; }
-  Graph& mutable_graph() { return graph_; }
   const Router& router() const { return router_; }
   NodeId host_vertex(HostId h) const { return hosts_.at(h); }
 

@@ -1,7 +1,6 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "util/require.hpp"
@@ -16,20 +15,7 @@ constexpr std::size_t kHeapArity = 4;
 /// heap_pos_ sentinels: never enqueued / already settled.
 constexpr std::uint32_t kUnseen = 0xffffffffu;
 constexpr std::uint32_t kSettled = 0xfffffffeu;
-/// A repair cone touching more than this fraction of the graph falls back
-/// to a full Dijkstra — past that point the bounded repair's bookkeeping
-/// costs more than recomputing from scratch.
-constexpr std::size_t kConeGiveUpDenom = 4;
 }  // namespace
-
-std::uint32_t Router::pos_of(NodeId n) const {
-  return pos_stamp_[n] == stamp_ ? heap_pos_[n] : kUnseen;
-}
-
-void Router::set_pos(NodeId n, std::uint32_t p) const {
-  heap_pos_[n] = p;
-  pos_stamp_[n] = stamp_;
-}
 
 void Router::heap_sift_up(std::size_t pos) const {
   const HeapEntry e = heap_[pos];
@@ -66,12 +52,7 @@ void Router::heap_sift_down(std::size_t pos) const {
 
 const Router::Sssp& Router::tree_for(NodeId src) const {
   if (cached_version_ != graph_.version()) {
-    if (cached_struct_version_ != graph_.struct_version()) {
-      ++epoch_;  // O(1) invalidation of every memoized tree
-      cached_struct_version_ = graph_.struct_version();
-    }
-    // A version move without a structural move is in-place delay edits:
-    // the trees stay valid and catch up from the mutation log below.
+    ++epoch_;  // O(1) invalidation of every memoized tree
     cached_version_ = graph_.version();
   }
   const std::size_t n = graph_.num_nodes();
@@ -79,38 +60,17 @@ const Router::Sssp& Router::tree_for(NodeId src) const {
   if (trees_.size() < n) {
     trees_.resize(n);
     tree_epoch_.resize(n, 0);
-    tree_mut_seq_.resize(n, 0);
-  }
-  if (heap_pos_.size() < n) {
-    heap_pos_.resize(n);
-    pos_stamp_.assign(n, 0);
-    cone_mark_.assign(n, 0);
   }
   Sssp& sssp = trees_[src];
   if (tree_epoch_[src] != epoch_) {
     recompute_tree(src, sssp);
     tree_epoch_[src] = epoch_;
-    tree_mut_seq_[src] = graph_.mutation_seq();
-    return sssp;
   }
-  const std::uint64_t seq = graph_.mutation_seq();
-  std::uint64_t& caught_up = tree_mut_seq_[src];
-  if (caught_up == seq) return sssp;
-  const std::span<const LinkId> log = graph_.mutation_log();
-  if (seq - caught_up > log.size()) {
-    recompute_tree(src, sssp);  // the edits scrolled out of the log window
-  } else {
-    const std::span<const LinkId> pending =
-        log.subspan(log.size() - static_cast<std::size_t>(seq - caught_up));
-    if (!repair_batch(sssp, pending)) recompute_tree(src, sssp);
-  }
-  caught_up = seq;
   return sssp;
 }
 
 void Router::recompute_tree(NodeId src, Sssp& sssp) const {
   const std::size_t n = graph_.num_nodes();
-  ++full_recomputes_;
 
   // assign() reuses the previously grown capacity, so recomputing a tree
   // after an invalidation allocates nothing in steady state.
@@ -132,12 +92,12 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
   // improvement) is identical to the lazy-heap version, so distances and
   // parents are bit-for-bit unchanged.
   heap_.clear();
-  ++stamp_;  // O(1) "assign(n, kUnseen)"
+  heap_pos_.assign(n, kUnseen);
   heap_.push_back({0.0, src});
-  set_pos(src, 0);
+  heap_pos_[src] = 0;
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    set_pos(top.node, kSettled);
+    heap_pos_[top.node] = kSettled;
     const HeapEntry tail = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
@@ -151,12 +111,12 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
         sssp.dist[arc.to] = nd;
         sssp.parent_link[arc.to] = arc.link;
         sssp.parent_node[arc.to] = top.node;
-        const std::uint32_t pos = pos_of(arc.to);
+        const std::uint32_t pos = heap_pos_[arc.to];
         if (pos == kSettled) continue;       // defensive; cannot happen
         if (graph_.degree(arc.to) <= 1) continue;  // leaf: settled in place
         if (pos == kUnseen) {
           heap_.push_back({nd, arc.to});
-          set_pos(arc.to, static_cast<std::uint32_t>(heap_.size() - 1));
+          heap_pos_[arc.to] = static_cast<std::uint32_t>(heap_.size() - 1);
           heap_sift_up(heap_.size() - 1);
         } else {
           heap_[pos].key = nd;
@@ -165,169 +125,6 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
       }
     }
   }
-}
-
-/// Catches one memoized tree up on a batch of in-place delay edits,
-/// Ramalingam–Reps-style. Returns false when the affected region is large
-/// enough that a full recompute is cheaper.
-///
-/// The batch runs as one pass because per-edit sequential repair is unsound
-/// against the final delays: a decrease wave can be blocked by a label that
-/// a later increase-cone rebuild then lowers, stranding nodes beyond the
-/// cone on stale sums. Instead:
-///   1. Union-cone: for every edit that raised a tree edge, all tree
-///      descendants of its child end — the only nodes whose distance can
-///      rise — are invalidated together.
-///   2. Seeds: each invalidated node gets its best candidate through a
-///      still-valid neighbor; each edit that now undercuts a valid endpoint
-///      (a decrease) seeds that endpoint's improvement.
-///   3. One Dijkstra-flavored label-correcting pass settles everything.
-///      Valid nodes only ever improve (any node needing a raise is in the
-///      cone by construction). A settled node whose label later improves —
-///      possible only via second-order chains through the cone — is
-///      reinserted, which corrects processing order without changing the
-///      final labels.
-/// Every final label is the same `dist[parent] + arc.delay` nested sum a
-/// fresh Dijkstra produces, so repaired trees match scratch-built ones bit
-/// for bit whenever the shortest-path tree is unique (continuous random
-/// delays never tie).
-bool Router::repair_batch(Sssp& sssp, std::span<const LinkId> edits) const {
-  const std::size_t give_up = graph_.num_nodes() / kConeGiveUpDenom;
-
-  // 1. Collect the union cone. A neighbor is a tree child iff its parent
-  //    pointer names us, so the walk costs the cone's arcs, not the graph;
-  //    no link -> sources reverse index is needed, the tree is the index.
-  ++cone_stamp_;
-  cone_.clear();
-  for (const LinkId l : edits) {
-    const Link& link = graph_.link(l);
-    NodeId child = kInvalidNode;
-    if (sssp.parent_link[link.a] == l && sssp.parent_node[link.a] == link.b) {
-      child = link.a;
-    } else if (sssp.parent_link[link.b] == l &&
-               sssp.parent_node[link.b] == link.a) {
-      child = link.b;
-    }
-    if (child == kInvalidNode) continue;  // not a tree edge here
-    // Memoized distances are exact nested sums, so comparing against the
-    // re-derived sum classifies the edit without the pre-edit delay.
-    if (sssp.dist[sssp.parent_node[child]] + link.delay <= sssp.dist[child]) {
-      continue;  // unchanged or a decrease: handled by the seeds below
-    }
-    if (cone_mark_[child] != cone_stamp_) {
-      cone_mark_[child] = cone_stamp_;
-      cone_.push_back(child);
-    }
-  }
-  for (std::size_t i = 0; i < cone_.size(); ++i) {
-    if (cone_.size() > give_up) return false;  // full recompute is cheaper
-    const NodeId u = cone_[i];
-    for (const Graph::Arc& arc : graph_.arcs(u)) {
-      if (cone_mark_[arc.to] != cone_stamp_ && sssp.parent_node[arc.to] == u) {
-        cone_mark_[arc.to] = cone_stamp_;
-        cone_.push_back(arc.to);
-      }
-    }
-  }
-  repair_visits_ += cone_.size();
-  for (const NodeId u : cone_) {
-    sssp.dist[u] = kInf;
-    sssp.parent_link[u] = kInvalidLink;
-    sssp.parent_node[u] = kInvalidNode;
-  }
-
-  // 2a. Boundary seeds: best still-valid neighbor per invalidated node. A
-  //     leaf's only neighbor is that boundary node, so its candidate is
-  //     written in place and never enters the heap — the same
-  //     settle-in-place rule the fresh run applies to leaves.
-  heap_.clear();
-  ++stamp_;
-  for (const NodeId u : cone_) {
-    double best = kInf;
-    LinkId best_link = kInvalidLink;
-    NodeId best_parent = kInvalidNode;
-    for (const Graph::Arc& arc : graph_.arcs(u)) {
-      if (cone_mark_[arc.to] == cone_stamp_) continue;
-      const double nd = sssp.dist[arc.to] + arc.delay;
-      if (nd < best) {
-        best = nd;
-        best_link = arc.link;
-        best_parent = arc.to;
-      }
-    }
-    if (best == kInf) continue;
-    sssp.dist[u] = best;
-    sssp.parent_link[u] = best_link;
-    sssp.parent_node[u] = best_parent;
-    if (graph_.degree(u) <= 1) continue;
-    heap_.push_back({best, u});
-    set_pos(u, static_cast<std::uint32_t>(heap_.size() - 1));
-    heap_sift_up(heap_.size() - 1);
-  }
-
-  // 2b. Decrease seeds: edits that now undercut a valid endpoint.
-  for (const LinkId l : edits) {
-    const Link& link = graph_.link(l);
-    const double d = link.delay;
-    for (int dir = 0; dir < 2; ++dir) {
-      const NodeId from = dir == 0 ? link.a : link.b;
-      const NodeId to = dir == 0 ? link.b : link.a;
-      if (cone_mark_[from] == cone_stamp_ || cone_mark_[to] == cone_stamp_) {
-        continue;  // invalidated ends are covered by boundary seeding
-      }
-      const double nd = sssp.dist[from] + d;
-      if (nd >= sssp.dist[to]) continue;
-      sssp.dist[to] = nd;
-      sssp.parent_link[to] = l;
-      sssp.parent_node[to] = from;
-      ++repair_visits_;
-      if (graph_.degree(to) <= 1) continue;
-      const std::uint32_t pos = pos_of(to);
-      if (pos == kUnseen) {
-        heap_.push_back({nd, to});
-        set_pos(to, static_cast<std::uint32_t>(heap_.size() - 1));
-        heap_sift_up(heap_.size() - 1);
-      } else {
-        heap_[pos].key = nd;
-        heap_sift_up(pos);
-      }
-    }
-  }
-
-  // 3. Settle. Relaxation is NOT restricted to the cone: improvements flow
-  //    out of it (that is the second-order chain the per-edit scheme lost).
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    set_pos(top.node, kSettled);
-    const HeapEntry tail = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_[0] = tail;
-      heap_pos_[tail.node] = 0;
-      heap_sift_down(0);
-    }
-    if (top.key != sssp.dist[top.node]) continue;  // reinserted better copy
-    for (const Graph::Arc& arc : graph_.arcs(top.node)) {
-      const double nd = top.key + arc.delay;
-      if (nd < sssp.dist[arc.to]) {
-        sssp.dist[arc.to] = nd;
-        sssp.parent_link[arc.to] = arc.link;
-        sssp.parent_node[arc.to] = top.node;
-        ++repair_visits_;
-        if (graph_.degree(arc.to) <= 1) continue;  // leaf: settled in place
-        const std::uint32_t pos = pos_of(arc.to);
-        if (pos == kUnseen || pos == kSettled) {
-          heap_.push_back({nd, arc.to});
-          set_pos(arc.to, static_cast<std::uint32_t>(heap_.size() - 1));
-          heap_sift_up(heap_.size() - 1);
-        } else {
-          heap_[pos].key = nd;
-          heap_sift_up(pos);
-        }
-      }
-    }
-  }
-  return true;
 }
 
 double Router::delay(NodeId src, NodeId dst) const {

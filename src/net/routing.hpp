@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -76,19 +75,6 @@ class Router {
   /// a steady value across graph rebuilds proves allocation-free routing.
   std::size_t cache_capacity_bytes() const;
 
-  // ------------------------------------------------------- repair telemetry
-  // In-place delay edits (Graph::mutable_link) no longer drop the whole
-  // cache: each memoized tree catches up lazily by repairing just the cone
-  // the edited link influences (Ramalingam–Reps-style dynamic SSSP).
-
-  /// Cumulative nodes re-settled by incremental repairs. o(V) per edit is
-  /// the whole point — compare against num_nodes() * full_recomputes().
-  std::uint64_t repair_visits() const { return repair_visits_; }
-
-  /// Cumulative full single-source Dijkstra runs (first queries, structural
-  /// changes, log overflows, and cones past the give-up fraction).
-  std::uint64_t full_recomputes() const { return full_recomputes_; }
-
  private:
   struct Sssp {
     std::vector<double> dist;
@@ -105,41 +91,20 @@ class Router {
 
   const Sssp& tree_for(NodeId src) const;
   void recompute_tree(NodeId src, Sssp& sssp) const;
-  /// Catches a memoized tree up on a batch of logged delay edits in one
-  /// pass. Returns false when the affected cone is large enough that a
-  /// full recompute is cheaper.
-  bool repair_batch(Sssp& sssp, std::span<const LinkId> edits) const;
   void heap_sift_up(std::size_t pos) const;
   void heap_sift_down(std::size_t pos) const;
 
-  // Stamped heap-position lookups: bumping stamp_ resets every node to
-  // "unseen" in O(1), which keeps cone repairs o(V) (a per-repair
-  // assign(n, kUnseen) would re-touch the whole array).
-  std::uint32_t pos_of(NodeId n) const;
-  void set_pos(NodeId n, std::uint32_t p) const;
-
   const Graph& graph_;
   mutable std::uint64_t cached_version_ = ~0ull;
-  mutable std::uint64_t cached_struct_version_ = ~0ull;
   /// Current cache generation; trees_[s] is valid iff tree_epoch_[s] == epoch_.
   mutable std::uint64_t epoch_ = 1;
   mutable std::vector<Sssp> trees_;             // dense, indexed by source
   mutable std::vector<std::uint64_t> tree_epoch_;
-  /// Graph::mutation_seq() each tree has caught up to (valid trees only).
-  mutable std::vector<std::uint64_t> tree_mut_seq_;
   // Reusable indexed-heap state: entry array plus node -> heap position
   // back-pointers, enabling decrease-key instead of lazy duplicates.
   mutable std::vector<HeapEntry> heap_;
   mutable std::vector<std::uint32_t> heap_pos_;
-  mutable std::vector<std::uint64_t> pos_stamp_;
-  mutable std::uint64_t stamp_ = 0;
-  // Cone-collection scratch for increase repairs.
-  mutable std::vector<NodeId> cone_;
-  mutable std::vector<std::uint64_t> cone_mark_;
-  mutable std::uint64_t cone_stamp_ = 0;
   mutable std::vector<LinkId> path_scratch_;
-  mutable std::uint64_t repair_visits_ = 0;
-  mutable std::uint64_t full_recomputes_ = 0;
 };
 
 }  // namespace vdm::net

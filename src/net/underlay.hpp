@@ -63,13 +63,13 @@ class Underlay {
   /// threads. Matrix and coordinate substrates are pure reads over immutable
   /// arrays; the graph substrate fills mutable per-pair and per-tree caches
   /// on read, so it must stay single-threaded (and returns the default).
-  /// Intra-session parallel phases only engage when this is true.
+  /// The collector's parallel measure_tree reads only engage when this is
+  /// true.
   virtual bool concurrent_reads() const { return false; }
 
   /// True when loss() is identically zero for every host pair. A loss-free
   /// data plane draws no randomness per chunk edge (Rng::chance(0) draws
-  /// nothing), which is what lets the chunk flood shard across threads
-  /// without perturbing the rng stream.
+  /// nothing).
   virtual bool zero_loss() const { return false; }
 };
 

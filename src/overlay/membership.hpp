@@ -163,6 +163,14 @@ class Membership {
   /// descending into a subtree with no attachment point.
   bool subtree_has_capacity(HostId root, HostId exclude = kInvalidHost) const;
 
+  /// True if `h` hangs under a parent or is the session root `source`. Only
+  /// such a member counts its links right: a detached one (a crash orphan
+  /// awaiting its verdict) reports the slot its uplink will retake as free.
+  /// Walks must not start at a detached member.
+  bool attached(HostId h, HostId source) const {
+    return h == source || member(h).parent != kInvalidHost;
+  }
+
   /// True if `ancestor` appears on `node`'s root path (or equals it).
   bool is_ancestor(HostId ancestor, HostId node) const;
 

@@ -8,9 +8,9 @@
 namespace vdm::overlay {
 
 // measure() routes through probe_base() + finish_probe() for every provider
-// that opts into concurrent probing, so the parallel split (pure phase
-// concurrent, rng completion serial) is bit-identical to the one-call form
-// by construction rather than by parallel maintenance of two code paths.
+// that opts into split probing, so the split (pure phase, rng completion) is
+// bit-identical to the one-call form by construction rather than by parallel
+// maintenance of two code paths.
 
 double DelayMetric::measure(const net::Underlay& net, net::HostId a,
                             net::HostId b, util::Rng& rng) const {

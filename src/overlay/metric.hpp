@@ -56,12 +56,12 @@ class MetricProvider {
     return measure(net, a, b, rng);
   }
 
-  // ------------------------------------------------------- parallel probing
-  // A probe batch splits into a pure phase (underlay reads, safe to compute
-  // concurrently) and a serial completion (the rng draws, applied in caller
-  // order). Providers that opt in implement measure() as
-  // finish_probe(probe_base(...), rng), so the split is bit-identical to the
-  // one-call form by construction.
+  // ------------------------------------------------------ split probing
+  // A measurement splits into a pure phase (underlay reads, safe to compute
+  // concurrently) and a completion (the rng draws). Providers that opt in
+  // implement measure() as finish_probe(probe_base(...), rng), so the split
+  // is bit-identical to the one-call form by construction. Session probes
+  // serially; the split stays as the seam decorators and benches hook.
 
   /// Pure (rng-free) inputs of one measurement a -> b. Field meaning is
   /// provider-private; only finish_probe interprets it.

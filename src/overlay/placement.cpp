@@ -217,14 +217,11 @@ net::HostId PlacementIndex::locate(net::HostId joiner, Session& session,
   // Only attached members (or the root) make useful entry nodes; an alive
   // but detached orphan mid-reconnection would start the walk in a dangling
   // fragment.
-  const auto attached = [&](net::HostId m) {
-    return tree.member(m).parent != kInvalidHost || m == source_;
-  };
-
   if (grid_mode_) {
     const net::HostId found = grid_locate(joiner);
-    return found != net::kInvalidHost && attached(found) ? found
-                                                         : net::kInvalidHost;
+    return found != net::kInvalidHost && tree.attached(found, source_)
+               ? found
+               : net::kInvalidHost;
   }
 
   if (size_ == 0 || landmarks_.empty()) return net::kInvalidHost;
@@ -236,7 +233,9 @@ net::HostId PlacementIndex::locate(net::HostId joiner, Session& session,
   double best_d2 = std::numeric_limits<double>::infinity();
   for (std::size_t slot = 0; slot < ring_host_.size(); ++slot) {
     const net::HostId m = ring_host_[slot];
-    if (m == net::kInvalidHost || m == joiner || !attached(m)) continue;
+    if (m == net::kInvalidHost || m == joiner || !tree.attached(m, source_)) {
+      continue;
+    }
     double d2 = 0.0;
     for (std::size_t i = 0; i < l; ++i) {
       const double diff = joiner_vec_[i] - ring_vec_[slot * l + i];

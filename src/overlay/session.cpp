@@ -7,7 +7,6 @@
 #include "overlay/placement.hpp"
 #include "overlay/walk.hpp"
 #include "util/require.hpp"
-#include "util/task_pool.hpp"
 
 namespace vdm::overlay {
 
@@ -45,9 +44,9 @@ OpStats Protocol::execute_refine(Session&, net::HostId) { return {}; }
 Session::Session(sim::Simulator& simulator, const net::Underlay& underlay,
                  Protocol& protocol, const MetricProvider& metric,
                  const SessionParams& params, util::Rng rng)
-    : sim_reactor_(&simulator), reactor_(sim_reactor_), des_sim_(&simulator),
-      underlay_(underlay), protocol_(protocol), metric_(metric),
-      params_(params), rng_(rng), tree_(0) {
+    : sim_reactor_(&simulator), reactor_(sim_reactor_), underlay_(underlay),
+      protocol_(protocol), metric_(metric), params_(params), rng_(rng),
+      tree_(0) {
   // tree_ and walk_scratch_ stay empty until start(): an arena caller swaps
   // warm storage in between construction and start(), and sizing them here
   // would put two unavoidable allocations on that otherwise allocation-free
@@ -63,12 +62,6 @@ Session::Session(transport::Reactor& reactor, const net::Underlay& underlay,
       metric_(metric), params_(params), rng_(rng), tree_(0) {
   VDM_REQUIRE(params_.source < underlay.num_hosts());
   VDM_REQUIRE(params_.chunk_rate > 0.0);
-}
-
-sim::Simulator& Session::simulator() {
-  VDM_REQUIRE_MSG(des_sim_ != nullptr,
-                  "simulator() on a reactor-hosted session — use reactor()");
-  return *des_sim_;
 }
 
 void Session::swap_walk_scratch(std::unique_ptr<WalkScratch>& other) {
@@ -117,9 +110,15 @@ void Session::start() {
             std::uint64_t{transport::kInvalidTimer});
   walk_scratch_->pending_joins.clear();
   // Swapped-in record accumulators may hold entries pushed after the previous
-  // run's final drain; they belong to that run, not this one.
+  // run's final drain; they belong to that run, not this one. The same goes
+  // for heartbeat timer ids and pending crash orphans. The heartbeat slab is
+  // sized only when heartbeats are on, so runs without them touch no memory.
   scratch_.startup_records.clear();
   scratch_.reconnect_records.clear();
+  scratch_.heartbeats.assign(
+      params_.faults.heartbeat_period > 0.0 ? underlay_.num_hosts() : 0,
+      HeartbeatState{});
+  scratch_.crash_orphans.clear();
   tree_.activate(params_.source, params_.source_degree_limit);
   tree_.flood().in_session_since[params_.source] = reactor_.now();
   if (params_.join_mode != JoinMode::kSequential) {
@@ -133,8 +132,7 @@ void Session::start() {
     placement_->insert(params_.source);
   }
   if (params_.data_plane) {
-    // Same schedule/reschedule sequence sim::Periodic produces, without the
-    // per-run heap timer object.
+    // Re-armed in place each tick: no heap timer object per run.
     const sim::Time period = 1.0 / params_.chunk_rate;
     stream_event_ = reactor_.schedule_in(period, [this, period] {
       emit_chunk();
@@ -156,11 +154,12 @@ void Session::stop() {
       id = transport::kInvalidTimer;
     }
   }
-  for (auto& [h, hb] : heartbeats_) {
+  for (const HeartbeatState& hb : scratch_.heartbeats) {
     if (hb.pending_detect != transport::kInvalidTimer) reactor_.cancel(hb.pending_detect);
+    if (hb.timer != transport::kInvalidTimer) reactor_.cancel(hb.timer);
   }
-  heartbeats_.clear();
-  crash_orphans_.clear();
+  scratch_.heartbeats.clear();
+  scratch_.crash_orphans.clear();
 }
 
 TimingRecord Session::join(net::HostId h, int degree_limit) {
@@ -404,7 +403,10 @@ void Session::drain_join_batch() {
 
 net::HostId Session::reconnect_start(net::HostId orphan) const {
   const net::HostId gp = tree_.member(orphan).grandparent;
-  if (gp != kInvalidHost && eligible_parent(orphan, gp)) return gp;
+  if (gp != kInvalidHost && tree_.attached(gp, params_.source) &&
+      eligible_parent(orphan, gp)) {
+    return gp;
+  }
   return params_.source;
 }
 
@@ -466,10 +468,10 @@ void Session::crash(net::HostId h) {
   // subtrees as expecting-but-not-receiving (see emit_chunk).
   const sim::Time now = reactor_.now();
   for (const net::HostId orphan : scratch_.orphans) {
-    HeartbeatState& hb = heartbeats_.at(orphan);
+    HeartbeatState& hb = scratch_.heartbeats[orphan];
     hb.orphaned = true;
     hb.orphaned_at = now;
-    crash_orphans_.push_back(orphan);
+    scratch_.crash_orphans.push_back(orphan);
   }
 }
 
@@ -497,46 +499,12 @@ double Session::measure(net::HostId from, net::HostId to, OpStats& stats) {
   return v;
 }
 
-bool Session::parallel_probes_enabled(std::size_t batch) const {
-  // Below this size the pool handoff costs more than the probes; typical
-  // walk batches (parent + children, <= ~6) stay on the serial path and the
-  // big refinement / flash-crowd candidate sets go wide.
-  constexpr std::size_t kMinParallelProbes = 8;
-  return params_.threads != 1 && batch >= kMinParallelProbes &&
-         underlay_.concurrent_reads() && metric_.concurrent_probe_safe();
-}
-
 std::span<const double> Session::measure_parallel(
     net::HostId from, std::span<const net::HostId> targets,
     std::vector<double>& out, OpStats& stats) {
   out.clear();
   out.reserve(targets.size());
   sim::Time slowest = 0.0;
-  if (parallel_probes_enabled(targets.size())) {
-    ++totals_.parallel_probe_batches;
-    // Pure phase in parallel: per-target underlay reads land in per-index
-    // slots. Serial commit below applies the rng draws in FIFO target
-    // order, so values, costs and the rng stream match the serial path bit
-    // for bit (MetricProvider contract: measure == finish_probe(probe_base)).
-    scratch_.probe_bases.resize(targets.size());
-    scratch_.probe_costs.resize(targets.size());
-    util::TaskPool::global().for_n(
-        targets.size(), static_cast<std::size_t>(params_.threads),
-        [&](const util::TaskPool::Context& ctx) {
-          const net::HostId t = targets[ctx.index];
-          scratch_.probe_bases[ctx.index] = metric_.probe_base(underlay_, from, t);
-          scratch_.probe_costs[ctx.index] = {metric_.messages_per_measurement(),
-                                     metric_.measurement_time(underlay_, from, t)};
-        });
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      out.push_back(metric_.finish_probe(scratch_.probe_bases[i], rng_));
-      slowest = std::max(
-          slowest, lossy_elapsed(from, targets[i], scratch_.probe_costs[i].messages,
-                                 scratch_.probe_costs[i].elapsed, stats));
-    }
-    stats.elapsed += slowest;
-    return out;
-  }
   for (const net::HostId t : targets) {
     MetricProvider::Cost cost;
     out.push_back(metric_.measure_with_cost(underlay_, from, t, rng_, cost));
@@ -544,14 +512,6 @@ std::span<const double> Session::measure_parallel(
                        lossy_elapsed(from, t, cost.messages, cost.elapsed, stats));
   }
   stats.elapsed += slowest;
-  return out;
-}
-
-std::vector<double> Session::measure_parallel(net::HostId from,
-                                              std::span<const net::HostId> targets,
-                                              OpStats& stats) {
-  std::vector<double> out;
-  measure_parallel(from, targets, out, stats);
   return out;
 }
 
@@ -606,7 +566,7 @@ void Session::arm_refinement(net::HostId h) {
   // The tick re-arms into its own slab slot (reschedule_current_in keeps the
   // id), so the stored EventId stays valid for the member's whole tenure.
   // Disarming mid-tick suppresses the re-arm via the simulator's
-  // firing-cancelled state, exactly like Periodic::stop() did.
+  // firing-cancelled state.
   slab[h] = reactor_.schedule_in(period, [this, h, period] {
     refine(h);
     reactor_.reschedule_current_in(period);
@@ -623,7 +583,7 @@ void Session::disarm_refinement(net::HostId h) {
 
 void Session::ensure_heartbeat(net::HostId h) {
   if (params_.faults.heartbeat_period <= 0.0) return;
-  HeartbeatState& hb = heartbeats_[h];
+  HeartbeatState& hb = scratch_.heartbeats[h];
   hb.misses = 0;
   hb.orphaned = false;
   hb.orphaned_at = 0.0;
@@ -632,33 +592,37 @@ void Session::ensure_heartbeat(net::HostId h) {
     reactor_.cancel(hb.pending_detect);
     hb.pending_detect = transport::kInvalidTimer;
   }
-  // Recreate the timer only when it is missing or was stopped by a full
-  // miss streak; destroying a stopped PeriodicTimer is safe from any event
-  // (never from inside its own tick — the streak stops it first and the
-  // recreation happens in complete_detection, a plain event).
-  if (!hb.timer || !hb.timer->running()) {
-    hb.timer = std::make_unique<transport::PeriodicTimer>(
-        reactor_, params_.faults.heartbeat_period,
-        [this, h] { heartbeat_tick(h); });
+  // A ticking timer keeps its phase; a stopped one (never armed, or stopped
+  // by a verdict) restarts a full period from now. The tick re-arms into its
+  // own slot exactly as the refinement slab does, and a verdict cancels it
+  // from inside the tick, which suppresses that re-arm.
+  if (hb.timer == transport::kInvalidTimer) {
+    const sim::Time period = params_.faults.heartbeat_period;
+    hb.timer = reactor_.schedule_in(period, [this, h, period] {
+      heartbeat_tick(h);
+      reactor_.reschedule_current_in(period);
+    });
   }
 }
 
 void Session::disarm_heartbeat(net::HostId h) {
-  const auto it = heartbeats_.find(h);
-  if (it == heartbeats_.end()) return;
-  if (it->second.pending_detect != transport::kInvalidTimer) {
-    reactor_.cancel(it->second.pending_detect);
+  if (h >= scratch_.heartbeats.size()) return;
+  HeartbeatState& hb = scratch_.heartbeats[h];
+  if (hb.pending_detect != transport::kInvalidTimer) {
+    reactor_.cancel(hb.pending_detect);
   }
-  heartbeats_.erase(it);
+  if (hb.timer != transport::kInvalidTimer) reactor_.cancel(hb.timer);
+  hb = HeartbeatState{};
 }
 
 void Session::forget_crash_orphan(net::HostId h) {
-  const auto it = std::find(crash_orphans_.begin(), crash_orphans_.end(), h);
-  if (it != crash_orphans_.end()) crash_orphans_.erase(it);
+  std::vector<net::HostId>& orphans = scratch_.crash_orphans;
+  const auto it = std::find(orphans.begin(), orphans.end(), h);
+  if (it != orphans.end()) orphans.erase(it);
 }
 
 void Session::heartbeat_tick(net::HostId h) {
-  HeartbeatState& hb = heartbeats_.at(h);
+  HeartbeatState& hb = scratch_.heartbeats[h];
   const MemberState& m = tree_.member(h);
   VDM_REQUIRE_MSG(m.alive, "heartbeat ticking on a dead member");
   const FaultParams& f = params_.faults;
@@ -693,17 +657,18 @@ void Session::heartbeat_tick(net::HostId h) {
   if (hb.misses >= f.heartbeat_misses &&
       hb.pending_detect == transport::kInvalidTimer) {
     // Verdict reached: stop probing and declare the parent dead once the
-    // final probe's own timeout expires. The timer must not be destroyed
-    // from inside its own tick — stop() it and let complete_detection (a
-    // plain scheduled event) recreate it after the rejoin.
-    hb.timer->stop();
+    // final probe's own timeout expires. Cancelling the firing timer
+    // suppresses its re-arm; complete_detection (a plain scheduled event)
+    // restarts probing after the rejoin.
+    reactor_.cancel(hb.timer);
+    hb.timer = transport::kInvalidTimer;
     hb.pending_detect = reactor_.schedule_in(f.heartbeat_timeout,
-                                         [this, h] { complete_detection(h); });
+                                             [this, h] { complete_detection(h); });
   }
 }
 
 void Session::complete_detection(net::HostId h) {
-  HeartbeatState& hb = heartbeats_.at(h);
+  HeartbeatState& hb = scratch_.heartbeats[h];
   hb.pending_detect = transport::kInvalidTimer;
   const MemberState& m = tree_.member(h);
   VDM_REQUIRE_MSG(m.alive, "detection completing on a dead member");
@@ -721,21 +686,11 @@ void Session::complete_detection(net::HostId h) {
     detection = reactor_.now() - hb.first_miss_at;
     if (m.parent != kInvalidHost) tree_.detach(h);
   }
-  // NOTE: run_join re-enters ensure_heartbeat, which may rehash
-  // heartbeats_ — `hb` is dead past this point.
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);
   if (params_.paranoid_checks) tree_.validate();
 }
 
 void Session::reset_window() { window_ = Counters{}; }
-
-std::vector<TimingRecord> Session::take_startup_records() {
-  return std::exchange(scratch_.startup_records, {});
-}
-
-std::vector<TimingRecord> Session::take_reconnect_records() {
-  return std::exchange(scratch_.reconnect_records, {});
-}
 
 void Session::drain_startup_records(std::vector<TimingRecord>& out) {
   out.clear();
@@ -770,88 +725,39 @@ void Session::emit_chunk() {
   // traversal exactly (skipped leaf frames drew nothing), preserving
   // determinism.
   FloodTable& fl = tree_.flood();
-  FloodShard total;
-  if (parallel_flood_enabled()) {
-    ++totals_.parallel_floods;
-    // Sharded flood: the source's own edges run serially (preserving child
-    // order for the shard seeds), then each source-child subtree floods on
-    // its own worker. Shards are disjoint — every FloodTable row belongs to
-    // exactly one subtree — and a zero_loss() underlay means no edge ever
-    // draws (Rng::chance(0) is draw-free in the serial path too), so the
-    // counters, the per-member tables and the rng stream are all
-    // bit-identical to the serial traversal for any worker count.
-    scratch_.flood_seeds.clear();
-    for (const net::HostId c : tree_.member_unchecked(params_.source).children) {
+  std::uint64_t transmissions = 0;
+  std::uint64_t expected = 0;
+  std::uint64_t received = 0;
+  scratch_.chunk_stack.clear();
+  scratch_.chunk_stack.push_back({params_.source, true});
+  while (!scratch_.chunk_stack.empty()) {
+    const ChunkFrame f = scratch_.chunk_stack.back();
+    scratch_.chunk_stack.pop_back();
+    for (const net::HostId c : tree_.member_unchecked(f.host).children) {
       bool delivered = false;
-      ++total.transmissions;
-      if (buffered_now >= fl.receiving_since[c]) {
-        if (fl.uplink_loss_parent[c] != params_.source) {
-          fl.uplink_loss_parent[c] = params_.source;
-          fl.uplink_loss[c] = underlay_.loss(params_.source, c);
+      if (f.delivered) {
+        ++transmissions;
+        // A playout buffer forgives outages that end within
+        // buffer_seconds: the chunk is recovered from the new parent
+        // before playback needs it, so the viewer never sees the gap.
+        if (buffered_now >= fl.receiving_since[c]) {
+          if (fl.uplink_loss_parent[c] != f.host) {
+            fl.uplink_loss_parent[c] = f.host;
+            fl.uplink_loss[c] = underlay_.loss(f.host, c);
+          }
+          delivered = !rng_.chance(fl.uplink_loss[c]);
         }
-        delivered = !rng_.chance(fl.uplink_loss[c]);
       }
       if (now >= fl.in_session_since[c]) {
         ++fl.chunks_expected[c];
-        ++total.expected;
+        ++expected;
         if (delivered) {
           ++fl.chunks_received[c];
-          ++total.delivered;
+          ++received;
         }
       }
       if (!tree_.member_unchecked(c).children.empty()) {
-        scratch_.flood_seeds.push_back({c, delivered});
-      }
-    }
-    scratch_.flood_results.assign(scratch_.flood_seeds.size(), FloodShard{});
-    if (scratch_.flood_stacks.size() < scratch_.flood_seeds.size()) {
-      scratch_.flood_stacks.resize(scratch_.flood_seeds.size());
-    }
-    util::TaskPool::global().for_n(
-        scratch_.flood_seeds.size(), static_cast<std::size_t>(params_.threads),
-        [&](const util::TaskPool::Context& ctx) {
-          flood_subtree(scratch_.flood_seeds[ctx.index], now, buffered_now,
-                        scratch_.flood_stacks[ctx.index], scratch_.flood_results[ctx.index]);
-        });
-    // Serial reduction in fixed seed order (integer sums — associative, but
-    // FIFO keeps the policy uniform with the probe path).
-    for (const FloodShard& s : scratch_.flood_results) {
-      total.transmissions += s.transmissions;
-      total.expected += s.expected;
-      total.delivered += s.delivered;
-    }
-  } else {
-    scratch_.chunk_stack.clear();
-    scratch_.chunk_stack.push_back({params_.source, true});
-    while (!scratch_.chunk_stack.empty()) {
-      const ChunkFrame f = scratch_.chunk_stack.back();
-      scratch_.chunk_stack.pop_back();
-      for (const net::HostId c : tree_.member_unchecked(f.host).children) {
-        bool delivered = false;
-        if (f.delivered) {
-          ++total.transmissions;
-          // A playout buffer forgives outages that end within
-          // buffer_seconds: the chunk is recovered from the new parent
-          // before playback needs it, so the viewer never sees the gap.
-          if (buffered_now >= fl.receiving_since[c]) {
-            if (fl.uplink_loss_parent[c] != f.host) {
-              fl.uplink_loss_parent[c] = f.host;
-              fl.uplink_loss[c] = underlay_.loss(f.host, c);
-            }
-            delivered = !rng_.chance(fl.uplink_loss[c]);
-          }
-        }
-        if (now >= fl.in_session_since[c]) {
-          ++fl.chunks_expected[c];
-          ++total.expected;
-          if (delivered) {
-            ++fl.chunks_received[c];
-            ++total.delivered;
-          }
-        }
-        if (!tree_.member_unchecked(c).children.empty()) {
-          scratch_.chunk_stack.push_back({c, delivered});
-        }
+        scratch_.chunk_stack.push_back({c, delivered});
       }
     }
   }
@@ -860,14 +766,14 @@ void Session::emit_chunk() {
   // flood above (nothing links into them), yet their members still expect
   // chunks — that gap IS the churn loss a crash causes. Walk them
   // explicitly; draws nothing and costs nothing when no crash is pending.
-  for (const net::HostId root : crash_orphans_) {
+  for (const net::HostId root : scratch_.crash_orphans) {
     scratch_.chunk_stack.push_back({root, false});
     while (!scratch_.chunk_stack.empty()) {
       const ChunkFrame f = scratch_.chunk_stack.back();
       scratch_.chunk_stack.pop_back();
       if (now >= fl.in_session_since[f.host]) {
         ++fl.chunks_expected[f.host];
-        ++total.expected;
+        ++expected;
       }
       for (const net::HostId c : tree_.member_unchecked(f.host).children) {
         scratch_.chunk_stack.push_back({c, false});
@@ -875,57 +781,12 @@ void Session::emit_chunk() {
     }
   }
 
-  window_.data_transmissions += total.transmissions;
-  totals_.data_transmissions += total.transmissions;
-  window_.chunks_expected += total.expected;
-  totals_.chunks_expected += total.expected;
-  window_.chunks_delivered += total.delivered;
-  totals_.chunks_delivered += total.delivered;
-}
-
-bool Session::parallel_flood_enabled() const {
-  return params_.threads != 1 && underlay_.concurrent_reads() &&
-         underlay_.zero_loss();
-}
-
-void Session::flood_subtree(ChunkFrame seed, sim::Time now,
-                            sim::Time buffered_now,
-                            std::vector<ChunkFrame>& stack, FloodShard& res) {
-  // The per-worker body of the sharded flood: identical traversal and
-  // identical FloodTable writes as the serial loop, except the loss draw —
-  // zero_loss() makes it chance(0), which never fires and draws nothing, so
-  // `delivered` reduces to the buffered-receiving test.
-  FloodTable& fl = tree_.flood();
-  stack.clear();
-  stack.push_back(seed);
-  while (!stack.empty()) {
-    const ChunkFrame f = stack.back();
-    stack.pop_back();
-    for (const net::HostId c : tree_.member_unchecked(f.host).children) {
-      bool delivered = false;
-      if (f.delivered) {
-        ++res.transmissions;
-        if (buffered_now >= fl.receiving_since[c]) {
-          if (fl.uplink_loss_parent[c] != f.host) {
-            fl.uplink_loss_parent[c] = f.host;
-            fl.uplink_loss[c] = underlay_.loss(f.host, c);
-          }
-          delivered = true;
-        }
-      }
-      if (now >= fl.in_session_since[c]) {
-        ++fl.chunks_expected[c];
-        ++res.expected;
-        if (delivered) {
-          ++fl.chunks_received[c];
-          ++res.delivered;
-        }
-      }
-      if (!tree_.member_unchecked(c).children.empty()) {
-        stack.push_back({c, delivered});
-      }
-    }
-  }
+  window_.data_transmissions += transmissions;
+  totals_.data_transmissions += transmissions;
+  window_.chunks_expected += expected;
+  totals_.chunks_expected += expected;
+  window_.chunks_delivered += received;
+  totals_.chunks_delivered += received;
 }
 
 }  // namespace vdm::overlay

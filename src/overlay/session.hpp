@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/underlay.hpp"
@@ -91,14 +90,11 @@ struct SessionParams {
   JoinMode join_mode = JoinMode::kSequential;
   /// Crash-failure and control-loss model; defaults are all-off.
   FaultParams faults;
-  /// Worker threads for intra-session parallel phases — probe batches and
-  /// per-subtree chunk-flood shards: 1 = fully serial (default), 0 =
-  /// hardware concurrency, N = cap. Every run_once scalar is bit-identical
-  /// for every value: parallel phases compute pure underlay reads
-  /// concurrently and commit results (and all rng draws) serially in fixed
-  /// FIFO order, and they only engage at all when the underlay reports
-  /// concurrent_reads() (matrix/coord substrates; the graph substrate's
-  /// mutable caches keep it serial regardless of this knob).
+  /// Worker threads for the one parallel phase inside a run, the
+  /// collector's measure_tree reads (metrics::Collector::set_threads): 1 =
+  /// fully serial (default), 0 = hardware concurrency, N = cap. The session
+  /// itself — joins, probes, the chunk flood — always runs serially. Every
+  /// run_once scalar is bit-identical for every value.
   int threads = 1;
   /// Accumulate wall-clock time per control/data-plane phase (join walks,
   /// refinement, chunk floods) for vdmsim --profile. Off by default: the
@@ -146,47 +142,54 @@ class Session {
     net::HostId host;
     bool delivered;
   };
-  /// Per-shard counters of a parallel flood (see flood_subtree).
-  struct FloodShard {
-    std::uint64_t transmissions = 0;
-    std::uint64_t expected = 0;
-    std::uint64_t delivered = 0;
+  /// Per-member failure-detector state (faults.heartbeat_period > 0).
+  struct HeartbeatState {
+    /// The probe timer, re-armed in place each tick; kInvalidTimer while
+    /// the member is not probing (never armed, or stopped by a verdict).
+    transport::TimerId timer = transport::kInvalidTimer;
+    int misses = 0;
+    /// Parent crashed; probes are going unanswered until detection fires.
+    bool orphaned = false;
+    sim::Time orphaned_at = 0.0;
+    /// Start of the current miss streak (detection latency for a false
+    /// positive is measured from here).
+    sim::Time first_miss_at = 0.0;
+    /// The scheduled complete_detection() timer, if the streak reached
+    /// heartbeat_misses; cancelled when the member leaves/crashes first.
+    transport::TimerId pending_detect = transport::kInvalidTimer;
   };
 
  public:
   /// Arena-carried reusable buffers of the session's event paths: the
-  /// chunk-flood traversal stack, the parallel-phase probe/flood scratch,
-  /// the leave/crash orphan list and the timing-record accumulators. One
-  /// bundle lives on each Session; the experiment runner swaps a warm one
-  /// in from its RunScratch (swap_scratch) so steady-state sweeps run the
-  /// whole data plane and churn path without allocating.
+  /// chunk-flood traversal stack, the leave/crash orphan list, the
+  /// timing-record accumulators and the failure detector's per-host slab
+  /// and pending crash orphans. One bundle lives on each Session; the
+  /// experiment runner swaps a warm one in from its RunScratch
+  /// (swap_scratch) so steady-state sweeps run the whole data plane, churn
+  /// and crash-recovery path without allocating.
   struct Scratch {
     std::vector<ChunkFrame> chunk_stack;
-    std::vector<MetricProvider::ProbeBase> probe_bases;
-    std::vector<MetricProvider::Cost> probe_costs;
-    std::vector<ChunkFrame> flood_seeds;
-    std::vector<FloodShard> flood_results;
-    std::vector<std::vector<ChunkFrame>> flood_stacks;
     std::vector<net::HostId> orphans;
     std::vector<TimingRecord> startup_records;
     std::vector<TimingRecord> reconnect_records;
+    /// Indexed by host; sized only when heartbeats are on.
+    std::vector<HeartbeatState> heartbeats;
+    /// Roots of subtrees detached by a crash and still awaiting detection.
+    /// The data-plane flood cannot reach them via children lists, so
+    /// emit_chunk walks these explicitly to count the chunks their members
+    /// miss during the outage. Order-preserving (vector + std::find) so the
+    /// walk order stays deterministic.
+    std::vector<net::HostId> crash_orphans;
 
     /// Heap bytes reserved — folded into RunScratch::capacity_bytes so the
     /// arena grow gate covers the data plane and churn paths.
     std::size_t capacity_bytes() const {
-      std::size_t bytes =
-          (chunk_stack.capacity() + flood_seeds.capacity()) * sizeof(ChunkFrame) +
-          probe_bases.capacity() * sizeof(MetricProvider::ProbeBase) +
-          probe_costs.capacity() * sizeof(MetricProvider::Cost) +
-          flood_results.capacity() * sizeof(FloodShard) +
-          flood_stacks.capacity() * sizeof(std::vector<ChunkFrame>) +
-          orphans.capacity() * sizeof(net::HostId) +
-          (startup_records.capacity() + reconnect_records.capacity()) *
-              sizeof(TimingRecord);
-      for (const std::vector<ChunkFrame>& s : flood_stacks) {
-        bytes += s.capacity() * sizeof(ChunkFrame);
-      }
-      return bytes;
+      return chunk_stack.capacity() * sizeof(ChunkFrame) +
+             (orphans.capacity() + crash_orphans.capacity()) *
+                 sizeof(net::HostId) +
+             (startup_records.capacity() + reconnect_records.capacity()) *
+                 sizeof(TimingRecord) +
+             heartbeats.capacity() * sizeof(HeartbeatState);
     }
   };
 
@@ -201,7 +204,7 @@ class Session {
   /// Reactor-hosted session: the same protocol core on any transport
   /// backend — vdmd passes a UdpReactor and a MeasuredUnderlay, and joins,
   /// heartbeats and refinement timers run against real sockets and the wall
-  /// clock. simulator() is unavailable on this form.
+  /// clock.
   Session(transport::Reactor& reactor, const net::Underlay& underlay,
           Protocol& protocol, const MetricProvider& metric,
           const SessionParams& params, util::Rng rng);
@@ -255,11 +258,6 @@ class Session {
                                            std::vector<double>& out,
                                            OpStats& stats);
 
-  /// Allocating convenience wrapper over the span-out form.
-  std::vector<double> measure_parallel(net::HostId from,
-                                       std::span<const net::HostId> targets,
-                                       OpStats& stats);
-
   /// A request/response exchange with `with` (info request, connection
   /// request): 2 messages, one RTT of elapsed time.
   void charge_exchange(net::HostId from, net::HostId with, OpStats& stats);
@@ -279,11 +277,7 @@ class Session {
   const MetricProvider& metric() const { return metric_; }
   net::HostId source() const { return params_.source; }
   util::Rng& rng() { return rng_; }
-  /// The backing simulator — only valid on a simulation-hosted session
-  /// (throws util::InvariantError on a reactor-hosted one). Callers that
-  /// merely need time or timers should use reactor() instead.
-  sim::Simulator& simulator();
-  /// The time/timer backend this session runs on. Always valid.
+  /// The time/timer backend this session runs on.
   transport::Reactor& reactor() { return reactor_; }
   Protocol& protocol() { return protocol_; }
 
@@ -352,14 +346,6 @@ class Session {
     std::uint64_t crashes = 0;
     std::uint64_t refines_run = 0;
     std::uint64_t refine_switches = 0;
-    /// Diagnostics, not metrics: chunk floods that ran the sharded
-    /// multi-worker path and probe batches that ran the parallel
-    /// compute/serial-commit path. Both count engagements only — results
-    /// are bitwise identical either way — so benches and --profile can
-    /// assert the parallel machinery actually ran (counter-gated on
-    /// single-core recording hosts, where wall clock proves nothing).
-    std::uint64_t parallel_floods = 0;
-    std::uint64_t parallel_probe_batches = 0;
   };
   /// Counters since the last reset_window() (per-epoch metrics).
   const Counters& window() const { return window_; }
@@ -369,13 +355,10 @@ class Session {
   const PhaseProfile& profile() const { return profile_; }
   void reset_window();
 
-  /// Startup / reconnection records accumulated since the last take.
-  std::vector<TimingRecord> take_startup_records();
-  std::vector<TimingRecord> take_reconnect_records();
-
-  /// Arena variants: swap the accumulated records into `out` (cleared
-  /// first); the session keeps accumulating into out's previous storage, so
-  /// a capture loop ping-pongs two buffers instead of allocating.
+  /// Startup / reconnection records accumulated since the last drain: swaps
+  /// them into `out` (cleared first); the session keeps accumulating into
+  /// out's previous storage, so a capture loop ping-pongs two buffers
+  /// instead of allocating.
   void drain_startup_records(std::vector<TimingRecord>& out);
   void drain_reconnect_records(std::vector<TimingRecord>& out);
 
@@ -395,11 +378,17 @@ class Session {
   /// interleaved walks (round-robin turns over a shared TreeWalk, per-node
   /// slot reservations, park/wake on capacity dead-ends). See DESIGN.md §10.
   void drain_join_batch();
-  /// Where an orphan starts its rejoin: grandparent if alive and eligible,
-  /// else the source (§3.3; also covers "the grandparent crashed too").
+  /// Where an orphan starts its rejoin: the grandparent if it is attached
+  /// (or is the source) and eligible, else the source (§3.3; also covers
+  /// "the grandparent crashed too"). A grandparent that is itself a crash
+  /// orphan awaiting its verdict is skipped: detached, it reports the slot
+  /// its own uplink will retake as free.
   net::HostId reconnect_start(net::HostId orphan) const;
   void arm_refinement(net::HostId h);
   void disarm_refinement(net::HostId h);
+  /// (Re)starts `h`'s failure detector after an attach: resets the miss
+  /// streak, drops a pending verdict and arms the probe timer if it is not
+  /// already ticking.
   void ensure_heartbeat(net::HostId h);
   void disarm_heartbeat(net::HostId h);
   void heartbeat_tick(net::HostId h);
@@ -414,27 +403,12 @@ class Session {
                           sim::Time base, OpStats& stats);
   void emit_chunk();
 
-  /// True when this probe batch may compute its pure phase concurrently
-  /// (threads enabled, underlay and metric both safe, batch big enough to
-  /// beat the pool handoff).
-  bool parallel_probes_enabled(std::size_t batch) const;
-  /// True when emit_chunk may shard the flood across subtrees: requires a
-  /// draw-free data plane (zero_loss) so no shard ever touches the rng.
-  bool parallel_flood_enabled() const;
-  /// Floods the subtree below `seed` (exclusive), accumulating into `res`.
-  /// Pure reads + writes to this subtree's FloodTable rows only — safe to
-  /// run one shard per thread, since subtrees are disjoint.
-  void flood_subtree(ChunkFrame seed, sim::Time now, sim::Time buffered_now,
-                     std::vector<ChunkFrame>& stack, FloodShard& res);
-
   /// The DES backend when simulation-hosted; unbound (and unused) when an
   /// external reactor was supplied. By value so the sim-hosted constructor
   /// stays allocation-free (the arena gate in bench_e2e counts its allocs).
   transport::SimReactor sim_reactor_;
   /// The time/timer seam every call site below goes through.
   transport::Reactor& reactor_;
-  /// Non-null only when simulation-hosted (backs simulator()).
-  sim::Simulator* des_sim_ = nullptr;
   const net::Underlay& underlay_;
   Protocol& protocol_;
   const MetricProvider& metric_;
@@ -459,38 +433,14 @@ class Session {
   sim::Time best_cohort_span_ = 0.0;
 
   /// The data-plane chunk clock: one timer rescheduled in place after each
-  /// tick — the TimerId analog of transport::PeriodicTimer, so starting the
-  /// data plane costs no heap timer object per run.
+  /// tick, so starting the data plane costs no heap timer object per run.
   transport::TimerId stream_event_ = transport::kInvalidTimer;
 
-  /// Per-member failure-detector state (only populated when
-  /// faults.heartbeat_period > 0).
-  struct HeartbeatState {
-    std::unique_ptr<transport::PeriodicTimer> timer;
-    int misses = 0;
-    /// Parent crashed; probes are going unanswered until detection fires.
-    bool orphaned = false;
-    sim::Time orphaned_at = 0.0;
-    /// Start of the current miss streak (detection latency for a false
-    /// positive is measured from here).
-    sim::Time first_miss_at = 0.0;
-    /// The scheduled complete_detection() timer, if the streak reached
-    /// heartbeat_misses; cancelled when the member leaves/crashes first.
-    transport::TimerId pending_detect = transport::kInvalidTimer;
-  };
-  std::unordered_map<net::HostId, HeartbeatState> heartbeats_;
-  /// Roots of subtrees detached by a crash and still awaiting detection.
-  /// The data-plane flood cannot reach them via children lists, so
-  /// emit_chunk walks these explicitly to count the chunks their members
-  /// miss during the outage. Order-preserving (vector + std::find) so the
-  /// walk order — and thus nothing, since the walk draws no randomness —
-  /// stays deterministic.
-  std::vector<net::HostId> crash_orphans_;
-
-  /// Reusable event-path buffers (see Scratch): the chunk-flood stack and
-  /// parallel-phase slots, the leave/crash orphan list (never re-entered —
-  /// each departure is a top-level sim event and the rejoin path below it
-  /// never deactivates), and the timing-record accumulators.
+  /// Reusable event-path buffers (see Scratch): the chunk-flood stack, the
+  /// leave/crash orphan list (never re-entered — each departure is a
+  /// top-level sim event and the rejoin path below it never deactivates),
+  /// the timing-record accumulators, and the heartbeat slab with its
+  /// pending crash orphans.
   Scratch scratch_;
 
   Counters window_;

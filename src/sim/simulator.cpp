@@ -155,9 +155,9 @@ void Simulator::fire_top() {
 
   Slot& s = slots_[slot];  // re-fetch: the slab may have reallocated
   if (firing_rearm_ && !firing_cancelled_) {
-    // Re-arm in place (Periodic): same slot, same generation — the caller's
-    // EventId stays valid — with a fresh sequence number, exactly as if the
-    // callback had scheduled a new event at this point.
+    // Re-arm in place (periodic timers): same slot, same generation — the
+    // caller's EventId stays valid — with a fresh sequence number, exactly
+    // as if the callback had scheduled a new event at this point.
     s.fn = std::move(fn);
     s.t = firing_rearm_at_;
     s.seq = next_seq_++;
@@ -194,32 +194,6 @@ std::size_t Simulator::run_until(Time t) {
   }
   now_ = t;
   return n;
-}
-
-Periodic::Periodic(Simulator& simulator, Time interval, InlineFn fn)
-    : sim_(simulator), interval_(interval), fn_(std::move(fn)) {
-  VDM_REQUIRE(interval_ > 0.0);
-  VDM_REQUIRE(fn_ != nullptr);
-  pending_ = sim_.schedule_in(interval_, [this] {
-    fn_();
-    // Re-arm into the same slot (zero allocation, id unchanged). If fn_
-    // called stop(), the cancel already suppressed the re-arm; clear the
-    // stale id so a later stop() cannot cancel an unrelated reused slot.
-    if (running_) {
-      sim_.reschedule_current_in(interval_);
-    } else {
-      pending_ = kInvalidEvent;
-    }
-  });
-}
-
-Periodic::~Periodic() { stop(); }
-
-void Periodic::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != kInvalidEvent) sim_.cancel(pending_);
-  pending_ = kInvalidEvent;
 }
 
 }  // namespace vdm::sim

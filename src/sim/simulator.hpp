@@ -156,27 +156,4 @@ class Simulator {
   Time firing_rearm_at_ = kTimeZero;
 };
 
-/// RAII periodic timer: runs `fn` every `interval` seconds starting at
-/// now + interval, until destroyed or stop()ped. Protocol refinement and
-/// stream sending use this. The timer owns one slab slot for its whole
-/// lifetime — each tick re-arms in place, so steady state allocates nothing
-/// and the pending EventId never changes.
-class Periodic {
- public:
-  Periodic(Simulator& simulator, Time interval, InlineFn fn);
-  ~Periodic();
-  Periodic(const Periodic&) = delete;
-  Periodic& operator=(const Periodic&) = delete;
-
-  void stop();
-  bool running() const { return running_; }
-
- private:
-  Simulator& sim_;
-  Time interval_;
-  InlineFn fn_;
-  EventId pending_ = kInvalidEvent;
-  bool running_ = true;
-};
-
 }  // namespace vdm::sim

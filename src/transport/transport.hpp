@@ -101,11 +101,12 @@ struct RetryPolicy {
   }
 };
 
-/// RAII periodic timer over any Reactor — transport::PeriodicTimer is to
-/// Reactor what sim::Periodic is to Simulator, and replicates its behaviour
-/// exactly (one slot for life, in-place re-arm, stop() from inside the tick
-/// suppresses the re-arm): a sim-hosted session heartbeat schedules the
-/// identical event sequence it did before the seam.
+/// RAII periodic timer over any Reactor: runs `fn` every `interval` seconds
+/// (> 0) starting at now + interval, until destroyed or stop()ped. One slot
+/// for life (each tick re-arms in place), and stop() from inside the tick
+/// suppresses the re-arm. For timers bound to a scope, such as vdmd's chunk
+/// and heartbeat clocks; Session keeps per-member timers as plain TimerIds
+/// in slabs instead, re-armed with the same reschedule_current_in idiom.
 class PeriodicTimer {
  public:
   PeriodicTimer(Reactor& reactor, Time interval, TimerFn fn);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace vdm::util {
 
@@ -13,6 +15,20 @@ std::string env_name(const std::string& flag) {
   std::string out = "VDM_";
   for (char ch : flag) {
     out += (ch == '-') ? '_' : static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+  }
+  return out;
+}
+
+/// Parses all of `v` as a T; anything else (no digits, trailing garbage,
+/// out of range) throws an error that names the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& v, const char* what) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--" + name + ": expected " + what + ", got '" +
+                                v + "'");
   }
   return out;
 }
@@ -53,13 +69,13 @@ std::string Flags::get(const std::string& name, const std::string& def) const {
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   const std::string v = get(name, "");
   if (v.empty()) return def;
-  return std::stoll(v);
+  return parse_number<std::int64_t>(name, v, "an integer");
 }
 
 double Flags::get_double(const std::string& name, double def) const {
   const std::string v = get(name, "");
   if (v.empty()) return def;
-  return std::stod(v);
+  return parse_number<double>(name, v, "a number");
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -20,6 +20,8 @@ class Flags {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
+  /// Numeric getters read the whole value: a non-number or trailing
+  /// garbage ("12abc") throws std::invalid_argument naming the flag.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;

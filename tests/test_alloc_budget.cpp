@@ -1,8 +1,8 @@
 // Steady-state allocation budget for arena run_once: ZERO. The RunScratch
 // arena owns every piece of per-run scaffolding — topology, underlay,
 // collector, walk buffers, membership tree, Session working buffers, the
-// refine/stream timer slabs, the MST-ratio working set and the cached
-// protocol/metric objects — so a warm arena replays a shape without
+// refine/stream/heartbeat timer slabs, the MST-ratio working set and the
+// cached protocol/metric objects — so a warm arena replays a shape without
 // touching the heap at all. This test pins that exactly, so a change that
 // reintroduces even one per-run construction fails loudly instead of
 // showing up as a bench regression months later.
@@ -104,6 +104,33 @@ TEST(AllocBudget, CoordSubstrateStaysUnderBudgetToo) {
   (void)run_once(cfg, scratch);
   const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
 
+  EXPECT_EQ(scratch.grow_events(), grows_before);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocBudget, CrashChurnWithHeartbeatsStaysUnderBudgetToo) {
+  // The BM_RunOnceCrashChurn shape: every departure crashes, every member
+  // runs a heartbeat detector over a lossy control plane. The detector's
+  // per-host timer slab and the pending crash orphans ride the arena like
+  // the rest, so detection and recovery allocate nothing either.
+  RunScratch scratch;
+  RunConfig cfg = paper_config();
+  cfg.scenario.churn_rate = 0.10;
+  cfg.scenario.crash_fraction = 1.0;
+  cfg.session.faults.heartbeat_period = 1.0;
+  cfg.session.faults.heartbeat_misses = 3;
+  cfg.session.faults.heartbeat_timeout = 0.5;
+  cfg.session.faults.lossy_control = true;
+  cfg.session.faults.control_loss_extra = 0.01;
+  (void)run_once(cfg, scratch);
+  (void)run_once(cfg, scratch);
+  const std::uint64_t grows_before = scratch.grow_events();
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const RunResult r = run_once(cfg, scratch);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+
+  EXPECT_GT(r.detection_avg, 0.0);  // crashes were detected, not skipped
   EXPECT_EQ(scratch.grow_events(), grows_before);
   EXPECT_EQ(allocs, 0u);
 }

@@ -9,6 +9,7 @@
 #include "experiments/runner.hpp"
 #include "helpers.hpp"
 #include "util/require.hpp"
+#include "walk_golden_configs.hpp"
 
 namespace vdm::overlay {
 namespace {
@@ -59,7 +60,8 @@ TEST(Crash, WithoutHeartbeatReconnectsInstantly) {
   EXPECT_EQ(h.parent(2), 0u);  // reconnected from grandparent immediately
   EXPECT_EQ(h.session.totals().crashes, 1u);
   EXPECT_EQ(h.session.totals().reconnects_completed, 1u);
-  const std::vector<TimingRecord> recs = h.session.take_reconnect_records();
+  std::vector<TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].host, 2u);
   EXPECT_DOUBLE_EQ(recs[0].detection, 0.0);
@@ -116,7 +118,8 @@ TEST(Heartbeat, DetectsCrashAfterMissStreakExactly) {
 
   h.sim.run_until(10.0);
   EXPECT_EQ(h.parent(2), 0u);  // rejoined from grandparent
-  const std::vector<TimingRecord> recs = h.session.take_reconnect_records();
+  std::vector<TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].host, 2u);
   EXPECT_DOUBLE_EQ(recs[0].at, 7.5);
@@ -159,7 +162,8 @@ TEST(Heartbeat, FalsePositiveDetachesAndRejoins) {
   ASSERT_EQ(h.parent(2), 1u);
 
   h.sim.run_until(3.75);
-  const std::vector<TimingRecord> recs = h.session.take_reconnect_records();
+  std::vector<TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_GE(recs.size(), 1u);
   EXPECT_EQ(recs[0].at, 3.5);
   EXPECT_DOUBLE_EQ(recs[0].detection, 3.5 - 1.0);
@@ -239,6 +243,23 @@ TEST(Crash, OrphanSubtreeCountsMissedChunksDuringOutage) {
   const Session::Counters& t = h.session.totals();
   EXPECT_EQ(t.chunks_expected - t.chunks_delivered, 3u);
   EXPECT_EQ(h.session.totals().crashes, 1u);
+}
+
+TEST(Crash, OrphanNeverRejoinsUnderADetachedGrandparent) {
+  // A crash orphan's grandparent can itself be a crash orphan still waiting
+  // for its verdict. Detached, it reports the slot its own uplink will
+  // retake as free; an orphan that rejoined there left it one link over its
+  // degree limit once it reattached. These seeds of the smoke-size flash
+  // shape with crash churn hit that case; paranoid checks validate the tree
+  // after every mutation.
+  for (const std::uint64_t seed : {23u, 34u, 42u}) {
+    experiments::RunConfig cfg = testutil::flash_heartbeat_config(seed);
+    cfg.scenario.crash_fraction = 1.0;
+    cfg.session.paranoid_checks = true;
+    experiments::RunResult r;
+    EXPECT_NO_THROW(r = experiments::run_once(cfg)) << "seed " << seed;
+    EXPECT_GT(r.detection_avg, 0.0) << "seed " << seed;
+  }
 }
 
 TEST(Faults, InertKnobsDoNotPerturbRunOnce) {

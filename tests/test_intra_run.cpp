@@ -1,10 +1,10 @@
 // Intra-session parallelism determinism: every run_once scalar must be
-// bit-identical across --threads {1, 2, 0} on every substrate. The parallel
-// phases (probe batches, chunk-flood shards, tree-measurement reads) compute
-// pure underlay reads concurrently and commit all results — and every rng
-// draw — serially in fixed FIFO order, so the thread count must be
-// unobservable in the output. The graph substrate additionally pins that the
-// knob is inert when the underlay forbids concurrent reads.
+// bit-identical across --run-threads {1, 2, 0} on every substrate. The one
+// parallel phase inside a run, the collector's measure_tree reads, computes
+// pure underlay reads concurrently and reduces them in fixed order, so the
+// thread count must be unobservable in the output. The graph substrate
+// additionally pins that the knob is inert when the underlay forbids
+// concurrent reads.
 
 #include <bit>
 #include <cstdint>

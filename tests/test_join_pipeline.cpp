@@ -33,7 +33,7 @@ std::string hex(double v) {
 enum class Which { kVdm, kHmtp, kBtp, kRandom };
 
 /// Protocols with periodic refinement disabled: these suites exercise the
-/// join pipeline only, and a Periodic refine timer re-arms forever, which
+/// join pipeline only, and a periodic refine timer re-arms forever, which
 /// would keep sim.run() from ever draining.
 std::unique_ptr<Protocol> make_protocol(Which which) {
   switch (which) {

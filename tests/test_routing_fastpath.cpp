@@ -163,13 +163,16 @@ TEST(RoutingFastPath, SurvivesGraphVersionBumps) {
     g.add_link(a, b, rng.uniform(0.001, 0.005), 0.005);
     expect_matches_reference(g, r, 11);
   }
+}
 
-  // In-place mutation through mutable_link must also bump version() and
-  // invalidate (delay changes reroute, loss changes re-weight paths).
-  const LinkId edited = 0;
-  g.mutable_link(edited).delay *= 0.1;
-  g.mutable_link(edited).loss = 0.05;
-  expect_matches_reference(g, r, 11);
+/// Adds a link to an underlay's graph through the arena release/rebind
+/// path — the only way a GraphUnderlay's topology changes once built.
+void add_link_via_rebind(GraphUnderlay& u, NodeId a, NodeId b, double delay) {
+  Graph g;
+  std::vector<NodeId> hosts;
+  u.release(g, hosts);
+  g.add_link(a, b, delay);
+  u.rebind(std::move(g), std::move(hosts));
 }
 
 TEST(RoutingFastPath, GraphUnderlayPairCacheMatchesRouter) {
@@ -211,12 +214,11 @@ TEST(RoutingFastPath, GraphUnderlayPairCacheMatchesRouter) {
   };
   check_all_pairs();
 
-  // Warm cache, then bump the graph version and require recomputation.
-  u.mutable_graph().mutable_link(0).delay *= 10.0;
-  check_all_pairs();
+  // Warm cache, then reseat a topology with one more link and require
+  // recomputation.
   const NodeId v0 = u.host_vertex(0);
   const NodeId v1 = u.host_vertex(1);
-  u.mutable_graph().add_link(v0, v1, 0.0001);
+  add_link_via_rebind(u, v0, v1, 0.0001);
   check_all_pairs();
   EXPECT_EQ(u.path_hops(0, 1), 1u);  // the new direct link must win
 }
@@ -305,8 +307,8 @@ TEST(RoutingFastPath, MeasureTreeScratchReuseIsExact) {
   // Neither does a throwaway scratch.
   expect_same(first, metrics::measure_tree(tree, 0, u));
 
-  // After a graph mutation all three still agree with each other.
-  u.mutable_graph().mutable_link(0).delay *= 4.0;
+  // After a topology change all three still agree with each other.
+  add_link_via_rebind(u, u.host_vertex(0), u.host_vertex(5), 0.0001);
   const metrics::TreeMetrics after = metrics::measure_tree(tree, 0, u, scratch);
   expect_same(after, metrics::measure_tree(tree, 0, u, scratch));
   expect_same(after, metrics::measure_tree(tree, 0, u));

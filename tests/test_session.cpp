@@ -56,8 +56,11 @@ TEST(Session, StartupRecordsDrainOnTake) {
   Harness h(line_underlay({0.0, 10.0, 20.0}), vdm);
   h.join(1);
   h.join(2);
-  EXPECT_EQ(h.session.take_startup_records().size(), 2u);
-  EXPECT_TRUE(h.session.take_startup_records().empty());
+  std::vector<TimingRecord> recs;
+  h.session.drain_startup_records(recs);
+  EXPECT_EQ(recs.size(), 2u);
+  h.session.drain_startup_records(recs);
+  EXPECT_TRUE(recs.empty());
 }
 
 TEST(Session, ChunksFlowDownTheTree) {
@@ -138,7 +141,9 @@ TEST(Session, MeasureParallelChargesMaxTimeSumMessages) {
   Harness h(line_underlay({0.0, 10.0, 30.0}), vdm);
   OpStats stats;
   const std::vector<net::HostId> targets{0, 2};
-  const std::vector<double> d = h.session.measure_parallel(1, targets, stats);
+  std::vector<double> out;
+  const std::span<const double> d =
+      h.session.measure_parallel(1, targets, out, stats);
   ASSERT_EQ(d.size(), 2u);
   EXPECT_DOUBLE_EQ(d[0], 10.0);  // rtt 1<->0
   EXPECT_DOUBLE_EQ(d[1], 20.0);  // rtt 1<->2

@@ -142,43 +142,6 @@ TEST(Simulator, PendingExcludesCancelled) {
   EXPECT_EQ(s.pending(), 1u);
 }
 
-TEST(Periodic, FiresRepeatedly) {
-  Simulator s;
-  int fires = 0;
-  Periodic p(s, 1.0, [&] { ++fires; });
-  s.run_until(5.5);
-  EXPECT_EQ(fires, 5);
-}
-
-TEST(Periodic, StopHaltsFiring) {
-  Simulator s;
-  int fires = 0;
-  Periodic p(s, 1.0, [&] {
-    ++fires;
-    if (fires == 3) p.stop();
-  });
-  s.run_until(10.0);
-  EXPECT_EQ(fires, 3);
-  EXPECT_FALSE(p.running());
-}
-
-TEST(Periodic, DestructionCancelsPending) {
-  Simulator s;
-  int fires = 0;
-  {
-    Periodic p(s, 1.0, [&] { ++fires; });
-    s.run_until(2.5);
-  }
-  s.run_until(10.0);
-  EXPECT_EQ(fires, 2);
-  EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(Periodic, RejectsNonPositiveInterval) {
-  Simulator s;
-  EXPECT_THROW(Periodic(s, 0.0, [] {}), util::InvariantError);
-}
-
 TEST(Simulator, DeterministicInterleaving) {
   // Two identical schedules must execute identically (the bit-determinism
   // the experiment runner relies on).

@@ -1,7 +1,7 @@
 // Transport seam tests (DESIGN.md §14): the SimReactor's 1:1 delegation
-// contract, PeriodicTimer's equivalence with sim::Periodic, the UdpReactor
-// over real loopback sockets, and the RetrySender's retransmission schedule
-// (driven deterministically on the DES backend).
+// contract, PeriodicTimer's equivalence with an in-place re-armed event, the
+// UdpReactor over real loopback sockets, and the RetrySender's
+// retransmission schedule (driven deterministically on the DES backend).
 
 #include <gtest/gtest.h>
 
@@ -72,10 +72,15 @@ TEST(SimReactor, IdsMatchRawSimulatorExactly) {
 
 // -------------------------------------------------------------- PeriodicTimer
 
-TEST(PeriodicTimer, MatchesSimPeriodicFireTimes) {
+TEST(PeriodicTimer, MatchesInPlaceRearmFireTimes) {
+  // The session's slab timers re-arm a raw event id in place; the RAII
+  // timer must tick at exactly the same instants, from the same slot.
   sim::Simulator sim_a;
   std::vector<sim::Time> fires_a;
-  sim::Periodic periodic(sim_a, 0.25, [&] { fires_a.push_back(sim_a.now()); });
+  sim_a.schedule_in(0.25, [&] {
+    fires_a.push_back(sim_a.now());
+    sim_a.reschedule_current_in(0.25);
+  });
 
   sim::Simulator sim_b;
   transport::SimReactor reactor(&sim_b);
@@ -85,8 +90,58 @@ TEST(PeriodicTimer, MatchesSimPeriodicFireTimes) {
 
   sim_a.run_until(2.0);
   reactor.run_until(2.0);
-  ASSERT_FALSE(fires_a.empty());
+  ASSERT_EQ(fires_a.size(), 8u);
   EXPECT_EQ(fires_a, fires_b);
+  // Same slab slot and generation on both sides: the ids agree too.
+  const transport::TimerId other = reactor.schedule_in(1.0, [] {});
+  EXPECT_EQ(sim_a.schedule_in(1.0, [] {}), other);
+}
+
+TEST(PeriodicTimer, FiresRepeatedly) {
+  sim::Simulator sim;
+  transport::SimReactor reactor(&sim);
+  int fires = 0;
+  transport::PeriodicTimer timer(reactor, 1.0, [&] { ++fires; });
+  reactor.run_until(5.5);
+  EXPECT_EQ(fires, 5);
+  EXPECT_TRUE(timer.running());
+}
+
+TEST(PeriodicTimer, DestructionCancelsPending) {
+  sim::Simulator sim;
+  transport::SimReactor reactor(&sim);
+  int fires = 0;
+  {
+    transport::PeriodicTimer timer(reactor, 1.0, [&] { ++fires; });
+    reactor.run_until(2.5);
+  }
+  reactor.run_until(10.0);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(PeriodicTimer, StopHaltsFiring) {
+  sim::Simulator sim;
+  transport::SimReactor reactor(&sim);
+  int fires = 0;
+  transport::PeriodicTimer* self = nullptr;
+  transport::PeriodicTimer timer(reactor, 1.0, [&] {
+    ++fires;
+    if (fires == 3) self->stop();
+  });
+  self = &timer;
+  reactor.run_until(10.0);
+  EXPECT_EQ(fires, 3);
+  EXPECT_FALSE(timer.running());
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(PeriodicTimer, RejectsNonPositiveInterval) {
+  sim::Simulator sim;
+  transport::SimReactor reactor(&sim);
+  EXPECT_THROW(transport::PeriodicTimer(reactor, 0.0, [] {}),
+               util::InvariantError);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(PeriodicTimer, StopFromInsideTickSuppressesRearm) {

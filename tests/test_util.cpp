@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/flags.hpp"
 #include "util/log.hpp"
@@ -108,6 +109,32 @@ TEST(Flags, EnvironmentFallback) {
   EXPECT_TRUE(f.has("test-knob"));
   ::unsetenv("VDM_TEST_KNOB");
   EXPECT_FALSE(f.has("test-knob"));
+}
+
+TEST(Flags, NumbersMustParseWhole) {
+  EXPECT_EQ(make_flags({"--n=-12"}).get_int("n", 0), -12);
+  EXPECT_DOUBLE_EQ(make_flags({"--x=0.25"}).get_double("x", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(make_flags({"--x=1e3"}).get_double("x", 0.0), 1000.0);
+  EXPECT_THROW(make_flags({"--n=abc"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(make_flags({"--n=12abc"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(make_flags({"--n=1.5"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(make_flags({"--n=99999999999999999999"}).get_int("n", 0),
+               std::invalid_argument);
+  EXPECT_THROW(make_flags({"--x=fast"}).get_double("x", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(make_flags({"--x=0.5s"}).get_double("x", 0.0),
+               std::invalid_argument);
+}
+
+TEST(Flags, NumberErrorNamesTheFlagAndValue) {
+  try {
+    (void)make_flags({"--members", "12abc"}).get_int("members", 0);
+    FAIL() << "should have thrown";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--members"), std::string::npos) << what;
+    EXPECT_NE(what.find("12abc"), std::string::npos) << what;
+  }
 }
 
 TEST(Flags, CommandLineBeatsEnvironment) {

@@ -28,9 +28,9 @@ TEST(VdmReconnect, ReconnectionIsRecordedWithPositiveDuration) {
   Harness h(line_underlay({0.0, 10.0, 20.0}), vdm);
   h.join(1);
   h.join(2);
-  (void)h.session.take_startup_records();
   h.session.leave(1);
-  const auto recs = h.session.take_reconnect_records();
+  std::vector<overlay::TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].host, 2u);
   EXPECT_GT(recs[0].duration, 0.0);
@@ -43,9 +43,9 @@ TEST(VdmReconnect, ReconnectionCheaperThanFullJoinInDeepTree) {
   VdmProtocol vdm;
   Harness h(line_underlay({0.0, 10.0, 20.0, 30.0, 40.0, 50.0}), vdm);
   for (net::HostId n = 1; n <= 5; ++n) h.join(n);
-  (void)h.session.take_startup_records();
   h.session.leave(4);  // orphan: 5, grandparent: 3
-  const auto recs = h.session.take_reconnect_records();
+  std::vector<overlay::TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].host, 5u);
   EXPECT_EQ(h.parent(5), 3u);

@@ -195,21 +195,31 @@ TEST(WalkPredicate, OwnParentCountsAsHavingRoomEvenWhenFull) {
   EXPECT_EQ(walk_as_stranger.run(3, 1, stats, sees_full).parent, 1u);
 }
 
-// -------------------------------------------------- span-out measure overload
+// ---------------------------------------------------- batched probe rounds
 
-TEST(WalkMeasure, SpanOutOverloadMatchesVectorOverloadAndReusesCapacity) {
+TEST(WalkMeasure, SpanOutBatchMatchesSingleProbesAndReusesCapacity) {
   core::VdmProtocol vdm;
   Harness h(line_underlay({0.0, 10.0, 20.0, 30.0, 40.0}), vdm);
   for (net::HostId n = 1; n <= 4; ++n) h.join(n);
 
   const std::vector<net::HostId> targets{1, 2, 3, 4};
   OpStats s1, s2;
-  const std::vector<double> vec = h.session.measure_parallel(2, targets, s1);
+  // One probe at a time: messages add up, and the batch waits only for the
+  // slowest probe of the four.
+  std::vector<double> single;
+  sim::Time slowest = 0.0;
+  for (const net::HostId t : targets) {
+    OpStats one;
+    single.push_back(h.session.measure(2, t, one));
+    s1.messages += one.messages;
+    slowest = std::max(slowest, one.elapsed);
+  }
+  s1.elapsed = slowest;
   std::vector<double> out;
   const std::span<const double> spanned =
       h.session.measure_parallel(2, targets, out, s2);
-  ASSERT_EQ(vec.size(), spanned.size());
-  for (std::size_t i = 0; i < vec.size(); ++i) EXPECT_EQ(vec[i], spanned[i]);
+  ASSERT_EQ(single.size(), spanned.size());
+  for (std::size_t i = 0; i < single.size(); ++i) EXPECT_EQ(single[i], spanned[i]);
   EXPECT_EQ(s1.messages, s2.messages);
   EXPECT_EQ(s1.elapsed, s2.elapsed);
 
@@ -384,6 +394,17 @@ constexpr GoldenRun kGoldens[] = {
       0x1.a47b42da48d3cp-1, 0x1.6f8b01689e297p+1, 0x1.7ca15764445ebp+1,
       0x1.bf1398763cp+1, 0x1.e5c0281ad6934p+1, 0x1.57c580b44f14cp+2,
       0x1.1eb2dc86a85d6p+0, 0x1.88p+5}},
+    // Recorded on the heap-timer heartbeats (one PeriodicTimer per member in
+    // a hash map) before they moved onto the session's per-host timer slab.
+    {"flash-heartbeat-vdm",
+     {0x0p+0, 0x0p+0, 0x1.55d9366130aecp+1,
+      0x1.842454157edcfp+1, 0x1.481ca0c0354c8p+4, 0x1p+0,
+      0x1.e5e06c055c94cp+3, 0x1.03526fea7c53fp+4, 0x1.28p+5,
+      0x1.07f12dd50d555p-14, 0x1.421fe7b23f4d4p+4, 0x1.141aeeeeeeeefp+12,
+      0x1.d3a8e0e095d8fp-2, 0x1.c93755e475e1dp-4, 0x1.acc5b07a1e7c5p-1,
+      0x1.c49a1058507a8p-5, 0x1.178011602b9fep-1, 0x1.4p+1,
+      0x1.4p+1, 0x1.4fe1ce61ed5afp+1, 0x1.6027fbb8a4953p+1,
+      0x1p+0, 0x1.22p+7}},
 };
 
 class WalkGolden : public ::testing::TestWithParam<std::size_t> {};

@@ -3,11 +3,15 @@
 // The parameter corners pinned by the walk-engine port (tests/test_walk.cpp):
 // every protocol, both substrate families (fig3 transit-stub / fig5 geo), the
 // saturation-heavy degree corner (average degree 2.0 turns the fallback
-// ladder into the common path) and the crash-churn corner (reconnection
-// walks under heartbeats + lossy control). run_once over these configs must
-// stay bit-identical across control-plane refactors; the goldens in
-// tests/test_walk.cpp were recorded on the pre-TreeWalk protocol loops.
+// ladder into the common path), the crash-churn corner (reconnection walks
+// under heartbeats + lossy control) and the flash-heartbeat corner
+// (concurrent join batches while every member runs a failure detector).
+// run_once over these configs must stay bit-identical across control-plane
+// refactors; the goldens in tests/test_walk.cpp were recorded on the
+// pre-TreeWalk protocol loops, the flash-heartbeat one on the heap-timer
+// heartbeats that preceded the per-host timer slab.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,36 @@ struct NamedRunConfig {
   std::string name;
   experiments::RunConfig cfg;
 };
+
+/// Concurrent joins under heartbeats: 64 Poisson members plus a 256-member
+/// flash crowd at t = 400 s on the coordinate US underlay, the compressed
+/// timeline, 1 s heartbeats with 3 misses and 1 % extra control loss — the
+/// smoke-size flash_crash_control shape of perfbench. Departures stay
+/// graceful; the failure detector still fires on control-loss false
+/// positives while batched walks attach the crowd.
+inline experiments::RunConfig flash_heartbeat_config(std::uint64_t seed) {
+  experiments::RunConfig cfg;
+  cfg.substrate = experiments::Substrate::kCoordUs;
+  cfg.protocol = experiments::Proto::kVdm;
+  cfg.scenario.target_members = 64;
+  cfg.scenario.flash_count = 256;
+  cfg.scenario.flash_at = 400.0;
+  cfg.scenario.join_phase = 400.0;
+  cfg.scenario.total_time = 1200.0;
+  cfg.scenario.churn_interval = 200.0;
+  cfg.scenario.settle_time = 50.0;
+  cfg.workload.kind = overlay::WorkloadKind::kPoisson;
+  cfg.workload.mean_session = 800.0;
+  cfg.session.join_mode = overlay::JoinMode::kConcurrent;
+  cfg.session.chunk_rate = 0.1;
+  cfg.session.faults.heartbeat_period = 1.0;
+  cfg.session.faults.heartbeat_misses = 3;
+  cfg.session.faults.lossy_control = true;
+  cfg.session.faults.control_loss_extra = 0.01;
+  cfg.compute_mst_ratio = false;
+  cfg.seed = seed;
+  return cfg;
+}
 
 inline std::vector<NamedRunConfig> walk_golden_configs() {
   using experiments::Proto;
@@ -95,6 +129,8 @@ inline std::vector<NamedRunConfig> walk_golden_configs() {
   };
   out.push_back({"crash-vdm", crash(Proto::kVdm)});
   out.push_back({"crash-hmtp", crash(Proto::kHmtp)});
+
+  out.push_back({"flash-heartbeat-vdm", flash_heartbeat_config(7)});
 
   return out;
 }

@@ -12,12 +12,14 @@
 #include <cstdio>
 #include <iostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 
 #include "experiments/runner.hpp"
 #include "experiments/sweep.hpp"
 #include "overlay/walk.hpp"
 #include "util/flags.hpp"
+#include "util/require.hpp"
 #include "util/table.hpp"
 
 using namespace vdm;
@@ -74,10 +76,9 @@ int usage() {
       "  --seeds      independent repetitions               (default 8)\n"
       "  --seed       base seed                             (default 1)\n"
       "  --threads    worker cap for the seed sweep; 0 = hardware (default 0)\n"
-      "  --run-threads  worker threads for the parallel phases inside one\n"
-      "               seed (probe batches, chunk-flood shards); 0 = hardware\n"
-      "               (default 1 = serial; results are bit-identical for\n"
-      "               any value)\n"
+      "  --run-threads  worker threads for the collector's tree-measurement\n"
+      "               reads inside one seed; 0 = hardware (default 1 =\n"
+      "               serial; results are bit-identical for any value)\n"
       "  --profile    print a per-phase wall-time footer (join / refine /\n"
       "               flood / metrics, summed across seeds) after the table\n"
       "  --quiet      suppress the per-seed progress line on stderr\n"
@@ -103,9 +104,10 @@ class StdoutWalkTrace final : public overlay::WalkObserver {
   }
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole CLI. Malformed numbers (util::Flags throws
+/// std::invalid_argument) and configs the library rejects
+/// (util::InvariantError) propagate to main, which turns them into exit 2.
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   if (flags.get_bool("help", false)) return usage();
 
@@ -325,23 +327,18 @@ int main(int argc, char** argv) {
 
   if (cfg.session.profile) {
     double join = 0.0, refine = 0.0, flood = 0.0, metrics_t = 0.0;
-    std::uint64_t par_floods = 0, par_batches = 0;
     for (const RunResult& r : agg.runs) {
       join += r.profile_join_secs;
       refine += r.profile_refine_secs;
       flood += r.profile_flood_secs;
       metrics_t += r.profile_metrics_secs;
-      par_floods += r.parallel_floods;
-      par_batches += r.parallel_probe_batches;
     }
     std::printf(
         "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
         "metrics %.3fs\n"
-        "  run-threads %d (parallel floods %llu, parallel probe batches "
-        "%llu), sweep workers %zu\n",
+        "  run-threads %d, sweep workers %zu\n",
         agg.runs.size(), join, refine, flood, metrics_t, cfg.session.threads,
-        static_cast<unsigned long long>(par_floods),
-        static_cast<unsigned long long>(par_batches), sweep.threads);
+        sweep.threads);
   }
 
   if (want_trajectory && !agg.runs.empty()) {
@@ -359,4 +356,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const util::InvariantError& e) {
+    std::cerr << "vdmsim: rejected config: " << e.what() << '\n';
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "vdmsim: " << e.what() << " (see --help)\n";
+  }
+  return 2;
 }
