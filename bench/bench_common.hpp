@@ -108,7 +108,6 @@ inline testbed::SessionReport run_testbed_once(const TestbedConfig& cfg) {
 
   sim::Simulator simulator;
   testbed::ControllerParams cp;
-  cp.source = 0;
   cp.source_degree = cfg.source_degree;
   cp.chunk_rate = cfg.chunk_rate;
   testbed::MainController controller(simulator, pool.topology.underlay,

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/report.hpp"
 
 using namespace vdm;
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
   const testbed::Scenario scenario = testbed::generate_scenario(spec, scenario_rng);
 
   std::ostringstream scenario_text;
-  testbed::write_scenario(scenario, scenario_text);
+  overlay::write_trace(scenario_text, scenario.events, scenario.end_time);
   std::cout << "\nscenario file head (generated, replayable):\n";
   std::istringstream head(scenario_text.str());
   std::string line;
@@ -64,7 +65,6 @@ int main(int argc, char** argv) {
                                     std::move(slowness), 0.05);
   sim::Simulator simulator;
   testbed::ControllerParams cp;
-  cp.source = 0;
   testbed::MainController controller(simulator, pool.topology.underlay, vdm,
                                      metric, cp, root.split(3));
   const testbed::SessionReport report = controller.run(scenario);

@@ -14,6 +14,7 @@
 
 #include "baselines/hmtp_protocol.hpp"
 #include "core/vdm_protocol.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/controller.hpp"
 #include "testbed/dot_export.hpp"
 #include "testbed/node_pool.hpp"
@@ -63,15 +64,16 @@ int main(int argc, char** argv) {
   const testbed::Scenario scenario = testbed::generate_scenario(spec, scenario_rng);
 
   std::ostringstream text;
-  testbed::write_scenario(scenario, text);
+  overlay::write_trace(text, scenario.events, scenario.end_time);
   if (!scenario_path.empty()) {
     std::ofstream out(scenario_path);
     out << text.str();
     std::cout << "Scenario written to " << scenario_path << " ("
               << scenario.events.size() << " events)\n";
   }
-  // Round-trip through the parser, as the MainController would on replay.
-  const testbed::Scenario replay = testbed::parse_scenario(text.str());
+  // Round-trip through the parser, as vdmd --scenario would on replay.
+  testbed::Scenario replay;
+  replay.end_time = overlay::parse_trace(text.str(), replay.events);
 
   // 3. Session: agents + sender + transceivers driven by the controller.
   std::unique_ptr<overlay::Protocol> protocol;
@@ -86,7 +88,6 @@ int main(int argc, char** argv) {
                                     std::move(slowness), 0.05);
   sim::Simulator simulator;
   testbed::ControllerParams cp;
-  cp.source = 0;
   testbed::MainController controller(simulator, pool.topology.underlay,
                                      *protocol, metric, cp, root.split(3));
   const testbed::SessionReport report = controller.run(replay);

@@ -149,7 +149,8 @@ struct RunScratch::Impl {
   /// capacity a previous run grew (simulator.hpp).
   sim::Simulator simulator;
 
-  /// Scenario-driver pool buffers (available hosts, membership list).
+  /// Membership-process buffers: the slot compiler's pool, member list and
+  /// heap, the executor's member flags and the event list.
   overlay::ScenarioScratch scenario;
 
   /// Warm placement index (grid cells / landmark ring), swapped into each
@@ -372,23 +373,31 @@ overlay::MetricProvider& cached_metric(RunScratch::Impl& s, const RunConfig& cfg
   return *s.metric;
 }
 
+std::size_t host_pool(const RunConfig& config) {
+  return config.host_pool > 0 ? config.host_pool : auto_pool(config.scenario);
+}
+
+/// The one list builder behind run_once and workload_events: loads the
+/// trace, or generates the list from the scenario rng stream (split 2) over
+/// the run's host pool, source at host 0. Fills scratch.events.
+void build_events(const RunConfig& config, overlay::ScenarioScratch& scratch) {
+  if (config.workload.kind == overlay::WorkloadKind::kTrace) {
+    overlay::load_trace_file(config.workload.trace_path, scratch.events);
+    return;
+  }
+  util::Rng scenario_rng = util::Rng(config.seed).split(2);
+  overlay::generate_workload(config.scenario, config.workload, host_pool(config),
+                             /*source=*/0, scenario_rng, scratch);
+}
+
 }  // namespace
 
 void workload_events(const RunConfig& config,
                      std::vector<overlay::WorkloadEvent>& out) {
-  if (config.workload.kind == overlay::WorkloadKind::kTrace) {
-    overlay::load_trace_file(config.workload.trace_path, out);
-    return;
-  }
-  // Mirror run_once exactly: same seed derivation (scenario stream 2), same
-  // pool size, same source host, so the returned list is the one a run of
-  // this config executes.
-  util::Rng root(config.seed);
-  util::Rng scenario_rng = root.split(2);
-  const std::size_t pool =
-      config.host_pool > 0 ? config.host_pool : auto_pool(config.scenario);
-  overlay::generate_workload(config.scenario, config.workload, pool,
-                             /*source=*/0, scenario_rng, out);
+  overlay::ScenarioScratch scratch;
+  scratch.events = std::move(out);
+  build_events(config, scratch);
+  out = std::move(scratch.events);
 }
 
 RunResult run_once(const RunConfig& config) {
@@ -399,11 +408,9 @@ RunResult run_once(const RunConfig& config) {
 RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   util::Rng root(config.seed);
   util::Rng topo_rng = root.split(1);
-  util::Rng scenario_rng = root.split(2);
   util::Rng session_rng = root.split(3);
 
-  const std::size_t pool =
-      config.host_pool > 0 ? config.host_pool : auto_pool(config.scenario);
+  const std::size_t pool = host_pool(config);
   VDM_REQUIRE(pool > config.scenario.target_members);
 
   net::Underlay* underlay = build_underlay(config, pool, topo_rng, *scratch.impl_);
@@ -427,22 +434,13 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   collector.set_threads(sp.threads);
   double metrics_secs = 0.0;  // --profile: wall clock of the capture sweeps
   {
-    const overlay::WorkloadKind wk = config.workload.kind;
-    if (wk != overlay::WorkloadKind::kSlots) {
-      // Fill the event list before the driver exists: generation consumes
-      // scenario_rng, and the driver draws nothing in trace mode, so a
-      // replayed trace reproduces the generating run bit for bit.
-      std::vector<overlay::WorkloadEvent>& events =
-          scratch.impl_->scenario.events;
-      if (wk == overlay::WorkloadKind::kTrace) {
-        overlay::load_trace_file(config.workload.trace_path, events);
-      } else {
-        overlay::generate_workload(config.scenario, config.workload, pool,
-                                   sp.source, scenario_rng, events);
-      }
-    }
-    overlay::ScenarioDriver driver(session, config.scenario, scenario_rng,
-                                   &scratch.impl_->scenario);
+    // Every workload kind becomes an event list before the driver runs it;
+    // running a list draws no randomness, so a replayed trace reproduces
+    // the generating run bit for bit.
+    overlay::ScenarioScratch& scenario = scratch.impl_->scenario;
+    build_events(config, scenario);
+    overlay::ScenarioDriver driver(session, config.scenario, root.split(2),
+                                   &scenario);
     // Two 8-byte captures on purpose: MeasureFn is a std::function, and a
     // third capture would spill the lambda past the small-buffer limit —
     // one heap allocation per run, which the zero-alloc arena contract
@@ -459,12 +457,8 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
     };
-    if (wk == overlay::WorkloadKind::kSlots) {
-      driver.run(measure);
-    } else {
-      driver.run_trace(scratch.impl_->scenario.events, measure);
-    }
-  }  // the driver's destructor returns the pool buffers to the arena
+    driver.run_trace(scenario.events, measure);
+  }
   // Return the (now warm) walk buffers to the arena before the end-of-run
   // capacity accounting below.
   session.swap_walk_scratch(scratch.impl_->walk);

@@ -35,10 +35,10 @@ struct RunConfig {
 
   overlay::ScenarioParams scenario;
   overlay::SessionParams session;
-  /// Membership process. kSlots runs the classic churn-slot timeline
-  /// (bit-identical to before the workload engine existed); the synthetic
-  /// kinds generate a WorkloadEvent list from the scenario rng stream and
-  /// kTrace replays `workload.trace_path`, both via run_trace.
+  /// Membership process. kSlots compiles the classic churn-slot (or
+  /// batched) timeline and the synthetic kinds generate theirs, both from
+  /// the scenario rng stream; kTrace loads `workload.trace_path`. Every
+  /// kind runs as an event list (ScenarioDriver::run_trace).
   overlay::WorkloadParams workload;
 
   /// Host pool size; 0 = auto (enough spare hosts for churn joins).
@@ -180,10 +180,10 @@ class RunScratch {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The exact WorkloadEvent list a non-slots `config` executes: generated
-/// kinds replay run_once's rng derivation (same seed, same pool → same
-/// events), kTrace loads the file. Lets callers save a run's trace
-/// (vdmsim --save-trace) knowing it matches the run bit for bit.
+/// The exact WorkloadEvent list `config` executes, built by the same code
+/// run_once uses (same seed, same pool → same events; kTrace loads the
+/// file). Lets callers save a run's trace (vdmsim --save-trace) knowing it
+/// replays the run bit for bit.
 void workload_events(const RunConfig& config,
                      std::vector<overlay::WorkloadEvent>& out);
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "overlay/session.hpp"
@@ -11,11 +12,11 @@
 
 namespace vdm::overlay {
 
-/// One explicit membership event of a pre-generated workload. The workload
-/// generators (overlay/workload.hpp) produce these, trace files round-trip
-/// them, and ScenarioDriver::run_trace executes them verbatim — the trace
-/// path draws no randomness, so replaying a saved event list reproduces the
-/// generating run bit for bit (given the same seed for the session rng).
+/// One membership event — the only event format. Every workload kind (the
+/// slot timeline included) becomes a list of these before the reactor runs
+/// (overlay/workload.hpp), trace and scenario files round-trip them, and
+/// EventExecutor runs them verbatim, drawing no randomness: a replayed list
+/// reproduces the generating run bit for bit.
 struct WorkloadEvent {
   enum class Kind : std::uint8_t { kJoin, kLeave, kCrash };
   sim::Time at = 0.0;
@@ -26,6 +27,9 @@ struct WorkloadEvent {
 
   friend bool operator==(const WorkloadEvent&, const WorkloadEvent&) = default;
 };
+
+/// The trace grammar's verb for a kind: "join", "leave" or "crash".
+std::string_view event_verb(WorkloadEvent::Kind kind);
 
 /// How child-capacity (degree) limits are assigned to joining members.
 struct DegreeSpec {
@@ -78,85 +82,108 @@ struct ScenarioParams {
   sim::Time flash_at = 0.0;
 };
 
-/// Reusable buffers of a ScenarioDriver (host pool, membership list,
-/// pending-leave flags) plus the workload event list of trace-driven runs.
-/// Shuttled through RunScratch so back-to-back runs over a 100k-host pool
-/// rebuild the pool in place instead of reallocating.
+/// Checks what every list builder and ScenarioDriver rely on: at least one
+/// member, spare hosts beyond target_members + flash_count, rates in [0, 1],
+/// settle_time below churn_interval, a positive batch size.
+void check_scenario(const ScenarioParams& params, std::size_t num_hosts);
+
+/// A decision waiting in a generator's (time, seq) heap: a membership
+/// event, or the start of a churn slot.
+struct TimelineEntry {
+  /// WorkloadEvent::Kind's values, plus kSlotStart.
+  enum class Kind : std::uint8_t { kJoin, kLeave, kCrash, kSlotStart };
+  sim::Time at = 0.0;
+  std::uint64_t seq = 0;
+  Kind kind = Kind::kJoin;
+  net::HostId host = net::kInvalidHost;
+};
+
+/// Reusable buffers of one run's membership process — the slot compiler's
+/// host pool, member list, pending-leave flags and heap, the executor's
+/// member flags, the event list — shuttled through RunScratch so warm runs
+/// rebuild them in place (same seed and config, same sizes).
 struct ScenarioScratch {
   std::vector<net::HostId> available;
   std::vector<net::HostId> in_overlay;
   std::vector<char> pending_leave;
-  /// Workload-mode event list (generated or parsed from a trace file); the
-  /// driver reads it, run_once owns its lifetime. Same seed and config
-  /// regenerate the same count, so steady-state capacity is stable.
+  std::vector<TimelineEntry> heap;
+  std::vector<char> member;
   std::vector<WorkloadEvent> events;
 
   std::size_t capacity_bytes() const {
     return (available.capacity() + in_overlay.capacity()) *
                sizeof(net::HostId) +
-           pending_leave.capacity() + events.capacity() * sizeof(WorkloadEvent);
+           pending_leave.capacity() + member.capacity() +
+           heap.capacity() * sizeof(TimelineEntry) +
+           events.capacity() * sizeof(WorkloadEvent);
   }
 };
 
-/// Orchestrates a full experiment run on one Session: schedules joins,
-/// leaves and measurement callbacks on the simulator and executes it.
-///
-/// Host pool: the driver draws members from all underlay hosts except the
-/// source, keeping `target_members` alive in steady state; churn victims
-/// return to the pool and may rejoin later, as in the paper ("some nodes
-/// may join and leave several times while some never join").
+/// The one executor of membership event lists. schedule() checks the whole
+/// list up front — time order, host range, never the source, degree >= 1 —
+/// then puts every event on the session's reactor in list order. Each event
+/// checks membership when it fires, against per-host flags in O(1), so a
+/// leave of a non-member names the host instead of tripping a session
+/// invariant.
+class EventExecutor {
+ public:
+  /// `member` provides the per-host flag storage (its capacity is reused).
+  EventExecutor(Session& session, std::vector<char>& member);
+
+  /// Schedules the events at or before `until` — the horizon of the run
+  /// that fires them, which `events` and the executor must outlive; later
+  /// events are checked but could never fire.
+  void schedule(std::span<const WorkloadEvent> events, sim::Time until);
+
+  /// Hosts the executed events have made members (excluding the source).
+  std::size_t members() const { return members_; }
+
+ private:
+  void fire(const WorkloadEvent& e);
+
+  Session& session_;
+  std::vector<char>& member_;
+  std::size_t members_ = 0;
+};
+
+/// Runs an experiment on one Session: an event list through an
+/// EventExecutor, with a callback at every point of the measurement grid —
+/// one point after the join phase settles, then one at the end of every
+/// churn interval up to total_time (with batched_joins: one per batch).
 class ScenarioDriver {
  public:
-  /// `scratch` (optional) donates warm pool buffers; the destructor returns
-  /// them, grown, for the next run.
+  /// `scratch` (optional) donates warm buffers for the slot compiler and
+  /// the executor; it must outlive the driver.
   ScenarioDriver(Session& session, const ScenarioParams& params, util::Rng rng,
                  ScenarioScratch* scratch = nullptr);
-  ~ScenarioDriver();
   ScenarioDriver(const ScenarioDriver&) = delete;
   ScenarioDriver& operator=(const ScenarioDriver&) = delete;
 
   /// Measurement callback: invoked at each measurement point (settled tree).
   using MeasureFn = std::function<void(sim::Time)>;
 
-  /// Runs the whole scenario to total_time. Calls `on_measure` at every
-  /// measurement point (never during churn or settling).
+  /// Runs the paper's timeline: compiles the slot (or batched) timeline and
+  /// its flash crowd from the driver's rng (generate_workload, kSlots), then
+  /// runs the list as run_trace does.
   void run(const MeasureFn& on_measure);
 
-  /// Trace mode: executes an explicit, time-ordered event list instead of
-  /// the slot machinery. Every join/leave/crash (host, degree, instant)
-  /// comes from `events` — the driver draws no randomness — and
-  /// measurements run on the same settled grid as the slot timeline
-  /// (join_phase + settle_time, then every churn_interval up to
-  /// total_time). `events` must outlive the call and reference valid hosts;
-  /// a leave/crash of a host that is not a member fails with a clear error.
+  /// Runs a time-ordered event list to total_time, calling `on_measure` at
+  /// every measurement point (never during churn or settling). `events`
+  /// must outlive the call; a bad list fails with a clear error.
   void run_trace(std::span<const WorkloadEvent> events, const MeasureFn& on_measure);
 
   /// Hosts currently alive in the overlay (excluding the source).
-  std::size_t members_alive() const { return in_overlay_.size(); }
+  std::size_t members_alive() const { return executor_.members(); }
 
  private:
-  void schedule_initial_joins();
-  void schedule_flash_crowd();
-  void schedule_churn_slots(const MeasureFn& on_measure);
-  void schedule_batched_joins(const MeasureFn& on_measure);
   void schedule_measurement_grid(const MeasureFn& on_measure);
-  void schedule_trace_events(std::span<const WorkloadEvent> events);
-  void do_join(net::HostId h);
-  void do_join_traced(net::HostId h, int degree);
-  void do_leave(net::HostId h);
-  void do_crash(net::HostId h);
-  net::HostId draw_available();
-  net::HostId draw_victim();
 
   Session& session_;
   ScenarioParams params_;
   util::Rng rng_;
-  ScenarioScratch* scratch_ = nullptr;
-
-  std::vector<net::HostId> available_;   // not in overlay, not pending join
-  std::vector<net::HostId> in_overlay_;  // alive members (excl. source)
-  std::vector<char> pending_leave_;      // indexed by host
-  std::size_t pending_count_ = 0;        // victims drawn in the current slot
+  ScenarioScratch own_;       // used when no scratch is donated
+  ScenarioScratch& scratch_;
+  EventExecutor executor_;
 };
 
 }  // namespace vdm::overlay

@@ -12,11 +12,11 @@
 
 namespace vdm::overlay {
 
-/// Membership process driving a run. kSlots is the paper's fixed-rate slot
-/// timeline (ScenarioDriver::run); the rest compile to an explicit
-/// WorkloadEvent list executed by ScenarioDriver::run_trace.
+/// Membership process driving a run. Every kind becomes an explicit
+/// WorkloadEvent list before the reactor runs, executed by
+/// ScenarioDriver::run_trace.
 enum class WorkloadKind : std::uint8_t {
-  kSlots,    ///< §3.6.2 churn slots (no event list)
+  kSlots,    ///< §3.6.2 churn slots (or the Chapter-4 batched timeline)
   kPoisson,  ///< Poisson arrivals, exponential session lengths
   kDiurnal,  ///< sinusoidally modulated Poisson arrivals (thinning)
   kPareto,   ///< Poisson arrivals, heavy-tailed Pareto session lengths
@@ -51,34 +51,55 @@ bool parse_workload_kind(std::string_view text, WorkloadParams& out);
 /// Short name of a kind ("slots", "poisson", ...), for tables and labels.
 std::string_view workload_kind_name(WorkloadKind kind);
 
-/// Generates a time-ordered event list for a synthetic kind (not kSlots /
-/// kTrace): staggered initial joins over the join phase, an optional flash
-/// crowd of `scenario.flash_count` joins at `scenario.flash_at`, and from
-/// the end of the join phase onward the kind's arrival process, with every
-/// member's departure (leave, or crash with `scenario.crash_fraction`)
-/// scheduled at join time from its sampled session length. Hosts are drawn
-/// from the pool [0, num_hosts) minus `source`; arrivals finding the pool
-/// empty are skipped. All randomness comes from `rng`, so a seed fully
-/// determines the list. Fills `out` (cleared first).
+/// Builds the time-ordered event list of a generated kind (any but kTrace)
+/// into `scratch.events`, reusing the scratch buffers. Hosts come from
+/// [0, num_hosts) minus `source`; all randomness comes from `rng`, so a seed
+/// fully determines the list. Every kind starts with staggered joins over
+/// the join phase (kSlots with batched_joins: the batches) plus the flash
+/// crowd at `scenario.flash_at`. kSlots then compiles the churn slots,
+/// replaying the draws in the order a reactor-scheduled timeline makes them
+/// (DESIGN.md §11); the synthetic kinds run their arrival process from the
+/// end of the join phase, drawing each member's departure (leave, or crash
+/// with `scenario.crash_fraction`) at join time, and skip arrivals that
+/// find the pool empty.
+void generate_workload(const ScenarioParams& scenario,
+                       const WorkloadParams& workload, std::size_t num_hosts,
+                       net::HostId source, util::Rng& rng,
+                       ScenarioScratch& scratch);
+
+/// Same, into `out` (cleared first), on fresh buffers.
 void generate_workload(const ScenarioParams& scenario,
                        const WorkloadParams& workload, std::size_t num_hosts,
                        net::HostId source, util::Rng& rng,
                        std::vector<WorkloadEvent>& out);
 
-/// Writes events as a CSV trace — `t,join|leave|crash,host[,degree]` lines,
-/// '#' comments — at full double precision, so parse_trace(write_trace(ev))
-/// reproduces `ev` exactly and a replay is bit-identical to the source run.
-void write_trace(std::ostream& os, std::span<const WorkloadEvent> events);
-void write_trace_file(const std::string& path,
-                      std::span<const WorkloadEvent> events);
+/// Gives each flash-burst join — a join whose host is kInvalidHost — in
+/// list order the lowest host id >= 1 that no other event names and no
+/// earlier burst join took (host 0 is the source in every runner). This is
+/// how `flash` lines become concrete joins when a list is built.
+void assign_flash_hosts(std::span<WorkloadEvent> events);
 
-/// Parses a trace. Fields may be separated by commas or whitespace, so both
-/// this CSV format and testbed scenario-file join/leave/crash lines load;
-/// 'terminate' lines are ignored, 'flash' bursts are rejected (a trace must
-/// name concrete hosts). Malformed lines fail with the line number. Fills
-/// `out` (cleared first).
-void parse_trace(std::istream& is, std::vector<WorkloadEvent>& out);
-void parse_trace(const std::string& text, std::vector<WorkloadEvent>& out);
-void load_trace_file(const std::string& path, std::vector<WorkloadEvent>& out);
+/// Writes events as CSV trace lines (`t,join,host,degree`, `t,leave,host`,
+/// `t,crash,host`) closed by `t,terminate` at `end_time`, which must not
+/// precede the last event. Full double precision: parse_trace gives back
+/// `events` and `end_time` exactly, so a replay is bit-identical.
+void write_trace(std::ostream& os, std::span<const WorkloadEvent> events,
+                 sim::Time end_time);
+void write_trace_file(const std::string& path,
+                      std::span<const WorkloadEvent> events, sim::Time end_time);
+
+/// Parses the one membership grammar of traces and scenario files (README):
+/// one `<t> join <host> [degree]`, `<t> leave|crash <host>`,
+/// `<t> flash <count> [degree]` or `<t> terminate` line per event, fields
+/// split on commas or whitespace, '#' comments. Times are finite, >= 0 and
+/// non-decreasing, nothing follows terminate, and hosts, counts and degrees
+/// are whole numbers in range; anything else fails naming its line. Flash
+/// lines (at most 2^20 joins per file) expand via assign_flash_hosts. Fills
+/// `out` (cleared first) and returns the horizon: the terminate time, else
+/// the last event's (or 0).
+sim::Time parse_trace(std::istream& is, std::vector<WorkloadEvent>& out);
+sim::Time parse_trace(const std::string& text, std::vector<WorkloadEvent>& out);
+sim::Time load_trace_file(const std::string& path,
+                          std::vector<WorkloadEvent>& out);
 
 }  // namespace vdm::overlay

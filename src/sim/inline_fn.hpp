@@ -10,15 +10,15 @@ namespace vdm::sim {
 /// Move-only `void()` callable with small-buffer optimization.
 ///
 /// The event engine stores one of these per slab slot. Typical simulator
-/// callbacks capture a pointer or two (`[this]`, `[this, h]`, a by-value
-/// scenario event), which fit the inline buffer, so steady-state
+/// callbacks capture a pointer or two (`[this]`, `[this, h]`,
+/// `[this, &event]`), which fit the inline buffer, so steady-state
 /// schedule/fire cycles never touch the heap. Oversized captures fall back
 /// to a heap allocation transparently — correctness is never capped by the
 /// buffer, only the zero-allocation guarantee.
 class InlineFn {
  public:
-  /// Sized to hold the largest callback the repo schedules (a by-value
-  /// ScenarioEvent capture plus a pointer) with room to spare.
+  /// Sized to hold the largest callback the repo schedules (a few pointers
+  /// and ids) with room to spare.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineFn() = default;

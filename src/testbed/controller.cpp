@@ -32,7 +32,6 @@ namespace {
 
 overlay::SessionParams session_params(const ControllerParams& params) {
   overlay::SessionParams sp;
-  sp.source = params.source;
   sp.source_degree_limit = params.source_degree;
   sp.chunk_rate = params.chunk_rate;
   sp.data_plane = params.data_plane;
@@ -69,45 +68,8 @@ SessionReport MainController::run(const Scenario& scenario) {
   VDM_REQUIRE_MSG(!scenario.events.empty(), "scenario has no events");
   transport::Reactor& reactor = session_->reactor();
   session_->start();
-
-  // Flash bursts name a count, not hosts: expand over the ids unused
-  // anywhere else in the scenario (and not the source), in increasing
-  // order — a pure function of the scenario text, so replays match.
-  std::vector<char> used(underlay_.num_hosts(), 0);
-  used[session_->source()] = 1;
-  for (const ScenarioEvent& e : scenario.events) {
-    if (e.action != ScenarioEvent::Action::kFlash &&
-        e.action != ScenarioEvent::Action::kTerminate &&
-        e.node < used.size()) {
-      used[e.node] = 1;
-    }
-  }
-  net::HostId flash_cursor = 0;
-
-  for (const ScenarioEvent& e : scenario.events) {
-    switch (e.action) {
-      case ScenarioEvent::Action::kJoin:
-        reactor.schedule_at(e.at, [this, e] { session_->join(e.node, e.degree_limit); });
-        break;
-      case ScenarioEvent::Action::kLeave:
-        reactor.schedule_at(e.at, [this, e] { session_->leave(e.node); });
-        break;
-      case ScenarioEvent::Action::kCrash:
-        reactor.schedule_at(e.at, [this, e] { session_->crash(e.node); });
-        break;
-      case ScenarioEvent::Action::kFlash:
-        for (net::HostId burst = 0; burst < e.node; ++burst) {
-          while (flash_cursor < used.size() && used[flash_cursor]) ++flash_cursor;
-          VDM_REQUIRE_MSG(flash_cursor < used.size(),
-                          "flash burst exceeds unused hosts in the underlay");
-          const net::HostId h = flash_cursor++;
-          reactor.schedule_at(e.at, [this, h, e] { session_->join(h, e.degree_limit); });
-        }
-        break;
-      case ScenarioEvent::Action::kTerminate:
-        break;  // implicit: run_until(end_time)
-    }
-  }
+  overlay::EventExecutor executor(*session_, member_flags_);
+  executor.schedule(scenario.events, scenario.end_time);
   // Periodic snapshots, then a final one exactly at terminate.
   for (sim::Time t = params_.measure_interval; t < scenario.end_time;
        t += params_.measure_interval) {

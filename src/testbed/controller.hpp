@@ -36,9 +36,9 @@ class FlakyMetric final : public overlay::MetricProvider {
   double noise_frac_;
 };
 
-/// Configuration of one testbed session.
+/// Configuration of one testbed session (the source is host 0, as in every
+/// runner).
 struct ControllerParams {
-  net::HostId source = 0;
   int source_degree = 4;
   /// The PlanetLab sender streamed 10 chunks per second (§5.4.2).
   double chunk_rate = 10.0;
@@ -91,7 +91,9 @@ class MainController {
                  overlay::Protocol& protocol, const overlay::MetricProvider& metric,
                  const ControllerParams& params, util::Rng rng);
 
-  /// Runs `scenario` to its terminate event and gathers the report.
+  /// Runs `scenario` to its end_time through the one event executor
+  /// (overlay::EventExecutor: a bad event fails with a clear error) and
+  /// gathers the report. `scenario` must stay alive during the call.
   SessionReport run(const Scenario& scenario);
 
   overlay::Session& session() { return *session_; }
@@ -101,6 +103,7 @@ class MainController {
   ControllerParams params_;
   std::unique_ptr<overlay::Session> session_;
   std::unique_ptr<metrics::Collector> collector_;
+  std::vector<char> member_flags_;  // the executor's per-host flags
 };
 
 }  // namespace vdm::testbed

@@ -2,38 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
+#include "overlay/workload.hpp"
 #include "util/require.hpp"
 
 namespace vdm::testbed {
-
-void Scenario::normalize() {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ScenarioEvent& a, const ScenarioEvent& b) {
-                     return a.at < b.at;
-                   });
-  const bool has_terminate =
-      !events.empty() && events.back().action == ScenarioEvent::Action::kTerminate;
-  if (!has_terminate) {
-    const sim::Time last = events.empty() ? 0.0 : events.back().at;
-    events.push_back({std::max(end_time, last), net::kInvalidHost,
-                      ScenarioEvent::Action::kTerminate, 0});
-  }
-  end_time = events.back().at;
-}
 
 Scenario generate_scenario(const ScenarioSpec& spec, util::Rng& rng) {
   VDM_REQUIRE(spec.members >= 1);
   VDM_REQUIRE_MSG(spec.nodes.size() >= spec.members,
                   "not enough usable nodes for the requested membership");
   VDM_REQUIRE(spec.degree_min >= 1 && spec.degree_max >= spec.degree_min);
+  using Kind = overlay::WorkloadEvent::Kind;
 
   Scenario sc;
-  sc.end_time = spec.total_time;
-
   std::vector<net::HostId> available = spec.nodes;
   rng.shuffle(available);
   std::vector<net::HostId> in_overlay;
@@ -47,8 +29,8 @@ Scenario generate_scenario(const ScenarioSpec& spec, util::Rng& rng) {
     const net::HostId h = available.back();
     available.pop_back();
     in_overlay.push_back(h);
-    sc.events.push_back({rng.uniform(0.001, spec.join_phase), h,
-                         ScenarioEvent::Action::kJoin, draw_degree()});
+    sc.events.push_back(
+        {rng.uniform(0.001, spec.join_phase), Kind::kJoin, h, draw_degree()});
   }
 
   // Churn slots for the remainder. Victims are drawn from the membership
@@ -75,120 +57,36 @@ Scenario generate_scenario(const ScenarioSpec& spec, util::Rng& rng) {
       // stream (and rng state) matches the all-graceful spec exactly.
       const bool crash =
           spec.crash_fraction > 0.0 && rng.chance(spec.crash_fraction);
-      sc.events.push_back({slot + rng.uniform(0.0, spec.churn_interval * 0.75), victim,
-                           crash ? ScenarioEvent::Action::kCrash
-                                 : ScenarioEvent::Action::kLeave,
-                           0});
+      sc.events.push_back({slot + rng.uniform(0.0, spec.churn_interval * 0.75),
+                           crash ? Kind::kCrash : Kind::kLeave, victim, 4});
 
       const net::HostId joiner = available.back();
       available.pop_back();
       slot_joiners.push_back(joiner);
-      sc.events.push_back({slot + rng.uniform(0.0, spec.churn_interval * 0.75), joiner,
-                           ScenarioEvent::Action::kJoin, draw_degree()});
+      sc.events.push_back({slot + rng.uniform(0.0, spec.churn_interval * 0.75),
+                           Kind::kJoin, joiner, draw_degree()});
     }
     in_overlay.insert(in_overlay.end(), slot_joiners.begin(), slot_joiners.end());
     available.insert(available.begin(), slot_victims.begin(), slot_victims.end());
   }
 
-  // Flash crowd: a single burst event; the executor picks the concrete
-  // hosts (ids unused elsewhere in the scenario), so the generated stream
-  // stays identical to the flash-free one up to this trailing line.
+  // Flash crowd: burst joins whose hosts are named once the list is sorted
+  // (ids unused elsewhere in the scenario), so the generated stream stays
+  // identical to the flash-free one apart from the burst itself.
   if (spec.flash_count > 0) {
-    sc.events.push_back({spec.flash_at,
-                         static_cast<net::HostId>(spec.flash_count),
-                         ScenarioEvent::Action::kFlash, draw_degree()});
+    sc.events.insert(sc.events.end(), spec.flash_count,
+                     {spec.flash_at, Kind::kJoin, net::kInvalidHost, draw_degree()});
   }
 
-  sc.normalize();
+  // A slot's leaves and joins interleave in time: sort (stably, so equal
+  // times keep their generation order) before naming the burst hosts.
+  std::stable_sort(sc.events.begin(), sc.events.end(),
+                   [](const overlay::WorkloadEvent& a,
+                      const overlay::WorkloadEvent& b) { return a.at < b.at; });
+  overlay::assign_flash_hosts(sc.events);
+  sc.end_time = std::max(spec.total_time,
+                         sc.events.empty() ? 0.0 : sc.events.back().at);
   return sc;
-}
-
-void write_scenario(const Scenario& scenario, std::ostream& os) {
-  // Full double precision so a written scenario replays bit-identically.
-  os.precision(17);
-  os << "# vdm testbed scenario: <time> <action> <node> [degree]\n";
-  for (const ScenarioEvent& e : scenario.events) {
-    switch (e.action) {
-      case ScenarioEvent::Action::kJoin:
-        os << e.at << " join " << e.node << ' ' << e.degree_limit << '\n';
-        break;
-      case ScenarioEvent::Action::kLeave:
-        os << e.at << " leave " << e.node << '\n';
-        break;
-      case ScenarioEvent::Action::kCrash:
-        os << e.at << " crash " << e.node << '\n';
-        break;
-      case ScenarioEvent::Action::kFlash:
-        os << e.at << " flash " << e.node << ' ' << e.degree_limit << '\n';
-        break;
-      case ScenarioEvent::Action::kTerminate:
-        os << e.at << " terminate\n";
-        break;
-    }
-  }
-}
-
-Scenario parse_scenario(std::istream& is) {
-  Scenario sc;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    // Accept comma-separated fields too, so the workload-trace CSV format
-    // ("t,join,host,degree") loads through this layer unchanged.
-    std::replace(line.begin(), line.end(), ',', ' ');
-    std::istringstream ls(line);
-    double at = 0.0;
-    std::string action;
-    if (!(ls >> at >> action)) continue;  // blank / comment-only line
-    ScenarioEvent e;
-    e.at = at;
-    if (action == "join") {
-      std::uint64_t node = 0;
-      VDM_REQUIRE_MSG(static_cast<bool>(ls >> node),
-                      "scenario line " + std::to_string(line_no) + ": join needs a node");
-      e.node = static_cast<net::HostId>(node);
-      e.action = ScenarioEvent::Action::kJoin;
-      int degree = 4;
-      if (ls >> degree) e.degree_limit = degree;
-    } else if (action == "leave") {
-      std::uint64_t node = 0;
-      VDM_REQUIRE_MSG(static_cast<bool>(ls >> node),
-                      "scenario line " + std::to_string(line_no) + ": leave needs a node");
-      e.node = static_cast<net::HostId>(node);
-      e.action = ScenarioEvent::Action::kLeave;
-    } else if (action == "crash") {
-      std::uint64_t node = 0;
-      VDM_REQUIRE_MSG(static_cast<bool>(ls >> node),
-                      "scenario line " + std::to_string(line_no) + ": crash needs a node");
-      e.node = static_cast<net::HostId>(node);
-      e.action = ScenarioEvent::Action::kCrash;
-    } else if (action == "flash") {
-      std::uint64_t count = 0;
-      VDM_REQUIRE_MSG(static_cast<bool>(ls >> count) && count > 0,
-                      "scenario line " + std::to_string(line_no) +
-                          ": flash needs a positive count");
-      e.node = static_cast<net::HostId>(count);
-      e.action = ScenarioEvent::Action::kFlash;
-      int degree = 4;
-      if (ls >> degree) e.degree_limit = degree;
-    } else if (action == "terminate") {
-      e.action = ScenarioEvent::Action::kTerminate;
-    } else {
-      VDM_REQUIRE_MSG(false, "scenario line " + std::to_string(line_no) +
-                                 ": unknown action '" + action + "'");
-    }
-    sc.events.push_back(e);
-  }
-  sc.normalize();
-  return sc;
-}
-
-Scenario parse_scenario(const std::string& text) {
-  std::istringstream is(text);
-  return parse_scenario(is);
 }
 
 }  // namespace vdm::testbed

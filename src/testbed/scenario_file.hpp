@@ -1,35 +1,23 @@
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "net/types.hpp"
+#include "overlay/scenario.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 
 namespace vdm::testbed {
 
-/// One line of a testbed scenario — the dissertation's scenario files tell
-/// "time, node and action for each event" (§5.2.2).
-struct ScenarioEvent {
-  enum class Action { kJoin, kLeave, kCrash, kFlash, kTerminate };
-  sim::Time at = 0.0;
-  /// For kFlash this is the burst size, not a host id: the executor joins
-  /// that many hosts unused anywhere else in the scenario, all at `at`.
-  net::HostId node = net::kInvalidHost;
-  Action action = Action::kJoin;
-  /// Degree limit assigned at join time (ignored for other actions).
-  int degree_limit = 4;
-};
-
-/// A complete, time-ordered scenario.
+/// A complete testbed scenario — the dissertation's scenario files tell
+/// "time, node and action for each event" (§5.2.2). Scenario files share
+/// the membership grammar of traces (overlay::parse_trace, which returns
+/// the `terminate` time as end_time; overlay::write_trace writes it back).
 struct Scenario {
-  std::vector<ScenarioEvent> events;
+  /// Time-ordered membership events, flash bursts already expanded.
+  std::vector<overlay::WorkloadEvent> events;
+  /// The terminate instant: the session runs to here, then reports.
   sim::Time end_time = 0.0;
-
-  /// Sorts by time (stable) and ensures a trailing terminate.
-  void normalize();
 };
 
 /// Generation spec mirroring the paper's PlanetLab runs: a pool of usable
@@ -41,25 +29,21 @@ struct ScenarioSpec {
   sim::Time total_time = 5000.0;
   sim::Time churn_interval = 400.0;
   double churn_rate = 0.05;        // fraction of members replaced / interval
-  /// Probability a departure is an ungraceful crash (kCrash) instead of a
-  /// graceful leave — the paper's unstable PlanetLab nodes. 0 keeps the
-  /// generated event stream identical to the all-graceful one.
+  /// Probability a departure is an ungraceful crash instead of a graceful
+  /// leave — the paper's unstable PlanetLab nodes. 0 keeps the generated
+  /// event stream identical to the all-graceful one.
   double crash_fraction = 0.0;
   int degree_min = 4, degree_max = 4;
-  /// Flash crowd: one kFlash event of `flash_count` burst arrivals at
-  /// `flash_at`, on top of the steady membership. 0 disables.
+  /// Flash crowd: `flash_count` burst joins at `flash_at`, on top of the
+  /// steady membership, over the lowest host ids no other event names
+  /// (overlay::assign_flash_hosts). 0 disables.
   std::size_t flash_count = 0;
   sim::Time flash_at = 0.0;
 };
 
-/// Deterministically generates a scenario from the spec (the role of the
-/// paper's scenario generator fed with different seeds).
+/// Deterministically generates a time-ordered scenario from the spec (the
+/// role of the paper's scenario generator fed with different seeds);
+/// end_time is total_time, or the last event's time if that is later.
 Scenario generate_scenario(const ScenarioSpec& spec, util::Rng& rng);
-
-/// Text round-trip: "<time> <join|leave|crash|terminate> <node> [degree]"
-/// lines plus "<time> flash <count> [degree]" bursts, '#' comments allowed.
-void write_scenario(const Scenario& scenario, std::ostream& os);
-Scenario parse_scenario(std::istream& is);
-Scenario parse_scenario(const std::string& text);
 
 }  // namespace vdm::testbed

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
-#include <system_error>
 
 namespace vdm::util {
 
@@ -24,9 +22,7 @@ std::string env_name(const std::string& flag) {
 template <typename T>
 T parse_number(const std::string& name, const std::string& v, const char* what) {
   T out{};
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end) {
+  if (!parse_whole(v, out)) {
     throw std::invalid_argument("--" + name + ": expected " + what + ", got '" +
                                 v + "'");
   }
@@ -84,6 +80,17 @@ bool Flags::get_bool(const std::string& name, bool def) const {
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+std::vector<std::string> Flags::unknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      out.push_back(name);
+    }
+  }
+  return out;
 }
 
 }  // namespace vdm::util

@@ -1,11 +1,24 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace vdm::util {
+
+/// Parses all of `text` as a number T: false on no digits, trailing garbage
+/// ("12abc", "4.5" for an int) or a value out of T's range.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 /// Minimal command-line flag parser for example and bench binaries.
 ///
@@ -28,6 +41,11 @@ class Flags {
 
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Flags given on the command line whose names are not in `known`, so a
+  /// binary can reject a misspelt flag instead of ignoring it.
+  std::vector<std::string> unknown(
+      std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -37,6 +37,9 @@ class Writer {
   void bytes(std::span<const std::byte> b) {
     VDM_REQUIRE_MSG(pos_ + b.size() <= out_.size(),
                     "wire encode buffer too small");
+    // An empty span may carry a null data pointer, which memcpy must never
+    // see, even for a zero-byte copy.
+    if (b.empty()) return;
     std::memcpy(out_.data() + pos_, b.data(), b.size());
     pos_ += b.size();
   }

@@ -120,8 +120,8 @@ TEST_P(ProtocolProperties, RandomChurnPreservesAllInvariants) {
 
   sim::Time t = 0.1;
   for (int step = 0; step < 150; ++step) {
-    const bool do_join = in.empty() || (out.empty() ? false : rng.chance(0.55));
-    if (do_join) {
+    const bool joining = in.empty() || (out.empty() ? false : rng.chance(0.55));
+    if (joining) {
       const auto i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1));
       const net::HostId h = out[i];
@@ -206,8 +206,8 @@ TEST_P(ProtocolProperties, CrashChurnRecoversAllInvariants) {
 
   sim::Time t = 0.1;
   for (int step = 0; step < 150; ++step) {
-    const bool do_join = in.empty() || (out.empty() ? false : rng.chance(0.55));
-    if (do_join) {
+    const bool joining = in.empty() || (out.empty() ? false : rng.chance(0.55));
+    if (joining) {
       const auto i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1));
       const net::HostId h = out[i];

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "baselines/hmtp_protocol.hpp"
@@ -8,6 +10,7 @@
 #include "testbed/dot_export.hpp"
 #include "testbed/node_pool.hpp"
 #include "testbed/report.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/scenario_file.hpp"
 #include "util/require.hpp"
 
@@ -60,6 +63,8 @@ TEST(NodePool, PerfectPoolKeepsEverything) {
 
 // --------------------------------------------------------- scenario files
 
+using Kind = overlay::WorkloadEvent::Kind;
+
 ScenarioSpec small_spec() {
   ScenarioSpec spec;
   for (net::HostId h = 1; h <= 30; ++h) spec.nodes.push_back(h);
@@ -71,18 +76,27 @@ ScenarioSpec small_spec() {
   return spec;
 }
 
+/// write_trace then parse_trace: the scenario-file round trip.
+Scenario round_trip(const Scenario& sc) {
+  std::ostringstream os;
+  overlay::write_trace(os, sc.events, sc.end_time);
+  Scenario back;
+  back.end_time = overlay::parse_trace(os.str(), back.events);
+  return back;
+}
+
 TEST(ScenarioFile, GenerateProducesWarmupThenChurn) {
   util::Rng rng(5);
   const Scenario sc = generate_scenario(small_spec(), rng);
   ASSERT_FALSE(sc.events.empty());
-  EXPECT_EQ(sc.events.back().action, ScenarioEvent::Action::kTerminate);
+  EXPECT_DOUBLE_EQ(sc.end_time, 500.0);
   std::size_t joins = 0, leaves = 0;
-  for (const ScenarioEvent& e : sc.events) {
-    if (e.action == ScenarioEvent::Action::kJoin) {
+  for (const overlay::WorkloadEvent& e : sc.events) {
+    if (e.kind == Kind::kJoin) {
       ++joins;
-      EXPECT_GE(e.degree_limit, 1);
+      EXPECT_GE(e.degree, 1);
     }
-    if (e.action == ScenarioEvent::Action::kLeave) ++leaves;
+    if (e.kind == Kind::kLeave) ++leaves;
   }
   EXPECT_EQ(joins, 10u + leaves);  // each leave paired with a join
   EXPECT_GT(leaves, 0u);
@@ -100,13 +114,13 @@ TEST(ScenarioFile, NoJoinOfAlreadyJoinedNode) {
   util::Rng rng(7);
   const Scenario sc = generate_scenario(small_spec(), rng);
   std::vector<char> in(64, 0);
-  for (const ScenarioEvent& e : sc.events) {
-    if (e.action == ScenarioEvent::Action::kJoin) {
-      EXPECT_FALSE(in[e.node]) << "double join of " << e.node;
-      in[e.node] = 1;
-    } else if (e.action == ScenarioEvent::Action::kLeave) {
-      EXPECT_TRUE(in[e.node]) << "leave of absent " << e.node;
-      in[e.node] = 0;
+  for (const overlay::WorkloadEvent& e : sc.events) {
+    if (e.kind == Kind::kJoin) {
+      EXPECT_FALSE(in[e.host]) << "double join of " << e.host;
+      in[e.host] = 1;
+    } else if (e.kind == Kind::kLeave) {
+      EXPECT_TRUE(in[e.host]) << "leave of absent " << e.host;
+      in[e.host] = 0;
     }
   }
 }
@@ -114,18 +128,9 @@ TEST(ScenarioFile, NoJoinOfAlreadyJoinedNode) {
 TEST(ScenarioFile, WriteParseRoundTrip) {
   util::Rng rng(8);
   const Scenario sc = generate_scenario(small_spec(), rng);
-  std::ostringstream os;
-  write_scenario(sc, os);
-  const Scenario back = parse_scenario(os.str());
-  ASSERT_EQ(back.events.size(), sc.events.size());
-  for (std::size_t i = 0; i < sc.events.size(); ++i) {
-    EXPECT_EQ(back.events[i].action, sc.events[i].action);
-    EXPECT_EQ(back.events[i].node, sc.events[i].node);
-    EXPECT_NEAR(back.events[i].at, sc.events[i].at, 1e-4);
-    if (sc.events[i].action == ScenarioEvent::Action::kJoin) {
-      EXPECT_EQ(back.events[i].degree_limit, sc.events[i].degree_limit);
-    }
-  }
+  const Scenario back = round_trip(sc);
+  EXPECT_EQ(back.events, sc.events);  // full precision: bitwise equal
+  EXPECT_EQ(back.end_time, sc.end_time);
 }
 
 TEST(ScenarioFile, CrashFractionTurnsDeparturesIntoCrashes) {
@@ -134,9 +139,9 @@ TEST(ScenarioFile, CrashFractionTurnsDeparturesIntoCrashes) {
   util::Rng rng(21);
   const Scenario sc = generate_scenario(spec, rng);
   std::size_t crashes = 0, leaves = 0;
-  for (const ScenarioEvent& e : sc.events) {
-    if (e.action == ScenarioEvent::Action::kCrash) ++crashes;
-    if (e.action == ScenarioEvent::Action::kLeave) ++leaves;
+  for (const overlay::WorkloadEvent& e : sc.events) {
+    if (e.kind == Kind::kCrash) ++crashes;
+    if (e.kind == Kind::kLeave) ++leaves;
   }
   EXPECT_GT(crashes, 0u);
   EXPECT_EQ(leaves, 0u);  // every departure is ungraceful
@@ -148,12 +153,7 @@ TEST(ScenarioFile, CrashFractionTurnsDeparturesIntoCrashes) {
   ScenarioSpec zero = small_spec();
   zero.crash_fraction = 0.0;
   const Scenario zero_sc = generate_scenario(zero, rng_b);
-  ASSERT_EQ(zero_sc.events.size(), graceful.events.size());
-  for (std::size_t i = 0; i < graceful.events.size(); ++i) {
-    EXPECT_EQ(zero_sc.events[i].action, graceful.events[i].action);
-    EXPECT_EQ(zero_sc.events[i].node, graceful.events[i].node);
-    EXPECT_DOUBLE_EQ(zero_sc.events[i].at, graceful.events[i].at);
-  }
+  EXPECT_EQ(zero_sc.events, graceful.events);
 }
 
 TEST(ScenarioFile, CrashVerbRoundTrips) {
@@ -162,68 +162,87 @@ TEST(ScenarioFile, CrashVerbRoundTrips) {
   util::Rng rng(23);
   const Scenario sc = generate_scenario(spec, rng);
   std::ostringstream os;
-  write_scenario(sc, os);
-  EXPECT_NE(os.str().find(" crash "), std::string::npos);
-  const Scenario back = parse_scenario(os.str());
-  ASSERT_EQ(back.events.size(), sc.events.size());
-  for (std::size_t i = 0; i < sc.events.size(); ++i) {
-    EXPECT_EQ(back.events[i].action, sc.events[i].action);
-    EXPECT_EQ(back.events[i].node, sc.events[i].node);
-  }
-  EXPECT_THROW(parse_scenario("1.0 crash\n"), util::InvariantError);
+  overlay::write_trace(os, sc.events, sc.end_time);
+  EXPECT_NE(os.str().find(",crash,"), std::string::npos);
+  EXPECT_EQ(round_trip(sc).events, sc.events);
+  std::vector<overlay::WorkloadEvent> out;
+  EXPECT_THROW(overlay::parse_trace("1.0 crash\n", out), util::InvariantError);
 }
 
 TEST(ScenarioFile, FlashVerbRoundTrips) {
+  // generate_scenario names its burst hosts the way a hand-written
+  // "<t> flash <count> [degree]" line is expanded: the lowest ids no other
+  // event names, in list order.
   ScenarioSpec spec = small_spec();
   spec.flash_count = 12;
   spec.flash_at = 100.0;
   util::Rng rng(29);
   const Scenario sc = generate_scenario(spec, rng);
-  std::ostringstream os;
-  write_scenario(sc, os);
-  EXPECT_NE(os.str().find(" flash "), std::string::npos);
-  const Scenario back = parse_scenario(os.str());
-  ASSERT_EQ(back.events.size(), sc.events.size());
-  bool saw_flash = false;
+  const auto burst = static_cast<std::size_t>(
+      std::find_if(sc.events.begin(), sc.events.end(),
+                   [](const overlay::WorkloadEvent& e) { return e.at == 100.0; }) -
+      sc.events.begin());
+  ASSERT_LE(burst + 12, sc.events.size());
+  std::ostringstream text;  // the same scenario, burst written as one line
+  text.precision(17);
   for (std::size_t i = 0; i < sc.events.size(); ++i) {
-    EXPECT_EQ(back.events[i].action, sc.events[i].action);
-    EXPECT_EQ(back.events[i].node, sc.events[i].node);
-    if (sc.events[i].action == ScenarioEvent::Action::kFlash) {
-      saw_flash = true;
-      EXPECT_EQ(sc.events[i].at, 100.0);
-      EXPECT_EQ(sc.events[i].node, 12u);  // node carries the burst count
+    const overlay::WorkloadEvent& e = sc.events[i];
+    if (i == burst) text << "100 flash 12 " << e.degree << '\n';
+    if (i >= burst && i < burst + 12) {
+      EXPECT_EQ(e.kind, Kind::kJoin);
+      EXPECT_EQ(e.at, 100.0);
+      continue;
+    }
+    if (e.kind == Kind::kJoin) {
+      text << e.at << " join " << e.host << ' ' << e.degree << '\n';
+    } else {
+      text << e.at << " leave " << e.host << '\n';
     }
   }
-  EXPECT_TRUE(saw_flash);
-  EXPECT_THROW(parse_scenario("1.0 flash\n"), util::InvariantError);
-  EXPECT_THROW(parse_scenario("1.0 flash 0\n"), util::InvariantError);
+  std::vector<overlay::WorkloadEvent> parsed;
+  overlay::parse_trace(text.str(), parsed);
+  EXPECT_EQ(parsed, sc.events);
+  EXPECT_EQ(round_trip(sc).events, sc.events);
+
+  std::vector<overlay::WorkloadEvent> out;
+  EXPECT_THROW(overlay::parse_trace("1.0 flash\n", out), util::InvariantError);
+  EXPECT_THROW(overlay::parse_trace("1.0 flash 0\n", out), util::InvariantError);
 }
 
 TEST(ScenarioFile, ParserHandlesCommentsAndBlanks) {
-  const Scenario sc = parse_scenario(
+  std::vector<overlay::WorkloadEvent> events;
+  const sim::Time end_time = overlay::parse_trace(
       "# a comment\n"
       "\n"
       "1.5 join 3 4\n"
       "2.0 leave 3   # trailing comment\n"
-      "9 terminate\n");
-  ASSERT_EQ(sc.events.size(), 3u);
-  EXPECT_EQ(sc.events[0].node, 3u);
-  EXPECT_EQ(sc.events[0].degree_limit, 4);
-  EXPECT_EQ(sc.events[1].action, ScenarioEvent::Action::kLeave);
-  EXPECT_DOUBLE_EQ(sc.end_time, 9.0);
+      "9 terminate\n",
+      events);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].host, 3u);
+  EXPECT_EQ(events[0].degree, 4);
+  EXPECT_EQ(events[1].kind, Kind::kLeave);
+  EXPECT_DOUBLE_EQ(end_time, 9.0);
 }
 
 TEST(ScenarioFile, ParserRejectsGarbage) {
-  EXPECT_THROW(parse_scenario("1.0 explode 3\n"), util::InvariantError);
-  EXPECT_THROW(parse_scenario("1.0 join\n"), util::InvariantError);
+  std::vector<overlay::WorkloadEvent> out;
+  EXPECT_THROW(overlay::parse_trace("1.0 explode 3\n", out), util::InvariantError);
+  EXPECT_THROW(overlay::parse_trace("1.0 join\n", out), util::InvariantError);
 }
 
-TEST(ScenarioFile, NormalizeAppendsTerminate) {
-  Scenario sc;
-  sc.events.push_back({5.0, 1, ScenarioEvent::Action::kJoin, 2});
-  sc.normalize();
-  EXPECT_EQ(sc.events.back().action, ScenarioEvent::Action::kTerminate);
-  EXPECT_DOUBLE_EQ(sc.end_time, 5.0);
+TEST(ScenarioFile, TerminateClosesTheFileAndSetsTheHorizon) {
+  // write_trace closes every file with a terminate line at the horizon;
+  // without one, the horizon is the last event's time.
+  std::ostringstream os;
+  const std::vector<overlay::WorkloadEvent> events{{5.0, Kind::kJoin, 1, 2}};
+  overlay::write_trace(os, events, 7.5);
+  EXPECT_NE(os.str().find("7.5,terminate\n"), std::string::npos);
+  std::vector<overlay::WorkloadEvent> back;
+  EXPECT_DOUBLE_EQ(overlay::parse_trace(os.str(), back), 7.5);
+  EXPECT_EQ(back, events);
+  EXPECT_DOUBLE_EQ(overlay::parse_trace("5 join 1 2\n", back), 5.0);
+  EXPECT_THROW(overlay::write_trace(os, events, 4.0), util::InvariantError);
 }
 
 TEST(ScenarioFile, GenerateRejectsTooFewNodes) {
@@ -234,6 +253,10 @@ TEST(ScenarioFile, GenerateRejectsTooFewNodes) {
 }
 
 // -------------------------------------------------------------- controller
+
+double sum_of(const std::vector<double>& v) {
+  return std::accumulate(v.begin(), v.end(), 0.0);
+}
 
 TEST(Controller, RunsScenarioAndReports) {
   util::Rng rng(10);
@@ -271,6 +294,15 @@ TEST(Controller, RunsScenarioAndReports) {
   EXPECT_GE(report.epochs.size(), 4u);
   EXPECT_GE(report.loss_rate, 0.0);
   EXPECT_LT(report.loss_rate, 0.5);
+
+  // Bit-exact pins, recorded while the controller dispatched scenario lines
+  // through its own switch instead of the shared event executor.
+  EXPECT_EQ(report.final_tree.stretch_avg, 0x1.309ad6c91f91ep+0);
+  EXPECT_EQ(report.final_tree.hop_avg, 0x1.c444444444445p+1);
+  EXPECT_EQ(report.loss_rate, 0x1.6c656b3a17fp-9);
+  EXPECT_EQ(report.overhead, 0x1.b4a297b5b7901p-7);
+  EXPECT_EQ(report.mst_ratio, 0x1.27fc45f48d32fp+0);
+  EXPECT_EQ(sum_of(report.startup_times), 0x1.27e886be4a517p+2);
 }
 
 TEST(Controller, CrashScenarioWithHeartbeatsReportsDetection) {
@@ -327,10 +359,9 @@ TEST(Controller, WorksWithHmtpToo) {
   const NodePool pool = make_pool(pp, topo::us_regions(), rng);
   Scenario sc;
   for (net::HostId h = 1; h <= 10; ++h) {
-    sc.events.push_back({static_cast<double>(h), h, ScenarioEvent::Action::kJoin, 4});
+    sc.events.push_back({static_cast<double>(h), Kind::kJoin, h, 4});
   }
   sc.end_time = 120.0;
-  sc.normalize();
 
   sim::Simulator simulator;
   baselines::HmtpProtocol hmtp;
@@ -352,12 +383,15 @@ TEST(Controller, FlashBurstExpandsOverUnusedHosts) {
   pp.frac_unresponsive = pp.frac_no_ping_out = pp.frac_agent_broken = 0.0;
   const NodePool pool = make_pool(pp, topo::us_regions(), rng);
   Scenario sc;
-  for (net::HostId h = 1; h <= 8; ++h) {
-    sc.events.push_back({static_cast<double>(h), h, ScenarioEvent::Action::kJoin, 4});
-  }
-  sc.events.push_back({20.0, 15, ScenarioEvent::Action::kFlash, 4});
-  sc.end_time = 120.0;
-  sc.normalize();
+  sc.end_time = overlay::parse_trace(
+      "1 join 1\n2 join 2\n3 join 3\n4 join 4\n"
+      "5 join 5\n6 join 6\n7 join 7\n8 join 8\n"
+      "20 flash 15\n"
+      "120 terminate\n",
+      sc.events);
+  ASSERT_EQ(sc.events.size(), 23u);
+  EXPECT_EQ(sc.events[8].host, 9u);   // the burst starts at the first free id
+  EXPECT_EQ(sc.events[22].host, 23u);
 
   sim::Simulator simulator;
   core::VdmProtocol vdm;
@@ -371,6 +405,14 @@ TEST(Controller, FlashBurstExpandsOverUnusedHosts) {
   EXPECT_EQ(report.final_tree.members, 24u);  // source + 8 warmup + 15 flash
   EXPECT_EQ(report.totals.joins_completed, 23u);
   EXPECT_GE(report.startup_times.size(), 23u);
+
+  // Bit-exact pins, recorded while the controller expanded the burst itself.
+  EXPECT_EQ(report.final_tree.stretch_avg, 0x1.9216540c51158p+0);
+  EXPECT_EQ(report.final_tree.hop_avg, 0x1.1bd37a6f4de9dp+2);
+  EXPECT_EQ(report.loss_rate, 0x1.03ef3f146f4p-11);
+  EXPECT_EQ(report.overhead, 0x1.e0d402bf5232dp-6);
+  EXPECT_EQ(report.mst_ratio, 0x1.79b8d451ce13dp+0);
+  EXPECT_EQ(sum_of(report.startup_times), 0x1.1c15c86d65dacp+2);
 }
 
 TEST(FlakyMetric, SlowsMeasurementsOfLazyTargets) {

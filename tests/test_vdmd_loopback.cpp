@@ -1,7 +1,8 @@
 // Multi-process integration test (DESIGN.md §14): launches the real vdmd
-// binary as one controller plus 32 forked agents on 127.0.0.1, and asserts
+// binary as one controller plus forked agents on 127.0.0.1, and asserts
 // from its output that the tree formed, chunks flowed down it, every agent
-// reported stats, and the whole flock shut down cleanly.
+// reported stats, and the whole flock shut down cleanly — for synthesized
+// joins and for a --scenario file.
 //
 // The binary path is injected by CMake (VDMD_BINARY_PATH). The run is
 // double-guarded against hangs: vdmd enforces its own --deadline, and the
@@ -13,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,8 +119,49 @@ TEST(VdmdLoopback, SourcePlusThirtyTwoAgentsStreamAndShutDownCleanly) {
   EXPECT_GE(total_received, field_of(chunks, "fanned"));
 }
 
+TEST(VdmdLoopback, ScenarioFileDrivesJoinsLeavesAndFlashBursts) {
+  // A hand-written scenario in the one membership grammar: host 1 joins
+  // and later leaves, host 2 joins, a 2-member flash burst takes hosts 3
+  // and 4 (the lowest ids no other line names), then terminate.
+  const std::string path = testing::TempDir() + "vdmd_scenario.txt";
+  {
+    std::ofstream f(path);
+    f << "# t verb host|count [degree]\n"
+         "0.0 join 1\n"
+         "0.1 join 2 3\n"
+         "0.3 flash 2\n"
+         "0.8 leave 1\n"
+         "1.5 terminate\n";
+  }
+  const RunResult r = run_vdmd("--source --agents 4 --spawn --scenario " +
+                               path + " --deadline 30");
+  SCOPED_TRACE(r.output);
+  ASSERT_EQ(r.exit_code, 0);
+  const std::vector<std::string> lines = lines_of(r.output);
+  const std::string members = find_line(lines, "vdmd: members=");
+  ASSERT_FALSE(members.empty());
+  EXPECT_EQ(field_of(members, "members"), 1 + 4 - 1);  // source + joined - left
+  EXPECT_EQ(count_matching(lines, "vdmd: stats host="), 4);
+  EXPECT_EQ(count_matching(lines, "vdmd: clean shutdown"), 1);
+}
+
 TEST(VdmdLoopback, UsageErrorsExitNonZeroWithoutHanging) {
-  EXPECT_NE(run_vdmd("").exit_code, 0);
-  EXPECT_NE(run_vdmd("--agent").exit_code, 0);  // missing --controller
-  EXPECT_NE(run_vdmd("--source --agent").exit_code, 0);
+  // Each must print usage and exit 2 before any socket or agent exists.
+  for (const char* args :
+       {"", "--agent", "--source --agent", "--source --agents abc",
+        "--source --agents 0", "--source --agents 12x", "--source --port 70000",
+        "--source --port -1", "--source --degree 0", "--source --degree 2.5",
+        "--source --chunk-rate 0", "--source --chunk-rate abc",
+        "--source --chunk-rate nan", "--source --deadline 0"}) {
+    EXPECT_EQ(run_vdmd(args).exit_code, 2) << args;
+  }
+  // A malformed scenario file is rejected up front, naming its line.
+  const std::string path = testing::TempDir() + "vdmd_bad_scenario.txt";
+  {
+    std::ofstream f(path);
+    f << "0.0 join 1\n0.5 join 2 4 junk\n";
+  }
+  const RunResult r = run_vdmd("--source --agents 2 --scenario " + path);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("line 2"), std::string::npos) << r.output;
 }

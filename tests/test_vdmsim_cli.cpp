@@ -63,4 +63,20 @@ TEST(VdmsimCli, ValidRunExitsZero) {
   EXPECT_TRUE(contains(r.output, "hopcount")) << r.output;
 }
 
+TEST(VdmsimCli, SlotsRunSavesATraceThatReplaysTheSameTable) {
+  // --save-trace works for the paper's slot timeline too, and replaying
+  // the saved list prints the generating run's table digit for digit.
+  const std::string trace = testing::TempDir() + "vdmsim_slots_trace.csv";
+  const std::string shape =
+      "--underlay coord-plane --members 24 --seeds 1 --join-phase 400 "
+      "--total-time 1200 --interval 200 --settle 50 --churn 0.1 --csv";
+  const CliResult saved =
+      run_vdmsim(shape + " --workload slots --save-trace " + trace);
+  ASSERT_EQ(saved.exit_code, 0) << saved.output;
+  const CliResult replayed = run_vdmsim(shape + " --workload trace:" + trace);
+  ASSERT_EQ(replayed.exit_code, 0) << replayed.output;
+  EXPECT_TRUE(contains(saved.output, "hopcount")) << saved.output;
+  EXPECT_EQ(replayed.output, saved.output);
+}
+
 }  // namespace

@@ -405,6 +405,17 @@ constexpr GoldenRun kGoldens[] = {
       0x1.c49a1058507a8p-5, 0x1.178011602b9fep-1, 0x1.4p+1,
       0x1.4p+1, 0x1.4fe1ce61ed5afp+1, 0x1.6027fbb8a4953p+1,
       0x1p+0, 0x1.22p+7}},
+    // Recorded while the driver still scheduled the batched timeline on the
+    // reactor directly, before every timeline compiled to an event list.
+    {"fig4-batched-vdml",
+     {0x1.5ac7fa99b248bp+1, 0x1.3p+4, 0x1.7c947680f1598p+1,
+      0x1.054a015e10eb8p+2, 0x1.3c0a31510879dp+4, 0x1p+0,
+      0x1.2c88888888888p+2, 0x1.6ef6495268a7ep+2, 0x1.2p+3,
+      0x1.51289b3fb5b72p-3, 0x1.f0dbbe68923c4p-2, 0x1.3620c49ba5e36p+5,
+      0x1.6b1e2889ef5fap+3, 0x1.4143b66d7bec4p+1, 0x1.d9a3e29a6b035p+2,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      0x1.2269617bd8b9ap+2, 0x1.e4p+6}},
 };
 
 class WalkGolden : public ::testing::TestWithParam<std::size_t> {};

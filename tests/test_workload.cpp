@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "testbed/scenario_file.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "walk_golden_configs.hpp"
 
 namespace vdm::overlay {
 namespace {
@@ -166,7 +166,7 @@ TEST(WorkloadGenerator, RejectsBadParameters) {
   util::Rng rng(8);
   const ScenarioParams p = small_scenario();
   WorkloadParams w = poisson();
-  w.kind = WorkloadKind::kSlots;
+  w.kind = WorkloadKind::kTrace;  // loaded from a file, never generated
   EXPECT_THROW(generate_workload(p, w, 200, 0, rng, out),
                util::InvariantError);
   w = poisson(0.0);
@@ -179,6 +179,37 @@ TEST(WorkloadGenerator, RejectsBadParameters) {
                util::InvariantError);
 }
 
+TEST(WorkloadGenerator, SlotTimelineCompilesToASortedListAtTarget) {
+  // kSlots compiles the paper's timeline: the list is time-ordered, every
+  // departure pairs with a replacement join, and membership sits exactly
+  // at target_members at every measurement point.
+  std::vector<WorkloadEvent> events;
+  util::Rng rng(11);
+  ScenarioParams p = small_scenario();
+  p.churn_rate = 0.1;
+  WorkloadParams slots;
+  slots.kind = WorkloadKind::kSlots;
+  generate_workload(p, slots, 200, 0, rng, events);
+  EXPECT_TRUE(std::is_sorted(
+      events.begin(), events.end(),
+      [](const WorkloadEvent& a, const WorkloadEvent& b) { return a.at < b.at; }));
+  std::size_t joins = 0, departures = 0;
+  for (const WorkloadEvent& ev : events) {
+    EXPECT_LE(ev.at, p.total_time);
+    EXPECT_NE(ev.host, 0u);
+    (ev.kind == K::kJoin ? joins : departures) += 1;
+  }
+  EXPECT_GT(departures, 0u);
+  EXPECT_EQ(joins, p.target_members + departures);
+  for (const std::size_t members : membership_at_grid(p, events)) {
+    EXPECT_EQ(members, p.target_members);
+  }
+  std::vector<WorkloadEvent> again;
+  util::Rng rng2(11);
+  generate_workload(p, slots, 200, 0, rng2, again);
+  EXPECT_EQ(events, again);
+}
+
 // ----------------------------------------------------------- trace IO
 
 TEST(WorkloadTrace, RoundTripIsExact) {
@@ -186,9 +217,9 @@ TEST(WorkloadTrace, RoundTripIsExact) {
   util::Rng rng(9);
   generate_workload(small_scenario(), poisson(), 300, 0, rng, events);
   std::ostringstream os;
-  write_trace(os, events);
+  write_trace(os, events, small_scenario().total_time);
   std::vector<WorkloadEvent> back;
-  parse_trace(os.str(), back);
+  EXPECT_EQ(parse_trace(os.str(), back), small_scenario().total_time);
   // Full-precision doubles round-trip bitwise, so the lists are equal —
   // the property the bit-identical replay guarantee rests on.
   EXPECT_EQ(events, back);
@@ -196,14 +227,15 @@ TEST(WorkloadTrace, RoundTripIsExact) {
 
 TEST(WorkloadTrace, ParserAcceptsCommasSpacesAndComments) {
   std::vector<WorkloadEvent> out;
-  parse_trace(std::string("# header comment\n"
-                          "10.5,join,3,5\n"
-                          "20 join 4\n"
-                          "  \n"
-                          "30,leave,3\n"
-                          "40 crash 4\n"
-                          "99 terminate 0\n"),
-              out);
+  const sim::Time end_time = parse_trace(std::string("# header comment\n"
+                                                     "10.5,join,3,5\n"
+                                                     "20 join 4\n"
+                                                     "  \n"
+                                                     "30,leave,3\n"
+                                                     "40\tcrash 4\r\n"
+                                                     "99 terminate\n"),
+                                         out);
+  EXPECT_EQ(end_time, 99.0);
   const std::vector<WorkloadEvent> expected{
       {10.5, K::kJoin, 3, 5},
       {20.0, K::kJoin, 4, 4},  // degree defaults to 4
@@ -214,20 +246,62 @@ TEST(WorkloadTrace, ParserAcceptsCommasSpacesAndComments) {
 }
 
 TEST(WorkloadTrace, ParserRejectsMalformedWithLineNumber) {
-  std::vector<WorkloadEvent> out;
-  const auto expect_throw_with = [&](const std::string& text,
-                                     const std::string& needle) {
-    try {
-      parse_trace(text, out);
-      FAIL() << "expected InvariantError mentioning: " << needle;
-    } catch (const util::InvariantError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
+  // Each bad line must fail naming its line and the offending part — never
+  // be skipped or coerced. Line 3 follows two good lines at t = 1 and 2.
+  struct Case {
+    std::string text;
+    const char* needle;
   };
-  expect_throw_with("10,hop,3\n", "line 1");
-  expect_throw_with("# ok\n10,join\n", "line 2");
-  expect_throw_with("10,flash,50\n", "flash");
+  const std::string good = "1 join 1\n2 join 2\n";
+  const Case cases[] = {
+      {"10,hop,3\n", "line 1: unknown event kind 'hop'"},
+      {"# ok\n10,join\n", "line 2: join needs a host"},
+      {"10,join,3\n5,leave,3\n", "line 2: time 5 is below the previous"},
+      {"1 join 1\n5 terminate\n6 join 2\n", "line 3: event after terminate"},
+      {good + "abc join 3\n", "line 3: time 'abc'"},
+      {good + "nan join 3\n", "line 3: time 'nan'"},
+      {good + "inf join 3\n", "line 3: time 'inf'"},
+      {good + "1e400 join 3\n", "line 3: time '1e400'"},
+      {good + "-1 join 3\n", "line 3: time '-1'"},
+      {good + "3 join 4294967297\n", "line 3: host '4294967297'"},
+      {good + "3 join 4294967295\n", "line 3: host '4294967295'"},
+      {good + "3 join -3\n", "line 3: host '-3'"},
+      {good + "3 join 3 abc\n", "line 3: degree 'abc'"},
+      {good + "3 join 3 4.5\n", "line 3: degree '4.5'"},
+      {good + "3 join 3 0\n", "line 3: degree '0'"},
+      {good + "3 leave 3 9\n", "line 3: extra field '9'"},
+      {good + "3 join 3 4 junk\n", "line 3: extra field 'junk'"},
+      {good + "3 terminate 0\n", "line 3: extra field '0'"},
+      {good + "3 flash 0\n", "line 3: count '0'"},
+      {good + "3 flash x\n", "line 3: count 'x'"},
+      {good + "3 flash 4000000000\n", "line 3: flash lines add more than"},
+      {good + "3 flash 1048576\n4 flash 1\n", "line 4: flash lines add more than"},
+      {good + "3\n", "line 3: missing the event kind"},
+  };
+  std::vector<WorkloadEvent> out;
+  for (const Case& c : cases) {
+    try {
+      parse_trace(c.text, out);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+          << c.text << "-> " << e.what();
+    }
+  }
+}
+
+TEST(WorkloadTrace, FlashLinesExpandOverUnusedHosts) {
+  std::vector<WorkloadEvent> out;
+  const sim::Time end_time = parse_trace(
+      "0 join 1\n1 flash 3 2\n2 join 3\n3 flash 1\n4 leave 1\n9 terminate\n",
+      out);
+  const std::vector<WorkloadEvent> expected{
+      {0.0, K::kJoin, 1, 4}, {1.0, K::kJoin, 2, 2}, {1.0, K::kJoin, 4, 2},
+      {1.0, K::kJoin, 5, 2}, {2.0, K::kJoin, 3, 4}, {3.0, K::kJoin, 6, 4},
+      {4.0, K::kLeave, 1, 4},
+  };
+  EXPECT_EQ(out, expected);  // ids 1 and 3 are named elsewhere
+  EXPECT_EQ(end_time, 9.0);
 }
 
 TEST(WorkloadTrace, FileRoundTrip) {
@@ -235,25 +309,26 @@ TEST(WorkloadTrace, FileRoundTrip) {
   util::Rng rng(10);
   generate_workload(small_scenario(), poisson(), 300, 0, rng, events);
   const std::string path = testing::TempDir() + "vdm_workload_trace.csv";
-  write_trace_file(path, events);
+  write_trace_file(path, events, small_scenario().total_time);
   std::vector<WorkloadEvent> back;
-  load_trace_file(path, back);
+  EXPECT_EQ(load_trace_file(path, back), small_scenario().total_time);
   EXPECT_EQ(events, back);
   EXPECT_THROW(load_trace_file(path + ".missing", back), util::InvariantError);
 }
 
 TEST(WorkloadTrace, TestbedScenarioFileLoadsCsvTraces) {
-  // The testbed scenario-file layer accepts the CSV trace format unchanged.
-  const testbed::Scenario s = testbed::parse_scenario(
-      "# vdm workload trace: t,join|leave|crash,host[,degree]\n"
-      "10,join,3,5\n"
-      "30,leave,3\n");
-  ASSERT_GE(s.events.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.events[0].at, 10.0);
-  EXPECT_EQ(s.events[0].node, 3u);
-  EXPECT_EQ(s.events[0].action, testbed::ScenarioEvent::Action::kJoin);
-  EXPECT_EQ(s.events[0].degree_limit, 5);
-  EXPECT_EQ(s.events[1].action, testbed::ScenarioEvent::Action::kLeave);
+  // One grammar: a CSV trace and a space-separated testbed scenario file
+  // with the same events load to the same list and horizon.
+  std::vector<WorkloadEvent> csv, scenario;
+  const sim::Time csv_end = parse_trace(
+      "# vdm membership events\n10,join,3,5\n30,leave,3\n40,terminate\n", csv);
+  const sim::Time scenario_end =
+      parse_trace("10 join 3 5\n30 leave 3\n40 terminate\n", scenario);
+  EXPECT_EQ(csv, scenario);
+  EXPECT_EQ(csv_end, scenario_end);
+  ASSERT_EQ(csv.size(), 2u);
+  EXPECT_EQ(csv[0], (WorkloadEvent{10.0, K::kJoin, 3, 5}));
+  EXPECT_EQ(csv[1].kind, K::kLeave);
 }
 
 TEST(WorkloadKindFlag, ParsesAllSpellings) {
@@ -291,32 +366,33 @@ experiments::RunConfig runner_config() {
 }
 
 TEST(WorkloadRunner, TraceReplayIsBitIdenticalToGeneratedRun) {
-  const experiments::RunConfig cfg = runner_config();
-  const experiments::RunResult generated = experiments::run_once(cfg);
-
-  // Save the exact event list the run drew, then replay it from the file.
-  std::vector<WorkloadEvent> events;
-  experiments::workload_events(cfg, events);
-  ASSERT_FALSE(events.empty());
-  const std::string path = testing::TempDir() + "vdm_replay_trace.csv";
-  write_trace_file(path, events);
-  experiments::RunConfig replay = cfg;
-  replay.workload.kind = WorkloadKind::kTrace;
-  replay.workload.trace_path = path;
-  const experiments::RunResult replayed = experiments::run_once(replay);
-
-  // Bitwise equality on every scalar: the replay is the same run.
-  EXPECT_EQ(generated.stress, replayed.stress);
-  EXPECT_EQ(generated.stretch, replayed.stretch);
-  EXPECT_EQ(generated.hopcount, replayed.hopcount);
-  EXPECT_EQ(generated.loss, replayed.loss);
-  EXPECT_EQ(generated.overhead, replayed.overhead);
-  EXPECT_EQ(generated.network_usage, replayed.network_usage);
-  EXPECT_EQ(generated.startup_avg, replayed.startup_avg);
-  EXPECT_EQ(generated.reconnect_avg, replayed.reconnect_avg);
-  EXPECT_EQ(generated.outage_avg, replayed.outage_avg);
-  EXPECT_EQ(generated.mst_ratio, replayed.mst_ratio);
-  EXPECT_EQ(generated.final_members, replayed.final_members);
+  // Every list builder replays bit for bit: the slot-mode golden corners,
+  // the batched corner and a Poisson config each save their event list as
+  // a trace and replay it, equal to the original on every scalar.
+  std::vector<testutil::NamedRunConfig> configs;
+  for (const testutil::NamedRunConfig& c : testutil::walk_golden_configs()) {
+    if (c.cfg.workload.kind == WorkloadKind::kSlots) configs.push_back(c);
+  }
+  configs.push_back({"poisson", runner_config()});
+  for (const testutil::NamedRunConfig& c : configs) {
+    SCOPED_TRACE(c.name);
+    const experiments::RunResult generated = experiments::run_once(c.cfg);
+    std::vector<WorkloadEvent> events;
+    experiments::workload_events(c.cfg, events);
+    ASSERT_FALSE(events.empty());
+    const std::string path = testing::TempDir() + "vdm_replay_trace.csv";
+    write_trace_file(path, events, c.cfg.scenario.total_time);
+    experiments::RunConfig replay = c.cfg;
+    replay.workload.kind = WorkloadKind::kTrace;
+    replay.workload.trace_path = path;
+    const std::vector<double> want =
+        testutil::run_result_scalars(generated);
+    const std::vector<double> got =
+        testutil::run_result_scalars(experiments::run_once(replay));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "scalar #" << i;
+    }
+  }
 }
 
 TEST(WorkloadRunner, TrajectoryFollowsMeasurementGrid) {

@@ -4,12 +4,14 @@
 // every protocol, both substrate families (fig3 transit-stub / fig5 geo), the
 // saturation-heavy degree corner (average degree 2.0 turns the fallback
 // ladder into the common path), the crash-churn corner (reconnection walks
-// under heartbeats + lossy control) and the flash-heartbeat corner
-// (concurrent join batches while every member runs a failure detector).
-// run_once over these configs must stay bit-identical across control-plane
-// refactors; the goldens in tests/test_walk.cpp were recorded on the
-// pre-TreeWalk protocol loops, the flash-heartbeat one on the heap-timer
-// heartbeats that preceded the per-host timer slab.
+// under heartbeats + lossy control), the flash-heartbeat corner
+// (concurrent join batches while every member runs a failure detector) and
+// the Chapter-4 batched corner. run_once over these configs must stay
+// bit-identical across control-plane refactors; the goldens in
+// tests/test_walk.cpp were recorded on the pre-TreeWalk protocol loops, the
+// flash-heartbeat one on the heap-timer heartbeats that preceded the
+// per-host timer slab, the batched one on the reactor-scheduled timeline
+// that preceded the compiled event lists.
 
 #include <cstdint>
 #include <string>
@@ -131,6 +133,24 @@ inline std::vector<NamedRunConfig> walk_golden_configs() {
   out.push_back({"crash-hmtp", crash(Proto::kHmtp)});
 
   out.push_back({"flash-heartbeat-vdm", flash_heartbeat_config(7)});
+
+  // fig4 batched corner at test size: VDM-L on the lossy transit-stub graph,
+  // 50 joins per 500 s interval (the last batch partial) and a measurement
+  // after each batch, no churn — the Chapter-4 batched timeline.
+  RunConfig batched;
+  batched.substrate = Substrate::kTransitStub;
+  batched.protocol = Proto::kVdm;
+  batched.metric = experiments::Metric::kLoss;
+  batched.link_loss_max = 0.02;
+  batched.scenario.batched_joins = true;
+  batched.scenario.batch_size = 50;
+  batched.scenario.target_members = 120;
+  batched.scenario.churn_interval = 500.0;
+  batched.scenario.settle_time = 100.0;
+  batched.scenario.total_time = 500.0 * 3 + 100.0;
+  batched.session.chunk_rate = 1.0;
+  batched.seed = 400;
+  out.push_back({"fig4-batched-vdml", batched});
 
   return out;
 }

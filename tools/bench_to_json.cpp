@@ -15,7 +15,8 @@
 // label (the previous PR's run). If any shared benchmark's real time grew
 // by more than <pct> percent, a comparison table is printed, nothing is
 // written, and the exit code is non-zero. Benchmarks new in this run (no
-// baseline row) are listed but never fail the gate.
+// baseline row) are listed but never fail the gate. An unknown flag, a
+// stray argument or a malformed --max-regress prints usage and exits 2.
 //
 // The trajectory file is an array of
 //   {"label", "recorded_at_utc", "results": {name: {"real_time_ms",
@@ -29,6 +30,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -251,10 +253,31 @@ bool check_regressions(const std::vector<BenchRow>& rows, const std::string& bas
   return ok;
 }
 
+int usage_error(const std::string& why) {
+  std::cerr << "bench_to_json: " << why << "\n"
+            << "usage: bench_to_json [--label NAME] [--in FILE] [--out FILE]\n"
+            << "                     [--require NAME[,NAME...]] [--max-regress PCT]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const vdm::util::Flags flags(argc, argv);
+  // A misspelt flag must not pass silently: "--max-regres 5" would record
+  // an ungated entry and turn the CI perf gate off.
+  const std::vector<std::string> unknown =
+      flags.unknown({"label", "in", "out", "require", "max-regress"});
+  if (!unknown.empty()) return usage_error("unknown flag --" + unknown.front());
+  if (!flags.positional().empty()) {
+    return usage_error("unexpected argument '" + flags.positional().front() + "'");
+  }
+  double max_regress = 0.0;
+  try {
+    max_regress = flags.get_double("max-regress", 0.0);
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
   const std::string label = flags.get("label", "unlabeled");
   const std::string in_path = flags.get("in", "");
   const std::string out_path = flags.get("out", "BENCH_e2e.json");
@@ -330,7 +353,6 @@ int main(int argc, char** argv) {
   // different label — the previous PR's trajectory point — before letting
   // this run into the file.
   if (flags.has("max-regress")) {
-    const double max_regress = flags.get_double("max-regress", 0.0);
     const std::string* baseline = nullptr;
     for (const std::string& e : entries) {
       if (entry_label(e) != label) baseline = &e;

@@ -30,8 +30,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,11 +39,12 @@
 #include "core/vdm_protocol.hpp"
 #include "overlay/metric.hpp"
 #include "overlay/session.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/controller.hpp"
-#include "testbed/scenario_file.hpp"
 #include "transport/measured_underlay.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -87,6 +88,8 @@ struct Options {
 }
 
 Options parse_options(int argc, char** argv) {
+  constexpr double kPositive = std::numeric_limits<double>::min();
+  constexpr double kFinite = std::numeric_limits<double>::max();
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -94,24 +97,61 @@ Options parse_options(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Numbers parse whole (util::parse_whole, as in util::Flags) and must
+    // lie in [lo, hi]; anything else names the option and exits 2.
+    const auto number = [&](auto lo, auto hi, const char* want) {
+      const std::string v = value();
+      decltype(lo) out{};
+      if (!util::parse_whole(v, out) || !(out >= lo && out <= hi)) {
+        std::cerr << "vdmd: " << arg << ": expected " << want << ", got '" << v
+                  << "'\n";
+        usage(argv[0]);
+      }
+      return out;
+    };
     if (arg == "--source") opt.source = true;
     else if (arg == "--agent") opt.agent = true;
     else if (arg == "--controller") opt.controller = value();
-    else if (arg == "--agents") opt.agents = std::stoul(value());
+    else if (arg == "--agents")
+      opt.agents = number(std::size_t{1}, std::size_t{65535}, "a count in [1, 65535]");
     else if (arg == "--spawn") opt.spawn = true;
     else if (arg == "--scenario") opt.scenario_path = value();
-    else if (arg == "--chunk-rate") opt.chunk_rate = std::stod(value());
-    else if (arg == "--stream-secs") opt.stream_secs = std::stod(value());
-    else if (arg == "--deadline") opt.deadline = std::stod(value());
-    else if (arg == "--port") opt.port = static_cast<std::uint16_t>(std::stoul(value()));
+    else if (arg == "--chunk-rate")
+      opt.chunk_rate = number(kPositive, 1000.0, "a rate in (0, 1000]");
+    else if (arg == "--stream-secs")
+      opt.stream_secs = number(0.0, kFinite, "a finite number >= 0");
+    else if (arg == "--deadline")
+      opt.deadline = number(kPositive, kFinite, "a finite number > 0");
+    else if (arg == "--port")
+      opt.port = number(std::uint16_t{0}, std::uint16_t{65535}, "a port in [0, 65535]");
     else if (arg == "--port-file") opt.port_file = value();
-    else if (arg == "--degree") opt.degree = std::stoi(value());
+    else if (arg == "--degree")
+      opt.degree = number(1, 65535, "a degree in [1, 65535]");
     else if (arg == "--verbose") opt.verbose = true;
     else usage(argv[0]);
   }
   if (opt.source == opt.agent) usage(argv[0]);
   if (opt.agent && opt.controller.empty()) usage(argv[0]);
   return opt;
+}
+
+/// The controller's scenario with times relative to the session start:
+/// the --scenario file (any trace: join/leave/crash/flash/terminate lines),
+/// or every agent joining back to back, then --stream-secs of streaming.
+testbed::Scenario load_scenario(const Options& opt) {
+  testbed::Scenario scenario;
+  if (!opt.scenario_path.empty()) {
+    scenario.end_time =
+        overlay::load_trace_file(opt.scenario_path, scenario.events);
+    return scenario;
+  }
+  for (std::size_t i = 1; i <= opt.agents; ++i) {
+    scenario.events.push_back({0.05 * static_cast<double>(i),
+                               overlay::WorkloadEvent::Kind::kJoin,
+                               static_cast<net::HostId>(i), opt.degree});
+  }
+  scenario.end_time = 0.05 * static_cast<double>(opt.agents) + opt.stream_secs;
+  return scenario;
 }
 
 void send_message(transport::UdpSocket& sock, const PeerAddr& to,
@@ -311,8 +351,9 @@ class Agent {
 class Controller final : public transport::ProbeService,
                          public overlay::MembershipObserver {
  public:
-  explicit Controller(const Options& opt)
+  Controller(const Options& opt, testbed::Scenario scenario)
       : opt_(opt),
+        scenario_(std::move(scenario)),
         sock_(PeerAddr{0x7f000001, opt.port}),
         retry_(reactor_, sock_, reactor_.buffers(), transport::RetryPolicy{}) {
     reactor_.add_socket(sock_, [this](const PeerAddr& from,
@@ -344,7 +385,6 @@ class Controller final : public transport::ProbeService,
     core::VdmProtocol protocol;
     overlay::DelayMetric metric(0.0);
     testbed::ControllerParams params;
-    params.source = 0;
     params.source_degree = opt_.degree + 1;  // root pays no uplink
     params.chunk_rate = opt_.chunk_rate;
     params.data_plane = false;  // chunks are real datagrams, not a model
@@ -352,15 +392,27 @@ class Controller final : public transport::ProbeService,
                                        params, util::Rng(1));
     session_ = &controller.session();
 
-    const testbed::Scenario scenario = build_scenario();
+    // Scenario timestamps are relative to "now": setup (hello gathering)
+    // already burned wall clock, and the reactor clock never rewinds.
+    const double base = reactor_.now() + 0.1;
+    for (overlay::WorkloadEvent& e : scenario_.events) e.at += base;
+    scenario_.end_time += base;
     // Session::start() resets the tree, which clears the observer slot; the
     // mirror must be installed after that but before the first join fires.
     // A zero-delay timer lands exactly in that window (scenario events are
-    // shifted >= 0.1s into the future by build_scenario).
+    // shifted >= 0.1s into the future).
     reactor_.schedule_in(0.0, [this] { session_->tree().set_observer(this); });
     transport::PeriodicTimer stream(reactor_, 1.0 / opt_.chunk_rate,
                                     [this] { emit_chunk(); });
-    const testbed::SessionReport report = controller.run(scenario);
+    testbed::SessionReport report;
+    try {
+      report = controller.run(scenario_);
+    } catch (...) {
+      // A scenario the executor rejects (a host beyond --agents, a leave of
+      // a non-member) must not leave the spawned agents running.
+      reap_agents(true);
+      throw;
+    }
     stream.stop();
 
     std::cout << "vdmd: members=" << session_->tree().alive_count()
@@ -482,31 +534,6 @@ class Controller final : public transport::ProbeService,
       reactor_.pump_io(0.1);
     }
     return ready_agents() == opt_.agents;
-  }
-
-  testbed::Scenario build_scenario() {
-    testbed::Scenario scenario;
-    if (!opt_.scenario_path.empty()) {
-      std::ifstream in(opt_.scenario_path);
-      VDM_REQUIRE_MSG(in.good(), "cannot open scenario " + opt_.scenario_path);
-      scenario = testbed::parse_scenario(in);
-    } else {
-      // Synthesized: join every agent back-to-back, then stream.
-      for (std::size_t i = 1; i <= opt_.agents; ++i) {
-        scenario.events.push_back(
-            {0.05 * static_cast<double>(i), static_cast<net::HostId>(i),
-             testbed::ScenarioEvent::Action::kJoin, opt_.degree});
-      }
-      scenario.end_time =
-          0.05 * static_cast<double>(opt_.agents) + opt_.stream_secs;
-      scenario.normalize();
-    }
-    // Scenario timestamps are relative to "now": setup (hello gathering)
-    // already burned wall clock, and the reactor clock never rewinds.
-    const double base = reactor_.now() + 0.1;
-    for (testbed::ScenarioEvent& e : scenario.events) e.at += base;
-    scenario.end_time += base;
-    return scenario;
   }
 
   void emit_chunk() {
@@ -691,6 +718,7 @@ class Controller final : public transport::ProbeService,
 
  private:
   Options opt_;
+  testbed::Scenario scenario_;
   transport::UdpReactor reactor_;
   transport::UdpSocket sock_;
   transport::RetrySender retry_;
@@ -722,7 +750,15 @@ int main(int argc, char** argv) {
       Agent agent(opt);
       return agent.run(opt.deadline);
     }
-    Controller controller(opt);
+    testbed::Scenario scenario;
+    try {
+      scenario = load_scenario(opt);
+    } catch (const util::InvariantError& e) {
+      std::cerr << "vdmd: --scenario " << opt.scenario_path << ": " << e.what()
+                << "\n";
+      return 2;
+    }
+    Controller controller(opt, std::move(scenario));
     controller.argv0_ = argv[0];
     return controller.run();
   } catch (const std::exception& e) {

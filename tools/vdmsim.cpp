@@ -51,14 +51,15 @@ int usage() {
       "               end of the join phase)\n"
       "  --workload   slots | poisson | diurnal | pareto | trace:<file>\n"
       "               membership process (default slots = the paper's churn\n"
-      "               timeline; the rest generate/replay an explicit event\n"
-      "               trace — see README for the CSV trace format)\n"
+      "               timeline); every kind runs as an explicit event list\n"
+      "               — see README for the trace format\n"
       "  --mean-session   mean member session length, s     (default 2000)\n"
       "  --pareto-alpha   Pareto session shape, > 1         (default 1.5)\n"
       "  --diurnal-period / --diurnal-amplitude  arrival-rate wave\n"
       "               (defaults 4000 s / 0.8)\n"
-      "  --save-trace <file>  write the run's workload event trace as CSV\n"
-      "               (replay it bit-identically with --workload trace:<file>)\n"
+      "  --save-trace <file>  write the first seed's event list as a trace,\n"
+      "               any workload (replay it bit-identically with\n"
+      "               --workload trace:<file>)\n"
       "  --trajectory print the first seed's per-measurement time series\n"
       "               (t, continuity, outage, overhead, members)\n"
       "  --link-loss  per-link error ceiling                (default 0)\n"
@@ -231,14 +232,9 @@ int run_cli(int argc, char** argv) {
   cfg.workload.diurnal_amplitude = flags.get_double("diurnal-amplitude", 0.8);
   const std::string save_trace = flags.get("save-trace", "");
   if (!save_trace.empty()) {
-    if (cfg.workload.kind == overlay::WorkloadKind::kSlots) {
-      std::cerr << "--save-trace needs an event-list workload "
-                   "(--workload poisson|diurnal|pareto|trace:<file>)\n";
-      return 2;
-    }
     std::vector<overlay::WorkloadEvent> events;
     workload_events(cfg, events);
-    overlay::write_trace_file(save_trace, events);
+    overlay::write_trace_file(save_trace, events, cfg.scenario.total_time);
     if (!flags.get_bool("quiet", false)) {
       std::cerr << "wrote " << events.size() << " events (seed " << cfg.seed
                 << ") to " << save_trace << '\n';
