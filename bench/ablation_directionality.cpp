@@ -92,9 +92,7 @@ AblationResult run_avg(const core::VdmConfig& vc, std::size_t seeds,
   return acc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const std::size_t seeds = static_cast<std::size_t>(
       flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(3, 8))));
@@ -144,3 +142,7 @@ int main(int argc, char** argv) {
   ct.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

@@ -13,7 +13,9 @@ using namespace vdm;
 using namespace vdm::bench;
 using namespace vdm::experiments;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const std::size_t seeds =
       static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(6, 32))));
@@ -86,3 +88,7 @@ int main(int argc, char** argv) {
        &AggregateResult::overhead, 4);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

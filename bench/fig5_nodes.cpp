@@ -7,7 +7,9 @@
 using namespace vdm;
 using namespace vdm::bench;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const std::size_t seeds = static_cast<std::size_t>(
       flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(5, 5))));
@@ -100,3 +102,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

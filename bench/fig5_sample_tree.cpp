@@ -13,7 +13,9 @@
 using namespace vdm;
 using namespace vdm::bench;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
   const auto members = static_cast<std::size_t>(flags.get_int("members", 40));
@@ -89,3 +91,7 @@ int main(int argc, char** argv) {
             << ", MST ratio " << util::Table::fmt(report.mst_ratio) << '\n';
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

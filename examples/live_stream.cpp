@@ -67,9 +67,7 @@ Outcome run(overlay::Protocol& protocol, std::size_t viewers, double churn,
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto viewers = static_cast<std::size_t>(flags.get_int("viewers", 80));
   const double churn = flags.get_double("churn", 0.05);
@@ -101,3 +99,7 @@ int main(int argc, char** argv) {
                "messages (the overhead row); VDM places nodes once, by direction.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

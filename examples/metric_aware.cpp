@@ -63,9 +63,7 @@ Outcome run(const overlay::MetricProvider& metric, std::size_t members,
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto members = static_cast<std::size_t>(flags.get_int("members", 60));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
@@ -94,3 +92,7 @@ int main(int argc, char** argv) {
                "sits in between. Same protocol, different virtual distance.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

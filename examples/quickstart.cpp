@@ -37,9 +37,7 @@ void print_tree(const overlay::Membership& tree, net::HostId node,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto members = static_cast<std::size_t>(flags.get_int("members", 30));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
@@ -100,3 +98,7 @@ int main(int argc, char** argv) {
             << "%\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

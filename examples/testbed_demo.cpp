@@ -26,7 +26,9 @@
 
 using namespace vdm;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto pool_size = static_cast<std::size_t>(flags.get_int("nodes", 80));
   const auto members = static_cast<std::size_t>(flags.get_int("members", 30));
@@ -129,3 +131,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }

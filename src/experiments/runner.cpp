@@ -12,8 +12,6 @@
 #include "baselines/mst_overlay.hpp"
 #include "baselines/random_protocol.hpp"
 #include "core/vdm_protocol.hpp"
-#include "overlay/placement.hpp"
-#include "overlay/walk.hpp"
 #include "net/coord_underlay.hpp"
 #include "sim/simulator.hpp"
 #include "topology/coord.hpp"
@@ -99,7 +97,7 @@ std::unique_ptr<overlay::Protocol> build_protocol(const RunConfig& cfg) {
 }
 
 std::unique_ptr<overlay::MetricProvider> build_metric(const RunConfig& cfg,
-                                                      const sim::Simulator& clock) {
+                                                      const sim::Reactor& clock) {
   switch (cfg.metric) {
     case Metric::kDelay:
       return std::make_unique<overlay::DelayMetric>(cfg.probe_noise);
@@ -153,22 +151,8 @@ struct RunScratch::Impl {
   /// heap, the executor's member flags and the event list.
   overlay::ScenarioScratch scenario;
 
-  /// Warm placement index (grid cells / landmark ring), swapped into each
-  /// run's Session; null until the first locating/concurrent run.
-  std::unique_ptr<overlay::PlacementIndex> placement;
-
-  /// Warm Membership (member slots, children capacity, flood arrays),
-  /// ping-ponged into each run's Session via swap_tree_storage; null until
-  /// the first run.
-  std::unique_ptr<overlay::Membership> tree;
-
-  /// Warm tree-walk buffers, swapped into each run's Session for its
-  /// lifetime (overlay/walk.hpp); null until the first run.
-  std::unique_ptr<overlay::WalkScratch> walk;
-
-  /// Warm Session working buffers (flood shards, chunk stack, probe arrays,
-  /// orphan list, timing-record accumulators), swapped into each run's
-  /// Session for its lifetime.
+  /// Everything a Session grows (tree, walk buffers, placement index, event
+  /// paths), swapped into each run's Session for its lifetime.
   overlay::Session::Scratch session;
 
   /// Prim working set for the end-of-run MST ratio.
@@ -209,9 +193,6 @@ struct RunScratch::Impl {
     bytes += scenario.capacity_bytes();
     bytes += session.capacity_bytes();
     bytes += mst.capacity_bytes();
-    if (placement) bytes += placement->capacity_bytes();
-    if (walk) bytes += walk->capacity_bytes();
-    if (tree) bytes += tree->capacity_bytes();
     if (graph_underlay) bytes += graph_underlay->arena_capacity_bytes();
     if (matrix_underlay) bytes += matrix_underlay->arena_capacity_bytes();
     if (coord_underlay) bytes += coord_underlay->arena_capacity_bytes();
@@ -359,7 +340,7 @@ overlay::Protocol& cached_protocol(RunScratch::Impl& s, const RunConfig& cfg) {
 /// always rebuilt: their measurement cache must not survive the simulator
 /// reset (entries stamped by a previous run would read as fresh).
 overlay::MetricProvider& cached_metric(RunScratch::Impl& s, const RunConfig& cfg,
-                                       const sim::Simulator& clock) {
+                                       const sim::Reactor& clock) {
   if (cfg.metric == Metric::kCachedDelay || cfg.metric == Metric::kCachedLoss) {
     s.metric = build_metric(cfg, clock);
     s.metric_key.reset();
@@ -422,14 +403,8 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   overlay::SessionParams sp = config.session;
   sp.source = 0;
   overlay::Session session(simulator, *underlay, protocol, metric, sp, session_rng);
-  session.swap_walk_scratch(scratch.impl_->walk);
+  // Adopt the arena's warm buffers; swapped back after the final metrics read.
   session.swap_scratch(scratch.impl_->session);
-  // Adopt the arena's warm tree (member slots, children capacity, flood
-  // arrays survive between runs); swapped back after the final metrics read.
-  session.swap_tree_storage(scratch.impl_->tree);
-  // Warm placement index (grid cells / landmark ring) for locating and
-  // concurrent join modes; unused (and unallocated) in sequential runs.
-  session.swap_placement_index(scratch.impl_->placement);
   metrics::Collector collector(session, scratch.impl_->collector);
   collector.set_threads(sp.threads);
   double metrics_secs = 0.0;  // --profile: wall clock of the capture sweeps
@@ -459,11 +434,6 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
     };
     driver.run_trace(scenario.events, measure);
   }
-  // Return the (now warm) walk buffers to the arena before the end-of-run
-  // capacity accounting below.
-  session.swap_walk_scratch(scratch.impl_->walk);
-  session.swap_placement_index(scratch.impl_->placement);
-  session.swap_scratch(scratch.impl_->session);
 
   const std::size_t skip =
       std::min(config.epoch_skip, collector.samples().empty()
@@ -540,9 +510,9 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
       r.trajectory.push_back(p);
     }
   }
-  // Final metrics are read; return the warm tree to the arena so its
+  // Final metrics are read; return the warm buffers to the arena so their
   // capacity survives into the next run (and is counted below).
-  session.swap_tree_storage(scratch.impl_->tree);
+  session.swap_scratch(scratch.impl_->session);
 
   // Arena-growth accounting: a run that ends with more reserved bytes than
   // any run before it grew some buffer. Steady-state sweeps (same-shaped

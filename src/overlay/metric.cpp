@@ -48,7 +48,7 @@ sim::Time LossMetric::measurement_time(const net::Underlay& net, net::HostId a,
 }
 
 CachedMetric::CachedMetric(std::unique_ptr<MetricProvider> inner,
-                           const sim::Simulator& clock, sim::Time ttl)
+                           const sim::Reactor& clock, sim::Time ttl)
     : inner_(std::move(inner)), clock_(clock), ttl_(ttl) {
   VDM_REQUIRE(inner_ != nullptr);
   VDM_REQUIRE(ttl_ > 0.0);

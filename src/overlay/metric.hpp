@@ -6,8 +6,7 @@
 #include <unordered_map>
 
 #include "net/underlay.hpp"
-#include "sim/simulator.hpp"
-#include "sim/time.hpp"
+#include "sim/reactor.hpp"
 #include "util/rng.hpp"
 
 namespace vdm::overlay {
@@ -156,8 +155,8 @@ class LossMetric final : public MetricProvider {
 /// reconnection, at the price of possibly stale values within the TTL.
 class CachedMetric final : public MetricProvider {
  public:
-  /// `clock` supplies the current simulated time for TTL expiry.
-  CachedMetric(std::unique_ptr<MetricProvider> inner, const sim::Simulator& clock,
+  /// `clock` supplies the current time for TTL expiry.
+  CachedMetric(std::unique_ptr<MetricProvider> inner, const sim::Reactor& clock,
                sim::Time ttl);
 
   std::string_view name() const override { return "cached"; }
@@ -187,7 +186,7 @@ class CachedMetric final : public MetricProvider {
   static std::uint64_t key(net::HostId a, net::HostId b);
 
   std::unique_ptr<MetricProvider> inner_;
-  const sim::Simulator& clock_;
+  const sim::Reactor& clock_;
   sim::Time ttl_;
   mutable std::unordered_map<std::uint64_t, Entry> cache_;
   mutable std::size_t hits_ = 0;

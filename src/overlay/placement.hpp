@@ -41,9 +41,9 @@ class Session;
 /// with total tie-breaks, so placement is a pure function of the run
 /// history.
 ///
-/// All storage is capacity-preserving across bind() calls; a RunScratch
-/// shuttles one index through consecutive runs (Session::
-/// swap_placement_index) the same way it shuttles the walk scratch.
+/// All storage is capacity-preserving across bind() calls; the index rides
+/// Session::Scratch, so a RunScratch carries it through consecutive runs
+/// with the tree and the walk buffers.
 class PlacementIndex final : public MembershipObserver {
  public:
   /// Rebinds the index to a session's underlay, empty. Detects the

@@ -45,7 +45,7 @@ EventExecutor::EventExecutor(Session& session, std::vector<char>& member)
 
 void EventExecutor::schedule(std::span<const WorkloadEvent> events,
                              sim::Time until) {
-  transport::Reactor& reactor = session_.reactor();
+  sim::Reactor& reactor = session_.reactor();
   const std::size_t num_hosts = session_.underlay().num_hosts();
   sim::Time prev = reactor.now();
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -108,7 +108,7 @@ ScenarioDriver::ScenarioDriver(Session& session, const ScenarioParams& params,
 }
 
 void ScenarioDriver::schedule_measurement_grid(const MeasureFn& on_measure) {
-  transport::Reactor& sim = session_.reactor();
+  sim::Reactor& sim = session_.reactor();
   const auto measure = [this, &on_measure] {
     on_measure(session_.reactor().now());
   };

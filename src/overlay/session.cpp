@@ -41,54 +41,16 @@ class PhaseTimer {
 
 OpStats Protocol::execute_refine(Session&, net::HostId) { return {}; }
 
-Session::Session(sim::Simulator& simulator, const net::Underlay& underlay,
-                 Protocol& protocol, const MetricProvider& metric,
-                 const SessionParams& params, util::Rng rng)
-    : sim_reactor_(&simulator), reactor_(sim_reactor_), underlay_(underlay),
-      protocol_(protocol), metric_(metric), params_(params), rng_(rng),
-      tree_(0) {
-  // tree_ and walk_scratch_ stay empty until start(): an arena caller swaps
-  // warm storage in between construction and start(), and sizing them here
-  // would put two unavoidable allocations on that otherwise allocation-free
-  // path.
-  VDM_REQUIRE(params_.source < underlay.num_hosts());
-  VDM_REQUIRE(params_.chunk_rate > 0.0);
-}
-
-Session::Session(transport::Reactor& reactor, const net::Underlay& underlay,
+Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
                  Protocol& protocol, const MetricProvider& metric,
                  const SessionParams& params, util::Rng rng)
     : reactor_(reactor), underlay_(underlay), protocol_(protocol),
-      metric_(metric), params_(params), rng_(rng), tree_(0) {
+      metric_(metric), params_(params), rng_(rng) {
+  // scratch_ stays empty until start(): an arena caller swaps warm buffers
+  // in between construction and start(), and sizing them here would put
+  // unavoidable allocations on that otherwise allocation-free path.
   VDM_REQUIRE(params_.source < underlay.num_hosts());
   VDM_REQUIRE(params_.chunk_rate > 0.0);
-}
-
-void Session::swap_walk_scratch(std::unique_ptr<WalkScratch>& other) {
-  // Plain swap on purpose: populating a null `other` here would hand the
-  // arena a fresh allocation at swap-out. start() sizes whatever arrives.
-  std::swap(walk_scratch_, other);
-}
-
-void Session::swap_tree_storage(std::unique_ptr<Membership>& other) {
-  // The null-populate runs once per arena (first run); after that the swap
-  // just shuttles warm storage. start() does the per-run reset — resetting
-  // here would also grow the empty tree handed back at the end-of-run swap.
-  if (!other) other = std::make_unique<Membership>(0);
-  std::swap(tree_, *other);
-}
-
-void Session::swap_placement_index(std::unique_ptr<PlacementIndex>& other) {
-  // Plain swap on purpose (same reason as swap_walk_scratch): populating a
-  // null `other` would allocate a throwaway index at every end-of-run swap
-  // of a sequential-mode run. start() creates the index when a join mode
-  // actually needs one.
-  std::swap(placement_, other);
-}
-
-const std::vector<int>& Session::join_reservations() const {
-  static const std::vector<int> kEmpty;
-  return walk_scratch_ ? walk_scratch_->reserved : kEmpty;
 }
 
 Session::~Session() { stop(); }
@@ -97,18 +59,17 @@ void Session::start() {
   VDM_REQUIRE_MSG(!started_, "start() called twice");
   started_ = true;
   profile_ = PhaseProfile{};
-  if (!walk_scratch_) walk_scratch_ = std::make_unique<WalkScratch>();
   // Unconditional: a swapped-in warm tree has matching size but stale
-  // members; a fresh or undersized one needs the resize. Same-size resets
-  // only clear, so the arena path stays allocation-free.
-  tree_.reset(underlay_.num_hosts());
+  // members (and a previous run's observer); a fresh or undersized one
+  // needs the resize. Same-size resets only clear, so the arena path stays
+  // allocation-free.
+  tree().reset(underlay_.num_hosts());
   // A swapped-in refine slab may hold EventIds from a previous run on this
   // arena; they are meaningless (and dangerous) after the simulator reset.
   // Likewise a join batch that was still queued when that run ended.
-  std::fill(walk_scratch_->refine_events.begin(),
-            walk_scratch_->refine_events.end(),
-            std::uint64_t{transport::kInvalidTimer});
-  walk_scratch_->pending_joins.clear();
+  std::fill(scratch_.walk.refine_events.begin(),
+            scratch_.walk.refine_events.end(), sim::kInvalidEvent);
+  scratch_.walk.pending_joins.clear();
   // Swapped-in record accumulators may hold entries pushed after the previous
   // run's final drain; they belong to that run, not this one. The same goes
   // for heartbeat timer ids and pending crash orphans. The heartbeat slab is
@@ -119,17 +80,16 @@ void Session::start() {
       params_.faults.heartbeat_period > 0.0 ? underlay_.num_hosts() : 0,
       HeartbeatState{});
   scratch_.crash_orphans.clear();
-  tree_.activate(params_.source, params_.source_degree_limit);
-  tree_.flood().in_session_since[params_.source] = reactor_.now();
+  tree().activate(params_.source, params_.source_degree_limit);
+  tree().flood().in_session_since[params_.source] = reactor_.now();
   if (params_.join_mode != JoinMode::kSequential) {
     VDM_REQUIRE_MSG(params_.join_mode != JoinMode::kConcurrent ||
                         protocol_.pipeline_support() != nullptr,
                     "join_mode=concurrent requires a protocol with pipeline "
                     "support");
-    if (!placement_) placement_ = std::make_unique<PlacementIndex>();
-    placement_->bind(underlay_, params_.source);
-    tree_.set_observer(placement_.get());
-    placement_->insert(params_.source);
+    scratch_.placement.bind(underlay_, params_.source);
+    tree().set_observer(&scratch_.placement);
+    scratch_.placement.insert(params_.source);
   }
   if (params_.data_plane) {
     // Re-armed in place each tick: no heap timer object per run.
@@ -142,21 +102,19 @@ void Session::start() {
 }
 
 void Session::stop() {
-  if (stream_event_ != transport::kInvalidTimer) {
+  if (stream_event_ != sim::kInvalidEvent) {
     reactor_.cancel(stream_event_);
-    stream_event_ = transport::kInvalidTimer;
+    stream_event_ = sim::kInvalidEvent;
   }
-  if (walk_scratch_) {  // null after swap-out on the arena path, or pre-start
-    // A drain event scheduled behind us may still fire; emptied, it no-ops.
-    walk_scratch_->pending_joins.clear();
-    for (std::uint64_t& id : walk_scratch_->refine_events) {
-      if (id != transport::kInvalidTimer) reactor_.cancel(id);
-      id = transport::kInvalidTimer;
-    }
+  // A drain event scheduled behind us may still fire; emptied, it no-ops.
+  scratch_.walk.pending_joins.clear();
+  for (sim::EventId& id : scratch_.walk.refine_events) {
+    if (id != sim::kInvalidEvent) reactor_.cancel(id);
+    id = sim::kInvalidEvent;
   }
   for (const HeartbeatState& hb : scratch_.heartbeats) {
-    if (hb.pending_detect != transport::kInvalidTimer) reactor_.cancel(hb.pending_detect);
-    if (hb.timer != transport::kInvalidTimer) reactor_.cancel(hb.timer);
+    if (hb.pending_detect != sim::kInvalidEvent) reactor_.cancel(hb.pending_detect);
+    if (hb.timer != sim::kInvalidEvent) reactor_.cancel(hb.timer);
   }
   scratch_.heartbeats.clear();
   scratch_.crash_orphans.clear();
@@ -165,13 +123,13 @@ void Session::stop() {
 TimingRecord Session::join(net::HostId h, int degree_limit) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source does not join");
-  tree_.activate(h, degree_limit);
+  tree().activate(h, degree_limit);
 
   if (params_.join_mode == JoinMode::kConcurrent) {
     // Activated but still detached: invisible to the data-plane flood and
     // never an eligible parent, so the queued state needs no special casing
     // anywhere else. One drain event per timestamp services the whole batch.
-    walk_scratch_->pending_joins.push_back({h, degree_limit});
+    scratch_.walk.pending_joins.push_back({h, degree_limit});
     if (!drain_scheduled_) {
       drain_scheduled_ = true;
       // schedule_in(0) sequences the drain after every event already queued
@@ -189,9 +147,9 @@ TimingRecord Session::join(net::HostId h, int degree_limit) {
   if (params_.join_mode == JoinMode::kLocating) start = locate_entry(h, pre);
   const TimingRecord rec =
       run_join(h, start, /*is_reconnect=*/false, /*detection=*/0.0, pre);
-  tree_.flood().in_session_since[h] = reactor_.now() + rec.duration;
+  tree().flood().in_session_since[h] = reactor_.now() + rec.duration;
   if (protocol_.wants_refinement()) arm_refinement(h);
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
   return rec;
 }
 
@@ -199,7 +157,7 @@ net::HostId Session::locate_entry(net::HostId h, OpStats& stats) {
   // The joiner's one contact with the rendezvous point (co-located with the
   // source): request + response carrying the candidate entry node.
   charge_exchange(h, params_.source, stats);
-  const net::HostId found = placement_->locate(h, *this, stats);
+  const net::HostId found = scratch_.placement.locate(h, *this, stats);
   if (found == kInvalidHost || !eligible_parent(h, found)) {
     return params_.source;
   }
@@ -216,7 +174,7 @@ TimingRecord Session::run_join(net::HostId h, net::HostId start, bool is_reconne
 
 TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
                                   bool is_reconnect, sim::Time detection) {
-  VDM_REQUIRE_MSG(tree_.member(h).parent != kInvalidHost,
+  VDM_REQUIRE_MSG(tree().member(h).parent != kInvalidHost,
                   "protocol join must attach the node");
   window_.control_messages += stats.messages;
   totals_.control_messages += stats.messages;
@@ -231,7 +189,7 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
 
   // The node (and transitively its subtree, which the data plane blocks
   // through this node) starts receiving once the join handshake finishes.
-  tree_.flood().receiving_since[h] = reactor_.now() + stats.elapsed;
+  tree().flood().receiving_since[h] = reactor_.now() + stats.elapsed;
 
   if (is_reconnect) {
     scratch_.reconnect_records.push_back(rec);
@@ -272,7 +230,7 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
 void Session::drain_join_batch() {
   const PhaseTimer timer(params_.profile, profile_.join_secs);
   drain_scheduled_ = false;
-  WalkScratch& ws = *walk_scratch_;
+  WalkScratch& ws = scratch_.walk;
   if (ws.pending_joins.empty()) return;  // run stopped mid-batch
   PipelineSupport* support = protocol_.pipeline_support();
   VDM_REQUIRE(support != nullptr);
@@ -373,7 +331,7 @@ void Session::drain_join_batch() {
           break;
         }
         finish_join(w.host, w.stats, /*is_reconnect=*/false, 0.0);
-        tree_.flood().in_session_since[w.host] = now + w.stats.elapsed;
+        tree().flood().in_session_since[w.host] = now + w.stats.elapsed;
         if (protocol_.wants_refinement()) arm_refinement(w.host);
         // The attach created capacity (the joiner's own free slots) and may
         // have restructured the neighborhood — wake parked walkers, FIFO.
@@ -398,12 +356,12 @@ void Session::drain_join_batch() {
   ws.parked.clear();
   ws.walkers.clear();
   ws.adoption_pool.clear();
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
 }
 
 net::HostId Session::reconnect_start(net::HostId orphan) const {
-  const net::HostId gp = tree_.member(orphan).grandparent;
-  if (gp != kInvalidHost && tree_.attached(gp, params_.source) &&
+  const net::HostId gp = tree().member(orphan).grandparent;
+  if (gp != kInvalidHost && tree().attached(gp, params_.source) &&
       eligible_parent(orphan, gp)) {
     return gp;
   }
@@ -413,7 +371,7 @@ net::HostId Session::reconnect_start(net::HostId orphan) const {
 void Session::leave(net::HostId h) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source never leaves");
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   VDM_REQUIRE(m.alive);
 
   // Graceful leave: one notice per child plus one to the parent (§3.3).
@@ -427,7 +385,7 @@ void Session::leave(net::HostId h) {
   disarm_refinement(h);
   disarm_heartbeat(h);
   forget_crash_orphan(h);
-  tree_.deactivate(h, scratch_.orphans);
+  tree().deactivate(h, scratch_.orphans);
 
   // Each orphan reconnects on its own, starting at its grandparent if that
   // node is still alive, else at the source (§3.3). Orphans act in child
@@ -435,13 +393,13 @@ void Session::leave(net::HostId h) {
   for (const net::HostId orphan : scratch_.orphans) {
     run_join(orphan, reconnect_start(orphan), /*is_reconnect=*/true);
   }
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
 }
 
 void Session::crash(net::HostId h) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source never crashes");
-  VDM_REQUIRE(tree_.member(h).alive);
+  VDM_REQUIRE(tree().member(h).alive);
   ++window_.crashes;
   ++totals_.crashes;
 
@@ -449,7 +407,7 @@ void Session::crash(net::HostId h) {
   disarm_refinement(h);
   disarm_heartbeat(h);
   forget_crash_orphan(h);  // h may itself still be an undetected orphan
-  tree_.deactivate(h, scratch_.orphans);
+  tree().deactivate(h, scratch_.orphans);
 
   if (params_.faults.heartbeat_period <= 0.0) {
     // No failure detector configured: model instant detection, i.e. the
@@ -458,7 +416,7 @@ void Session::crash(net::HostId h) {
     for (const net::HostId orphan : scratch_.orphans) {
       run_join(orphan, reconnect_start(orphan), /*is_reconnect=*/true);
     }
-    if (params_.paranoid_checks) tree_.validate();
+    if (params_.paranoid_checks) tree().validate();
     return;
   }
 
@@ -477,7 +435,7 @@ void Session::crash(net::HostId h) {
 
 OpStats Session::refine(net::HostId h) {
   const PhaseTimer timer(params_.profile, profile_.refine_secs);
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   if (!m.alive || m.parent == kInvalidHost) return {};
   OpStats stats = protocol_.execute_refine(*this, h);
   window_.control_messages += stats.messages;
@@ -488,7 +446,7 @@ OpStats Session::refine(net::HostId h) {
     ++window_.refine_switches;
     ++totals_.refine_switches;
   }
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
   return stats;
 }
 
@@ -552,16 +510,16 @@ void Session::charge_notification(int count, OpStats& stats) {
 
 bool Session::eligible_parent(net::HostId joiner, net::HostId candidate) const {
   if (candidate == joiner) return false;
-  if (!tree_.member(candidate).alive) return false;
-  return !tree_.is_ancestor(joiner, candidate);
+  if (!tree().member(candidate).alive) return false;
+  return !tree().is_ancestor(joiner, candidate);
 }
 
 void Session::arm_refinement(net::HostId h) {
-  std::vector<std::uint64_t>& slab = walk_scratch_->refine_events;
-  if (slab.size() < tree_.num_hosts()) {
-    slab.resize(tree_.num_hosts(), transport::kInvalidTimer);
+  std::vector<sim::EventId>& slab = scratch_.walk.refine_events;
+  if (slab.size() < tree().num_hosts()) {
+    slab.resize(tree().num_hosts(), sim::kInvalidEvent);
   }
-  if (slab[h] != transport::kInvalidTimer) reactor_.cancel(slab[h]);
+  if (slab[h] != sim::kInvalidEvent) reactor_.cancel(slab[h]);
   const sim::Time period = protocol_.refinement_period();
   // The tick re-arms into its own slab slot (reschedule_current_in keeps the
   // id), so the stored EventId stays valid for the member's whole tenure.
@@ -574,10 +532,10 @@ void Session::arm_refinement(net::HostId h) {
 }
 
 void Session::disarm_refinement(net::HostId h) {
-  std::vector<std::uint64_t>& slab = walk_scratch_->refine_events;
-  if (h < slab.size() && slab[h] != transport::kInvalidTimer) {
+  std::vector<sim::EventId>& slab = scratch_.walk.refine_events;
+  if (h < slab.size() && slab[h] != sim::kInvalidEvent) {
     reactor_.cancel(slab[h]);
-    slab[h] = transport::kInvalidTimer;
+    slab[h] = sim::kInvalidEvent;
   }
 }
 
@@ -588,15 +546,15 @@ void Session::ensure_heartbeat(net::HostId h) {
   hb.orphaned = false;
   hb.orphaned_at = 0.0;
   hb.first_miss_at = 0.0;
-  if (hb.pending_detect != transport::kInvalidTimer) {
+  if (hb.pending_detect != sim::kInvalidEvent) {
     reactor_.cancel(hb.pending_detect);
-    hb.pending_detect = transport::kInvalidTimer;
+    hb.pending_detect = sim::kInvalidEvent;
   }
   // A ticking timer keeps its phase; a stopped one (never armed, or stopped
   // by a verdict) restarts a full period from now. The tick re-arms into its
   // own slot exactly as the refinement slab does, and a verdict cancels it
   // from inside the tick, which suppresses that re-arm.
-  if (hb.timer == transport::kInvalidTimer) {
+  if (hb.timer == sim::kInvalidEvent) {
     const sim::Time period = params_.faults.heartbeat_period;
     hb.timer = reactor_.schedule_in(period, [this, h, period] {
       heartbeat_tick(h);
@@ -608,10 +566,10 @@ void Session::ensure_heartbeat(net::HostId h) {
 void Session::disarm_heartbeat(net::HostId h) {
   if (h >= scratch_.heartbeats.size()) return;
   HeartbeatState& hb = scratch_.heartbeats[h];
-  if (hb.pending_detect != transport::kInvalidTimer) {
+  if (hb.pending_detect != sim::kInvalidEvent) {
     reactor_.cancel(hb.pending_detect);
   }
-  if (hb.timer != transport::kInvalidTimer) reactor_.cancel(hb.timer);
+  if (hb.timer != sim::kInvalidEvent) reactor_.cancel(hb.timer);
   hb = HeartbeatState{};
 }
 
@@ -623,7 +581,7 @@ void Session::forget_crash_orphan(net::HostId h) {
 
 void Session::heartbeat_tick(net::HostId h) {
   HeartbeatState& hb = scratch_.heartbeats[h];
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "heartbeat ticking on a dead member");
   const FaultParams& f = params_.faults;
 
@@ -655,13 +613,13 @@ void Session::heartbeat_tick(net::HostId h) {
   ++hb.misses;
   if (hb.misses == 1) hb.first_miss_at = reactor_.now();
   if (hb.misses >= f.heartbeat_misses &&
-      hb.pending_detect == transport::kInvalidTimer) {
+      hb.pending_detect == sim::kInvalidEvent) {
     // Verdict reached: stop probing and declare the parent dead once the
     // final probe's own timeout expires. Cancelling the firing timer
     // suppresses its re-arm; complete_detection (a plain scheduled event)
     // restarts probing after the rejoin.
     reactor_.cancel(hb.timer);
-    hb.timer = transport::kInvalidTimer;
+    hb.timer = sim::kInvalidEvent;
     hb.pending_detect = reactor_.schedule_in(f.heartbeat_timeout,
                                              [this, h] { complete_detection(h); });
   }
@@ -669,8 +627,8 @@ void Session::heartbeat_tick(net::HostId h) {
 
 void Session::complete_detection(net::HostId h) {
   HeartbeatState& hb = scratch_.heartbeats[h];
-  hb.pending_detect = transport::kInvalidTimer;
-  const MemberState& m = tree_.member(h);
+  hb.pending_detect = sim::kInvalidEvent;
+  const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "detection completing on a dead member");
 
   sim::Time detection;
@@ -684,10 +642,10 @@ void Session::complete_detection(net::HostId h) {
     // rejoin in the same sim event, so the only data-plane gap is the
     // rejoin handshake itself.
     detection = reactor_.now() - hb.first_miss_at;
-    if (m.parent != kInvalidHost) tree_.detach(h);
+    if (m.parent != kInvalidHost) tree().detach(h);
   }
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
 }
 
 void Session::reset_window() { window_ = Counters{}; }
@@ -724,7 +682,7 @@ void Session::emit_chunk() {
   // Leaves are never pushed, and the rng draw order matches the naive
   // traversal exactly (skipped leaf frames drew nothing), preserving
   // determinism.
-  FloodTable& fl = tree_.flood();
+  FloodTable& fl = tree().flood();
   std::uint64_t transmissions = 0;
   std::uint64_t expected = 0;
   std::uint64_t received = 0;
@@ -733,7 +691,7 @@ void Session::emit_chunk() {
   while (!scratch_.chunk_stack.empty()) {
     const ChunkFrame f = scratch_.chunk_stack.back();
     scratch_.chunk_stack.pop_back();
-    for (const net::HostId c : tree_.member_unchecked(f.host).children) {
+    for (const net::HostId c : tree().member_unchecked(f.host).children) {
       bool delivered = false;
       if (f.delivered) {
         ++transmissions;
@@ -756,7 +714,7 @@ void Session::emit_chunk() {
           ++received;
         }
       }
-      if (!tree_.member_unchecked(c).children.empty()) {
+      if (!tree().member_unchecked(c).children.empty()) {
         scratch_.chunk_stack.push_back({c, delivered});
       }
     }
@@ -775,7 +733,7 @@ void Session::emit_chunk() {
         ++fl.chunks_expected[f.host];
         ++expected;
       }
-      for (const net::HostId c : tree_.member_unchecked(f.host).children) {
+      for (const net::HostId c : tree().member_unchecked(f.host).children) {
         scratch_.chunk_stack.push_back({c, false});
       }
     }

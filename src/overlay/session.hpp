@@ -1,22 +1,19 @@
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "net/underlay.hpp"
 #include "overlay/membership.hpp"
 #include "overlay/metric.hpp"
+#include "overlay/placement.hpp"
 #include "overlay/protocol.hpp"
+#include "overlay/walk.hpp"
 #include "sim/simulator.hpp"
-#include "transport/sim_reactor.hpp"
-#include "transport/transport.hpp"
 #include "util/rng.hpp"
 
 namespace vdm::overlay {
 
-struct WalkScratch;
-class PlacementIndex;
 class PipelineSupport;
 
 /// How joins find their place in the tree.
@@ -144,9 +141,9 @@ class Session {
   };
   /// Per-member failure-detector state (faults.heartbeat_period > 0).
   struct HeartbeatState {
-    /// The probe timer, re-armed in place each tick; kInvalidTimer while
+    /// The probe timer, re-armed in place each tick; kInvalidEvent while
     /// the member is not probing (never armed, or stopped by a verdict).
-    transport::TimerId timer = transport::kInvalidTimer;
+    sim::EventId timer = sim::kInvalidEvent;
     int misses = 0;
     /// Parent crashed; probes are going unanswered until detection fires.
     bool orphaned = false;
@@ -156,18 +153,27 @@ class Session {
     sim::Time first_miss_at = 0.0;
     /// The scheduled complete_detection() timer, if the streak reached
     /// heartbeat_misses; cancelled when the member leaves/crashes first.
-    transport::TimerId pending_detect = transport::kInvalidTimer;
+    sim::EventId pending_detect = sim::kInvalidEvent;
   };
 
  public:
-  /// Arena-carried reusable buffers of the session's event paths: the
-  /// chunk-flood traversal stack, the leave/crash orphan list, the
-  /// timing-record accumulators and the failure detector's per-host slab
-  /// and pending crash orphans. One bundle lives on each Session; the
-  /// experiment runner swaps a warm one in from its RunScratch
-  /// (swap_scratch) so steady-state sweeps run the whole data plane, churn
-  /// and crash-recovery path without allocating.
+  /// Every buffer a run grows: the member tree, the tree-walk buffers, the
+  /// placement index and the event paths' buffers (the chunk-flood
+  /// traversal stack, the leave/crash orphan list, the timing-record
+  /// accumulators and the failure detector's per-host slab and pending
+  /// crash orphans). One bundle lives on each Session; the experiment
+  /// runner swaps a warm one in from its RunScratch (swap_scratch) so
+  /// steady-state sweeps run joins, the data plane, churn and crash
+  /// recovery without allocating.
   struct Scratch {
+    /// Member slots, children capacity and flood arrays; start() resets it
+    /// to the underlay's host count.
+    Membership tree{0};
+    /// The tree-walk engine's buffers (walks never nest; overlay/walk.hpp).
+    WalkScratch walk;
+    /// Bound by start() only when join_mode != kSequential; empty (and
+    /// unallocated) until a locating or concurrent run.
+    PlacementIndex placement;
     std::vector<ChunkFrame> chunk_stack;
     std::vector<net::HostId> orphans;
     std::vector<TimingRecord> startup_records;
@@ -182,9 +188,11 @@ class Session {
     std::vector<net::HostId> crash_orphans;
 
     /// Heap bytes reserved — folded into RunScratch::capacity_bytes so the
-    /// arena grow gate covers the data plane and churn paths.
+    /// arena grow gate covers every path of the run.
     std::size_t capacity_bytes() const {
-      return chunk_stack.capacity() * sizeof(ChunkFrame) +
+      return tree.capacity_bytes() + walk.capacity_bytes() +
+             placement.capacity_bytes() +
+             chunk_stack.capacity() * sizeof(ChunkFrame) +
              (orphans.capacity() + crash_orphans.capacity()) *
                  sizeof(net::HostId) +
              (startup_records.capacity() + reconnect_records.capacity()) *
@@ -193,19 +201,12 @@ class Session {
     }
   };
 
-  /// Simulation-hosted session: time and timers come from the DES, via an
-  /// internal SimReactor whose delegation is 1:1 — behaviour (slot order,
-  /// event sequence, every golden scalar) is identical to the pre-seam
-  /// direct-simulator session.
-  Session(sim::Simulator& simulator, const net::Underlay& underlay,
-          Protocol& protocol, const MetricProvider& metric,
-          const SessionParams& params, util::Rng rng);
-
-  /// Reactor-hosted session: the same protocol core on any transport
-  /// backend — vdmd passes a UdpReactor and a MeasuredUnderlay, and joins,
-  /// heartbeats and refinement timers run against real sockets and the wall
-  /// clock.
-  Session(transport::Reactor& reactor, const net::Underlay& underlay,
+  /// Time and timers come from `reactor`: a sim::Simulator for the
+  /// experiments (the session then calls the simulator itself, so every
+  /// golden scalar is the engine's own), or the wall-clock UdpReactor with a
+  /// MeasuredUnderlay in vdmd, where joins, heartbeats and refinement timers
+  /// run against real sockets.
+  Session(sim::Reactor& reactor, const net::Underlay& underlay,
           Protocol& protocol, const MetricProvider& metric,
           const SessionParams& params, util::Rng rng);
   ~Session();
@@ -271,48 +272,32 @@ class Session {
   bool eligible_parent(net::HostId joiner, net::HostId candidate) const;
 
   // --- accessors ---------------------------------------------------------
-  Membership& tree() { return tree_; }
-  const Membership& tree() const { return tree_; }
+  Membership& tree() { return scratch_.tree; }
+  const Membership& tree() const { return scratch_.tree; }
   const net::Underlay& underlay() const { return underlay_; }
   const MetricProvider& metric() const { return metric_; }
   net::HostId source() const { return params_.source; }
   util::Rng& rng() { return rng_; }
   /// The time/timer backend this session runs on.
-  transport::Reactor& reactor() { return reactor_; }
+  sim::Reactor& reactor() { return reactor_; }
   Protocol& protocol() { return protocol_; }
 
   /// The tree-walk engine's reusable buffers (one set per session — walks
   /// never nest; see overlay/walk.hpp).
-  WalkScratch& walk_scratch() { return *walk_scratch_; }
+  WalkScratch& walk_scratch() { return scratch_.walk; }
 
-  /// Arena shuttle: swap a warm walk scratch in from a RunScratch (and back
-  /// out after the run) so repeated experiments reuse grown buffers. A null
-  /// `other` is populated with a fresh scratch first.
-  void swap_walk_scratch(std::unique_ptr<WalkScratch>& other);
-
-  /// Arena shuttle for the member tables: swaps the session's Membership
-  /// storage (member slots, children capacities, SoA flood arrays) with
-  /// `other` and resets the incoming tree to this underlay's host count —
-  /// observably identical to a fresh tree, but reusing every buffer the
-  /// previous run grew. A null `other` is populated first. Call before
-  /// start() to adopt warm storage and again after the run (once the tree
-  /// has been read for final metrics) to return it.
-  void swap_tree_storage(std::unique_ptr<Membership>& other);
-
-  /// Arena shuttle for the placement index (join_mode != kSequential):
-  /// start() rebinds whatever index is installed, reusing its grown grid /
-  /// ring storage. A null `other` is populated first.
-  void swap_placement_index(std::unique_ptr<PlacementIndex>& other);
-
-  /// Arena shuttle for the event-path buffers (see Scratch): swap a warm
-  /// bundle in before start() and back out after the run. The incoming
-  /// buffers are cleared on use, never on swap, so stale contents are
+  /// The arena shuttle (see Scratch): swap a warm bundle in before start()
+  /// and back out once the final metrics are read. start() resets whatever
+  /// arrives — the tree to this underlay's host count, the timer slabs, the
+  /// placement index when the join mode needs one — so stale contents are
   /// harmless and capacity always survives.
   void swap_scratch(Scratch& other) { std::swap(scratch_, other); }
 
   /// Live per-host reservation counts of the concurrent join pipeline
   /// (non-zero only mid-drain; tests observe it from a WalkObserver).
-  const std::vector<int>& join_reservations() const;
+  const std::vector<int>& join_reservations() const {
+    return scratch_.walk.reserved;
+  }
 
   /// Sim-time bounds of the initial-join workload: when the first join
   /// started and when the last join so far finished its handshake
@@ -403,22 +388,13 @@ class Session {
                           sim::Time base, OpStats& stats);
   void emit_chunk();
 
-  /// The DES backend when simulation-hosted; unbound (and unused) when an
-  /// external reactor was supplied. By value so the sim-hosted constructor
-  /// stays allocation-free (the arena gate in bench_e2e counts its allocs).
-  transport::SimReactor sim_reactor_;
   /// The time/timer seam every call site below goes through.
-  transport::Reactor& reactor_;
+  sim::Reactor& reactor_;
   const net::Underlay& underlay_;
   Protocol& protocol_;
   const MetricProvider& metric_;
   SessionParams params_;
   util::Rng rng_;
-  Membership tree_;
-  std::unique_ptr<WalkScratch> walk_scratch_;
-  /// Installed when join_mode != kSequential (start() binds it and wires it
-  /// as the tree's MembershipObserver).
-  std::unique_ptr<PlacementIndex> placement_;
   /// A drain event for the current timestamp's join batch is already in the
   /// simulator queue.
   bool drain_scheduled_ = false;
@@ -434,13 +410,11 @@ class Session {
 
   /// The data-plane chunk clock: one timer rescheduled in place after each
   /// tick, so starting the data plane costs no heap timer object per run.
-  transport::TimerId stream_event_ = transport::kInvalidTimer;
+  sim::EventId stream_event_ = sim::kInvalidEvent;
 
-  /// Reusable event-path buffers (see Scratch): the chunk-flood stack, the
-  /// leave/crash orphan list (never re-entered — each departure is a
-  /// top-level sim event and the rejoin path below it never deactivates),
-  /// the timing-record accumulators, and the heartbeat slab with its
-  /// pending crash orphans.
+  /// Every buffer the run grows (see Scratch). The leave/crash orphan list
+  /// is never re-entered: each departure is a top-level event and the
+  /// rejoin path below it never deactivates.
   Scratch scratch_;
 
   Counters window_;

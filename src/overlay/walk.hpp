@@ -10,6 +10,7 @@
 
 #include "net/types.hpp"
 #include "overlay/protocol.hpp"
+#include "sim/reactor.hpp"
 
 namespace vdm::overlay {
 
@@ -71,10 +72,10 @@ struct JoinWalker {
   PolicySlot slot;
 };
 
-/// Reusable buffers of the tree-walk engine. One instance lives on each
-/// Session (all walks of a run share it — walks never nest), and the
-/// experiment runner shuttles it through the per-worker RunScratch arenas so
-/// steady-state sweeps re-run entire experiments without the walk path
+/// Reusable buffers of the tree-walk engine. One instance lives in each
+/// Session's Scratch (all walks of a run share it — walks never nest), which
+/// the experiment runner shuttles through the per-worker RunScratch arenas
+/// so steady-state sweeps re-run entire experiments without the walk path
 /// allocating at all.
 struct WalkScratch {
   /// Eligibility-filtered children of the current node.
@@ -103,14 +104,13 @@ struct WalkScratch {
   /// Stable copies of each walker's decided adoptions (see JoinWalker).
   std::vector<WalkAdoption> adoption_pool;
 
-  /// Per-member refinement-timer slab, indexed by host id: the sim::EventId
-  /// of the member's pending refine tick (0 == sim::kInvalidEvent when
-  /// disarmed). Rides this scratch so the table's capacity survives between
-  /// runs with the rest of the per-member state — arming and disarming
-  /// refinement timers allocates nothing in steady state. Session::start()
-  /// zeroes it, since ids from a previous run are meaningless after the
-  /// simulator resets.
-  std::vector<std::uint64_t> refine_events;
+  /// Per-member refinement-timer slab, indexed by host id: the id of the
+  /// member's pending refine tick (sim::kInvalidEvent when disarmed). Rides
+  /// this scratch so the table's capacity survives between runs with the
+  /// rest of the per-member state — arming and disarming refinement timers
+  /// allocates nothing in steady state. Session::start() clears it, since
+  /// ids from a previous run are meaningless after the simulator resets.
+  std::vector<sim::EventId> refine_events;
 
   /// Heap bytes currently reserved — folded into RunScratch::capacity_bytes
   /// so the arena grow gate (arena_grow_per_iter == 0) covers the walk path.
@@ -123,7 +123,7 @@ struct WalkScratch {
            walkers.capacity() * sizeof(JoinWalker) +
            (queue.capacity() + parked.capacity()) * sizeof(std::uint32_t) +
            reserved.capacity() * sizeof(int) +
-           refine_events.capacity() * sizeof(std::uint64_t);
+           refine_events.capacity() * sizeof(sim::EventId);
   }
 };
 

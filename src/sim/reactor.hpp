@@ -1,0 +1,64 @@
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "sim/inline_fn.hpp"
+#include "sim/time.hpp"
+
+namespace vdm::sim {
+
+/// Identifier of a scheduled event, usable to cancel it before it fires.
+/// Encodes (generation, slab slot); a stale id — one whose event already
+/// fired or was cancelled — fails the generation check and is ignored.
+using EventId = std::uint64_t;
+constexpr EventId kInvalidEvent = 0;
+
+/// The clock seam (DESIGN.md §14): the one way code reaches time and
+/// timers. The protocol core — Session, TreeWalk, EventExecutor,
+/// MainController — holds a Reactor&, so the same code runs on two
+/// backends:
+///
+///  * sim::Simulator, the discrete-event engine. A sim-hosted Session calls
+///    the simulator itself, so slot order, sequence numbers and firing order
+///    are the engine's own (the hexfloat goldens in tests/test_walk.cpp pin
+///    this).
+///  * transport::UdpReactor, the same slab timer engine paced by the
+///    monotonic wall clock with UDP sockets multiplexed into the waits — the
+///    backend `vdmd` runs on.
+///
+/// Callbacks ride the small-buffer InlineFn, so the steady-state
+/// zero-allocation guarantee holds on both backends.
+class Reactor {
+ public:
+  virtual ~Reactor() = default;
+
+  /// Seconds since an epoch the backend defines (simulation start, reactor
+  /// construction). Monotonically non-decreasing.
+  virtual Time now() const = 0;
+
+  /// Schedules `fn` at absolute time `t`. The DES requires t >= now();
+  /// the wall-clock backend clamps, since setup work may overrun a scenario
+  /// timestamp. Returns a cancellable id.
+  virtual EventId schedule_at(Time t, InlineFn fn) = 0;
+
+  /// Schedules `fn` after `delay` (>= 0) seconds.
+  virtual EventId schedule_in(Time delay, InlineFn fn) = 0;
+
+  /// Cancels a pending event; a no-op if it already fired or was cancelled.
+  /// Cancelling the currently-firing event suppresses its re-arm (see
+  /// reschedule_current_in) but does not interrupt the running callback.
+  virtual void cancel(EventId id) = 0;
+
+  /// From inside a callback only: re-arms the currently-firing event to run
+  /// again `delay` seconds after its own deadline, reusing its slot, id and
+  /// callable — no allocation, no id churn. Returns false (and does nothing)
+  /// outside a callback or when the firing event was cancelled mid-callback.
+  virtual bool reschedule_current_in(Time delay) = 0;
+
+  /// Runs every event due by time `t` (and, on the UDP backend, socket I/O
+  /// until then), then advances the clock to `t`. Returns events run.
+  virtual std::size_t run_until(Time t) = 0;
+};
+
+}  // namespace vdm::sim

@@ -4,16 +4,9 @@
 #include <limits>
 #include <vector>
 
-#include "sim/inline_fn.hpp"
-#include "sim/time.hpp"
+#include "sim/reactor.hpp"
 
 namespace vdm::sim {
-
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-/// Encodes (generation, slab slot); a stale id — one whose event already
-/// fired or was cancelled — fails the generation check and is ignored.
-using EventId = std::uint64_t;
-constexpr EventId kInvalidEvent = 0;
 
 /// Single-threaded discrete-event simulator.
 ///
@@ -30,31 +23,24 @@ constexpr EventId kInvalidEvent = 0;
 /// small-buffer-optimized (InlineFn), so once the slab and heap have grown
 /// to a run's working set, schedule/fire/cancel perform zero heap
 /// allocations.
-class Simulator {
+///
+/// The DES backend of the clock seam (sim::Reactor). `final`, so calls
+/// through a Simulator& bind statically; code that must also run on the
+/// wall clock holds a Reactor& instead.
+class Simulator final : public Reactor {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current simulated time. Monotonically non-decreasing.
-  Time now() const { return now_; }
+  /// Current simulated time.
+  Time now() const override { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now). Returns a cancellable id.
-  EventId schedule_at(Time t, InlineFn fn);
-
-  /// Schedules `fn` after `delay` (>= 0) seconds.
-  EventId schedule_in(Time delay, InlineFn fn);
-
-  /// Cancels a pending event; a no-op if it already fired or was cancelled.
-  /// Cancelling the currently-firing event suppresses its re-arm (see
-  /// reschedule_current_in) but does not interrupt the running callback.
-  void cancel(EventId id);
-
-  /// From inside a callback only: re-arms the currently-firing event to run
-  /// again `delay` seconds from now, reusing its slot, id and callable —
-  /// no allocation, no id churn. Returns false (and does nothing) outside a
-  /// callback or when the firing event was cancelled mid-callback.
-  bool reschedule_current_in(Time delay);
+  /// Requires t >= now().
+  EventId schedule_at(Time t, InlineFn fn) override;
+  EventId schedule_in(Time delay, InlineFn fn) override;
+  void cancel(EventId id) override;
+  bool reschedule_current_in(Time delay) override;
 
   /// Executes the earliest pending event. Returns false if the queue is empty.
   bool step();
@@ -63,7 +49,7 @@ class Simulator {
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
   /// Runs all events with timestamp <= t, then advances the clock to t.
-  std::size_t run_until(Time t);
+  std::size_t run_until(Time t) override;
 
   /// Number of live (non-cancelled) pending events.
   std::size_t pending() const { return heap_.size(); }

@@ -42,55 +42,43 @@ overlay::SessionParams session_params(const ControllerParams& params) {
 
 }  // namespace
 
-MainController::MainController(sim::Simulator& simulator,
+MainController::MainController(sim::Reactor& reactor,
                                const net::Underlay& underlay,
                                overlay::Protocol& protocol,
                                const overlay::MetricProvider& metric,
                                const ControllerParams& params, util::Rng rng)
-    : underlay_(underlay), params_(params) {
-  session_ = std::make_unique<overlay::Session>(
-      simulator, underlay, protocol, metric, session_params(params), rng);
-  collector_ = std::make_unique<metrics::Collector>(*session_);
-}
-
-MainController::MainController(transport::Reactor& reactor,
-                               const net::Underlay& underlay,
-                               overlay::Protocol& protocol,
-                               const overlay::MetricProvider& metric,
-                               const ControllerParams& params, util::Rng rng)
-    : underlay_(underlay), params_(params) {
-  session_ = std::make_unique<overlay::Session>(
-      reactor, underlay, protocol, metric, session_params(params), rng);
-  collector_ = std::make_unique<metrics::Collector>(*session_);
-}
+    : underlay_(underlay),
+      params_(params),
+      session_(reactor, underlay, protocol, metric, session_params(params), rng),
+      collector_(session_) {}
 
 SessionReport MainController::run(const Scenario& scenario) {
   VDM_REQUIRE_MSG(!scenario.events.empty(), "scenario has no events");
-  transport::Reactor& reactor = session_->reactor();
-  session_->start();
-  overlay::EventExecutor executor(*session_, member_flags_);
+  sim::Reactor& reactor = session_.reactor();
+  session_.start();
+  overlay::EventExecutor executor(session_, member_flags_);
   executor.schedule(scenario.events, scenario.end_time);
   // Periodic snapshots, then a final one exactly at terminate.
   for (sim::Time t = params_.measure_interval; t < scenario.end_time;
        t += params_.measure_interval) {
     reactor.schedule_at(t, [this] {
-      collector_->capture(session_->reactor().now());
+      collector_.capture(session_.reactor().now());
     });
   }
   reactor.run_until(scenario.end_time);
-  collector_->capture(reactor.now());
-  session_->stop();
+  collector_.capture(reactor.now());
+  session_.stop();
 
   SessionReport report;
-  const std::span<const metrics::EpochSample> epochs = collector_->samples();
+  const std::span<const metrics::EpochSample> epochs = collector_.samples();
   report.epochs.assign(epochs.begin(), epochs.end());
   report.final_tree =
-      metrics::measure_tree(session_->tree(), session_->source(), underlay_);
-  report.startup_times = collector_->all_startup_times();
-  report.reconnect_times = collector_->all_reconnect_times();
-  report.detection_times = collector_->all_detection_times();
-  report.outage_times = collector_->all_outage_times();
-  report.totals = session_->totals();
+      metrics::measure_tree(session_.tree(), session_.source(), underlay_);
+  report.startup_times = collector_.all_startup_times();
+  report.reconnect_times = collector_.all_reconnect_times();
+  report.detection_times = collector_.all_detection_times();
+  report.outage_times = collector_.all_outage_times();
+  report.totals = session_.totals();
   if (report.totals.chunks_expected > 0) {
     report.loss_rate = 1.0 - static_cast<double>(report.totals.chunks_delivered) /
                                  static_cast<double>(report.totals.chunks_expected);
@@ -105,7 +93,7 @@ SessionReport MainController::run(const Scenario& scenario) {
         static_cast<double>(report.totals.chunks_emitted);
   }
   report.mst_ratio =
-      baselines::mst_ratio(session_->tree(), session_->source(), underlay_);
+      baselines::mst_ratio(session_.tree(), session_.source(), underlay_);
   return report;
 }
 

@@ -80,14 +80,10 @@ struct SessionReport {
 /// the controller is the orchestration and reporting layer around it.
 class MainController {
  public:
-  MainController(sim::Simulator& simulator, const net::Underlay& underlay,
-                 overlay::Protocol& protocol, const overlay::MetricProvider& metric,
-                 const ControllerParams& params, util::Rng rng);
-
-  /// Reactor-hosted controller: the same orchestration over any transport
-  /// backend. vdmd passes a UdpReactor and a MeasuredUnderlay here, and the
-  /// identical scenario files drive real agents over UDP.
-  MainController(transport::Reactor& reactor, const net::Underlay& underlay,
+  /// The same orchestration on either clock: a sim::Simulator for the
+  /// simulated testbed, or the UdpReactor with a MeasuredUnderlay in vdmd,
+  /// where the identical scenario files drive real agents over UDP.
+  MainController(sim::Reactor& reactor, const net::Underlay& underlay,
                  overlay::Protocol& protocol, const overlay::MetricProvider& metric,
                  const ControllerParams& params, util::Rng rng);
 
@@ -96,13 +92,13 @@ class MainController {
   /// gathers the report. `scenario` must stay alive during the call.
   SessionReport run(const Scenario& scenario);
 
-  overlay::Session& session() { return *session_; }
+  overlay::Session& session() { return session_; }
 
  private:
   const net::Underlay& underlay_;
   ControllerParams params_;
-  std::unique_ptr<overlay::Session> session_;
-  std::unique_ptr<metrics::Collector> collector_;
+  overlay::Session session_;
+  metrics::Collector collector_;
   std::vector<char> member_flags_;  // the executor's per-host flags
 };
 

@@ -7,7 +7,8 @@ namespace vdm::transport {
 // One schedule_in at construction, then each tick re-arms the same slot in
 // place (id never changes); stop() from inside the tick suppresses the
 // re-arm via the backend's firing-cancelled check.
-PeriodicTimer::PeriodicTimer(Reactor& reactor, Time interval, TimerFn fn)
+PeriodicTimer::PeriodicTimer(sim::Reactor& reactor, sim::Time interval,
+                             sim::InlineFn fn)
     : reactor_(reactor), interval_(interval), fn_(std::move(fn)) {
   // A zero interval would re-arm at the same instant forever.
   VDM_REQUIRE(interval_ > 0.0);
@@ -17,7 +18,7 @@ PeriodicTimer::PeriodicTimer(Reactor& reactor, Time interval, TimerFn fn)
     if (running_) {
       reactor_.reschedule_current_in(interval_);
     } else {
-      pending_ = kInvalidTimer;
+      pending_ = sim::kInvalidEvent;
     }
   });
 }
@@ -27,9 +28,9 @@ PeriodicTimer::~PeriodicTimer() { stop(); }
 void PeriodicTimer::stop() {
   if (!running_) return;
   running_ = false;
-  if (pending_ != kInvalidTimer) {
+  if (pending_ != sim::kInvalidEvent) {
     reactor_.cancel(pending_);
-    pending_ = kInvalidTimer;
+    pending_ = sim::kInvalidEvent;
   }
 }
 

@@ -146,28 +146,28 @@ std::size_t UdpSocket::drain(std::span<std::byte> scratch,
 
 UdpReactor::UdpReactor() : epoch_(std::chrono::steady_clock::now()) {}
 
-Time UdpReactor::wall() const {
+sim::Time UdpReactor::wall() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        epoch_)
       .count();
 }
 
-Time UdpReactor::now() const {
+sim::Time UdpReactor::now() const {
   // Never behind the timer clock: a callback observing now() mid-dispatch
   // must see a time >= its own deadline, as on the DES backend.
-  const Time w = wall();
-  const Time t = timers_.now();
+  const sim::Time w = wall();
+  const sim::Time t = timers_.now();
   return w > t ? w : t;
 }
 
-TimerId UdpReactor::schedule_at(Time t, TimerFn fn) {
+sim::EventId UdpReactor::schedule_at(sim::Time t, sim::InlineFn fn) {
   // Wall-clock setup can overrun a scenario timestamp; clamp instead of
   // tripping the DES precondition — the timer fires at the next pump.
-  const Time floor = timers_.now();
+  const sim::Time floor = timers_.now();
   return timers_.schedule_at(t > floor ? t : floor, std::move(fn));
 }
 
-TimerId UdpReactor::schedule_in(Time delay, TimerFn fn) {
+sim::EventId UdpReactor::schedule_in(sim::Time delay, sim::InlineFn fn) {
   return schedule_at(now() + delay, std::move(fn));
 }
 
@@ -175,7 +175,7 @@ void UdpReactor::add_socket(UdpSocket& socket, UdpSocket::RecvHandler handler) {
   sockets_.push_back(Entry{&socket, std::move(handler)});
 }
 
-std::size_t UdpReactor::poll_once(Time max_wait) {
+std::size_t UdpReactor::poll_once(sim::Time max_wait) {
   if (sockets_.empty()) {
     if (max_wait > 0) {
       timespec ts;
@@ -208,16 +208,16 @@ std::size_t UdpReactor::poll_once(Time max_wait) {
   return delivered;
 }
 
-std::size_t UdpReactor::run_until(Time t) {
+std::size_t UdpReactor::run_until(sim::Time t) {
   std::size_t fired = 0;
   while (!stopped_) {
-    const Time w = wall();
+    const sim::Time w = wall();
     // Fire every timer that is due by wall time (bounded by the target).
     fired += timers_.run_until(w < t ? w : t);
     if (stopped_ || wall() >= t) break;
-    const Time next = timers_.next_event_time();
-    const Time deadline = next < t ? next : t;
-    Time wait = deadline - wall();
+    const sim::Time next = timers_.next_event_time();
+    const sim::Time deadline = next < t ? next : t;
+    sim::Time wait = deadline - wall();
     // Cap the sleep so stop() from another dispatch path stays responsive.
     if (wait > 0.05) wait = 0.05;
     if (wait < 0) wait = 0;
@@ -227,10 +227,10 @@ std::size_t UdpReactor::run_until(Time t) {
   return fired;
 }
 
-std::size_t UdpReactor::pump_io(Time max_wait) {
-  const Time deadline = wall() + max_wait;
+std::size_t UdpReactor::pump_io(sim::Time max_wait) {
+  const sim::Time deadline = wall() + max_wait;
   for (;;) {
-    Time wait = deadline - wall();
+    sim::Time wait = deadline - wall();
     if (wait < 0) wait = 0;
     const std::size_t delivered = poll_once(wait);
     if (delivered > 0 || wall() >= deadline) return delivered;
@@ -239,7 +239,7 @@ std::size_t UdpReactor::pump_io(Time max_wait) {
 
 // --------------------------------------------------------------- RetrySender
 
-RetrySender::RetrySender(Reactor& reactor, Transport& transport,
+RetrySender::RetrySender(sim::Reactor& reactor, Transport& transport,
                          BufferPool& buffers, RetryPolicy policy)
     : reactor_(reactor),
       transport_(transport),
@@ -260,11 +260,8 @@ void RetrySender::send_tracked(std::uint32_t token, const PeerAddr& to,
   p.attempts = 1;
   p.cur_timeout = policy_.timeout;
   transport_.send(to, buf.bytes.first(p.len));
-  arm(token, p);
-  pending_.emplace(token, p);
-}
-
-void RetrySender::arm(std::uint32_t token, Pending& p) {
+  // One timer for the request's life: each retransmission re-arms it in
+  // place, so complete() cancels by the id taken here.
   p.timer = reactor_.schedule_in(p.cur_timeout, [this, token] {
     const auto it = pending_.find(token);
     if (it == pending_.end()) return;
@@ -282,8 +279,9 @@ void RetrySender::arm(std::uint32_t token, Pending& p) {
     ++retransmissions_;
     transport_.send(pend.to, buffers_.bytes(pend.slot).first(pend.len));
     pend.cur_timeout = policy_.next_timeout(pend.cur_timeout);
-    arm(token, pend);
+    reactor_.reschedule_current_in(pend.cur_timeout);
   });
+  pending_.emplace(token, p);
 }
 
 bool RetrySender::complete(std::uint32_t token) {

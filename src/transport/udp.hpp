@@ -71,26 +71,26 @@ class UdpSocket final : public Transport {
   PeerAddr local_;
 };
 
-/// The wall-clock backend of the transport seam: the same slab timer engine
-/// the DES uses (a private sim::Simulator), paced by the monotonic clock,
-/// with UDP sockets poll(2)-multiplexed into the waits. Timer semantics —
-/// ids, cancel, in-place re-arm — are therefore identical to the simulation
-/// backend by construction; only the pacing differs.
-class UdpReactor final : public Reactor {
+/// The wall-clock backend of the clock seam (sim::Reactor): the same slab
+/// timer engine the DES uses (a private sim::Simulator), paced by the
+/// monotonic clock, with UDP sockets poll(2)-multiplexed into the waits.
+/// Timer semantics — ids, cancel, in-place re-arm — are therefore identical
+/// to the simulation backend by construction; only the pacing differs.
+class UdpReactor final : public sim::Reactor {
  public:
   UdpReactor();
 
-  Time now() const override;
-  TimerId schedule_at(Time t, TimerFn fn) override;
-  TimerId schedule_in(Time delay, TimerFn fn) override;
-  void cancel(TimerId id) override { timers_.cancel(id); }
-  bool reschedule_current_in(Time delay) override {
+  sim::Time now() const override;
+  sim::EventId schedule_at(sim::Time t, sim::InlineFn fn) override;
+  sim::EventId schedule_in(sim::Time delay, sim::InlineFn fn) override;
+  void cancel(sim::EventId id) override { timers_.cancel(id); }
+  bool reschedule_current_in(sim::Time delay) override {
     return timers_.reschedule_current_in(delay);
   }
 
   /// Runs timers and socket I/O until wall time `t` (seconds since
   /// construction) or stop(). Returns timers fired.
-  std::size_t run_until(Time t) override;
+  std::size_t run_until(sim::Time t) override;
 
   /// Breaks out of run_until at the next pump.
   void stop() { stopped_ = true; }
@@ -107,7 +107,7 @@ class UdpReactor final : public Reactor {
   /// re-entrancy-safe pump blocking request/response transactions use from
   /// inside a timer callback (a nested timer dispatch could re-enter the
   /// protocol core; a nested I/O dispatch cannot).
-  std::size_t pump_io(Time max_wait);
+  std::size_t pump_io(sim::Time max_wait);
 
   BufferPool& buffers() { return buffers_; }
 
@@ -116,9 +116,9 @@ class UdpReactor final : public Reactor {
     UdpSocket* socket;
     UdpSocket::RecvHandler handler;
   };
-  Time wall() const;
+  sim::Time wall() const;
   /// poll + drain all sockets once, waiting at most `max_wait`.
-  std::size_t poll_once(Time max_wait);
+  std::size_t poll_once(sim::Time max_wait);
 
   std::chrono::steady_clock::time_point epoch_;
   sim::Simulator timers_;
@@ -131,10 +131,11 @@ class UdpReactor final : public Reactor {
 /// tracked request keeps its encoded frame in a recycled pool buffer and
 /// retransmits on a RetryPolicy schedule until complete(token) or retries
 /// exhaust (a WARN log, matching the simulator's reliable-with-retries
-/// semantics where exhaustion is latency, not failure).
+/// semantics where exhaustion is latency, not failure). Each request holds
+/// one timer for life, re-armed in place after every retransmission.
 class RetrySender {
  public:
-  RetrySender(Reactor& reactor, Transport& transport, BufferPool& buffers,
+  RetrySender(sim::Reactor& reactor, Transport& transport, BufferPool& buffers,
               RetryPolicy policy);
   ~RetrySender();
   RetrySender(const RetrySender&) = delete;
@@ -162,12 +163,11 @@ class RetrySender {
     std::uint32_t slot = 0;
     std::uint16_t len = 0;
     int attempts = 0;
-    Time cur_timeout = 0.0;
-    TimerId timer = kInvalidTimer;
+    sim::Time cur_timeout = 0.0;
+    sim::EventId timer = sim::kInvalidEvent;
   };
-  void arm(std::uint32_t token, Pending& p);
 
-  Reactor& reactor_;
+  sim::Reactor& reactor_;
   Transport& transport_;
   BufferPool& buffers_;
   RetryPolicy policy_;

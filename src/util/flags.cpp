@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
+
+#include "util/require.hpp"
 
 namespace vdm::util {
 
@@ -91,6 +94,19 @@ std::vector<std::string> Flags::unknown(
     }
   }
   return out;
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  std::string_view program = argc > 0 ? argv[0] : "vdm";
+  program = program.substr(program.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const InvariantError& e) {
+    std::cerr << program << ": rejected config: " << e.what() << '\n';
+  } catch (const std::invalid_argument& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+  }
+  return 2;
 }
 
 }  // namespace vdm::util

@@ -52,4 +52,11 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// The body of a command-line program's main(): returns what `body`
+/// returns, but a malformed flag value (the std::invalid_argument the
+/// numeric getters throw, naming the flag) or a config the library rejects
+/// (util::InvariantError) ends in a one-line message on stderr and exit
+/// status 2 instead of std::terminate.
+int run_main(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace vdm::util

@@ -76,6 +76,33 @@ std::string fingerprint(const AggregateResult& agg) {
   return out;
 }
 
+/// The shapes one arena carries in turn: every substrate on the sequential
+/// join path, with a concurrent flash crowd (heartbeats, crash churn) and a
+/// locating-first run in between. The arena then moves the placement index,
+/// the tree's observer and the heartbeat slab from one join mode to another
+/// and back.
+std::vector<RunConfig> arena_mix() {
+  std::vector<RunConfig> mix;
+  for (const Substrate substrate :
+       {Substrate::kTransitStub, Substrate::kWaxman, Substrate::kGeoUs,
+        Substrate::kCoordUs, Substrate::kCoordPlane}) {
+    mix.push_back(small_config());
+    mix.back().substrate = substrate;
+  }
+  RunConfig flash = small_config();
+  flash.substrate = Substrate::kCoordUs;
+  flash.session.join_mode = overlay::JoinMode::kConcurrent;
+  flash.session.faults.heartbeat_period = 1.0;
+  flash.scenario.crash_fraction = 1.0;
+  flash.scenario.flash_count = 40;
+  flash.scenario.flash_at = 100.0;
+  mix.insert(mix.begin() + 1, flash);
+  RunConfig locating = small_config();
+  locating.session.join_mode = overlay::JoinMode::kLocating;
+  mix.insert(mix.begin() + 4, locating);
+  return mix;
+}
+
 std::vector<RunConfig> small_grid() {
   std::vector<RunConfig> points;
   points.push_back(small_config());
@@ -135,15 +162,11 @@ TEST(Sweep, IdenticalPointsProduceIdenticalAggregates) {
 
 TEST(Sweep, ArenaRunsMatchFreshRunsBitwise) {
   RunScratch scratch;
-  for (const Substrate substrate :
-       {Substrate::kTransitStub, Substrate::kWaxman, Substrate::kGeoUs,
-        Substrate::kCoordUs, Substrate::kCoordPlane}) {
-    RunConfig cfg = small_config();
-    cfg.substrate = substrate;
-    const RunResult warm = run_once(cfg, scratch);  // same scratch across substrates
-    const RunResult fresh = run_once(cfg);
-    EXPECT_EQ(fingerprint(warm), fingerprint(fresh))
-        << "substrate " << static_cast<int>(substrate);
+  const std::vector<RunConfig> mix = arena_mix();
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    const RunResult warm = run_once(mix[i], scratch);  // one scratch for all
+    const RunResult fresh = run_once(mix[i]);
+    EXPECT_EQ(fingerprint(warm), fingerprint(fresh)) << "shape " << i;
   }
 }
 
@@ -161,18 +184,15 @@ TEST(Sweep, ArenaStopsGrowingAfterFirstRunOfAShape) {
 }
 
 TEST(Sweep, ArenaGrowsAcrossShapesThenSettles) {
-  // A worker arena serves whatever mix of substrates and seeds its shard
-  // and steals hand it. New shapes may bump the capacity high-water; a
-  // second pass over the same mix must not — capacity is monotone, never
-  // released between runs.
+  // A worker arena serves whatever mix of substrates, join modes and seeds
+  // its shard and steals hand it. New shapes may bump the capacity
+  // high-water; a second pass over the same mix must not — capacity is
+  // monotone, never released between runs.
   RunScratch scratch;
-  const auto cycle = [&scratch] {
-    for (const Substrate substrate :
-         {Substrate::kTransitStub, Substrate::kWaxman, Substrate::kGeoUs,
-          Substrate::kCoordUs, Substrate::kCoordPlane}) {
+  const std::vector<RunConfig> mix = arena_mix();
+  const auto cycle = [&scratch, &mix] {
+    for (RunConfig cfg : mix) {
       for (std::uint64_t seed = 3; seed < 6; ++seed) {
-        RunConfig cfg = small_config();
-        cfg.substrate = substrate;
         cfg.seed = seed;
         (void)run_once(cfg, scratch);
       }

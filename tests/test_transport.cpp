@@ -1,7 +1,7 @@
-// Transport seam tests (DESIGN.md §14): the SimReactor's 1:1 delegation
-// contract, PeriodicTimer's equivalence with an in-place re-armed event, the
-// UdpReactor over real loopback sockets, and the RetrySender's
-// retransmission schedule (driven deterministically on the DES backend).
+// Transport tests (DESIGN.md §14): PeriodicTimer's equivalence with an
+// in-place re-armed event, the UdpReactor over real loopback sockets, and
+// the RetrySender's retransmission schedule (driven deterministically on the
+// DES backend, the simulator itself).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "transport/sim_reactor.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
 #include "util/require.hpp"
@@ -20,55 +19,6 @@ namespace vdm {
 namespace {
 
 using transport::PeerAddr;
-
-// ----------------------------------------------------------------- SimReactor
-
-TEST(SimReactor, DelegatesOneToOne) {
-  sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
-
-  std::vector<int> order;
-  const transport::TimerId a = reactor.schedule_at(2.0, [&] { order.push_back(2); });
-  reactor.schedule_at(1.0, [&] { order.push_back(1); });
-  reactor.schedule_in(3.0, [&] { order.push_back(3); });
-  EXPECT_NE(a, transport::kInvalidTimer);
-  EXPECT_EQ(reactor.now(), sim.now());
-
-  // A timer id from the reactor cancels through the reactor — same slab.
-  reactor.cancel(a);
-  EXPECT_EQ(reactor.run_until(10.0), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(reactor.now(), 10.0);
-  EXPECT_EQ(sim.now(), 10.0);
-}
-
-TEST(SimReactor, UnboundUseTrips) {
-  transport::SimReactor reactor;
-  EXPECT_FALSE(reactor.bound());
-  EXPECT_THROW(reactor.now(), util::InvariantError);
-  EXPECT_THROW(reactor.schedule_in(1.0, [] {}), util::InvariantError);
-}
-
-// The seam's determinism contract: the same schedule through the reactor
-// and through the raw simulator produces identical event ids — proof that
-// no extra slot, sequence number or reordering sneaks in at the seam.
-TEST(SimReactor, IdsMatchRawSimulatorExactly) {
-  sim::Simulator raw;
-  sim::Simulator wrapped_sim;
-  transport::SimReactor wrapped(&wrapped_sim);
-
-  for (int i = 0; i < 50; ++i) {
-    const sim::Time t = 0.1 * static_cast<double>(i % 7);
-    const sim::EventId a = raw.schedule_in(t, [] {});
-    const transport::TimerId b = wrapped.schedule_in(t, [] {});
-    EXPECT_EQ(a, b);
-    if (i % 3 == 0) {
-      raw.cancel(a);
-      wrapped.cancel(b);
-    }
-  }
-  EXPECT_EQ(raw.run_until(1.0), wrapped.run_until(1.0));
-}
 
 // -------------------------------------------------------------- PeriodicTimer
 
@@ -83,54 +33,50 @@ TEST(PeriodicTimer, MatchesInPlaceRearmFireTimes) {
   });
 
   sim::Simulator sim_b;
-  transport::SimReactor reactor(&sim_b);
   std::vector<sim::Time> fires_b;
-  transport::PeriodicTimer timer(reactor, 0.25,
-                                 [&] { fires_b.push_back(reactor.now()); });
+  transport::PeriodicTimer timer(sim_b, 0.25,
+                                 [&] { fires_b.push_back(sim_b.now()); });
 
   sim_a.run_until(2.0);
-  reactor.run_until(2.0);
+  sim_b.run_until(2.0);
   ASSERT_EQ(fires_a.size(), 8u);
   EXPECT_EQ(fires_a, fires_b);
   // Same slab slot and generation on both sides: the ids agree too.
-  const transport::TimerId other = reactor.schedule_in(1.0, [] {});
+  const sim::EventId other = sim_b.schedule_in(1.0, [] {});
   EXPECT_EQ(sim_a.schedule_in(1.0, [] {}), other);
 }
 
 TEST(PeriodicTimer, FiresRepeatedly) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   int fires = 0;
-  transport::PeriodicTimer timer(reactor, 1.0, [&] { ++fires; });
-  reactor.run_until(5.5);
+  transport::PeriodicTimer timer(sim, 1.0, [&] { ++fires; });
+  sim.run_until(5.5);
   EXPECT_EQ(fires, 5);
   EXPECT_TRUE(timer.running());
 }
 
 TEST(PeriodicTimer, DestructionCancelsPending) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   int fires = 0;
   {
-    transport::PeriodicTimer timer(reactor, 1.0, [&] { ++fires; });
-    reactor.run_until(2.5);
+    transport::PeriodicTimer timer(sim, 1.0, [&] { ++fires; });
+    sim.run_until(2.5);
   }
-  reactor.run_until(10.0);
+  sim.run_until(10.0);
   EXPECT_EQ(fires, 2);
   EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(PeriodicTimer, StopHaltsFiring) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   int fires = 0;
   transport::PeriodicTimer* self = nullptr;
-  transport::PeriodicTimer timer(reactor, 1.0, [&] {
+  transport::PeriodicTimer timer(sim, 1.0, [&] {
     ++fires;
     if (fires == 3) self->stop();
   });
   self = &timer;
-  reactor.run_until(10.0);
+  sim.run_until(10.0);
   EXPECT_EQ(fires, 3);
   EXPECT_FALSE(timer.running());
   EXPECT_EQ(sim.pending(), 0u);
@@ -138,33 +84,30 @@ TEST(PeriodicTimer, StopHaltsFiring) {
 
 TEST(PeriodicTimer, RejectsNonPositiveInterval) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
-  EXPECT_THROW(transport::PeriodicTimer(reactor, 0.0, [] {}),
+  EXPECT_THROW(transport::PeriodicTimer(sim, 0.0, [] {}),
                util::InvariantError);
   EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(PeriodicTimer, StopFromInsideTickSuppressesRearm) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   int ticks = 0;
   transport::PeriodicTimer* self = nullptr;
-  transport::PeriodicTimer timer(reactor, 0.1, [&] {
+  transport::PeriodicTimer timer(sim, 0.1, [&] {
     if (++ticks == 3) self->stop();
   });
   self = &timer;
-  reactor.run_until(10.0);
+  sim.run_until(10.0);
   EXPECT_EQ(ticks, 3);
   EXPECT_FALSE(timer.running());
 }
 
 TEST(PeriodicTimer, StopBeforeFirstTickFiresNothing) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   int ticks = 0;
-  transport::PeriodicTimer timer(reactor, 0.5, [&] { ++ticks; });
+  transport::PeriodicTimer timer(sim, 0.5, [&] { ++ticks; });
   timer.stop();
-  reactor.run_until(5.0);
+  sim.run_until(5.0);
   EXPECT_EQ(ticks, 0);
 }
 
@@ -255,10 +198,10 @@ TEST(UdpReactor, LoopbackPingPong) {
 TEST(UdpReactor, TimersFireInOrderAndNowNeverRewinds) {
   transport::UdpReactor reactor;
   std::vector<int> order;
-  std::vector<transport::Time> at;
+  std::vector<sim::Time> at;
   reactor.schedule_in(0.02, [&] { order.push_back(2); at.push_back(reactor.now()); });
   reactor.schedule_in(0.01, [&] { order.push_back(1); at.push_back(reactor.now()); });
-  const transport::TimerId dead = reactor.schedule_in(0.015, [&] { order.push_back(9); });
+  const sim::EventId dead = reactor.schedule_in(0.015, [&] { order.push_back(9); });
   reactor.cancel(dead);
   EXPECT_EQ(reactor.run_until(0.05), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -322,11 +265,10 @@ class RecordingTransport final : public transport::Transport {
 
 TEST(RetrySender, RetransmitsOnScheduleUntilCompleted) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   RecordingTransport transport;
   transport::BufferPool pool;
   transport::RetryPolicy policy;  // 0.25s, x2, cap 4s, 8 retries
-  transport::RetrySender sender(reactor, transport, pool, policy);
+  transport::RetrySender sender(sim, transport, pool, policy);
 
   const std::uint32_t token = sender.next_token();
   const PeerAddr to{0x7f000001, 4242};
@@ -335,7 +277,7 @@ TEST(RetrySender, RetransmitsOnScheduleUntilCompleted) {
   EXPECT_EQ(sender.in_flight(), 1u);
 
   // First retransmit at 0.25, second at 0.25 + 0.5.
-  reactor.run_until(0.8);
+  sim.run_until(0.8);
   EXPECT_EQ(transport.sends.size(), 3u);
   EXPECT_EQ(sender.retransmissions(), 2u);
 
@@ -348,24 +290,23 @@ TEST(RetrySender, RetransmitsOnScheduleUntilCompleted) {
   EXPECT_TRUE(sender.complete(token));
   EXPECT_EQ(sender.in_flight(), 0u);
   EXPECT_EQ(pool.in_use(), 0u);  // buffer back in the pool
-  reactor.run_until(60.0);
+  sim.run_until(60.0);
   EXPECT_EQ(transport.sends.size(), 3u);  // silence after completion
   EXPECT_FALSE(sender.complete(token));   // late duplicate reply
 }
 
 TEST(RetrySender, GivesUpAfterRetryBudget) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   RecordingTransport transport;
   transport::BufferPool pool;
   transport::RetryPolicy policy;
   policy.max_retries = 3;
-  transport::RetrySender sender(reactor, transport, pool, policy);
+  transport::RetrySender sender(sim, transport, pool, policy);
 
   const std::uint32_t token = sender.next_token();
   sender.send_tracked(token, PeerAddr{0x7f000001, 4242},
                       wire::Shutdown{.token = token});
-  reactor.run_until(120.0);
+  sim.run_until(120.0);
   // Initial send + max_retries retransmissions, then the give-up.
   EXPECT_EQ(transport.sends.size(), 4u);
   EXPECT_EQ(sender.retransmissions(), 3u);
@@ -376,29 +317,45 @@ TEST(RetrySender, GivesUpAfterRetryBudget) {
 
 TEST(RetrySender, BackoffCapsAtTimeoutMax) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   RecordingTransport transport;
   transport::BufferPool pool;
   transport::RetryPolicy policy;  // 0.25 -> 0.5 -> 1 -> 2 -> 4 -> 4 -> ...
-  transport::RetrySender sender(reactor, transport, pool, policy);
+  transport::RetrySender sender(sim, transport, pool, policy);
 
   const std::uint32_t token = sender.next_token();
   sender.send_tracked(token, PeerAddr{0x7f000001, 4242},
                       wire::Ack{.token = token});
   // Cumulative schedule: 0.25, 0.75, 1.75, 3.75, 7.75, 11.75, 15.75, 19.75.
-  reactor.run_until(12.0);
+  sim.run_until(12.0);
   EXPECT_EQ(sender.retransmissions(), 6u);
-  reactor.run_until(16.0);
+  sim.run_until(16.0);
   EXPECT_EQ(sender.retransmissions(), 7u);
   sender.complete(token);
 }
 
-TEST(RetrySender, DuplicateTokenTrips) {
+TEST(RetrySender, OneTimerPerRequestForLife) {
+  // Each retransmission re-arms the request's own timer in place: the
+  // simulator never holds a second slot for it, however many retries run.
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   RecordingTransport transport;
   transport::BufferPool pool;
-  transport::RetrySender sender(reactor, transport, pool,
+  transport::RetrySender sender(sim, transport, pool, transport::RetryPolicy{});
+  const std::uint32_t token = sender.next_token();
+  sender.send_tracked(token, PeerAddr{0x7f000001, 1}, wire::Ack{.token = token});
+  const std::size_t slab_bytes = sim.capacity_bytes();
+  sim.run_until(12.0);
+  EXPECT_EQ(sender.retransmissions(), 6u);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.capacity_bytes(), slab_bytes);
+  EXPECT_TRUE(sender.complete(token));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(RetrySender, DuplicateTokenTrips) {
+  sim::Simulator sim;
+  RecordingTransport transport;
+  transport::BufferPool pool;
+  transport::RetrySender sender(sim, transport, pool,
                                 transport::RetryPolicy{});
   const std::uint32_t token = sender.next_token();
   sender.send_tracked(token, PeerAddr{0x7f000001, 1}, wire::Ack{.token = token});
@@ -410,10 +367,9 @@ TEST(RetrySender, DuplicateTokenTrips) {
 
 TEST(RetrySender, CancelAllReleasesEveryBuffer) {
   sim::Simulator sim;
-  transport::SimReactor reactor(&sim);
   RecordingTransport transport;
   transport::BufferPool pool;
-  transport::RetrySender sender(reactor, transport, pool,
+  transport::RetrySender sender(sim, transport, pool,
                                 transport::RetryPolicy{});
   for (int i = 0; i < 5; ++i) {
     const std::uint32_t token = sender.next_token();
@@ -424,7 +380,7 @@ TEST(RetrySender, CancelAllReleasesEveryBuffer) {
   sender.cancel_all();
   EXPECT_EQ(sender.in_flight(), 0u);
   EXPECT_EQ(pool.in_use(), 0u);
-  reactor.run_until(60.0);
+  sim.run_until(60.0);
   EXPECT_EQ(transport.sends.size(), 5u);  // no retransmissions after cancel
 }
 

@@ -12,14 +12,12 @@
 #include <cstdio>
 #include <iostream>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "experiments/runner.hpp"
 #include "experiments/sweep.hpp"
 #include "overlay/walk.hpp"
 #include "util/flags.hpp"
-#include "util/require.hpp"
 #include "util/table.hpp"
 
 using namespace vdm;
@@ -107,7 +105,8 @@ class StdoutWalkTrace final : public overlay::WalkObserver {
 
 /// The whole CLI. Malformed numbers (util::Flags throws
 /// std::invalid_argument) and configs the library rejects
-/// (util::InvariantError) propagate to main, which turns them into exit 2.
+/// (util::InvariantError) propagate to util::run_main, which turns them into
+/// exit 2.
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   if (flags.get_bool("help", false)) return usage();
@@ -356,13 +355,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run_cli(argc, argv);
-  } catch (const util::InvariantError& e) {
-    std::cerr << "vdmsim: rejected config: " << e.what() << '\n';
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "vdmsim: " << e.what() << " (see --help)\n";
-  }
-  return 2;
-}
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
