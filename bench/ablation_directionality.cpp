@@ -94,9 +94,8 @@ AblationResult run_avg(const core::VdmConfig& vc, std::size_t seeds,
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(3, 8))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 200));
+  const std::size_t seeds = flags.get_count("seeds", experiments::default_seeds(3, 8));
+  const auto members = flags.get_count("members", 200);
 
   struct Variant {
     std::string name;

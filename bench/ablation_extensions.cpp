@@ -17,8 +17,7 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds =
-      static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(4, 16))));
+  const std::size_t seeds = flags.get_count("seeds", default_seeds(4, 16));
 
   RunConfig base;
   base.substrate = Substrate::kTransitStub;
@@ -60,7 +59,7 @@ int run_cli(int argc, char** argv) {
     points.push_back(cfg);
   }
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   const std::vector<AggregateResult> results = run_grid(points, seeds, sweep);
   std::size_t next = 0;
 

@@ -13,9 +13,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds =
-      static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(4, 16))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 200));
+  const std::size_t seeds = flags.get_count("seeds", default_seeds(4, 16));
+  const auto members = flags.get_count("members", 200);
 
   RunConfig base;
   base.substrate = Substrate::kTransitStub;
@@ -76,7 +75,7 @@ int run_cli(int argc, char** argv) {
   points.reserve(variants.size());
   for (const Variant& v : variants) points.push_back(v.cfg);
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   const std::vector<AggregateResult> results = run_grid(points, seeds, sweep);
 
   util::Table t({"variant", "stress", "stretch", "usage", "MST ratio", "overhead"});

@@ -17,9 +17,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds =
-      static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(6, 32))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 200));
+  const std::size_t seeds = flags.get_count("seeds", default_seeds(6, 32));
+  const auto members = flags.get_count("members", 200);
 
   RunConfig base;
   base.substrate = Substrate::kTransitStub;
@@ -46,7 +45,7 @@ int run_cli(int argc, char** argv) {
     points.push_back(cfg);
   }
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   std::vector<AggregateResult> results = run_grid(points, seeds, sweep);
 
   struct Row {

@@ -11,8 +11,7 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds =
-      static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(4, 32))));
+  const std::size_t seeds = flags.get_count("seeds", default_seeds(4, 32));
 
   const std::vector<std::size_t> sizes{100, 200, 400, 700, 1000};
   std::vector<RunConfig> points;
@@ -30,7 +29,7 @@ int run_cli(int argc, char** argv) {
     points.push_back(cfg);
   }
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   const std::vector<AggregateResult> results = run_grid(points, seeds, sweep);
 
   const std::string setup = "transit-stub 792 routers, VDM, churn 5%, degree U[2,5], " +

@@ -16,9 +16,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds =
-      static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(6, 32))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 200));
+  const std::size_t seeds = flags.get_count("seeds", default_seeds(6, 32));
+  const auto members = flags.get_count("members", 200);
 
   auto make_config = [&](Metric metric) {
     RunConfig cfg;
@@ -40,7 +39,7 @@ int run_cli(int argc, char** argv) {
 
   // Both metric variants as one grid sweep.
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   const std::vector<RunConfig> points{make_config(Metric::kDelay),
                                       make_config(Metric::kLoss)};
   const std::vector<AggregateResult> aggs = run_grid(points, seeds, sweep);

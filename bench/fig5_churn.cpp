@@ -13,9 +13,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(5, 5))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 100));
+  const std::size_t seeds = flags.get_count("seeds", experiments::default_seeds(5, 5));
+  const auto members = flags.get_count("members", 100);
 
   const std::vector<double> churn_rates{0.02, 0.04, 0.06, 0.08, 0.10};
   std::vector<TestbedConfig> configs;
@@ -29,7 +28,7 @@ int run_cli(int argc, char** argv) {
     configs.push_back(cfg);
   }
   const std::vector<TestbedAggregate> aggs = run_testbed_grid(
-      configs, seeds, static_cast<std::size_t>(flags.get_int("threads", 0)));
+      configs, seeds, flags.get_count("threads", 0));
 
   struct Row {
     TestbedAggregate vdm, hmtp;

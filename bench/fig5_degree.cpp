@@ -12,9 +12,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(5, 5))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 100));
+  const std::size_t seeds = flags.get_count("seeds", experiments::default_seeds(5, 5));
+  const auto members = flags.get_count("members", 100);
 
   const std::vector<int> degrees{2, 3, 4, 5, 6, 7, 8};
   std::vector<TestbedConfig> configs;
@@ -27,7 +26,7 @@ int run_cli(int argc, char** argv) {
     configs.push_back(cfg);
   }
   const std::vector<TestbedAggregate> rows = run_testbed_grid(
-      configs, seeds, static_cast<std::size_t>(flags.get_int("threads", 0)));
+      configs, seeds, flags.get_count("threads", 0));
 
   const std::string setup = "US testbed pool (~140 usable nodes), VDM, " + std::to_string(members) +
                             " members, churn 5%, " + std::to_string(seeds) + " runs";

@@ -12,8 +12,7 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(5, 5))));
+  const std::size_t seeds = flags.get_count("seeds", experiments::default_seeds(5, 5));
 
   const std::vector<std::size_t> sizes{10, 20, 30, 40, 50};
   std::vector<TestbedConfig> configs;
@@ -27,7 +26,7 @@ int run_cli(int argc, char** argv) {
     configs.push_back(cfg);
   }
   const std::vector<TestbedAggregate> rows = run_testbed_grid(
-      configs, seeds, static_cast<std::size_t>(flags.get_int("threads", 0)));
+      configs, seeds, flags.get_count("threads", 0));
 
   banner("Figure 5.31 — overlay tree cost / MST cost vs number of nodes",
          "US testbed pool, VDM, no degree limits, join-only, " +

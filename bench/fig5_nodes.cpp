@@ -11,8 +11,7 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(experiments::default_seeds(5, 5))));
+  const std::size_t seeds = flags.get_count("seeds", experiments::default_seeds(5, 5));
 
   const std::vector<std::size_t> sizes{20, 40, 60, 80, 100};
   std::vector<TestbedConfig> configs;
@@ -23,7 +22,7 @@ int run_cli(int argc, char** argv) {
     configs.push_back(cfg);
   }
   const std::vector<TestbedAggregate> rows = run_testbed_grid(
-      configs, seeds, static_cast<std::size_t>(flags.get_int("threads", 0)));
+      configs, seeds, flags.get_count("threads", 0));
 
   const std::string setup = "US testbed pool (~140 usable nodes), VDM, churn 5%, degree 4, " +
                             std::to_string(seeds) + " runs";

@@ -18,7 +18,7 @@ namespace {
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 40));
+  const auto members = flags.get_count("members", 40);
 
   util::Rng root(seed);
   util::Rng pool_rng = root.split(1);

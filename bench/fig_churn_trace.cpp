@@ -20,9 +20,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(4, 16))));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 100));
+  const std::size_t seeds = flags.get_count("seeds", default_seeds(4, 16));
+  const auto members = flags.get_count("members", 100);
   const double mean_session = flags.get_double("mean-session", 2000.0);
 
   RunConfig base;
@@ -59,7 +58,7 @@ int run_cli(int argc, char** argv) {
     }
   }
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   const std::vector<AggregateResult> results = run_grid(points, seeds, sweep);
   const auto at = [&](std::size_t w, std::size_t p) -> const AggregateResult& {
     return results[w * protocols.size() + p];

@@ -65,7 +65,7 @@ Outcome run(const overlay::MetricProvider& metric, std::size_t members,
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 60));
+  const auto members = flags.get_count("members", 60);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
 
   std::cout << "Metric-aware VDM trees on a lossy 792-router topology ("

@@ -39,7 +39,7 @@ void print_tree(const overlay::Membership& tree, net::HostId node,
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 30));
+  const auto members = flags.get_count("members", 30);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
 
   // 1. A transit-stub "Internet" with enough end hosts for the session.

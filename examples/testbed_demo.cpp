@@ -30,8 +30,8 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const auto pool_size = static_cast<std::size_t>(flags.get_int("nodes", 80));
-  const auto members = static_cast<std::size_t>(flags.get_int("members", 30));
+  const auto pool_size = flags.get_count("nodes", 80);
+  const auto members = flags.get_count("members", 30);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
   const std::string scenario_path = flags.get("scenario", "");
   const std::string protocol_name = flags.get("protocol", "vdm");

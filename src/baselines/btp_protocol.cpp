@@ -38,31 +38,16 @@ struct BtpJoinPolicy {
   }
 };
 
-/// Concurrent-join adapter: stateless policy, default commit (measure the
-/// parent after the walk, exchange, attach — the sequential order).
+/// BTP's PipelineSupport: the stateless policy, plus the default commit
+/// (measure the parent after the walk, exchange, attach).
 struct BtpPipeline final : overlay::PolicyPipeline<BtpPipeline, BtpJoinPolicy> {
   BtpJoinPolicy make_policy(TreeWalk&) const { return {}; }
 };
 
 }  // namespace
 
-overlay::PipelineSupport* BtpProtocol::pipeline_support() {
-  if (!pipeline_) pipeline_ = std::make_unique<BtpPipeline>();
-  return pipeline_.get();
-}
-
-OpStats BtpProtocol::execute_join(Session& s, net::HostId n, net::HostId start) {
-  OpStats stats;
-  overlay::Membership& tree = s.tree();
-
-  TreeWalk walk(s, walk_observer());
-  const TreeWalk::Result found = walk.run(n, start, stats, BtpJoinPolicy{});
-  const double d = s.measure(n, found.parent, stats);
-  s.charge_exchange(n, found.parent, stats);  // connection handshake
-  tree.attach(n, found.parent, d);
-  stats.parent_changed = true;
-  return stats;
-}
+BtpProtocol::BtpProtocol(const BtpConfig& config)
+    : config_(config), pipeline_(std::make_unique<BtpPipeline>()) {}
 
 OpStats BtpProtocol::execute_refine(Session& s, net::HostId n) {
   OpStats stats;

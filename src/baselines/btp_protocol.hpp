@@ -30,19 +30,17 @@ struct BtpConfig {
 /// refinement-free join.
 class BtpProtocol final : public overlay::Protocol {
  public:
-  explicit BtpProtocol(const BtpConfig& config = {}) : config_(config) {}
+  explicit BtpProtocol(const BtpConfig& config = {});
 
   std::string_view name() const override { return "BTP"; }
 
-  overlay::OpStats execute_join(overlay::Session& session, net::HostId joiner,
-                                net::HostId start) override;
   overlay::OpStats execute_refine(overlay::Session& session,
                                   net::HostId node) override;
 
   bool wants_refinement() const override { return config_.refinement; }
   sim::Time refinement_period() const override { return config_.refinement_period; }
 
-  overlay::PipelineSupport* pipeline_support() override;
+  overlay::PipelineSupport* pipeline_support() override { return pipeline_.get(); }
 
   const BtpConfig& config() const { return config_; }
 

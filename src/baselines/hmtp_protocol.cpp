@@ -82,7 +82,7 @@ struct HmtpSearchPolicy {
   }
 };
 
-/// Concurrent-join adapter: the plain search policy plus the default
+/// HMTP's PipelineSupport: the search policy in a slot, plus the default
 /// measure-exchange-attach commit. The foster-child quick start stays
 /// sequential-only — its immediate attach is precisely what a batched
 /// pipeline cannot do before the drain resolves slot contention.
@@ -99,54 +99,46 @@ struct HmtpPipeline final
 
 }  // namespace
 
-overlay::PipelineSupport* HmtpProtocol::pipeline_support() {
-  if (!pipeline_) pipeline_ = std::make_unique<HmtpPipeline>(config_);
-  return pipeline_.get();
-}
+HmtpProtocol::HmtpProtocol(const HmtpConfig& config)
+    : config_(config), pipeline_(std::make_unique<HmtpPipeline>(config_)) {}
 
-TreeWalk::Result HmtpProtocol::search(Session& s, net::HostId n,
+TreeWalk::Action HmtpProtocol::search(Session& s, net::HostId n,
                                       net::HostId start,
                                       OpStats& stats) const {
+  overlay::PolicySlot slot;
   TreeWalk walk(s, walk_observer());
-  HmtpSearchPolicy policy{config_};
-  return walk.run(n, start, stats, policy);
+  return walk.run(*pipeline_, slot, n, start, stats);
 }
 
 OpStats HmtpProtocol::execute_join(Session& session, net::HostId joiner,
                                    net::HostId start) {
-  OpStats stats;
   overlay::Membership& tree = session.tree();
-
   net::HostId anchor = start;
   if (!session.eligible_parent(joiner, anchor)) anchor = session.source();
+  if (!config_.foster_child || !tree.member(anchor).has_free_degree()) {
+    return Protocol::execute_join(session, joiner, start);
+  }
 
   // Foster-child quick start: hook onto the contacted node right away so
   // the stream begins after a single handshake; the proper parent search
   // runs while already receiving, so only its messages (not its latency)
   // burden the user-visible startup time.
-  if (config_.foster_child && tree.member(anchor).has_free_degree()) {
-    const double anchor_dist = session.measure(joiner, anchor, stats);
-    session.charge_exchange(joiner, anchor, stats);
-    tree.attach(joiner, anchor, anchor_dist);
-    stats.parent_changed = true;
-
-    OpStats search_stats;
-    const TreeWalk::Result found = search(session, joiner, anchor, search_stats);
-    stats.messages += search_stats.messages;
-    stats.iterations += search_stats.iterations;
-    if (found.parent != anchor) {
-      OpStats move_stats;
-      session.charge_exchange(joiner, found.parent, move_stats);
-      stats.messages += move_stats.messages;
-      tree.move_child(joiner, found.parent, found.dist);
-    }
-    return stats;
-  }
-
-  const TreeWalk::Result found = search(session, joiner, anchor, stats);
-  session.charge_exchange(joiner, found.parent, stats);  // connection handshake
-  tree.attach(joiner, found.parent, found.dist);
+  OpStats stats;
+  const double anchor_dist = session.measure(joiner, anchor, stats);
+  session.charge_exchange(joiner, anchor, stats);
+  tree.attach(joiner, anchor, anchor_dist);
   stats.parent_changed = true;
+
+  OpStats search_stats;
+  const TreeWalk::Action found = search(session, joiner, anchor, search_stats);
+  stats.messages += search_stats.messages;
+  stats.iterations += search_stats.iterations;
+  if (found.node != anchor) {
+    OpStats move_stats;
+    session.charge_exchange(joiner, found.node, move_stats);
+    stats.messages += move_stats.messages;
+    tree.move_child(joiner, found.node, found.dist);
+  }
   return stats;
 }
 
@@ -165,14 +157,14 @@ OpStats HmtpProtocol::execute_refine(Session& session, net::HostId node) {
   const net::HostId start = path[static_cast<std::size_t>(
       session.rng().uniform_int(0, static_cast<std::int64_t>(path.size()) - 1))];
 
-  const TreeWalk::Result found = search(session, node, start, stats);
-  if (found.parent == m.parent) return stats;
+  const TreeWalk::Action found = search(session, node, start, stats);
+  if (found.node == m.parent) return stats;
   const double current = tree.stored_child_distance(m.parent, node);
   if (found.dist >= current * (1.0 - config_.switch_margin)) return stats;
 
-  session.charge_exchange(node, found.parent, stats);
+  session.charge_exchange(node, found.node, stats);
   tree.detach(node);
-  tree.attach(node, found.parent, found.dist);
+  tree.attach(node, found.node, found.dist);
   // The old parent learns of the departure; children's grandparent changes.
   session.charge_notification(
       1 + static_cast<int>(tree.member(node).children.size()), stats);

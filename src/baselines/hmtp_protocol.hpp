@@ -45,10 +45,12 @@ struct HmtpConfig {
 /// switches when it finds a closer parent.
 class HmtpProtocol final : public overlay::Protocol {
  public:
-  explicit HmtpProtocol(const HmtpConfig& config = {}) : config_(config) {}
+  explicit HmtpProtocol(const HmtpConfig& config = {});
 
   std::string_view name() const override { return "HMTP"; }
 
+  /// The foster-child quick start when configured; otherwise the base
+  /// walk-and-attach.
   overlay::OpStats execute_join(overlay::Session& session, net::HostId joiner,
                                 net::HostId start) override;
   overlay::OpStats execute_refine(overlay::Session& session,
@@ -57,20 +59,22 @@ class HmtpProtocol final : public overlay::Protocol {
   bool wants_refinement() const override { return config_.refinement; }
   sim::Time refinement_period() const override { return config_.refinement_period; }
 
-  /// Concurrent-join adapter (plain search; the foster-child quick start is
-  /// sequential-only).
-  overlay::PipelineSupport* pipeline_support() override;
+  /// The greedy search policy plus the default attach (the foster-child
+  /// quick start is sequential-only).
+  overlay::PipelineSupport* pipeline_support() override { return pipeline_.get(); }
 
   const HmtpConfig& config() const { return config_; }
 
  private:
-  /// The greedy walk as a TreeWalk policy run; Result.dist is the measured
-  /// joiner->parent distance (HMTP always probes its stopping node).
-  overlay::TreeWalk::Result search(overlay::Session& session,
+  /// One run of the greedy search policy, without attaching; the stop's
+  /// dist is the measured joiner->parent distance (HMTP always probes its
+  /// stopping node).
+  overlay::TreeWalk::Action search(overlay::Session& session,
                                    net::HostId joiner, net::HostId start,
                                    overlay::OpStats& stats) const;
 
   HmtpConfig config_;
+  /// Built with the protocol; it holds a reference to config_.
   std::unique_ptr<overlay::PipelineSupport> pipeline_;
 };
 

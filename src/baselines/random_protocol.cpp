@@ -4,12 +4,10 @@
 
 #include "overlay/session.hpp"
 #include "overlay/walk.hpp"
-#include "util/require.hpp"
 
 namespace vdm::baselines {
 
 using overlay::OpStats;
-using overlay::Session;
 using overlay::TreeWalk;
 using overlay::WalkDecision;
 
@@ -44,7 +42,7 @@ struct RandomJoinPolicy {
   }
 };
 
-/// Concurrent-join adapter: stateless policy, default commit.
+/// Random's PipelineSupport: the stateless policy, plus the default commit.
 struct RandomPipeline final
     : overlay::PolicyPipeline<RandomPipeline, RandomJoinPolicy> {
   RandomJoinPolicy make_policy(TreeWalk&) const { return {}; }
@@ -52,23 +50,6 @@ struct RandomPipeline final
 
 }  // namespace
 
-overlay::PipelineSupport* RandomProtocol::pipeline_support() {
-  if (!pipeline_) pipeline_ = std::make_unique<RandomPipeline>();
-  return pipeline_.get();
-}
-
-OpStats RandomProtocol::execute_join(Session& s, net::HostId n,
-                                     net::HostId start) {
-  OpStats stats;
-  overlay::Membership& tree = s.tree();
-
-  TreeWalk walk(s, walk_observer());
-  const TreeWalk::Result found = walk.run(n, start, stats, RandomJoinPolicy{});
-  const double dist = s.measure(n, found.parent, stats);
-  s.charge_exchange(n, found.parent, stats);
-  tree.attach(n, found.parent, dist);
-  stats.parent_changed = true;
-  return stats;
-}
+RandomProtocol::RandomProtocol() : pipeline_(std::make_unique<RandomPipeline>()) {}
 
 }  // namespace vdm::baselines

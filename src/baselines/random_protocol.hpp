@@ -13,12 +13,11 @@ namespace vdm::baselines {
 /// tests and as the lower bound in ablation benches.
 class RandomProtocol final : public overlay::Protocol {
  public:
+  RandomProtocol();
+
   std::string_view name() const override { return "Random"; }
 
-  overlay::OpStats execute_join(overlay::Session& session, net::HostId joiner,
-                                net::HostId start) override;
-
-  overlay::PipelineSupport* pipeline_support() override;
+  overlay::PipelineSupport* pipeline_support() override { return pipeline_.get(); }
 
  private:
   std::unique_ptr<overlay::PipelineSupport> pipeline_;

@@ -114,9 +114,8 @@ struct VdmJoinPolicy {
   }
 };
 
-/// The concurrent-join adapter: VdmJoinPolicy unchanged, plus the
-/// splice-aware commit. Lives in the anonymous namespace next to the policy
-/// it re-homes.
+/// VDM's PipelineSupport: VdmJoinPolicy in a slot, plus the splice-aware
+/// commit that every VDM join, reconnection and refinement switch ends in.
 struct VdmPipeline final
     : overlay::PolicyPipeline<VdmPipeline, VdmJoinPolicy> {
   const VdmConfig& config;
@@ -128,6 +127,9 @@ struct VdmPipeline final
   VdmJoinPolicy make_policy(TreeWalk& walk) const {
     const overlay::MemberState& nm =
         walk.session().tree().member(walk.joiner());
+    // The joiner's limit minus its existing children minus the parent link
+    // the attach itself will occupy (a joiner is never the source, so it
+    // always ends up with an uplink).
     const int free_slots =
         nm.degree_limit - static_cast<int>(nm.children.size()) - 1;
     return VdmJoinPolicy{config, cases, free_slots, {}};
@@ -143,11 +145,13 @@ struct VdmPipeline final
               std::span<const WalkAdoption> adoptions,
               OpStats& stats) override {
     overlay::Membership& tree = s.tree();
-    // Re-validate the adoptions against the current tree: between this
-    // walker's stop and its commit turn, other commits may have re-parented
-    // (or spliced away) a candidate. Stale entries are simply dropped — two
-    // splicers at the same parent with disjoint surviving adoptions both
-    // succeed, since each splice funds its own slot by detaching a child.
+    // Re-validate the adoptions against the current tree: in a drain, other
+    // commits between this walker's stop and its commit turn may have
+    // re-parented (or spliced away) a candidate; after a sequential walk all
+    // survive. Stale entries are simply dropped — two splicers at the same
+    // parent with disjoint surviving adoptions both succeed, since each
+    // splice funds its own slot by detaching a child. `adoptions` is a
+    // stable copy, never a view of this buffer.
     std::vector<WalkAdoption>& live = s.walk_scratch().adoptions;
     live.clear();
     for (const WalkAdoption& a : adoptions) {
@@ -159,12 +163,17 @@ struct VdmPipeline final
     if (live.empty() && !has_room) {
       return false;  // every adoption went stale and no slot is left — retry
     }
-    // From here this is apply_plan against the surviving adoptions.
+    // Connection request/response with the chosen parent.
     s.charge_exchange(joiner, parent, stats);
+    // Case II: free the adopted children's slots first so the joiner can
+    // take one of them even at a saturated parent ("If CaseII, this is not
+    // an obligation" — §5.2.2 connection_request).
     for (const WalkAdoption& a : live) tree.detach(a.child);
     tree.attach(joiner, parent, parent_dist);
     for (const WalkAdoption& a : live) {
       tree.attach(a.child, joiner, a.dist);
+      // parent_change to the adopted child, grand_parent_change to each of
+      // its children (§5.2.2 control messages).
       s.charge_notification(1, stats);
       s.charge_notification(
           static_cast<int>(tree.member(a.child).children.size()), stats);
@@ -176,61 +185,9 @@ struct VdmPipeline final
 
 }  // namespace
 
-overlay::PipelineSupport* VdmProtocol::pipeline_support() {
-  if (!pipeline_) {
-    pipeline_ = std::make_unique<VdmPipeline>(config_, case_stats_);
-  }
-  return pipeline_.get();
-}
-
-VdmProtocol::JoinPlan VdmProtocol::plan_join(Session& s, net::HostId n,
-                                             net::HostId start,
-                                             OpStats& stats) const {
-  const overlay::MemberState& nm = s.tree().member(n);
-  // Slots the joiner can offer adopted children: its limit minus existing
-  // children minus the parent link the attach itself will occupy (a joiner
-  // is never the source, so it always ends up with an uplink).
-  const int free_slots =
-      nm.degree_limit - static_cast<int>(nm.children.size()) - 1;
-
-  TreeWalk walk(s, walk_observer());
-  VdmJoinPolicy policy{config_, case_stats_, free_slots, {}};
-  const TreeWalk::Result found = walk.run(n, start, stats, policy);
-  return JoinPlan{found.parent, found.dist, policy.adoptions};
-}
-
-void VdmProtocol::apply_plan(Session& s, net::HostId n, const JoinPlan& plan,
-                             OpStats& stats) const {
-  overlay::Membership& tree = s.tree();
-
-  // Connection request/response with the chosen parent.
-  s.charge_exchange(n, plan.parent, stats);
-
-  // Case II: free the adopted children's slots first so the joiner can take
-  // one of them even at a saturated parent ("If CaseII, this is not an
-  // obligation" — §5.2.2 connection_request).
-  for (const WalkAdoption& a : plan.adoptions) {
-    tree.detach(a.child);
-  }
-  tree.attach(n, plan.parent, plan.parent_dist);
-  for (const WalkAdoption& a : plan.adoptions) {
-    tree.attach(a.child, n, a.dist);
-    // parent_change to the adopted child, grand_parent_change to each of
-    // its children (§5.2.2 control messages).
-    s.charge_notification(1, stats);
-    s.charge_notification(static_cast<int>(tree.member(a.child).children.size()),
-                          stats);
-  }
-  stats.parent_changed = true;
-}
-
-OpStats VdmProtocol::execute_join(Session& session, net::HostId joiner,
-                                  net::HostId start) {
-  OpStats stats;
-  const JoinPlan plan = plan_join(session, joiner, start, stats);
-  apply_plan(session, joiner, plan, stats);
-  return stats;
-}
+VdmProtocol::VdmProtocol(const VdmConfig& config)
+    : config_(config),
+      pipeline_(std::make_unique<VdmPipeline>(config_, case_stats_)) {}
 
 OpStats VdmProtocol::execute_refine(Session& session, net::HostId node) {
   OpStats stats;
@@ -241,17 +198,20 @@ OpStats VdmProtocol::execute_refine(Session& session, net::HostId node) {
 
   // Re-run the join search from the source; switch only if it lands on a
   // different parent (§3.4).
-  const JoinPlan plan = plan_join(session, node, session.source(), stats);
-  if (plan.parent == m.parent) {
+  overlay::PolicySlot slot;
+  TreeWalk walk(session, walk_observer());
+  const TreeWalk::Action stop =
+      walk.run(*pipeline_, slot, node, session.source(), stats);
+  if (stop.node == m.parent) {
     // No switch — but the search just re-measured d(N,P); keep the parent's
     // stored distance fresh so later directionality classifications at P
     // use current numbers instead of the join-time measurement.
-    tree.update_child_distance(m.parent, node, plan.parent_dist);
+    tree.update_child_distance(m.parent, node, stop.dist);
     return stats;
   }
 
   tree.detach(node);
-  apply_plan(session, node, plan, stats);
+  walk.commit(*pipeline_, slot, stop, stats);
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "overlay/protocol.hpp"
 #include "overlay/walk.hpp"
@@ -49,24 +48,24 @@ struct VdmConfig {
 /// source on a timer.
 class VdmProtocol final : public overlay::Protocol {
  public:
-  explicit VdmProtocol(const VdmConfig& config = {}) : config_(config) {}
+  explicit VdmProtocol(const VdmConfig& config = {});
 
   std::string_view name() const override { return "VDM"; }
 
-  overlay::OpStats execute_join(overlay::Session& session, net::HostId joiner,
-                                net::HostId start) override;
+  /// Refinement re-runs the join walk from the source: the same parent
+  /// refreshes its stored distance, a different one is switched to.
   overlay::OpStats execute_refine(overlay::Session& session,
                                   net::HostId node) override;
 
   bool wants_refinement() const override { return config_.refinement; }
   sim::Time refinement_period() const override { return config_.refinement_period; }
 
-  /// Concurrent-join adapter: the same VdmJoinPolicy steps, plus a commit
-  /// that re-validates Case II adoptions against the current tree (another
+  /// The VDM step policy plus the splice commit, which re-validates Case II
+  /// adoptions against the current tree (in a concurrent drain another
   /// walker's splice may have re-parented a candidate since the stop
   /// decision) and fails — retrying the walk — when every adoption went
   /// stale and the parent has no free slot left.
-  overlay::PipelineSupport* pipeline_support() override;
+  overlay::PipelineSupport* pipeline_support() override { return pipeline_.get(); }
 
   const VdmConfig& config() const { return config_; }
 
@@ -84,26 +83,9 @@ class VdmProtocol final : public overlay::Protocol {
   void reset_case_stats() { case_stats_ = CaseStats{}; }
 
  private:
-  /// A fully decided attachment: where the joiner connects and which
-  /// children it adopts (Case II). Computed without mutating the tree so
-  /// the same search serves join and refinement. The adoption span views
-  /// the session's walk scratch — valid until the next walk, which is long
-  /// enough for apply_plan (plans never outlive their operation).
-  struct JoinPlan {
-    net::HostId parent = net::kInvalidHost;
-    double parent_dist = 0.0;
-    std::span<const overlay::WalkAdoption> adoptions;
-  };
-
-  JoinPlan plan_join(overlay::Session& session, net::HostId joiner,
-                     net::HostId start, overlay::OpStats& stats) const;
-  void apply_plan(overlay::Session& session, net::HostId joiner,
-                  const JoinPlan& plan, overlay::OpStats& stats) const;
-
   VdmConfig config_;
-  mutable CaseStats case_stats_;
-  /// Created lazily by pipeline_support() (sequential-only runs never pay
-  /// the allocation).
+  CaseStats case_stats_;
+  /// Built with the protocol; it holds references to the two members above.
   std::unique_ptr<overlay::PipelineSupport> pipeline_;
 };
 

@@ -526,10 +526,6 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
 }
 
 std::size_t default_seeds(std::size_t fast, std::size_t full) {
-  if (const char* env = std::getenv("VDM_SEEDS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
   if (const char* env = std::getenv("VDM_FULL")) {
     if (env[0] == '1') return full;
   }

@@ -211,9 +211,10 @@ struct AggregateResult {
 AggregateResult run_many(const RunConfig& config, std::size_t num_seeds,
                          std::size_t threads = 0, double confidence = 0.90);
 
-/// Reads the VDM_FULL / VDM_SEEDS environment knobs: returns `fast` seeds
-/// normally, `full` (paper-scale) seeds when VDM_FULL=1, and VDM_SEEDS=<n>
-/// always wins. Lets `for b in build/bench/*` finish quickly by default.
+/// Reads the VDM_FULL environment knob: returns `fast` seeds normally and
+/// `full` (paper-scale) seeds when VDM_FULL=1. Lets `for b in build/bench/*`
+/// finish quickly by default. Callers pass the result as the default of
+/// `flags.get_count("seeds", ...)`, whose VDM_SEEDS fallback wins over it.
 std::size_t default_seeds(std::size_t fast, std::size_t full);
 
 }  // namespace vdm::experiments

@@ -109,15 +109,6 @@ double Collector::mean_network_usage(std::size_t skip) const {
   return mean_of([](const EpochSample& e) { return e.tree.network_usage; }, skip);
 }
 
-double Collector::startup_percentile(double p) const {
-  std::vector<double>& buf = scratch_->percentile_buf;
-  buf.clear();
-  for (const auto& e : samples())
-    buf.insert(buf.end(), e.startup_times.begin(), e.startup_times.end());
-  if (buf.empty()) return 0.0;
-  return util::percentile_inplace(buf, p);
-}
-
 Collector::EventTimingStats Collector::stats_of(
     std::vector<double> EpochSample::* field) const {
   std::vector<double>& buf = scratch_->percentile_buf;

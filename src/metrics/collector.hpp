@@ -101,11 +101,6 @@ class Collector {
   double mean_overhead_per_chunk(std::size_t skip = 0) const;
   double mean_network_usage(std::size_t skip = 0) const;
 
-  /// p-th percentile (p in [0,1]) of all startup durations across epochs,
-  /// gathered and sorted in the scratch's percentile buffer — allocation-free
-  /// once warm. Returns 0 when no joins completed.
-  double startup_percentile(double p) const;
-
   /// Run-wide summary of one per-event timing family. All zeros when the
   /// family recorded nothing (e.g. no crash churn ran).
   struct EventTimingStats {

@@ -45,9 +45,12 @@ class Protocol {
 
   /// Finds a parent for `joiner` (alive, detached) starting the search at
   /// `start`, and attaches it (including any restructuring such as VDM's
-  /// Case II splice). Must leave the tree valid.
+  /// Case II splice). Must leave the tree valid. The default is the one
+  /// sequential walk-and-attach: pipeline_support()'s step policy runs once
+  /// (TreeWalk::run), then commits through that same support. Override only
+  /// to attach some other way (HMTP's foster-child quick start).
   virtual OpStats execute_join(Session& session, net::HostId joiner,
-                               net::HostId start) = 0;
+                               net::HostId start);
 
   /// One refinement round for `node`: re-evaluate its attachment point and
   /// switch parents if the protocol finds a better one (make-before-break,
@@ -68,9 +71,10 @@ class Protocol {
   /// session's concurrent-join drain); null when unset.
   WalkObserver* walk_observer() const { return walk_observer_; }
 
-  /// The protocol's adapter to the concurrent join pipeline (see
-  /// overlay/walk.hpp). Null means the protocol only supports sequential
-  /// joins; Session rejects join_mode == kConcurrent for it.
+  /// The protocol's step policy and attach (see overlay/walk.hpp), which
+  /// the default execute_join and the concurrent drain both run. Null means
+  /// the protocol overrides execute_join with a walk of its own, and
+  /// Session rejects join_mode == kConcurrent for it.
   virtual PipelineSupport* pipeline_support() { return nullptr; }
 
  private:

@@ -39,6 +39,19 @@ class PhaseTimer {
 
 }  // namespace
 
+OpStats Protocol::execute_join(Session& session, net::HostId joiner,
+                               net::HostId start) {
+  PipelineSupport* support = pipeline_support();
+  VDM_REQUIRE_MSG(support != nullptr,
+                  "a protocol without a step policy must override execute_join");
+  OpStats stats;
+  PolicySlot slot;
+  TreeWalk walk(session, walk_observer());
+  const TreeWalk::Action stop = walk.run(*support, slot, joiner, start, stats);
+  walk.commit(*support, slot, stop, stats);
+  return stats;
+}
+
 OpStats Protocol::execute_refine(Session&, net::HostId) { return {}; }
 
 Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
@@ -147,8 +160,6 @@ TimingRecord Session::join(net::HostId h, int degree_limit) {
   if (params_.join_mode == JoinMode::kLocating) start = locate_entry(h, pre);
   const TimingRecord rec =
       run_join(h, start, /*is_reconnect=*/false, /*detection=*/0.0, pre);
-  tree().flood().in_session_since[h] = reactor_.now() + rec.duration;
-  if (protocol_.wants_refinement()) arm_refinement(h);
   if (params_.paranoid_checks) tree().validate();
   return rec;
 }
@@ -199,8 +210,6 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
     scratch_.startup_records.push_back(rec);
     ++window_.joins_completed;
     ++totals_.joins_completed;
-    if (first_join_at_ < 0.0) first_join_at_ = rec.at;
-    last_join_done_at_ = std::max(last_join_done_at_, rec.at + rec.duration);
     // Same-instant arrival cohorts (finish_join calls of one cohort are
     // contiguous: sequential joins run back-to-back events at one
     // timestamp, a concurrent batch commits inside one drain event). The
@@ -221,6 +230,12 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
   // Every attached member probes its parent; (re)arming here covers plain
   // joins, graceful-leave reconnections and crash recoveries uniformly.
   ensure_heartbeat(h);
+  if (!is_reconnect) {
+    // A fresh member expects chunks once its handshake is done, and starts
+    // refining. After the heartbeat, so timers keep their scheduling order.
+    tree().flood().in_session_since[h] = reactor_.now() + stats.elapsed;
+    if (protocol_.wants_refinement()) arm_refinement(h);
+  }
   // No validate() here: during a multi-orphan leave, siblings of this
   // orphan are still detached with (legitimately) stale pointers. The
   // callers validate at the end of the whole operation.
@@ -262,7 +277,6 @@ void Session::drain_join_batch() {
   walk.bind_reservations(&ws.reserved);
   walk.allow_abort(true);
 
-  const sim::Time now = reactor_.now();
   std::size_t q_head = 0;  // FIFO cursors — the vectors only ever append
   std::size_t p_head = 0;
 
@@ -331,8 +345,6 @@ void Session::drain_join_batch() {
           break;
         }
         finish_join(w.host, w.stats, /*is_reconnect=*/false, 0.0);
-        tree().flood().in_session_since[w.host] = now + w.stats.elapsed;
-        if (protocol_.wants_refinement()) arm_refinement(w.host);
         // The attach created capacity (the joiner's own free slots) and may
         // have restructured the neighborhood — wake parked walkers, FIFO.
         std::size_t wake = std::max<std::size_t>(

@@ -299,14 +299,6 @@ class Session {
     return scratch_.walk.reserved;
   }
 
-  /// Sim-time bounds of the initial-join workload: when the first join
-  /// started and when the last join so far finished its handshake
-  /// (first_join_at < 0 until a join completes). joins_completed divided by
-  /// the spread is the sustained join throughput — for a flash crowd the
-  /// spread is the slowest startup in the batch.
-  sim::Time first_join_at() const { return first_join_at_; }
-  sim::Time last_join_done_at() const { return last_join_done_at_; }
-
   /// Largest same-instant arrival cohort seen so far (the flash crowd when
   /// one was scheduled; 1 for scattered arrivals) and its makespan — the
   /// longest startup within the cohort, since all its members start
@@ -352,7 +344,7 @@ class Session {
                         sim::Time detection = 0.0, OpStats pre = {});
   /// The join epilogue shared by the sequential path and the pipeline's
   /// commit turns: counters, timing record, flood-table timestamps,
-  /// heartbeat (re)arming.
+  /// heartbeat (re)arming, and a fresh member's refinement timer.
   TimingRecord finish_join(net::HostId h, const OpStats& stats,
                            bool is_reconnect, sim::Time detection);
   /// Locating-first entry: contacts the rendezvous (one exchange with the
@@ -398,9 +390,6 @@ class Session {
   /// A drain event for the current timestamp's join batch is already in the
   /// simulator queue.
   bool drain_scheduled_ = false;
-  /// See first_join_at() / last_join_done_at().
-  sim::Time first_join_at_ = -1.0;
-  sim::Time last_join_done_at_ = 0.0;
   /// Current and best same-instant join cohort (see join_cohort_size()).
   sim::Time cohort_at_ = -1.0;
   std::uint64_t cohort_n_ = 0;

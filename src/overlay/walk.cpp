@@ -39,12 +39,6 @@ net::HostId TreeWalk::normalize_start(net::HostId joiner,
   return cur;
 }
 
-void TreeWalk::begin(net::HostId joiner, net::HostId start) {
-  joiner_ = joiner;
-  cur_ = normalize_start(joiner, start);
-  step_index_ = 0;
-}
-
 void TreeWalk::resume(net::HostId joiner, net::HostId cur, int step_index) {
   joiner_ = joiner;
   cur_ = cur;
@@ -58,6 +52,30 @@ TreeWalk::Action TreeWalk::step_once(PipelineSupport& support, PolicySlot& slot,
   report(action);
   if (action.kind == Action::Kind::kDescend) cur_ = action.node;
   return action;
+}
+
+TreeWalk::Action TreeWalk::run(PipelineSupport& support, PolicySlot& slot,
+                               net::HostId joiner, net::HostId start,
+                               OpStats& stats) {
+  resume(joiner, normalize_start(joiner, start), 0);
+  support.start(*this, slot, stats);
+  for (;;) {
+    const Action action = step_once(support, slot, stats);
+    if (action.kind != Action::Kind::kDescend) return action;
+  }
+}
+
+void TreeWalk::commit(PipelineSupport& support, const PolicySlot& slot,
+                      const Action& stop, OpStats& stats) {
+  // The pool is only in use inside a drain, which runs no sequential walk;
+  // once warm it takes the copy without allocating.
+  std::vector<WalkAdoption>& pool = scratch_.adoption_pool;
+  const std::span<const WalkAdoption> adoptions = support.adoptions(slot);
+  pool.assign(adoptions.begin(), adoptions.end());
+  const bool attached = support.commit(session_, joiner_, stop.node, stop.dist,
+                                       stop.has_dist, pool, stats);
+  pool.clear();
+  VDM_REQUIRE_MSG(attached, "a sequential walk's commit was refused");
 }
 
 TreeWalk::Action TreeWalk::no_capacity() const {
@@ -185,8 +203,8 @@ bool PipelineSupport::commit(Session& session, net::HostId joiner,
       tree.member(joiner).parent != parent) {
     return false;  // reservation race lost after all — retry
   }
-  // Same order as the sequential joins: BTP/Random measure the parent after
-  // the walk, then everyone pays the connection handshake and attaches.
+  // BTP/Random stop without probing and measure the parent here; then
+  // everyone pays the connection handshake and attaches.
   double d = parent_dist;
   if (!parent_has_dist) d = session.measure(joiner, parent, stats);
   session.charge_exchange(joiner, parent, stats);

@@ -20,18 +20,18 @@ class PipelineSupport;
 /// One Case-II adoption decided during a walk: the joiner takes `child`'s
 /// slot under the current node and re-parents `child` (measured
 /// joiner->child virtual distance rides along). Lives in WalkScratch so a
-/// join plan never allocates.
+/// walk's stop never allocates.
 struct WalkAdoption {
   net::HostId child;
   double dist;
 };
 
-/// Fixed-size storage for one in-flight walker's protocol step-policy state
-/// (the pipeline's placement-new target). Policies are small trivially
-/// destructible structs (references + a few scalars); 64 bytes holds the
-/// largest (VDM's) with room to spare, and keeping the state inline in the
-/// walker table means a batch of thousands of concurrent walks allocates
-/// nothing per walker.
+/// Fixed-size storage for one walk's protocol step-policy state
+/// (PipelineSupport::start's placement-new target). Policies are small
+/// trivially destructible structs (references + a few scalars); 64 bytes
+/// holds the largest (VDM's) with room to spare. A sequential walk keeps its
+/// slot on the stack, and the concurrent drain keeps one inline per walker,
+/// so neither a single walk nor a batch of thousands allocates per walker.
 struct PolicySlot {
   alignas(16) std::byte bytes[64];
 };
@@ -84,7 +84,8 @@ struct WalkScratch {
   std::vector<net::HostId> targets;
   /// measure_parallel output (span-out overload writes here).
   std::vector<double> dist;
-  /// Case-II adoption candidates / decided adoptions (VDM).
+  /// Case-II adoption candidates / decided adoptions (VDM); a splice's
+  /// commit refills it with the adoptions that survive re-validation.
   std::vector<WalkAdoption> adoptions;
 
   // --- concurrent join pipeline pools (join_mode == kConcurrent) ----------
@@ -101,7 +102,9 @@ struct WalkScratch {
   std::vector<std::uint32_t> parked;
   /// Per-host count of slots reserved by stopped-but-uncommitted walkers.
   std::vector<int> reserved;
-  /// Stable copies of each walker's decided adoptions (see JoinWalker).
+  /// Stable copies of decided adoptions, handed to commit() so it never
+  /// reads the buffer it refills: each drain walker's slice (see
+  /// JoinWalker), or a sequential walk's stop (TreeWalk::commit).
   std::vector<WalkAdoption> adoption_pool;
 
   /// Per-member refinement-timer slab, indexed by host id: the id of the
@@ -176,7 +179,8 @@ class WalkObserver {
 /// reusable scratch, the shared has-room predicate (a node re-choosing its
 /// own parent always has room there), and the saturated-node fallback
 /// ladder (closest free child, else descend through the closest
-/// capacity-bearing subtree). The protocol supplies only a step policy:
+/// capacity-bearing subtree). The protocol supplies only a step policy,
+/// hosted in a PolicySlot by its PipelineSupport:
 ///
 ///   struct Policy {
 ///     void on_start(TreeWalk&, OpStats&);          // before iteration 1
@@ -184,7 +188,10 @@ class WalkObserver {
 ///   };
 ///
 /// step() reads the engine's context (cur(), kids(), probe helpers) and
-/// returns a stop or descend Action; the engine loops until a stop.
+/// returns a stop or descend Action. run() steps one walk to its stop and
+/// commit() attaches there: that is every sequential join, reconnection and
+/// refinement. The concurrent drain interleaves the same step_once() turns
+/// of many walks and commits each through the same PipelineSupport.
 ///
 /// Determinism contract: the engine preserves the pre-refactor protocols'
 /// exact measurement order, rng draw order and OpStats message/iteration
@@ -196,16 +203,10 @@ class TreeWalk {
   /// null (no tracing); it must outlive the walk.
   explicit TreeWalk(Session& session, WalkObserver* observer = nullptr);
 
-  /// Where the walk stopped. `dist` is the measured joiner->parent virtual
-  /// distance when the stopping policy had probed it (`has_dist`); BTP and
-  /// Random stop without probing and measure afterwards.
-  struct Result {
-    net::HostId parent = net::kInvalidHost;
-    double dist = 0.0;
-    bool has_dist = false;
-  };
-
-  /// A policy's verdict for one iteration.
+  /// A policy's verdict for one iteration. A stop's `dist` is the measured
+  /// joiner->parent virtual distance when the stopping policy had probed it
+  /// (`has_dist`); BTP and Random stop without probing, and their commit
+  /// measures.
   struct Action {
     enum class Kind { kDescend, kStop, kAbort };
     Kind kind = Kind::kStop;
@@ -233,22 +234,19 @@ class TreeWalk {
     }
   };
 
-  /// Runs the walk for `joiner` from `start` until the policy stops.
-  template <typename Policy>
-  Result run(net::HostId joiner, net::HostId start, OpStats& stats,
-             Policy&& policy) {
-    begin(joiner, start);
-    policy.on_start(*this, stats);
-    for (;;) {
-      next_step(stats);
-      const Action action = policy.step(*this, stats);
-      report(action);
-      if (action.kind == Action::Kind::kStop) {
-        return Result{action.node, action.dist, action.has_dist};
-      }
-      cur_ = action.node;
-    }
-  }
+  /// Runs one walk for `joiner` to its stop: normalizes `start`, has
+  /// `support` place its step policy in `slot`, and steps that policy until
+  /// it no longer descends. Returns the stop Action.
+  Action run(PipelineSupport& support, PolicySlot& slot, net::HostId joiner,
+             net::HostId start, OpStats& stats);
+
+  /// Attaches the joiner at `stop`, the result of run() on `slot`, through
+  /// `support`'s commit. The stop's adoptions are copied into the scratch's
+  /// adoption pool first, because a splice commit refills the buffer they
+  /// view. No other walk runs between a sequential stop and its commit, so
+  /// a refused commit is an invariant failure, not a retry.
+  void commit(PipelineSupport& support, const PolicySlot& slot,
+              const Action& stop, OpStats& stats);
 
   // --- context read by step policies ------------------------------------
 
@@ -288,26 +286,28 @@ class TreeWalk {
   /// stop; its next iteration re-checks room at the new node).
   Action descend_closest_capacity(std::span<const double> kid_dist);
 
-  /// Case-II candidate buffer (cleared by the caller; sorted prefixes of it
-  /// back the adoption spans a join plan carries).
+  /// Case-II candidate buffer (cleared by the caller; a sorted prefix of it
+  /// backs the adoptions a splice stop carries).
   std::vector<WalkAdoption>& adoptions_scratch() { return scratch_.adoptions; }
 
-  // --- concurrent-pipeline seams (overlay/session.cpp drain loop) ---------
+  // --- stepping primitives (run() above, and the session's drain loop) ----
 
   /// Start normalization as a pure function: where a walk for `joiner`
   /// contacted at `start` actually begins (the source when `start` is
-  /// ineligible or its subtree has no attachment point left).
+  /// ineligible or its subtree has no attachment point left, e.g. a
+  /// saturated degree-1 leaf offered as a reconnection grandparent).
   net::HostId normalize_start(net::HostId joiner, net::HostId start) const;
 
-  /// Re-binds the engine to a suspended walker's position without the
-  /// begin() normalization; the drain loop calls this before every turn
-  /// (walkers share one engine and one scratch — turns are serialized).
+  /// Binds the engine to `joiner` at `cur` after `step_index` iterations,
+  /// without normalizing. run() starts each walk here; the drain calls it
+  /// before every turn, since its walkers share one engine and one scratch
+  /// (turns are serialized).
   void resume(net::HostId joiner, net::HostId cur, int step_index);
 
-  /// One pipeline walk iteration: prologue (info exchange + child
-  /// enumeration), one policy step through `support`, observer report, and
-  /// the descend move. The caller persists cur()/step_index() back into its
-  /// walker on kDescend and handles kStop/kAbort.
+  /// One walk iteration: prologue (info exchange + child enumeration), one
+  /// policy step through `support`, observer report, and the descend move.
+  /// The drain persists cur()/step_index() back into its walker on kDescend
+  /// and handles kStop/kAbort.
   Action step_once(PipelineSupport& support, PolicySlot& slot, OpStats& stats);
 
   int step_index() const { return step_index_; }
@@ -330,11 +330,6 @@ class TreeWalk {
   Action no_capacity() const;
 
  private:
-  /// Start normalization: restart from the source when the contacted node
-  /// is ineligible or its subtree has no attachment point left (e.g. a
-  /// saturated degree-1 leaf offered as a reconnection grandparent).
-  void begin(net::HostId joiner, net::HostId start);
-
   /// One iteration prologue: charges the info exchange with cur() and
   /// enumerates eligible children into scratch.
   void next_step(OpStats& stats);
@@ -355,20 +350,20 @@ class TreeWalk {
   std::size_t kid_dist_offset_ = 0;
 };
 
-/// A protocol's adapter to the concurrent join pipeline (Session's drain
-/// loop). The sequential path runs each protocol's step policy to
-/// completion inside TreeWalk::run; the pipeline instead advances many
-/// suspended walks one iteration per turn, so the policy state must live
-/// outside the stack — in the walker's PolicySlot, placement-new'ed by
-/// start() and advanced by step(). Policies stay the exact structs the
-/// sequential path uses; this interface only re-homes them.
+/// A protocol's step policy and its attach: the one way every walk runs.
+/// start() placement-news the policy into a caller-owned PolicySlot and
+/// step() advances it, so the policy's state is not tied to any one loop.
+/// That lets TreeWalk::run step one walk to its stop (sequential joins,
+/// reconnections, refinement) and lets the concurrent drain suspend
+/// thousands of walks between turns, over the same policy.
 ///
-/// commit() runs one turn after the stop decision, with the slot reserved
-/// in between: it re-validates what other walkers may have invalidated
-/// (VDM adoptions racing for the same child) and performs the attach,
-/// charging the same messages the sequential path would. Returns false when
-/// the commit can no longer proceed — the walker releases its reservation
-/// and restarts (optimistic retry).
+/// commit() attaches the joiner at the stop. In the drain it runs one turn
+/// after the stop decision, with the slot reserved in between: it
+/// re-validates what other walkers may have invalidated (VDM adoptions
+/// racing for the same child) and returns false when the attach can no
+/// longer proceed — the walker releases its reservation and restarts
+/// (optimistic retry). After a sequential walk nothing can intervene, so
+/// it always succeeds (TreeWalk::commit).
 class PipelineSupport {
  public:
   virtual ~PipelineSupport() = default;
@@ -384,13 +379,15 @@ class PipelineSupport {
                                 OpStats& stats) = 0;
 
   /// The adoptions decided by the stop returned from step(), viewing the
-  /// shared walk scratch — the drain copies them out before the next turn.
-  /// Default: protocols without splices adopt nothing.
+  /// shared walk scratch — callers copy them out before the next turn or
+  /// the commit. Default: protocols without splices adopt nothing.
   virtual std::span<const WalkAdoption> adoptions(const PolicySlot& slot) const;
 
-  /// Validate + attach `joiner` under the stopped-at parent. The default
-  /// covers HMTP/BTP/Random: measure the parent distance if the stop had
-  /// not, charge the connection handshake, attach. VDM overrides to splice.
+  /// Validate + attach `joiner` under the stopped-at parent. `adoptions`
+  /// must not view WalkScratch::adoptions, which a splice commit refills.
+  /// The default covers HMTP/BTP/Random: measure the parent distance if the
+  /// stop had not, charge the connection handshake, attach. VDM overrides
+  /// to splice.
   virtual bool commit(Session& session, net::HostId joiner,
                       net::HostId parent, double parent_dist,
                       bool parent_has_dist,
@@ -398,13 +395,13 @@ class PipelineSupport {
 };
 
 /// CRTP base implementing PipelineSupport's start()/step() for a protocol
-/// whose sequential step policy is a small trivially destructible struct —
-/// which all four are. The derived adapter supplies only
+/// whose step policy is a small trivially destructible struct — which all
+/// four are. The derived adapter supplies only
 ///
 ///   Policy make_policy(TreeWalk& walk) const;
 ///
 /// returning the policy initialized for walk.joiner(); it is placement-new'ed
-/// into the walker's PolicySlot (no destruction needed — the slot is reused
+/// into the walk's PolicySlot (no destruction needed — the slot is reused
 /// by overwriting). Protocols with splices or commit-time re-validation
 /// additionally override adoptions() / commit().
 template <typename Derived, typename Policy>

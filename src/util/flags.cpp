@@ -71,6 +71,12 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   return parse_number<std::int64_t>(name, v, "an integer");
 }
 
+std::size_t Flags::get_count(const std::string& name, std::size_t def) const {
+  const std::string v = get(name, "");
+  if (v.empty()) return def;
+  return parse_number<std::size_t>(name, v, "a non-negative integer");
+}
+
 double Flags::get_double(const std::string& name, double def) const {
   const std::string v = get(name, "");
   if (v.empty()) return def;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -36,6 +37,9 @@ class Flags {
   /// Numeric getters read the whole value: a non-number or trailing
   /// garbage ("12abc") throws std::invalid_argument naming the flag.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// A count or size: as get_int, but a sign ("-3", "+3") is rejected
+  /// too, so a negative value never wraps to a huge std::size_t.
+  std::size_t get_count(const std::string& name, std::size_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 

@@ -129,15 +129,6 @@ void encode_body(const ProbeReply& m, Writer& w) {
 }
 void encode_body(const Ping& m, Writer& w) { w.u32(m.token); }
 void encode_body(const Pong& m, Writer& w) { w.u32(m.token); }
-void encode_body(const JoinRequest& m, Writer& w) {
-  w.u32(m.host);
-  w.u32(m.degree_limit);
-}
-void encode_body(const JoinReply& m, Writer& w) {
-  w.u32(m.host);
-  w.u32(m.parent);
-  w.u8(m.accepted);
-}
 void encode_body(const SetParent& m, Writer& w) {
   w.u32(m.token);
   w.u32(m.parent_host);
@@ -160,8 +151,6 @@ void encode_body(const Heartbeat& m, Writer& w) {
   w.u32(m.seq);
 }
 void encode_body(const HeartbeatAck& m, Writer& w) { w.u32(m.seq); }
-void encode_body(const LeaveNotice& m, Writer& w) { w.u32(m.host); }
-void encode_body(const CrashNotice& m, Writer& w) { w.u32(m.host); }
 void encode_body(const Chunk& m, Writer& w) {
   VDM_REQUIRE_MSG(m.payload.size() + 12 <= kMaxPayload,
                   "chunk payload exceeds kMaxPayload");
@@ -203,14 +192,6 @@ bool decode_body(Ping& m, Reader& r) { return r.u32(m.token); }
 template <>
 bool decode_body(Pong& m, Reader& r) { return r.u32(m.token); }
 template <>
-bool decode_body(JoinRequest& m, Reader& r) {
-  return r.u32(m.host) && r.u32(m.degree_limit);
-}
-template <>
-bool decode_body(JoinReply& m, Reader& r) {
-  return r.u32(m.host) && r.u32(m.parent) && r.u8(m.accepted);
-}
-template <>
 bool decode_body(SetParent& m, Reader& r) {
   return r.u32(m.token) && r.u32(m.parent_host) && r.u32(m.parent_ip) &&
          r.u16(m.parent_port);
@@ -232,10 +213,6 @@ bool decode_body(Heartbeat& m, Reader& r) {
 }
 template <>
 bool decode_body(HeartbeatAck& m, Reader& r) { return r.u32(m.seq); }
-template <>
-bool decode_body(LeaveNotice& m, Reader& r) { return r.u32(m.host); }
-template <>
-bool decode_body(CrashNotice& m, Reader& r) { return r.u32(m.host); }
 template <>
 bool decode_body(Chunk& m, Reader& r) {
   if (!r.u32(m.seq) || !r.f64(m.emitted_at)) return false;
@@ -279,16 +256,12 @@ const char* type_name(Type t) {
     case Type::kProbeReply: return "probe-reply";
     case Type::kPing: return "ping";
     case Type::kPong: return "pong";
-    case Type::kJoinRequest: return "join-request";
-    case Type::kJoinReply: return "join-reply";
     case Type::kSetParent: return "set-parent";
     case Type::kAdopt: return "adopt";
     case Type::kDropChild: return "drop-child";
     case Type::kAck: return "ack";
     case Type::kHeartbeat: return "heartbeat";
     case Type::kHeartbeatAck: return "heartbeat-ack";
-    case Type::kLeaveNotice: return "leave-notice";
-    case Type::kCrashNotice: return "crash-notice";
     case Type::kChunk: return "chunk";
     case Type::kStatsRequest: return "stats-request";
     case Type::kStatsReply: return "stats-reply";
@@ -362,16 +335,12 @@ DecodeError decode(std::span<const std::byte> frame, Message& out) {
     case Type::kProbeReply: return decode_as<ProbeReply>(frame, length, out);
     case Type::kPing: return decode_as<Ping>(frame, length, out);
     case Type::kPong: return decode_as<Pong>(frame, length, out);
-    case Type::kJoinRequest: return decode_as<JoinRequest>(frame, length, out);
-    case Type::kJoinReply: return decode_as<JoinReply>(frame, length, out);
     case Type::kSetParent: return decode_as<SetParent>(frame, length, out);
     case Type::kAdopt: return decode_as<Adopt>(frame, length, out);
     case Type::kDropChild: return decode_as<DropChild>(frame, length, out);
     case Type::kAck: return decode_as<Ack>(frame, length, out);
     case Type::kHeartbeat: return decode_as<Heartbeat>(frame, length, out);
     case Type::kHeartbeatAck: return decode_as<HeartbeatAck>(frame, length, out);
-    case Type::kLeaveNotice: return decode_as<LeaveNotice>(frame, length, out);
-    case Type::kCrashNotice: return decode_as<CrashNotice>(frame, length, out);
     case Type::kChunk: return decode_as<Chunk>(frame, length, out);
     case Type::kStatsRequest: return decode_as<StatsRequest>(frame, length, out);
     case Type::kStatsReply: return decode_as<StatsReply>(frame, length, out);

@@ -21,14 +21,18 @@ namespace vdm::wire {
 /// caller-provided span, decode reads field-by-field out of the input span,
 /// and variable payloads (chunk bodies) stay views into the input buffer.
 ///
-/// The catalogue mirrors the exchanges the simulator's Session performs
-/// implicitly as C++ calls — probe request/reply, join/splice/adopt,
-/// heartbeat, leave/crash notice, chunk relay — plus the bootstrap and
-/// reporting messages the dissertation's MainController/VDMAgent deployment
-/// needed (hello/welcome, stats, shutdown).
+/// The catalogue is what vdmd's roles actually send: probe request/reply
+/// and ping/pong, the re-parenting mirror of the controller's tree
+/// (set-parent/adopt/drop-child, acked), heartbeats, chunk relay, plus the
+/// bootstrap and reporting messages the dissertation's
+/// MainController/VDMAgent deployment needed (hello/welcome, stats,
+/// shutdown). The controller decides every join and departure itself, so
+/// no join or leave message travels.
 
 inline constexpr std::uint16_t kMagic = 0x564d;  // "VM"
-inline constexpr std::uint8_t kVersion = 1;
+/// Bumped whenever the catalogue's numbering changes, so a frame from an
+/// older binary fails as kBadVersion instead of decoding as another type.
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 6;
 /// Fits one UDP datagram on any sane MTU; the length field is validated
 /// against this before any payload read.
@@ -42,16 +46,12 @@ enum class Type : std::uint8_t {
   kProbeReply,      // agent -> controller: measured RTT
   kPing,            // agent -> agent: RTT probe echo request
   kPong,            // agent -> agent: RTT probe echo reply
-  kJoinRequest,     // agent -> controller: let me join with this fanout
-  kJoinReply,       // controller -> agent: your parent (the join verdict)
   kSetParent,       // controller -> agent: re-parent (splice); invalid = detach
   kAdopt,           // controller -> agent: add this child to your relay set
   kDropChild,       // controller -> agent: remove this child
   kAck,             // generic acknowledgement of a token-carrying request
   kHeartbeat,       // child -> parent: are you alive
   kHeartbeatAck,    // parent -> child: yes
-  kLeaveNotice,     // graceful departure notice
-  kCrashNotice,     // controller -> agent: die without a leave notice (tests)
   kChunk,           // parent -> child: one data chunk, relayed down the tree
   kStatsRequest,    // controller -> agent: report your counters
   kStatsReply,      // agent -> controller: delivery/relay/heartbeat counters
@@ -99,19 +99,6 @@ struct Pong {
   friend bool operator==(const Pong&, const Pong&) = default;
 };
 
-struct JoinRequest {
-  net::HostId host = net::kInvalidHost;
-  std::uint32_t degree_limit = 0;
-  friend bool operator==(const JoinRequest&, const JoinRequest&) = default;
-};
-
-struct JoinReply {
-  net::HostId host = net::kInvalidHost;
-  net::HostId parent = net::kInvalidHost;
-  std::uint8_t accepted = 0;
-  friend bool operator==(const JoinReply&, const JoinReply&) = default;
-};
-
 struct SetParent {
   std::uint32_t token = 0;
   net::HostId parent_host = net::kInvalidHost;  // kInvalidHost = detach
@@ -148,16 +135,6 @@ struct Heartbeat {
 struct HeartbeatAck {
   std::uint32_t seq = 0;
   friend bool operator==(const HeartbeatAck&, const HeartbeatAck&) = default;
-};
-
-struct LeaveNotice {
-  net::HostId host = net::kInvalidHost;
-  friend bool operator==(const LeaveNotice&, const LeaveNotice&) = default;
-};
-
-struct CrashNotice {
-  net::HostId host = net::kInvalidHost;
-  friend bool operator==(const CrashNotice&, const CrashNotice&) = default;
 };
 
 /// Chunk payloads are views into the frame they were decoded from (zero
@@ -200,9 +177,8 @@ struct Shutdown {
 /// numbering exactly; type_of() maps between them.
 using Message =
     std::variant<Hello, Welcome, ProbeRequest, ProbeReply, Ping, Pong,
-                 JoinRequest, JoinReply, SetParent, Adopt, DropChild, Ack,
-                 Heartbeat, HeartbeatAck, LeaveNotice, CrashNotice, Chunk,
-                 StatsRequest, StatsReply, Shutdown>;
+                 SetParent, Adopt, DropChild, Ack, Heartbeat, HeartbeatAck,
+                 Chunk, StatsRequest, StatsReply, Shutdown>;
 
 Type type_of(const Message& m);
 

@@ -31,7 +31,7 @@ CliResult run_binary(const std::string& binary, const std::string& args) {
 }
 
 void expect_exit_two_naming(const std::string& binary, const std::string& flag) {
-  for (const std::string value : {"abc", "12abc"}) {
+  for (const std::string value : {"abc", "12abc", "-3"}) {
     const CliResult r = run_binary(binary, flag + " " + value);
     EXPECT_EQ(r.exit_code, 2) << flag << ' ' << value << "\n" << r.output;
     EXPECT_NE(r.output.find(flag), std::string::npos) << r.output;

@@ -120,7 +120,9 @@ TEST(Geo, NoLossParamsMeansZeroLoss) {
   const GeoTopology t = make_geo(p, rng);
   for (net::HostId a = 0; a < 10; ++a) {
     for (net::HostId b = 0; b < 10; ++b) {
-      if (a != b) EXPECT_DOUBLE_EQ(t.underlay.loss(a, b), 0.0);
+      if (a != b) {
+        EXPECT_DOUBLE_EQ(t.underlay.loss(a, b), 0.0);
+      }
     }
   }
 }
@@ -134,7 +136,9 @@ TEST(Geo, DeterministicForSameSeed) {
   for (net::HostId x = 0; x < 15; ++x) {
     EXPECT_DOUBLE_EQ(a.hosts[x].lat_deg, b.hosts[x].lat_deg);
     for (net::HostId y = 0; y < 15; ++y) {
-      if (x != y) EXPECT_DOUBLE_EQ(a.underlay.delay(x, y), b.underlay.delay(x, y));
+      if (x != y) {
+        EXPECT_DOUBLE_EQ(a.underlay.delay(x, y), b.underlay.delay(x, y));
+      }
     }
   }
 }

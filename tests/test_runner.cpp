@@ -200,14 +200,10 @@ TEST(Runner, RunManyPropagatesWorkerExceptions) {
 }
 
 TEST(Runner, DefaultSeedsEnvKnobs) {
-  ::unsetenv("VDM_SEEDS");
   ::unsetenv("VDM_FULL");
   EXPECT_EQ(default_seeds(4, 32), 4u);
   ::setenv("VDM_FULL", "1", 1);
   EXPECT_EQ(default_seeds(4, 32), 32u);
-  ::setenv("VDM_SEEDS", "7", 1);
-  EXPECT_EQ(default_seeds(4, 32), 7u);
-  ::unsetenv("VDM_SEEDS");
   ::unsetenv("VDM_FULL");
 }
 

@@ -126,6 +126,14 @@ TEST(Flags, NumbersMustParseWhole) {
                std::invalid_argument);
 }
 
+TEST(Flags, CountsRejectASign) {
+  EXPECT_EQ(make_flags({"--n=12"}).get_count("n", 0), 12u);
+  EXPECT_EQ(make_flags({}).get_count("n", 5), 5u);
+  EXPECT_THROW(make_flags({"--n=-3"}).get_count("n", 0), std::invalid_argument);
+  EXPECT_THROW(make_flags({"--n=+3"}).get_count("n", 0), std::invalid_argument);
+  EXPECT_THROW(make_flags({"--n=3x"}).get_count("n", 0), std::invalid_argument);
+}
+
 TEST(Flags, NumberErrorNamesTheFlagAndValue) {
   try {
     (void)make_flags({"--members", "12abc"}).get_int("members", 0);

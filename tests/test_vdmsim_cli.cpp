@@ -47,6 +47,14 @@ TEST(VdmsimCli, TrailingGarbageExitsTwo) {
   EXPECT_TRUE(contains(r.output, "--chunk-rate")) << r.output;
 }
 
+TEST(VdmsimCli, NegativeCountExitsTwoNamingTheFlag) {
+  // A sign must not wrap to ~2^64 seeds (std::length_error at the parent).
+  const CliResult r = run_vdmsim("--seeds -2");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_TRUE(contains(r.output, "--seeds")) << r.output;
+  EXPECT_FALSE(contains(r.output, "terminate")) << r.output;
+}
+
 TEST(VdmsimCli, RejectedConfigExitsTwo) {
   for (const char* args : {"--members 0 --seeds 1", "--chunk-rate 0 --seeds 1"}) {
     const CliResult r = run_vdmsim(args);

@@ -173,6 +173,12 @@ struct ProbeRoomPolicy {
   }
 };
 
+struct ProbeRoomPipeline final
+    : PolicyPipeline<ProbeRoomPipeline, ProbeRoomPolicy> {
+  bool expect_room = false;
+  ProbeRoomPolicy make_policy(TreeWalk&) const { return {expect_room}; }
+};
+
 TEST(WalkPredicate, OwnParentCountsAsHavingRoomEvenWhenFull) {
   // P (host 1, limit 2) carries its uplink + child N -> full. N re-walking
   // from P must still see room there (the self-parent allowance the Random
@@ -185,15 +191,105 @@ TEST(WalkPredicate, OwnParentCountsAsHavingRoomEvenWhenFull) {
   ASSERT_FALSE(h.session.tree().member(1).has_free_degree());
 
   OpStats stats;
+  PolicySlot slot;
   TreeWalk walk_as_child(h.session);
-  ProbeRoomPolicy sees_room{/*expect_room=*/true};
-  EXPECT_EQ(walk_as_child.run(2, 1, stats, sees_room).parent, 1u);
+  ProbeRoomPipeline sees_room;
+  sees_room.expect_room = true;
+  EXPECT_EQ(walk_as_child.run(sees_room, slot, 2, 1, stats).node, 1u);
 
   // Host 3's parent is 2, not 1 — no allowance at 1 for it.
   TreeWalk walk_as_stranger(h.session);
-  ProbeRoomPolicy sees_full{/*expect_room=*/false};
-  EXPECT_EQ(walk_as_stranger.run(3, 1, stats, sees_full).parent, 1u);
+  ProbeRoomPipeline sees_full;
+  EXPECT_EQ(walk_as_stranger.run(sees_full, slot, 3, 1, stats).node, 1u);
 }
+
+// ------------------------------------------ a protocol that is only a policy
+
+/// The smallest step policy that places every joiner: attach at the current
+/// node when it has room, else the saturated ladder over the probed kids.
+struct NearestRoomPolicy {
+  void on_start(TreeWalk&, OpStats&) {}
+  TreeWalk::Action step(TreeWalk& w, OpStats& stats) {
+    if (w.can_accept(w.cur())) {
+      return TreeWalk::Action::stop(WalkDecision::kAttach, w.cur());
+    }
+    return w.saturated_fallback(w.probe_kids(stats));
+  }
+};
+
+struct NearestRoomPipeline final
+    : PolicyPipeline<NearestRoomPipeline, NearestRoomPolicy> {
+  NearestRoomPolicy make_policy(TreeWalk&) const { return {}; }
+};
+
+/// Overrides nothing but its name and its step policy, so every join,
+/// reconnection and drain runs the base walk-and-attach.
+class PolicyOnlyProtocol final : public Protocol {
+ public:
+  std::string_view name() const override { return "PolicyOnly"; }
+  PipelineSupport* pipeline_support() override { return &pipeline_; }
+
+ private:
+  NearestRoomPipeline pipeline_;
+};
+
+class PolicyOnly : public ::testing::TestWithParam<JoinMode> {};
+
+TEST_P(PolicyOnly, JoinsAndReconnectsThroughTheBaseAttach) {
+  PolicyOnlyProtocol proto;
+  sim::Simulator sim;
+  const net::MatrixUnderlay underlay = scattered_underlay();
+  const DelayMetric metric(0.0);
+  SessionParams sp;
+  sp.source_degree_limit = 3;
+  sp.data_plane = false;
+  sp.paranoid_checks = true;
+  sp.join_mode = GetParam();
+  Session session(sim, underlay, proto, metric, sp, util::Rng(3));
+  session.start();
+
+  // One same-instant crowd (a single drain batch under kConcurrent), then a
+  // graceful leave of the first joiner that has children.
+  for (net::HostId h = 1; h <= 20; ++h) {
+    sim.schedule_at(1.0, [&session, h] { session.join(h, 3); });
+  }
+  net::HostId leaver = net::kInvalidHost;
+  std::vector<net::HostId> orphans;
+  sim.schedule_at(2.0, [&] {
+    for (net::HostId h = 1; h <= 20 && leaver == net::kInvalidHost; ++h) {
+      if (!session.tree().member(h).children.empty()) leaver = h;
+    }
+    ASSERT_NE(leaver, net::kInvalidHost);
+    orphans = session.tree().member(leaver).children;
+    session.leave(leaver);
+  });
+  sim.run();
+
+  const Membership& tree = session.tree();
+  tree.validate();
+  EXPECT_EQ(tree.alive_count(), 20u);  // source + 20 joiners - the leaver
+  for (net::HostId h = 1; h <= 20; ++h) {
+    if (h == leaver) continue;
+    EXPECT_NE(tree.member(h).parent, net::kInvalidHost)
+        << "host " << h << " left detached";
+  }
+  EXPECT_EQ(session.totals().joins_completed, 20u);
+  EXPECT_FALSE(orphans.empty());
+  EXPECT_EQ(session.totals().reconnects_completed, orphans.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllJoinModes, PolicyOnly,
+                         ::testing::Values(JoinMode::kSequential,
+                                           JoinMode::kLocating,
+                                           JoinMode::kConcurrent),
+                         [](const ::testing::TestParamInfo<JoinMode>& param_info) {
+                           switch (param_info.param) {
+                             case JoinMode::kSequential: return "Sequential";
+                             case JoinMode::kLocating: return "Locating";
+                             case JoinMode::kConcurrent: return "Concurrent";
+                           }
+                           return "?";
+                         });
 
 // ---------------------------------------------------- batched probe rounds
 

@@ -59,8 +59,6 @@ std::vector<Message> all_messages() {
       ProbeReply{.token = 7, .target_host = 9, .rtt_seconds = 0.0123456789});
   all.push_back(Ping{.token = 0xffffffff});
   all.push_back(Pong{.token = 1});
-  all.push_back(JoinRequest{.host = 12, .degree_limit = 4});
-  all.push_back(JoinReply{.host = 12, .parent = 3, .accepted = 1});
   all.push_back(SetParent{.token = 55,
                           .parent_host = 2,
                           .parent_ip = 0x7f000001,
@@ -73,8 +71,6 @@ std::vector<Message> all_messages() {
   all.push_back(Ack{.token = 57});
   all.push_back(Heartbeat{.from_host = 8, .seq = 1024});
   all.push_back(HeartbeatAck{.seq = 1024});
-  all.push_back(LeaveNotice{.host = 5});
-  all.push_back(CrashNotice{.host = 6});
   all.push_back(
       Chunk{.seq = 99, .emitted_at = 12.5, .payload = kChunkBody});
   all.push_back(StatsRequest{.token = 77});
@@ -107,7 +103,6 @@ TEST(Wire, RoundTripDefaultConstructedMessages) {
   // detach form) and must survive too.
   expect_round_trip(Hello{});
   expect_round_trip(SetParent{});
-  expect_round_trip(JoinReply{});
   expect_round_trip(Chunk{});
 }
 
@@ -182,7 +177,7 @@ TEST(Wire, RejectsBadVersion) {
   EXPECT_EQ(err.offset, 2u);
   EXPECT_EQ(err.expected, kVersion);
   EXPECT_EQ(err.actual, 9u);
-  EXPECT_EQ(describe(err), "wire: unsupported version at byte 2: expected 1, got 9");
+  EXPECT_EQ(describe(err), "wire: unsupported version at byte 2: expected 2, got 9");
 }
 
 TEST(Wire, RejectsBadType) {

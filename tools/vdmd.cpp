@@ -242,7 +242,7 @@ class Agent {
     std::visit([&](auto& body) { handle(from, body); }, m);
   }
 
-  // Catch-all: message types an agent never receives (JoinRequest etc.).
+  // Catch-all: message types an agent never receives (Hello, Ack etc.).
   template <typename M>
   void handle(const PeerAddr&, const M&) {}
 

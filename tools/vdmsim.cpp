@@ -169,9 +169,9 @@ int run_cli(int argc, char** argv) {
     return 2;
   }
 
-  cfg.scenario.target_members = static_cast<std::size_t>(
-      flags.has("nodes") ? flags.get_int("nodes", 200)
-                         : flags.get_int("members", 200));
+  cfg.scenario.target_members = flags.has("nodes")
+                                     ? flags.get_count("nodes", 200)
+                                     : flags.get_count("members", 200);
   cfg.scenario.churn_rate = flags.get_double("churn", 0.05);
   cfg.scenario.join_phase = flags.get_double("join-phase", 2000.0);
   cfg.scenario.total_time = flags.get_double("total-time", 10000.0);
@@ -196,8 +196,7 @@ int run_cli(int argc, char** argv) {
     std::cerr << "unknown --join-mode '" << join_mode << "' (see --help)\n";
     return 2;
   }
-  cfg.scenario.flash_count =
-      static_cast<std::size_t>(flags.get_int("flash", 0));
+  cfg.scenario.flash_count = flags.get_count("flash", 0);
   cfg.scenario.flash_at =
       flags.get_double("flash-at", cfg.scenario.join_phase);
   cfg.link_loss_max = flags.get_double("link-loss", 0.0);
@@ -255,10 +254,10 @@ int run_cli(int argc, char** argv) {
                  "(--mst forces it)\n";
   }
 
-  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 8));
+  const auto seeds = flags.get_count("seeds", 8);
 
   SweepOptions sweep;
-  sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  sweep.threads = flags.get_count("threads", 0);
   StdoutWalkTrace trace;
   if (flags.get_bool("trace-joins", false)) {
     cfg.walk_observer = &trace;
