@@ -121,15 +121,21 @@ void BM_RunOnceCrashChurn(benchmark::State& state) {
   // full run allocates nothing (allocs_per_iter == 0, like BM_RunOnceArena).
   const std::uint64_t grows_before = scratch.grow_events();
   const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  experiments::RunResult last;
   for (auto _ : state) {
-    experiments::RunResult r = experiments::run_once(cfg, scratch);
-    benchmark::DoNotOptimize(r);
+    last = experiments::run_once(cfg, scratch);
+    benchmark::DoNotOptimize(last);
   }
   const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
   const auto iters = static_cast<double>(state.iterations());
   state.counters["arena_grow_per_iter"] =
       static_cast<double>(scratch.grow_events() - grows_before) / iters;
   state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  // Share of simulator events fired from a re-arm lane (the heartbeat
+  // ticks) rather than as heap entries; deterministic per seed.
+  state.counters["lane_fire_share"] =
+      static_cast<double>(last.sim_lane_fires) /
+      static_cast<double>(last.sim_events);
 }
 BENCHMARK(BM_RunOnceCrashChurn)->Arg(200)->Unit(benchmark::kMillisecond);
 

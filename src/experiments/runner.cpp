@@ -486,6 +486,8 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
                                            *underlay, scratch.impl_->mst)
                     : 1.0;
   r.final_members = session.tree().alive_count();
+  r.sim_events = simulator.executed();
+  r.sim_lane_fires = simulator.lane_fires();
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;
   r.profile_flood_secs = session.profile().flood_secs;

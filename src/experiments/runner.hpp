@@ -140,6 +140,12 @@ struct RunResult {
   double mst_ratio = 1.0;
   std::size_t final_members = 0;
 
+  /// Event-engine work, exact and deterministic per seed: events fired
+  /// (Simulator::executed) and, of those, the ones that fired from a re-arm
+  /// lane rather than as plain heap entries (Simulator::lane_fires).
+  std::uint64_t sim_events = 0;
+  std::uint64_t sim_lane_fires = 0;
+
   /// Wall-clock seconds per phase (vdmsim --profile); all zero unless
   /// config.session.profile. join covers every attaching walk (fresh,
   /// batched and reconnect), metrics the collector's capture sweeps.

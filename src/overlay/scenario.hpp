@@ -99,14 +99,16 @@ struct TimelineEntry {
 };
 
 /// Reusable buffers of one run's membership process — the slot compiler's
-/// host pool, member list, pending-leave flags and heap, the executor's
-/// member flags, the event list — shuttled through RunScratch so warm runs
-/// rebuild them in place (same seed and config, same sizes).
+/// host pool, member list, pending-leave flags and heap, the synthetic
+/// generators' pre-drawn arrival instants, the executor's member flags, the
+/// event list — shuttled through RunScratch so warm runs rebuild them in
+/// place (same seed and config, same sizes).
 struct ScenarioScratch {
   std::vector<net::HostId> available;
   std::vector<net::HostId> in_overlay;
   std::vector<char> pending_leave;
   std::vector<TimelineEntry> heap;
+  std::vector<double> seeded;
   std::vector<char> member;
   std::vector<WorkloadEvent> events;
 
@@ -115,6 +117,7 @@ struct ScenarioScratch {
                sizeof(net::HostId) +
            pending_leave.capacity() + member.capacity() +
            heap.capacity() * sizeof(TimelineEntry) +
+           seeded.capacity() * sizeof(double) +
            events.capacity() * sizeof(WorkloadEvent);
   }
 };

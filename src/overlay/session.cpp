@@ -535,8 +535,10 @@ void Session::arm_refinement(net::HostId h) {
   const sim::Time period = protocol_.refinement_period();
   // The tick re-arms into its own slab slot (reschedule_current_in keeps the
   // id), so the stored EventId stays valid for the member's whole tenure.
-  // Disarming mid-tick suppresses the re-arm via the simulator's
-  // firing-cancelled state.
+  // Every member re-arms with the same period, so on the simulator the
+  // ticks queue on one FIFO lane rather than in the heap. Disarming
+  // mid-tick suppresses the re-arm via the simulator's firing-cancelled
+  // state.
   slab[h] = reactor_.schedule_in(period, [this, h, period] {
     refine(h);
     reactor_.reschedule_current_in(period);
@@ -564,8 +566,11 @@ void Session::ensure_heartbeat(net::HostId h) {
   }
   // A ticking timer keeps its phase; a stopped one (never armed, or stopped
   // by a verdict) restarts a full period from now. The tick re-arms into its
-  // own slot exactly as the refinement slab does, and a verdict cancels it
-  // from inside the tick, which suppresses that re-arm.
+  // own slot exactly as the refinement slab does, so after its first tick
+  // it fires from the heartbeat period's lane: one tick per member per
+  // period costs an O(1) append and a shallow sift, not a full-depth one
+  // in a heap of every member. A verdict cancels the timer from inside the
+  // tick, which suppresses that re-arm.
   if (hb.timer == sim::kInvalidEvent) {
     const sim::Time period = params_.faults.heartbeat_period;
     hb.timer = reactor_.schedule_in(period, [this, h, period] {

@@ -209,7 +209,8 @@ void synthesize(const ScenarioParams& scenario, const WorkloadParams& workload,
 
   // Pre-drawn arrival instants: the staggered initial joins (the slot
   // timeline's window) plus the flash burst.
-  std::vector<double> seeded;
+  std::vector<double>& seeded = s.seeded;
+  seeded.clear();
   seeded.reserve(scenario.target_members + scenario.flash_count);
   for (std::size_t i = 0; i < scenario.target_members; ++i) {
     seeded.push_back(

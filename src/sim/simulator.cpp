@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/require.hpp"
@@ -16,8 +17,8 @@ constexpr std::size_t kHeapArity = 4;
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNoSlot;
+    free_head_ = slots_[slot].next;
+    slots_[slot].next = kNoSlot;
     return slot;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
@@ -30,7 +31,8 @@ void Simulator::release_slot(std::uint32_t slot) {
   s.fn = nullptr;
   ++s.generation;  // stale EventIds now fail the generation check
   s.heap_pos = kNoSlot;
-  s.next_free = free_head_;
+  s.lane = kNoLane;
+  s.next = free_head_;
   free_head_ = slot;
 }
 
@@ -86,6 +88,61 @@ void Simulator::heap_remove(std::size_t pos) {
   }
 }
 
+void Simulator::dequeue_heap_entry(std::size_t pos) {
+  const std::uint32_t slot = heap_[pos];
+  Slot& s = slots_[slot];
+  if (s.lane == kNoLane) {
+    heap_remove(pos);
+    return;
+  }
+  Lane& lane = lanes_[s.lane];
+  const std::uint32_t successor = s.next;
+  s.lane = kNoLane;
+  s.next = kNoSlot;
+  if (successor == kNoSlot) {
+    used_lanes_ &= ~(1u << (&lane - lanes_.data()));  // emptied: free it
+    heap_remove(pos);
+    return;
+  }
+  lane.head = successor;
+  --lane_backlog_;
+  s.heap_pos = kNoSlot;
+  // The successor is later in (t, seq) than the head it replaces, so it can
+  // only sink.
+  heap_[pos] = successor;
+  sift_down(pos);
+}
+
+void Simulator::enqueue_rearm(std::uint32_t slot, Time delay) {
+  Slot& s = slots_[slot];
+  for (std::uint32_t used = used_lanes_; used != 0; used &= used - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(used));
+    Lane& lane = lanes_[i];
+    if (lane.delay != delay) continue;
+    // now_ never decreases, so this re-arm is at or after the tail's
+    // deadline with a larger seq: appending keeps the lane sorted.
+    s.lane = i;
+    s.heap_pos = lane.tail;
+    s.next = kNoSlot;
+    slots_[lane.tail].next = slot;
+    lane.tail = slot;
+    ++lane_backlog_;
+    return;
+  }
+  // A lane pays off only for a delay many timers share. Open one when two
+  // lane-less re-arms in a row use the same delay; a one-off delay (a
+  // backoff step, a lone timer) stays in the heap and costs no lane.
+  constexpr std::uint32_t kAllLanes = (1u << kLanes) - 1;
+  if (delay == last_miss_delay_ && used_lanes_ != kAllLanes) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(~used_lanes_));
+    used_lanes_ |= 1u << i;
+    lanes_[i] = Lane{delay, slot, slot};
+    s.lane = i;
+  }
+  last_miss_delay_ = delay;
+  heap_push(slot);
+}
+
 EventId Simulator::schedule_at(Time t, InlineFn fn) {
   VDM_REQUIRE_MSG(t >= now_, "cannot schedule into the past");
   VDM_REQUIRE(fn != nullptr);
@@ -116,7 +173,20 @@ void Simulator::cancel(EventId id) {
     firing_cancelled_ = true;
     return;
   }
-  heap_remove(s.heap_pos);
+  if (s.lane != kNoLane && lanes_[s.lane].head != slot) {
+    // Queued behind its lane head: unlink it from the lane.
+    Lane& lane = lanes_[s.lane];
+    const std::uint32_t prev = s.heap_pos;
+    slots_[prev].next = s.next;
+    if (s.next == kNoSlot) {
+      lane.tail = prev;
+    } else {
+      slots_[s.next].heap_pos = prev;
+    }
+    --lane_backlog_;
+  } else {
+    dequeue_heap_entry(s.heap_pos);
+  }
   release_slot(slot);
 }
 
@@ -124,14 +194,15 @@ bool Simulator::reschedule_current_in(Time delay) {
   VDM_REQUIRE_MSG(delay >= 0.0, "negative delay");
   if (firing_slot_ == kNoSlot || firing_cancelled_) return false;
   firing_rearm_ = true;
-  firing_rearm_at_ = now_ + delay;
+  firing_rearm_delay_ = delay;
   return true;
 }
 
 void Simulator::fire_top() {
   const std::uint32_t slot = heap_[0];
   now_ = slots_[slot].t;
-  heap_remove(0);
+  if (slots_[slot].lane != kNoLane) ++lane_fires_;
+  dequeue_heap_entry(0);
   ++executed_;
 
   firing_slot_ = slot;
@@ -159,9 +230,9 @@ void Simulator::fire_top() {
     // caller's EventId stays valid — with a fresh sequence number, exactly
     // as if the callback had scheduled a new event at this point.
     s.fn = std::move(fn);
-    s.t = firing_rearm_at_;
+    s.t = now_ + firing_rearm_delay_;  // now_ is still this event's deadline
     s.seq = next_seq_++;
-    heap_push(slot);
+    enqueue_rearm(slot, firing_rearm_delay_);
   } else {
     release_slot(slot);
   }

@@ -13,7 +13,7 @@ std::vector<net::HostId> NodePool::usable_nodes() const {
 }
 
 NodePool make_pool(const PoolParams& params,
-                   const std::vector<topo::GeoRegion>& regions, util::Rng& rng) {
+                   std::span<const topo::GeoRegion> regions, util::Rng& rng) {
   VDM_REQUIRE(params.num_nodes >= 2);
   topo::GeoParams gp;
   gp.num_hosts = params.num_nodes;

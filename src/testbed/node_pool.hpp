@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "topology/geo.hpp"
@@ -46,7 +47,7 @@ struct NodePool {
 };
 
 /// Builds a pool over the given regions (e.g. topo::us_regions()).
-NodePool make_pool(const PoolParams& params, const std::vector<topo::GeoRegion>& regions,
+NodePool make_pool(const PoolParams& params, std::span<const topo::GeoRegion> regions,
                    util::Rng& rng);
 
 /// Result of running the three-stage filter, for reporting like Figure 5.2.

@@ -26,7 +26,7 @@ void make_coord_into(const CoordParams& params, util::Rng& rng,
   // Geo mode: the same weighted-hub pick + normal scatter that
   // make_geo_into uses for host placement, so coordinate-substrate pools
   // cluster like the PlanetLab-style ones do.
-  const std::vector<GeoRegion> regions =
+  const std::span<const GeoRegion> regions =
       params.regions.empty() ? us_regions() : params.regions;
   double total_weight = 0.0;
   for (const auto& r : regions) total_weight += r.weight;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/coord_underlay.hpp"
@@ -19,8 +20,8 @@ struct CoordParams {
   CoordSpace space = CoordSpace::kGeo;
   /// kGeo: population hubs (defaults to us_regions()) and per-host scatter —
   /// exactly the placement model of make_geo_into, minus the O(N²) matrix
-  /// fill that follows it there.
-  std::vector<GeoRegion> regions;
+  /// fill that follows it there. A view, like GeoParams::regions.
+  std::span<const GeoRegion> regions;
   double scatter_deg = 2.5;
   /// kPlane: hosts land uniformly in a square of this side length, km
   /// (continental scale by default).

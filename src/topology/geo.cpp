@@ -12,30 +12,32 @@ constexpr double kPi = 3.14159265358979323846;
 constexpr double kEarthRadiusKm = 6371.0;
 
 double deg2rad(double d) { return d * kPi / 180.0; }
+
+// The US hubs first, so the US pool is a prefix of the world pool.
+constexpr GeoRegion kWorldRegions[] = {
+    {"US-West", 37.4, -122.1, 2.0},     // Bay Area
+    {"US-Northwest", 47.6, -122.3, 1.0},
+    {"US-Mountain", 39.7, -105.0, 1.0},  // Colorado (the paper's source)
+    {"US-Central", 41.9, -87.6, 1.5},    // Chicago
+    {"US-South", 32.8, -96.8, 1.0},      // Dallas
+    {"US-East", 40.7, -74.0, 2.0},       // NYC corridor
+    {"US-Southeast", 33.7, -84.4, 1.0},  // Atlanta
+    {"EU-West", 51.5, -0.1, 1.5},        // London
+    {"EU-Central", 48.1, 11.6, 1.5},     // Munich
+    {"EU-North", 59.3, 18.1, 0.7},       // Stockholm
+    {"Asia-East", 35.7, 139.7, 1.0},     // Tokyo
+    {"Asia-South", 1.35, 103.8, 0.5},    // Singapore
+    {"Oceania", -33.9, 151.2, 0.4},      // Sydney
+};
+constexpr std::size_t kUsRegionCount = 7;
+
 }  // namespace
 
-std::vector<GeoRegion> us_regions() {
-  return {
-      {"US-West", 37.4, -122.1, 2.0},     // Bay Area
-      {"US-Northwest", 47.6, -122.3, 1.0},
-      {"US-Mountain", 39.7, -105.0, 1.0},  // Colorado (the paper's source)
-      {"US-Central", 41.9, -87.6, 1.5},    // Chicago
-      {"US-South", 32.8, -96.8, 1.0},      // Dallas
-      {"US-East", 40.7, -74.0, 2.0},       // NYC corridor
-      {"US-Southeast", 33.7, -84.4, 1.0},  // Atlanta
-  };
+std::span<const GeoRegion> us_regions() {
+  return std::span(kWorldRegions).first(kUsRegionCount);
 }
 
-std::vector<GeoRegion> world_regions() {
-  auto regions = us_regions();
-  regions.push_back({"EU-West", 51.5, -0.1, 1.5});     // London
-  regions.push_back({"EU-Central", 48.1, 11.6, 1.5});  // Munich
-  regions.push_back({"EU-North", 59.3, 18.1, 0.7});    // Stockholm
-  regions.push_back({"Asia-East", 35.7, 139.7, 1.0});  // Tokyo
-  regions.push_back({"Asia-South", 1.35, 103.8, 0.5}); // Singapore
-  regions.push_back({"Oceania", -33.9, 151.2, 0.4});   // Sydney
-  return regions;
-}
+std::span<const GeoRegion> world_regions() { return kWorldRegions; }
 
 double great_circle_km(double lat1, double lon1, double lat2, double lon2) {
   const double phi1 = deg2rad(lat1);
@@ -53,11 +55,11 @@ GeoTopology make_geo(const GeoParams& params, util::Rng& rng) {
   std::vector<double> loss;
   make_geo_into(params, rng, hosts, delay, loss);
 
-  const std::vector<GeoRegion> regions =
+  const std::span<const GeoRegion> regions =
       params.regions.empty() ? us_regions() : params.regions;
   std::vector<std::string> region_names;
   region_names.reserve(regions.size());
-  for (const auto& r : regions) region_names.push_back(r.name);
+  for (const auto& r : regions) region_names.emplace_back(r.name);
 
   const std::size_t n = params.num_hosts;
   return GeoTopology{std::move(hosts), std::move(region_names),
@@ -68,7 +70,7 @@ void make_geo_into(const GeoParams& params, util::Rng& rng,
                    std::vector<GeoHost>& hosts, std::vector<double>& delay,
                    std::vector<double>& loss) {
   VDM_REQUIRE(params.num_hosts >= 2);
-  const std::vector<GeoRegion> regions =
+  const std::span<const GeoRegion> regions =
       params.regions.empty() ? us_regions() : params.regions;
   double total_weight = 0.0;
   for (const auto& r : regions) total_weight += r.weight;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/matrix_underlay.hpp"
@@ -10,7 +12,7 @@ namespace vdm::topo {
 
 /// A population hub around which synthetic "PlanetLab sites" scatter.
 struct GeoRegion {
-  std::string name;
+  std::string_view name;
   double lat_deg;
   double lon_deg;
   double weight;  // relative share of hosts
@@ -19,12 +21,16 @@ struct GeoRegion {
 /// Hub sets mirroring the dissertation's deployments: a US-only pool (the
 /// VDM-vs-HMTP runs used ~140 US nodes, source in Colorado) and a
 /// world-wide pool (the sample-tree figures with US + Europe clustering).
-std::vector<GeoRegion> us_regions();
-std::vector<GeoRegion> world_regions();
+/// Both are views of one constant table (the world pool is the US pool plus
+/// six overseas hubs), so reading them copies and allocates nothing.
+std::span<const GeoRegion> us_regions();
+std::span<const GeoRegion> world_regions();
 
 struct GeoParams {
   std::size_t num_hosts = 100;
-  std::vector<GeoRegion> regions;  // defaults to us_regions() when empty
+  /// Hubs to place hosts around; defaults to us_regions() when empty. A
+  /// view: the table must outlive the make_geo call (the presets always do).
+  std::span<const GeoRegion> regions;
   /// Scatter of a host around its hub, degrees of lat/lon (std. deviation).
   double scatter_deg = 2.5;
   /// Signal propagation speed in fiber, km/s (~2/3 c).

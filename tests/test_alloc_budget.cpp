@@ -135,5 +135,46 @@ TEST(AllocBudget, CrashChurnWithHeartbeatsStaysUnderBudgetToo) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST(AllocBudget, ConcurrentFlashWithHeartbeatsStaysUnderBudgetToo) {
+  // A small flash_crash_control shape: Poisson churn on the US coordinate
+  // substrate, a flash crowd through the concurrent join pipeline, and a
+  // heartbeat detector on every member over a lossy control plane. The
+  // region presets are read in place and the generator's pre-drawn arrival
+  // instants ride the scenario scratch, so this shape allocates nothing
+  // warm either.
+  RunScratch scratch;
+  RunConfig cfg;
+  cfg.substrate = Substrate::kCoordUs;
+  cfg.protocol = Proto::kVdm;
+  cfg.scenario.target_members = 64;
+  cfg.scenario.flash_count = 256;
+  cfg.scenario.flash_at = 400.0;
+  cfg.scenario.join_phase = 400.0;
+  cfg.scenario.total_time = 1200.0;
+  cfg.scenario.churn_interval = 200.0;
+  cfg.scenario.settle_time = 50.0;
+  cfg.workload.kind = overlay::WorkloadKind::kPoisson;
+  cfg.workload.mean_session = 800.0;
+  cfg.session.join_mode = overlay::JoinMode::kConcurrent;
+  cfg.session.chunk_rate = 0.1;
+  cfg.session.faults.heartbeat_period = 1.0;
+  cfg.session.faults.heartbeat_misses = 3;
+  cfg.session.faults.lossy_control = true;
+  cfg.session.faults.control_loss_extra = 0.01;
+  cfg.compute_mst_ratio = false;
+  cfg.seed = 7;
+  (void)run_once(cfg, scratch);
+  (void)run_once(cfg, scratch);
+  const std::uint64_t grows_before = scratch.grow_events();
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const RunResult r = run_once(cfg, scratch);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+
+  EXPECT_GT(r.final_members, cfg.scenario.target_members);  // the crowd joined
+  EXPECT_EQ(scratch.grow_events(), grows_before);
+  EXPECT_EQ(allocs, 0u);
+}
+
 }  // namespace
 }  // namespace vdm::experiments

@@ -321,18 +321,25 @@ int run_cli(int argc, char** argv) {
 
   if (cfg.session.profile) {
     double join = 0.0, refine = 0.0, flood = 0.0, metrics_t = 0.0;
+    std::uint64_t events = 0, lane_fires = 0;
     for (const RunResult& r : agg.runs) {
       join += r.profile_join_secs;
       refine += r.profile_refine_secs;
       flood += r.profile_flood_secs;
       metrics_t += r.profile_metrics_secs;
+      events += r.sim_events;
+      lane_fires += r.sim_lane_fires;
     }
     std::printf(
         "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
         "metrics %.3fs\n"
+        "  sim events %llu (lane fires %llu, heap fires %llu)\n"
         "  run-threads %d, sweep workers %zu\n",
-        agg.runs.size(), join, refine, flood, metrics_t, cfg.session.threads,
-        sweep.threads);
+        agg.runs.size(), join, refine, flood, metrics_t,
+        static_cast<unsigned long long>(events),
+        static_cast<unsigned long long>(lane_fires),
+        static_cast<unsigned long long>(events - lane_fires),
+        cfg.session.threads, sweep.threads);
   }
 
   if (want_trajectory && !agg.runs.empty()) {
