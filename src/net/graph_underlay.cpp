@@ -1,11 +1,23 @@
 #include "net/graph_underlay.hpp"
 
+#include <algorithm>
+
 #include "util/require.hpp"
 
 namespace vdm::net {
 
+namespace {
+
+bool all_links_lossless(const Graph& graph) {
+  return std::all_of(graph.links().begin(), graph.links().end(),
+                     [](const Link& l) { return l.loss == 0.0; });
+}
+
+}  // namespace
+
 GraphUnderlay::GraphUnderlay(Graph graph, std::vector<NodeId> hosts)
-    : graph_(std::move(graph)), hosts_(std::move(hosts)), router_(graph_) {
+    : graph_(std::move(graph)), hosts_(std::move(hosts)), router_(graph_),
+      zero_loss_(all_links_lossless(graph_)) {
   VDM_REQUIRE_MSG(!hosts_.empty(), "an underlay needs at least one host");
   for (const NodeId v : hosts_) VDM_REQUIRE(v < graph_.num_nodes());
 }
@@ -66,6 +78,7 @@ void GraphUnderlay::rebind(Graph graph, std::vector<NodeId> hosts) {
   // version (e.g. a caller that swapped in a fresh Graph object).
   router_.clear_cache();
   cached_version_ = ~0ull;
+  zero_loss_ = all_links_lossless(graph_);
 }
 
 std::size_t GraphUnderlay::arena_capacity_bytes() const {

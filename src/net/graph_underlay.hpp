@@ -32,7 +32,7 @@ class GraphUnderlay final : public Underlay {
       : graph_(std::move(other.graph_)), hosts_(std::move(other.hosts_)),
         router_(graph_), pair_stats_(std::move(other.pair_stats_)),
         pair_epoch_(std::move(other.pair_epoch_)), epoch_(other.epoch_),
-        cached_version_(other.cached_version_) {}
+        cached_version_(other.cached_version_), zero_loss_(other.zero_loss_) {}
   GraphUnderlay& operator=(GraphUnderlay&&) = delete;
   GraphUnderlay(const GraphUnderlay&) = delete;
   GraphUnderlay& operator=(const GraphUnderlay&) = delete;
@@ -49,6 +49,10 @@ class GraphUnderlay final : public Underlay {
                           util::FunctionRef<void(LinkId)> visit) const override;
   double link_delay(LinkId link) const override { return graph_.link(link).delay; }
   std::size_t num_links() const override { return graph_.num_links(); }
+  /// Every link's loss is exactly 0, so every path's loss is too. Computed
+  /// when a topology is seated (constructor, rebind()): links never change
+  /// in between.
+  bool zero_loss() const override { return zero_loss_; }
 
   /// IP hop count of the unicast path a -> b (0 for a == b / unreachable).
   std::size_t path_hops(HostId a, HostId b) const {
@@ -99,6 +103,7 @@ class GraphUnderlay final : public Underlay {
   mutable std::vector<std::uint64_t> pair_epoch_;
   mutable std::uint64_t epoch_ = 1;
   mutable std::uint64_t cached_version_ = ~0ull;
+  bool zero_loss_ = false;
 };
 
 }  // namespace vdm::net

@@ -12,8 +12,10 @@ void FloodTable::assign(std::size_t n) {
   in_session_since.assign(n, 0.0);
   uplink_loss.assign(n, 0.0);
   uplink_loss_parent.assign(n, kInvalidHost);
-  chunks_expected.assign(n, 0);
-  chunks_received.assign(n, 0);
+  in_session_at.assign(n, kNotInSession);
+  missed.assign(n, 0);
+  reach_stamp.assign(n, 0);
+  listed.assign(n, 0);
 }
 
 void FloodTable::reset_host(HostId h) {
@@ -21,8 +23,8 @@ void FloodTable::reset_host(HostId h) {
   in_session_since[h] = 0.0;
   uplink_loss[h] = 0.0;
   uplink_loss_parent[h] = kInvalidHost;
-  chunks_expected[h] = 0;
-  chunks_received[h] = 0;
+  in_session_at[h] = kNotInSession;
+  missed[h] = 0;
 }
 
 std::size_t FloodTable::capacity_bytes() const {
@@ -30,8 +32,10 @@ std::size_t FloodTable::capacity_bytes() const {
           uplink_loss.capacity()) *
              sizeof(double) +
          uplink_loss_parent.capacity() * sizeof(HostId) +
-         (chunks_expected.capacity() + chunks_received.capacity()) *
-             sizeof(std::uint32_t);
+         (in_session_at.capacity() + missed.capacity() +
+          reach_stamp.capacity()) *
+             sizeof(std::uint32_t) +
+         listed.capacity();
 }
 
 void Membership::reset(std::size_t num_hosts) {

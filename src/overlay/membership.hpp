@@ -47,12 +47,16 @@ struct MemberState {
   bool is_root() const { return alive && parent == kInvalidHost; }
 };
 
-/// Hot data-plane member state in struct-of-arrays layout, indexed by host.
-/// Session::emit_chunk touches these fields for every overlay edge of every
-/// chunk — the hottest loop of a run — so each field is its own contiguous
-/// array and an edge visit costs a handful of streamed loads instead of a
-/// random 136-byte struct fetch.
+/// Data-plane member state in struct-of-arrays layout, indexed by host.
+/// On a lossy underlay Session::emit_chunk touches these fields for every
+/// overlay edge of every chunk, so each field is its own contiguous array
+/// and an edge visit costs a handful of streamed loads instead of a random
+/// 136-byte struct fetch. On a lossless one a chunk reads them only for
+/// members in a handshake or a crash-orphan subtree.
 struct FloodTable {
+  /// Marks a member that has not entered the in-session count this stint.
+  static constexpr std::uint32_t kNotInSession = ~std::uint32_t{0};
+
   /// When the member (re)gained a working path to the source. Data chunks
   /// arriving earlier are not deliverable to it (join/reconnect outage).
   std::vector<sim::Time> receiving_since;
@@ -64,10 +68,18 @@ struct FloodTable {
   /// the underlay is immutable once a session streams.
   std::vector<double> uplink_loss;
   std::vector<HostId> uplink_loss_parent;
-  /// Data-plane accounting for the loss-rate metric. 32-bit: even day-long
-  /// sessions emit far fewer than 4G chunks per member.
-  std::vector<std::uint32_t> chunks_expected;
-  std::vector<std::uint32_t> chunks_received;
+  /// Per-member chunk accounting (Session::member_chunks): the session's
+  /// emitted-chunk count just before the chunk that entered the member into
+  /// the in-session count (kNotInSession until then), and the chunks it has
+  /// missed since. 32-bit: even day-long sessions emit far fewer than 4G
+  /// chunks per member.
+  std::vector<std::uint32_t> in_session_at;
+  std::vector<std::uint32_t> missed;
+  /// Per-chunk memo of the lossless count's root-path check: the chunk's
+  /// stamp with the low bit set when the chunk reaches the member.
+  std::vector<std::uint32_t> reach_stamp;
+  /// 1 while the member sits on the session's handshake list.
+  std::vector<std::uint8_t> listed;
 
   /// Sizes every array to `n` hosts and zeroes it (capacity kept).
   void assign(std::size_t n);

@@ -93,6 +93,10 @@ void Session::start() {
       params_.faults.heartbeat_period > 0.0 ? underlay_.num_hosts() : 0,
       HeartbeatState{});
   scratch_.crash_orphans.clear();
+  scratch_.handshakes.clear();
+  in_session_ = 0;
+  reach_epoch_ = 0;
+  lossless_ = underlay_.zero_loss();
   tree().activate(params_.source, params_.source_degree_limit);
   tree().flood().in_session_since[params_.source] = reactor_.now();
   if (params_.join_mode != JoinMode::kSequential) {
@@ -139,9 +143,10 @@ TimingRecord Session::join(net::HostId h, int degree_limit) {
   tree().activate(h, degree_limit);
 
   if (params_.join_mode == JoinMode::kConcurrent) {
-    // Activated but still detached: invisible to the data-plane flood and
-    // never an eligible parent, so the queued state needs no special casing
-    // anywhere else. One drain event per timestamp services the whole batch.
+    // Activated but still detached: no chunk reaches it and it is never an
+    // eligible parent. A leave or crash before the drain takes it off the
+    // queue (forget_pending_join), and the lossless chunk count subtracts
+    // the queue. One drain event per timestamp services the whole batch.
     scratch_.walk.pending_joins.push_back({h, degree_limit});
     if (!drain_scheduled_) {
       drain_scheduled_ = true;
@@ -160,7 +165,7 @@ TimingRecord Session::join(net::HostId h, int degree_limit) {
   if (params_.join_mode == JoinMode::kLocating) start = locate_entry(h, pre);
   const TimingRecord rec =
       run_join(h, start, /*is_reconnect=*/false, /*detection=*/0.0, pre);
-  if (params_.paranoid_checks) tree().validate();
+  if (params_.paranoid_checks) validate();
   return rec;
 }
 
@@ -236,6 +241,7 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
     tree().flood().in_session_since[h] = reactor_.now() + stats.elapsed;
     if (protocol_.wants_refinement()) arm_refinement(h);
   }
+  list_handshake(h);
   // No validate() here: during a multi-orphan leave, siblings of this
   // orphan are still detached with (legitimately) stale pointers. The
   // callers validate at the end of the whole operation.
@@ -368,7 +374,7 @@ void Session::drain_join_batch() {
   ws.parked.clear();
   ws.walkers.clear();
   ws.adoption_pool.clear();
-  if (params_.paranoid_checks) tree().validate();
+  if (params_.paranoid_checks) validate();
 }
 
 net::HostId Session::reconnect_start(net::HostId orphan) const {
@@ -397,6 +403,8 @@ void Session::leave(net::HostId h) {
   disarm_refinement(h);
   disarm_heartbeat(h);
   forget_crash_orphan(h);
+  forget_pending_join(h);
+  end_chunk_stint(h);
   tree().deactivate(h, scratch_.orphans);
 
   // Each orphan reconnects on its own, starting at its grandparent if that
@@ -405,7 +413,7 @@ void Session::leave(net::HostId h) {
   for (const net::HostId orphan : scratch_.orphans) {
     run_join(orphan, reconnect_start(orphan), /*is_reconnect=*/true);
   }
-  if (params_.paranoid_checks) tree().validate();
+  if (params_.paranoid_checks) validate();
 }
 
 void Session::crash(net::HostId h) {
@@ -419,6 +427,8 @@ void Session::crash(net::HostId h) {
   disarm_refinement(h);
   disarm_heartbeat(h);
   forget_crash_orphan(h);  // h may itself still be an undetected orphan
+  forget_pending_join(h);
+  end_chunk_stint(h);
   tree().deactivate(h, scratch_.orphans);
 
   if (params_.faults.heartbeat_period <= 0.0) {
@@ -428,7 +438,7 @@ void Session::crash(net::HostId h) {
     for (const net::HostId orphan : scratch_.orphans) {
       run_join(orphan, reconnect_start(orphan), /*is_reconnect=*/true);
     }
-    if (params_.paranoid_checks) tree().validate();
+    if (params_.paranoid_checks) validate();
     return;
   }
 
@@ -443,6 +453,7 @@ void Session::crash(net::HostId h) {
     hb.orphaned_at = now;
     scratch_.crash_orphans.push_back(orphan);
   }
+  if (params_.paranoid_checks) validate();
 }
 
 OpStats Session::refine(net::HostId h) {
@@ -458,7 +469,7 @@ OpStats Session::refine(net::HostId h) {
     ++window_.refine_switches;
     ++totals_.refine_switches;
   }
-  if (params_.paranoid_checks) tree().validate();
+  if (params_.paranoid_checks) validate();
   return stats;
 }
 
@@ -524,6 +535,55 @@ bool Session::eligible_parent(net::HostId joiner, net::HostId candidate) const {
   if (candidate == joiner) return false;
   if (!tree().member(candidate).alive) return false;
   return !tree().is_ancestor(joiner, candidate);
+}
+
+void Session::validate() const {
+  const Membership& t = tree();
+  t.validate();
+  const std::size_t n = t.num_hosts();
+  // Fragment roots a member may hang under: the source and each pending
+  // crash orphan. Queued joiners hang nowhere yet.
+  std::vector<char> root_ok(n, 0);
+  std::vector<char> queued(n, 0);
+  root_ok[params_.source] = 1;
+  for (const net::HostId r : scratch_.crash_orphans) {
+    VDM_REQUIRE_MSG(t.member(r).alive && t.member(r).parent == kInvalidHost,
+                    "a pending crash orphan must be alive and detached");
+    root_ok[r] = 1;
+  }
+  for (const PendingJoin& pj : scratch_.walk.pending_joins) {
+    const MemberState& m = t.member(pj.host);
+    VDM_REQUIRE_MSG(m.alive && m.parent == kInvalidHost && m.children.empty() &&
+                        queued[pj.host] == 0,
+                    "a queued joiner must be alive, detached and queued once");
+    queued[pj.host] = 1;
+  }
+  const FloodTable& fl = t.flood();
+  std::uint64_t in_session = 0;
+  std::size_t listed = 0;
+  for (net::HostId h = 0; h < n; ++h) {
+    const MemberState& m = t.member(h);
+    if (!m.alive) {
+      VDM_REQUIRE_MSG(fl.in_session_at[h] == FloodTable::kNotInSession &&
+                          fl.listed[h] == 0,
+                      "a departed member still counts in the data plane");
+      continue;
+    }
+    if (fl.in_session_at[h] != FloodTable::kNotInSession) ++in_session;
+    listed += fl.listed[h];
+    if (h == params_.source || queued[h] != 0) continue;
+    net::HostId root = h;
+    while (t.member(root).parent != kInvalidHost) root = t.member(root).parent;
+    VDM_REQUIRE_MSG(root_ok[root] != 0,
+                    "an alive member is neither under the source, queued, nor "
+                    "in a crash-orphan subtree");
+  }
+  VDM_REQUIRE_MSG(in_session == in_session_, "in-session count out of sync");
+  VDM_REQUIRE_MSG(listed == scratch_.handshakes.size(),
+                  "handshake list out of sync");
+  for (const net::HostId h : scratch_.handshakes) {
+    VDM_REQUIRE_MSG(fl.listed[h] == 1, "handshake list out of sync");
+  }
 }
 
 void Session::arm_refinement(net::HostId h) {
@@ -596,6 +656,36 @@ void Session::forget_crash_orphan(net::HostId h) {
   if (it != orphans.end()) orphans.erase(it);
 }
 
+void Session::forget_pending_join(net::HostId h) {
+  std::vector<PendingJoin>& queue = scratch_.walk.pending_joins;
+  const auto it = std::find_if(queue.begin(), queue.end(),
+                               [h](const PendingJoin& pj) { return pj.host == h; });
+  if (it != queue.end()) queue.erase(it);
+}
+
+void Session::list_handshake(net::HostId h) {
+  if (!params_.data_plane) return;  // no chunk ever reads the list
+  std::uint8_t& listed = tree().flood().listed[h];
+  if (listed == 0) {
+    listed = 1;
+    scratch_.handshakes.push_back(h);
+  }
+}
+
+void Session::end_chunk_stint(net::HostId h) {
+  FloodTable& fl = tree().flood();
+  if (fl.in_session_at[h] != FloodTable::kNotInSession) {
+    --in_session_;
+    fl.in_session_at[h] = FloodTable::kNotInSession;
+  }
+  if (fl.listed[h] != 0) {
+    fl.listed[h] = 0;
+    std::vector<net::HostId>& list = scratch_.handshakes;
+    *std::find(list.begin(), list.end(), h) = list.back();
+    list.pop_back();
+  }
+}
+
 void Session::heartbeat_tick(net::HostId h) {
   HeartbeatState& hb = scratch_.heartbeats[h];
   const MemberState& m = tree().member(h);
@@ -662,7 +752,7 @@ void Session::complete_detection(net::HostId h) {
     if (m.parent != kInvalidHost) tree().detach(h);
   }
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);
-  if (params_.paranoid_checks) tree().validate();
+  if (params_.paranoid_checks) validate();
 }
 
 void Session::reset_window() { window_ = Counters{}; }
@@ -677,28 +767,121 @@ void Session::drain_reconnect_records(std::vector<TimingRecord>& out) {
   std::swap(out, scratch_.reconnect_records);
 }
 
+Session::MemberChunks Session::member_chunks(net::HostId h) const {
+  VDM_REQUIRE(h < tree().num_hosts());
+  const FloodTable& fl = tree().flood();
+  if (fl.in_session_at[h] == FloodTable::kNotInSession) return {};
+  const std::uint32_t expected =
+      static_cast<std::uint32_t>(totals_.chunks_emitted) - fl.in_session_at[h];
+  return {expected, expected - fl.missed[h]};
+}
+
 void Session::emit_chunk() {
   const PhaseTimer timer(params_.profile, profile_.flood_secs);
   ++window_.chunks_emitted;
   ++totals_.chunks_emitted;
   const sim::Time now = reactor_.now();
   const sim::Time buffered_now = now + params_.buffer_seconds;
+  FloodTable& fl = tree().flood();
+  if (lossless_) {
+    // The stamp keeps the epoch in its upper 31 bits: start over.
+    if (++reach_epoch_ == (1u << 31)) {
+      std::fill(fl.reach_stamp.begin(), fl.reach_stamp.end(), 0u);
+      reach_epoch_ = 1;
+    }
+  }
 
-  // Flood the chunk down the tree. A node is *expected* to see the chunk
-  // once it has completed its initial join; it actually *receives* it only
-  // if it is not inside a reconnection outage, its parent received it, and
-  // the overlay-path loss draw succeeds. Descendants of an outaged node
-  // therefore miss chunks too — exactly the churn loss the paper measures.
+  // A member is *expected* to see the chunk once it has completed its
+  // initial join; it actually *receives* it only if neither it nor an
+  // ancestor is inside a (re)join handshake, no undetected crash has cut
+  // its subtree off, and on a lossy underlay every uplink on its path
+  // passes its loss draw. Descendants of an outaged node therefore miss
+  // chunks too — exactly the churn loss the paper measures.
   //
-  // This is the hottest loop of a whole run (every overlay edge, every
-  // chunk), so it runs allocation-free on reusable scratch, memoizes each
-  // child's uplink loss, and accumulates session counters in locals. All
-  // per-member state the flood touches lives in the Membership FloodTable's
-  // parallel arrays (SoA), so at 100k+ members an edge visit streams a few
-  // contiguous cache lines instead of fetching a scattered member struct.
-  // Leaves are never pushed, and the rng draw order matches the naive
-  // traversal exactly (skipped leaf frames drew nothing), preserving
-  // determinism.
+  // Subtrees detached by a still-undetected crash are out of the flood's
+  // reach (nothing links into them), yet their members still expect chunks
+  // — that gap IS the churn loss a crash causes. Walk them explicitly;
+  // draws nothing and costs nothing when no crash is pending.
+  std::uint64_t missed = 0;
+  std::uint64_t cut_off = 0;
+  for (const net::HostId root : scratch_.crash_orphans) {
+    cut_off += miss_subtree(root, now, missed);
+  }
+
+  // The handshake list: enter members into the in-session count at their
+  // first chunk at or after in_session_since, and drop them once that and
+  // their handshake are behind them. On a lossless underlay a member still
+  // inside its handshake blocks its whole subtree; count each blocked
+  // subtree once, at its top-most member, the one whose parent the chunk
+  // reaches. A member nested under another blocked one, or in a crash-orphan
+  // subtree, fails that check.
+  std::uint64_t blocked_edges = 0;
+  std::vector<net::HostId>& list = scratch_.handshakes;
+  std::size_t kept = 0;
+  for (const net::HostId h : list) {
+    bool keep = false;
+    if (fl.in_session_at[h] == FloodTable::kNotInSession) {
+      if (now >= fl.in_session_since[h]) {
+        fl.in_session_at[h] =
+            static_cast<std::uint32_t>(totals_.chunks_emitted - 1);
+        ++in_session_;
+      } else {
+        keep = true;
+      }
+    }
+    // A playout buffer forgives outages that end within buffer_seconds:
+    // the chunk is recovered from the new parent before playback needs it,
+    // so the viewer never sees the gap.
+    if (buffered_now < fl.receiving_since[h]) {
+      keep = true;
+      const net::HostId parent = tree().member_unchecked(h).parent;
+      if (lossless_ && parent != kInvalidHost &&
+          chunk_reaches(parent, buffered_now)) {
+        blocked_edges += miss_subtree(h, now, missed) - 1;
+      }
+    }
+    if (keep) {
+      list[kept++] = h;
+    } else {
+      fl.listed[h] = 0;
+    }
+  }
+  list.resize(kept);
+
+  ChunkTally tally;
+  if (lossless_) {
+    // Every alive member besides the source hangs under the source, waits
+    // in the join queue or lies in a crash-orphan subtree (Session::validate
+    // checks this partition). The chunk crosses every edge under the source
+    // except those inside the blocked subtrees, and reaches every
+    // in-session member except the ones charged a miss above.
+    const std::uint64_t under_source = tree().alive_count() - 1 -
+                                       scratch_.walk.pending_joins.size() -
+                                       cut_off;
+    tally.transmissions = under_source - blocked_edges;
+    tally.expected = in_session_;
+    tally.received = in_session_ - missed;
+  } else {
+    tally = flood_chunk(now, buffered_now);
+    tally.expected += missed;  // the crash-orphan subtrees' members
+  }
+  window_.data_transmissions += tally.transmissions;
+  totals_.data_transmissions += tally.transmissions;
+  window_.chunks_expected += tally.expected;
+  totals_.chunks_expected += tally.expected;
+  window_.chunks_delivered += tally.received;
+  totals_.chunks_delivered += tally.received;
+}
+
+Session::ChunkTally Session::flood_chunk(sim::Time now, sim::Time buffered_now) {
+  // Every overlay edge under the source, every chunk: the walk runs
+  // allocation-free on reusable scratch, memoizes each child's uplink loss,
+  // and accumulates in locals. All per-member state it touches lives in the
+  // FloodTable's parallel arrays (SoA), so at 100k+ members an edge visit
+  // streams a few contiguous cache lines instead of fetching a scattered
+  // member struct. Leaves are never pushed, and the rng draw order matches
+  // the naive traversal exactly (skipped leaf frames drew nothing),
+  // preserving determinism.
   FloodTable& fl = tree().flood();
   std::uint64_t transmissions = 0;
   std::uint64_t expected = 0;
@@ -712,9 +895,6 @@ void Session::emit_chunk() {
       bool delivered = false;
       if (f.delivered) {
         ++transmissions;
-        // A playout buffer forgives outages that end within
-        // buffer_seconds: the chunk is recovered from the new parent
-        // before playback needs it, so the viewer never sees the gap.
         if (buffered_now >= fl.receiving_since[c]) {
           if (fl.uplink_loss_parent[c] != f.host) {
             fl.uplink_loss_parent[c] = f.host;
@@ -724,11 +904,11 @@ void Session::emit_chunk() {
         }
       }
       if (now >= fl.in_session_since[c]) {
-        ++fl.chunks_expected[c];
         ++expected;
         if (delivered) {
-          ++fl.chunks_received[c];
           ++received;
+        } else {
+          ++fl.missed[c];
         }
       }
       if (!tree().member_unchecked(c).children.empty()) {
@@ -736,32 +916,57 @@ void Session::emit_chunk() {
       }
     }
   }
+  return {transmissions, expected, received};
+}
 
-  // Subtrees detached by a still-undetected crash are invisible to the
-  // flood above (nothing links into them), yet their members still expect
-  // chunks — that gap IS the churn loss a crash causes. Walk them
-  // explicitly; draws nothing and costs nothing when no crash is pending.
-  for (const net::HostId root : scratch_.crash_orphans) {
-    scratch_.chunk_stack.push_back({root, false});
-    while (!scratch_.chunk_stack.empty()) {
-      const ChunkFrame f = scratch_.chunk_stack.back();
-      scratch_.chunk_stack.pop_back();
-      if (now >= fl.in_session_since[f.host]) {
-        ++fl.chunks_expected[f.host];
-        ++expected;
-      }
-      for (const net::HostId c : tree().member_unchecked(f.host).children) {
-        scratch_.chunk_stack.push_back({c, false});
-      }
+std::uint64_t Session::miss_subtree(net::HostId root, sim::Time now,
+                                    std::uint64_t& missed) {
+  FloodTable& fl = tree().flood();
+  std::uint64_t size = 0;
+  scratch_.chunk_stack.push_back({root, false});
+  while (!scratch_.chunk_stack.empty()) {
+    const net::HostId at = scratch_.chunk_stack.back().host;
+    scratch_.chunk_stack.pop_back();
+    ++size;
+    if (now >= fl.in_session_since[at]) {
+      ++fl.missed[at];
+      ++missed;
+    }
+    for (const net::HostId c : tree().member_unchecked(at).children) {
+      scratch_.chunk_stack.push_back({c, false});
     }
   }
+  return size;
+}
 
-  window_.data_transmissions += transmissions;
-  totals_.data_transmissions += transmissions;
-  window_.chunks_expected += expected;
-  totals_.chunks_expected += expected;
-  window_.chunks_delivered += received;
-  totals_.chunks_delivered += received;
+bool Session::chunk_reaches(net::HostId h, sim::Time buffered_now) {
+  FloodTable& fl = tree().flood();
+  const std::uint32_t epoch = reach_epoch_ << 1;
+  // Climb to the nearest member whose answer is known: the source (yes), a
+  // member already stamped this chunk, or one inside its own handshake or
+  // at the top of a detached fragment (no).
+  net::HostId at = h;
+  bool reached = false;
+  for (;;) {
+    if (at == params_.source) {
+      reached = true;
+      break;
+    }
+    const std::uint32_t stamp = fl.reach_stamp[at];
+    if ((stamp & ~1u) == epoch) {
+      reached = (stamp & 1u) != 0;
+      break;
+    }
+    const net::HostId parent = tree().member_unchecked(at).parent;
+    if (buffered_now < fl.receiving_since[at] || parent == kInvalidHost) break;
+    at = parent;
+  }
+  // Stamp the climbed path so later checks of this chunk stop on it.
+  const std::uint32_t stamp = epoch | (reached ? 1u : 0u);
+  for (net::HostId y = h; y != at; y = tree().member_unchecked(y).parent) {
+    fl.reach_stamp[y] = stamp;
+  }
+  return reached;
 }
 
 }  // namespace vdm::overlay

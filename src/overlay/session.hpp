@@ -70,8 +70,10 @@ struct SessionParams {
   net::HostId source = 0;
   int source_degree_limit = 5;
   /// Data chunks emitted per second at the source (the PlanetLab deployment
-  /// used 10/s; simulations may lower this to cut event counts — loss is a
-  /// rate, so the statistic is unchanged).
+  /// used 10/s). On a lossless underlay a chunk costs O(members in a
+  /// handshake or a crash-orphan subtree); on a lossy one it visits every
+  /// overlay edge, so lossy runs may lower the rate — loss is a rate, so
+  /// the statistic is unchanged.
   double chunk_rate = 2.0;
   /// Disable to run control-plane-only experiments (no loss metric).
   bool data_plane = true;
@@ -127,7 +129,7 @@ struct TimingRecord {
 /// One live multicast session: the source, the member tree, the control
 /// plane (joins, graceful leaves, orphan reconnection, refinement timers)
 /// and the data plane (periodic chunks flooding down the tree with per-path
-/// loss sampling).
+/// loss sampling, or counted from membership alone on a lossless underlay).
 ///
 /// The session is the single mutation point of the overlay; protocols are
 /// strategy objects invoked from here. All randomness flows through the
@@ -158,13 +160,13 @@ class Session {
 
  public:
   /// Every buffer a run grows: the member tree, the tree-walk buffers, the
-  /// placement index and the event paths' buffers (the chunk-flood
-  /// traversal stack, the leave/crash orphan list, the timing-record
-  /// accumulators and the failure detector's per-host slab and pending
-  /// crash orphans). One bundle lives on each Session; the experiment
-  /// runner swaps a warm one in from its RunScratch (swap_scratch) so
-  /// steady-state sweeps run joins, the data plane, churn and crash
-  /// recovery without allocating.
+  /// placement index and the event paths' buffers (the chunk traversal
+  /// stack, the handshake list, the leave/crash orphan list, the
+  /// timing-record accumulators and the failure detector's per-host slab
+  /// and pending crash orphans). One bundle lives on each Session; the
+  /// experiment runner swaps a warm one in from its RunScratch
+  /// (swap_scratch) so steady-state sweeps run joins, the data plane, churn
+  /// and crash recovery without allocating.
   struct Scratch {
     /// Member slots, children capacity and flood arrays; start() resets it
     /// to the underlay's host count.
@@ -175,16 +177,22 @@ class Session {
     /// unallocated) until a locating or concurrent run.
     PlacementIndex placement;
     std::vector<ChunkFrame> chunk_stack;
+    /// Members whose latest (re)join handshake may still block chunks, or
+    /// whose entry into the in-session count is still due. finish_join
+    /// lists a member (FloodTable::listed guards against duplicates) and
+    /// emit_chunk drops it once both are behind it; a leave or crash drops
+    /// it at once. Unordered: every use is a sum.
+    std::vector<net::HostId> handshakes;
     std::vector<net::HostId> orphans;
     std::vector<TimingRecord> startup_records;
     std::vector<TimingRecord> reconnect_records;
     /// Indexed by host; sized only when heartbeats are on.
     std::vector<HeartbeatState> heartbeats;
     /// Roots of subtrees detached by a crash and still awaiting detection.
-    /// The data-plane flood cannot reach them via children lists, so
-    /// emit_chunk walks these explicitly to count the chunks their members
-    /// miss during the outage. Order-preserving (vector + std::find) so the
-    /// walk order stays deterministic.
+    /// No chunk reaches them through children lists, so emit_chunk walks
+    /// these explicitly to count the chunks their members miss during the
+    /// outage. Order-preserving (vector + std::find) so the walk order
+    /// stays deterministic.
     std::vector<net::HostId> crash_orphans;
 
     /// Heap bytes reserved — folded into RunScratch::capacity_bytes so the
@@ -193,7 +201,8 @@ class Session {
       return tree.capacity_bytes() + walk.capacity_bytes() +
              placement.capacity_bytes() +
              chunk_stack.capacity() * sizeof(ChunkFrame) +
-             (orphans.capacity() + crash_orphans.capacity()) *
+             (handshakes.capacity() + orphans.capacity() +
+              crash_orphans.capacity()) *
                  sizeof(net::HostId) +
              (startup_records.capacity() + reconnect_records.capacity()) *
                  sizeof(TimingRecord) +
@@ -271,6 +280,15 @@ class Session {
   /// alive, not the joiner, and not in the joiner's own subtree.
   bool eligible_parent(net::HostId joiner, net::HostId candidate) const;
 
+  /// Throws InvariantError unless the tree invariants hold
+  /// (Membership::validate) and every alive member besides the source hangs
+  /// under the source, waits in the concurrent join queue, or lies in a
+  /// pending crash-orphan subtree — the partition the lossless chunk count
+  /// rests on (DESIGN.md §6) — and the in-session count matches the
+  /// per-member records. Runs after every mutation batch under
+  /// paranoid_checks.
+  void validate() const;
+
   // --- accessors ---------------------------------------------------------
   Membership& tree() { return scratch_.tree; }
   const Membership& tree() const { return scratch_.tree; }
@@ -332,6 +350,16 @@ class Session {
   const PhaseProfile& profile() const { return profile_; }
   void reset_window();
 
+  /// One member's chunks in its current stint: those it was expected to
+  /// see since its first chunk at or after in_session_since, and those of
+  /// them that reached it. Both 0 before that chunk and after the member
+  /// left or crashed.
+  struct MemberChunks {
+    std::uint32_t expected = 0;
+    std::uint32_t received = 0;
+  };
+  MemberChunks member_chunks(net::HostId h) const;
+
   /// Startup / reconnection records accumulated since the last drain: swaps
   /// them into `out` (cleared first); the session keeps accumulating into
   /// out's previous storage, so a capture loop ping-pongs two buffers
@@ -378,7 +406,34 @@ class Session {
   /// nothing) when the effective loss is zero or lossy_control is off.
   sim::Time lossy_elapsed(net::HostId from, net::HostId with, int messages,
                           sim::Time base, OpStats& stats);
+  /// Drops a joiner still waiting for its concurrent drain from the queue
+  /// (order kept): it never attached, so it leaves nothing else behind.
+  void forget_pending_join(net::HostId h);
+  /// Puts `h` on the handshake list (see Scratch::handshakes).
+  void list_handshake(net::HostId h);
+  /// Takes a departing member out of the in-session count and the
+  /// handshake list.
+  void end_chunk_stint(net::HostId h);
+
+  /// One chunk's data-plane sums.
+  struct ChunkTally {
+    std::uint64_t transmissions = 0;
+    std::uint64_t expected = 0;
+    std::uint64_t received = 0;
+  };
   void emit_chunk();
+  /// Lossy data plane: floods the chunk over every overlay edge under the
+  /// source with one loss draw per delivering edge.
+  ChunkTally flood_chunk(sim::Time now, sim::Time buffered_now);
+  /// Charges a missed chunk to every in-session member of the subtree
+  /// under `root` (adding them to `missed`); returns the subtree's size.
+  std::uint64_t miss_subtree(net::HostId root, sim::Time now,
+                             std::uint64_t& missed);
+  /// True if the current chunk reaches `h` on a lossless underlay: `h`
+  /// hangs under the source and neither it nor any ancestor is inside its
+  /// handshake. Memoized per chunk in FloodTable::reach_stamp, so the
+  /// checks of one chunk climb each member's uplink at most once.
+  bool chunk_reaches(net::HostId h, sim::Time buffered_now);
 
   /// The time/timer seam every call site below goes through.
   sim::Reactor& reactor_;
@@ -400,6 +455,14 @@ class Session {
   /// The data-plane chunk clock: one timer rescheduled in place after each
   /// tick, so starting the data plane costs no heap timer object per run.
   sim::EventId stream_event_ = sim::kInvalidEvent;
+  /// underlay_.zero_loss(), read once by start(): chunks are then counted
+  /// from membership instead of flooded edge by edge.
+  bool lossless_ = false;
+  /// Alive members whose FloodTable::in_session_at is set: the chunks
+  /// expected per emission.
+  std::uint64_t in_session_ = 0;
+  /// Per-chunk stamp of chunk_reaches(); 0 is never current.
+  std::uint32_t reach_epoch_ = 0;
 
   /// Every buffer the run grows (see Scratch). The leave/crash orphan list
   /// is never re-entered: each departure is a top-level event and the

@@ -19,7 +19,9 @@
 #include "helpers.hpp"
 #include "net/coord_underlay.hpp"
 #include "overlay/placement.hpp"
+#include "overlay/scenario.hpp"
 #include "overlay/walk.hpp"
+#include "topology/coord.hpp"
 
 namespace vdm::overlay {
 namespace {
@@ -327,6 +329,62 @@ TEST(JoinPipelineDeterminism, ConcurrentFlashGoldens) {
   EXPECT_EQ(hex(r.startup_avg), "0x1.3d303d5d3f55cp-4");
   EXPECT_EQ(hex(r.startup_p99), "0x1.0f5d6d509db6ep-2");
   EXPECT_EQ(hex(r.join_rate), "0x1.4a9cc9391fd7p+8");
+}
+
+/// Runs joins of hosts 1..3 at t = 1..3 and `departure` of host 3 at t = 3
+/// through the event executor, concurrent mode, heartbeats on. The executor
+/// schedules the whole list up front, so the departure fires before the
+/// drain that host 3's join queued with schedule_in(0): it meets a joiner
+/// that is still in the queue.
+void depart_while_queued(WorkloadEvent::Kind departure) {
+  topo::CoordParams cp;
+  cp.num_hosts = 16;
+  cp.space = topo::CoordSpace::kPlane;
+  util::Rng topo_rng(5);
+  const net::CoordUnderlay underlay = topo::make_coord(cp, topo_rng);
+  core::VdmProtocol protocol;
+  sim::Simulator sim;
+  DelayMetric metric(0.0);
+  SessionParams sp;
+  sp.join_mode = JoinMode::kConcurrent;
+  sp.chunk_rate = 4.0;
+  sp.paranoid_checks = true;
+  sp.faults.heartbeat_period = 1.0;
+  Session session(sim, underlay, protocol, metric, sp, util::Rng(3));
+  ScenarioParams sc;
+  sc.target_members = 8;
+  sc.join_phase = 4.0;
+  sc.settle_time = 1.0;
+  sc.churn_interval = 3.0;
+  sc.total_time = 10.0;
+  ScenarioDriver driver(session, sc, util::Rng(4));
+  const std::vector<WorkloadEvent> events{
+      {1.0, WorkloadEvent::Kind::kJoin, 1, 4},
+      {2.0, WorkloadEvent::Kind::kJoin, 2, 4},
+      {3.0, WorkloadEvent::Kind::kJoin, 3, 4},
+      {3.0, departure, 3, 4},
+  };
+  std::size_t checks = 0;
+  driver.run_trace(events, [&session, &checks](sim::Time) {
+    session.validate();
+    ++checks;
+  });
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(driver.members_alive(), 2u);
+  EXPECT_EQ(session.tree().alive_count(), 3u);  // the source, hosts 1 and 2
+  EXPECT_FALSE(session.tree().member(3).alive);
+  EXPECT_EQ(session.totals().joins_completed, 2u);
+  EXPECT_EQ(session.totals().chunks_expected, session.totals().chunks_delivered);
+  EXPECT_GT(session.member_chunks(2).expected, 0u);
+  EXPECT_EQ(session.member_chunks(3).expected, 0u);
+}
+
+TEST(JoinPipelineQueue, LeaveOfAQueuedJoinerDropsItFromTheBatch) {
+  depart_while_queued(WorkloadEvent::Kind::kLeave);
+}
+
+TEST(JoinPipelineQueue, CrashOfAQueuedJoinerDropsItFromTheBatch) {
+  depart_while_queued(WorkloadEvent::Kind::kCrash);
 }
 
 }  // namespace

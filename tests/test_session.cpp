@@ -73,8 +73,8 @@ TEST(Session, ChunksFlowDownTheTree) {
   EXPECT_GT(t.chunks_emitted, 0u);
   // Two receivers per emission once both are in.
   EXPECT_GT(t.data_transmissions, t.chunks_emitted);
-  EXPECT_GT(h.session.tree().flood().chunks_received[1], 0u);
-  EXPECT_GT(h.session.tree().flood().chunks_received[2], 0u);
+  EXPECT_GT(h.session.member_chunks(1).received, 0u);
+  EXPECT_GT(h.session.member_chunks(2).received, 0u);
 }
 
 TEST(Session, NoLossOnCleanStaticNetwork) {

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "topology/simple.hpp"
+#include "topology/transit_stub.hpp"
 #include "util/require.hpp"
 
 namespace vdm::net {
@@ -49,6 +50,44 @@ TEST(GraphUnderlay, LossCompoundsOverPath) {
   g.add_link(h2, 1, 0.001, 0.0);
   const GraphUnderlay u(std::move(g), {h1, h2});
   EXPECT_NEAR(u.loss(0, 1), 1.0 - 0.95 * 0.9 * 1.0, 1e-12);
+}
+
+TEST(GraphUnderlay, ZeroLossFollowsTheLinkLosses) {
+  topo::TransitStubParams tp;
+  tp.transit_domains = 2;
+  tp.routers_per_transit = 2;
+  tp.stub_domains_per_transit_router = 2;
+  tp.routers_per_stub = 3;
+  topo::HostAttachment hp;
+  hp.num_hosts = 20;
+  util::Rng rng(9);
+  GraphUnderlay lossless = topo::make_transit_stub_underlay(tp, hp, rng);
+  EXPECT_TRUE(lossless.zero_loss());
+  EXPECT_EQ(lossless.loss(0, 1), 0.0);
+  tp.loss_max = 0.02;
+  const GraphUnderlay lossy = topo::make_transit_stub_underlay(tp, hp, rng);
+  EXPECT_FALSE(lossy.zero_loss());
+
+  // rebind() recomputes it for the topology it seats, either way.
+  Graph g;
+  std::vector<NodeId> hosts;
+  lossless.release(g, hosts);
+  g.clear();
+  const NodeId r = g.add_node();
+  const NodeId h1 = g.add_node();
+  const NodeId h2 = g.add_node();
+  g.add_link(h1, r, 0.001, 0.0);
+  g.add_link(h2, r, 0.001, 0.01);
+  lossless.rebind(std::move(g), {h1, h2});
+  EXPECT_FALSE(lossless.zero_loss());
+  EXPECT_GT(lossless.loss(0, 1), 0.0);
+  lossless.release(g, hosts);
+  g.clear();
+  g.add_nodes(3);
+  g.add_link(1, 0, 0.001, 0.0);
+  g.add_link(2, 0, 0.001, 0.0);
+  lossless.rebind(std::move(g), {1, 2});
+  EXPECT_TRUE(lossless.zero_loss());
 }
 
 TEST(GraphUnderlay, RejectsEmptyHostList) {
