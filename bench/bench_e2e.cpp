@@ -93,6 +93,30 @@ BENCHMARK(BM_RunOnceTransitStub)
     ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
+/// Runs `cfg` once to warm an arena, then times run_once into it and
+/// reports the zero-allocation gate: arena_grow_per_iter and allocs_per_iter
+/// must both read exactly 0 once the arena owns every buffer the shape
+/// needs. Returns the last timed run's result.
+experiments::RunResult run_warm(benchmark::State& state,
+                                const experiments::RunConfig& cfg) {
+  experiments::RunScratch scratch;
+  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
+
+  const std::uint64_t grows_before = scratch.grow_events();
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  experiments::RunResult last;
+  for (auto _ : state) {
+    last = experiments::run_once(cfg, scratch);
+    benchmark::DoNotOptimize(last);
+  }
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["arena_grow_per_iter"] =
+      static_cast<double>(scratch.grow_events() - grows_before) / iters;
+  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  return last;
+}
+
 /// run_once under the full failure model: every churn departure is an
 /// ungraceful crash, children run heartbeat detection, and the control
 /// plane drops and retries messages. Tracks the cost of the fault path
@@ -111,26 +135,12 @@ void BM_RunOnceCrashChurn(benchmark::State& state) {
   cfg.session.faults.lossy_control = true;
   cfg.session.faults.control_loss_extra = 0.01;
   cfg.seed = 7;
-  experiments::RunScratch scratch;
-  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
-
   // Crash churn is the walk-heaviest configuration (every departure triggers
   // orphan reconnection walks) and the only one with a failure detector on
   // every member, so the alloc counters here gate the zero-allocation claim
   // of the TreeWalk path and the heartbeat slab: once the arena is warm, a
   // full run allocates nothing (allocs_per_iter == 0, like BM_RunOnceArena).
-  const std::uint64_t grows_before = scratch.grow_events();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  experiments::RunResult last;
-  for (auto _ : state) {
-    last = experiments::run_once(cfg, scratch);
-    benchmark::DoNotOptimize(last);
-  }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["arena_grow_per_iter"] =
-      static_cast<double>(scratch.grow_events() - grows_before) / iters;
-  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  const experiments::RunResult last = run_warm(state, cfg);
   // Share of simulator events fired from a re-arm lane (the heartbeat
   // ticks) rather than as heap entries; deterministic per seed.
   state.counters["lane_fire_share"] =
@@ -151,22 +161,27 @@ void BM_RunOnceArena(benchmark::State& state) {
   cfg.protocol = experiments::Proto::kVdm;
   cfg.scenario.target_members = static_cast<std::size_t>(state.range(0));
   cfg.seed = 7;
-  experiments::RunScratch scratch;
-  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
-
-  const std::uint64_t grows_before = scratch.grow_events();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    experiments::RunResult r = experiments::run_once(cfg, scratch);
-    benchmark::DoNotOptimize(r);
-  }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["arena_grow_per_iter"] =
-      static_cast<double>(scratch.grow_events() - grows_before) / iters;
-  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  run_warm(state, cfg);
 }
 BENCHMARK(BM_RunOnceArena)->Arg(200)->Unit(benchmark::kMillisecond);
+
+/// The paper_lossy_512 shape on a warm arena: VDM-L on the transit-stub
+/// with every router link's loss drawn up to 2 % (Chapter 4), 2 chunks/s.
+/// The only e2e row whose chunks take the lossy flood (every other row's
+/// underlay is lossless, so its chunks are counted); allocs_per_iter and
+/// arena_grow_per_iter must read 0 here too.
+void BM_RunOnceLossy(benchmark::State& state) {
+  experiments::RunConfig cfg;
+  cfg.substrate = experiments::Substrate::kTransitStub;
+  cfg.protocol = experiments::Proto::kVdm;
+  cfg.metric = experiments::Metric::kLoss;
+  cfg.link_loss_max = 0.02;
+  cfg.session.chunk_rate = 2.0;
+  cfg.scenario.target_members = static_cast<std::size_t>(state.range(0));
+  cfg.seed = 7;
+  run_warm(state, cfg);
+}
+BENCHMARK(BM_RunOnceLossy)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Trace-driven churn end to end: every iteration regenerates the Poisson
 /// workload (same seed, same event list) and replays it through
@@ -189,23 +204,8 @@ void BM_ChurnTrace(benchmark::State& state) {
   cfg.session.chunk_rate = 0.1;
   cfg.compute_mst_ratio = false;
   cfg.seed = 7;
-  experiments::RunScratch scratch;
-  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
-
-  const std::uint64_t grows_before = scratch.grow_events();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  std::size_t final_members = 0;
-  for (auto _ : state) {
-    experiments::RunResult r = experiments::run_once(cfg, scratch);
-    final_members = r.final_members;
-    benchmark::DoNotOptimize(r);
-  }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["final_members"] = static_cast<double>(final_members);
-  state.counters["arena_grow_per_iter"] =
-      static_cast<double>(scratch.grow_events() - grows_before) / iters;
-  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  const experiments::RunResult last = run_warm(state, cfg);
+  state.counters["final_members"] = static_cast<double>(last.final_members);
 }
 BENCHMARK(BM_ChurnTrace)->Arg(1024)->Unit(benchmark::kMillisecond);
 
@@ -230,20 +230,7 @@ void BM_RunOnceCoord(benchmark::State& state) {
   cfg.session.chunk_rate = 10.0;
   cfg.compute_mst_ratio = false;  // O(N^2) baseline would dominate at 65536
   cfg.seed = 7;
-  experiments::RunScratch scratch;
-  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
-
-  const std::uint64_t grows_before = scratch.grow_events();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    experiments::RunResult r = experiments::run_once(cfg, scratch);
-    benchmark::DoNotOptimize(r);
-  }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["arena_grow_per_iter"] =
-      static_cast<double>(scratch.grow_events() - grows_before) / iters;
-  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  run_warm(state, cfg);
 }
 BENCHMARK(BM_RunOnceCoord)
     ->Arg(2048)

@@ -159,6 +159,10 @@ OpStats HmtpProtocol::execute_refine(Session& session, net::HostId node) {
 
   const TreeWalk::Action found = search(session, node, start, stats);
   if (found.node == m.parent) return stats;
+  // A root path cut short by an undetected crash ends at the crash orphan,
+  // which reports the slot its own uplink will retake as free: hanging a
+  // member there would exceed its degree limit once it rejoins.
+  if (!tree.attached(found.node, session.source())) return stats;
   const double current = tree.stored_child_distance(m.parent, node);
   if (found.dist >= current * (1.0 - config_.switch_margin)) return stats;
 

@@ -393,6 +393,8 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
 
   const std::size_t pool = host_pool(config);
   VDM_REQUIRE(pool > config.scenario.target_members);
+  VDM_REQUIRE_MSG(config.link_loss_max >= 0.0, "link_loss_max must not be negative");
+  VDM_REQUIRE_MSG(config.probe_noise >= 0.0, "probe_noise must not be negative");
 
   net::Underlay* underlay = build_underlay(config, pool, topo_rng, *scratch.impl_);
   overlay::Protocol& protocol = cached_protocol(*scratch.impl_, config);

@@ -53,6 +53,7 @@ void Membership::reset(std::size_t num_hosts) {
   }
   flood_.assign(num_hosts);
   num_hosts_ = num_hosts;
+  ++shape_version_;
   limit1_alive_ = 0;
   alive_count_ = 0;
   // The observer is bound per run (it indexes one session's tree); a reset
@@ -99,6 +100,7 @@ void Membership::deactivate(HostId h, std::vector<HostId>& orphans_out) {
   m.children.clear();
   m.child_dists.clear();
   m.alive = false;
+  ++shape_version_;
   if (m.degree_limit == 1) --limit1_alive_;
   --alive_count_;
 }
@@ -120,6 +122,7 @@ void Membership::attach(HostId child, HostId parent, double measured_dist,
   cm.parent = parent;
   cm.grandparent = pm.parent;
   refresh_grandparent_of_children(child);
+  ++shape_version_;
   if (observer_ != nullptr) observer_->on_attach(child, parent);
 }
 
@@ -136,6 +139,7 @@ void Membership::detach(HostId child) {
   pm.children.erase(it);
   cm.parent = kInvalidHost;
   cm.grandparent = kInvalidHost;
+  ++shape_version_;
   // Children of `child` now have a detached parent; their grandparent
   // pointer (towards the old parent) is stale until `child` re-attaches,
   // exactly as in the protocol, where grandparent updates ride on

@@ -48,11 +48,13 @@ struct MemberState {
 };
 
 /// Data-plane member state in struct-of-arrays layout, indexed by host.
-/// On a lossy underlay Session::emit_chunk touches these fields for every
-/// overlay edge of every chunk, so each field is its own contiguous array
-/// and an edge visit costs a handful of streamed loads instead of a random
-/// 136-byte struct fetch. On a lossless one a chunk reads them only for
-/// members in a handshake or a crash-orphan subtree.
+/// On a lossy underlay every chunk scans the session's cached visit order
+/// (Session::FloodOrder) and reads receiving_since, in_session_since and
+/// missed for each entry's child, so each field is its own contiguous array
+/// instead of a field of a scattered member struct; the uplink-loss memo is
+/// read only when that order is rebuilt after a tree change. On a lossless
+/// underlay a chunk reads these only for members in a handshake or a
+/// crash-orphan subtree.
 struct FloodTable {
   /// Marks a member that has not entered the in-session count this stint.
   static constexpr std::uint32_t kNotInSession = ~std::uint32_t{0};
@@ -64,8 +66,8 @@ struct FloodTable {
   /// (chunks are *expected* from this point; see the loss metric).
   std::vector<sim::Time> in_session_since;
   /// Memoized drop probability of the uplink from uplink_loss_parent[h],
-  /// refreshed lazily when the flood sees a different parent; sound because
-  /// the underlay is immutable once a session streams.
+  /// refreshed when a rebuild of the flood's visit order finds a different
+  /// parent; sound because the underlay is immutable once a session streams.
   std::vector<double> uplink_loss;
   std::vector<HostId> uplink_loss_parent;
   /// Per-member chunk accounting (Session::member_chunks): the session's
@@ -120,12 +122,18 @@ class Membership {
 
   std::size_t num_hosts() const { return num_hosts_; }
   const MemberState& member(HostId h) const { return members_.at(h); }
-  MemberState& mutable_member(HostId h) { return members_.at(h); }
 
-  /// Bounds-unchecked accessors for per-edge hot loops (the data-plane
-  /// chunk flood); callers guarantee h < num_hosts().
+  /// Bounds-unchecked accessor for per-edge hot loops (the data-plane
+  /// chunk walks); callers guarantee h < num_hosts().
   const MemberState& member_unchecked(HostId h) const { return members_[h]; }
-  MemberState& mutable_member_unchecked(HostId h) { return members_[h]; }
+
+  /// Moves whenever an edge or a child's place among its siblings may have
+  /// changed: every attach, detach, deactivate and reset bumps it, and
+  /// nothing else can reach a children list. A view built from the tree's
+  /// shape (the session's lossy-flood visit order) is current while this
+  /// still reads the value it was built at. Never decreases, across resets
+  /// too.
+  std::uint64_t shape_version() const { return shape_version_; }
 
   /// The SoA data-plane state (see FloodTable). Arrays are indexed by host
   /// and sized num_hosts().
@@ -227,6 +235,7 @@ class Membership {
   FloodTable flood_;
   std::size_t num_hosts_ = 0;
   std::size_t alive_count_ = 0;
+  std::uint64_t shape_version_ = 0;
   MembershipObserver* observer_ = nullptr;
   /// DFS scratch for subtree_has_capacity(); member state (not a local) so
   /// the saturated-descent checks stay allocation-free in steady state.

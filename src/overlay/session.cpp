@@ -64,6 +64,11 @@ Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
   // unavoidable allocations on that otherwise allocation-free path.
   VDM_REQUIRE(params_.source < underlay.num_hosts());
   VDM_REQUIRE(params_.chunk_rate > 0.0);
+  VDM_REQUIRE_MSG(params_.buffer_seconds >= 0.0,
+                  "buffer_seconds must not be negative");
+  VDM_REQUIRE_MSG(params_.faults.control_loss_extra >= 0.0 &&
+                      params_.faults.control_loss_extra <= 1.0,
+                  "control_loss_extra must lie in [0, 1]");
 }
 
 Session::~Session() { stop(); }
@@ -874,56 +879,76 @@ void Session::emit_chunk() {
 }
 
 Session::ChunkTally Session::flood_chunk(sim::Time now, sim::Time buffered_now) {
-  // Every overlay edge under the source, every chunk: the walk runs
-  // allocation-free on reusable scratch, memoizes each child's uplink loss,
-  // and accumulates in locals. All per-member state it touches lives in the
-  // FloodTable's parallel arrays (SoA), so at 100k+ members an edge visit
-  // streams a few contiguous cache lines instead of fetching a scattered
-  // member struct. Leaves are never pushed, and the rng draw order matches
-  // the naive traversal exactly (skipped leaf frames drew nothing),
-  // preserving determinism.
+  // Every overlay edge under the source, every chunk, as one linear scan of
+  // the cached visit order: a parent's entry precedes its children's, so
+  // each entry finds its parent's delivered byte already written. Entries
+  // run in the LIFO traversal's order and an undelivered parent draws
+  // nothing for its children, so the rng draws come in the traversal's
+  // order exactly. The tree changes before only a few percent of chunks;
+  // the order is rebuilt then, and reused by every chunk in between.
+  FloodOrder& order = scratch_.flood_order;
+  if (order.version != tree().shape_version()) build_flood_order();
   FloodTable& fl = tree().flood();
+  std::uint8_t* const delivered = order.delivered.data();
   std::uint64_t transmissions = 0;
   std::uint64_t expected = 0;
   std::uint64_t received = 0;
-  scratch_.chunk_stack.clear();
-  scratch_.chunk_stack.push_back({params_.source, true});
-  while (!scratch_.chunk_stack.empty()) {
-    const ChunkFrame f = scratch_.chunk_stack.back();
-    scratch_.chunk_stack.pop_back();
-    for (const net::HostId c : tree().member_unchecked(f.host).children) {
-      bool delivered = false;
-      if (f.delivered) {
-        ++transmissions;
-        if (buffered_now >= fl.receiving_since[c]) {
-          if (fl.uplink_loss_parent[c] != f.host) {
-            fl.uplink_loss_parent[c] = f.host;
-            fl.uplink_loss[c] = underlay_.loss(f.host, c);
-          }
-          delivered = !rng_.chance(fl.uplink_loss[c]);
-        }
-      }
-      if (now >= fl.in_session_since[c]) {
-        ++expected;
-        if (delivered) {
-          ++received;
-        } else {
-          ++fl.missed[c];
-        }
-      }
-      if (!tree().member_unchecked(c).children.empty()) {
-        scratch_.chunk_stack.push_back({c, delivered});
+  delivered[0] = 1;
+  for (std::size_t i = 0; i < order.child.size(); ++i) {
+    const net::HostId c = order.child[i];
+    bool got = false;
+    if (delivered[order.up[i]] != 0) {
+      ++transmissions;
+      if (buffered_now >= fl.receiving_since[c]) got = !rng_.chance(order.loss[i]);
+    }
+    delivered[i + 1] = got ? 1 : 0;
+    if (now >= fl.in_session_since[c]) {
+      ++expected;
+      if (got) {
+        ++received;
+      } else {
+        ++fl.missed[c];
       }
     }
   }
   return {transmissions, expected, received};
 }
 
+void Session::build_flood_order() {
+  FloodTable& fl = tree().flood();
+  FloodOrder& order = scratch_.flood_order;
+  order.child.clear();
+  order.up.clear();
+  order.loss.clear();
+  // Leaves are never pushed: they have no entries below them.
+  scratch_.chunk_stack.clear();
+  scratch_.chunk_stack.push_back({params_.source, 0});
+  while (!scratch_.chunk_stack.empty()) {
+    const ChunkFrame f = scratch_.chunk_stack.back();
+    scratch_.chunk_stack.pop_back();
+    for (const net::HostId c : tree().member_unchecked(f.host).children) {
+      if (fl.uplink_loss_parent[c] != f.host) {
+        fl.uplink_loss_parent[c] = f.host;
+        fl.uplink_loss[c] = underlay_.loss(f.host, c);
+      }
+      order.child.push_back(c);
+      order.up.push_back(f.slot);
+      order.loss.push_back(fl.uplink_loss[c]);
+      if (!tree().member_unchecked(c).children.empty()) {
+        scratch_.chunk_stack.push_back(
+            {c, static_cast<std::uint32_t>(order.child.size())});
+      }
+    }
+  }
+  order.delivered.resize(order.child.size() + 1);
+  order.version = tree().shape_version();
+}
+
 std::uint64_t Session::miss_subtree(net::HostId root, sim::Time now,
                                     std::uint64_t& missed) {
   FloodTable& fl = tree().flood();
   std::uint64_t size = 0;
-  scratch_.chunk_stack.push_back({root, false});
+  scratch_.chunk_stack.push_back({root, 0});
   while (!scratch_.chunk_stack.empty()) {
     const net::HostId at = scratch_.chunk_stack.back().host;
     scratch_.chunk_stack.pop_back();
@@ -933,7 +958,7 @@ std::uint64_t Session::miss_subtree(net::HostId root, sim::Time now,
       ++missed;
     }
     for (const net::HostId c : tree().member_unchecked(at).children) {
-      scratch_.chunk_stack.push_back({c, false});
+      scratch_.chunk_stack.push_back({c, 0});
     }
   }
   return size;

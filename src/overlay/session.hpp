@@ -136,10 +136,33 @@ struct TimingRecord {
 /// session's Rng, so a (seed, scenario) pair reproduces a run exactly.
 class Session {
  private:
-  /// One node of the per-chunk flood traversal.
+  /// One node of a chunk-side tree traversal: the member and, while the
+  /// lossy flood's visit order is being built, the index of its delivered
+  /// byte (0 for the source; see FloodOrder).
   struct ChunkFrame {
     net::HostId host;
-    bool delivered;
+    std::uint32_t slot;
+  };
+  /// The lossy flood's visit order: one entry per overlay edge under the
+  /// source, in the order a LIFO traversal from the source meets them
+  /// (children in list order), so a parent's entry always precedes its
+  /// children's. Entry i holds the child, `up[i]` the index of its parent's
+  /// delivered byte, and the uplink's drop probability; `delivered` holds
+  /// one byte per entry for the current chunk, byte 0 for the source and
+  /// byte i + 1 for entry i. Built by flood_chunk only when the tree's
+  /// shape_version() has moved past `version`.
+  struct FloodOrder {
+    std::vector<net::HostId> child;
+    std::vector<std::uint32_t> up;
+    std::vector<double> loss;
+    std::vector<std::uint8_t> delivered;
+    std::uint64_t version = 0;
+
+    std::size_t capacity_bytes() const {
+      return child.capacity() * sizeof(net::HostId) +
+             up.capacity() * sizeof(std::uint32_t) +
+             loss.capacity() * sizeof(double) + delivered.capacity();
+    }
   };
   /// Per-member failure-detector state (faults.heartbeat_period > 0).
   struct HeartbeatState {
@@ -161,12 +184,12 @@ class Session {
  public:
   /// Every buffer a run grows: the member tree, the tree-walk buffers, the
   /// placement index and the event paths' buffers (the chunk traversal
-  /// stack, the handshake list, the leave/crash orphan list, the
-  /// timing-record accumulators and the failure detector's per-host slab
-  /// and pending crash orphans). One bundle lives on each Session; the
-  /// experiment runner swaps a warm one in from its RunScratch
-  /// (swap_scratch) so steady-state sweeps run joins, the data plane, churn
-  /// and crash recovery without allocating.
+  /// stack, the lossy flood's visit order, the handshake list, the
+  /// leave/crash orphan list, the timing-record accumulators and the
+  /// failure detector's per-host slab and pending crash orphans). One
+  /// bundle lives on each Session; the experiment runner swaps a warm one
+  /// in from its RunScratch (swap_scratch) so steady-state sweeps run joins,
+  /// the data plane, churn and crash recovery without allocating.
   struct Scratch {
     /// Member slots, children capacity and flood arrays; start() resets it
     /// to the underlay's host count.
@@ -177,6 +200,8 @@ class Session {
     /// unallocated) until a locating or concurrent run.
     PlacementIndex placement;
     std::vector<ChunkFrame> chunk_stack;
+    /// Empty until a lossy chunk floods; a lossless run never builds it.
+    FloodOrder flood_order;
     /// Members whose latest (re)join handshake may still block chunks, or
     /// whose entry into the in-session count is still due. finish_join
     /// lists a member (FloodTable::listed guards against duplicates) and
@@ -201,6 +226,7 @@ class Session {
       return tree.capacity_bytes() + walk.capacity_bytes() +
              placement.capacity_bytes() +
              chunk_stack.capacity() * sizeof(ChunkFrame) +
+             flood_order.capacity_bytes() +
              (handshakes.capacity() + orphans.capacity() +
               crash_orphans.capacity()) *
                  sizeof(net::HostId) +
@@ -423,8 +449,12 @@ class Session {
   };
   void emit_chunk();
   /// Lossy data plane: floods the chunk over every overlay edge under the
-  /// source with one loss draw per delivering edge.
+  /// source with one loss draw per delivering edge, scanning the cached
+  /// visit order (rebuilt first if the tree changed since the last chunk).
   ChunkTally flood_chunk(sim::Time now, sim::Time buffered_now);
+  /// Rebuilds Scratch::flood_order from the tree, refreshing each child's
+  /// uplink-loss memo in FloodTable for the parent it now has.
+  void build_flood_order();
   /// Charges a missed chunk to every in-session member of the subtree
   /// under `root` (adding them to `missed`); returns the subtree's size.
   std::uint64_t miss_subtree(net::HostId root, sim::Time now,

@@ -89,6 +89,29 @@ TEST(AllocBudget, SteadyStateArenaRunStaysUnderBudget) {
       << " times; per-run allocation crept back in";
 }
 
+TEST(AllocBudget, LossyFloodStaysUnderBudgetToo) {
+  // The paper_lossy_512 shape at test size: VDM-L over router links whose
+  // loss is drawn up to 2 %, 2 chunks/s. Every other shape here runs on a
+  // lossless underlay, whose chunks are counted; these chunks take the
+  // lossy flood, and its cached visit order rides the session scratch too.
+  RunScratch scratch;
+  RunConfig cfg = paper_config();
+  cfg.metric = Metric::kLoss;
+  cfg.link_loss_max = 0.02;
+  cfg.session.chunk_rate = 2.0;
+  (void)run_once(cfg, scratch);
+  (void)run_once(cfg, scratch);
+  const std::uint64_t grows_before = scratch.grow_events();
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const RunResult r = run_once(cfg, scratch);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+
+  EXPECT_GT(r.loss, 0.0);  // the chunks were flooded over lossy links
+  EXPECT_EQ(scratch.grow_events(), grows_before);
+  EXPECT_EQ(allocs, 0u);
+}
+
 TEST(AllocBudget, CoordSubstrateStaysUnderBudgetToo) {
   // Same gate on the coordinate substrate: its underlay rebind is two
   // vector refills, so the steady state must match the graph substrate's.

@@ -218,6 +218,36 @@ TEST(Membership, DeactivateDetachedNode) {
   EXPECT_FALSE(m.member(0).alive);
 }
 
+TEST(Membership, ShapeVersionMovesOnEveryShapeChange) {
+  // The session's lossy flood reuses its visit order while this version
+  // stands still, so every call that can change an edge must move it.
+  Membership m(4);
+  std::uint64_t seen = m.shape_version();
+  const auto moved = [&m, &seen] {
+    const bool moved_now = m.shape_version() > seen;
+    seen = m.shape_version();
+    return moved_now;
+  };
+  m.activate(0, 3);
+  m.activate(1, 3);
+  m.activate(2, 3);
+  EXPECT_FALSE(moved());  // activation adds no edge
+  m.attach(1, 0, 1.0);
+  EXPECT_TRUE(moved());
+  m.attach(2, 1, 1.0);
+  EXPECT_TRUE(moved());
+  m.update_child_distance(1, 2, 2.0);
+  EXPECT_FALSE(moved());
+  m.detach(1);
+  EXPECT_TRUE(moved());
+  m.deactivate(1);  // detached already: orphans 2 without a detach
+  EXPECT_TRUE(moved());
+  m.attach(2, 0, 1.0);
+  EXPECT_TRUE(moved());
+  m.reset(4);
+  EXPECT_TRUE(moved());  // never back to an earlier value, across resets too
+}
+
 TEST(Membership, RootPathOrder) {
   Membership m(4);
   for (HostId h = 0; h < 4; ++h) m.activate(h, 2);

@@ -56,7 +56,14 @@ TEST(VdmsimCli, NegativeCountExitsTwoNamingTheFlag) {
 }
 
 TEST(VdmsimCli, RejectedConfigExitsTwo) {
-  for (const char* args : {"--members 0 --seeds 1", "--chunk-rate 0 --seeds 1"}) {
+  for (const char* args :
+       {"--members 0 --seeds 1", "--chunk-rate 0 --seeds 1",
+        // Out-of-range loss, buffer, noise and control-loss values.
+        "--members 16 --seeds 1 --link-loss -0.1",
+        "--members 16 --seeds 1 --buffer -1",
+        "--members 16 --seeds 1 --probe-noise -1",
+        "--members 16 --seeds 1 --control-loss -0.5",
+        "--members 16 --seeds 1 --control-loss 1.5"}) {
     const CliResult r = run_vdmsim(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, "rejected config")) << args << "\n" << r.output;
