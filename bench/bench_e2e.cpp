@@ -141,10 +141,10 @@ void BM_RunOnceCrashChurn(benchmark::State& state) {
   // of the TreeWalk path and the heartbeat slab: once the arena is warm, a
   // full run allocates nothing (allocs_per_iter == 0, like BM_RunOnceArena).
   const experiments::RunResult last = run_warm(state, cfg);
-  // Share of simulator events fired from a re-arm lane (the heartbeat
-  // ticks) rather than as heap entries; deterministic per seed.
-  state.counters["lane_fire_share"] =
-      static_cast<double>(last.sim_lane_fires) /
+  // Share of simulator events fired from a periodic group's ring (the
+  // heartbeat ticks) rather than as heap entries; deterministic per seed.
+  state.counters["group_fire_share"] =
+      static_cast<double>(last.sim_group_fires) /
       static_cast<double>(last.sim_events);
 }
 BENCHMARK(BM_RunOnceCrashChurn)->Arg(200)->Unit(benchmark::kMillisecond);
@@ -406,6 +406,64 @@ void BM_SimScheduleFire(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SimScheduleFire)->Unit(benchmark::kMicrosecond);
+
+/// The timer shape of flash_crash_control alone: 10,000 members on one 1 s
+/// periodic group (a heartbeat per member) over a heap of 20,000 background
+/// one-off events scattered across the next 1000 s (the up-front workload
+/// events); each one that fires schedules a successor as far out, so the
+/// heap stays that deep and ~20 of them interrupt each simulated second.
+/// One iteration is one simulated second. ns_per_fire is wall time over
+/// every event fired; allocs_per_iter must be exactly 0 once the ring,
+/// slab and heap are warm.
+void BM_SimPeriodicGroup(benchmark::State& state) {
+  constexpr std::uint32_t kMembers = 10000;
+  constexpr int kBackground = 20000;
+  sim::Simulator s;
+  std::uint64_t sink = 0;
+  const sim::GroupId group =
+      s.add_periodic_group(1.0, [&sink](std::uint32_t payload) { sink += payload; });
+  // Stagger the members' phases over one period, as joins spread over time
+  // do.
+  for (std::uint32_t m = 0; m < kMembers; ++m) {
+    s.run_until(static_cast<sim::Time>(m) / kMembers);
+    s.arm_periodic(group, m);
+  }
+  // Successor delays follow a Weyl sequence: deterministic and scattered
+  // over the heap's key range.
+  struct Background {
+    sim::Simulator* s;
+    std::uint64_t* sink;
+    std::uint32_t weyl;
+    void operator()() {
+      ++*sink;
+      const std::uint32_t next = weyl + 0x9e3779b9u;
+      s->schedule_in(1000.0 * static_cast<sim::Time>(next >> 8) / (1u << 24),
+                     Background{s, sink, next});
+    }
+  };
+  for (int i = 0; i < kBackground; ++i) {
+    Background{&s, &sink, static_cast<std::uint32_t>(i) * 2654435761u}();
+  }
+  s.run_until(s.now() + 3.0);  // steady state before measuring
+
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t fired_before = s.executed();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    s.run_until(s.now() + 1.0);
+    benchmark::DoNotOptimize(sink);
+  }
+  const double ns =
+      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const auto fired = static_cast<double>(s.executed() - fired_before);
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  state.counters["fires_per_iter"] = fired / iters;
+  state.counters["ns_per_fire"] = ns / fired;
+}
+BENCHMARK(BM_SimPeriodicGroup)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------- micro bench
 

@@ -489,7 +489,12 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
                     : 1.0;
   r.final_members = session.tree().alive_count();
   r.sim_events = simulator.executed();
-  r.sim_lane_fires = simulator.lane_fires();
+  r.sim_group_fires = simulator.group_fires();
+  const overlay::Session::Counters& totals = session.totals();
+  r.heartbeat_ticks = totals.heartbeat_ticks;
+  r.refine_ticks = totals.refine_ticks;
+  r.verdicts_true = totals.verdicts_true;
+  r.verdicts_false = totals.verdicts_false;
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;
   r.profile_flood_secs = session.profile().flood_secs;

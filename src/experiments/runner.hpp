@@ -141,10 +141,18 @@ struct RunResult {
   std::size_t final_members = 0;
 
   /// Event-engine work, exact and deterministic per seed: events fired
-  /// (Simulator::executed) and, of those, the ones that fired from a re-arm
-  /// lane rather than as plain heap entries (Simulator::lane_fires).
+  /// (Simulator::executed) and, of those, the ticks that fired from a
+  /// periodic group's ring rather than as plain heap entries
+  /// (Simulator::group_fires).
   std::uint64_t sim_events = 0;
-  std::uint64_t sim_lane_fires = 0;
+  std::uint64_t sim_group_fires = 0;
+  /// The run's timer work (Session::Counters, whole run): heartbeat probe
+  /// ticks, refinement timer ticks, and crash verdicts that were true (the
+  /// parent had crashed) or false (control loss alone).
+  std::uint64_t heartbeat_ticks = 0;
+  std::uint64_t refine_ticks = 0;
+  std::uint64_t verdicts_true = 0;
+  std::uint64_t verdicts_false = 0;
 
   /// Wall-clock seconds per phase (vdmsim --profile); all zero unless
   /// config.session.profile. join covers every attaching walk (fresh,

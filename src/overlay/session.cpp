@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "overlay/placement.hpp"
@@ -66,9 +67,16 @@ Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
   VDM_REQUIRE(params_.chunk_rate > 0.0);
   VDM_REQUIRE_MSG(params_.buffer_seconds >= 0.0,
                   "buffer_seconds must not be negative");
-  VDM_REQUIRE_MSG(params_.faults.control_loss_extra >= 0.0 &&
-                      params_.faults.control_loss_extra <= 1.0,
+  const FaultParams& f = params_.faults;
+  VDM_REQUIRE_MSG(f.control_loss_extra >= 0.0 && f.control_loss_extra <= 1.0,
                   "control_loss_extra must lie in [0, 1]");
+  VDM_REQUIRE_MSG(std::isfinite(f.heartbeat_period) && f.heartbeat_period >= 0.0,
+                  "heartbeat_period must be finite and >= 0 (0 = off)");
+  if (f.heartbeat_period > 0.0) {
+    VDM_REQUIRE_MSG(f.heartbeat_misses >= 1, "heartbeat_misses must be >= 1");
+    VDM_REQUIRE_MSG(std::isfinite(f.heartbeat_timeout) && f.heartbeat_timeout >= 0.0,
+                    "heartbeat_timeout must be finite and >= 0");
+  }
 }
 
 Session::~Session() { stop(); }
@@ -112,6 +120,21 @@ void Session::start() {
     scratch_.placement.bind(underlay_, params_.source);
     tree().set_observer(&scratch_.placement);
     scratch_.placement.insert(params_.source);
+  }
+  // Every member's heartbeat and refinement timer shares its kind's period,
+  // so each kind is one periodic group (sim::Reactor::add_periodic_group).
+  if (params_.faults.heartbeat_period > 0.0) {
+    heartbeat_group_ = reactor_.add_periodic_group(
+        params_.faults.heartbeat_period,
+        [this](std::uint32_t h) { heartbeat_tick(h); });
+  }
+  if (protocol_.wants_refinement()) {
+    refine_group_ = reactor_.add_periodic_group(
+        protocol_.refinement_period(), [this](std::uint32_t h) {
+          ++window_.refine_ticks;
+          ++totals_.refine_ticks;
+          refine(h);
+        });
   }
   if (params_.data_plane) {
     // Re-armed in place each tick: no heap timer object per run.
@@ -597,17 +620,10 @@ void Session::arm_refinement(net::HostId h) {
     slab.resize(tree().num_hosts(), sim::kInvalidEvent);
   }
   if (slab[h] != sim::kInvalidEvent) reactor_.cancel(slab[h]);
-  const sim::Time period = protocol_.refinement_period();
-  // The tick re-arms into its own slab slot (reschedule_current_in keeps the
-  // id), so the stored EventId stays valid for the member's whole tenure.
-  // Every member re-arms with the same period, so on the simulator the
-  // ticks queue on one FIFO lane rather than in the heap. Disarming
-  // mid-tick suppresses the re-arm via the simulator's firing-cancelled
-  // state.
-  slab[h] = reactor_.schedule_in(period, [this, h, period] {
-    refine(h);
-    reactor_.reschedule_current_in(period);
-  });
+  // A member of the refinement group re-arms after every tick under the
+  // same id, so the stored EventId stays valid for the member's whole
+  // tenure. Disarming mid-tick suppresses the re-arm.
+  slab[h] = reactor_.arm_periodic(refine_group_, h);
 }
 
 void Session::disarm_refinement(net::HostId h) {
@@ -630,18 +646,13 @@ void Session::ensure_heartbeat(net::HostId h) {
     hb.pending_detect = sim::kInvalidEvent;
   }
   // A ticking timer keeps its phase; a stopped one (never armed, or stopped
-  // by a verdict) restarts a full period from now. The tick re-arms into its
-  // own slot exactly as the refinement slab does, so after its first tick
-  // it fires from the heartbeat period's lane: one tick per member per
-  // period costs an O(1) append and a shallow sift, not a full-depth one
-  // in a heap of every member. A verdict cancels the timer from inside the
-  // tick, which suppresses that re-arm.
+  // by a verdict) restarts a full period from now. Every member's probe is
+  // a member of the heartbeat group, so one tick per member per period
+  // costs a ring read and append, not a sift in a heap of every member. A
+  // verdict cancels the timer from inside the tick, which suppresses that
+  // re-arm.
   if (hb.timer == sim::kInvalidEvent) {
-    const sim::Time period = params_.faults.heartbeat_period;
-    hb.timer = reactor_.schedule_in(period, [this, h, period] {
-      heartbeat_tick(h);
-      reactor_.reschedule_current_in(period);
-    });
+    hb.timer = reactor_.arm_periodic(heartbeat_group_, h);
   }
 }
 
@@ -692,6 +703,8 @@ void Session::end_chunk_stint(net::HostId h) {
 }
 
 void Session::heartbeat_tick(net::HostId h) {
+  ++window_.heartbeat_ticks;
+  ++totals_.heartbeat_ticks;
   HeartbeatState& hb = scratch_.heartbeats[h];
   const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "heartbeat ticking on a dead member");
@@ -746,6 +759,8 @@ void Session::complete_detection(net::HostId h) {
   sim::Time detection;
   if (hb.orphaned) {
     // True positive: latency from the parent's actual crash to this verdict.
+    ++window_.verdicts_true;
+    ++totals_.verdicts_true;
     detection = reactor_.now() - hb.orphaned_at;
     forget_crash_orphan(h);
   } else {
@@ -753,6 +768,8 @@ void Session::complete_detection(net::HostId h) {
     // is still alive. The node acts on its verdict anyway — detach and
     // rejoin in the same sim event, so the only data-plane gap is the
     // rejoin handshake itself.
+    ++window_.verdicts_false;
+    ++totals_.verdicts_false;
     detection = reactor_.now() - hb.first_miss_at;
     if (m.parent != kInvalidHost) tree().detach(h);
   }

@@ -38,15 +38,19 @@ enum class JoinMode {
 /// they introduce flow through the session Rng, and every knob at its
 /// default reproduces the fault-free run bit for bit: heartbeat_period == 0
 /// schedules no probe timers, and lossy_control == false makes
-/// charge_exchange / measure skip the loss draw entirely.
+/// charge_exchange / measure skip the loss draw entirely. The Session
+/// constructor rejects values outside the ranges below.
 struct FaultParams {
-  /// Children probe their parent every `heartbeat_period` seconds; 0
-  /// disables detection, making crashes observable instantly (idealized).
+  /// Children probe their parent every `heartbeat_period` seconds (finite,
+  /// >= 0); 0 disables detection, making crashes observable instantly
+  /// (idealized).
   double heartbeat_period = 0.0;
-  /// Consecutive missed probes before the parent is declared dead.
+  /// Consecutive missed probes before the parent is declared dead (>= 1
+  /// when heartbeats are on).
   int heartbeat_misses = 3;
   /// Extra wait after the last missed probe (its own timeout) before the
-  /// orphan declares the parent dead and starts rejoining.
+  /// orphan declares the parent dead and starts rejoining (finite, >= 0
+  /// when heartbeats are on).
   double heartbeat_timeout = 0.5;
   /// Draw per-message loss on every control exchange; a lost request or
   /// reply costs a timeout plus a retransmission (charged to OpStats).
@@ -166,8 +170,9 @@ class Session {
   };
   /// Per-member failure-detector state (faults.heartbeat_period > 0).
   struct HeartbeatState {
-    /// The probe timer, re-armed in place each tick; kInvalidEvent while
-    /// the member is not probing (never armed, or stopped by a verdict).
+    /// The probe timer, a member of the heartbeat group; kInvalidEvent
+    /// while the member is not probing (never armed, or stopped by a
+    /// verdict).
     sim::EventId timer = sim::kInvalidEvent;
     int misses = 0;
     /// Parent crashed; probes are going unanswered until detection fires.
@@ -367,6 +372,15 @@ class Session {
     std::uint64_t crashes = 0;
     std::uint64_t refines_run = 0;
     std::uint64_t refine_switches = 0;
+    /// Periodic timer work, counted without clock reads: failure-detector
+    /// probe ticks, refinement timer ticks (refines_run counts the rounds
+    /// that ran: a detached member's tick is a no-op), and crash verdicts —
+    /// true when the parent had crashed, false when the miss streak was
+    /// control loss alone.
+    std::uint64_t heartbeat_ticks = 0;
+    std::uint64_t refine_ticks = 0;
+    std::uint64_t verdicts_true = 0;
+    std::uint64_t verdicts_false = 0;
   };
   /// Counters since the last reset_window() (per-epoch metrics).
   const Counters& window() const { return window_; }
@@ -485,6 +499,10 @@ class Session {
   /// The data-plane chunk clock: one timer rescheduled in place after each
   /// tick, so starting the data plane costs no heap timer object per run.
   sim::EventId stream_event_ = sim::kInvalidEvent;
+  /// The periodic groups every member's heartbeat probe and refinement
+  /// timer belong to; registered by start() when the run uses them.
+  sim::GroupId heartbeat_group_ = 0;
+  sim::GroupId refine_group_ = 0;
   /// underlay_.zero_loss(), read once by start(): chunks are then counted
   /// from membership instead of flooded edge by edge.
   bool lossless_ = false;

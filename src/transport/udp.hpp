@@ -74,8 +74,9 @@ class UdpSocket final : public Transport {
 /// The wall-clock backend of the clock seam (sim::Reactor): the same slab
 /// timer engine the DES uses (a private sim::Simulator), paced by the
 /// monotonic clock, with UDP sockets poll(2)-multiplexed into the waits.
-/// Timer semantics — ids, cancel, in-place re-arm — are therefore identical
-/// to the simulation backend by construction; only the pacing differs.
+/// Timer semantics — ids, cancel, in-place re-arm, periodic groups — are
+/// therefore identical to the simulation backend by construction; only the
+/// pacing differs.
 class UdpReactor final : public sim::Reactor {
  public:
   UdpReactor();
@@ -86,6 +87,16 @@ class UdpReactor final : public sim::Reactor {
   void cancel(sim::EventId id) override { timers_.cancel(id); }
   bool reschedule_current_in(sim::Time delay) override {
     return timers_.reschedule_current_in(delay);
+  }
+  sim::GroupId add_periodic_group(sim::Time period, sim::TickFn tick) override {
+    return timers_.add_periodic_group(period, std::move(tick));
+  }
+  /// Due one period from the timer clock (the deadline being dispatched, or
+  /// the wall time of the last timer pump), not from now(): a wall-clock
+  /// deadline could fall after a re-arm appended later (deadline + period
+  /// on the timer clock) and break the ring's (t, seq) order.
+  sim::EventId arm_periodic(sim::GroupId group, std::uint32_t payload) override {
+    return timers_.arm_periodic(group, payload);
   }
 
   /// Runs timers and socket I/O until wall time `t` (seconds since

@@ -1,5 +1,5 @@
 // Edge cases of the slab event engine (cancel semantics, slot reuse,
-// in-callback re-entrancy, re-arm lanes against a reference queue) plus the
+// in-callback re-entrancy, periodic groups against a reference queue) plus the
 // cross-engine determinism regression:
 // whole-run golden scalars that pin the bit-determinism contract across
 // event-engine rewrites.
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace vdm::sim {
@@ -75,9 +77,9 @@ TEST(SimulatorEdge, CancelInsideOwnCallbackDoesNotBreakEngine) {
 }
 
 TEST(SimulatorEdge, PeriodicStopFromInsideOwnTick) {
-  // The session's timer idiom (stream clock, refinement and heartbeat
-  // slabs): one id re-armed in place every tick, stopped by cancelling that
-  // id from inside its own tick — as a heartbeat verdict does.
+  // The single-timer idiom (the chunk clock, transport::PeriodicTimer): one
+  // id re-armed in place every tick, stopped by cancelling that id from
+  // inside its own tick.
   Simulator s;
   int ticks = 0;
   EventId timer = kInvalidEvent;
@@ -91,6 +93,42 @@ TEST(SimulatorEdge, PeriodicStopFromInsideOwnTick) {
   EXPECT_DOUBLE_EQ(s.now(), 10.0);
   s.cancel(timer);  // stale after the self-stop: a no-op
   EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SimulatorEdge, GroupMemberStopsFromInsideOwnTick) {
+  // The per-member timer idiom (heartbeats, refinement ticks): members of
+  // one periodic group re-arm by themselves under a stable id until one is
+  // cancelled from inside its own tick — as a heartbeat verdict does.
+  Simulator s;
+  std::vector<std::uint32_t> order;
+  EventId first = kInvalidEvent;
+  const GroupId g = s.add_periodic_group(1.0, [&](std::uint32_t payload) {
+    order.push_back(payload);
+    if (payload == 1 && order.size() >= 5) s.cancel(first);
+  });
+  first = s.arm_periodic(g, 1);
+  s.run_until(0.5);
+  s.arm_periodic(g, 2);
+  s.run_until(4.0);
+  // Member 1 ticks at 1, 2, 3; member 2 at 1.5, 2.5, 3.5. Member 1's third
+  // tick (the fifth overall) stops it.
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 1, 2, 1, 2}));
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_DOUBLE_EQ(s.next_event_time(), 4.5);
+  EXPECT_EQ(s.group_fires(), 6u);
+  s.cancel(first);  // stale after the self-stop: a no-op
+  EXPECT_EQ(s.pending(), 1u);
+}
+
+TEST(SimulatorEdge, PeriodicGroupRejectsABadPeriod) {
+  Simulator s;
+  const auto tick = [](std::uint32_t) {};
+  EXPECT_THROW(s.add_periodic_group(0.0, tick), util::InvariantError);
+  EXPECT_THROW(s.add_periodic_group(-1.0, tick), util::InvariantError);
+  EXPECT_THROW(s.add_periodic_group(std::numeric_limits<Time>::quiet_NaN(), tick),
+               util::InvariantError);
+  EXPECT_THROW(s.add_periodic_group(std::numeric_limits<Time>::infinity(), tick),
+               util::InvariantError);
 }
 
 TEST(SimulatorEdge, PendingIsAccurateUnderCancelChurn) {
@@ -114,17 +152,20 @@ TEST(SimulatorEdge, PendingIsAccurateUnderCancelChurn) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
-// -------------------------------------------------------- lane equivalence
-// Re-arms ride FIFO lanes keyed by delay; only lane heads sit in the heap.
-// That must be invisible: a seeded mix of every queue operation runs against
-// a reference queue ordered by (t, seq), and after each operation the firing
-// order, pending() and next_event_time() must match it exactly.
+// ------------------------------------------------------- group equivalence
+// Plain events sit in the heap; members of a periodic group sit in their
+// group's ring, and the group holds one heap entry that a drain takes off
+// while it fires consecutive members. That must be invisible: a seeded mix
+// of every queue operation runs against a reference queue ordered by
+// (t, seq), and after each operation — and inside every callback — the
+// firing order, pending(), next_event_time(), executed() and group_fires()
+// must match it exactly.
 
-struct Boom {};  // thrown by a callback; step() and run_until() propagate it
+struct Boom {};  // thrown by a callback; step(), run() and run_until() propagate it
 
-class LaneEquivalence {
+class GroupEquivalence {
  public:
-  explicit LaneEquivalence(std::uint64_t seed) : rng_(seed) {}
+  explicit GroupEquivalence(std::uint64_t seed) : rng_(seed) { add_groups(); }
 
   /// Runs `ops` random operations, checking the engine after each one.
   void run(int ops) {
@@ -135,59 +176,90 @@ class LaneEquivalence {
   }
 
   // Coverage of the paths the mix is meant to reach.
-  std::uint64_t lane_fires = 0;
+  std::uint64_t group_fires = 0;
   std::uint64_t heap_fires = 0;
-  int lane_cancels[3] = {0, 0, 0};  // head, middle, tail of a delay group
-  int throws = 0;
-  int resets = 0;
+  int member_cancels[3] = {0, 0, 0};  // head, middle, tail of a group
+  int self_cancels = 0;        // a tick cancelled its own member
+  int mid_drain_plain = 0;     // a tick scheduled a plain event due before
+                               // its group's next member
+  int bound_mid_drain = 0;     // run_until stopped with a drained group pending
+  int counted_member_fires = 0;  // members fired by step() or run(n)
+  int member_throws = 0;
+  int resets_with_members = 0;
+  std::size_t max_group = 0;   // largest population of one ring
+  std::uint64_t appends = 0;   // arms plus re-arms
 
  private:
   using Key = std::pair<Time, std::uint64_t>;
+  static constexpr int kGroups = 3;
+  // An exact and an inexact binary fraction among the periods, so equal
+  // deadlines (seq breaks ties) and rounded sums both occur.
+  static constexpr Time kPeriods[kGroups] = {1.0, 0.3, 0.125};
   struct Token {
     EventId id = kInvalidEvent;
     Key key;
-    Time delay = 0.0;     // the period a plain re-arm repeats
-    bool rearmed = false;  // queued by a re-arm, not by schedule_*
+    int group = -1;     // -1: a plain event
+    Time delay = 0.0;   // a plain event's re-arm period
   };
 
-  // Twelve delays: more than the engine has lanes, with exact binary
-  // fractions (equal deadlines, so seq breaks ties) and inexact ones.
-  static constexpr Time kDelays[] = {0.0, 0.125, 0.25, 0.5,  0.75, 1.0,
-                                     1.5, 2.0,   3.0,  0.3,  0.7,  1.1};
-
-  // Skewed like a session's timers: most events share two periods, which
-  // grow long lanes, and the rest spread over all twelve delays.
+  static constexpr Time kDelays[] = {0.0, 0.125, 0.25, 0.5, 0.75, 1.0,
+                                     1.5, 2.0,   3.0,  0.3, 0.7,  1.1};
   Time draw_delay() {
-    const std::int64_t r = draw(10);
-    if (r < 4) return 1.0;
-    if (r < 6) return 0.3;
     return kDelays[draw(static_cast<std::int64_t>(std::size(kDelays)))];
   }
   std::int64_t draw(std::int64_t n) { return rng_.uniform_int(0, n - 1); }
 
-  /// Schedules a fresh event whose plain re-arm repeats `delay`: at `t`
-  /// through schedule_at, or (t == kRelative) `delay` from now through
-  /// schedule_in.
-  static constexpr Time kRelative = -1.0;
-  void add(Time t, Time delay) {
-    const int token = next_token_++;
-    Token& tok = tokens_[token];
-    tok.key = {t == kRelative ? now_ + delay : t, seq_++};
-    tok.delay = delay;
-    tok.id = t == kRelative
-                 ? sim_.schedule_in(delay, [this, token] { fire(token); })
-                 : sim_.schedule_at(t, [this, token] { fire(token); });
-    queue_[tok.key] = token;
+  void add_groups() {
+    for (int g = 0; g < kGroups; ++g) {
+      EXPECT_EQ(sim_.add_periodic_group(
+                    kPeriods[g], [this, g](std::uint32_t token) {
+                      tick(g, static_cast<int>(token));
+                    }),
+                static_cast<GroupId>(g));
+      population_[g] = 0;
+    }
   }
 
+  void enqueue(int token, Key key) {
+    Token& tok = tokens_[token];
+    tok.key = key;
+    queue_[key] = token;
+    if (tok.group >= 0) {
+      ++appends;
+      max_group = std::max(max_group, ++population_[tok.group]);
+    }
+  }
+  void dequeue(int token) {
+    const Token& tok = tokens_[token];
+    queue_.erase(tok.key);
+    if (tok.group >= 0) --population_[tok.group];
+  }
+
+  /// Schedules a plain event whose re-arm repeats its delay: at an absolute
+  /// time through schedule_at, or `delay` from now through schedule_in.
+  void schedule_plain(bool absolute, Time t, Time delay) {
+    const int token = next_token_++;
+    tokens_[token].delay = delay;
+    tokens_[token].id =
+        absolute ? sim_.schedule_at(t, [this, token] { fire_plain(token); })
+                 : sim_.schedule_in(delay, [this, token] { fire_plain(token); });
+    enqueue(token, {absolute ? t : now_ + delay, seq_++});
+  }
   void schedule() {
     if (rng_.chance(0.5)) {
-      // Coarse offsets collide with lane deadlines and each other.
-      const Time t = now_ + 0.125 * static_cast<Time>(draw(17));
-      add(t, draw_delay());
+      // Coarse offsets collide with member deadlines and each other.
+      schedule_plain(true, now_ + 0.125 * static_cast<Time>(draw(17)), draw_delay());
     } else {
-      add(kRelative, draw_delay());
+      schedule_plain(false, 0.0, draw_delay());
     }
+  }
+
+  void arm(int group) {
+    const int token = next_token_++;
+    tokens_[token].group = group;
+    tokens_[token].id = sim_.arm_periodic(static_cast<GroupId>(group),
+                                          static_cast<std::uint32_t>(token));
+    enqueue(token, {now_ + kPeriods[group], seq_++});
   }
 
   void forget(int token) {
@@ -196,26 +268,30 @@ class LaneEquivalence {
     tokens_.erase(token);
   }
 
-  /// Picks a pending token: the head, a middle member or the tail, by
-  /// (t, seq), of the re-armed events sharing a random delay, else any.
+  /// Pending members of `group` in (t, seq) order.
+  std::vector<int> members_of(int group) const {
+    std::vector<int> out;
+    for (const auto& [key, token] : queue_) {
+      if (tokens_.at(token).group == group) out.push_back(token);
+    }
+    return out;
+  }
+
+  /// Picks a pending token: the head, a middle member or the tail of a
+  /// random group's ring, else any.
   int pick_pending(bool by_position) {
     if (by_position) {
-      const Time d = draw_delay();
-      std::vector<int> group;
-      for (const auto& [key, token] : queue_) {
-        const Token& tok = tokens_[token];
-        if (tok.rearmed && tok.delay == d) group.push_back(token);
-      }
-      if (group.size() >= 3) {
+      const std::vector<int> ring = members_of(static_cast<int>(draw(kGroups)));
+      if (ring.size() >= 3) {
         const int where = static_cast<int>(draw(3));
-        ++lane_cancels[where];
+        ++member_cancels[where];
         const std::size_t at =
             where == 0 ? 0
             : where == 2
-                ? group.size() - 1
-                : 1 + static_cast<std::size_t>(draw(
-                          static_cast<std::int64_t>(group.size()) - 2));
-        return group[at];
+                ? ring.size() - 1
+                : 1 + static_cast<std::size_t>(
+                          draw(static_cast<std::int64_t>(ring.size()) - 2));
+        return ring[at];
       }
     }
     auto it = queue_.begin();
@@ -227,60 +303,96 @@ class LaneEquivalence {
     if (queue_.empty()) return;
     const int token = pick_pending(by_position);
     sim_.cancel(tokens_[token].id);
-    queue_.erase(tokens_[token].key);
+    dequeue(token);
     forget(token);
   }
 
   void operate() {
-    const std::int64_t op = queue_.size() < 24 ? 0 : draw(1000);
-    if (op < 300) {
+    const std::int64_t op = queue_.size() < 24 ? draw(330) : draw(1000);
+    if (op < 200) {
       schedule();
-    } else if (op < 420) {
-      cancel_pending(op < 380);
-    } else if (op < 440) {
+    } else if (op < 320) {
+      arm(static_cast<int>(draw(kGroups)));
+    } else if (op < 330) {
+      // A burst: one ring outgrows its capacity several times over.
+      const int group = static_cast<int>(draw(kGroups));
+      for (int i = 0; i < 48; ++i) arm(group);
+    } else if (op < 450) {
+      cancel_pending(op < 410);
+    } else if (op < 470) {
       if (!stale_.empty()) {
         sim_.cancel(stale_[static_cast<std::size_t>(
             draw(static_cast<std::int64_t>(stale_.size())))]);
       }
-    } else if (op < 920) {
-      const bool had_pending = !queue_.empty();
+    } else if (op < 880) {
+      // step() and run(n): one member counts as one event.
+      const std::size_t n = op < 760 ? 1 : 1 + static_cast<std::size_t>(draw(5));
+      const std::uint64_t fired_before = fires_;
+      const std::uint64_t members_before = member_fires_;
       try {
-        EXPECT_EQ(sim_.step(), had_pending);
+        if (n == 1) {
+          const bool had_pending = !queue_.empty();
+          EXPECT_EQ(sim_.step(), had_pending);
+          EXPECT_EQ(fires_ - fired_before, had_pending ? 1u : 0u);
+        } else {
+          const std::size_t ran = sim_.run(n);
+          EXPECT_EQ(ran, fires_ - fired_before);
+          if (!queue_.empty()) {
+            EXPECT_EQ(ran, n);
+          }
+        }
       } catch (const Boom&) {
       }
+      counted_member_fires += static_cast<int>(member_fires_ - members_before);
     } else if (op < 997) {
       const Time until = now_ + rng_.uniform(0.0, 2.0);
+      const std::uint64_t members_before = member_fires_;
+      bound_ = until;
       try {
         sim_.run_until(until);
+        bound_ = std::numeric_limits<Time>::infinity();
         now_ = until;
         EXPECT_TRUE(queue_.empty() || queue_.begin()->first.first > until);
+        if (member_fires_ > members_before && last_group_ >= 0 &&
+            population_[last_group_] > 0) {
+          ++bound_mid_drain;
+        }
       } catch (const Boom&) {
+        bound_ = std::numeric_limits<Time>::infinity();
       }
     } else {
-      lane_fires += sim_.lane_fires();
-      heap_fires += sim_.executed() - sim_.lane_fires();
+      group_fires += sim_.group_fires();
+      heap_fires += sim_.executed() - sim_.group_fires();
+      if (population_[0] + population_[1] + population_[2] > 0) ++resets_with_members;
       sim_.reset();
-      ++resets;
       queue_.clear();
       tokens_.clear();
       stale_.clear();  // generations restart with the slab: not stale any more
       now_ = 0.0;
       seq_ = 1;
       fires_ = 0;
+      member_fires_ = 0;
+      add_groups();  // reset() drops the groups; their rings are reused
     }
   }
 
-  /// Every callback: checks it is the reference's earliest event, then acts.
-  void fire(int token) {
+  /// The common prologue of every callback: it must be the reference's
+  /// earliest event, and the engine's view from inside must match.
+  void fired(int token) {
     ASSERT_FALSE(queue_.empty());
     const auto first = queue_.begin();
     EXPECT_EQ(first->second, token) << "fired out of (t, seq) order";
     EXPECT_EQ(sim_.now(), first->first.first);
+    EXPECT_LE(first->first.first, bound_) << "fired past the run_until bound";
     now_ = first->first.first;
-    queue_.erase(first);
+    dequeue(token);
     ++fires_;
-    const EventId self = tokens_[token].id;
+    check();
+  }
 
+  void fire_plain(int token) {
+    fired(token);
+    const EventId self = tokens_[token].id;
     bool rearm = false;
     bool cancelled = false;
     Time rearm_delay = 0.0;
@@ -293,40 +405,81 @@ class LaneEquivalence {
     };
     const std::int64_t act = draw(100);
     if (act < 35) {
-      rearm_with(tokens_[token].delay);  // the periodic-timer idiom
-    } else if (act < 50) {
+      rearm_with(tokens_[token].delay);  // the single-timer idiom
+    } else if (act < 45) {
       rearm_with(draw_delay());
       if (act < 40) rearm_with(draw_delay());  // the last call wins
-    } else if (act < 56) {
+    } else if (act < 50) {
       rearm_with(tokens_[token].delay);
       sim_.cancel(self);  // a verdict inside the tick: suppresses the re-arm
       cancelled = true;
       rearm = false;
     } else if (act < 60) {
-      sim_.cancel(self);
-      cancelled = true;
-      rearm_with(tokens_[token].delay);  // refused
-    } else if (act < 68) {
-      cancel_pending(act < 64);
+      cancel_pending(act < 56);
       if (act % 2 == 0) rearm_with(tokens_[token].delay);
-    } else if (act < 76) {
+    } else if (act < 68) {
       // The re-arm takes its seq after everything the callback scheduled.
       if (act % 2 == 0) rearm_with(tokens_[token].delay);
-      schedule();
-    } else if (act < 79) {
+      if (act < 64) {
+        schedule();
+      } else {
+        arm(static_cast<int>(draw(kGroups)));
+      }
+    } else if (act < 71) {
       if (act % 2 == 0) rearm_with(tokens_[token].delay);
-      ++throws;
       forget(token);  // a throwing callback spends its event, re-arm or not
       throw Boom{};
     }
+    check();
     if (rearm) {
-      Token& tok = tokens_[token];
-      tok.key = {now_ + rearm_delay, seq_++};
-      tok.delay = rearm_delay;
-      tok.rearmed = true;
-      queue_[tok.key] = token;
+      tokens_[token].delay = rearm_delay;
+      enqueue(token, {now_ + rearm_delay, seq_++});
     } else {
       forget(token);
+    }
+  }
+
+  void tick(int group, int token) {
+    ++member_fires_;
+    last_group_ = group;
+    EXPECT_EQ(tokens_[token].group, group);
+    fired(token);
+    // Members re-arm by themselves; the single-timer re-arm is refused.
+    EXPECT_FALSE(sim_.reschedule_current_in(kPeriods[group]));
+    bool cancelled = false;
+    const std::int64_t act = draw(100);
+    if (act < 40) {
+      // Plain tick: re-armed one period after this deadline.
+    } else if (act < 46) {
+      sim_.cancel(tokens_[token].id);  // a verdict: suppresses the re-arm
+      cancelled = true;
+      ++self_cancels;
+      if (act % 2 == 0) sim_.cancel(tokens_[token].id);  // twice: still benign
+    } else if (act < 58) {
+      cancel_pending(act < 54);  // often this ring's next member
+    } else if (act < 70) {
+      // A plain event due before the group's next member fires in between,
+      // mid-drain.
+      const std::vector<int> ring = members_of(group);
+      const Time next = ring.empty() ? now_ + kPeriods[group]
+                                     : tokens_[ring.front()].key.first;
+      if (!ring.empty() && next > now_) ++mid_drain_plain;
+      schedule_plain(true, now_ + (act % 2 == 0 ? 0.0 : 0.5 * (next - now_)),
+                     draw_delay());
+    } else if (act < 84) {
+      arm(act < 78 ? group : static_cast<int>(draw(kGroups)));
+    } else if (act < 87) {
+      ++member_throws;
+      forget(token);  // spent: a throwing tick does not re-arm
+      throw Boom{};
+    } else {
+      schedule();
+    }
+    check();
+    if (cancelled) {
+      forget(token);
+    } else {
+      enqueue(token, {now_ + kPeriods[group], seq_++});
     }
   }
 
@@ -337,7 +490,7 @@ class LaneEquivalence {
               queue_.empty() ? std::numeric_limits<Time>::infinity()
                              : queue_.begin()->first.first);
     EXPECT_EQ(sim_.executed(), fires_);
-    EXPECT_LE(sim_.lane_fires(), sim_.executed());
+    EXPECT_EQ(sim_.group_fires(), member_fires_);
   }
 
   util::Rng rng_;
@@ -345,32 +498,43 @@ class LaneEquivalence {
   std::map<Key, int> queue_;     // the reference: pending (t, seq) -> token
   std::map<int, Token> tokens_;  // pending (or firing) events by token
   std::vector<EventId> stale_;   // ids of fired and cancelled events
+  std::size_t population_[kGroups] = {0, 0, 0};  // pending members per group
   Time now_ = 0.0;
+  Time bound_ = std::numeric_limits<Time>::infinity();  // of a running run_until
   std::uint64_t seq_ = 1;  // mirrors the engine's sequence counter
   std::uint64_t fires_ = 0;
+  std::uint64_t member_fires_ = 0;
+  int last_group_ = -1;  // the group of the latest member tick
   int next_token_ = 0;
 };
 
-void expect_lanes_match_reference(std::uint64_t seed) {
-  LaneEquivalence mix(seed);
+void expect_groups_match_reference(std::uint64_t seed) {
+  GroupEquivalence mix(seed);
   mix.run(10000);
   if (::testing::Test::HasFailure()) return;
   // The mix reached every path it exists to cover.
-  EXPECT_GT(mix.lane_fires, 0u);
+  EXPECT_GT(mix.group_fires, 0u);
   EXPECT_GT(mix.heap_fires, 0u);
-  EXPECT_GT(mix.lane_cancels[0], 0);
-  EXPECT_GT(mix.lane_cancels[1], 0);
-  EXPECT_GT(mix.lane_cancels[2], 0);
-  EXPECT_GT(mix.throws, 0);
-  EXPECT_GT(mix.resets, 0);
+  EXPECT_GT(mix.member_cancels[0], 0);
+  EXPECT_GT(mix.member_cancels[1], 0);
+  EXPECT_GT(mix.member_cancels[2], 0);
+  EXPECT_GT(mix.self_cancels, 0);
+  EXPECT_GT(mix.mid_drain_plain, 0);
+  EXPECT_GT(mix.bound_mid_drain, 0);
+  EXPECT_GT(mix.counted_member_fires, 0);
+  EXPECT_GT(mix.member_throws, 0);
+  EXPECT_GT(mix.resets_with_members, 0);
+  // Rings start at 16 entries: growth, and wrap-around many times over.
+  EXPECT_GT(mix.max_group, 64u);
+  EXPECT_GT(mix.appends, 100 * mix.max_group);
 }
 
-TEST(SimulatorEdge, LanesMatchReferenceQueueSeed1) {
-  expect_lanes_match_reference(1);
+TEST(SimulatorEdge, GroupsMatchReferenceQueueSeed1) {
+  expect_groups_match_reference(1);
 }
 
-TEST(SimulatorEdge, LanesMatchReferenceQueueSeed7919) {
-  expect_lanes_match_reference(7919);
+TEST(SimulatorEdge, GroupsMatchReferenceQueueSeed7919) {
+  expect_groups_match_reference(7919);
 }
 
 // ------------------------------------------------------------- determinism
@@ -445,10 +609,11 @@ TEST(SimulatorEdge, RunOnceGoldenGeoVdmRefine) {
 }
 
 // Where a run's events fire from, pinned exactly: every member's heartbeat
-// tick re-arms with the same 1 s period, so after its first tick it fires
-// from that period's lane. Integers, so a fresh run and a warm arena replay
-// must agree to the unit.
-TEST(SimulatorEdge, RunOnceEventAndLaneFireCountsArePinned) {
+// probe is a member of the 1 s heartbeat group, so every heartbeat tick is
+// a group fire; everything else (the chunk clock included) fires from the
+// heap. Integers, so a fresh run and a warm arena replay must agree to the
+// unit.
+TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kTransitStub;
   cfg.protocol = experiments::Proto::kVdm;
@@ -463,13 +628,20 @@ TEST(SimulatorEdge, RunOnceEventAndLaneFireCountsArePinned) {
   cfg.seed = 7;
   const experiments::RunResult fresh = experiments::run_once(cfg);
   EXPECT_EQ(fresh.sim_events, 315892u);
-  EXPECT_EQ(fresh.sim_lane_fires, 315243u);
+  EXPECT_EQ(fresh.sim_group_fires, 295675u);
+  EXPECT_EQ(fresh.heartbeat_ticks, fresh.sim_group_fires);
+  EXPECT_EQ(fresh.refine_ticks, 0u);  // plain VDM: no refinement timers
+  EXPECT_EQ(fresh.verdicts_true, 49u);
+  EXPECT_EQ(fresh.verdicts_false, 2u);
 
   experiments::RunScratch scratch;
   for (int i = 0; i < 2; ++i) {
     const experiments::RunResult warm = experiments::run_once(cfg, scratch);
     EXPECT_EQ(warm.sim_events, fresh.sim_events);
-    EXPECT_EQ(warm.sim_lane_fires, fresh.sim_lane_fires);
+    EXPECT_EQ(warm.sim_group_fires, fresh.sim_group_fires);
+    EXPECT_EQ(warm.heartbeat_ticks, fresh.heartbeat_ticks);
+    EXPECT_EQ(warm.verdicts_true, fresh.verdicts_true);
+    EXPECT_EQ(warm.verdicts_false, fresh.verdicts_false);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <vector>
@@ -210,6 +211,26 @@ TEST(UdpReactor, TimersFireInOrderAndNowNeverRewinds) {
   EXPECT_GE(at[1], 0.02);
   EXPECT_LE(at[0], at[1]);
   EXPECT_GE(reactor.now(), 0.05);
+}
+
+TEST(UdpReactor, PeriodicGroupMembersTickUntilCancelled) {
+  // The per-member timer idiom runs on the wall clock too: two members of
+  // one 10 ms group tick in arm order, and a member cancelled from its own
+  // tick (a heartbeat verdict) stops while the other keeps ticking.
+  transport::UdpReactor reactor;
+  std::vector<std::uint32_t> ticks;
+  sim::EventId first = sim::kInvalidEvent;
+  const sim::GroupId group = reactor.add_periodic_group(0.01, [&](std::uint32_t p) {
+    ticks.push_back(p);
+    if (p == 1 && ticks.size() >= 3) reactor.cancel(first);
+  });
+  first = reactor.arm_periodic(group, 1);
+  reactor.arm_periodic(group, 2);
+  reactor.run_until(0.055);
+  ASSERT_GE(ticks.size(), 5u);
+  EXPECT_EQ(std::vector<std::uint32_t>(ticks.begin(), ticks.begin() + 5),
+            (std::vector<std::uint32_t>{1, 2, 1, 2, 2}));
+  EXPECT_EQ(std::count(ticks.begin(), ticks.end(), 1u), 2);
 }
 
 TEST(UdpReactor, ScheduleAtInThePastClampsInsteadOfThrowing) {

@@ -63,10 +63,29 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
         "--members 16 --seeds 1 --buffer -1",
         "--members 16 --seeds 1 --probe-noise -1",
         "--members 16 --seeds 1 --control-loss -0.5",
-        "--members 16 --seeds 1 --control-loss 1.5"}) {
+        "--members 16 --seeds 1 --control-loss 1.5",
+        // Heartbeat settings: a period that is not a finite, non-negative
+        // number (NaN used to index an unsized slab), and with heartbeats
+        // on, a miss count below 1 or a bad verdict timeout.
+        "--members 16 --seeds 1 --heartbeat-period nan",
+        "--members 16 --seeds 1 --heartbeat-period inf",
+        "--members 16 --seeds 1 --heartbeat-period -1",
+        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-misses 0",
+        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-misses -2",
+        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout -1",
+        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout nan",
+        // A refinement period of 0 used to re-arm forever at one instant.
+        "--members 16 --seeds 1 --protocol hmtp --hmtp-period 0"}) {
     const CliResult r = run_vdmsim(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, "rejected config")) << args << "\n" << r.output;
+    if (contains(args, "heartbeat")) {
+      // The message names the offending field.
+      const std::string flag = contains(args, "misses")    ? "heartbeat_misses"
+                               : contains(args, "timeout") ? "heartbeat_timeout"
+                                                           : "heartbeat_period";
+      EXPECT_TRUE(contains(r.output, flag)) << args << "\n" << r.output;
+    }
   }
 }
 
