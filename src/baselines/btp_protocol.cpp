@@ -60,13 +60,15 @@ OpStats BtpProtocol::execute_refine(Session& s, net::HostId n) {
   // probe them, and move under the closest sibling if it beats the current
   // parent by the margin and still has capacity. Runs on the walk scratch —
   // refinement fires every period for every member, so it must not allocate.
+  // Every sibling is an eligible parent: alive, and outside n's subtree,
+  // since its parent is n's own parent.
   const net::HostId parent = m.parent;
   s.charge_exchange(n, parent, stats);
   overlay::WalkScratch& scratch = s.walk_scratch();
   std::vector<net::HostId>& siblings = scratch.kids;
   siblings.clear();
   for (const net::HostId c : tree.member(parent).children) {
-    if (c != n && s.eligible_parent(n, c)) siblings.push_back(c);
+    if (c != n) siblings.push_back(c);
   }
   if (siblings.empty()) return stats;
   const std::span<const double> dist =

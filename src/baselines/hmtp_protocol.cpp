@@ -1,7 +1,7 @@
 #include "baselines/hmtp_protocol.hpp"
 
+#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "overlay/session.hpp"
 #include "util/require.hpp"
@@ -152,10 +152,16 @@ OpStats HmtpProtocol::execute_refine(Session& session, net::HostId node) {
   // HMTP refinement: restart the join search at a random node of the root
   // path (§2.4.7: "Each node randomly selects a peer in its root path and
   // looks for if any closer peer than its parent connected in meantime").
-  const std::vector<net::HostId> path = tree.root_path(node);
-  VDM_REQUIRE(!path.empty());
-  const net::HostId start = path[static_cast<std::size_t>(
-      session.rng().uniform_int(0, static_cast<std::int64_t>(path.size()) - 1))];
+  // The draw indexes the path from the parent up; climbing to the drawn
+  // ancestor keeps refinement allocation-free.
+  const std::size_t depth = tree.depth(node);
+  VDM_REQUIRE(depth > 0);
+  net::HostId start = m.parent;
+  for (std::int64_t up = session.rng().uniform_int(
+           0, static_cast<std::int64_t>(depth) - 1);
+       up > 0; --up) {
+    start = tree.member(start).parent;
+  }
 
   const TreeWalk::Action found = search(session, node, start, stats);
   if (found.node == m.parent) return stats;

@@ -19,6 +19,7 @@ std::size_t CollectorScratch::capacity_bytes() const {
            tree.link_epoch.capacity() * sizeof(std::uint64_t) +
            tree.links_touched.capacity() * sizeof(net::LinkId) +
            tree.overlay_delay.capacity() * sizeof(double) +
+           tree.hops.capacity() * sizeof(std::uint32_t) +
            tree.order.capacity() * sizeof(net::HostId) +
            (tree.edge_delay.capacity() + tree.direct_delay.capacity()) *
                sizeof(double);

@@ -13,9 +13,7 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
                          TreeMetricsScratch& scratch, int threads) {
   TreeMetrics out;
   const std::size_t num_hosts = tree.num_hosts();
-  for (net::HostId h = 0; h < num_hosts; ++h) {
-    if (tree.member(h).alive) ++out.members;
-  }
+  out.members = tree.alive_count();
   if (!tree.member(source).alive) return out;
 
   // Size the flat arrays once; capacity persists across captures. The new
@@ -28,6 +26,7 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
   if (scratch.overlay_delay.size() < num_hosts) {
     scratch.overlay_delay.resize(num_hosts, 0.0);
   }
+  if (scratch.hops.size() < num_hosts) scratch.hops.resize(num_hosts, 0);
   scratch.links_touched.clear();
   scratch.order.clear();
 
@@ -75,13 +74,15 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
     for (std::size_t i = 1; i < n_order; ++i) read_delays(i);
   }
 
-  // Serial accumulation in BFS order: overlay delays top-down, network
-  // usage, per-link stress counts.
+  // Serial accumulation in BFS order: overlay delays and hop counts
+  // top-down, network usage, per-link stress counts.
   scratch.overlay_delay[source] = 0.0;
+  scratch.hops[source] = 0;
   for (std::size_t i = 1; i < n_order; ++i) {
     const net::HostId c = scratch.order[i];
     const net::HostId p = tree.member(c).parent;
     scratch.overlay_delay[c] = scratch.overlay_delay[p] + scratch.edge_delay[i];
+    scratch.hops[c] = scratch.hops[p] + 1;
     out.network_usage += scratch.edge_delay[i];
     underlay.for_each_path_link(p, c, count_link);
   }
@@ -91,7 +92,7 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
     const net::HostId h = scratch.order[i];
     const double direct = scratch.direct_delay[i];
     const double stretch = direct > 0.0 ? scratch.overlay_delay[h] / direct : 1.0;
-    const auto hops = static_cast<double>(tree.depth(h));
+    const auto hops = static_cast<double>(scratch.hops[h]);
     stretch_all.add(stretch);
     hops_all.add(hops);
     if (tree.member(h).children.empty()) {

@@ -52,6 +52,7 @@ struct TreeMetricsScratch {
   std::vector<std::uint64_t> link_epoch;   // validity stamp per LinkId
   std::vector<net::LinkId> links_touched;  // distinct links hit this epoch
   std::vector<double> overlay_delay;       // source->host delay per HostId
+  std::vector<std::uint32_t> hops;         // source->host hop count per HostId
   std::vector<net::HostId> order;          // BFS visit order
   /// Per-order-index underlay reads (uplink edge delay, direct
   /// source->host delay) — the pure pass the parallel capture fans out.

@@ -191,6 +191,9 @@ bool Membership::subtree_has_capacity(HostId root, HostId exclude) const {
 }
 
 bool Membership::is_ancestor(HostId ancestor, HostId node) const {
+  // Only a member with children is on another member's root path: this
+  // answers every fresh joiner's eligibility and attach checks in O(1).
+  if (members_.at(ancestor).children.empty()) return ancestor == node;
   for (HostId at = node; at != kInvalidHost; at = members_.at(at).parent) {
     if (at == ancestor) return true;
   }

@@ -17,6 +17,14 @@ double DelayMetric::measure(const net::Underlay& net, net::HostId a,
   return finish_probe(probe_base(net, a, b), rng);
 }
 
+double DelayMetric::measure_with_cost(const net::Underlay& net, net::HostId a,
+                                      net::HostId b, util::Rng& rng,
+                                      Cost& cost) const {
+  const ProbeBase base = probe_base(net, a, b);
+  cost = Cost{messages_per_measurement(), base.first};
+  return finish_probe(base, rng);
+}
+
 double DelayMetric::finish_probe(const ProbeBase& base, util::Rng& rng) const {
   double v = base.first;
   if (noise_frac_ > 0.0) v *= std::max(0.1, rng.normal(1.0, noise_frac_));
@@ -26,6 +34,14 @@ double DelayMetric::finish_probe(const ProbeBase& base, util::Rng& rng) const {
 double LossMetric::measure(const net::Underlay& net, net::HostId a,
                            net::HostId b, util::Rng& rng) const {
   return finish_probe(probe_base(net, a, b), rng);
+}
+
+double LossMetric::measure_with_cost(const net::Underlay& net, net::HostId a,
+                                     net::HostId b, util::Rng& rng,
+                                     Cost& cost) const {
+  const ProbeBase base = probe_base(net, a, b);
+  cost = Cost{messages_per_measurement(), burst_time(base.second)};
+  return finish_probe(base, rng);
 }
 
 double LossMetric::finish_probe(const ProbeBase& base, util::Rng& rng) const {
@@ -38,13 +54,6 @@ double LossMetric::finish_probe(const ProbeBase& base, util::Rng& rng) const {
   // lost probe out of `probes_` is the measurement floor.
   const double est = std::min(static_cast<double>(lost) / probes_, 0.99);
   return -std::log(1.0 - est) + delay_tiebreak_ * base.second;
-}
-
-sim::Time LossMetric::measurement_time(const net::Underlay& net, net::HostId a,
-                                       net::HostId b) const {
-  // Probes are pipelined `probe_spacing_` apart; the burst completes one
-  // RTT after the last probe leaves.
-  return probe_spacing_ * (probes_ - 1) + net.rtt(a, b);
 }
 
 CachedMetric::CachedMetric(std::unique_ptr<MetricProvider> inner,
@@ -94,6 +103,14 @@ double BlendMetric::measure(const net::Underlay& net, net::HostId a,
   return finish_probe(probe_base(net, a, b), rng);
 }
 
+double BlendMetric::measure_with_cost(const net::Underlay& net, net::HostId a,
+                                      net::HostId b, util::Rng& rng,
+                                      Cost& cost) const {
+  const ProbeBase base = probe_base(net, a, b);
+  cost = Cost{messages_per_measurement(), time_for_rtt(base.second)};
+  return finish_probe(base, rng);
+}
+
 double BlendMetric::finish_probe(const ProbeBase& base, util::Rng& rng) const {
   // Normalize delay to "per 100 ms" and loss-length to "per 1 %" so the
   // weights are unitless knobs of comparable magnitude. Both components
@@ -109,10 +126,9 @@ int BlendMetric::messages_per_measurement() const {
                        : delay_.messages_per_measurement();
 }
 
-sim::Time BlendMetric::measurement_time(const net::Underlay& net, net::HostId a,
-                                        net::HostId b) const {
-  return std::max(delay_.measurement_time(net, a, b),
-                  w_loss_ > 0.0 ? loss_.measurement_time(net, a, b) : 0.0);
+sim::Time BlendMetric::time_for_rtt(sim::Time rtt) const {
+  // The delay component's ping takes one rtt; the loss burst takes longer.
+  return std::max(rtt, w_loss_ > 0.0 ? loss_.burst_time(rtt) : 0.0);
 }
 
 }  // namespace vdm::overlay

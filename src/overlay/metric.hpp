@@ -45,8 +45,10 @@ class MetricProvider {
   };
 
   /// Measurement plus its cost, in one call. Default: fixed per-provider
-  /// costs; overridden by providers whose cost varies per call (a cache
-  /// hit is free, a miss pays the full probe).
+  /// costs from measurement_time() and measure(), which read the underlay
+  /// separately. The shipped providers override it to read once, and
+  /// CachedMetric because its cost varies per call (a cache hit is free, a
+  /// miss pays the full probe).
   virtual double measure_with_cost(const net::Underlay& net, net::HostId a,
                                    net::HostId b, util::Rng& rng,
                                    Cost& cost) const {
@@ -103,6 +105,10 @@ class DelayMetric final : public MetricProvider {
                              net::HostId b) const override {
     return net.rtt(a, b);
   }
+  /// One rtt read serves both the value and the elapsed time.
+  double measure_with_cost(const net::Underlay& net, net::HostId a,
+                           net::HostId b, util::Rng& rng,
+                           Cost& cost) const override;
   bool concurrent_probe_safe() const override { return true; }
   ProbeBase probe_base(const net::Underlay& net, net::HostId a,
                        net::HostId b) const override {
@@ -131,7 +137,14 @@ class LossMetric final : public MetricProvider {
                  util::Rng& rng) const override;
   int messages_per_measurement() const override { return 2 * probes_; }
   sim::Time measurement_time(const net::Underlay& net, net::HostId a,
-                             net::HostId b) const override;
+                             net::HostId b) const override {
+    return burst_time(net.rtt(a, b));
+  }
+  /// One loss read and one rtt read serve both the value and the elapsed
+  /// time.
+  double measure_with_cost(const net::Underlay& net, net::HostId a,
+                           net::HostId b, util::Rng& rng,
+                           Cost& cost) const override;
   bool concurrent_probe_safe() const override { return true; }
   /// first = end-to-end loss probability, second = rtt (the tiebreaker).
   ProbeBase probe_base(const net::Underlay& net, net::HostId a,
@@ -139,6 +152,13 @@ class LossMetric final : public MetricProvider {
     return {net.loss(a, b), net.rtt(a, b)};
   }
   double finish_probe(const ProbeBase& base, util::Rng& rng) const override;
+
+  /// Wall-clock of one probe burst over a path of round-trip time `rtt`:
+  /// probes leave `probe_spacing` apart and the burst completes one RTT
+  /// after the last one.
+  sim::Time burst_time(sim::Time rtt) const {
+    return probe_spacing_ * (probes_ - 1) + rtt;
+  }
 
  private:
   int probes_;
@@ -206,7 +226,14 @@ class BlendMetric final : public MetricProvider {
                  util::Rng& rng) const override;
   int messages_per_measurement() const override;
   sim::Time measurement_time(const net::Underlay& net, net::HostId a,
-                             net::HostId b) const override;
+                             net::HostId b) const override {
+    return time_for_rtt(net.rtt(a, b));
+  }
+  /// One loss read and one rtt read serve both components and the elapsed
+  /// time.
+  double measure_with_cost(const net::Underlay& net, net::HostId a,
+                           net::HostId b, util::Rng& rng,
+                           Cost& cost) const override;
   bool concurrent_probe_safe() const override { return true; }
   /// first = loss probability, second = rtt (shared by both components).
   ProbeBase probe_base(const net::Underlay& net, net::HostId a,
@@ -216,6 +243,9 @@ class BlendMetric final : public MetricProvider {
   double finish_probe(const ProbeBase& base, util::Rng& rng) const override;
 
  private:
+  /// The slower component's measurement time over a path of this rtt.
+  sim::Time time_for_rtt(sim::Time rtt) const;
+
   double w_delay_;
   double w_loss_;
   DelayMetric delay_;

@@ -77,6 +77,15 @@ Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
     VDM_REQUIRE_MSG(std::isfinite(f.heartbeat_timeout) && f.heartbeat_timeout >= 0.0,
                     "heartbeat_timeout must be finite and >= 0");
   }
+  if (f.lossy_control) {
+    VDM_REQUIRE_MSG(std::isfinite(f.retry_timeout) && f.retry_timeout >= 0.0,
+                    "retry_timeout must be finite and >= 0");
+    VDM_REQUIRE_MSG(std::isfinite(f.retry_timeout_max) && f.retry_timeout_max >= 0.0,
+                    "retry_timeout_max must be finite and >= 0");
+    VDM_REQUIRE_MSG(std::isfinite(f.backoff_factor) && f.backoff_factor > 0.0,
+                    "backoff_factor must be finite and > 0");
+    VDM_REQUIRE_MSG(f.max_retries >= 0, "max_retries must be >= 0");
+  }
 }
 
 Session::~Session() { stop(); }

@@ -62,7 +62,9 @@ struct FaultParams {
   /// backoff_factor up to retry_timeout_max, for at most max_retries
   /// retransmissions (after which the exchange is assumed through — the
   /// control channel is reliable-with-retries, loss shows up as latency
-  /// and message overhead, not as protocol failure).
+  /// and message overhead, not as protocol failure). With lossy_control on,
+  /// both timeouts must be finite and >= 0, backoff_factor finite and > 0,
+  /// and max_retries >= 0.
   double retry_timeout = 0.25;
   double backoff_factor = 2.0;
   double retry_timeout_max = 4.0;

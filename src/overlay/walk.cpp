@@ -91,11 +91,14 @@ void TreeWalk::next_step(OpStats& stats) {
   // Information request/response with the current node: children list and
   // the node's stored distances to them (§3.2 control messages).
   session_.charge_exchange(joiner_, cur_, stats);
+  // cur() is eligible (normalize_start checks the start, and a walk only
+  // descends into kids()), so each of its children is alive and lies outside
+  // the joiner's subtree unless it is the joiner. That holds for the whole
+  // walk: a sequential walk sees no tree change, and a drain's joiners stay
+  // detached and childless until their own commit (DESIGN.md §8).
   scratch_.kids.clear();
   for (const net::HostId c : session_.tree().member(cur_).children) {
-    if (c != joiner_ && session_.eligible_parent(joiner_, c)) {
-      scratch_.kids.push_back(c);
-    }
+    if (c != joiner_) scratch_.kids.push_back(c);
   }
 }
 

@@ -89,6 +89,27 @@ TEST(AllocBudget, SteadyStateArenaRunStaysUnderBudget) {
       << " times; per-run allocation crept back in";
 }
 
+TEST(AllocBudget, HmtpRefinementStaysUnderBudgetToo) {
+  // HMTP refines every member every 30 s by restarting its join search at a
+  // random node of its root path, drawn by depth without building the path,
+  // so the shape with the most refinement walks allocates nothing warm
+  // either. VDM, BTP and Random share the first test's machinery.
+  RunScratch scratch;
+  RunConfig cfg = paper_config();
+  cfg.protocol = Proto::kHmtp;
+  (void)run_once(cfg, scratch);
+  (void)run_once(cfg, scratch);
+  const std::uint64_t grows_before = scratch.grow_events();
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const RunResult r = run_once(cfg, scratch);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+
+  EXPECT_GT(r.refine_ticks, 0u);
+  EXPECT_EQ(scratch.grow_events(), grows_before);
+  EXPECT_EQ(allocs, 0u);
+}
+
 TEST(AllocBudget, LossyFloodStaysUnderBudgetToo) {
   // The paper_lossy_512 shape at test size: VDM-L over router links whose
   // loss is drawn up to 2 %, 2 chunks/s. Every other shape here runs on a

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/vdm_protocol.hpp"
 #include "experiments/runner.hpp"
 #include "helpers.hpp"
@@ -200,6 +203,47 @@ TEST(LossyControl, BackoffIsCappedAtRetryTimeoutMax) {
   FaultHarness h(line_underlay({0.0, 10.0}), f);
   const TimingRecord rec = h.session.join(1, 4);
   EXPECT_DOUBLE_EQ(rec.duration, 3 * (10.0 + 7.0));
+}
+
+TEST(LossyControl, RejectsMalformedRetrySettings) {
+  // With lossy control on, a negative or non-finite cap, a backoff factor
+  // that is not finite and positive, or a negative retry budget would turn
+  // into negative or non-finite times; the constructor names the field.
+  // The same values are inert (and accepted) with lossy control off.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* field;
+    void (*set)(FaultParams&, double);
+    double value;
+  };
+  const auto cap = [](FaultParams& f, double v) { f.retry_timeout_max = v; };
+  const auto backoff = [](FaultParams& f, double v) { f.backoff_factor = v; };
+  const auto retries = [](FaultParams& f, double v) {
+    f.max_retries = static_cast<int>(v);
+  };
+  for (const Bad& bad : {Bad{"retry_timeout_max", cap, -1.0},
+                         Bad{"retry_timeout_max", cap, nan},
+                         Bad{"retry_timeout_max", cap, inf},
+                         Bad{"backoff_factor", backoff, 0.0},
+                         Bad{"backoff_factor", backoff, -2.0},
+                         Bad{"backoff_factor", backoff, nan},
+                         Bad{"backoff_factor", backoff, inf},
+                         Bad{"max_retries", retries, -1.0}}) {
+    FaultParams f;
+    bad.set(f, bad.value);
+    EXPECT_NO_THROW(FaultHarness(line_underlay({0.0, 10.0}), f))
+        << bad.field << " = " << bad.value << " with lossy control off";
+    f.lossy_control = true;
+    f.control_loss_extra = 0.1;
+    try {
+      FaultHarness h(line_underlay({0.0, 10.0}), f);
+      ADD_FAILURE() << bad.field << " = " << bad.value << " was accepted";
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(LossyControl, ZeroExtraLossOnLosslessPathsDrawsNothing) {

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace vdm::overlay {
 namespace {
@@ -281,6 +282,71 @@ TEST(Membership, IsAncestorSemantics) {
   EXPECT_TRUE(m.is_ancestor(2, 2));  // reflexive by definition used here
   EXPECT_FALSE(m.is_ancestor(2, 0));
   EXPECT_FALSE(m.is_ancestor(3, 2));
+}
+
+TEST(Membership, IsAncestorMatchesAParentClimbOnRandomForests) {
+  // Random forests over a pool with dead hosts, grown under random parents,
+  // then cut by detaches (fragments keep their subtrees) and deactivations
+  // (orphaned children become fragment roots), then partly re-hung. Every
+  // ordered pair, a == n included, must answer as the plain climb does.
+  const auto climb = [](const Membership& m, HostId ancestor, HostId node) {
+    for (HostId at = node; at != kInvalidHost; at = m.member(at).parent) {
+      if (at == ancestor) return true;
+    }
+    return false;
+  };
+  util::Rng rng(17);
+  std::size_t childless_true = 0, childless_false = 0, interior_pairs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    Membership m(n);
+    std::vector<HostId> placed;
+    for (HostId h = 0; h < n; ++h) {
+      if (rng.chance(0.1)) continue;  // stays dead
+      m.activate(h, static_cast<int>(n));
+      if (!placed.empty() && rng.chance(0.9)) {
+        m.attach(h, placed[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(placed.size()) - 1))],
+                 1.0);
+      }
+      placed.push_back(h);
+    }
+    for (const HostId h : placed) {
+      const MemberState& ms = m.member(h);
+      if (!ms.alive) continue;
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.1 && ms.parent != kInvalidHost) {
+        m.detach(h);
+      } else if (u < 0.2) {
+        m.deactivate(h);
+      }
+    }
+    // Re-hang some fragment roots under members outside their subtree.
+    for (const HostId h : placed) {
+      if (!m.member(h).alive || m.member(h).parent != kInvalidHost) continue;
+      const HostId p = placed[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(placed.size()) - 1))];
+      if (rng.chance(0.5) && m.member(p).alive && !climb(m, h, p)) {
+        m.attach(h, p, 1.0);
+      }
+    }
+    m.validate();
+    for (HostId a = 0; a < n; ++a) {
+      for (HostId b = 0; b < n; ++b) {
+        const bool want = climb(m, a, b);
+        ASSERT_EQ(m.is_ancestor(a, b), want)
+            << "trial " << trial << ": is_ancestor(" << a << ", " << b << ")";
+        if (m.member(a).children.empty()) {
+          ++(want ? childless_true : childless_false);
+        } else {
+          ++interior_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(childless_true, 0u);  // a == n
+  EXPECT_GT(childless_false, 0u);
+  EXPECT_GT(interior_pairs, 0u);
 }
 
 TEST(Membership, AliveMembersLists) {

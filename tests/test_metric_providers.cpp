@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "helpers.hpp"
+#include "sim/simulator.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -130,6 +134,117 @@ TEST(BlendMetric, TimeIsMaxOfComponents) {
   const net::MatrixUnderlay u = lossy_pair(0.1);
   BlendMetric m(0.5, 0.5, /*probes=*/20, /*spacing=*/0.01);
   EXPECT_NEAR(m.measurement_time(u, 0, 1), 0.19 + 0.020, 1e-12);
+}
+
+/// Underlay double that forwards to another underlay and counts delay and
+/// loss reads (an rtt() is one delay read).
+class CountingUnderlay final : public net::Underlay {
+ public:
+  explicit CountingUnderlay(const net::Underlay& inner) : inner_(inner) {}
+  std::size_t num_hosts() const override { return inner_.num_hosts(); }
+  sim::Time delay(net::HostId a, net::HostId b) const override {
+    ++delay_reads;
+    return inner_.delay(a, b);
+  }
+  double loss(net::HostId a, net::HostId b) const override {
+    ++loss_reads;
+    return inner_.loss(a, b);
+  }
+  std::vector<net::LinkId> path(net::HostId a, net::HostId b) const override {
+    return inner_.path(a, b);
+  }
+  double link_delay(net::LinkId link) const override {
+    return inner_.link_delay(link);
+  }
+  std::size_t num_links() const override { return inner_.num_links(); }
+
+  mutable int delay_reads = 0;
+  mutable int loss_reads = 0;
+
+ private:
+  const net::Underlay& inner_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// measure_with_cost must be the one-read form of measure() plus the
+/// provider's message count and measurement time: the same value, cost and
+/// rng state, bit for bit, from one delay read (and one loss read when the
+/// provider uses loss).
+void expect_one_read_matches_split(const MetricProvider& m,
+                                   const MetricProvider& reference,
+                                   int loss_reads) {
+  std::vector<double> d{0.0, 0.0131, 0.0077, 0.0131, 0.0, 0.0205,
+                        0.0077, 0.0205, 0.0};
+  std::vector<double> l{0.0, 0.12, 0.03, 0.12, 0.0, 0.4, 0.03, 0.4, 0.0};
+  const net::MatrixUnderlay matrix(3, std::move(d), std::move(l));
+  const CountingUnderlay u(matrix);
+  util::Rng rng_fused(99), rng_split(99);
+  for (int i = 0; i < 40; ++i) {
+    const auto a = static_cast<net::HostId>(i % 3);
+    const auto b = static_cast<net::HostId>((i + 1 + i / 3) % 3);
+    if (a == b) continue;
+    MetricProvider::Cost cost;
+    u.delay_reads = u.loss_reads = 0;
+    const double fused = m.measure_with_cost(u, a, b, rng_fused, cost);
+    EXPECT_EQ(u.delay_reads, 1) << m.name();
+    EXPECT_EQ(u.loss_reads, loss_reads) << m.name();
+    const double split = reference.measure(matrix, a, b, rng_split);
+    EXPECT_TRUE(same_bits(fused, split)) << m.name() << " " << fused << " vs " << split;
+    EXPECT_EQ(cost.messages, reference.messages_per_measurement()) << m.name();
+    EXPECT_TRUE(same_bits(cost.elapsed, reference.measurement_time(matrix, a, b)))
+        << m.name();
+  }
+  EXPECT_EQ(rng_fused.next_u64(), rng_split.next_u64()) << m.name();
+}
+
+TEST(MetricProviders, MeasureWithCostReadsEachPathPropertyOnce) {
+  expect_one_read_matches_split(DelayMetric(0.0), DelayMetric(0.0), 0);
+  expect_one_read_matches_split(DelayMetric(0.2), DelayMetric(0.2), 0);
+  expect_one_read_matches_split(LossMetric(), LossMetric(), 1);
+  expect_one_read_matches_split(LossMetric(7, 0.03, 1e-2),
+                                LossMetric(7, 0.03, 1e-2), 1);
+  expect_one_read_matches_split(BlendMetric(0.5, 0.5), BlendMetric(0.5, 0.5), 1);
+  expect_one_read_matches_split(BlendMetric(1.0, 0.0), BlendMetric(1.0, 0.0), 1);
+}
+
+TEST(MetricProviders, CachedMissReadsOnceAndHitReadsNothing) {
+  const net::MatrixUnderlay matrix = lossy_pair(0.2);
+  const CountingUnderlay u(matrix);
+  sim::Simulator clock;
+  for (const bool loss : {false, true}) {
+    const auto inner = [loss]() -> std::unique_ptr<MetricProvider> {
+      if (loss) return std::make_unique<LossMetric>();
+      return std::make_unique<DelayMetric>(0.1);
+    };
+    const CachedMetric cached(inner(), clock, /*ttl=*/10.0);
+    const std::unique_ptr<MetricProvider> reference = inner();
+    util::Rng rng_fused(5), rng_split(5);
+
+    // Miss: the wrapped provider's one-read probe and its full cost.
+    MetricProvider::Cost cost;
+    const double miss = cached.measure_with_cost(u, 0, 1, rng_fused, cost);
+    EXPECT_EQ(u.delay_reads, 1);
+    EXPECT_EQ(u.loss_reads, loss ? 1 : 0);
+    EXPECT_TRUE(same_bits(miss, reference->measure(matrix, 0, 1, rng_split)));
+    EXPECT_EQ(cost.messages, reference->messages_per_measurement());
+    EXPECT_TRUE(same_bits(cost.elapsed, reference->measurement_time(matrix, 0, 1)));
+    EXPECT_EQ(rng_fused.next_u64(), rng_split.next_u64());
+
+    // Hit (either direction): no read, no message, no time, no draw.
+    u.delay_reads = u.loss_reads = 0;
+    const double hit = cached.measure_with_cost(u, 1, 0, rng_fused, cost);
+    EXPECT_TRUE(same_bits(hit, miss));
+    EXPECT_EQ(u.delay_reads, 0);
+    EXPECT_EQ(u.loss_reads, 0);
+    EXPECT_EQ(cost.messages, 0);
+    EXPECT_EQ(cost.elapsed, 0.0);
+    EXPECT_EQ(rng_fused.next_u64(), rng_split.next_u64());
+    EXPECT_EQ(cached.hits(), 1u);
+    EXPECT_EQ(cached.misses(), 1u);
+  }
 }
 
 TEST(MetricProviders, NamesAreDistinct) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/vdm_protocol.hpp"
 #include "helpers.hpp"
 #include "net/graph_underlay.hpp"
 #include "topology/simple.hpp"
+#include "util/stats.hpp"
 
 namespace vdm::metrics {
 namespace {
@@ -152,6 +154,136 @@ TEST(TreeMetrics, DetachedMembersAreIgnoredByPathMetrics) {
   const TreeMetrics t = measure_tree(m, 0, u);
   EXPECT_EQ(t.members, 3u);        // counted as members
   EXPECT_DOUBLE_EQ(t.hop_max, 1.0);  // but not in the tree paths
+}
+
+/// The hop fields and member count as a Membership::depth climb per member
+/// and a scan of every host slot give them, accumulated in measure_tree's
+/// BFS order so the means compare bit for bit.
+struct HopReference {
+  std::size_t members = 0;
+  double hop_avg = 0.0;
+  double hop_max = 0.0;
+  double hop_leaf_avg = 0.0;
+};
+
+HopReference reference_hops(const Membership& m, net::HostId source) {
+  HopReference ref;
+  for (net::HostId h = 0; h < m.num_hosts(); ++h) {
+    if (m.member(h).alive) ++ref.members;
+  }
+  util::OnlineStats all, leaf;
+  std::vector<net::HostId> order{source};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const overlay::MemberState& ms = m.member(order[i]);
+    order.insert(order.end(), ms.children.begin(), ms.children.end());
+    if (i == 0) continue;
+    const auto hops = static_cast<double>(m.depth(order[i]));
+    all.add(hops);
+    if (ms.children.empty()) leaf.add(hops);
+  }
+  ref.hop_avg = all.mean();
+  ref.hop_max = all.empty() ? 0.0 : all.max();
+  ref.hop_leaf_avg = leaf.mean();
+  return ref;
+}
+
+void expect_hops_match_reference(const Membership& m,
+                                 const net::Underlay& u,
+                                 TreeMetricsScratch& scratch,
+                                 net::HostId source = 0) {
+  const TreeMetrics t = measure_tree(m, source, u, scratch);
+  const HopReference ref = reference_hops(m, source);
+  EXPECT_EQ(t.members, ref.members);
+  EXPECT_EQ(t.hop_avg, ref.hop_avg);
+  EXPECT_EQ(t.hop_max, ref.hop_max);
+  EXPECT_EQ(t.hop_leaf_avg, ref.hop_leaf_avg);
+}
+
+TEST(TreeMetrics, HopCountsMatchDepthClimbsOnRandomTrees) {
+  // One scratch for every tree, large and small, so hop counts left from a
+  // bigger earlier tree are in the way. Crashes (deactivate) leave detached
+  // orphan fragments with whole subtrees, which must count as members but
+  // not as hops; measured from its own root, a fragment must count from 0
+  // although that root had a hop count in the capture before.
+  constexpr std::size_t kHosts = 80;
+  std::vector<double> position;
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    position.push_back(static_cast<double>((i * 53) % 97));
+  }
+  const net::MatrixUnderlay u = testutil::line_underlay(position);
+  util::Rng rng(23);
+  TreeMetricsScratch scratch;
+  std::size_t orphan_fragments = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, kHosts));
+    Membership m(n);
+    m.activate(0, static_cast<int>(n));
+    std::vector<net::HostId> placed{0};
+    for (net::HostId h = 1; h < n; ++h) {
+      if (rng.chance(0.1)) continue;
+      m.activate(h, static_cast<int>(n));
+      const auto size = static_cast<std::int64_t>(placed.size());
+      const std::int64_t lo = rng.chance(0.5) ? std::max<std::int64_t>(0, size - 2) : 0;
+      m.attach(h, placed[static_cast<std::size_t>(rng.uniform_int(lo, size - 1))], 1.0);
+      placed.push_back(h);
+    }
+    expect_hops_match_reference(m, u, scratch);
+    std::vector<net::HostId> orphans;
+    for (const net::HostId h : placed) {
+      if (h == 0 || !m.member(h).alive || !rng.chance(0.1)) continue;
+      m.deactivate(h, orphans);
+      for (const net::HostId o : orphans) {
+        if (m.member(o).children.empty()) continue;
+        ++orphan_fragments;
+        expect_hops_match_reference(m, u, scratch, o);
+      }
+    }
+    expect_hops_match_reference(m, u, scratch);
+  }
+  EXPECT_GT(orphan_fragments, 0u);
+}
+
+TEST(TreeMetrics, HopCountsMatchDepthClimbsWithPendingCrashOrphans) {
+  // A session with heartbeats: crashed interior members leave their
+  // subtrees detached until the verdict, so captures in between see
+  // fragments hanging from no one.
+  constexpr std::size_t kHosts = 60;
+  std::vector<double> position;
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    position.push_back(static_cast<double>((i * 41) % 89) + 0.01 * static_cast<double>(i));
+  }
+  const net::MatrixUnderlay u = testutil::line_underlay(position);
+  core::VdmProtocol vdm;
+  sim::Simulator sim;
+  const overlay::DelayMetric metric(0.0);
+  overlay::SessionParams sp;
+  sp.source_degree_limit = 3;
+  sp.data_plane = false;
+  sp.faults.heartbeat_period = 1.0;
+  overlay::Session session(sim, u, vdm, metric, sp, util::Rng(4));
+  session.start();
+  for (net::HostId h = 1; h < kHosts; ++h) session.join(h, 3);
+
+  TreeMetricsScratch scratch;
+  util::Rng rng(8);
+  std::size_t pending_fragments = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int k = 0; k < 3; ++k) {
+      const auto h = static_cast<net::HostId>(rng.uniform_int(1, kHosts - 1));
+      if (!session.tree().member(h).alive) continue;
+      for (const net::HostId c : session.tree().member(h).children) {
+        if (!session.tree().member(c).children.empty()) ++pending_fragments;
+      }
+      session.crash(h);
+    }
+    expect_hops_match_reference(session.tree(), u, scratch);
+    sim.run_until(sim.now() + 10.0);  // verdicts land, orphans rejoin
+    expect_hops_match_reference(session.tree(), u, scratch);
+    for (net::HostId h = 1; h < kHosts; ++h) {
+      if (!session.tree().member(h).alive) session.join(h, 3);
+    }
+  }
+  EXPECT_GT(pending_fragments, 0u);
 }
 
 TEST(TreeMetrics, TriangleViolationGivesSubUnitStretch) {

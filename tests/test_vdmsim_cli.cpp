@@ -75,10 +75,18 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
         "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout -1",
         "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout nan",
         // A refinement period of 0 used to re-arm forever at one instant.
-        "--members 16 --seeds 1 --protocol hmtp --hmtp-period 0"}) {
+        "--members 16 --seeds 1 --protocol hmtp --hmtp-period 0",
+        // A retry timeout that is negative or not finite used to print a
+        // negative, NaN or infinite reconnect time.
+        "--members 16 --seeds 1 --control-loss 0.3 --retry-timeout -1",
+        "--members 16 --seeds 1 --control-loss 0.3 --retry-timeout nan",
+        "--members 16 --seeds 1 --control-loss 0.3 --retry-timeout inf"}) {
     const CliResult r = run_vdmsim(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, "rejected config")) << args << "\n" << r.output;
+    if (contains(args, "retry-timeout")) {
+      EXPECT_TRUE(contains(r.output, "retry_timeout")) << args << "\n" << r.output;
+    }
     if (contains(args, "heartbeat")) {
       // The message names the offending field.
       const std::string flag = contains(args, "misses")    ? "heartbeat_misses"

@@ -10,7 +10,9 @@
 #include "baselines/random_protocol.hpp"
 #include "core/vdm_protocol.hpp"
 #include "helpers.hpp"
+#include "net/coord_underlay.hpp"
 #include "overlay/walk.hpp"
+#include "topology/coord.hpp"
 #include "walk_golden_configs.hpp"
 
 namespace vdm::overlay {
@@ -352,6 +354,285 @@ TEST(WalkTrace, VdmDescendThenAttachIsReportedStepByStep) {
   EXPECT_EQ(second.decision, WalkDecision::kAttach);
   EXPECT_EQ(second.next, 1u);
 }
+
+// ------------------------------------------ child eligibility vs reference
+
+/// The reference eligibility check: alive, not the joiner, and not in the
+/// joiner's subtree, by a plain climb over member().parent.
+bool reference_eligible(const Membership& tree, net::HostId joiner,
+                        net::HostId candidate) {
+  if (candidate == joiner || !tree.member(candidate).alive) return false;
+  for (net::HostId at = candidate; at != net::kInvalidHost;
+       at = tree.member(at).parent) {
+    if (at == joiner) return false;
+  }
+  return true;
+}
+
+/// What a KidsCheckPolicy saw; outlives the walks that report into it.
+struct KidsCheckTally {
+  int steps = 0;
+  /// Steps whose current node had the joiner itself among its children.
+  int joiner_dropped = 0;
+};
+
+/// Step policy that compares kids() with the reference filter over cur()'s
+/// children at every step. It then descends towards the joiner while a kid
+/// lies on the joiner's root path (so walks pass the joiner's parent), else
+/// to a kid picked by the step index, and stops at a node without kids.
+struct KidsCheckPolicy {
+  KidsCheckTally* tally;
+  void on_start(TreeWalk&, OpStats&) {}
+  TreeWalk::Action step(TreeWalk& w, OpStats&) {
+    const Membership& tree = w.session().tree();
+    std::vector<net::HostId> want;
+    for (const net::HostId c : tree.member(w.cur()).children) {
+      if (reference_eligible(tree, w.joiner(), c)) want.push_back(c);
+      if (c == w.joiner()) ++tally->joiner_dropped;
+    }
+    const std::span<const net::HostId> kids = w.kids();
+    EXPECT_EQ(std::vector<net::HostId>(kids.begin(), kids.end()), want)
+        << "joiner " << w.joiner() << " at node " << w.cur();
+    ++tally->steps;
+    if (kids.empty()) {
+      return TreeWalk::Action::stop(WalkDecision::kAttach, w.cur());
+    }
+    for (const net::HostId c : kids) {
+      if (tree.is_ancestor(c, w.joiner())) {
+        return TreeWalk::Action::descend(WalkDecision::kRandomStep, c);
+      }
+    }
+    const auto pick = static_cast<std::size_t>(w.step_index()) * 7 + w.joiner();
+    return TreeWalk::Action::descend(WalkDecision::kRandomStep,
+                                     kids[pick % kids.size()]);
+  }
+};
+
+struct KidsCheckPipeline final
+    : PolicyPipeline<KidsCheckPipeline, KidsCheckPolicy> {
+  KidsCheckTally* tally = nullptr;
+  KidsCheckPolicy make_policy(TreeWalk&) const { return {tally}; }
+};
+
+/// Hangs a random subset of hosts 1..n-1 under the already active source:
+/// each under a uniformly drawn placed member, or under one of the last few
+/// placed (which grows long chains). The rest stay dead.
+void grow_random_tree(Membership& tree, std::size_t n, util::Rng& rng) {
+  std::vector<net::HostId> placed{0};
+  for (net::HostId h = 1; h < n; ++h) {
+    if (rng.chance(0.15)) continue;
+    tree.activate(h, static_cast<int>(n));
+    const auto size = static_cast<std::int64_t>(placed.size());
+    const std::int64_t lo = rng.chance(0.5) ? std::max<std::int64_t>(0, size - 3) : 0;
+    tree.attach(h, placed[static_cast<std::size_t>(rng.uniform_int(lo, size - 1))],
+                1.0);
+    placed.push_back(h);
+  }
+}
+
+TEST(WalkKids, MatchTheReferenceFilterForEveryJoinerKind) {
+  constexpr std::size_t kHosts = 64;
+  std::vector<double> position;
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    position.push_back(static_cast<double>((i * 37) % 101));
+  }
+  util::Rng rng(42);
+  KidsCheckTally tally;
+  KidsCheckPipeline pipeline;
+  pipeline.tally = &tally;
+  int fresh = 0, attached = 0, detached = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    core::VdmProtocol vdm;
+    Harness h(line_underlay(position), vdm, /*source_degree=*/static_cast<int>(kHosts));
+    Membership& tree = h.session.tree();
+    const auto n = static_cast<std::size_t>(rng.uniform_int(8, kHosts));
+    grow_random_tree(tree, n, rng);
+
+    // Each walk starts once at the source and once at a random host; an
+    // ineligible random start (dead, the joiner, inside its subtree)
+    // restarts from the source.
+    const auto walk_both = [&](net::HostId joiner) {
+      OpStats stats;
+      PolicySlot slot;
+      TreeWalk walk(h.session);
+      walk.run(pipeline, slot, joiner, h.session.source(), stats);
+      const auto start = static_cast<net::HostId>(rng.uniform_int(0, kHosts - 1));
+      walk.run(pipeline, slot, joiner, start, stats);
+    };
+
+    // Fresh joiners: alive, detached, childless.
+    for (net::HostId j = 1; j < kHosts; ++j) {
+      if (tree.member(j).alive) continue;
+      tree.activate(j, 4);
+      walk_both(j);
+      ++fresh;
+      break;
+    }
+    // Members with a subtree: attached (a refinement walk), then detached
+    // with the subtree kept (a rejoin after a crash or a false verdict).
+    for (net::HostId j = 1; j < n; ++j) {
+      const MemberState& m = tree.member(j);
+      if (!m.alive || m.children.empty() || !rng.chance(0.3)) continue;
+      walk_both(j);
+      ++attached;
+      const net::HostId parent = m.parent;
+      tree.detach(j);
+      walk_both(j);
+      ++detached;
+      tree.attach(j, parent, 1.0);
+    }
+  }
+  EXPECT_GT(fresh, 30);
+  EXPECT_GT(attached, 50);
+  EXPECT_GT(detached, 50);
+  EXPECT_GT(tally.steps, 1000);
+  EXPECT_GT(tally.joiner_dropped, 50);  // the joiner's own parent was walked
+}
+
+/// Checks every reported step against the reference: the node queried, and
+/// the descend target or chosen parent, must be eligible for the joiner.
+class EligibilityProbe final : public WalkObserver {
+ public:
+  explicit EligibilityProbe(const Session& session) : session_(&session) {}
+
+  void on_step(const WalkStep& s) override {
+    const Membership& tree = session_->tree();
+    ++steps_;
+    if (!tree.member(s.joiner).children.empty()) ++subtree_steps_;
+    EXPECT_TRUE(reference_eligible(tree, s.joiner, s.node))
+        << "joiner " << s.joiner << " queried ineligible node " << s.node;
+    if (s.decision == WalkDecision::kAbort) return;
+    EXPECT_TRUE(reference_eligible(tree, s.joiner, s.next))
+        << "joiner " << s.joiner << " at " << s.node << " chose ineligible "
+        << s.next << " (" << walk_decision_name(s.decision) << ")";
+  }
+
+  int steps() const { return steps_; }
+  int subtree_steps() const { return subtree_steps_; }
+
+ private:
+  const Session* session_;
+  int steps_ = 0;
+  int subtree_steps_ = 0;
+};
+
+/// Each protocol with its periodic refinement on (Random has none).
+std::unique_ptr<Protocol> make_refining_protocol(ProtoKind k) {
+  switch (k) {
+    case ProtoKind::kVdm: {
+      core::VdmConfig cfg;
+      cfg.refinement = true;
+      cfg.refinement_period = 15.0;
+      return std::make_unique<core::VdmProtocol>(cfg);
+    }
+    case ProtoKind::kHmtp: {
+      baselines::HmtpConfig cfg;
+      cfg.refinement_period = 10.0;
+      return std::make_unique<baselines::HmtpProtocol>(cfg);
+    }
+    case ProtoKind::kBtp: {
+      baselines::BtpConfig cfg;
+      cfg.refinement_period = 10.0;
+      return std::make_unique<baselines::BtpProtocol>(cfg);
+    }
+    case ProtoKind::kRandom:
+      return std::make_unique<baselines::RandomProtocol>();
+  }
+  return nullptr;
+}
+
+struct ChurnCase {
+  ProtoKind proto;
+  JoinMode mode;
+};
+
+class WalkEligibility : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(WalkEligibility, EveryTargetAndParentPassesTheReferenceUnderChurn) {
+  constexpr std::size_t kHosts = 160;
+  topo::CoordParams cp;
+  cp.num_hosts = kHosts;
+  cp.space = topo::CoordSpace::kPlane;
+  util::Rng topo_rng(11);
+  const net::CoordUnderlay underlay = topo::make_coord(cp, topo_rng);
+  const std::unique_ptr<Protocol> proto = make_refining_protocol(GetParam().proto);
+  sim::Simulator sim;
+  const DelayMetric metric(0.0);
+  SessionParams sp;
+  sp.source_degree_limit = 4;
+  sp.data_plane = false;
+  sp.paranoid_checks = true;
+  sp.join_mode = GetParam().mode;
+  sp.faults.heartbeat_period = 1.0;
+  sp.faults.lossy_control = true;
+  sp.faults.control_loss_extra = 0.05;
+  Session session(sim, underlay, *proto, metric, sp, util::Rng(5));
+  EligibilityProbe probe(session);
+  proto->set_walk_observer(&probe);
+  session.start();
+
+  // A same-instant crowd (one drain batch when concurrent), scattered
+  // joins, then crash-heavy churn: orphans rejoin with their subtrees after
+  // the heartbeat verdict, and refinement re-walks attached members.
+  util::Rng rng(9);
+  const auto degree = [&rng] { return static_cast<int>(rng.uniform_int(2, 5)); };
+  for (net::HostId h = 1; h <= 100; ++h) {
+    const sim::Time at = h <= 60 ? 1.0 : rng.uniform(2.0, 60.0);
+    const int d = degree();
+    sim.schedule_at(at, [&session, h, d] { session.join(h, d); });
+  }
+  for (sim::Time t = 60.0; t < 200.0; t += 2.0) {
+    sim.schedule_at(t, [&] {
+      const Membership& tree = session.tree();
+      std::vector<net::HostId> alive, dead;
+      for (net::HostId h = 1; h < kHosts; ++h) {
+        (tree.member(h).alive ? alive : dead).push_back(h);
+      }
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.3 && !dead.empty()) {
+        session.join(dead[static_cast<std::size_t>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(dead.size()) - 1))],
+                     degree());
+      } else if (!alive.empty()) {
+        const net::HostId h = alive[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(alive.size()) - 1))];
+        if (u < 0.85) {
+          session.crash(h);
+        } else {
+          session.leave(h);
+        }
+      }
+    });
+  }
+  sim.run_until(220.0);
+
+  session.validate();
+  EXPECT_GT(probe.steps(), 200);
+  EXPECT_GT(probe.subtree_steps(), 0) << "no walk carried a subtree";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocolsAndJoinModes, WalkEligibility,
+    ::testing::ValuesIn([] {
+      std::vector<ChurnCase> cases;
+      for (const ProtoKind p : {ProtoKind::kVdm, ProtoKind::kHmtp,
+                                ProtoKind::kBtp, ProtoKind::kRandom}) {
+        for (const JoinMode m : {JoinMode::kSequential, JoinMode::kLocating,
+                                 JoinMode::kConcurrent}) {
+          cases.push_back({p, m});
+        }
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<ChurnCase>& param_info) {
+      std::string name = proto_kind_name(param_info.param.proto);
+      switch (param_info.param.mode) {
+        case JoinMode::kSequential: return name + "Sequential";
+        case JoinMode::kLocating: return name + "Locating";
+        case JoinMode::kConcurrent: return name + "Concurrent";
+      }
+      return name;
+    });
 
 // ------------------------------------------------------- hexfloat bit-equality
 
