@@ -38,7 +38,7 @@ int run_cli(int argc, char** argv) {
   base.session.faults.heartbeat_misses = 3;
   base.session.faults.heartbeat_timeout = 0.5;
   base.workload.mean_session = mean_session;
-  base.keep_trajectory = true;
+  base.keep_epochs = true;
   base.seed = 900;
 
   const std::vector<overlay::WorkloadKind> workloads{
@@ -114,15 +114,16 @@ int run_cli(int argc, char** argv) {
                               "through both the crest and the trough"));
   util::Table traj(
       {"t", "members", "VDM", "HMTP", "BTP", "Random"});
-  const std::vector<TrajectoryPoint>& lead =
-      at(diurnal, 0).runs.front().trajectory;
+  const std::vector<metrics::EpochSample>& lead =
+      at(diurnal, 0).runs.front().epochs;
   for (std::size_t i = 0; i < lead.size(); ++i) {
     std::vector<std::string> row{util::Table::fmt(lead[i].at, 0),
                                  std::to_string(lead[i].members)};
     for (std::size_t p = 0; p < protocols.size(); ++p) {
-      const std::vector<TrajectoryPoint>& tr =
-          at(diurnal, p).runs.front().trajectory;
-      row.push_back(i < tr.size() ? util::Table::fmt(tr[i].continuity, 5)
+      // Continuity: the delivered fraction of the epoch's expected chunks.
+      const std::vector<metrics::EpochSample>& tr =
+          at(diurnal, p).runs.front().epochs;
+      row.push_back(i < tr.size() ? util::Table::fmt(1.0 - tr[i].loss_rate, 5)
                                   : "-");
     }
     traj.add_row(std::move(row));

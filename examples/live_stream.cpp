@@ -59,8 +59,8 @@ Outcome run(overlay::Protocol& protocol, std::size_t viewers, double churn,
   o.loss = collector.mean_loss(1);
   o.overhead = collector.mean_overhead(1);
   o.usage = collector.mean_network_usage(1);
-  const auto startups = collector.all_startup_times();
-  const auto reconnects = collector.all_reconnect_times();
+  const auto startups = collector.all_times(&metrics::EpochSample::startup_times);
+  const auto reconnects = collector.all_times(&metrics::EpochSample::reconnect_times);
   for (const double v : startups) o.startup_avg += v / static_cast<double>(startups.size());
   for (const double v : reconnects)
     o.reconnect_avg += v / static_cast<double>(std::max<std::size_t>(1, reconnects.size()));

@@ -8,6 +8,7 @@
 
 #include "baselines/mst_overlay.hpp"
 #include "core/vdm_protocol.hpp"
+#include "metrics/collector.hpp"
 #include "metrics/tree_metrics.hpp"
 #include "overlay/scenario.hpp"
 #include "overlay/session.hpp"
@@ -89,12 +90,7 @@ int run_cli(int argc, char** argv) {
   std::cout << "\ncontrol messages: " << session.totals().control_messages
             << ", chunks emitted: " << session.totals().chunks_emitted
             << ", session loss rate: "
-            << util::Table::fmt(
-                   session.totals().chunks_expected
-                       ? 100.0 * (1.0 - static_cast<double>(session.totals().chunks_delivered) /
-                                            static_cast<double>(session.totals().chunks_expected))
-                       : 0.0,
-                   2)
+            << util::Table::fmt(100.0 * metrics::rates(session.totals()).loss_rate, 2)
             << "%\n";
   return 0;
 }

@@ -21,18 +21,10 @@ double overlay_tree_cost(const overlay::Membership& tree, net::HostId source,
   return cost;
 }
 
-double mst_cost(const overlay::Membership& tree, net::HostId source,
-                const net::Underlay& underlay) {
-  const std::vector<net::HostId> members = tree.alive_members();
-  VDM_REQUIRE(!members.empty());
-  return topo::prim_mst(members, source, rtt_metric(underlay)).total_cost;
-}
-
 double mst_ratio(const overlay::Membership& tree, net::HostId source,
                  const net::Underlay& underlay) {
-  const double mst = mst_cost(tree, source, underlay);
-  if (mst <= 0.0) return 1.0;
-  return overlay_tree_cost(tree, source, underlay) / mst;
+  topo::MstScratch scratch;
+  return mst_ratio(tree, source, underlay, scratch);
 }
 
 double mst_ratio(const overlay::Membership& tree, net::HostId source,

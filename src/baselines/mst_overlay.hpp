@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "net/underlay.hpp"
 #include "overlay/membership.hpp"
 #include "topology/mst.hpp"
@@ -20,19 +18,14 @@ topo::HostMetric rtt_metric(const net::Underlay& underlay);
 double overlay_tree_cost(const overlay::Membership& tree, net::HostId source,
                          const net::Underlay& underlay);
 
-/// Cost of the exact MST over the same member set (degree-unconstrained,
-/// like the paper's Figure 5.31 comparison).
-double mst_cost(const overlay::Membership& tree, net::HostId source,
-                const net::Underlay& underlay);
-
-/// overlay_tree_cost / mst_cost — the Figure 5.31 y-axis (>= 1).
+/// overlay_tree_cost over the cost of the exact, degree-unconstrained MST
+/// spanning the same alive members: the Figure 5.31 y-axis (>= 1).
 double mst_ratio(const overlay::Membership& tree, net::HostId source,
                  const net::Underlay& underlay);
 
-/// Same ratio computed through a caller-owned scratch (member gather plus
-/// Prim label arrays): allocation-free once the scratch is warm. Bitwise
-/// identical to the plain overload — the member scan visits hosts in the
-/// same ascending order alive_members() produces.
+/// Same ratio through a caller-owned scratch (member gather plus Prim label
+/// arrays): allocation-free once the scratch is warm. The plain overload
+/// runs this one on a local scratch.
 double mst_ratio(const overlay::Membership& tree, net::HostId source,
                  const net::Underlay& underlay, topo::MstScratch& scratch);
 

@@ -43,9 +43,14 @@ struct VdmJoinPolicy {
     double best3_dist = std::numeric_limits<double>::infinity();
     std::vector<WalkAdoption>& case2 = w.adoptions_scratch();
     case2.clear();
-    for (std::size_t i = 0; i < kids.size(); ++i) {
+    // kids() is cur()'s child list in order minus the joiner, so each kid's
+    // stored distance is the next child_dists entry past the joiner's.
+    const overlay::MemberState& cm = tree.member(w.cur());
+    std::size_t edge = 0;
+    for (std::size_t i = 0; i < kids.size(); ++i, ++edge) {
+      if (cm.children[edge] == n) ++edge;
       const double d_nc = dist[i];
-      const double d_pc = tree.stored_child_distance(w.cur(), kids[i]);
+      const double d_pc = cm.child_dists[edge];
       DirCase dir = classify_direction(d_ncur, d_nc, d_pc, config.epsilon_rel);
       if (dir == DirCase::kCaseII && config.case2_descend_ratio > 1.0 &&
           d_ncur > config.case2_descend_ratio * d_nc) {

@@ -1,6 +1,7 @@
 #include "experiments/runner.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -21,7 +22,6 @@
 #include "util/require.hpp"
 
 namespace vdm::experiments {
-
 
 namespace {
 
@@ -394,7 +394,8 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   const std::size_t pool = host_pool(config);
   VDM_REQUIRE(pool > config.scenario.target_members);
   VDM_REQUIRE_MSG(config.link_loss_max >= 0.0, "link_loss_max must not be negative");
-  VDM_REQUIRE_MSG(config.probe_noise >= 0.0, "probe_noise must not be negative");
+  VDM_REQUIRE_MSG(std::isfinite(config.probe_noise) && config.probe_noise >= 0.0,
+                  "probe_noise must be finite and >= 0");
 
   net::Underlay* underlay = build_underlay(config, pool, topo_rng, *scratch.impl_);
   overlay::Protocol& protocol = cached_protocol(*scratch.impl_, config);
@@ -490,11 +491,7 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   r.final_members = session.tree().alive_count();
   r.sim_events = simulator.executed();
   r.sim_group_fires = simulator.group_fires();
-  const overlay::Session::Counters& totals = session.totals();
-  r.heartbeat_ticks = totals.heartbeat_ticks;
-  r.refine_ticks = totals.refine_ticks;
-  r.verdicts_true = totals.verdicts_true;
-  r.verdicts_false = totals.verdicts_false;
+  r.totals = session.totals();
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;
   r.profile_flood_secs = session.profile().flood_secs;
@@ -502,22 +499,6 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   if (config.keep_epochs) {
     const std::span<const metrics::EpochSample> epochs = collector.samples();
     r.epochs.assign(epochs.begin(), epochs.end());
-  }
-  if (config.keep_trajectory) {
-    r.trajectory.reserve(collector.samples().size());
-    for (const metrics::EpochSample& e : collector.samples()) {
-      TrajectoryPoint p;
-      p.at = e.at;
-      p.continuity = 1.0 - e.loss_rate;
-      p.overhead = e.overhead;
-      p.members = e.members;
-      if (!e.outage_times.empty()) {
-        double sum = 0.0;
-        for (const double d : e.outage_times) sum += d;
-        p.outage = sum / static_cast<double>(e.outage_times.size());
-      }
-      r.trajectory.push_back(p);
-    }
   }
   // Final metrics are read; return the warm buffers to the arena so their
   // capacity survives into the next run (and is counted below).

@@ -73,11 +73,9 @@ struct RunConfig {
 
   /// Epochs dropped from scalar aggregation (the join-phase epoch is noisy).
   std::size_t epoch_skip = 1;
-  /// Retain the full epoch series in the result (Chapter-4 time plots).
+  /// Retain the full epoch series in the result: the Chapter-4 time plots
+  /// and the trajectory of workload runs (vdmsim --trajectory).
   bool keep_epochs = false;
-  /// Retain the per-measurement-point trajectory (continuity, outage,
-  /// overhead, member count) — the time-series view of workload runs.
-  bool keep_trajectory = false;
 
   /// Tracing hook: installed on the protocol so every tree walk (join,
   /// reconnect, refine) reports per-iteration steps (vdmsim --trace-joins).
@@ -85,21 +83,6 @@ struct RunConfig {
   overlay::WalkObserver* walk_observer = nullptr;
 
   std::uint64_t seed = 1;
-};
-
-/// One measurement point of a run's time series — the per-epoch view of the
-/// service a viewer experiences under a dynamic workload.
-struct TrajectoryPoint {
-  sim::Time at = 0.0;
-  /// Delivered fraction of expected chunks over the window (1 - loss_rate).
-  double continuity = 1.0;
-  /// Mean viewer-visible outage (detection + rejoin) of the window's crash
-  /// recoveries; 0 when none completed in the window.
-  double outage = 0.0;
-  /// Control messages per data transmission over the window (Eq. 3.6).
-  double overhead = 0.0;
-  /// Members alive in the tree at the measurement instant (incl. source).
-  std::size_t members = 0;
 };
 
 /// Scalars of one run: epoch means (after epoch_skip) plus event timings.
@@ -146,13 +129,9 @@ struct RunResult {
   /// (Simulator::group_fires).
   std::uint64_t sim_events = 0;
   std::uint64_t sim_group_fires = 0;
-  /// The run's timer work (Session::Counters, whole run): heartbeat probe
-  /// ticks, refinement timer ticks, and crash verdicts that were true (the
-  /// parent had crashed) or false (control loss alone).
-  std::uint64_t heartbeat_ticks = 0;
-  std::uint64_t refine_ticks = 0;
-  std::uint64_t verdicts_true = 0;
-  std::uint64_t verdicts_false = 0;
+  /// The session's whole-run counts (Session::totals()): messages, chunks,
+  /// joins, and timer work such as heartbeat ticks and crash verdicts.
+  overlay::Session::Counters totals;
 
   /// Wall-clock seconds per phase (vdmsim --profile); all zero unless
   /// config.session.profile. join covers every attaching walk (fresh,
@@ -163,7 +142,6 @@ struct RunResult {
   double profile_metrics_secs = 0.0;
 
   std::vector<metrics::EpochSample> epochs;  // only if keep_epochs
-  std::vector<TrajectoryPoint> trajectory;   // only if keep_trajectory
 };
 
 /// Reusable per-worker working memory for run_once: topology construction

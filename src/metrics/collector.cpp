@@ -26,6 +26,23 @@ std::size_t CollectorScratch::capacity_bytes() const {
   return bytes;
 }
 
+Rates rates(const overlay::Session::Counters& w) {
+  Rates r;
+  if (w.chunks_expected > 0) {
+    r.loss_rate = 1.0 - static_cast<double>(w.chunks_delivered) /
+                            static_cast<double>(w.chunks_expected);
+  }
+  if (w.data_transmissions > 0) {
+    r.overhead = static_cast<double>(w.control_messages) /
+                 static_cast<double>(w.data_transmissions);
+  }
+  if (w.chunks_emitted > 0) {
+    r.overhead_per_chunk = static_cast<double>(w.control_messages) /
+                           static_cast<double>(w.chunks_emitted);
+  }
+  return r;
+}
+
 void Collector::capture(sim::Time at) {
   overlay::Session& s = *session_;
   CollectorScratch& sc = *scratch_;
@@ -39,24 +56,14 @@ void Collector::capture(sim::Time at) {
   e.members = s.tree().alive_count();
   e.tree = measure_tree(s.tree(), s.source(), s.underlay(), sc.tree, threads_);
 
-  const overlay::Session::Counters& w = s.window();
+  const overlay::Session::Counters w = s.totals() - seen_;
+  seen_ = s.totals();
   e.control_messages = w.control_messages;
   e.data_transmissions = w.data_transmissions;
-  e.loss_rate = 0.0;
-  e.overhead = 0.0;
-  e.overhead_per_chunk = 0.0;
-  if (w.chunks_expected > 0) {
-    e.loss_rate = 1.0 - static_cast<double>(w.chunks_delivered) /
-                            static_cast<double>(w.chunks_expected);
-  }
-  if (w.data_transmissions > 0) {
-    e.overhead = static_cast<double>(w.control_messages) /
-                 static_cast<double>(w.data_transmissions);
-  }
-  if (w.chunks_emitted > 0) {
-    e.overhead_per_chunk = static_cast<double>(w.control_messages) /
-                           static_cast<double>(w.chunks_emitted);
-  }
+  const Rates window_rates = rates(w);
+  e.loss_rate = window_rates.loss_rate;
+  e.overhead = window_rates.overhead;
+  e.overhead_per_chunk = window_rates.overhead_per_chunk;
   auto to_durations = [](const std::vector<overlay::TimingRecord>& recs,
                          std::vector<double>& out) {
     out.clear();
@@ -75,8 +82,6 @@ void Collector::capture(sim::Time at) {
       e.outage_times.push_back(r.detection + r.duration);
     }
   }
-
-  s.reset_window();
 }
 
 double Collector::mean_of(const std::function<double(const EpochSample&)>& get,
@@ -110,14 +115,26 @@ double Collector::mean_network_usage(std::size_t skip) const {
   return mean_of([](const EpochSample& e) { return e.tree.network_usage; }, skip);
 }
 
+void Collector::gather(std::vector<double> EpochSample::* field,
+                       std::vector<double>& out) const {
+  out.clear();
+  for (const auto& e : samples()) {
+    const std::vector<double>& v = e.*field;
+    out.insert(out.end(), v.begin(), v.end());
+  }
+}
+
+std::vector<double> Collector::all_times(
+    std::vector<double> EpochSample::* field) const {
+  std::vector<double> out;
+  gather(field, out);
+  return out;
+}
+
 Collector::EventTimingStats Collector::stats_of(
     std::vector<double> EpochSample::* field) const {
   std::vector<double>& buf = scratch_->percentile_buf;
-  buf.clear();
-  for (const auto& e : samples()) {
-    const std::vector<double>& v = e.*field;
-    buf.insert(buf.end(), v.begin(), v.end());
-  }
+  gather(field, buf);
   EventTimingStats s;
   if (buf.empty()) return s;
   double sum = 0.0;
@@ -141,34 +158,6 @@ Collector::EventTimingStats Collector::detection_stats() const {
 }
 Collector::EventTimingStats Collector::outage_stats() const {
   return stats_of(&EpochSample::outage_times);
-}
-
-std::vector<double> Collector::all_startup_times() const {
-  std::vector<double> out;
-  for (const auto& e : samples())
-    out.insert(out.end(), e.startup_times.begin(), e.startup_times.end());
-  return out;
-}
-
-std::vector<double> Collector::all_reconnect_times() const {
-  std::vector<double> out;
-  for (const auto& e : samples())
-    out.insert(out.end(), e.reconnect_times.begin(), e.reconnect_times.end());
-  return out;
-}
-
-std::vector<double> Collector::all_detection_times() const {
-  std::vector<double> out;
-  for (const auto& e : samples())
-    out.insert(out.end(), e.detection_times.begin(), e.detection_times.end());
-  return out;
-}
-
-std::vector<double> Collector::all_outage_times() const {
-  std::vector<double> out;
-  for (const auto& e : samples())
-    out.insert(out.end(), e.outage_times.begin(), e.outage_times.end());
-  return out;
 }
 
 }  // namespace vdm::metrics

@@ -9,6 +9,19 @@
 
 namespace vdm::metrics {
 
+/// The paper's rates over a window of a run's counts: a difference of two
+/// Session::totals() snapshots, or the totals for the whole run. Each is 0
+/// when its denominator is.
+struct Rates {
+  /// 1 - delivered/expected chunks.
+  double loss_rate = 0.0;
+  /// Control messages per data transmission — the Equation 3.6 overhead.
+  double overhead = 0.0;
+  /// Control messages per source chunk (the Chapter-5 normalization).
+  double overhead_per_chunk = 0.0;
+};
+Rates rates(const overlay::Session::Counters& window);
+
 /// One measurement epoch: the settled-tree snapshot plus the control/data
 /// window since the previous epoch.
 struct EpochSample {
@@ -80,8 +93,8 @@ class Collector {
   /// Bit-identical results for every value.
   void set_threads(int threads) { threads_ = threads; }
 
-  /// Snapshot now, then reset the session's window counters. Call from the
-  /// ScenarioDriver's measurement callback.
+  /// Snapshot now; the epoch's counts are the session totals since the
+  /// previous capture. Call from the ScenarioDriver's measurement callback.
   void capture(sim::Time at);
 
   std::span<const EpochSample> samples() const {
@@ -112,21 +125,20 @@ class Collector {
 
   /// Scratch-backed summaries of the four timing families: gathered and
   /// sorted in the percentile buffer, so allocation-free once warm — the
-  /// form run_once uses instead of the all_*_times copies below.
+  /// form run_once uses instead of the all_times copy below.
   EventTimingStats startup_stats() const;
   EventTimingStats reconnect_stats() const;
   EventTimingStats detection_stats() const;
   EventTimingStats outage_stats() const;
 
-  /// All startup / reconnection durations across all epochs.
-  std::vector<double> all_startup_times() const;
-  std::vector<double> all_reconnect_times() const;
-  /// All crash-detection latencies / full outage durations across epochs.
-  std::vector<double> all_detection_times() const;
-  std::vector<double> all_outage_times() const;
+  /// One timing family across all epochs, e.g.
+  /// all_times(&EpochSample::startup_times).
+  std::vector<double> all_times(std::vector<double> EpochSample::* field) const;
 
  private:
   EventTimingStats stats_of(std::vector<double> EpochSample::* field) const;
+  void gather(std::vector<double> EpochSample::* field,
+              std::vector<double>& out) const;
 
   overlay::Session* session_;
   /// Active scratch: &owned_ for the plain constructor, the caller's arena
@@ -134,6 +146,9 @@ class Collector {
   /// capture loop allocation-free in steady state.
   CollectorScratch* scratch_;
   CollectorScratch owned_;
+  /// Session totals at the previous capture (zero before the first). Kept
+  /// here, not in the scratch, so a warm arena starts each run from zero.
+  overlay::Session::Counters seen_;
   int threads_ = 1;
 };
 

@@ -75,7 +75,9 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
   }
 
   // Serial accumulation in BFS order: overlay delays and hop counts
-  // top-down, network usage, per-link stress counts.
+  // top-down, network usage, per-link stress counts (none on an underlay
+  // without links, such as a coordinate one).
+  const bool has_links = underlay.num_links() > 0;
   scratch.overlay_delay[source] = 0.0;
   scratch.hops[source] = 0;
   for (std::size_t i = 1; i < n_order; ++i) {
@@ -84,7 +86,7 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
     scratch.overlay_delay[c] = scratch.overlay_delay[p] + scratch.edge_delay[i];
     scratch.hops[c] = scratch.hops[p] + 1;
     out.network_usage += scratch.edge_delay[i];
-    underlay.for_each_path_link(p, c, count_link);
+    if (has_links) underlay.for_each_path_link(p, c, count_link);
   }
 
   util::OnlineStats stretch_all, stretch_leaf, hops_all, hops_leaf;

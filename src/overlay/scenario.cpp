@@ -89,6 +89,14 @@ void EventExecutor::fire(const WorkloadEvent& e) {
 
 void check_scenario(const ScenarioParams& p, std::size_t num_hosts) {
   VDM_REQUIRE(p.target_members >= 1);
+  // An infinite span never ends a loop over the timeline, and a NaN breaks
+  // the slot compiler's heap order.
+  VDM_REQUIRE_MSG(std::isfinite(p.join_phase), "join_phase must be finite");
+  VDM_REQUIRE_MSG(std::isfinite(p.total_time), "total_time must be finite");
+  VDM_REQUIRE_MSG(std::isfinite(p.churn_interval), "churn_interval must be finite");
+  VDM_REQUIRE_MSG(std::isfinite(p.settle_time), "settle_time must be finite");
+  VDM_REQUIRE_MSG(p.flash_count == 0 || (std::isfinite(p.flash_at) && p.flash_at >= 0.0),
+                  "flash_at must be finite and >= 0");
   VDM_REQUIRE_MSG(p.target_members + p.flash_count < num_hosts,
                   "need spare hosts beyond the target membership for churn");
   VDM_REQUIRE(p.churn_rate >= 0.0 && p.churn_rate <= 1.0);

@@ -83,8 +83,9 @@ struct ScenarioParams {
 };
 
 /// Checks what every list builder and ScenarioDriver rely on: at least one
-/// member, spare hosts beyond target_members + flash_count, rates in [0, 1],
-/// settle_time below churn_interval, a positive batch size.
+/// member, spare hosts beyond target_members + flash_count, finite times (a
+/// finite flash_at >= 0 when flash_count > 0), rates in [0, 1], settle_time
+/// below churn_interval, a positive batch size.
 void check_scenario(const ScenarioParams& params, std::size_t num_hosts);
 
 /// A decision waiting in a generator's (time, seq) heap: a membership

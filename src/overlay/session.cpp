@@ -64,7 +64,8 @@ Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
   // in between construction and start(), and sizing them here would put
   // unavoidable allocations on that otherwise allocation-free path.
   VDM_REQUIRE(params_.source < underlay.num_hosts());
-  VDM_REQUIRE(params_.chunk_rate > 0.0);
+  VDM_REQUIRE_MSG(std::isfinite(params_.chunk_rate) && params_.chunk_rate > 0.0,
+                  "chunk_rate must be finite and > 0");
   VDM_REQUIRE_MSG(params_.buffer_seconds >= 0.0,
                   "buffer_seconds must not be negative");
   const FaultParams& f = params_.faults;
@@ -140,7 +141,6 @@ void Session::start() {
   if (protocol_.wants_refinement()) {
     refine_group_ = reactor_.add_periodic_group(
         protocol_.refinement_period(), [this](std::uint32_t h) {
-          ++window_.refine_ticks;
           ++totals_.refine_ticks;
           refine(h);
         });
@@ -229,7 +229,6 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
                                   bool is_reconnect, sim::Time detection) {
   VDM_REQUIRE_MSG(tree().member(h).parent != kInvalidHost,
                   "protocol join must attach the node");
-  window_.control_messages += stats.messages;
   totals_.control_messages += stats.messages;
 
   TimingRecord rec;
@@ -246,11 +245,9 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
 
   if (is_reconnect) {
     scratch_.reconnect_records.push_back(rec);
-    ++window_.reconnects_completed;
     ++totals_.reconnects_completed;
   } else {
     scratch_.startup_records.push_back(rec);
-    ++window_.joins_completed;
     ++totals_.joins_completed;
     // Same-instant arrival cohorts (finish_join calls of one cohort are
     // contiguous: sequential joins run back-to-back events at one
@@ -434,7 +431,6 @@ void Session::leave(net::HostId h) {
   charge_notification(static_cast<int>(m.children.size()) +
                           (m.parent != kInvalidHost ? 1 : 0),
                       notice);
-  window_.control_messages += notice.messages;
   totals_.control_messages += notice.messages;
 
   disarm_refinement(h);
@@ -457,7 +453,6 @@ void Session::crash(net::HostId h) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source never crashes");
   VDM_REQUIRE(tree().member(h).alive);
-  ++window_.crashes;
   ++totals_.crashes;
 
   // No leave notice, no notification messages: the node just vanishes.
@@ -498,12 +493,9 @@ OpStats Session::refine(net::HostId h) {
   const MemberState& m = tree().member(h);
   if (!m.alive || m.parent == kInvalidHost) return {};
   OpStats stats = protocol_.execute_refine(*this, h);
-  window_.control_messages += stats.messages;
   totals_.control_messages += stats.messages;
-  ++window_.refines_run;
   ++totals_.refines_run;
   if (stats.parent_changed) {
-    ++window_.refine_switches;
     ++totals_.refine_switches;
   }
   if (params_.paranoid_checks) validate();
@@ -712,7 +704,6 @@ void Session::end_chunk_stint(net::HostId h) {
 }
 
 void Session::heartbeat_tick(net::HostId h) {
-  ++window_.heartbeat_ticks;
   ++totals_.heartbeat_ticks;
   HeartbeatState& hb = scratch_.heartbeats[h];
   const MemberState& m = tree().member(h);
@@ -723,14 +714,12 @@ void Session::heartbeat_tick(net::HostId h) {
   if (m.parent == kInvalidHost) {
     // The parent crashed (or the member is detached): the probe goes out
     // and nothing answers.
-    ++window_.control_messages;
     ++totals_.control_messages;
     missed = true;
   } else {
     // Probe + ack; losing either leg is a miss. p == 0 draws nothing, so
     // heartbeats over a lossless control plane cost messages but never
     // perturb the rng stream.
-    window_.control_messages += 2;
     totals_.control_messages += 2;
     double p = 0.0;
     if (f.lossy_control) {
@@ -768,7 +757,6 @@ void Session::complete_detection(net::HostId h) {
   sim::Time detection;
   if (hb.orphaned) {
     // True positive: latency from the parent's actual crash to this verdict.
-    ++window_.verdicts_true;
     ++totals_.verdicts_true;
     detection = reactor_.now() - hb.orphaned_at;
     forget_crash_orphan(h);
@@ -777,7 +765,6 @@ void Session::complete_detection(net::HostId h) {
     // is still alive. The node acts on its verdict anyway — detach and
     // rejoin in the same sim event, so the only data-plane gap is the
     // rejoin handshake itself.
-    ++window_.verdicts_false;
     ++totals_.verdicts_false;
     detection = reactor_.now() - hb.first_miss_at;
     if (m.parent != kInvalidHost) tree().detach(h);
@@ -785,8 +772,6 @@ void Session::complete_detection(net::HostId h) {
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);
   if (params_.paranoid_checks) validate();
 }
-
-void Session::reset_window() { window_ = Counters{}; }
 
 void Session::drain_startup_records(std::vector<TimingRecord>& out) {
   out.clear();
@@ -809,7 +794,6 @@ Session::MemberChunks Session::member_chunks(net::HostId h) const {
 
 void Session::emit_chunk() {
   const PhaseTimer timer(params_.profile, profile_.flood_secs);
-  ++window_.chunks_emitted;
   ++totals_.chunks_emitted;
   const sim::Time now = reactor_.now();
   const sim::Time buffered_now = now + params_.buffer_seconds;
@@ -896,11 +880,8 @@ void Session::emit_chunk() {
     tally = flood_chunk(now, buffered_now);
     tally.expected += missed;  // the crash-orphan subtrees' members
   }
-  window_.data_transmissions += tally.transmissions;
   totals_.data_transmissions += tally.transmissions;
-  window_.chunks_expected += tally.expected;
   totals_.chunks_expected += tally.expected;
-  window_.chunks_delivered += tally.received;
   totals_.chunks_delivered += tally.received;
 }
 

@@ -383,14 +383,33 @@ class Session {
     std::uint64_t refine_ticks = 0;
     std::uint64_t verdicts_true = 0;
     std::uint64_t verdicts_false = 0;
+
+    /// The counts between snapshot `b` and a later snapshot `a`.
+    friend Counters operator-(Counters a, const Counters& b) {
+      a.control_messages -= b.control_messages;
+      a.data_transmissions -= b.data_transmissions;
+      a.chunks_emitted -= b.chunks_emitted;
+      a.chunks_expected -= b.chunks_expected;
+      a.chunks_delivered -= b.chunks_delivered;
+      a.joins_completed -= b.joins_completed;
+      a.reconnects_completed -= b.reconnects_completed;
+      a.crashes -= b.crashes;
+      a.refines_run -= b.refines_run;
+      a.refine_switches -= b.refine_switches;
+      a.heartbeat_ticks -= b.heartbeat_ticks;
+      a.refine_ticks -= b.refine_ticks;
+      a.verdicts_true -= b.verdicts_true;
+      a.verdicts_false -= b.verdicts_false;
+      return a;
+    }
   };
-  /// Counters since the last reset_window() (per-epoch metrics).
-  const Counters& window() const { return window_; }
-  /// Counters since start() (whole-run metrics).
+  // A new counter must be subtracted above too.
+  static_assert(sizeof(Counters) == 14 * sizeof(std::uint64_t));
+  /// Counters since start() (whole-run metrics). A window of the run, such
+  /// as one measurement epoch, is the difference of two snapshots.
   const Counters& totals() const { return totals_; }
   /// Per-phase wall clock since start(); all-zero unless params.profile.
   const PhaseProfile& profile() const { return profile_; }
-  void reset_window();
 
   /// One member's chunks in its current stint: those it was expected to
   /// see since its first chunk at or after in_session_since, and those of
@@ -519,7 +538,6 @@ class Session {
   /// rejoin path below it never deactivates.
   Scratch scratch_;
 
-  Counters window_;
   Counters totals_;
   PhaseProfile profile_;
   bool started_ = false;

@@ -74,24 +74,17 @@ SessionReport MainController::run(const Scenario& scenario) {
   report.epochs.assign(epochs.begin(), epochs.end());
   report.final_tree =
       metrics::measure_tree(session_.tree(), session_.source(), underlay_);
-  report.startup_times = collector_.all_startup_times();
-  report.reconnect_times = collector_.all_reconnect_times();
-  report.detection_times = collector_.all_detection_times();
-  report.outage_times = collector_.all_outage_times();
+  report.startup_times = collector_.all_times(&metrics::EpochSample::startup_times);
+  report.reconnect_times =
+      collector_.all_times(&metrics::EpochSample::reconnect_times);
+  report.detection_times =
+      collector_.all_times(&metrics::EpochSample::detection_times);
+  report.outage_times = collector_.all_times(&metrics::EpochSample::outage_times);
   report.totals = session_.totals();
-  if (report.totals.chunks_expected > 0) {
-    report.loss_rate = 1.0 - static_cast<double>(report.totals.chunks_delivered) /
-                                 static_cast<double>(report.totals.chunks_expected);
-  }
-  if (report.totals.data_transmissions > 0) {
-    report.overhead = static_cast<double>(report.totals.control_messages) /
-                      static_cast<double>(report.totals.data_transmissions);
-  }
-  if (report.totals.chunks_emitted > 0) {
-    report.overhead_per_chunk =
-        static_cast<double>(report.totals.control_messages) /
-        static_cast<double>(report.totals.chunks_emitted);
-  }
+  const metrics::Rates rates = metrics::rates(report.totals);
+  report.loss_rate = rates.loss_rate;
+  report.overhead = rates.overhead;
+  report.overhead_per_chunk = rates.overhead_per_chunk;
   report.mst_ratio =
       baselines::mst_ratio(session_.tree(), session_.source(), underlay_);
   return report;

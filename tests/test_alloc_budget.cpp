@@ -105,7 +105,7 @@ TEST(AllocBudget, HmtpRefinementStaysUnderBudgetToo) {
   const RunResult r = run_once(cfg, scratch);
   const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
 
-  EXPECT_GT(r.refine_ticks, 0u);
+  EXPECT_GT(r.totals.refine_ticks, 0u);
   EXPECT_EQ(scratch.grow_events(), grows_before);
   EXPECT_EQ(allocs, 0u);
 }

@@ -104,7 +104,7 @@ TEST(Collector, TimingAggregationAcrossEpochs) {
   h.join(2);
   h.join(3);
   c.capture(2.0);
-  EXPECT_EQ(c.all_startup_times().size(), 3u);
+  EXPECT_EQ(c.all_times(&EpochSample::startup_times).size(), 3u);
 }
 
 }  // namespace

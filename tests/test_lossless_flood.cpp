@@ -5,7 +5,7 @@
 // through the per-edge flood (zero_loss() reported false). The flood's loss
 // draws are all Rng::chance(0), which draws nothing, so both runs consume
 // the same rng stream, build the same trees, and must agree bit for bit on
-// every capture's window counters, the totals and every member's chunk
+// the totals at every capture, the final totals and every member's chunk
 // record.
 //
 // LossyFlood runs the same shapes over lossy underlays, where every chunk
@@ -102,8 +102,7 @@ Outcome run_shape(const net::Underlay& underlay, const Shape& shape) {
   ScenarioDriver driver(session, shape.scenario, util::Rng(12));
   Outcome out;
   const auto capture = [&out, &session](sim::Time) {
-    out.captures.push_back(session.window());
-    session.reset_window();
+    out.captures.push_back(session.totals());
   };
   if (shape.events.empty()) {
     driver.run(capture);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -183,6 +184,50 @@ TEST(ScenarioDriver, RejectsBadConfigs) {
   p.target_members = 5;
   p.settle_time = p.churn_interval;
   EXPECT_THROW(ScenarioDriver(f.session, p, util::Rng(1)), util::InvariantError);
+}
+
+TEST(CheckScenario, RejectsNonFiniteTimesNamingTheField) {
+  const ScenarioParams ok = small_scenario();
+  EXPECT_NO_THROW(check_scenario(ok, 64));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    sim::Time ScenarioParams::* field;
+    const char* name;
+  };
+  for (const Case c : {Case{&ScenarioParams::join_phase, "join_phase"},
+                       Case{&ScenarioParams::total_time, "total_time"},
+                       Case{&ScenarioParams::churn_interval, "churn_interval"},
+                       Case{&ScenarioParams::settle_time, "settle_time"}}) {
+    for (const double bad : {inf, -inf, nan}) {
+      ScenarioParams p = ok;
+      p.*c.field = bad;
+      try {
+        check_scenario(p, 64);
+        ADD_FAILURE() << c.name << " = " << bad << " accepted";
+      } catch (const util::InvariantError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // flash_at matters only when a flash crowd is scheduled.
+  ScenarioParams p = ok;
+  p.flash_at = nan;
+  EXPECT_NO_THROW(check_scenario(p, 64));
+  p.flash_count = 4;
+  for (const double bad : {nan, inf, -1.0}) {
+    p.flash_at = bad;
+    try {
+      check_scenario(p, 64);
+      ADD_FAILURE() << "flash_at = " << bad << " accepted";
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("flash_at"), std::string::npos)
+          << e.what();
+    }
+  }
+  p.flash_at = 0.0;
+  EXPECT_NO_THROW(check_scenario(p, 64));
 }
 
 TEST(ScenarioDriver, ZeroChurnKeepsInitialMembers) {

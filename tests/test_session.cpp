@@ -44,10 +44,11 @@ TEST(Session, CountersAccumulateAndWindowResets) {
   h.join(1);
   const auto after_one = h.session.totals().control_messages;
   EXPECT_GT(after_one, 0u);
-  h.session.reset_window();
-  EXPECT_EQ(h.session.window().control_messages, 0u);
+  // A window is the difference of two snapshots of the totals.
+  const Session::Counters snapshot = h.session.totals();
+  EXPECT_EQ((h.session.totals() - snapshot).control_messages, 0u);
   h.join(2);
-  EXPECT_GT(h.session.window().control_messages, 0u);
+  EXPECT_GT((h.session.totals() - snapshot).control_messages, 0u);
   EXPECT_GT(h.session.totals().control_messages, after_one);
 }
 
@@ -83,9 +84,9 @@ TEST(Session, NoLossOnCleanStaticNetwork) {
   h.join(1);
   h.join(2);
   h.sim.run_until(2.0);  // past join handshakes
-  h.session.reset_window();
+  const Session::Counters snapshot = h.session.totals();
   h.sim.run_until(50.0);
-  const auto& w = h.session.window();
+  const Session::Counters w = h.session.totals() - snapshot;
   ASSERT_GT(w.chunks_expected, 0u);
   EXPECT_EQ(w.chunks_expected, w.chunks_delivered);
 }
@@ -100,9 +101,9 @@ TEST(Session, LinkLossShowsUpInDelivery) {
   Harness h(std::move(u), vdm, 8, 1, /*chunk_rate=*/100.0);
   h.join(1);
   h.sim.run_until(1.0);
-  h.session.reset_window();
+  const Session::Counters snapshot = h.session.totals();
   h.sim.run_until(101.0);  // ~10000 chunks
-  const auto& w = h.session.window();
+  const Session::Counters w = h.session.totals() - snapshot;
   ASSERT_GT(w.chunks_expected, 5000u);
   const double rate = static_cast<double>(w.chunks_delivered) /
                       static_cast<double>(w.chunks_expected);

@@ -629,19 +629,19 @@ TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   const experiments::RunResult fresh = experiments::run_once(cfg);
   EXPECT_EQ(fresh.sim_events, 315892u);
   EXPECT_EQ(fresh.sim_group_fires, 295675u);
-  EXPECT_EQ(fresh.heartbeat_ticks, fresh.sim_group_fires);
-  EXPECT_EQ(fresh.refine_ticks, 0u);  // plain VDM: no refinement timers
-  EXPECT_EQ(fresh.verdicts_true, 49u);
-  EXPECT_EQ(fresh.verdicts_false, 2u);
+  EXPECT_EQ(fresh.totals.heartbeat_ticks, fresh.sim_group_fires);
+  EXPECT_EQ(fresh.totals.refine_ticks, 0u);  // plain VDM: no refinement timers
+  EXPECT_EQ(fresh.totals.verdicts_true, 49u);
+  EXPECT_EQ(fresh.totals.verdicts_false, 2u);
 
   experiments::RunScratch scratch;
   for (int i = 0; i < 2; ++i) {
     const experiments::RunResult warm = experiments::run_once(cfg, scratch);
     EXPECT_EQ(warm.sim_events, fresh.sim_events);
     EXPECT_EQ(warm.sim_group_fires, fresh.sim_group_fires);
-    EXPECT_EQ(warm.heartbeat_ticks, fresh.heartbeat_ticks);
-    EXPECT_EQ(warm.verdicts_true, fresh.verdicts_true);
-    EXPECT_EQ(warm.verdicts_false, fresh.verdicts_false);
+    EXPECT_EQ(warm.totals.heartbeat_ticks, fresh.totals.heartbeat_ticks);
+    EXPECT_EQ(warm.totals.verdicts_true, fresh.totals.verdicts_true);
+    EXPECT_EQ(warm.totals.verdicts_false, fresh.totals.verdicts_false);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -56,44 +57,57 @@ TEST(VdmsimCli, NegativeCountExitsTwoNamingTheFlag) {
 }
 
 TEST(VdmsimCli, RejectedConfigExitsTwo) {
-  for (const char* args :
-       {"--members 0 --seeds 1", "--chunk-rate 0 --seeds 1",
-        // Out-of-range loss, buffer, noise and control-loss values.
-        "--members 16 --seeds 1 --link-loss -0.1",
-        "--members 16 --seeds 1 --buffer -1",
-        "--members 16 --seeds 1 --probe-noise -1",
-        "--members 16 --seeds 1 --control-loss -0.5",
-        "--members 16 --seeds 1 --control-loss 1.5",
-        // Heartbeat settings: a period that is not a finite, non-negative
-        // number (NaN used to index an unsized slab), and with heartbeats
-        // on, a miss count below 1 or a bad verdict timeout.
-        "--members 16 --seeds 1 --heartbeat-period nan",
-        "--members 16 --seeds 1 --heartbeat-period inf",
-        "--members 16 --seeds 1 --heartbeat-period -1",
-        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-misses 0",
-        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-misses -2",
-        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout -1",
-        "--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout nan",
-        // A refinement period of 0 used to re-arm forever at one instant.
-        "--members 16 --seeds 1 --protocol hmtp --hmtp-period 0",
-        // A retry timeout that is negative or not finite used to print a
-        // negative, NaN or infinite reconnect time.
-        "--members 16 --seeds 1 --control-loss 0.3 --retry-timeout -1",
-        "--members 16 --seeds 1 --control-loss 0.3 --retry-timeout nan",
-        "--members 16 --seeds 1 --control-loss 0.3 --retry-timeout inf"}) {
+  // Each input, and the field its message must name ("" = not checked).
+  const std::pair<const char*, const char*> cases[] = {
+      {"--members 0 --seeds 1", ""},
+      {"--chunk-rate 0 --seeds 1", ""},
+      // Out-of-range loss, buffer, noise and control-loss values.
+      {"--members 16 --seeds 1 --link-loss -0.1", ""},
+      {"--members 16 --seeds 1 --buffer -1", ""},
+      {"--members 16 --seeds 1 --probe-noise -1", ""},
+      {"--members 16 --seeds 1 --control-loss -0.5", ""},
+      {"--members 16 --seeds 1 --control-loss 1.5", ""},
+      // Heartbeat settings: a period that is not a finite, non-negative
+      // number (NaN used to index an unsized slab), and with heartbeats
+      // on, a miss count below 1 or a bad verdict timeout.
+      {"--members 16 --seeds 1 --heartbeat-period nan", "heartbeat_period"},
+      {"--members 16 --seeds 1 --heartbeat-period inf", "heartbeat_period"},
+      {"--members 16 --seeds 1 --heartbeat-period -1", "heartbeat_period"},
+      {"--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-misses 0",
+       "heartbeat_misses"},
+      {"--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-misses -2",
+       "heartbeat_misses"},
+      {"--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout -1",
+       "heartbeat_timeout"},
+      {"--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout nan",
+       "heartbeat_timeout"},
+      // A refinement period of 0 used to re-arm forever at one instant.
+      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period 0", ""},
+      // A retry timeout that is negative or not finite used to print a
+      // negative, NaN or infinite reconnect time.
+      {"--members 16 --seeds 1 --control-loss 0.3 --retry-timeout -1",
+       "retry_timeout"},
+      {"--members 16 --seeds 1 --control-loss 0.3 --retry-timeout nan",
+       "retry_timeout"},
+      {"--members 16 --seeds 1 --control-loss 0.3 --retry-timeout inf",
+       "retry_timeout"},
+      // Non-finite stream and timeline values used to hang (a zero chunk
+      // period or an endless timeline re-arms at one instant forever), end
+      // a degenerate run with exit 0 (a NaN flash instant broke the slot
+      // compiler's heap order, an infinite join phase left the tree
+      // empty), or blame a walk invariant.
+      {"--members 50 --seeds 1 --chunk-rate inf", "chunk_rate"},
+      {"--members 50 --seeds 1 --total-time inf", "total_time"},
+      {"--members 50 --seeds 1 --join-phase inf", "join_phase"},
+      {"--members 50 --seeds 1 --interval inf", "churn_interval"},
+      {"--members 50 --seeds 1 --flash 10 --flash-at nan", "flash_at"},
+      {"--members 50 --seeds 1 --flash 10 --flash-at inf", "flash_at"},
+      {"--members 50 --seeds 1 --probe-noise inf", "probe_noise"}};
+  for (const auto& [args, field] : cases) {
     const CliResult r = run_vdmsim(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, "rejected config")) << args << "\n" << r.output;
-    if (contains(args, "retry-timeout")) {
-      EXPECT_TRUE(contains(r.output, "retry_timeout")) << args << "\n" << r.output;
-    }
-    if (contains(args, "heartbeat")) {
-      // The message names the offending field.
-      const std::string flag = contains(args, "misses")    ? "heartbeat_misses"
-                               : contains(args, "timeout") ? "heartbeat_timeout"
-                                                           : "heartbeat_period";
-      EXPECT_TRUE(contains(r.output, flag)) << args << "\n" << r.output;
-    }
+    EXPECT_TRUE(contains(r.output, field)) << args << "\n" << r.output;
   }
 }
 
@@ -119,6 +133,33 @@ TEST(VdmsimCli, SlotsRunSavesATraceThatReplaysTheSameTable) {
   ASSERT_EQ(replayed.exit_code, 0) << replayed.output;
   EXPECT_TRUE(contains(saved.output, "hopcount")) << saved.output;
   EXPECT_EQ(replayed.output, saved.output);
+}
+
+TEST(VdmsimCli, TrajectoryAndProfileCountersArePinned) {
+  // The --trajectory table and the deterministic --profile lines of a small
+  // crash-churn run with heartbeats, lossy control and HMTP refinement, so
+  // every timer counter is non-zero.
+  const CliResult r = run_vdmsim(
+      "--substrate coord-plane --members 60 --crash-frac 0.5 "
+      "--heartbeat-period 1 --protocol hmtp --control-loss 0.1 --seeds 2 "
+      "--threads 1 --join-phase 100 --total-time 500 --interval 100 "
+      "--settle 20 --trajectory --profile");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_TRUE(contains(r.output,
+                       "  sim events 56741 (group fires 55273, heap fires 1468)\n"
+                       "  timers: heartbeat ticks 53545, refine ticks 1728, "
+                       "verdicts 6 true / 298 false\n"))
+      << r.output;
+  EXPECT_TRUE(contains(r.output,
+                       "trajectory (seed 1)\n"
+                       "\n"
+                       "t      continuity  outage_s  overhead  members  \n"
+                       "------------------------------------------------\n"
+                       "120.0  0.96395     3.950     3.24711   61       \n"
+                       "220.0  0.96426     4.320     3.00034   61       \n"
+                       "320.0  0.97079     4.102     2.94836   61       \n"
+                       "420.0  0.94957     4.089     3.09830   61       \n"))
+      << r.output;
 }
 
 }  // namespace

@@ -397,18 +397,18 @@ TEST(WorkloadRunner, TraceReplayIsBitIdenticalToGeneratedRun) {
 
 TEST(WorkloadRunner, TrajectoryFollowsMeasurementGrid) {
   experiments::RunConfig cfg = runner_config();
-  cfg.keep_trajectory = true;
+  cfg.keep_epochs = true;
   const experiments::RunResult r = experiments::run_once(cfg);
-  ASSERT_FALSE(r.trajectory.empty());
+  ASSERT_FALSE(r.epochs.empty());
   const sim::Time first = cfg.scenario.join_phase + cfg.scenario.settle_time;
-  for (std::size_t i = 0; i < r.trajectory.size(); ++i) {
-    const experiments::TrajectoryPoint& tp = r.trajectory[i];
-    EXPECT_EQ(tp.at,
+  for (std::size_t i = 0; i < r.epochs.size(); ++i) {
+    const metrics::EpochSample& e = r.epochs[i];
+    EXPECT_EQ(e.at,
               first + static_cast<double>(i) * cfg.scenario.churn_interval);
-    EXPECT_GE(tp.continuity, 0.0);
-    EXPECT_LE(tp.continuity, 1.0);
-    EXPECT_GE(tp.overhead, 0.0);
-    EXPECT_GT(tp.members, 0u);  // at least the source is alive
+    EXPECT_GE(e.loss_rate, 0.0);  // continuity 1 - loss_rate lies in [0, 1]
+    EXPECT_LE(e.loss_rate, 1.0);
+    EXPECT_GE(e.overhead, 0.0);
+    EXPECT_GT(e.members, 0u);  // at least the source is alive
   }
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <numeric>
 #include <span>
 #include <string>
 
@@ -240,7 +241,7 @@ int run_cli(int argc, char** argv) {
     }
   }
   const bool want_trajectory = flags.get_bool("trajectory", false);
-  cfg.keep_trajectory = want_trajectory;
+  cfg.keep_epochs = want_trajectory;
 
   // The MST-ratio baseline is an O(N^2) Prim pass over the final tree —
   // fine at paper scale, minutes at coordinate-substrate scale. Auto-off
@@ -331,10 +332,10 @@ int run_cli(int argc, char** argv) {
       metrics_t += r.profile_metrics_secs;
       events += r.sim_events;
       group_fires += r.sim_group_fires;
-      heartbeats += r.heartbeat_ticks;
-      refine_ticks += r.refine_ticks;
-      verdicts_true += r.verdicts_true;
-      verdicts_false += r.verdicts_false;
+      heartbeats += r.totals.heartbeat_ticks;
+      refine_ticks += r.totals.refine_ticks;
+      verdicts_true += r.totals.verdicts_true;
+      verdicts_false += r.totals.verdicts_false;
     }
     std::printf(
         "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
@@ -349,11 +350,18 @@ int run_cli(int argc, char** argv) {
   }
 
   if (want_trajectory && !agg.runs.empty()) {
+    // Per epoch: continuity is the delivered fraction of expected chunks,
+    // outage the mean of the epoch's crash recoveries (0 without one).
     util::Table traj({"t", "continuity", "outage_s", "overhead", "members"});
-    for (const TrajectoryPoint& p : agg.runs.front().trajectory) {
-      traj.add_row({util::Table::fmt(p.at, 1), util::Table::fmt(p.continuity, 5),
-                    util::Table::fmt(p.outage, 3), util::Table::fmt(p.overhead, 5),
-                    std::to_string(p.members)});
+    for (const metrics::EpochSample& e : agg.runs.front().epochs) {
+      const std::vector<double>& outages = e.outage_times;
+      const double outage =
+          outages.empty() ? 0.0
+                          : std::accumulate(outages.begin(), outages.end(), 0.0) /
+                                static_cast<double>(outages.size());
+      traj.add_row({util::Table::fmt(e.at, 1), util::Table::fmt(1.0 - e.loss_rate, 5),
+                    util::Table::fmt(outage, 3), util::Table::fmt(e.overhead, 5),
+                    std::to_string(e.members)});
     }
     if (flags.get_bool("csv", false)) {
       traj.print_csv(std::cout);
