@@ -56,8 +56,9 @@ void Collector::capture(sim::Time at) {
   e.members = s.tree().alive_count();
   e.tree = measure_tree(s.tree(), s.source(), s.underlay(), sc.tree, threads_);
 
-  const overlay::Session::Counters w = s.totals() - seen_;
-  seen_ = s.totals();
+  const overlay::Session::Counters totals = s.totals();
+  const overlay::Session::Counters w = totals - seen_;
+  seen_ = totals;
   e.control_messages = w.control_messages;
   e.data_transmissions = w.data_transmissions;
   const Rates window_rates = rates(w);

@@ -1,6 +1,7 @@
 #include "overlay/scenario.hpp"
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "overlay/workload.hpp"
@@ -14,7 +15,11 @@ DegreeSpec DegreeSpec::uniform(int lo, int hi) {
 }
 
 DegreeSpec DegreeSpec::average(double avg) {
-  VDM_REQUIRE(avg >= 1.0);
+  // Checked before the int casts below: inf, NaN or a value past INT_MAX
+  // would make them undefined.
+  VDM_REQUIRE_MSG(std::isfinite(avg) && avg >= 1.0 &&
+                      avg <= static_cast<double>(std::numeric_limits<int>::max()),
+                  "degree average must be finite and lie in [1, INT_MAX]");
   const int lo = static_cast<int>(std::floor(avg));
   const int hi = static_cast<int>(std::ceil(avg));
   if (lo == hi) return DegreeSpec{lo, hi, 0.0};

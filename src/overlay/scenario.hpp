@@ -44,6 +44,7 @@ struct DegreeSpec {
 
   /// Mixture of floor/ceil realizing an exact fractional mean, e.g. the
   /// 1.25 / 1.5 / 1.75 points of the node-degree sweeps (Figs 3.33-3.36).
+  /// Requires a finite `avg` in [1, INT_MAX].
   static DegreeSpec average(double avg);
 
   int sample(util::Rng& rng) const;

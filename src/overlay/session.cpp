@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "overlay/detector.hpp"
 #include "overlay/placement.hpp"
 #include "overlay/walk.hpp"
 #include "util/require.hpp"
@@ -12,6 +14,12 @@
 namespace vdm::overlay {
 
 namespace {
+
+/// Session::detector_rng_'s stream id under the session's Rng.
+constexpr std::uint64_t kDetectorStream = 1;
+
+/// Session::arm_detector's time for "no event".
+constexpr sim::Time kNever = std::numeric_limits<double>::infinity();
 
 /// Scoped wall-clock accumulator for SessionParams::profile. Disabled it is
 /// one branch and no clock reads, so the default (profile off) hot paths
@@ -59,15 +67,16 @@ Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
                  Protocol& protocol, const MetricProvider& metric,
                  const SessionParams& params, util::Rng rng)
     : reactor_(reactor), underlay_(underlay), protocol_(protocol),
-      metric_(metric), params_(params), rng_(rng) {
+      metric_(metric), params_(params), rng_(rng),
+      detector_rng_(rng.split(kDetectorStream)) {
   // scratch_ stays empty until start(): an arena caller swaps warm buffers
   // in between construction and start(), and sizing them here would put
   // unavoidable allocations on that otherwise allocation-free path.
   VDM_REQUIRE(params_.source < underlay.num_hosts());
   VDM_REQUIRE_MSG(std::isfinite(params_.chunk_rate) && params_.chunk_rate > 0.0,
                   "chunk_rate must be finite and > 0");
-  VDM_REQUIRE_MSG(params_.buffer_seconds >= 0.0,
-                  "buffer_seconds must not be negative");
+  VDM_REQUIRE_MSG(std::isfinite(params_.buffer_seconds) && params_.buffer_seconds >= 0.0,
+                  "buffer_seconds must be finite and >= 0");
   const FaultParams& f = params_.faults;
   VDM_REQUIRE_MSG(f.control_loss_extra >= 0.0 && f.control_loss_extra <= 1.0,
                   "control_loss_extra must lie in [0, 1]");
@@ -128,16 +137,16 @@ void Session::start() {
                     "join_mode=concurrent requires a protocol with pipeline "
                     "support");
     scratch_.placement.bind(underlay_, params_.source);
-    tree().set_observer(&scratch_.placement);
     scratch_.placement.insert(params_.source);
   }
-  // Every member's heartbeat and refinement timer shares its kind's period,
-  // so each kind is one periodic group (sim::Reactor::add_periodic_group).
-  if (params_.faults.heartbeat_period > 0.0) {
-    heartbeat_group_ = reactor_.add_periodic_group(
-        params_.faults.heartbeat_period,
-        [this](std::uint32_t h) { heartbeat_tick(h); });
+  // The placement index follows every attach and detach; over a lossy
+  // control plane the failure detector re-samples at every parent change.
+  if (params_.join_mode != JoinMode::kSequential ||
+      (params_.faults.heartbeat_period > 0.0 && params_.faults.lossy_control)) {
+    tree().set_observer(this);
   }
+  // Every member's refinement timer shares one period, so the timers are
+  // one periodic group (sim::Reactor::add_periodic_group).
   if (protocol_.wants_refinement()) {
     refine_group_ = reactor_.add_periodic_group(
         protocol_.refinement_period(), [this](std::uint32_t h) {
@@ -166,9 +175,9 @@ void Session::stop() {
     if (id != sim::kInvalidEvent) reactor_.cancel(id);
     id = sim::kInvalidEvent;
   }
-  for (const HeartbeatState& hb : scratch_.heartbeats) {
-    if (hb.pending_detect != sim::kInvalidEvent) reactor_.cancel(hb.pending_detect);
-    if (hb.timer != sim::kInvalidEvent) reactor_.cancel(hb.timer);
+  for (HeartbeatState& hb : scratch_.heartbeats) {
+    settle_heartbeat(hb);
+    if (hb.event != sim::kInvalidEvent) reactor_.cancel(hb.event);
   }
   scratch_.heartbeats.clear();
   scratch_.crash_orphans.clear();
@@ -477,13 +486,30 @@ void Session::crash(net::HostId h) {
   // With heartbeats, the orphans stay detached — their probes now go
   // unanswered and complete_detection() reconnects them once the miss
   // streak plus timeout elapses. Until then the data plane counts their
-  // subtrees as expecting-but-not-receiving (see emit_chunk).
+  // subtrees as expecting-but-not-receiving (see emit_chunk). Every probe
+  // from here misses, so the verdict is the one that completes the streak:
+  // the streak under way, or one starting at the next probe.
   const sim::Time now = reactor_.now();
+  const FaultParams& f = params_.faults;
   for (const net::HostId orphan : scratch_.orphans) {
     HeartbeatState& hb = scratch_.heartbeats[orphan];
+    settle_heartbeat(hb);  // answered until now, at 2 messages a probe
     hb.orphaned = true;
     hb.orphaned_at = now;
     scratch_.crash_orphans.push_back(orphan);
+    // Stopped by a verdict already (its completion is pending), or the
+    // streak under way already runs into a scheduled verdict.
+    const int under_way = streak_under_way(hb);
+    if (!hb.probing ||
+        (hb.verdict_due && under_way >= 0 && under_way == hb.planned - 1)) {
+      continue;
+    }
+    const sim::Time from = under_way >= 0 ? hb.streak_first[under_way] : hb.next_probe;
+    arm_detector(orphan,
+                 probe_after(from, f.heartbeat_period,
+                             static_cast<std::uint64_t>(f.heartbeat_misses - 1)),
+                 /*verdict=*/true);
+    hb.planned = 0;
   }
   if (params_.paranoid_checks) validate();
 }
@@ -638,33 +664,200 @@ void Session::disarm_refinement(net::HostId h) {
 void Session::ensure_heartbeat(net::HostId h) {
   if (params_.faults.heartbeat_period <= 0.0) return;
   HeartbeatState& hb = scratch_.heartbeats[h];
-  hb.misses = 0;
-  hb.orphaned = false;
-  hb.orphaned_at = 0.0;
-  hb.first_miss_at = 0.0;
-  if (hb.pending_detect != sim::kInvalidEvent) {
-    reactor_.cancel(hb.pending_detect);
-    hb.pending_detect = sim::kInvalidEvent;
+  // A running clock keeps its phase, and its plan while no streak is under
+  // way and the miss chance stands (the gap to the next miss is
+  // memoryless); a stopped one (never armed, or stopped by a verdict)
+  // restarts a full period from now.
+  const double q = probe_miss_chance(h);
+  if (hb.probing) {
+    settle_heartbeat(hb);
+    if (q == hb.miss_chance && streak_under_way(hb) < 0) return;
+  } else {
+    // Drops a verdict's pending completion, if any.
+    if (hb.event != sim::kInvalidEvent) reactor_.cancel(hb.event);
+    hb.event = sim::kInvalidEvent;
+    hb.probing = true;
+    hb.next_probe = reactor_.now() + params_.faults.heartbeat_period;
+    hb.orphaned = false;
+    hb.orphaned_at = 0.0;
   }
-  // A ticking timer keeps its phase; a stopped one (never armed, or stopped
-  // by a verdict) restarts a full period from now. Every member's probe is
-  // a member of the heartbeat group, so one tick per member per period
-  // costs a ring read and append, not a sift in a heap of every member. A
-  // verdict cancels the timer from inside the tick, which suppresses that
-  // re-arm.
-  if (hb.timer == sim::kInvalidEvent) {
-    hb.timer = reactor_.arm_periodic(heartbeat_group_, h);
-  }
+  hb.miss_chance = q;
+  plan_probes(h, hb.next_probe, 0);
 }
 
 void Session::disarm_heartbeat(net::HostId h) {
   if (h >= scratch_.heartbeats.size()) return;
   HeartbeatState& hb = scratch_.heartbeats[h];
-  if (hb.pending_detect != sim::kInvalidEvent) {
-    reactor_.cancel(hb.pending_detect);
-  }
-  if (hb.timer != sim::kInvalidEvent) reactor_.cancel(hb.timer);
+  settle_heartbeat(hb);
+  if (hb.event != sim::kInvalidEvent) reactor_.cancel(hb.event);
   hb = HeartbeatState{};
+}
+
+int Session::streak_under_way(const HeartbeatState& hb) const {
+  const FaultParams& f = params_.faults;
+  for (int i = 0; i < hb.planned && probe_fired(hb.streak_first[i]); ++i) {
+    if (hb.streak_len[i] >= f.heartbeat_misses ||
+        !probe_fired(probe_after(hb.streak_first[i], f.heartbeat_period,
+                                 static_cast<std::uint64_t>(hb.streak_len[i])))) {
+      return i;
+    }
+  }
+  return -1;
+}
+
+bool Session::probe_fired(sim::Time t) const {
+  const sim::Time now = reactor_.now();
+  return t < now || (t == now && !reactor_.in_callback());
+}
+
+void Session::count_probes(const HeartbeatState& hb, sim::Time& next,
+                           sim::Time bound, bool inclusive, Counters& into) const {
+  const std::uint64_t n =
+      probes_until(next, params_.faults.heartbeat_period, bound, inclusive);
+  into.heartbeat_ticks += n;
+  into.control_messages += n * (hb.orphaned ? 1 : 2);
+}
+
+void Session::settle_heartbeat(HeartbeatState& hb) {
+  if (!hb.probing) return;
+  count_probes(hb, hb.next_probe, reactor_.now(), !reactor_.in_callback(), totals_);
+}
+
+Session::Counters Session::totals() const {
+  Counters c = totals_;
+  const bool inclusive = !reactor_.in_callback();
+  for (const HeartbeatState& hb : scratch_.heartbeats) {
+    if (!hb.probing) continue;
+    sim::Time next = hb.next_probe;
+    count_probes(hb, next, reactor_.now(), inclusive, c);
+  }
+  return c;
+}
+
+double Session::probe_miss_chance(net::HostId h) const {
+  const FaultParams& f = params_.faults;
+  if (!f.lossy_control) return 0.0;
+  // Probe + ack; losing either leg is a miss, each leg dropping with the
+  // path loss compounded by the extra control-plane loss.
+  const double through = (1.0 - underlay_.loss(h, tree().member(h).parent)) *
+                         (1.0 - f.control_loss_extra);
+  return 1.0 - through * through;
+}
+
+void Session::plan_probes(net::HostId h, sim::Time from, int streak,
+                          sim::Time streak_first) {
+  HeartbeatState& hb = scratch_.heartbeats[h];
+  const FaultParams& f = params_.faults;
+  const int misses = f.heartbeat_misses;
+  const sim::Time period = f.heartbeat_period;
+  // Beyond 2^53 probes no run gets there (nor can a double count them).
+  constexpr double kHorizon = 0x1p53;
+  const MissChance chance(hb.miss_chance);
+  hb.planned = 0;
+  DetectorStep step = next_detector_step(detector_rng_, chance, misses, streak);
+  sim::Time first = streak_first;
+  if (streak == 0) {
+    if (!(step.offset < kHorizon)) {  // no probe misses again
+      arm_detector(h, kNever, false);
+      return;
+    }
+    first = probe_after(from, period, static_cast<std::uint64_t>(step.offset));
+    if (!step.verdict) {
+      streak = 1;
+      from = first + period;
+      step = next_detector_step(detector_rng_, chance, misses, streak);
+    }
+  }
+  // A streak begun at `first` has `streak` misses before `from`; each step
+  // draws its length, then the gap to the next one.
+  for (;;) {
+    const int n = hb.planned++;
+    hb.streak_first[n] = first;
+    if (step.verdict) {
+      hb.streak_len[n] = misses;
+      arm_detector(h, probe_after(first, period, static_cast<std::uint64_t>(misses - 1)),
+                   /*verdict=*/true);
+      return;
+    }
+    hb.streak_len[n] = streak + static_cast<int>(step.answered);
+    if (!(step.offset < kHorizon)) {  // no probe misses again
+      arm_detector(h, kNever, false);
+      return;
+    }
+    first = probe_after(from, period, static_cast<std::uint64_t>(step.offset));
+    if (hb.planned == kPlannedStreaks) break;
+    streak = 1;
+    from = first + period;
+    step = next_detector_step(detector_rng_, chance, misses, streak);
+  }
+  // The batch is full: the next streak's first miss draws the next one.
+  arm_detector(h, first, /*verdict=*/false);
+}
+
+void Session::arm_detector(net::HostId h, sim::Time at, bool verdict) {
+  HeartbeatState& hb = scratch_.heartbeats[h];
+  if (hb.event != sim::kInvalidEvent) reactor_.cancel(hb.event);
+  hb.verdict_due = verdict;
+  hb.event = sim::kInvalidEvent;
+  if (!(at < kNever)) return;
+  if (verdict) {
+    hb.event = reactor_.schedule_at(at, [this, h] { heartbeat_verdict(h); });
+  } else {
+    hb.event = reactor_.schedule_at(at, [this, h] { heartbeat_next_batch(h); });
+  }
+}
+
+void Session::on_attach(net::HostId child, net::HostId parent) {
+  if (params_.join_mode != JoinMode::kSequential) {
+    scratch_.placement.on_attach(child, parent);
+  }
+  if (child >= scratch_.heartbeats.size()) return;
+  HeartbeatState& hb = scratch_.heartbeats[child];
+  if (!hb.probing) return;
+  const double q = probe_miss_chance(child);
+  if (q == hb.miss_chance) return;
+  hb.miss_chance = q;
+  settle_heartbeat(hb);
+  // The fired misses of a streak under way, up to the first probe to come,
+  // carry over: the streak goes on with the new chance.
+  const int under_way = streak_under_way(hb);
+  if (under_way < 0) {
+    plan_probes(child, hb.next_probe, 0);
+    return;
+  }
+  sim::Time t = hb.streak_first[under_way];
+  const auto fired = probes_until(t, params_.faults.heartbeat_period, hb.next_probe, false);
+  const int streak = static_cast<int>(std::min<std::uint64_t>(
+      fired, static_cast<std::uint64_t>(params_.faults.heartbeat_misses - 1)));
+  plan_probes(child, hb.next_probe, streak, hb.streak_first[under_way]);
+}
+
+void Session::on_detach(net::HostId child, net::HostId parent) {
+  if (params_.join_mode != JoinMode::kSequential) {
+    scratch_.placement.on_detach(child, parent);
+  }
+}
+
+void Session::heartbeat_next_batch(net::HostId h) {
+  HeartbeatState& hb = scratch_.heartbeats[h];
+  hb.event = sim::kInvalidEvent;
+  const sim::Time now = reactor_.now();
+  plan_probes(h, now + params_.faults.heartbeat_period, 1, now);
+}
+
+void Session::heartbeat_verdict(net::HostId h) {
+  HeartbeatState& hb = scratch_.heartbeats[h];
+  hb.event = sim::kInvalidEvent;
+  VDM_REQUIRE_MSG(tree().member(h).alive, "heartbeat verdict on a dead member");
+  const FaultParams& f = params_.faults;
+  const sim::Time now = reactor_.now();
+  // The verdict's own probe has fired: count through it, then stop probing
+  // and declare the parent dead once the final probe's own timeout expires.
+  // complete_detection restarts probing after the rejoin.
+  count_probes(hb, hb.next_probe, now, /*inclusive=*/true, totals_);
+  hb.probing = false;
+  hb.event = reactor_.schedule_in(f.heartbeat_timeout,
+                                  [this, h] { complete_detection(h); });
 }
 
 void Session::forget_crash_orphan(net::HostId h) {
@@ -703,54 +896,9 @@ void Session::end_chunk_stint(net::HostId h) {
   }
 }
 
-void Session::heartbeat_tick(net::HostId h) {
-  ++totals_.heartbeat_ticks;
-  HeartbeatState& hb = scratch_.heartbeats[h];
-  const MemberState& m = tree().member(h);
-  VDM_REQUIRE_MSG(m.alive, "heartbeat ticking on a dead member");
-  const FaultParams& f = params_.faults;
-
-  bool missed;
-  if (m.parent == kInvalidHost) {
-    // The parent crashed (or the member is detached): the probe goes out
-    // and nothing answers.
-    ++totals_.control_messages;
-    missed = true;
-  } else {
-    // Probe + ack; losing either leg is a miss. p == 0 draws nothing, so
-    // heartbeats over a lossless control plane cost messages but never
-    // perturb the rng stream.
-    totals_.control_messages += 2;
-    double p = 0.0;
-    if (f.lossy_control) {
-      p = 1.0 -
-          (1.0 - underlay_.loss(h, m.parent)) * (1.0 - f.control_loss_extra);
-    }
-    missed = rng_.chance(p) || rng_.chance(p);
-  }
-
-  if (!missed) {
-    hb.misses = 0;
-    return;
-  }
-  ++hb.misses;
-  if (hb.misses == 1) hb.first_miss_at = reactor_.now();
-  if (hb.misses >= f.heartbeat_misses &&
-      hb.pending_detect == sim::kInvalidEvent) {
-    // Verdict reached: stop probing and declare the parent dead once the
-    // final probe's own timeout expires. Cancelling the firing timer
-    // suppresses its re-arm; complete_detection (a plain scheduled event)
-    // restarts probing after the rejoin.
-    reactor_.cancel(hb.timer);
-    hb.timer = sim::kInvalidEvent;
-    hb.pending_detect = reactor_.schedule_in(f.heartbeat_timeout,
-                                             [this, h] { complete_detection(h); });
-  }
-}
-
 void Session::complete_detection(net::HostId h) {
   HeartbeatState& hb = scratch_.heartbeats[h];
-  hb.pending_detect = sim::kInvalidEvent;
+  hb.event = sim::kInvalidEvent;
   const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "detection completing on a dead member");
 
@@ -766,7 +914,7 @@ void Session::complete_detection(net::HostId h) {
     // rejoin in the same sim event, so the only data-plane gap is the
     // rejoin handshake itself.
     ++totals_.verdicts_false;
-    detection = reactor_.now() - hb.first_miss_at;
+    detection = reactor_.now() - hb.streak_first[hb.planned - 1];
     if (m.parent != kInvalidHost) tree().detach(h);
   }
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "net/underlay.hpp"
+#include "overlay/detector.hpp"
 #include "overlay/membership.hpp"
 #include "overlay/metric.hpp"
 #include "overlay/placement.hpp"
@@ -34,12 +35,13 @@ enum class JoinMode {
   kConcurrent,
 };
 
-/// Failure-model knobs (crash detection and lossy control plane). All draws
-/// they introduce flow through the session Rng, and every knob at its
-/// default reproduces the fault-free run bit for bit: heartbeat_period == 0
-/// schedules no probe timers, and lossy_control == false makes
-/// charge_exchange / measure skip the loss draw entirely. The Session
-/// constructor rejects values outside the ranges below.
+/// Failure-model knobs (crash detection and lossy control plane). Retry
+/// draws flow through the session Rng and probe-miss draws through the
+/// detector's own stream, and every knob at its default reproduces the
+/// fault-free run bit for bit: heartbeat_period == 0 arms no detector, and
+/// lossy_control == false makes charge_exchange / measure skip the loss
+/// draw and probes never miss. The Session constructor rejects values
+/// outside the ranges below.
 struct FaultParams {
   /// Children probe their parent every `heartbeat_period` seconds (finite,
   /// >= 0); 0 disables detection, making crashes observable instantly
@@ -83,9 +85,10 @@ struct SessionParams {
   double chunk_rate = 2.0;
   /// Disable to run control-plane-only experiments (no loss metric).
   bool data_plane = true;
-  /// Playout buffer depth, seconds. Reconnection outages shorter than the
-  /// buffer are absorbed (the paper's §5.4.3 observation that "a couple of
-  /// seconds buffer" hides the ~0.2 s reconnection jitter). 0 = no buffer.
+  /// Playout buffer depth, seconds (finite, >= 0). Reconnection outages
+  /// shorter than the buffer are absorbed (the paper's §5.4.3 observation
+  /// that "a couple of seconds buffer" hides the ~0.2 s reconnection
+  /// jitter). 0 = no buffer.
   double buffer_seconds = 0.0;
   /// Validate all tree invariants after every mutation batch (tests).
   bool paranoid_checks = false;
@@ -139,8 +142,9 @@ struct TimingRecord {
 ///
 /// The session is the single mutation point of the overlay; protocols are
 /// strategy objects invoked from here. All randomness flows through the
-/// session's Rng, so a (seed, scenario) pair reproduces a run exactly.
-class Session {
+/// session's Rng and the failure detector's stream split from it, so a
+/// (seed, scenario) pair reproduces a run exactly.
+class Session : private MembershipObserver {
  private:
   /// One node of a chunk-side tree traversal: the member and, while the
   /// lossy flood's visit order is being built, the index of its delivered
@@ -170,22 +174,43 @@ class Session {
              loss.capacity() * sizeof(double) + delivered.capacity();
     }
   };
-  /// Per-member failure-detector state (faults.heartbeat_period > 0).
+  /// Miss streaks a failure detector draws ahead of time (see
+  /// HeartbeatState::streak_first).
+  static constexpr int kPlannedStreaks = 8;
+  /// Per-member failure-detector state (faults.heartbeat_period > 0). A
+  /// probing member's probes fall on its probe clock (overlay/detector.hpp)
+  /// and are not events: they are counted from the clock, and the miss
+  /// streaks among them are drawn ahead, a few at a time, so only the end
+  /// of each batch and the verdict are scheduled (DESIGN.md §6).
   struct HeartbeatState {
-    /// The probe timer, a member of the heartbeat group; kInvalidEvent
-    /// while the member is not probing (never armed, or stopped by a
-    /// verdict).
-    sim::EventId timer = sim::kInvalidEvent;
-    int misses = 0;
-    /// Parent crashed; probes are going unanswered until detection fires.
-    bool orphaned = false;
+    /// The first probe not yet counted in totals_.
+    sim::Time next_probe = 0.0;
     sim::Time orphaned_at = 0.0;
-    /// Start of the current miss streak (detection latency for a false
-    /// positive is measured from here).
-    sim::Time first_miss_at = 0.0;
-    /// The scheduled complete_detection() timer, if the streak reached
-    /// heartbeat_misses; cancelled when the member leaves/crashes first.
-    sim::EventId pending_detect = sim::kInvalidEvent;
+    /// The miss chance of the probes to come (the parent's, as last
+    /// planned with).
+    double miss_chance = 0.0;
+    /// The member's one pending detector event. While probing: the verdict
+    /// or the first miss of the streak after the batch, whichever is
+    /// scheduled. Once the verdict fired: complete_detection(), cancelled
+    /// when the member leaves, crashes or rejoins first.
+    sim::EventId event = sim::kInvalidEvent;
+    /// The streaks drawn ahead, in time order: streak i misses the probes
+    /// from streak_first[i] on, streak_len[i] of them, and the probe after
+    /// them answers, unless the streak runs into the verdict (streak_len ==
+    /// heartbeat_misses, the last one then). Every other probe answers.
+    /// After a false verdict the last entry is its streak (detection
+    /// latency is measured from its first miss).
+    sim::Time streak_first[kPlannedStreaks] = {};
+    std::int32_t streak_len[kPlannedStreaks] = {};
+    /// Entries of streak_first / streak_len in use.
+    std::uint8_t planned = 0;
+    /// The probe clock runs: armed, and not stopped by a verdict.
+    bool probing = false;
+    /// Parent crashed; probes are going unanswered until the verdict.
+    bool orphaned = false;
+    /// While probing, `event` is the verdict (else the first miss after
+    /// the batch).
+    bool verdict_due = false;
   };
 
  public:
@@ -375,10 +400,11 @@ class Session {
     std::uint64_t refines_run = 0;
     std::uint64_t refine_switches = 0;
     /// Periodic timer work, counted without clock reads: failure-detector
-    /// probe ticks, refinement timer ticks (refines_run counts the rounds
-    /// that ran: a detached member's tick is a no-op), and crash verdicts —
-    /// true when the parent had crashed, false when the miss streak was
-    /// control loss alone.
+    /// probes (counted from each member's probe clock, not fired),
+    /// refinement timer ticks (refines_run counts the rounds that ran: a
+    /// detached member's tick is a no-op), and crash verdicts — true when
+    /// the parent had crashed, false when the miss streak was control loss
+    /// alone.
     std::uint64_t heartbeat_ticks = 0;
     std::uint64_t refine_ticks = 0;
     std::uint64_t verdicts_true = 0;
@@ -405,9 +431,10 @@ class Session {
   };
   // A new counter must be subtracted above too.
   static_assert(sizeof(Counters) == 14 * sizeof(std::uint64_t));
-  /// Counters since start() (whole-run metrics). A window of the run, such
-  /// as one measurement epoch, is the difference of two snapshots.
-  const Counters& totals() const { return totals_; }
+  /// Counters since start() (whole-run metrics), every probe that has
+  /// fired by now included. A window of the run, such as one measurement
+  /// epoch, is the difference of two snapshots.
+  Counters totals() const;
   /// Per-phase wall clock since start(); all-zero unless params.profile.
   const PhaseProfile& profile() const { return profile_; }
 
@@ -453,11 +480,42 @@ class Session {
   void arm_refinement(net::HostId h);
   void disarm_refinement(net::HostId h);
   /// (Re)starts `h`'s failure detector after an attach: resets the miss
-  /// streak, drops a pending verdict and arms the probe timer if it is not
-  /// already ticking.
+  /// streak, drops a pending verdict and starts the probe clock if it is
+  /// not already running.
   void ensure_heartbeat(net::HostId h);
   void disarm_heartbeat(net::HostId h);
-  void heartbeat_tick(net::HostId h);
+  /// True if a probe due at `t` has fired: before now, or at now outside a
+  /// callback (Reactor::in_callback).
+  bool probe_fired(sim::Time t) const;
+  /// Adds to `into` the probes of `hb` from `next` (moved past them) up to
+  /// `bound`, at it too when `inclusive`: 2 messages per probe, 1 while
+  /// orphaned (nothing answers).
+  void count_probes(const HeartbeatState& hb, sim::Time& next, sim::Time bound,
+                    bool inclusive, Counters& into) const;
+  /// Counts into totals_ the probes of `hb` that have fired.
+  void settle_heartbeat(HeartbeatState& hb);
+  /// Probability that one of `h`'s probes to its parent misses: the probe
+  /// or the ack is lost.
+  double probe_miss_chance(net::HostId h) const;
+  /// The streak of `hb` that has missed every probe fired so far and whose
+  /// first miss has fired, as an index into its plan; -1 if none.
+  int streak_under_way(const HeartbeatState& hb) const;
+  /// Replaces `h`'s plan and pending event: from the probe due at `from`,
+  /// with `streak` misses in a row before it (the streak begun at
+  /// `streak_first`), draws the next streaks and schedules the verdict or
+  /// the end of the batch.
+  void plan_probes(net::HostId h, sim::Time from, int streak,
+                   sim::Time streak_first = 0.0);
+  /// The parent changed: if the miss chance did too, the probes still to
+  /// come are re-planned with it, continuing the current streak.
+  void on_attach(net::HostId child, net::HostId parent) override;
+  void on_detach(net::HostId child, net::HostId parent) override;
+  /// Arms `h`'s detector event at `at` (none at +inf): the verdict or the
+  /// first miss of the streak after its batch.
+  void arm_detector(net::HostId h, sim::Time at, bool verdict);
+  /// The first miss of the streak after a batch: draws the next batch.
+  void heartbeat_next_batch(net::HostId h);
+  void heartbeat_verdict(net::HostId h);
   void complete_detection(net::HostId h);
   void forget_crash_orphan(net::HostId h);
   /// Wall-clock of a control exchange of `messages` messages with base
@@ -507,6 +565,9 @@ class Session {
   const MetricProvider& metric_;
   SessionParams params_;
   util::Rng rng_;
+  /// The failure detector's own stream, split from rng_: probe misses never
+  /// shift another consumer's draws.
+  util::Rng detector_rng_;
   /// A drain event for the current timestamp's join batch is already in the
   /// simulator queue.
   bool drain_scheduled_ = false;
@@ -520,9 +581,8 @@ class Session {
   /// The data-plane chunk clock: one timer rescheduled in place after each
   /// tick, so starting the data plane costs no heap timer object per run.
   sim::EventId stream_event_ = sim::kInvalidEvent;
-  /// The periodic groups every member's heartbeat probe and refinement
-  /// timer belong to; registered by start() when the run uses them.
-  sim::GroupId heartbeat_group_ = 0;
+  /// The periodic group every member's refinement timer belongs to;
+  /// registered by start() when the protocol refines.
   sim::GroupId refine_group_ = 0;
   /// underlay_.zero_loss(), read once by start(): chunks are then counted
   /// from membership instead of flooded edge by edge.

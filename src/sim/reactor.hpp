@@ -36,9 +36,8 @@ using GroupId = std::uint32_t;
 ///    PeriodicTimer) is a plain event that re-arms itself in place with
 ///    reschedule_current_in;
 ///  * a population of timers sharing one period and one callback (a
-///    failure detector's heartbeat per member, a refinement tick per member)
-///    is a periodic group: add_periodic_group once, then arm_periodic per
-///    member with a payload naming it.
+///    refinement tick per member) is a periodic group: add_periodic_group
+///    once, then arm_periodic per member with a payload naming it.
 ///
 /// Callbacks ride the small-buffer InlineFn / TickFn, so the steady-state
 /// zero-allocation guarantee holds on both backends.
@@ -89,6 +88,12 @@ class Reactor {
   /// Runs every event due by time `t` (and, on the UDP backend, socket I/O
   /// until then), then advances the clock to `t`. Returns events run.
   virtual std::size_t run_until(Time t) = 0;
+
+  /// True while a timer callback runs: a plain event or a group member's
+  /// tick. Code that keeps virtual timers, such as the failure detector's
+  /// unscheduled probes, places one due exactly now by it: inside a callback
+  /// that probe has not fired yet, outside (between run_until calls) it has.
+  virtual bool in_callback() const = 0;
 };
 
 }  // namespace vdm::sim

@@ -39,20 +39,20 @@ void Simulator::release_slot(std::uint32_t slot) {
 }
 
 void Simulator::sift_up(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
+  const HeapEntry e = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kHeapArity;
-    if (!before(slot, heap_[parent])) break;
+    if (!before(e, heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    slots_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
-  heap_[pos] = slot;
-  slots_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+  heap_[pos] = e;
+  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
 void Simulator::sift_down(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
+  const HeapEntry e = heap_[pos];
   const std::size_t n = heap_.size();
   while (true) {
     const std::size_t first = pos * kHeapArity + 1;
@@ -62,29 +62,29 @@ void Simulator::sift_down(std::size_t pos) {
     for (std::size_t c = first + 1; c < last; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], slot)) break;
+    if (!before(heap_[best], e)) break;
     heap_[pos] = heap_[best];
-    slots_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
-  heap_[pos] = slot;
-  slots_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+  heap_[pos] = e;
+  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void Simulator::heap_push(std::uint32_t slot) {
-  heap_.push_back(slot);
+void Simulator::heap_push(std::uint32_t slot, Time t, std::uint64_t seq) {
+  heap_.push_back({t, seq, slot});
   sift_up(heap_.size() - 1);
 }
 
 void Simulator::heap_remove(std::size_t pos) {
-  slots_[heap_[pos]].heap_pos = kNone;
+  slots_[heap_[pos].slot].heap_pos = kNone;
   const std::size_t last = heap_.size() - 1;
   if (pos != last) {
     heap_[pos] = heap_[last];
     heap_.pop_back();
     // The displaced element may belong above or below its new position.
     sift_up(pos);
-    sift_down(slots_[heap_[pos]].heap_pos);
+    sift_down(slots_[heap_[pos].slot].heap_pos);
   } else {
     heap_.pop_back();
   }
@@ -95,10 +95,8 @@ EventId Simulator::schedule_at(Time t, InlineFn fn) {
   VDM_REQUIRE(fn != nullptr);
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
-  s.t = t;
-  s.seq = next_seq_++;
   s.fn = std::move(fn);
-  heap_push(slot);
+  heap_push(slot, t, next_seq_++);
   return make_id(slot, s.generation);
 }
 
@@ -204,10 +202,7 @@ void Simulator::pop_front(Group& g) {
 
 void Simulator::enter_heap(Group& g) {
   const RingEntry& front = g.front();
-  Slot& s = slots_[g.slot];
-  s.t = front.t;
-  s.seq = front.seq;
-  heap_push(g.slot);
+  heap_push(g.slot, front.t, front.seq);
   ++heap_groups_;
 }
 
@@ -247,14 +242,15 @@ void Simulator::cancel_member(EventId id) {
     return;
   }
   // The new head is later in (t, seq) than the old one: the key only grows.
-  s.t = g.front().t;
-  s.seq = g.front().seq;
+  HeapEntry& key = heap_[s.heap_pos];
+  key.t = g.front().t;
+  key.seq = g.front().seq;
   sift_down(s.heap_pos);
 }
 
 Time Simulator::next_event_time() const {
   Time t = heap_.empty() ? std::numeric_limits<Time>::infinity()
-                         : slots_[heap_[0]].t;
+                         : heap_[0].t;
   if (draining_ != kNone && !groups_[draining_]->empty()) {
     t = std::min(t, groups_[draining_]->front().t);
   }
@@ -264,8 +260,8 @@ Time Simulator::next_event_time() const {
 // ------------------------------------------------------------------- firing
 
 void Simulator::fire_top() {
-  const std::uint32_t slot = heap_[0];
-  now_ = slots_[slot].t;
+  const std::uint32_t slot = heap_[0].slot;
+  now_ = heap_[0].t;
   heap_remove(0);
   ++executed_;
 
@@ -294,9 +290,8 @@ void Simulator::fire_top() {
     // — the caller's EventId stays valid — with a fresh sequence number,
     // exactly as if the callback had scheduled a new event at this point.
     s.fn = std::move(fn);
-    s.t = now_ + firing_rearm_delay_;  // now_ is still this event's deadline
-    s.seq = next_seq_++;
-    heap_push(slot);
+    // now_ is still this event's deadline.
+    heap_push(slot, now_ + firing_rearm_delay_, next_seq_++);
   } else {
     release_slot(slot);
   }
@@ -306,7 +301,7 @@ void Simulator::fire_top() {
 }
 
 std::size_t Simulator::drain_group(Time bound, std::size_t budget) {
-  const GroupId group = slots_[heap_[0]].group;
+  const GroupId group = slots_[heap_[0].slot].group;
   Group& g = *groups_[group];  // boxed: stays put if a tick adds a group
   heap_remove(0);
   --heap_groups_;
@@ -348,7 +343,7 @@ std::size_t Simulator::drain_group(Time bound, std::size_t budget) {
     const RingEntry& next = g.front();
     if (next.t > bound) break;
     if (!heap_.empty()) {
-      const Slot& top = slots_[heap_[0]];
+      const HeapEntry& top = heap_[0];
       if (top.t < next.t || (top.t == next.t && top.seq < next.seq)) break;
     }
   }
@@ -362,7 +357,7 @@ void Simulator::end_drain(Group& g) {
 }
 
 std::size_t Simulator::fire_next(Time bound, std::size_t budget) {
-  if (slots_[heap_[0]].group != kNone) return drain_group(bound, budget);
+  if (slots_[heap_[0].slot].group != kNone) return drain_group(bound, budget);
   fire_top();
   return 1;
 }
@@ -384,7 +379,7 @@ std::size_t Simulator::run(std::size_t max_events) {
 std::size_t Simulator::run_until(Time t) {
   VDM_REQUIRE(t >= now_);
   std::size_t n = 0;
-  while (!heap_.empty() && slots_[heap_[0]].t <= t) n += fire_next(t, SIZE_MAX);
+  while (!heap_.empty() && heap_[0].t <= t) n += fire_next(t, SIZE_MAX);
   now_ = t;
   return n;
 }
@@ -417,7 +412,7 @@ void Simulator::reset() {
 
 std::size_t Simulator::capacity_bytes() const {
   std::size_t bytes = slots_.capacity() * sizeof(Slot) +
-                      heap_.capacity() * sizeof(std::uint32_t) +
+                      heap_.capacity() * sizeof(HeapEntry) +
                       members_.capacity() * sizeof(Member) +
                       groups_.capacity() * sizeof(std::unique_ptr<Group>);
   for (const std::unique_ptr<Group>& g : groups_) {

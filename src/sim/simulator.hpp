@@ -22,9 +22,11 @@ namespace vdm::sim {
 ///
 ///  * plain events (schedule_at / schedule_in, and their in-place re-arms
 ///    through reschedule_current_in) live in a free-list slab of fixed slots
-///    with generation-stamped ids, ordered by an indexed 4-ary min-heap
-///    (slot -> heap-position back-pointers), so cancel() removes one with a
-///    single localized sift instead of leaving a tombstone;
+///    with generation-stamped ids, ordered by an indexed 4-ary min-heap whose
+///    entries carry their (t, seq) key (a sift compares contiguous entries
+///    and touches the slab only to update the slot -> heap-position
+///    back-pointer), so cancel() removes one with a single localized sift
+///    instead of leaving a tombstone;
 ///  * members of a periodic group (add_periodic_group / arm_periodic) live
 ///    as {t, seq, member, payload} entries in the group's ring, a circular
 ///    buffer in (t, seq) order: a member is due one period after its arm or
@@ -37,8 +39,8 @@ namespace vdm::sim {
 ///    tick. A cancelled member leaves a tombstone that the head skips.
 ///
 /// So events fire in exactly the (t, seq) order a heap-only engine gives,
-/// and the timers every member runs (heartbeats, refinement ticks) cost a
-/// sequential ring read and append. Callbacks are small-buffer-optimized
+/// and the timers every member runs (refinement ticks) cost a sequential
+/// ring read and append. Callbacks are small-buffer-optimized
 /// (InlineFn, TickFn), so once the slab, heap and rings have grown to a
 /// run's working set, schedule/arm/fire/cancel perform zero heap
 /// allocations.
@@ -72,6 +74,9 @@ class Simulator final : public Reactor {
 
   /// Runs all events with timestamp <= t, then advances the clock to t.
   std::size_t run_until(Time t) override;
+  bool in_callback() const override {
+    return firing_slot_ != kNone || firing_member_ != kNone;
+  }
 
   /// Number of live (non-cancelled) pending events: plain events in the
   /// heap plus every group's ring members.
@@ -111,17 +116,23 @@ class Simulator final : public Reactor {
   static constexpr EventId kMemberBit = EventId{1} << 63;
 
   /// One slab entry: a plain event, or the heap entry of a periodic group
-  /// (`group` set, no callable; t and seq mirror the group's ring head).
+  /// (`group` set, no callable; its heap key mirrors the group's ring head).
   struct Slot {
-    Time t = 0.0;
-    std::uint64_t seq = 0;  // FIFO tie-break within a timestamp
     std::uint32_t generation = 1;
     std::uint32_t heap_pos = kNone;  // index in heap_ while queued
     std::uint32_t next = kNone;      // free-list link while free
     std::uint32_t group = kNone;     // the group this slot stands for
     InlineFn fn;
   };
-  static_assert(sizeof(Slot) == 64, "the slab holds every pending plain event");
+  static_assert(sizeof(Slot) == 48, "the slab holds every pending plain event");
+
+  /// A queued slot and its key; seq is the FIFO tie-break within a
+  /// timestamp.
+  struct HeapEntry {
+    Time t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
 
   /// A group member's place in its ring. `member` is kNone once cancelled
   /// (a tombstone the ring head skips).
@@ -169,17 +180,15 @@ class Simulator final : public Reactor {
     return static_cast<std::uint32_t>(id >> 32) & kGenerationMask;
   }
 
-  /// True if the event keyed by slot `a` fires before the one in slot `b`.
-  bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.t != sb.t) return sa.t < sb.t;
-    return sa.seq < sb.seq;
+  /// True if the event keyed by `a` fires before the one keyed by `b`.
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    if (a.t != b.t) return a.t < b.t;
+    return a.seq < b.seq;
   }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void heap_push(std::uint32_t slot);
+  void heap_push(std::uint32_t slot, Time t, std::uint64_t seq);
   void heap_remove(std::size_t pos);
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
@@ -210,7 +219,7 @@ class Simulator final : public Reactor {
 
   std::vector<Slot> slots_;         // slab; grows, never shrinks
   std::uint32_t free_head_ = kNone;  // free-list through Slot::next
-  std::vector<std::uint32_t> heap_;  // indexed 4-ary min-heap of slots
+  std::vector<HeapEntry> heap_;      // indexed 4-ary min-heap of slots
   std::uint32_t heap_groups_ = 0;    // of heap_, the entries that are groups
 
   /// Groups by GroupId; entries past num_groups_ are rings kept from

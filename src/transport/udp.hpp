@@ -102,6 +102,7 @@ class UdpReactor final : public sim::Reactor {
   /// Runs timers and socket I/O until wall time `t` (seconds since
   /// construction) or stop(). Returns timers fired.
   std::size_t run_until(sim::Time t) override;
+  bool in_callback() const override { return timers_.in_callback(); }
 
   /// Breaks out of run_until at the next pump.
   void stop() { stopped_ = true; }

@@ -295,9 +295,10 @@ TEST(Crash, OrphanNeverRejoinsUnderADetachedGrandparent) {
   // for its verdict. Detached, it reports the slot its own uplink will
   // retake as free; an orphan that rejoined there left it one link over its
   // degree limit once it reattached. These seeds of the smoke-size flash
-  // shape with crash churn hit that case; paranoid checks validate the tree
-  // after every mutation.
-  for (const std::uint64_t seed : {23u, 34u, 42u}) {
+  // shape with crash churn hit that case: with the attached-grandparent
+  // check in Session::reconnect_start removed, each fails its paranoid
+  // tree validation (the first three of seeds 1-150 that do).
+  for (const std::uint64_t seed : {23u, 34u, 52u}) {
     experiments::RunConfig cfg = testutil::flash_heartbeat_config(seed);
     cfg.scenario.crash_fraction = 1.0;
     cfg.session.paranoid_checks = true;

@@ -608,11 +608,12 @@ TEST(SimulatorEdge, RunOnceGoldenGeoVdmRefine) {
   EXPECT_EQ(r.final_members, 33u);
 }
 
-// Where a run's events fire from, pinned exactly: every member's heartbeat
-// probe is a member of the 1 s heartbeat group, so every heartbeat tick is
-// a group fire; everything else (the chunk clock included) fires from the
-// heap. Integers, so a fresh run and a warm arena replay must agree to the
-// unit.
+// Where a run's events fire from, pinned exactly: periodic groups carry
+// only refinement ticks, so plain VDM fires nothing from a group; the
+// failure detector's probes are counted, not fired, and its events (the
+// end of each batch of sampled miss streaks, and verdicts) fire from the
+// heap with everything else. Integers, so a fresh run and a warm arena
+// replay must agree to the unit.
 TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kTransitStub;
@@ -627,12 +628,12 @@ TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   cfg.session.faults.control_loss_extra = 0.01;
   cfg.seed = 7;
   const experiments::RunResult fresh = experiments::run_once(cfg);
-  EXPECT_EQ(fresh.sim_events, 315892u);
-  EXPECT_EQ(fresh.sim_group_fires, 295675u);
-  EXPECT_EQ(fresh.totals.heartbeat_ticks, fresh.sim_group_fires);
+  EXPECT_EQ(fresh.sim_events, 20920u);
+  EXPECT_EQ(fresh.sim_group_fires, 0u);
+  EXPECT_EQ(fresh.totals.heartbeat_ticks, 295674u);
   EXPECT_EQ(fresh.totals.refine_ticks, 0u);  // plain VDM: no refinement timers
   EXPECT_EQ(fresh.totals.verdicts_true, 49u);
-  EXPECT_EQ(fresh.totals.verdicts_false, 2u);
+  EXPECT_EQ(fresh.totals.verdicts_false, 1u);
 
   experiments::RunScratch scratch;
   for (int i = 0; i < 2; ++i) {

@@ -64,6 +64,8 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
       // Out-of-range loss, buffer, noise and control-loss values.
       {"--members 16 --seeds 1 --link-loss -0.1", ""},
       {"--members 16 --seeds 1 --buffer -1", ""},
+      // An infinite playout buffer used to hide every outage (loss 0).
+      {"--members 16 --seeds 1 --buffer inf", "buffer_seconds"},
       {"--members 16 --seeds 1 --probe-noise -1", ""},
       {"--members 16 --seeds 1 --control-loss -0.5", ""},
       {"--members 16 --seeds 1 --control-loss 1.5", ""},
@@ -102,7 +104,12 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
       {"--members 50 --seeds 1 --interval inf", "churn_interval"},
       {"--members 50 --seeds 1 --flash 10 --flash-at nan", "flash_at"},
       {"--members 50 --seeds 1 --flash 10 --flash-at inf", "flash_at"},
-      {"--members 50 --seeds 1 --probe-noise inf", "probe_noise"}};
+      {"--members 50 --seeds 1 --probe-noise inf", "probe_noise"},
+      // A degree average that is not finite or exceeds INT_MAX used to reach
+      // undefined int casts and blame the first join's degree.
+      {"--members 50 --seeds 1 --degree-avg inf", "average"},
+      {"--members 50 --seeds 1 --degree-avg 1e12", "average"},
+      {"--members 50 --seeds 1 --degree-avg nan", "average"}};
   for (const auto& [args, field] : cases) {
     const CliResult r = run_vdmsim(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
@@ -146,19 +153,19 @@ TEST(VdmsimCli, TrajectoryAndProfileCountersArePinned) {
       "--settle 20 --trajectory --profile");
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_TRUE(contains(r.output,
-                       "  sim events 56741 (group fires 55273, heap fires 1468)\n"
-                       "  timers: heartbeat ticks 53545, refine ticks 1728, "
-                       "verdicts 6 true / 298 false\n"))
+                       "  sim events 4285 (group fires 1728, heap fires 2557)\n"
+                       "  timers: heartbeat ticks 53551, refine ticks 1728, "
+                       "verdicts 7 true / 284 false\n"))
       << r.output;
   EXPECT_TRUE(contains(r.output,
                        "trajectory (seed 1)\n"
                        "\n"
                        "t      continuity  outage_s  overhead  members  \n"
                        "------------------------------------------------\n"
-                       "120.0  0.96395     3.950     3.24711   61       \n"
-                       "220.0  0.96426     4.320     3.00034   61       \n"
-                       "320.0  0.97079     4.102     2.94836   61       \n"
-                       "420.0  0.94957     4.089     3.09830   61       \n"))
+                       "120.0  0.97054     3.598     3.09256   61       \n"
+                       "220.0  0.95996     3.655     2.98785   61       \n"
+                       "320.0  0.96797     4.342     2.93112   61       \n"
+                       "420.0  0.96256     4.023     2.95034   61       \n"))
       << r.output;
 }
 

@@ -753,34 +753,36 @@ constexpr GoldenRun kGoldens[] = {
       0x1.4c61b2a5fc374p-3, 0x1.a3422e4f7d4b2p-2, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.64711fce399afp+2, 0x1.08p+5}},
+    // The three heartbeat corners below were re-recorded when the failure
+    // detector began sampling its misses from its own stream split off the
+    // session's (tests/test_detector.cpp checks it against the detector
+    // that ticked every probe, in distribution).
     {"crash-vdm",
-     {0x1.e94d361019c42p+0, 0x1.d0d79435e50d8p+2, 0x1.bdf71ef6f656p+0,
-      0x1.0002926ad774ep+1, 0x1.48e8741addcd6p+2, 0x1p+0,
-      0x1.fp+1, 0x1.1e5096f9118d8p+2, 0x1.daf286bca1af3p+2,
-      0x1.0b8cef900d3p-8, 0x1.026dac905573cp+0, 0x1.817e8494bfdd8p+5,
-      0x1.a3b26b51539d5p+1, 0x1.a11fb2f208addp+0, 0x1.08402b40551fdp+2,
-      0x1.ab66e7144eb66p-1, 0x1.84838b10d21a1p+1, 0x1.7c3f74f0cfd3cp+1,
-      0x1.bc28bbc62d8p+1, 0x1.e7192eb5e3817p+1, 0x1.6cdabf1caf5c3p+2,
-      0x1.dd27ea91a84f7p+0, 0x1.88p+5}},
+     {0x1.e4c37c99bf56p+0, 0x1.e50d79435e50dp+2, 0x1.da19430ac28cdp+0,
+      0x1.0b0beb2a42p+1, 0x1.46f86b2bfde52p+2, 0x1p+0,
+      0x1.ee2ce98b3a62dp+1, 0x1.1aa06551d12adp+2, 0x1.e1af286bca1afp+2,
+      0x1.17483cec409d1p-8, 0x1.0266306de3ac8p+0, 0x1.815f1fcc42d45p+5,
+      0x1.b1fc2de2946fep+1, 0x1.988edf0022f7p+0, 0x1.a678a6ea32b34p+1,
+      0x1.bf7250c4d42aep-1, 0x1.7fb0a6d9ae89fp+1, 0x1.8378eb08cc565p+1,
+      0x1.bc28bbc62d8p+1, 0x1.f3557f3a01611p+1, 0x1.900355f839dfep+2,
+      0x1.f39a28805a95p+0, 0x1.88p+5}},
     {"crash-hmtp",
-     {0x1.be5ac76df713bp+0, 0x1.6bca1af286bcap+2, 0x1.9bffd7d4b20d3p+0,
-      0x1.b7c62da538b68p+0, 0x1.5966f6afd8e9dp+1, 0x1p+0,
-      0x1.f0d79435e50d8p+1, 0x1.1ce1a7d7db8b6p+2, 0x1.daf286bca1af3p+2,
-      0x1.ca1f8a6c98c28p-9, 0x1.41da53c2a2f03p+0, 0x1.e06b40227e1d3p+5,
-      0x1.1ed8adedad69dp+1, 0x1.b5dda9756409bp+0, 0x1.027be57598842p+2,
-      0x1.a47b42da48d3cp-1, 0x1.6f8b01689e297p+1, 0x1.7ca15764445ebp+1,
-      0x1.bf1398763cp+1, 0x1.e5c0281ad6934p+1, 0x1.57c580b44f14cp+2,
-      0x1.1eb2dc86a85d6p+0, 0x1.88p+5}},
-    // Recorded on the heap-timer heartbeats (one PeriodicTimer per member in
-    // a hash map) before they moved onto the session's per-host timer slab.
+     {0x1.c06216dab9df4p+0, 0x1.9af286bca1af3p+2, 0x1.b988eaab2146cp+0,
+      0x1.d35a2aae52aadp+0, 0x1.bf44e8f1a24b3p+1, 0x1p+0,
+      0x1.ee2ce98b3a62dp+1, 0x1.16034baac2f1ep+2, 0x1.e1af286bca1afp+2,
+      0x1.e7372c8eb6a79p-9, 0x1.410c9bb265d81p+0, 0x1.df1f64c87d093p+5,
+      0x1.31757771d26c5p+1, 0x1.d0a222c298973p+0, 0x1.231bb5cbf5545p+2,
+      0x1.cedd64c9db8d3p-1, 0x1.eaa49836027a8p+1, 0x1.7cd8ec0543f7ap+1,
+      0x1.bf1398763cp+1, 0x1.f0904537badadp+1, 0x1.d167488d0c9d4p+2,
+      0x1.21a23ac40726dp+0, 0x1.88p+5}},
     {"flash-heartbeat-vdm",
-     {0x0p+0, 0x0p+0, 0x1.55d9366130aecp+1,
-      0x1.842454157edcfp+1, 0x1.481ca0c0354c8p+4, 0x1p+0,
-      0x1.e5e06c055c94cp+3, 0x1.03526fea7c53fp+4, 0x1.28p+5,
-      0x1.07f12dd50d555p-14, 0x1.421fe7b23f4d4p+4, 0x1.141aeeeeeeeefp+12,
-      0x1.d3a8e0e095d8fp-2, 0x1.c93755e475e1dp-4, 0x1.acc5b07a1e7c5p-1,
-      0x1.c49a1058507a8p-5, 0x1.178011602b9fep-1, 0x1.4p+1,
-      0x1.4p+1, 0x1.4fe1ce61ed5afp+1, 0x1.6027fbb8a4953p+1,
+     {0x0p+0, 0x0p+0, 0x1.5bcd61d52a81fp+1,
+      0x1.900b06b1297dfp+1, 0x1.481ca0c0354c8p+4, 0x1p+0,
+      0x1.03052dfafe08ep+4, 0x1.1c7a20fbd3e51p+4, 0x1.3d55555555555p+5,
+      0x1.397d8d04e5f55p-10, 0x1.4264d0a7fb6fep+4, 0x1.140eaaaaaaaabp+12,
+      0x1.bb18dbb208cap-2, 0x1.f19f74be53172p-4, 0x1.a117111c20e3p-1,
+      0x1.bc31c171840bdp-5, 0x1.0776e3a7a35fdp-1, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
       0x1p+0, 0x1.22p+7}},
     // Recorded while the driver still scheduled the batched timeline on the
     // reactor directly, before every timeline compiled to an event list.

@@ -30,8 +30,9 @@ struct NamedRunConfig {
 /// flash crowd at t = 400 s on the coordinate US underlay, the compressed
 /// timeline, 1 s heartbeats with 3 misses and 1 % extra control loss — the
 /// smoke-size flash_crash_control shape of perfbench. Departures stay
-/// graceful; the failure detector still fires on control-loss false
-/// positives while batched walks attach the crowd.
+/// graceful; every member runs the failure detector while batched walks
+/// attach the crowd, and a control-loss false positive comes about 1.5
+/// times a run (seed 7 happens to draw none).
 inline experiments::RunConfig flash_heartbeat_config(std::uint64_t seed) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kCoordUs;
@@ -52,6 +53,28 @@ inline experiments::RunConfig flash_heartbeat_config(std::uint64_t seed) {
   cfg.session.faults.lossy_control = true;
   cfg.session.faults.control_loss_extra = 0.01;
   cfg.compute_mst_ratio = false;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// The crash-churn corner: 48 members on transit-stub, every departure an
+/// ungraceful crash, 1 s heartbeats with 3 misses and a 0.5 s verdict
+/// timeout over a control plane with 1 % extra loss — reconnection walks
+/// start at the grandparent and the retry/timeout draws interleave with the
+/// failure detector's.
+inline experiments::RunConfig crash_churn_config(experiments::Proto protocol,
+                                                 std::uint64_t seed) {
+  experiments::RunConfig cfg;
+  cfg.substrate = experiments::Substrate::kTransitStub;
+  cfg.protocol = protocol;
+  cfg.scenario.target_members = 48;
+  cfg.scenario.churn_rate = 0.10;
+  cfg.scenario.crash_fraction = 1.0;
+  cfg.session.faults.heartbeat_period = 1.0;
+  cfg.session.faults.heartbeat_misses = 3;
+  cfg.session.faults.heartbeat_timeout = 0.5;
+  cfg.session.faults.lossy_control = true;
+  cfg.session.faults.control_loss_extra = 0.01;
   cfg.seed = seed;
   return cfg;
 }
@@ -111,26 +134,8 @@ inline std::vector<NamedRunConfig> walk_golden_configs() {
   out.push_back({"fig5-btp", fig5(Proto::kBtp)});
   out.push_back({"fig5-random", fig5(Proto::kRandom)});
 
-  // Crash-churn corner: every departure is an ungraceful crash, heartbeat
-  // detection and a lossy control plane — reconnection walks start at the
-  // grandparent and the retry/timeout draws interleave with probe draws.
-  const auto crash = [](Proto p) {
-    RunConfig cfg;
-    cfg.substrate = Substrate::kTransitStub;
-    cfg.protocol = p;
-    cfg.scenario.target_members = 48;
-    cfg.scenario.churn_rate = 0.10;
-    cfg.scenario.crash_fraction = 1.0;
-    cfg.session.faults.heartbeat_period = 1.0;
-    cfg.session.faults.heartbeat_misses = 3;
-    cfg.session.faults.heartbeat_timeout = 0.5;
-    cfg.session.faults.lossy_control = true;
-    cfg.session.faults.control_loss_extra = 0.01;
-    cfg.seed = 7;
-    return cfg;
-  };
-  out.push_back({"crash-vdm", crash(Proto::kVdm)});
-  out.push_back({"crash-hmtp", crash(Proto::kHmtp)});
+  out.push_back({"crash-vdm", crash_churn_config(Proto::kVdm, 7)});
+  out.push_back({"crash-hmtp", crash_churn_config(Proto::kHmtp, 7)});
 
   out.push_back({"flash-heartbeat-vdm", flash_heartbeat_config(7)});
 
