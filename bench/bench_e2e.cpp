@@ -141,10 +141,11 @@ void BM_RunOnceCrashChurn(benchmark::State& state) {
   // of the TreeWalk path and the heartbeat slab: once the arena is warm, a
   // full run allocates nothing (allocs_per_iter == 0, like BM_RunOnceArena).
   const experiments::RunResult last = run_warm(state, cfg);
-  // Share of simulator events fired from a periodic group's ring (the
-  // heartbeat ticks) rather than as heap entries; deterministic per seed.
-  state.counters["group_fire_share"] =
-      static_cast<double>(last.sim_group_fires) /
+  // Share of simulator events that are periodic ticks (here the chunk
+  // clock's: plain VDM runs no refinement) rather than one-shots;
+  // deterministic per seed.
+  state.counters["periodic_share"] =
+      static_cast<double>(last.sim_periodic_fires) /
       static_cast<double>(last.sim_events);
 }
 BENCHMARK(BM_RunOnceCrashChurn)->Arg(200)->Unit(benchmark::kMillisecond);
@@ -364,22 +365,28 @@ BENCHMARK(BM_RunManyScaling)
 // ------------------------------------------------------------ event engine
 
 /// The event engine alone: schedule/fire churn with a live timer population
-/// the size of a paper run's (one re-armed timer per member plus in-flight
-/// control events). allocs_per_iter must be exactly 0 — the slab, the
-/// indexed heap and the inline callables make steady-state scheduling
-/// allocation-free.
+/// the size of a paper run's (one timer per member plus in-flight control
+/// events). allocs_per_iter must be exactly 0 — the slab, the indexed heap
+/// and the inline callables make steady-state scheduling allocation-free.
 void BM_SimScheduleFire(benchmark::State& state) {
   sim::Simulator s;
   std::uint64_t sink = 0;
-  // Pre-grow slab and heap past the working set: 512 self-rescheduling
-  // events with staggered periods, exercising re-arm, cancel and reuse.
+  // Pre-grow slab and heap past the working set: 512 one-shot chains with
+  // staggered periods (each firing schedules its successor, as a retry
+  // backoff does), exercising schedule, cancel and slot reuse.
+  struct Chain {
+    sim::Simulator* s;
+    std::uint64_t* sink;
+    sim::Time period;
+    void operator()() const {
+      ++*sink;
+      s->schedule_in(period, Chain{*this});
+    }
+  };
   constexpr int kTimers = 512;
   for (int i = 0; i < kTimers; ++i) {
     const sim::Time period = 0.5 + 0.001 * static_cast<sim::Time>(i);
-    s.schedule_in(period, [&s, &sink, period] {
-      ++sink;
-      s.reschedule_current_in(period);
-    });
+    s.schedule_in(period, Chain{&s, &sink, period});
   }
   s.run(kTimers * 4);  // steady state before measuring
   // Warm with the exact batch shape below so the slab and heap reach the
@@ -394,7 +401,7 @@ void BM_SimScheduleFire(benchmark::State& state) {
   const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     // One batch: a burst of cancellable one-shots (half cancelled, as churn
-    // control traffic would be) riding on the periodic timer population.
+    // control traffic would be) riding on the chained timer population.
     sim::EventId cancellable = s.schedule_in(0.25, [&sink] { ++sink; });
     s.schedule_in(0.25, [&sink] { ++sink; });
     s.cancel(cancellable);
@@ -407,26 +414,23 @@ void BM_SimScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScheduleFire)->Unit(benchmark::kMicrosecond);
 
-/// The timer shape of flash_crash_control alone: 10,000 members on one 1 s
-/// periodic group (a heartbeat per member) over a heap of 20,000 background
-/// one-off events scattered across the next 1000 s (the up-front workload
-/// events); each one that fires schedules a successor as far out, so the
-/// heap stays that deep and ~20 of them interrupt each simulated second.
-/// One iteration is one simulated second. ns_per_fire is wall time over
-/// every event fired; allocs_per_iter must be exactly 0 once the ring,
-/// slab and heap are warm.
-void BM_SimPeriodicGroup(benchmark::State& state) {
+/// Per-member periodic timers alone: 10,000 members' timers on one 1 s
+/// period (one ring) over a heap of 20,000 background one-off events
+/// scattered across the next 1000 s (the up-front workload events); each
+/// one that fires schedules a successor as far out, so the heap stays that
+/// deep and ~20 of them interrupt each simulated second. One iteration is
+/// one simulated second. ns_per_fire is wall time over every event fired;
+/// allocs_per_iter must be exactly 0 once the ring, slab and heap are warm.
+void BM_SimPeriodicTimers(benchmark::State& state) {
   constexpr std::uint32_t kMembers = 10000;
   constexpr int kBackground = 20000;
   sim::Simulator s;
   std::uint64_t sink = 0;
-  const sim::GroupId group =
-      s.add_periodic_group(1.0, [&sink](std::uint32_t payload) { sink += payload; });
   // Stagger the members' phases over one period, as joins spread over time
   // do.
   for (std::uint32_t m = 0; m < kMembers; ++m) {
     s.run_until(static_cast<sim::Time>(m) / kMembers);
-    s.arm_periodic(group, m);
+    s.schedule_every(1.0, [&sink, m] { sink += m; });
   }
   // Successor delays follow a Weyl sequence: deterministic and scattered
   // over the heap's key range.
@@ -463,7 +467,7 @@ void BM_SimPeriodicGroup(benchmark::State& state) {
   state.counters["fires_per_iter"] = fired / iters;
   state.counters["ns_per_fire"] = ns / fired;
 }
-BENCHMARK(BM_SimPeriodicGroup)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimPeriodicTimers)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------- micro bench
 

@@ -490,7 +490,7 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
                     : 1.0;
   r.final_members = session.tree().alive_count();
   r.sim_events = simulator.executed();
-  r.sim_group_fires = simulator.group_fires();
+  r.sim_periodic_fires = simulator.periodic_fires();
   r.totals = session.totals();
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;

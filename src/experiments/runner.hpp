@@ -124,11 +124,10 @@ struct RunResult {
   std::size_t final_members = 0;
 
   /// Event-engine work, exact and deterministic per seed: events fired
-  /// (Simulator::executed) and, of those, the ticks that fired from a
-  /// periodic group's ring rather than as plain heap entries
-  /// (Simulator::group_fires).
+  /// (Simulator::executed) and, of those, the periodic timers' ticks rather
+  /// than one-shots (Simulator::periodic_fires).
   std::uint64_t sim_events = 0;
-  std::uint64_t sim_group_fires = 0;
+  std::uint64_t sim_periodic_fires = 0;
   /// The session's whole-run counts (Session::totals()): messages, chunks,
   /// joins, and timer work such as heartbeat ticks and crash verdicts.
   overlay::Session::Counters totals;

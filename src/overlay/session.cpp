@@ -102,6 +102,11 @@ Session::~Session() { stop(); }
 
 void Session::start() {
   VDM_REQUIRE_MSG(!started_, "start() called twice");
+  if (protocol_.wants_refinement()) {
+    const sim::Time period = protocol_.refinement_period();
+    VDM_REQUIRE_MSG(std::isfinite(period) && period > 0.0,
+                    "refinement_period must be finite and > 0");
+  }
   started_ = true;
   profile_ = PhaseProfile{};
   // Unconditional: a swapped-in warm tree has matching size but stale
@@ -145,22 +150,9 @@ void Session::start() {
       (params_.faults.heartbeat_period > 0.0 && params_.faults.lossy_control)) {
     tree().set_observer(this);
   }
-  // Every member's refinement timer shares one period, so the timers are
-  // one periodic group (sim::Reactor::add_periodic_group).
-  if (protocol_.wants_refinement()) {
-    refine_group_ = reactor_.add_periodic_group(
-        protocol_.refinement_period(), [this](std::uint32_t h) {
-          ++totals_.refine_ticks;
-          refine(h);
-        });
-  }
   if (params_.data_plane) {
-    // Re-armed in place each tick: no heap timer object per run.
-    const sim::Time period = 1.0 / params_.chunk_rate;
-    stream_event_ = reactor_.schedule_in(period, [this, period] {
-      emit_chunk();
-      reactor_.reschedule_current_in(period);
-    });
+    stream_event_ = reactor_.schedule_every(1.0 / params_.chunk_rate,
+                                            [this] { emit_chunk(); });
   }
 }
 
@@ -647,10 +639,13 @@ void Session::arm_refinement(net::HostId h) {
     slab.resize(tree().num_hosts(), sim::kInvalidEvent);
   }
   if (slab[h] != sim::kInvalidEvent) reactor_.cancel(slab[h]);
-  // A member of the refinement group re-arms after every tick under the
-  // same id, so the stored EventId stays valid for the member's whole
-  // tenure. Disarming mid-tick suppresses the re-arm.
-  slab[h] = reactor_.arm_periodic(refine_group_, h);
+  // Every member's timer shares one period, so they drain from one ring.
+  // The id stays valid across every re-arm for the member's whole tenure;
+  // disarming mid-tick suppresses the re-arm.
+  slab[h] = reactor_.schedule_every(protocol_.refinement_period(), [this, h] {
+    ++totals_.refine_ticks;
+    refine(h);
+  });
 }
 
 void Session::disarm_refinement(net::HostId h) {

@@ -578,12 +578,8 @@ class Session : private MembershipObserver {
   std::uint64_t best_cohort_n_ = 0;
   sim::Time best_cohort_span_ = 0.0;
 
-  /// The data-plane chunk clock: one timer rescheduled in place after each
-  /// tick, so starting the data plane costs no heap timer object per run.
+  /// The data-plane chunk clock, a periodic timer.
   sim::EventId stream_event_ = sim::kInvalidEvent;
-  /// The periodic group every member's refinement timer belongs to;
-  /// registered by start() when the protocol refines.
-  sim::GroupId refine_group_ = 0;
   /// underlay_.zero_loss(), read once by start(): chunks are then counted
   /// from membership instead of flooded edge by edge.
   bool lossless_ = false;

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "util/require.hpp"
@@ -12,7 +11,7 @@ namespace {
 /// Arity of the event heap. 4 keeps the tree shallow (fewer cache lines per
 /// sift) while the min-of-children scan stays register-resident.
 constexpr std::size_t kHeapArity = 4;
-/// Entries a group's ring starts with; it doubles when full.
+/// Entries a ring starts with; it doubles when full.
 constexpr std::size_t kMinRing = 16;
 }  // namespace
 
@@ -32,8 +31,9 @@ void Simulator::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn = nullptr;
   // Stale EventIds now fail the generation check.
-  s.generation = (s.generation + 1) & kGenerationMask;
-  s.heap_pos = kNone;
+  ++s.generation;
+  s.pos = kNone;
+  s.ring = kNone;
   s.next = free_head_;
   free_head_ = slot;
 }
@@ -44,11 +44,11 @@ void Simulator::sift_up(std::size_t pos) {
     const std::size_t parent = (pos - 1) / kHeapArity;
     if (!before(e, heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
+    slots_[heap_[pos].slot].pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
   heap_[pos] = e;
-  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  slots_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
 void Simulator::sift_down(std::size_t pos) {
@@ -64,11 +64,11 @@ void Simulator::sift_down(std::size_t pos) {
     }
     if (!before(heap_[best], e)) break;
     heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
+    slots_[heap_[pos].slot].pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
   heap_[pos] = e;
-  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  slots_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
 void Simulator::heap_push(std::uint32_t slot, Time t, std::uint64_t seq) {
@@ -77,14 +77,14 @@ void Simulator::heap_push(std::uint32_t slot, Time t, std::uint64_t seq) {
 }
 
 void Simulator::heap_remove(std::size_t pos) {
-  slots_[heap_[pos].slot].heap_pos = kNone;
+  slots_[heap_[pos].slot].pos = kNone;
   const std::size_t last = heap_.size() - 1;
   if (pos != last) {
     heap_[pos] = heap_[last];
     heap_.pop_back();
     // The displaced element may belong above or below its new position.
     sift_up(pos);
-    sift_down(slots_[heap_[pos].slot].heap_pos);
+    sift_down(slots_[heap_[pos].slot].pos);
   } else {
     heap_.pop_back();
   }
@@ -107,238 +107,204 @@ EventId Simulator::schedule_in(Time delay, InlineFn fn) {
 
 void Simulator::cancel(EventId id) {
   if (id == kInvalidEvent) return;
-  if ((id & kMemberBit) != 0) {
-    cancel_member(id);
-    return;
-  }
   const std::uint32_t slot = index_of(id);
   if (slot >= slots_.size()) return;
   Slot& s = slots_[slot];
   if (s.generation != generation_of(id)) return;  // already fired or cancelled
   if (slot == firing_slot_) {
-    // Cancelling the event whose callback is running: the firing itself
-    // cannot be undone (matching the old engine, where the callback was
-    // extracted before execution), but any pending re-arm is suppressed.
+    // Cancelling the periodic timer whose tick is running: the tick itself
+    // cannot be undone, but its re-arm is suppressed.
     firing_cancelled_ = true;
     return;
   }
-  heap_remove(s.heap_pos);
+  if (s.ring != kNone) {
+    cancel_periodic(slot);
+    return;
+  }
+  heap_remove(s.pos);
   release_slot(slot);
 }
 
-bool Simulator::reschedule_current_in(Time delay) {
-  VDM_REQUIRE_MSG(delay >= 0.0, "negative delay");
-  if (firing_slot_ == kNone || firing_cancelled_) return false;
-  firing_rearm_ = true;
-  firing_rearm_delay_ = delay;
-  return true;
-}
+// ---------------------------------------------------------- periodic timers
 
-// ----------------------------------------------------------- periodic groups
-
-GroupId Simulator::add_periodic_group(Time period, TickFn tick) {
-  VDM_REQUIRE_MSG(std::isfinite(period) && period > 0.0,
-                  "a periodic group's period must be finite and > 0");
-  VDM_REQUIRE(tick != nullptr);
-  if (num_groups_ == groups_.size()) groups_.push_back(std::make_unique<Group>());
-  Group& g = *groups_[num_groups_];
+std::uint32_t Simulator::ring_for(Time period) {
+  for (std::uint32_t r = 0; r < num_rings_; ++r) {
+    if (rings_[r]->period == period) return r;
+  }
+  if (num_rings_ == rings_.size()) rings_.push_back(std::make_unique<Ring>());
+  Ring& g = *rings_[num_rings_];
   g.period = period;
-  g.tick = std::move(tick);
   g.head = 0;
   g.tail = 0;
   g.slot = acquire_slot();
-  slots_[g.slot].group = num_groups_;
-  return num_groups_++;
+  slots_[g.slot].ring = num_rings_;
+  return num_rings_++;
 }
 
-std::uint32_t Simulator::acquire_member(GroupId group) {
-  std::uint32_t member = free_member_;
-  if (member != kNone) {
-    free_member_ = members_[member].pos;
-  } else {
-    member = static_cast<std::uint32_t>(members_.size());
-    members_.emplace_back();
-  }
-  members_[member].group = group;
-  return member;
-}
-
-void Simulator::release_member(std::uint32_t member) {
-  Member& m = members_[member];
-  m.generation = (m.generation + 1) & kGenerationMask;
-  m.pos = free_member_;
-  free_member_ = member;
-}
-
-void Simulator::grow_ring(Group& g) {
+void Simulator::grow_ring(Ring& g) {
   // Entries keep their free-running indices: index i moves to i & new mask,
-  // so members' recorded positions stay valid.
-  const std::size_t size = std::max(kMinRing, 2 * g.ring.size());
-  std::vector<RingEntry> ring(size);
+  // so timers' recorded positions stay valid.
+  const std::size_t size = std::max(kMinRing, 2 * g.entries.size());
+  std::vector<RingEntry> entries(size);
   const auto mask = static_cast<std::uint32_t>(size - 1);
-  for (std::uint32_t i = g.head; i != g.tail; ++i) ring[i & mask] = g.ring[i & g.mask];
-  g.ring.swap(ring);
+  for (std::uint32_t i = g.head; i != g.tail; ++i) {
+    entries[i & mask] = g.entries[i & g.mask];
+  }
+  g.entries.swap(entries);
   g.mask = mask;
 }
 
-void Simulator::push_member(Group& g, std::uint32_t member, std::uint32_t payload,
-                            Time t) {
-  if (g.tail - g.head == g.ring.size()) grow_ring(g);
+void Simulator::push_timer(Ring& g, std::uint32_t slot, Time t) {
+  if (g.tail - g.head == g.entries.size()) grow_ring(g);
   // Field by field from registers: a ring entry built on the stack and
   // block-copied in stalls store forwarding behind the tick's cache misses.
-  RingEntry& e = g.ring[g.tail & g.mask];
+  RingEntry& e = g.entries[g.tail & g.mask];
   e.t = t;
   e.seq = next_seq_++;
-  e.member = member;
-  e.payload = payload;
-  members_[member].pos = g.tail++;
-  ++ring_members_;
+  e.slot = slot;
+  slots_[slot].pos = g.tail++;
+  ++ring_timers_;
 }
 
-void Simulator::pop_front(Group& g) {
+void Simulator::pop_front(Ring& g) {
   ++g.head;
-  while (g.head != g.tail && g.ring[g.head & g.mask].member == kNone) ++g.head;
+  while (g.head != g.tail && g.entries[g.head & g.mask].slot == kNone) ++g.head;
 }
 
-void Simulator::enter_heap(Group& g) {
+void Simulator::enter_heap(Ring& g) {
   const RingEntry& front = g.front();
   heap_push(g.slot, front.t, front.seq);
-  ++heap_groups_;
+  ++heap_rings_;
 }
 
-EventId Simulator::arm_periodic(GroupId group, std::uint32_t payload) {
-  VDM_REQUIRE(group < num_groups_);
-  Group& g = *groups_[group];
+EventId Simulator::schedule_every(Time period, InlineFn fn) {
+  const Time t = now_ + period;
+  // Rejects a period that is NaN, not > 0, infinite, or so small that the
+  // first deadline rounds back onto now.
+  VDM_REQUIRE_MSG(now_ < t && t < std::numeric_limits<Time>::infinity(),
+                  "a periodic timer's period must be finite, > 0 and move "
+                  "the clock");
+  VDM_REQUIRE(fn != nullptr);
+  const std::uint32_t r = ring_for(period);
+  Ring& g = *rings_[r];
   const bool was_empty = g.empty();
-  const std::uint32_t member = acquire_member(group);
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].ring = r;
   // now_ never decreases, so one period from now is at or after every
-  // member already queued, and the fresh seq breaks the tie: the append
+  // timer already in the ring, and the fresh seq breaks the tie: the append
   // keeps the ring in (t, seq) order.
-  push_member(g, member, payload, now_ + g.period);
-  if (was_empty && group != draining_) enter_heap(g);
-  return kMemberBit | make_id(member, members_[member].generation);
+  push_timer(g, slot, t);
+  if (was_empty && r != draining_) enter_heap(g);
+  return make_id(slot, slots_[slot].generation);
 }
 
-void Simulator::cancel_member(EventId id) {
-  const std::uint32_t member = index_of(id);
-  if (member >= members_.size()) return;
-  const Member m = members_[member];
-  if (m.generation != generation_of(id)) return;  // already cancelled
-  if (member == firing_member_) {
-    firing_cancelled_ = true;  // suppresses the re-arm, as for a plain event
-    return;
-  }
-  Group& g = *groups_[m.group];
-  g.ring[m.pos & g.mask].member = kNone;  // tombstone
-  --ring_members_;
-  release_member(member);
-  if (m.pos != g.head) return;
+void Simulator::cancel_periodic(std::uint32_t slot) {
+  const std::uint32_t r = slots_[slot].ring;
+  const std::uint32_t pos = slots_[slot].pos;
+  Ring& g = *rings_[r];
+  g.entries[pos & g.mask].slot = kNone;  // tombstone
+  --ring_timers_;
+  release_slot(slot);
+  if (pos != g.head) return;
   pop_front(g);
-  if (m.group == draining_) return;  // off the heap until the drain ends
-  Slot& s = slots_[g.slot];
+  if (r == draining_) return;  // off the heap until the drain ends
+  const std::uint32_t at = slots_[g.slot].pos;
   if (g.empty()) {
-    heap_remove(s.heap_pos);
-    --heap_groups_;
+    heap_remove(at);
+    --heap_rings_;
     return;
   }
   // The new head is later in (t, seq) than the old one: the key only grows.
-  HeapEntry& key = heap_[s.heap_pos];
-  key.t = g.front().t;
-  key.seq = g.front().seq;
-  sift_down(s.heap_pos);
+  heap_[at].t = g.front().t;
+  heap_[at].seq = g.front().seq;
+  sift_down(at);
 }
 
 Time Simulator::next_event_time() const {
   Time t = heap_.empty() ? std::numeric_limits<Time>::infinity()
                          : heap_[0].t;
-  if (draining_ != kNone && !groups_[draining_]->empty()) {
-    t = std::min(t, groups_[draining_]->front().t);
+  if (draining_ != kNone && !rings_[draining_]->empty()) {
+    t = std::min(t, rings_[draining_]->front().t);
   }
   return t;
 }
 
 // ------------------------------------------------------------------- firing
 
-void Simulator::fire_top() {
+void Simulator::fire_one_shot() {
   const std::uint32_t slot = heap_[0].slot;
   now_ = heap_[0].t;
   heap_remove(0);
   ++executed_;
-
-  firing_slot_ = slot;
-  firing_cancelled_ = false;
-  firing_rearm_ = false;
-  // Run from a local: the callback may schedule events and grow the slab,
-  // invalidating any reference into slots_.
+  // Spent before it runs: its id is stale inside its own callback, and the
+  // slot is back on the free list, so a successor the callback schedules
+  // (a chain of one-shots, such as a retry backoff) reuses it. The callable
+  // runs from a local.
   InlineFn fn = std::move(slots_[slot].fn);
+  release_slot(slot);
+  in_callback_ = true;
   try {
     fn();
   } catch (...) {
-    // Keep the engine consistent if a callback throws (the old engine
-    // consumed the event before running it): the event is spent, the slot
-    // returns to the free list, and the exception propagates to the caller.
-    release_slot(slot);
-    firing_slot_ = kNone;
-    firing_cancelled_ = false;
-    firing_rearm_ = false;
+    in_callback_ = false;
     throw;
   }
-
-  Slot& s = slots_[slot];  // re-fetch: the slab may have reallocated
-  if (firing_rearm_ && !firing_cancelled_) {
-    // Re-arm in place (single periodic timers): same slot, same generation
-    // — the caller's EventId stays valid — with a fresh sequence number,
-    // exactly as if the callback had scheduled a new event at this point.
-    s.fn = std::move(fn);
-    // now_ is still this event's deadline.
-    heap_push(slot, now_ + firing_rearm_delay_, next_seq_++);
-  } else {
-    release_slot(slot);
-  }
-  firing_slot_ = kNone;
-  firing_cancelled_ = false;
-  firing_rearm_ = false;
+  in_callback_ = false;
 }
 
-std::size_t Simulator::drain_group(Time bound, std::size_t budget) {
-  const GroupId group = slots_[heap_[0].slot].group;
-  Group& g = *groups_[group];  // boxed: stays put if a tick adds a group
+std::size_t Simulator::drain_ring(Time bound, std::size_t budget) {
+  const std::uint32_t r = slots_[heap_[0].slot].ring;
+  Ring& g = *rings_[r];  // boxed: stays put if a tick registers a ring
   heap_remove(0);
-  --heap_groups_;
-  draining_ = group;
+  --heap_rings_;
+  draining_ = r;
   std::size_t fired = 0;
   for (;;) {
-    const RingEntry& front = g.front();
-    const Time t = front.t;
-    const std::uint32_t member = front.member;
-    const std::uint32_t payload = front.payload;
+    const Time t = g.front().t;
+    const std::uint32_t slot = g.front().slot;
     pop_front(g);
-    --ring_members_;
+    --ring_timers_;
     now_ = t;
     ++executed_;
-    ++group_fires_;
+    ++periodic_fires_;
     ++fired;
-    firing_member_ = member;
+    firing_slot_ = slot;
     firing_cancelled_ = false;
+    in_callback_ = true;
+    // Run from a local: the tick may schedule events and grow the slab,
+    // invalidating any reference into slots_.
+    InlineFn fn = std::move(slots_[slot].fn);
     try {
-      g.tick(payload);
+      fn();
     } catch (...) {
-      // The member is spent, as a throwing plain event is; the rest of the
-      // group goes back on the heap before the exception propagates.
-      release_member(member);
-      firing_member_ = kNone;
-      firing_cancelled_ = false;
+      // The timer is spent, as a throwing one-shot is; the rest of the ring
+      // goes back on the heap before the exception propagates.
+      firing_slot_ = kNone;
+      in_callback_ = false;
+      release_slot(slot);
       end_drain(g);
       throw;
     }
-    // The re-arm takes its seq after everything the tick scheduled.
+    firing_slot_ = kNone;
+    in_callback_ = false;
     if (firing_cancelled_) {
-      release_member(member);
+      release_slot(slot);
     } else {
-      push_member(g, member, payload, t + g.period);
+      // The re-arm takes its seq after everything the tick scheduled, one
+      // period after this deadline, which must move the clock here too: a
+      // period that moved it at the arm can round away in a coarser binade.
+      const Time due = t + g.period;
+      if (!(due > t)) {
+        release_slot(slot);
+        end_drain(g);
+        throw util::InvariantError(
+            "a periodic timer's period no longer moves the clock at its "
+            "deadline");
+      }
+      slots_[slot].fn = std::move(fn);
+      push_timer(g, slot, due);
     }
-    firing_member_ = kNone;
-    firing_cancelled_ = false;
     if (fired == budget || g.empty()) break;
     const RingEntry& next = g.front();
     if (next.t > bound) break;
@@ -351,14 +317,14 @@ std::size_t Simulator::drain_group(Time bound, std::size_t budget) {
   return fired;
 }
 
-void Simulator::end_drain(Group& g) {
+void Simulator::end_drain(Ring& g) {
   draining_ = kNone;
   if (!g.empty()) enter_heap(g);
 }
 
 std::size_t Simulator::fire_next(Time bound, std::size_t budget) {
-  if (slots_[heap_[0].slot].group != kNone) return drain_group(bound, budget);
-  fire_top();
+  if (slots_[heap_[0].slot].ring != kNone) return drain_ring(bound, budget);
+  fire_one_shot();
   return 1;
 }
 
@@ -387,36 +353,28 @@ std::size_t Simulator::run_until(Time t) {
 // ------------------------------------------------------------------ upkeep
 
 void Simulator::reset() {
-  slots_.clear();
+  slots_.clear();  // drops the finished run's callables
   heap_.clear();
   free_head_ = kNone;
-  heap_groups_ = 0;
-  for (std::uint32_t i = 0; i < num_groups_; ++i) {
-    groups_[i]->tick = nullptr;  // drop captures of the finished run
-  }
-  num_groups_ = 0;
-  members_.clear();
-  free_member_ = kNone;
-  ring_members_ = 0;
+  heap_rings_ = 0;
+  num_rings_ = 0;
+  ring_timers_ = 0;
   now_ = kTimeZero;
   next_seq_ = 1;
   executed_ = 0;
-  group_fires_ = 0;
+  periodic_fires_ = 0;
   firing_slot_ = kNone;
-  firing_member_ = kNone;
   draining_ = kNone;
   firing_cancelled_ = false;
-  firing_rearm_ = false;
-  firing_rearm_delay_ = kTimeZero;
+  in_callback_ = false;
 }
 
 std::size_t Simulator::capacity_bytes() const {
   std::size_t bytes = slots_.capacity() * sizeof(Slot) +
                       heap_.capacity() * sizeof(HeapEntry) +
-                      members_.capacity() * sizeof(Member) +
-                      groups_.capacity() * sizeof(std::unique_ptr<Group>);
-  for (const std::unique_ptr<Group>& g : groups_) {
-    bytes += sizeof(Group) + g->ring.capacity() * sizeof(RingEntry);
+                      rings_.capacity() * sizeof(std::unique_ptr<Ring>);
+  for (const std::unique_ptr<Ring>& g : rings_) {
+    bytes += sizeof(Ring) + g->entries.capacity() * sizeof(RingEntry);
   }
   return bytes;
 }

@@ -4,21 +4,21 @@
 
 namespace vdm::transport {
 
-// One schedule_in at construction, then each tick re-arms the same slot in
-// place (id never changes); stop() from inside the tick suppresses the
-// re-arm via the backend's firing-cancelled check.
 PeriodicTimer::PeriodicTimer(sim::Reactor& reactor, sim::Time interval,
                              sim::InlineFn fn)
     : reactor_(reactor), interval_(interval), fn_(std::move(fn)) {
   // A zero interval would re-arm at the same instant forever.
   VDM_REQUIRE(interval_ > 0.0);
   VDM_REQUIRE(fn_ != nullptr);
+  // Not schedule_every from here: UdpReactor counts a periodic timer's
+  // first period from its timer clock, which lags now() after I/O-only
+  // waits, and would fire the lagging ticks in a burst. Inside the first
+  // tick the timer clock is that tick's deadline.
   pending_ = reactor_.schedule_in(interval_, [this] {
     fn_();
+    // A stop() inside the tick has cleared pending_ and arms nothing.
     if (running_) {
-      reactor_.reschedule_current_in(interval_);
-    } else {
-      pending_ = sim::kInvalidEvent;
+      pending_ = reactor_.schedule_every(interval_, [this] { fn_(); });
     }
   });
 }

@@ -45,12 +45,13 @@ struct RetryPolicy {
 };
 
 /// RAII periodic timer over any sim::Reactor: runs `fn` every `interval`
-/// seconds (> 0) starting at now + interval, until destroyed or stop()ped.
-/// One slot for life (each tick re-arms in place), and stop() from inside
-/// the tick suppresses the re-arm. For timers bound to a scope, such as
-/// vdmd's chunk and heartbeat clocks; Session keeps per-member timers as
-/// plain EventIds in slabs instead, re-armed with the same
-/// reschedule_current_in idiom.
+/// seconds (> 0) starting at now() + interval, until destroyed or
+/// stop()ped; stop() from inside a tick suppresses the re-arm. For timers
+/// bound to a scope, such as vdmd's chunk and heartbeat clocks; Session
+/// keeps its timers as plain EventIds instead. The first tick is a one-shot
+/// from now() that arms a Reactor::schedule_every timer at its own
+/// deadline, so each later tick is due one interval after the previous
+/// deadline: on the DES, at exactly the (t, seq) of a chain of one-shots.
 class PeriodicTimer {
  public:
   PeriodicTimer(sim::Reactor& reactor, sim::Time interval, sim::InlineFn fn);

@@ -260,28 +260,33 @@ void RetrySender::send_tracked(std::uint32_t token, const PeerAddr& to,
   p.attempts = 1;
   p.cur_timeout = policy_.timeout;
   transport_.send(to, buf.bytes.first(p.len));
-  // One timer for the request's life: each retransmission re-arms it in
-  // place, so complete() cancels by the id taken here.
-  p.timer = reactor_.schedule_in(p.cur_timeout, [this, token] {
-    const auto it = pending_.find(token);
-    if (it == pending_.end()) return;
-    Pending& pend = it->second;
-    if (pend.attempts > policy_.max_retries) {
-      VDM_WARN() << "retry budget exhausted for token " << token << " to "
-                 << format_peer(pend.to) << " after " << pend.attempts
-                 << " attempts";
-      ++give_ups_;
-      buffers_.release(pend.slot);
-      pending_.erase(it);
-      return;
-    }
-    ++pend.attempts;
-    ++retransmissions_;
-    transport_.send(pend.to, buffers_.bytes(pend.slot).first(pend.len));
-    pend.cur_timeout = policy_.next_timeout(pend.cur_timeout);
-    reactor_.reschedule_current_in(pend.cur_timeout);
-  });
+  p.deadline = reactor_.now() + p.cur_timeout;
+  p.timer =
+      reactor_.schedule_at(p.deadline, [this, token] { retransmit(token); });
   pending_.emplace(token, p);
+}
+
+void RetrySender::retransmit(std::uint32_t token) {
+  const auto it = pending_.find(token);
+  if (it == pending_.end()) return;
+  Pending& pend = it->second;
+  if (pend.attempts > policy_.max_retries) {
+    VDM_WARN() << "retry budget exhausted for token " << token << " to "
+               << format_peer(pend.to) << " after " << pend.attempts
+               << " attempts";
+    ++give_ups_;
+    buffers_.release(pend.slot);
+    pending_.erase(it);
+    return;
+  }
+  ++pend.attempts;
+  ++retransmissions_;
+  transport_.send(pend.to, buffers_.bytes(pend.slot).first(pend.len));
+  // The backoff grows, so each retry is a one-shot that schedules the next.
+  pend.cur_timeout = policy_.next_timeout(pend.cur_timeout);
+  pend.deadline += pend.cur_timeout;
+  pend.timer =
+      reactor_.schedule_at(pend.deadline, [this, token] { retransmit(token); });
 }
 
 bool RetrySender::complete(std::uint32_t token) {

@@ -74,7 +74,7 @@ class UdpSocket final : public Transport {
 /// The wall-clock backend of the clock seam (sim::Reactor): the same slab
 /// timer engine the DES uses (a private sim::Simulator), paced by the
 /// monotonic clock, with UDP sockets poll(2)-multiplexed into the waits.
-/// Timer semantics — ids, cancel, in-place re-arm, periodic groups — are
+/// Timer semantics — ids, cancel, one-shot and periodic timers — are
 /// therefore identical to the simulation backend by construction; only the
 /// pacing differs.
 class UdpReactor final : public sim::Reactor {
@@ -84,20 +84,17 @@ class UdpReactor final : public sim::Reactor {
   sim::Time now() const override;
   sim::EventId schedule_at(sim::Time t, sim::InlineFn fn) override;
   sim::EventId schedule_in(sim::Time delay, sim::InlineFn fn) override;
-  void cancel(sim::EventId id) override { timers_.cancel(id); }
-  bool reschedule_current_in(sim::Time delay) override {
-    return timers_.reschedule_current_in(delay);
-  }
-  sim::GroupId add_periodic_group(sim::Time period, sim::TickFn tick) override {
-    return timers_.add_periodic_group(period, std::move(tick));
-  }
   /// Due one period from the timer clock (the deadline being dispatched, or
   /// the wall time of the last timer pump), not from now(): a wall-clock
   /// deadline could fall after a re-arm appended later (deadline + period
-  /// on the timer clock) and break the ring's (t, seq) order.
-  sim::EventId arm_periodic(sim::GroupId group, std::uint32_t payload) override {
-    return timers_.arm_periodic(group, payload);
+  /// on the timer clock) and break its ring's (t, seq) order. After an
+  /// I/O-only wait the timer clock lags wall time, so a timer armed there
+  /// would fire the ticks that fall behind wall time in one burst; arm from
+  /// inside a callback, as transport::PeriodicTimer's first tick does.
+  sim::EventId schedule_every(sim::Time period, sim::InlineFn fn) override {
+    return timers_.schedule_every(period, std::move(fn));
   }
+  void cancel(sim::EventId id) override { timers_.cancel(id); }
 
   /// Runs timers and socket I/O until wall time `t` (seconds since
   /// construction) or stop(). Returns timers fired.
@@ -143,8 +140,9 @@ class UdpReactor final : public sim::Reactor {
 /// tracked request keeps its encoded frame in a recycled pool buffer and
 /// retransmits on a RetryPolicy schedule until complete(token) or retries
 /// exhaust (a WARN log, matching the simulator's reliable-with-retries
-/// semantics where exhaustion is latency, not failure). Each request holds
-/// one timer for life, re-armed in place after every retransmission.
+/// semantics where exhaustion is latency, not failure). Each retransmission
+/// is a one-shot that schedules the next at its own deadline plus the next
+/// backoff timeout.
 class RetrySender {
  public:
   RetrySender(sim::Reactor& reactor, Transport& transport, BufferPool& buffers,
@@ -176,8 +174,15 @@ class RetrySender {
     std::uint16_t len = 0;
     int attempts = 0;
     sim::Time cur_timeout = 0.0;
+    /// When the pending timer fires; the next retry counts from it, not
+    /// from the wall time at which its callback runs.
+    sim::Time deadline = 0.0;
     sim::EventId timer = sim::kInvalidEvent;
   };
+
+  /// The retry timer of `token` fired: retransmit and schedule the next
+  /// retry, or give up.
+  void retransmit(std::uint32_t token);
 
   sim::Reactor& reactor_;
   Transport& transport_;

@@ -1,5 +1,5 @@
 // Edge cases of the slab event engine (cancel semantics, slot reuse,
-// in-callback re-entrancy, periodic groups against a reference queue) plus the
+// in-callback re-entrancy, periodic timers against a reference queue) plus the
 // cross-engine determinism regression:
 // whole-run golden scalars that pin the bit-determinism contract across
 // event-engine rewrites.
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -77,58 +78,94 @@ TEST(SimulatorEdge, CancelInsideOwnCallbackDoesNotBreakEngine) {
 }
 
 TEST(SimulatorEdge, PeriodicStopFromInsideOwnTick) {
-  // The single-timer idiom (the chunk clock, transport::PeriodicTimer): one
-  // id re-armed in place every tick, stopped by cancelling that id from
-  // inside its own tick.
+  // A lone periodic timer (the chunk clock): one id across every re-arm,
+  // stopped by cancelling that id from inside its own tick.
   Simulator s;
   int ticks = 0;
   EventId timer = kInvalidEvent;
-  timer = s.schedule_in(1.0, [&] {
+  timer = s.schedule_every(1.0, [&] {
     if (++ticks == 3) s.cancel(timer);
-    EXPECT_EQ(s.reschedule_current_in(1.0), ticks < 3);
   });
   s.run_until(10.0);
   EXPECT_EQ(ticks, 3);
   EXPECT_EQ(s.pending(), 0u);
   EXPECT_DOUBLE_EQ(s.now(), 10.0);
+  EXPECT_EQ(s.periodic_fires(), 3u);
   s.cancel(timer);  // stale after the self-stop: a no-op
   EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SimulatorEdge, GroupMemberStopsFromInsideOwnTick) {
-  // The per-member timer idiom (heartbeats, refinement ticks): members of
-  // one periodic group re-arm by themselves under a stable id until one is
-  // cancelled from inside its own tick — as a heartbeat verdict does.
+  // Per-member timers (refinement ticks): timers of one period share a ring
+  // and re-arm by themselves under stable ids until one is cancelled from
+  // inside its own tick.
   Simulator s;
-  std::vector<std::uint32_t> order;
+  std::vector<int> order;
   EventId first = kInvalidEvent;
-  const GroupId g = s.add_periodic_group(1.0, [&](std::uint32_t payload) {
-    order.push_back(payload);
-    if (payload == 1 && order.size() >= 5) s.cancel(first);
+  first = s.schedule_every(1.0, [&] {
+    order.push_back(1);
+    if (order.size() >= 5) s.cancel(first);
   });
-  first = s.arm_periodic(g, 1);
   s.run_until(0.5);
-  s.arm_periodic(g, 2);
+  s.schedule_every(1.0, [&] { order.push_back(2); });
   s.run_until(4.0);
-  // Member 1 ticks at 1, 2, 3; member 2 at 1.5, 2.5, 3.5. Member 1's third
+  // Timer 1 ticks at 1, 2, 3; timer 2 at 1.5, 2.5, 3.5. Timer 1's third
   // tick (the fifth overall) stops it.
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 1, 2, 1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 2, 1, 2}));
   EXPECT_EQ(s.pending(), 1u);
   EXPECT_DOUBLE_EQ(s.next_event_time(), 4.5);
-  EXPECT_EQ(s.group_fires(), 6u);
+  EXPECT_EQ(s.periodic_fires(), 6u);
   s.cancel(first);  // stale after the self-stop: a no-op
   EXPECT_EQ(s.pending(), 1u);
 }
 
 TEST(SimulatorEdge, PeriodicGroupRejectsABadPeriod) {
   Simulator s;
-  const auto tick = [](std::uint32_t) {};
-  EXPECT_THROW(s.add_periodic_group(0.0, tick), util::InvariantError);
-  EXPECT_THROW(s.add_periodic_group(-1.0, tick), util::InvariantError);
-  EXPECT_THROW(s.add_periodic_group(std::numeric_limits<Time>::quiet_NaN(), tick),
+  const auto tick = [] {};
+  EXPECT_THROW(s.schedule_every(0.0, tick), util::InvariantError);
+  EXPECT_THROW(s.schedule_every(-1.0, tick), util::InvariantError);
+  EXPECT_THROW(s.schedule_every(std::numeric_limits<Time>::quiet_NaN(), tick),
                util::InvariantError);
-  EXPECT_THROW(s.add_periodic_group(std::numeric_limits<Time>::infinity(), tick),
+  EXPECT_THROW(s.schedule_every(std::numeric_limits<Time>::infinity(), tick),
                util::InvariantError);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SimulatorEdge, PeriodicTimerRejectsAPeriodThatRoundsAwayAtTheArm) {
+  // 1 + 2^-60 == 1: the timer would tick at one instant forever.
+  Simulator s;
+  s.run_until(1.0);
+  EXPECT_THROW(s.schedule_every(std::ldexp(1.0, -60), [] {}),
+               util::InvariantError);
+  EXPECT_EQ(s.pending(), 0u);
+  // At t = 0 the same period moves the clock.
+  Simulator fresh;
+  int ticks = 0;
+  fresh.schedule_every(std::ldexp(1.0, -60), [&] { ++ticks; });
+  fresh.run(2);
+  EXPECT_EQ(ticks, 2);
+}
+
+TEST(SimulatorEdge, PeriodicTimerRejectsAPeriodThatRoundsAwayAtARearm) {
+  // Armed at 2 - 2^-52 with period 0.6 * 2^-52, the first deadline rounds
+  // up to 2, but in [2, 4) the spacing doubles and 2 + 0.6 * 2^-52 rounds
+  // back to 2: the re-arm would not move the clock.
+  Simulator s;
+  s.run_until(std::nextafter(2.0, 0.0));
+  int ticks = 0;
+  const EventId timer =
+      s.schedule_every(0.6 * std::ldexp(1.0, -52), [&] { ++ticks; });
+  int later = 0;
+  s.schedule_at(3.0, [&] { ++later; });
+  EXPECT_THROW(s.run_until(3.0), util::InvariantError);
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(s.now(), 2.0);
+  // The timer is spent, and the engine runs on.
+  EXPECT_EQ(s.pending(), 1u);
+  s.cancel(timer);  // stale: a no-op
+  EXPECT_EQ(s.run_until(3.0), 1u);
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SimulatorEdge, PendingIsAccurateUnderCancelChurn) {
@@ -152,54 +189,59 @@ TEST(SimulatorEdge, PendingIsAccurateUnderCancelChurn) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
-// ------------------------------------------------------- group equivalence
-// Plain events sit in the heap; members of a periodic group sit in their
-// group's ring, and the group holds one heap entry that a drain takes off
-// while it fires consecutive members. That must be invisible: a seeded mix
-// of every queue operation runs against a reference queue ordered by
-// (t, seq), and after each operation — and inside every callback — the
-// firing order, pending(), next_event_time(), executed() and group_fires()
-// must match it exactly.
+// ------------------------------------------------------- timer equivalence
+// One-shots sit in the heap; periodic timers sit in the ring of their
+// period, and the ring holds one heap entry that a drain takes off while it
+// fires consecutive ticks. That must be invisible: a seeded mix of every
+// queue operation runs against a reference queue ordered by (t, seq), and
+// after each operation — and inside every callback — the firing order,
+// pending(), next_event_time(), executed(), periodic_fires() and
+// in_callback() must match it exactly.
 
 struct Boom {};  // thrown by a callback; step(), run() and run_until() propagate it
 
-class GroupEquivalence {
+class TimerEquivalence {
  public:
-  explicit GroupEquivalence(std::uint64_t seed) : rng_(seed) { add_groups(); }
+  explicit TimerEquivalence(std::uint64_t seed) : rng_(seed) {}
 
   /// Runs `ops` random operations, checking the engine after each one.
   void run(int ops) {
     for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
       operate();
+      inside_ = false;
       check();
     }
   }
 
   // Coverage of the paths the mix is meant to reach.
-  std::uint64_t group_fires = 0;
-  std::uint64_t heap_fires = 0;
-  int member_cancels[3] = {0, 0, 0};  // head, middle, tail of a group
-  int self_cancels = 0;        // a tick cancelled its own member
-  int mid_drain_plain = 0;     // a tick scheduled a plain event due before
-                               // its group's next member
-  int bound_mid_drain = 0;     // run_until stopped with a drained group pending
-  int counted_member_fires = 0;  // members fired by step() or run(n)
-  int member_throws = 0;
-  int resets_with_members = 0;
-  std::size_t max_group = 0;   // largest population of one ring
-  std::uint64_t appends = 0;   // arms plus re-arms
+  std::uint64_t periodic_fires = 0;
+  std::uint64_t one_shot_fires = 0;
+  int ring_cancels[3] = {0, 0, 0};  // head, middle, tail of a ring
+  int self_cancels = 0;        // a tick cancelled its own timer
+  int mid_drain_one_shots = 0;  // a tick scheduled a one-shot due before
+                                // its ring's next tick
+  int bound_mid_drain = 0;     // run_until stopped with a drained ring pending
+  int counted_ticks = 0;       // ticks fired by step() or run(n)
+  int tick_throws = 0;
+  int resets_with_timers = 0;
+  int shared_ring = 0;       // consecutive ticks of one ring, two owners
+  int cross_ring_arms = 0;   // a tick armed a timer of another period
+  int chained = 0;           // one-shots that scheduled their successor last
+  std::size_t max_ring = 0;  // largest population of one ring
+  std::uint64_t appends = 0;  // arms plus re-arms
 
  private:
   using Key = std::pair<Time, std::uint64_t>;
-  static constexpr int kGroups = 3;
+  static constexpr int kRings = 3;
   // An exact and an inexact binary fraction among the periods, so equal
   // deadlines (seq breaks ties) and rounded sums both occur.
-  static constexpr Time kPeriods[kGroups] = {1.0, 0.3, 0.125};
+  static constexpr Time kPeriods[kRings] = {1.0, 0.3, 0.125};
   struct Token {
     EventId id = kInvalidEvent;
     Key key;
-    int group = -1;     // -1: a plain event
-    Time delay = 0.0;   // a plain event's re-arm period
+    int ring = -1;      // -1: a one-shot
+    int owner = 0;      // which of two callables a periodic timer runs
+    Time delay = 0.0;   // a one-shot's delay, which its successor repeats
   };
 
   static constexpr Time kDelays[] = {0.0, 0.125, 0.25, 0.5, 0.75, 1.0,
@@ -209,57 +251,55 @@ class GroupEquivalence {
   }
   std::int64_t draw(std::int64_t n) { return rng_.uniform_int(0, n - 1); }
 
-  void add_groups() {
-    for (int g = 0; g < kGroups; ++g) {
-      EXPECT_EQ(sim_.add_periodic_group(
-                    kPeriods[g], [this, g](std::uint32_t token) {
-                      tick(g, static_cast<int>(token));
-                    }),
-                static_cast<GroupId>(g));
-      population_[g] = 0;
-    }
-  }
-
   void enqueue(int token, Key key) {
     Token& tok = tokens_[token];
     tok.key = key;
     queue_[key] = token;
-    if (tok.group >= 0) {
+    if (tok.ring >= 0) {
       ++appends;
-      max_group = std::max(max_group, ++population_[tok.group]);
+      max_ring = std::max(max_ring, ++population_[tok.ring]);
     }
   }
   void dequeue(int token) {
     const Token& tok = tokens_[token];
     queue_.erase(tok.key);
-    if (tok.group >= 0) --population_[tok.group];
+    if (tok.ring >= 0) --population_[tok.ring];
   }
 
-  /// Schedules a plain event whose re-arm repeats its delay: at an absolute
-  /// time through schedule_at, or `delay` from now through schedule_in.
-  void schedule_plain(bool absolute, Time t, Time delay) {
+  /// Schedules a one-shot: at an absolute time through schedule_at, or
+  /// `delay` from now through schedule_in.
+  void schedule_one_shot(bool absolute, Time t, Time delay) {
     const int token = next_token_++;
     tokens_[token].delay = delay;
     tokens_[token].id =
-        absolute ? sim_.schedule_at(t, [this, token] { fire_plain(token); })
-                 : sim_.schedule_in(delay, [this, token] { fire_plain(token); });
+        absolute ? sim_.schedule_at(t, [this, token] { fire_one_shot(token); })
+                 : sim_.schedule_in(delay, [this, token] { fire_one_shot(token); });
     enqueue(token, {absolute ? t : now_ + delay, seq_++});
   }
   void schedule() {
     if (rng_.chance(0.5)) {
-      // Coarse offsets collide with member deadlines and each other.
-      schedule_plain(true, now_ + 0.125 * static_cast<Time>(draw(17)), draw_delay());
+      // Coarse offsets collide with tick deadlines and each other.
+      schedule_one_shot(true, now_ + 0.125 * static_cast<Time>(draw(17)),
+                        draw_delay());
     } else {
-      schedule_plain(false, 0.0, draw_delay());
+      schedule_one_shot(false, 0.0, draw_delay());
     }
   }
 
-  void arm(int group) {
+  /// Arms a periodic timer on `ring`. Its owner picks one of two callables
+  /// of different types: a ring is per period, not per callable.
+  void arm(int ring) {
     const int token = next_token_++;
-    tokens_[token].group = group;
-    tokens_[token].id = sim_.arm_periodic(static_cast<GroupId>(group),
-                                          static_cast<std::uint32_t>(token));
-    enqueue(token, {now_ + kPeriods[group], seq_++});
+    Token& tok = tokens_[token];
+    tok.ring = ring;
+    tok.owner = static_cast<int>(draw(2));
+    tok.id = tok.owner == 0
+                 ? sim_.schedule_every(kPeriods[ring], [this, token] { tick(token); })
+                 : sim_.schedule_every(kPeriods[ring], [this, token, ring] {
+                     EXPECT_EQ(tokens_[token].ring, ring);
+                     tick(token);
+                   });
+    enqueue(token, {now_ + kPeriods[ring], seq_++});
   }
 
   void forget(int token) {
@@ -268,23 +308,23 @@ class GroupEquivalence {
     tokens_.erase(token);
   }
 
-  /// Pending members of `group` in (t, seq) order.
-  std::vector<int> members_of(int group) const {
+  /// Pending timers of `ring` in (t, seq) order.
+  std::vector<int> timers_of(int ring) const {
     std::vector<int> out;
     for (const auto& [key, token] : queue_) {
-      if (tokens_.at(token).group == group) out.push_back(token);
+      if (tokens_.at(token).ring == ring) out.push_back(token);
     }
     return out;
   }
 
-  /// Picks a pending token: the head, a middle member or the tail of a
-  /// random group's ring, else any.
+  /// Picks a pending token: the head, a middle timer or the tail of a
+  /// random ring, else any.
   int pick_pending(bool by_position) {
     if (by_position) {
-      const std::vector<int> ring = members_of(static_cast<int>(draw(kGroups)));
+      const std::vector<int> ring = timers_of(static_cast<int>(draw(kRings)));
       if (ring.size() >= 3) {
         const int where = static_cast<int>(draw(3));
-        ++member_cancels[where];
+        ++ring_cancels[where];
         const std::size_t at =
             where == 0 ? 0
             : where == 2
@@ -312,11 +352,11 @@ class GroupEquivalence {
     if (op < 200) {
       schedule();
     } else if (op < 320) {
-      arm(static_cast<int>(draw(kGroups)));
+      arm(static_cast<int>(draw(kRings)));
     } else if (op < 330) {
       // A burst: one ring outgrows its capacity several times over.
-      const int group = static_cast<int>(draw(kGroups));
-      for (int i = 0; i < 48; ++i) arm(group);
+      const int ring = static_cast<int>(draw(kRings));
+      for (int i = 0; i < 48; ++i) arm(ring);
     } else if (op < 450) {
       cancel_pending(op < 410);
     } else if (op < 470) {
@@ -325,10 +365,10 @@ class GroupEquivalence {
             draw(static_cast<std::int64_t>(stale_.size())))]);
       }
     } else if (op < 880) {
-      // step() and run(n): one member counts as one event.
+      // step() and run(n): one tick counts as one event.
       const std::size_t n = op < 760 ? 1 : 1 + static_cast<std::size_t>(draw(5));
       const std::uint64_t fired_before = fires_;
-      const std::uint64_t members_before = member_fires_;
+      const std::uint64_t ticks_before = tick_fires_;
       try {
         if (n == 1) {
           const bool had_pending = !queue_.empty();
@@ -343,36 +383,37 @@ class GroupEquivalence {
         }
       } catch (const Boom&) {
       }
-      counted_member_fires += static_cast<int>(member_fires_ - members_before);
+      counted_ticks += static_cast<int>(tick_fires_ - ticks_before);
     } else if (op < 997) {
       const Time until = now_ + rng_.uniform(0.0, 2.0);
-      const std::uint64_t members_before = member_fires_;
+      const std::uint64_t ticks_before = tick_fires_;
       bound_ = until;
       try {
         sim_.run_until(until);
         bound_ = std::numeric_limits<Time>::infinity();
         now_ = until;
         EXPECT_TRUE(queue_.empty() || queue_.begin()->first.first > until);
-        if (member_fires_ > members_before && last_group_ >= 0 &&
-            population_[last_group_] > 0) {
+        if (tick_fires_ > ticks_before && last_ring_ >= 0 &&
+            population_[last_ring_] > 0) {
           ++bound_mid_drain;
         }
       } catch (const Boom&) {
         bound_ = std::numeric_limits<Time>::infinity();
       }
     } else {
-      group_fires += sim_.group_fires();
-      heap_fires += sim_.executed() - sim_.group_fires();
-      if (population_[0] + population_[1] + population_[2] > 0) ++resets_with_members;
-      sim_.reset();
+      periodic_fires += sim_.periodic_fires();
+      one_shot_fires += sim_.executed() - sim_.periodic_fires();
+      if (population_[0] + population_[1] + population_[2] > 0) ++resets_with_timers;
+      sim_.reset();  // drops the rings, keeping their storage
       queue_.clear();
       tokens_.clear();
       stale_.clear();  // generations restart with the slab: not stale any more
+      std::fill(std::begin(population_), std::end(population_), 0);
       now_ = 0.0;
       seq_ = 1;
       fires_ = 0;
-      member_fires_ = 0;
-      add_groups();  // reset() drops the groups; their rings are reused
+      tick_fires_ = 0;
+      last_ring_ = -1;
     }
   }
 
@@ -387,65 +428,53 @@ class GroupEquivalence {
     now_ = first->first.first;
     dequeue(token);
     ++fires_;
+    inside_ = true;
     check();
   }
 
-  void fire_plain(int token) {
+  void fire_one_shot(int token) {
     fired(token);
-    const EventId self = tokens_[token].id;
-    bool rearm = false;
-    bool cancelled = false;
-    Time rearm_delay = 0.0;
-    const auto rearm_with = [&](Time d) {
-      EXPECT_EQ(sim_.reschedule_current_in(d), !cancelled);
-      if (!cancelled) {
-        rearm = true;
-        rearm_delay = d;
-      }
+    last_ring_ = -1;
+    const Time delay = tokens_[token].delay;
+    // A timer whose delay changes between firings is a one-shot that
+    // schedules its successor as its last act.
+    const auto chain = [&](Time d) {
+      ++chained;
+      schedule_one_shot(false, 0.0, d);
     };
     const std::int64_t act = draw(100);
-    if (act < 35) {
-      rearm_with(tokens_[token].delay);  // the single-timer idiom
+    if (act < 30) {
+      chain(delay);  // the same delay: what schedule_every replaces
+    } else if (act < 40) {
+      chain(draw_delay());  // a changing delay, as a retry backoff has
     } else if (act < 45) {
-      rearm_with(draw_delay());
-      if (act < 40) rearm_with(draw_delay());  // the last call wins
-    } else if (act < 50) {
-      rearm_with(tokens_[token].delay);
-      sim_.cancel(self);  // a verdict inside the tick: suppresses the re-arm
-      cancelled = true;
-      rearm = false;
-    } else if (act < 60) {
-      cancel_pending(act < 56);
-      if (act % 2 == 0) rearm_with(tokens_[token].delay);
-    } else if (act < 68) {
-      // The re-arm takes its seq after everything the callback scheduled.
-      if (act % 2 == 0) rearm_with(tokens_[token].delay);
-      if (act < 64) {
+      sim_.cancel(tokens_[token].id);  // the firing one-shot: benign
+    } else if (act < 55) {
+      cancel_pending(act < 51);
+      if (act % 2 == 0) chain(delay);
+    } else if (act < 65) {
+      if (act < 60) {
         schedule();
       } else {
-        arm(static_cast<int>(draw(kGroups)));
+        arm(static_cast<int>(draw(kRings)));
       }
-    } else if (act < 71) {
-      if (act % 2 == 0) rearm_with(tokens_[token].delay);
-      forget(token);  // a throwing callback spends its event, re-arm or not
+      if (act % 2 == 0) chain(delay);
+    } else if (act < 68) {
+      if (act % 2 == 0) chain(delay);  // scheduled before the throw: it stays
+      forget(token);
       throw Boom{};
     }
     check();
-    if (rearm) {
-      tokens_[token].delay = rearm_delay;
-      enqueue(token, {now_ + rearm_delay, seq_++});
-    } else {
-      forget(token);
-    }
+    forget(token);
   }
 
-  void tick(int group, int token) {
-    ++member_fires_;
-    last_group_ = group;
-    EXPECT_EQ(tokens_[token].group, group);
+  void tick(int token) {
+    const int ring = tokens_[token].ring;
+    ++tick_fires_;
+    if (last_ring_ == ring && last_owner_ != tokens_[token].owner) ++shared_ring;
+    last_ring_ = ring;
+    last_owner_ = tokens_[token].owner;
     fired(token);
-    // Members re-arm by themselves; the single-timer re-arm is refused.
-    EXPECT_FALSE(sim_.reschedule_current_in(kPeriods[group]));
     bool cancelled = false;
     const std::int64_t act = draw(100);
     if (act < 40) {
@@ -456,20 +485,22 @@ class GroupEquivalence {
       ++self_cancels;
       if (act % 2 == 0) sim_.cancel(tokens_[token].id);  // twice: still benign
     } else if (act < 58) {
-      cancel_pending(act < 54);  // often this ring's next member
+      cancel_pending(act < 54);  // often this ring's next timer
     } else if (act < 70) {
-      // A plain event due before the group's next member fires in between,
+      // A one-shot due before the ring's next tick fires in between,
       // mid-drain.
-      const std::vector<int> ring = members_of(group);
-      const Time next = ring.empty() ? now_ + kPeriods[group]
-                                     : tokens_[ring.front()].key.first;
-      if (!ring.empty() && next > now_) ++mid_drain_plain;
-      schedule_plain(true, now_ + (act % 2 == 0 ? 0.0 : 0.5 * (next - now_)),
-                     draw_delay());
+      const std::vector<int> next_ticks = timers_of(ring);
+      const Time next = next_ticks.empty() ? now_ + kPeriods[ring]
+                                           : tokens_[next_ticks.front()].key.first;
+      if (!next_ticks.empty() && next > now_) ++mid_drain_one_shots;
+      schedule_one_shot(true, now_ + (act % 2 == 0 ? 0.0 : 0.5 * (next - now_)),
+                        draw_delay());
     } else if (act < 84) {
-      arm(act < 78 ? group : static_cast<int>(draw(kGroups)));
+      const int other = act < 78 ? ring : static_cast<int>(draw(kRings));
+      if (other != ring) ++cross_ring_arms;
+      arm(other);
     } else if (act < 87) {
-      ++member_throws;
+      ++tick_throws;
       forget(token);  // spent: a throwing tick does not re-arm
       throw Boom{};
     } else {
@@ -479,7 +510,7 @@ class GroupEquivalence {
     if (cancelled) {
       forget(token);
     } else {
-      enqueue(token, {now_ + kPeriods[group], seq_++});
+      enqueue(token, {now_ + kPeriods[ring], seq_++});
     }
   }
 
@@ -490,7 +521,8 @@ class GroupEquivalence {
               queue_.empty() ? std::numeric_limits<Time>::infinity()
                              : queue_.begin()->first.first);
     EXPECT_EQ(sim_.executed(), fires_);
-    EXPECT_EQ(sim_.group_fires(), member_fires_);
+    EXPECT_EQ(sim_.periodic_fires(), tick_fires_);
+    EXPECT_EQ(sim_.in_callback(), inside_);
   }
 
   util::Rng rng_;
@@ -498,43 +530,48 @@ class GroupEquivalence {
   std::map<Key, int> queue_;     // the reference: pending (t, seq) -> token
   std::map<int, Token> tokens_;  // pending (or firing) events by token
   std::vector<EventId> stale_;   // ids of fired and cancelled events
-  std::size_t population_[kGroups] = {0, 0, 0};  // pending members per group
+  std::size_t population_[kRings] = {0, 0, 0};  // pending timers per ring
   Time now_ = 0.0;
   Time bound_ = std::numeric_limits<Time>::infinity();  // of a running run_until
   std::uint64_t seq_ = 1;  // mirrors the engine's sequence counter
   std::uint64_t fires_ = 0;
-  std::uint64_t member_fires_ = 0;
-  int last_group_ = -1;  // the group of the latest member tick
+  std::uint64_t tick_fires_ = 0;
+  bool inside_ = false;  // a callback is running
+  int last_ring_ = -1;   // the ring of the latest event, -1 after a one-shot
+  int last_owner_ = -1;
   int next_token_ = 0;
 };
 
-void expect_groups_match_reference(std::uint64_t seed) {
-  GroupEquivalence mix(seed);
+void expect_timers_match_reference(std::uint64_t seed) {
+  TimerEquivalence mix(seed);
   mix.run(10000);
   if (::testing::Test::HasFailure()) return;
   // The mix reached every path it exists to cover.
-  EXPECT_GT(mix.group_fires, 0u);
-  EXPECT_GT(mix.heap_fires, 0u);
-  EXPECT_GT(mix.member_cancels[0], 0);
-  EXPECT_GT(mix.member_cancels[1], 0);
-  EXPECT_GT(mix.member_cancels[2], 0);
+  EXPECT_GT(mix.periodic_fires, 0u);
+  EXPECT_GT(mix.one_shot_fires, 0u);
+  EXPECT_GT(mix.ring_cancels[0], 0);
+  EXPECT_GT(mix.ring_cancels[1], 0);
+  EXPECT_GT(mix.ring_cancels[2], 0);
   EXPECT_GT(mix.self_cancels, 0);
-  EXPECT_GT(mix.mid_drain_plain, 0);
+  EXPECT_GT(mix.mid_drain_one_shots, 0);
   EXPECT_GT(mix.bound_mid_drain, 0);
-  EXPECT_GT(mix.counted_member_fires, 0);
-  EXPECT_GT(mix.member_throws, 0);
-  EXPECT_GT(mix.resets_with_members, 0);
+  EXPECT_GT(mix.counted_ticks, 0);
+  EXPECT_GT(mix.tick_throws, 0);
+  EXPECT_GT(mix.resets_with_timers, 0);
+  EXPECT_GT(mix.shared_ring, 0);
+  EXPECT_GT(mix.cross_ring_arms, 0);
+  EXPECT_GT(mix.chained, 0);
   // Rings start at 16 entries: growth, and wrap-around many times over.
-  EXPECT_GT(mix.max_group, 64u);
-  EXPECT_GT(mix.appends, 100 * mix.max_group);
+  EXPECT_GT(mix.max_ring, 64u);
+  EXPECT_GT(mix.appends, 100 * mix.max_ring);
 }
 
 TEST(SimulatorEdge, GroupsMatchReferenceQueueSeed1) {
-  expect_groups_match_reference(1);
+  expect_timers_match_reference(1);
 }
 
 TEST(SimulatorEdge, GroupsMatchReferenceQueueSeed7919) {
-  expect_groups_match_reference(7919);
+  expect_timers_match_reference(7919);
 }
 
 // ------------------------------------------------------------- determinism
@@ -608,12 +645,12 @@ TEST(SimulatorEdge, RunOnceGoldenGeoVdmRefine) {
   EXPECT_EQ(r.final_members, 33u);
 }
 
-// Where a run's events fire from, pinned exactly: periodic groups carry
-// only refinement ticks, so plain VDM fires nothing from a group; the
-// failure detector's probes are counted, not fired, and its events (the
-// end of each batch of sampled miss streaks, and verdicts) fire from the
-// heap with everything else. Integers, so a fresh run and a warm arena
-// replay must agree to the unit.
+// Where a run's events fire from, pinned exactly: the chunk clock is a
+// periodic timer (20,000 ticks at 2 chunks/s over the 10,000 s run), and
+// plain VDM arms no refinement timers; the failure detector's probes are
+// counted, not fired, and its events (the end of each batch of sampled miss
+// streaks, and verdicts) are one-shots with everything else. Integers, so a
+// fresh run and a warm arena replay must agree to the unit.
 TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kTransitStub;
@@ -629,7 +666,7 @@ TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   cfg.seed = 7;
   const experiments::RunResult fresh = experiments::run_once(cfg);
   EXPECT_EQ(fresh.sim_events, 20920u);
-  EXPECT_EQ(fresh.sim_group_fires, 0u);
+  EXPECT_EQ(fresh.sim_periodic_fires, 20000u);
   EXPECT_EQ(fresh.totals.heartbeat_ticks, 295674u);
   EXPECT_EQ(fresh.totals.refine_ticks, 0u);  // plain VDM: no refinement timers
   EXPECT_EQ(fresh.totals.verdicts_true, 49u);
@@ -639,7 +676,7 @@ TEST(SimulatorEdge, RunOnceEventAndGroupFireCountsArePinned) {
   for (int i = 0; i < 2; ++i) {
     const experiments::RunResult warm = experiments::run_once(cfg, scratch);
     EXPECT_EQ(warm.sim_events, fresh.sim_events);
-    EXPECT_EQ(warm.sim_group_fires, fresh.sim_group_fires);
+    EXPECT_EQ(warm.sim_periodic_fires, fresh.sim_periodic_fires);
     EXPECT_EQ(warm.totals.heartbeat_ticks, fresh.totals.heartbeat_ticks);
     EXPECT_EQ(warm.totals.verdicts_true, fresh.totals.verdicts_true);
     EXPECT_EQ(warm.totals.verdicts_false, fresh.totals.verdicts_false);

@@ -1,5 +1,5 @@
-// Transport tests (DESIGN.md §14): PeriodicTimer's equivalence with an
-// in-place re-armed event, the UdpReactor over real loopback sockets, and
+// Transport tests (DESIGN.md §14): PeriodicTimer's equivalence with a
+// chain of one-shots, the UdpReactor over real loopback sockets, and
 // the RetrySender's retransmission schedule (driven deterministically on the
 // DES backend, the simulator itself).
 
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -24,27 +25,37 @@ using transport::PeerAddr;
 // -------------------------------------------------------------- PeriodicTimer
 
 TEST(PeriodicTimer, MatchesInPlaceRearmFireTimes) {
-  // The session's slab timers re-arm a raw event id in place; the RAII
-  // timer must tick at exactly the same instants, from the same slot.
+  // The exact reference: a one-shot that schedules its successor as its
+  // last act. Every tick also schedules a one-shot due with the next tick;
+  // that one took the earlier seq, so it must fire first on both sides.
+  using Log = std::vector<std::pair<sim::Time, int>>;
+  struct Chain {
+    sim::Simulator* s;
+    Log* log;
+    void operator()() const {
+      log->emplace_back(s->now(), 0);
+      s->schedule_in(0.25, [s = s, log = log] { log->emplace_back(s->now(), 1); });
+      s->schedule_in(0.25, Chain{*this});
+    }
+  };
   sim::Simulator sim_a;
-  std::vector<sim::Time> fires_a;
-  sim_a.schedule_in(0.25, [&] {
-    fires_a.push_back(sim_a.now());
-    sim_a.reschedule_current_in(0.25);
-  });
+  Log log_a;
+  sim_a.schedule_in(0.25, Chain{&sim_a, &log_a});
 
   sim::Simulator sim_b;
-  std::vector<sim::Time> fires_b;
-  transport::PeriodicTimer timer(sim_b, 0.25,
-                                 [&] { fires_b.push_back(sim_b.now()); });
+  Log log_b;
+  transport::PeriodicTimer timer(sim_b, 0.25, [&] {
+    log_b.emplace_back(sim_b.now(), 0);
+    sim_b.schedule_in(0.25, [&] { log_b.emplace_back(sim_b.now(), 1); });
+  });
 
   sim_a.run_until(2.0);
   sim_b.run_until(2.0);
-  ASSERT_EQ(fires_a.size(), 8u);
-  EXPECT_EQ(fires_a, fires_b);
-  // Same slab slot and generation on both sides: the ids agree too.
-  const sim::EventId other = sim_b.schedule_in(1.0, [] {});
-  EXPECT_EQ(sim_a.schedule_in(1.0, [] {}), other);
+  ASSERT_EQ(log_a.size(), 15u);  // 8 ticks, 7 one-shots due by 2.0
+  EXPECT_EQ(log_a, log_b);
+  EXPECT_EQ(sim_a.executed(), sim_b.executed());
+  // After the first tick, a one-shot, the timer fires from its ring.
+  EXPECT_EQ(sim_b.periodic_fires(), 7u);
 }
 
 TEST(PeriodicTimer, FiresRepeatedly) {
@@ -214,18 +225,17 @@ TEST(UdpReactor, TimersFireInOrderAndNowNeverRewinds) {
 }
 
 TEST(UdpReactor, PeriodicGroupMembersTickUntilCancelled) {
-  // The per-member timer idiom runs on the wall clock too: two members of
-  // one 10 ms group tick in arm order, and a member cancelled from its own
-  // tick (a heartbeat verdict) stops while the other keeps ticking.
+  // Per-member periodic timers run on the wall clock too: two 10 ms timers
+  // share one ring and tick in arm order, and a timer cancelled from its own
+  // tick (a verdict) stops while the other keeps ticking.
   transport::UdpReactor reactor;
   std::vector<std::uint32_t> ticks;
   sim::EventId first = sim::kInvalidEvent;
-  const sim::GroupId group = reactor.add_periodic_group(0.01, [&](std::uint32_t p) {
-    ticks.push_back(p);
-    if (p == 1 && ticks.size() >= 3) reactor.cancel(first);
+  first = reactor.schedule_every(0.01, [&] {
+    ticks.push_back(1);
+    if (ticks.size() >= 3) reactor.cancel(first);
   });
-  first = reactor.arm_periodic(group, 1);
-  reactor.arm_periodic(group, 2);
+  reactor.schedule_every(0.01, [&] { ticks.push_back(2); });
   reactor.run_until(0.055);
   ASSERT_GE(ticks.size(), 5u);
   EXPECT_EQ(std::vector<std::uint32_t>(ticks.begin(), ticks.begin() + 5),
@@ -355,7 +365,8 @@ TEST(RetrySender, BackoffCapsAtTimeoutMax) {
 }
 
 TEST(RetrySender, OneTimerPerRequestForLife) {
-  // Each retransmission re-arms the request's own timer in place: the
+  // Each retransmission is a one-shot that schedules the next; a one-shot
+  // is spent before its callback runs, so the next one reuses its slot: the
   // simulator never holds a second slot for it, however many retries run.
   sim::Simulator sim;
   RecordingTransport transport;

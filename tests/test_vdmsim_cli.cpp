@@ -83,8 +83,21 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
        "heartbeat_timeout"},
       {"--members 16 --seeds 1 --heartbeat-period 1 --heartbeat-timeout nan",
        "heartbeat_timeout"},
-      // A refinement period of 0 used to re-arm forever at one instant.
-      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period 0", ""},
+      // A refinement period that is not a finite number > 0 used to blame
+      // "a periodic group's period" in the engine; 1e-300 passes that check
+      // but vanishes when added to any join time, and used to re-arm at one
+      // instant forever. The engine rejects a period that does not move
+      // the clock.
+      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period 0",
+       "refinement_period"},
+      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period -1",
+       "refinement_period"},
+      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period nan",
+       "refinement_period"},
+      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period inf",
+       "refinement_period"},
+      {"--members 16 --seeds 1 --protocol hmtp --hmtp-period 1e-300",
+       "move the clock"},
       // A retry timeout that is negative or not finite used to print a
       // negative, NaN or infinite reconnect time.
       {"--members 16 --seeds 1 --control-loss 0.3 --retry-timeout -1",
@@ -153,7 +166,7 @@ TEST(VdmsimCli, TrajectoryAndProfileCountersArePinned) {
       "--settle 20 --trajectory --profile");
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_TRUE(contains(r.output,
-                       "  sim events 4285 (group fires 1728, heap fires 2557)\n"
+                       "  sim events 4285 (periodic 2728, one-shot 1557)\n"
                        "  timers: heartbeat ticks 53551, refine ticks 1728, "
                        "verdicts 7 true / 284 false\n"))
       << r.output;

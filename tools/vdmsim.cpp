@@ -81,7 +81,7 @@ int usage() {
       "               serial; results are bit-identical for any value)\n"
       "  --profile    print a per-phase wall-time footer (join / refine /\n"
       "               flood / metrics, summed across seeds) after the table,\n"
-      "               with event (group / heap) and timer counts\n"
+      "               with event (periodic / one-shot) and timer counts\n"
       "  --quiet      suppress the per-seed progress line on stderr\n"
       "  --trace-joins  print one line per tree-walk step (forces --threads 1;\n"
       "               pair with small --members/--seeds, it is verbose)\n"
@@ -323,7 +323,7 @@ int run_cli(int argc, char** argv) {
 
   if (cfg.session.profile) {
     double join = 0.0, refine = 0.0, flood = 0.0, metrics_t = 0.0;
-    unsigned long long events = 0, group_fires = 0, heartbeats = 0,
+    unsigned long long events = 0, periodic = 0, heartbeats = 0,
                        refine_ticks = 0, verdicts_true = 0, verdicts_false = 0;
     for (const RunResult& r : agg.runs) {
       join += r.profile_join_secs;
@@ -331,7 +331,7 @@ int run_cli(int argc, char** argv) {
       flood += r.profile_flood_secs;
       metrics_t += r.profile_metrics_secs;
       events += r.sim_events;
-      group_fires += r.sim_group_fires;
+      periodic += r.sim_periodic_fires;
       heartbeats += r.totals.heartbeat_ticks;
       refine_ticks += r.totals.refine_ticks;
       verdicts_true += r.totals.verdicts_true;
@@ -340,12 +340,12 @@ int run_cli(int argc, char** argv) {
     std::printf(
         "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
         "metrics %.3fs\n"
-        "  sim events %llu (group fires %llu, heap fires %llu)\n"
+        "  sim events %llu (periodic %llu, one-shot %llu)\n"
         "  timers: heartbeat ticks %llu, refine ticks %llu, verdicts %llu true"
         " / %llu false\n"
         "  run-threads %d, sweep workers %zu\n",
-        agg.runs.size(), join, refine, flood, metrics_t, events, group_fires,
-        events - group_fires, heartbeats, refine_ticks, verdicts_true,
+        agg.runs.size(), join, refine, flood, metrics_t, events, periodic,
+        events - periodic, heartbeats, refine_ticks, verdicts_true,
         verdicts_false, cfg.session.threads, sweep.threads);
   }
 
