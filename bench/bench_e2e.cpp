@@ -96,7 +96,8 @@ BENCHMARK(BM_RunOnceTransitStub)
 /// Runs `cfg` once to warm an arena, then times run_once into it and
 /// reports the zero-allocation gate: arena_grow_per_iter and allocs_per_iter
 /// must both read exactly 0 once the arena owns every buffer the shape
-/// needs. Returns the last timed run's result.
+/// needs. arena_mb is the heap the arena holds after the timed loop
+/// (deterministic per shape). Returns the last timed run's result.
 experiments::RunResult run_warm(benchmark::State& state,
                                 const experiments::RunConfig& cfg) {
   experiments::RunScratch scratch;
@@ -114,6 +115,7 @@ experiments::RunResult run_warm(benchmark::State& state,
   state.counters["arena_grow_per_iter"] =
       static_cast<double>(scratch.grow_events() - grows_before) / iters;
   state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  state.counters["arena_mb"] = static_cast<double>(scratch.capacity_bytes()) / (1 << 20);
   return last;
 }
 
@@ -285,6 +287,7 @@ void BM_FlashCrowd(benchmark::State& state) {
       baseline.join_rate > 0.0 ? joins_per_sec / baseline.join_rate : 0.0;
   state.counters["arena_grow_per_iter"] =
       static_cast<double>(scratch.grow_events() - grows_before) / iters;
+  state.counters["arena_mb"] = static_cast<double>(scratch.capacity_bytes()) / (1 << 20);
 }
 BENCHMARK(BM_FlashCrowd)
     ->Arg(8192)

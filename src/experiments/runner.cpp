@@ -419,6 +419,9 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
     build_events(config, scenario);
     overlay::ScenarioDriver driver(session, config.scenario, root.split(2),
                                    &scenario);
+    // After the driver's scenario checks, so a non-finite total_time is
+    // named as such rather than as too many chunks.
+    overlay::check_chunk_budget(sp, config.scenario.total_time);
     // Two 8-byte captures on purpose: MeasureFn is a std::function, and a
     // third capture would spill the lambda past the small-buffer limit —
     // one heap allocation per run, which the zero-alloc arena contract

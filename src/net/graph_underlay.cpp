@@ -1,6 +1,7 @@
 #include "net/graph_underlay.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/require.hpp"
 
@@ -22,32 +23,35 @@ GraphUnderlay::GraphUnderlay(Graph graph, std::vector<NodeId> hosts)
   for (const NodeId v : hosts_) VDM_REQUIRE(v < graph_.num_nodes());
 }
 
-const Router::PathStats& GraphUnderlay::pair(HostId a, HostId b) const {
-  VDM_REQUIRE(a < hosts_.size() && b < hosts_.size());
-  if (cached_version_ != graph_.version()) {
-    ++epoch_;  // O(1) invalidation of every cached pair
-    cached_version_ = graph_.version();
-    const std::size_t n = hosts_.size();
-    const std::size_t want = n * (n - 1) / 2;
-    if (pair_stats_.size() != want) {
-      // First use, or a rebind() changed the host count. assign() keeps the
-      // previously grown capacity, so same-sized rebuilds are free.
-      pair_stats_.resize(want);
-      pair_epoch_.assign(want, 0);
-    }
-  }
-  const std::size_t i = pair_index(a, b);
-  if (pair_epoch_[i] != epoch_) {
-    // Canonical low -> high orientation: on an undirected graph both
-    // directions traverse the same links, so caching one makes the result
-    // deterministic in query order and exactly symmetric (the reverse walk
-    // could differ in the last ulps of the delay sum / loss product).
-    const HostId lo = a < b ? a : b;
-    const HostId hi = a < b ? b : a;
-    pair_stats_[i] = router_.path_stats(hosts_.at(lo), hosts_.at(hi));
-    pair_epoch_[i] = epoch_;
-  }
-  return pair_stats_[i];
+GraphUnderlay::PairMemo& GraphUnderlay::memo(HostId lo, HostId hi) const {
+  const std::size_t n = hosts_.size();
+  VDM_REQUIRE(lo < hi && hi < n);
+  // resize() from empty keeps the capacity an earlier same-sized topology
+  // grew, so refilling after a rebind() allocates nothing.
+  if (pairs_.empty()) pairs_.resize(n * (n - 1) / 2);
+  return pairs_[static_cast<std::size_t>(lo) * n -
+                static_cast<std::size_t>(lo) * (lo + 1) / 2 + (hi - lo - 1)];
+}
+
+// Both reads use the canonical low -> high orientation: on an undirected
+// graph both directions traverse the same links, so memoizing one makes the
+// value deterministic in query order and exactly symmetric (the reverse walk
+// could differ in the last ulps of the delay sum / loss product).
+
+sim::Time GraphUnderlay::delay(HostId a, HostId b) const {
+  if (a == b) return 0.0;
+  if (a > b) std::swap(a, b);
+  PairMemo& m = memo(a, b);
+  if (std::isnan(m.delay)) m.delay = router_.delay(hosts_[a], hosts_[b]);
+  return m.delay;
+}
+
+double GraphUnderlay::loss(HostId a, HostId b) const {
+  if (a == b) return 0.0;
+  if (a > b) std::swap(a, b);
+  PairMemo& m = memo(a, b);
+  if (std::isnan(m.loss)) m.loss = router_.path_loss(hosts_[a], hosts_[b]);
+  return m.loss;
 }
 
 std::vector<LinkId> GraphUnderlay::path(HostId a, HostId b) const {
@@ -72,20 +76,17 @@ void GraphUnderlay::rebind(Graph graph, std::vector<NodeId> hosts) {
   hosts_ = std::move(hosts);
   VDM_REQUIRE_MSG(!hosts_.empty(), "an underlay needs at least one host");
   for (const NodeId v : hosts_) VDM_REQUIRE(v < graph_.num_nodes());
-  // The rebuilt graph carries a strictly newer version (Graph::clear bumps
-  // it), so the router cache and the pair cache invalidate lazily on first
-  // query; forcing it here keeps rebind() robust even against an identical
-  // version (e.g. a caller that swapped in a fresh Graph object).
+  // Cleared here rather than on a version change: a caller may swap in a
+  // fresh Graph object whose version matches the old one.
   router_.clear_cache();
-  cached_version_ = ~0ull;
+  pairs_.clear();
   zero_loss_ = all_links_lossless(graph_);
 }
 
 std::size_t GraphUnderlay::arena_capacity_bytes() const {
   return graph_.capacity_bytes() + router_.cache_capacity_bytes() +
          hosts_.capacity() * sizeof(NodeId) +
-         pair_stats_.capacity() * sizeof(Router::PathStats) +
-         pair_epoch_.capacity() * sizeof(std::uint64_t);
+         pairs_.capacity() * sizeof(PairMemo);
 }
 
 }  // namespace vdm::net

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -16,12 +16,13 @@ namespace vdm::net {
 /// generators create them as leaves hanging off stub routers with access
 /// links, matching how GT-ITM experiments place end systems.
 ///
-/// Host-pair queries are memoized in a flat triangular delay/loss/hops
-/// cache filled lazily from the router's fused path walk. Repeated probes
-/// of the same pair — the common case under refinement, churn, and the
-/// per-chunk data plane — are a single array read. The cache is stamped
-/// per-pair with an epoch that bumps when Graph::version() changes, so
-/// invalidation is O(1) and allocation-free.
+/// Host-pair delays and losses are memoized in a flat triangular table of
+/// {delay, loss} slots, one per unordered pair, each value NaN until its
+/// first read: a delay fills from the router tree's distance in O(1), a
+/// loss from one walk along the path. Repeated probes of the same pair —
+/// the common case under refinement, churn, and the per-chunk data plane —
+/// are a single array read. The table is sized on its first read and
+/// cleared by rebind(), the only way the graph changes.
 class GraphUnderlay final : public Underlay {
  public:
   /// Takes ownership of the graph. `hosts` maps HostId -> graph vertex.
@@ -30,20 +31,15 @@ class GraphUnderlay final : public Underlay {
   /// Movable (the router is re-bound to the moved graph); not copyable.
   GraphUnderlay(GraphUnderlay&& other) noexcept
       : graph_(std::move(other.graph_)), hosts_(std::move(other.hosts_)),
-        router_(graph_), pair_stats_(std::move(other.pair_stats_)),
-        pair_epoch_(std::move(other.pair_epoch_)), epoch_(other.epoch_),
-        cached_version_(other.cached_version_), zero_loss_(other.zero_loss_) {}
+        router_(graph_), pairs_(std::move(other.pairs_)),
+        zero_loss_(other.zero_loss_) {}
   GraphUnderlay& operator=(GraphUnderlay&&) = delete;
   GraphUnderlay(const GraphUnderlay&) = delete;
   GraphUnderlay& operator=(const GraphUnderlay&) = delete;
 
   std::size_t num_hosts() const override { return hosts_.size(); }
-  sim::Time delay(HostId a, HostId b) const override {
-    return a == b ? 0.0 : pair(a, b).delay;
-  }
-  double loss(HostId a, HostId b) const override {
-    return a == b ? 0.0 : pair(a, b).loss;
-  }
+  sim::Time delay(HostId a, HostId b) const override;
+  double loss(HostId a, HostId b) const override;
   std::vector<LinkId> path(HostId a, HostId b) const override;
   void for_each_path_link(HostId a, HostId b,
                           util::FunctionRef<void(LinkId)> visit) const override;
@@ -53,11 +49,6 @@ class GraphUnderlay final : public Underlay {
   /// when a topology is seated (constructor, rebind()): links never change
   /// in between.
   bool zero_loss() const override { return zero_loss_; }
-
-  /// IP hop count of the unicast path a -> b (0 for a == b / unreachable).
-  std::size_t path_hops(HostId a, HostId b) const {
-    return a == b ? 0 : pair(a, b).hops;
-  }
 
   const Graph& graph() const { return graph_; }
   const Router& router() const { return router_; }
@@ -75,9 +66,9 @@ class GraphUnderlay final : public Underlay {
   /// rebind() seats a new topology.
   void release(Graph& graph_out, std::vector<NodeId>& hosts_out);
 
-  /// Seats a freshly built topology, keeping the capacity of every cache.
-  /// The router and pair caches invalidate via the graph's monotone
-  /// version, exactly as a mutation would.
+  /// Seats a freshly built topology, keeping the capacity of every cache:
+  /// the router's trees and the pair table are cleared here and refilled
+  /// on their first reads.
   void rebind(Graph graph, std::vector<NodeId> hosts);
 
   /// Heap bytes reserved by the graph, router cache, pair cache and host
@@ -85,24 +76,22 @@ class GraphUnderlay final : public Underlay {
   std::size_t arena_capacity_bytes() const;
 
  private:
-  /// Strict-upper-triangle index of the unordered host pair {a, b}, a != b.
-  std::size_t pair_index(HostId a, HostId b) const {
-    if (a > b) std::swap(a, b);
-    const std::size_t n = hosts_.size();
-    return static_cast<std::size_t>(a) * n -
-           static_cast<std::size_t>(a) * (a + 1) / 2 + (b - a - 1);
-  }
+  /// One unordered host pair's values in canonical low -> high orientation,
+  /// each NaN until its first read.
+  struct PairMemo {
+    double delay = std::numeric_limits<double>::quiet_NaN();
+    double loss = std::numeric_limits<double>::quiet_NaN();
+  };
+  static_assert(sizeof(PairMemo) == 16);
 
-  const Router::PathStats& pair(HostId a, HostId b) const;
+  /// The memo of hosts lo < hi, sizing the table on the first read.
+  PairMemo& memo(HostId lo, HostId hi) const;
 
   Graph graph_;
   std::vector<NodeId> hosts_;
   Router router_;
 
-  mutable std::vector<Router::PathStats> pair_stats_;  // triangular, lazy
-  mutable std::vector<std::uint64_t> pair_epoch_;
-  mutable std::uint64_t epoch_ = 1;
-  mutable std::uint64_t cached_version_ = ~0ull;
+  mutable std::vector<PairMemo> pairs_;  // strict upper triangle, by (lo, hi)
   bool zero_loss_ = false;
 };
 

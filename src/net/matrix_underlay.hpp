@@ -12,10 +12,10 @@ namespace vdm::net {
 /// "network usage" (sum of used virtual-link latencies, §5.3 of the paper)
 /// falls out of the same accounting as stress does on a router graph.
 ///
-/// delay()/loss() are already O(1) matrix reads (this substrate *is* the
-/// host-pair cache GraphUnderlay builds lazily); the fast-path work here is
-/// the allocation-free pseudo-link visitor and an O(log n) link -> pair
-/// inversion via precomputed triangle row offsets.
+/// delay()/loss() are already O(1) matrix reads (this substrate is given
+/// the full host-pair table that GraphUnderlay fills one value at a time);
+/// the fast-path work here is the allocation-free pseudo-link visitor and
+/// an O(log n) link -> pair inversion via precomputed triangle row offsets.
 class MatrixUnderlay final : public Underlay {
  public:
   /// `delay` must be an n*n row-major matrix of one-way delays with a zero

@@ -52,20 +52,14 @@ void Router::heap_sift_down(std::size_t pos) const {
 
 const Router::Sssp& Router::tree_for(NodeId src) const {
   if (cached_version_ != graph_.version()) {
-    ++epoch_;  // O(1) invalidation of every memoized tree
+    clear_cache();
     cached_version_ = graph_.version();
   }
   const std::size_t n = graph_.num_nodes();
   VDM_REQUIRE(src < n);
-  if (trees_.size() < n) {
-    trees_.resize(n);
-    tree_epoch_.resize(n, 0);
-  }
+  if (trees_.size() < n) trees_.resize(n);
   Sssp& sssp = trees_[src];
-  if (tree_epoch_[src] != epoch_) {
-    recompute_tree(src, sssp);
-    tree_epoch_[src] = epoch_;
-  }
+  if (sssp.dist.empty()) recompute_tree(src, sssp);
   return sssp;
 }
 
@@ -76,7 +70,6 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
   // after an invalidation allocates nothing in steady state.
   sssp.dist.assign(n, kInf);
   sssp.parent_link.assign(n, kInvalidLink);
-  sssp.parent_node.assign(n, kInvalidNode);
   sssp.dist[src] = 0.0;
 
   // Dijkstra on an indexed 4-ary heap with decrease-key: every node is in
@@ -110,7 +103,6 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
       if (nd < sssp.dist[arc.to]) {
         sssp.dist[arc.to] = nd;
         sssp.parent_link[arc.to] = arc.link;
-        sssp.parent_node[arc.to] = top.node;
         const std::uint32_t pos = heap_pos_[arc.to];
         if (pos == kSettled) continue;       // defensive; cannot happen
         if (graph_.degree(arc.to) <= 1) continue;  // leaf: settled in place
@@ -139,47 +131,28 @@ std::vector<LinkId> Router::path(NodeId src, NodeId dst) const {
 }
 
 double Router::path_loss(NodeId src, NodeId dst) const {
-  return path_stats(src, dst).loss;
-}
-
-std::size_t Router::hop_count(NodeId src, NodeId dst) const {
-  return path_stats(src, dst).hops;
-}
-
-Router::PathStats Router::path_stats(NodeId src, NodeId dst) const {
-  if (src == dst) return {};
-  const Sssp& sssp = tree_for(src);
-  if (sssp.parent_node[dst] == kInvalidNode) return {kInf, 0.0, 0};
-  // One walk answers delay, loss and hops together. The delivery product
-  // multiplies link factors dst -> src; the forward-order product of the old
-  // separate path()/path_loss() pair is identical because every factor is
-  // drawn from the same link set (floating-point multiplication here is
-  // order-stable to the last bit only for the common 1-2 link case, so the
-  // equivalence tests compare with EXPECT_DOUBLE_EQ).
   double deliver = 1.0;
-  std::uint32_t hops = 0;
-  for (NodeId at = dst; at != src; at = sssp.parent_node[at]) {
-    deliver *= 1.0 - graph_.link(sssp.parent_link[at]).loss;
-    ++hops;
-  }
-  return {sssp.dist[dst], 1.0 - deliver, hops};
+  walk_to_source(src, dst,
+                 [this, &deliver](LinkId l) { deliver *= 1.0 - graph_.link(l).loss; });
+  return 1.0 - deliver;
 }
 
 void Router::clear_cache() const {
-  ++epoch_;
-  cached_version_ = ~0ull;
+  // clear() keeps each tree's capacity: recomputing allocates nothing.
+  for (Sssp& t : trees_) {
+    t.dist.clear();
+    t.parent_link.clear();
+  }
 }
 
 std::size_t Router::cache_capacity_bytes() const {
   std::size_t bytes = trees_.capacity() * sizeof(Sssp) +
-                      tree_epoch_.capacity() * sizeof(std::uint64_t) +
                       heap_.capacity() * sizeof(HeapEntry) +
                       heap_pos_.capacity() * sizeof(std::uint32_t) +
                       path_scratch_.capacity() * sizeof(LinkId);
   for (const Sssp& t : trees_) {
     bytes += t.dist.capacity() * sizeof(double) +
-             t.parent_link.capacity() * sizeof(LinkId) +
-             t.parent_node.capacity() * sizeof(NodeId);
+             t.parent_link.capacity() * sizeof(LinkId);
   }
   return bytes;
 }

@@ -12,24 +12,17 @@ namespace vdm::net {
 /// for the Internet's unicast forwarding that application-layer multicast
 /// rides on.
 ///
-/// Single-source trees are computed with Dijkstra on demand and memoized in
-/// a dense per-source cache validated by an epoch stamp, so invalidation on
-/// Graph::version() bumps is O(1) and steady-state queries never touch the
-/// heap: lookups are flat-array reads, and the visitor / fused-stats APIs
-/// walk parent pointers in place instead of materializing a path vector.
+/// Single-source trees are computed with Dijkstra on demand and memoized
+/// densely by source: a tree holds each vertex's distance and the link
+/// towards the source, and is current while its `dist` is non-empty. A
+/// Graph::version() bump or clear_cache() clears every tree with its
+/// capacity kept, so recomputing one allocates nothing. delay() is a flat
+/// read; path walks step from dst to src through the parent links.
 /// The class is not thread-safe; each experiment seed owns its own Router
 /// (seeds parallelize at a higher level).
 class Router {
  public:
   explicit Router(const Graph& graph) : graph_(graph) {}
-
-  /// Everything one parent-pointer walk can answer about the shortest path
-  /// src -> dst, fused so callers needing several fields pay for one walk.
-  struct PathStats {
-    double delay = 0.0;      ///< infinity when unreachable
-    double loss = 0.0;       ///< 1 - prod(1 - loss_l) over path links
-    std::uint32_t hops = 0;  ///< number of links (0 when unreachable)
-  };
 
   /// One-way propagation delay of the shortest path src -> dst, in seconds.
   /// Infinity if unreachable.
@@ -41,29 +34,19 @@ class Router {
   std::vector<LinkId> path(NodeId src, NodeId dst) const;
 
   /// End-to-end per-packet drop probability along the shortest path:
-  /// 1 - prod(1 - loss_l). Zero for src == dst.
+  /// 1 - prod(1 - loss_l), multiplied dst -> src. Zero for src == dst and
+  /// for unreachable pairs.
   double path_loss(NodeId src, NodeId dst) const;
-
-  /// Number of links on the shortest path (IP hop count).
-  std::size_t hop_count(NodeId src, NodeId dst) const;
-
-  /// delay + loss + hops from a single walk.
-  PathStats path_stats(NodeId src, NodeId dst) const;
 
   /// Visits every link of the shortest path src -> dst in order from src,
   /// without allocating in steady state. No-op for src == dst or
   /// unreachable pairs.
   template <typename Fn>
   void for_each_link(NodeId src, NodeId dst, Fn&& fn) const {
-    if (src == dst) return;
-    const Sssp& sssp = tree_for(src);
-    if (sssp.parent_node[dst] == kInvalidNode) return;  // unreachable
     // The parent walk yields dst -> src; buffer it (reused capacity) so the
     // visitor sees links in forward order, matching path().
     path_scratch_.clear();
-    for (NodeId at = dst; at != src; at = sssp.parent_node[at]) {
-      path_scratch_.push_back(sssp.parent_link[at]);
-    }
+    walk_to_source(src, dst, [this](LinkId l) { path_scratch_.push_back(l); });
     for (auto it = path_scratch_.rbegin(); it != path_scratch_.rend(); ++it) fn(*it);
   }
 
@@ -79,7 +62,6 @@ class Router {
   struct Sssp {
     std::vector<double> dist;
     std::vector<LinkId> parent_link;  // link towards the source
-    std::vector<NodeId> parent_node;
   };
 
   /// Entry of the indexed 4-ary Dijkstra heap (key cached inline so sifts
@@ -89,6 +71,20 @@ class Router {
     NodeId node;
   };
 
+  /// Calls fn(link) for each link of the shortest path src -> dst, from dst
+  /// back to src. No-op for src == dst or unreachable pairs.
+  template <typename Fn>
+  void walk_to_source(NodeId src, NodeId dst, Fn&& fn) const {
+    if (src == dst) return;
+    const Sssp& sssp = tree_for(src);
+    if (sssp.parent_link[dst] == kInvalidLink) return;  // unreachable
+    for (NodeId at = dst; at != src;) {
+      const LinkId l = sssp.parent_link[at];
+      fn(l);
+      at = graph_.link(l).other(at);
+    }
+  }
+
   const Sssp& tree_for(NodeId src) const;
   void recompute_tree(NodeId src, Sssp& sssp) const;
   void heap_sift_up(std::size_t pos) const;
@@ -96,10 +92,7 @@ class Router {
 
   const Graph& graph_;
   mutable std::uint64_t cached_version_ = ~0ull;
-  /// Current cache generation; trees_[s] is valid iff tree_epoch_[s] == epoch_.
-  mutable std::uint64_t epoch_ = 1;
-  mutable std::vector<Sssp> trees_;             // dense, indexed by source
-  mutable std::vector<std::uint64_t> tree_epoch_;
+  mutable std::vector<Sssp> trees_;  // dense, indexed by source
   // Reusable indexed-heap state: entry array plus node -> heap position
   // back-pointers, enabling decrease-key instead of lazy duplicates.
   mutable std::vector<HeapEntry> heap_;

@@ -63,6 +63,12 @@ OpStats Protocol::execute_join(Session& session, net::HostId joiner,
 
 OpStats Protocol::execute_refine(Session&, net::HostId) { return {}; }
 
+void check_chunk_budget(const SessionParams& params, sim::Time horizon) {
+  VDM_REQUIRE_MSG(!params.data_plane || horizon * params.chunk_rate < 0x1p32,
+                  "chunk_rate x the run's end time must be below 2^32 chunks "
+                  "(the per-member chunk records are 32-bit)");
+}
+
 Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
                  Protocol& protocol, const MetricProvider& metric,
                  const SessionParams& params, util::Rng rng)

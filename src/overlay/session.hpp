@@ -111,6 +111,12 @@ struct SessionParams {
   bool profile = false;
 };
 
+/// Requires that a run streaming chunks until `horizon` emits fewer than
+/// 2^32 of them (horizon x chunk_rate < 2^32), the width of the per-member
+/// chunk records; runs without a data plane pass. Checked before the first
+/// event, where a run's end time meets the rate.
+void check_chunk_budget(const SessionParams& params, sim::Time horizon);
+
 /// Wall-clock seconds spent per phase of one run (SessionParams::profile).
 /// Join covers every tree walk that attaches a member — fresh arrivals,
 /// batched concurrent drains and orphan reconnections alike; metrics_secs

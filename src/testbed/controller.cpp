@@ -54,6 +54,7 @@ MainController::MainController(sim::Reactor& reactor,
 
 SessionReport MainController::run(const Scenario& scenario) {
   VDM_REQUIRE_MSG(!scenario.events.empty(), "scenario has no events");
+  overlay::check_chunk_budget(session_params(params_), scenario.end_time);
   sim::Reactor& reactor = session_.reactor();
   session_.start();
   overlay::EventExecutor executor(session_, member_flags_);

@@ -36,16 +36,15 @@ TEST(Router, SelfPathIsEmpty) {
   const Graph g = topo::make_line(3);
   Router r(g);
   EXPECT_TRUE(r.path(1, 1).empty());
-  EXPECT_EQ(r.hop_count(1, 1), 0u);
 }
 
 TEST(Router, RingTakesShorterArc) {
   const Graph g = topo::make_ring(6, 0.010);
   Router r(g);
   EXPECT_DOUBLE_EQ(r.delay(0, 2), 0.020);  // not 4 hops the long way
-  EXPECT_EQ(r.hop_count(0, 2), 2u);
+  EXPECT_EQ(r.path(0, 2).size(), 2u);
   EXPECT_DOUBLE_EQ(r.delay(0, 5), 0.010);  // wrap-around link
-  EXPECT_EQ(r.hop_count(0, 5), 1u);
+  EXPECT_EQ(r.path(0, 5).size(), 1u);
 }
 
 TEST(Router, PicksLowerDelayOverFewerHops) {
@@ -56,7 +55,7 @@ TEST(Router, PicksLowerDelayOverFewerHops) {
   g.add_link(1, 2, 0.010);               // two fast hops
   Router r(g);
   EXPECT_DOUBLE_EQ(r.delay(0, 2), 0.020);
-  EXPECT_EQ(r.hop_count(0, 2), 2u);
+  EXPECT_EQ(r.path(0, 2).size(), 2u);
 }
 
 TEST(Router, ParallelLinksUseCheapest) {
@@ -104,7 +103,7 @@ TEST(Router, GridDistancesAreManhattan) {
   Router r(g);
   // (0,0) -> (3,3): 6 hops of 10ms.
   EXPECT_NEAR(r.delay(0, 15), 0.060, 1e-12);
-  EXPECT_EQ(r.hop_count(0, 15), 6u);
+  EXPECT_EQ(r.path(0, 15).size(), 6u);
 }
 
 TEST(Router, SymmetricDistancesOnRandomTopology) {

@@ -1,12 +1,14 @@
 // Property tests for the zero-allocation routing fast path: the dense
-// epoch-stamped Router cache, the fused path_stats walk, the visitor API,
-// and the GraphUnderlay host-pair cache must all agree with a plain
-// reference Dijkstra — on random Waxman and transit-stub graphs, and again
-// after Graph version bumps invalidate every cache.
+// Router tree memo, the visitor API, and the GraphUnderlay host-pair memo
+// must all agree with a plain reference Dijkstra — on random Waxman and
+// transit-stub graphs, again after Graph version bumps clear every tree,
+// and after rebind() seats a topology of another size.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -61,19 +63,13 @@ RefSssp reference_dijkstra(const Graph& g, NodeId src) {
 }
 
 /// Loss along the reference parent chain, multiplied dst -> src exactly like
-/// the fused walk, so agreement is byte-for-byte when the trees coincide.
+/// Router::path_loss, so agreement is byte-for-byte when the trees coincide.
 double reference_loss(const Graph& g, const RefSssp& ref, NodeId src, NodeId dst) {
   double deliver = 1.0;
   for (NodeId at = dst; at != src; at = ref.parent_node[at]) {
     deliver *= 1.0 - g.link(ref.parent_link[at]).loss;
   }
   return 1.0 - deliver;
-}
-
-std::size_t reference_hops(const RefSssp& ref, NodeId src, NodeId dst) {
-  std::size_t hops = 0;
-  for (NodeId at = dst; at != src; at = ref.parent_node[at]) ++hops;
-  return hops;
 }
 
 /// Full agreement check between Router fast path and the reference on a
@@ -88,11 +84,9 @@ void expect_matches_reference(const Graph& g, const Router& r,
       EXPECT_DOUBLE_EQ(r.delay(a, b), ref.dist[b]) << "src=" << a << " dst=" << b;
       if (ref.dist[b] == kInf) {
         EXPECT_TRUE(r.path(a, b).empty());
-        EXPECT_EQ(r.hop_count(a, b), 0u);
         EXPECT_EQ(r.path_loss(a, b), 0.0);
         continue;
       }
-      EXPECT_EQ(r.hop_count(a, b), reference_hops(ref, a, b));
       EXPECT_DOUBLE_EQ(r.path_loss(a, b), reference_loss(g, ref, a, b));
 
       // path() must be the reference chain in forward order.
@@ -108,13 +102,6 @@ void expect_matches_reference(const Graph& g, const Router& r,
       std::vector<LinkId> visited;
       r.for_each_link(a, b, [&visited](LinkId l) { visited.push_back(l); });
       EXPECT_EQ(visited, path);
-
-      // The fused walk is byte-identical to the per-field queries (they
-      // share one implementation and one cache).
-      const Router::PathStats st = r.path_stats(a, b);
-      EXPECT_EQ(st.delay, r.delay(a, b));
-      EXPECT_EQ(st.loss, r.path_loss(a, b));
-      EXPECT_EQ(st.hops, r.hop_count(a, b));
     }
   }
 }
@@ -165,6 +152,57 @@ TEST(RoutingFastPath, SurvivesGraphVersionBumps) {
   }
 }
 
+/// Bitwise equality: unlike ==, a NaN that leaked out of a memo fails it.
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// Every host pair of `u`, read in both orientations, equals a fresh
+/// Router's delay and loss on the low -> high vertices, bit for bit.
+void expect_pairs_match_router(const GraphUnderlay& u) {
+  const Router fresh(u.graph());
+  for (HostId lo = 0; lo < u.num_hosts(); ++lo) {
+    for (HostId hi = lo + 1; hi < u.num_hosts(); ++hi) {
+      const NodeId vl = u.host_vertex(lo);
+      const NodeId vh = u.host_vertex(hi);
+      const double delay = fresh.delay(vl, vh);
+      const double loss = fresh.path_loss(vl, vh);
+      EXPECT_TRUE(same_bits(u.delay(lo, hi), delay)) << lo << "-" << hi;
+      EXPECT_TRUE(same_bits(u.delay(hi, lo), delay)) << lo << "-" << hi;
+      EXPECT_TRUE(same_bits(u.loss(hi, lo), loss)) << lo << "-" << hi;
+      EXPECT_TRUE(same_bits(u.loss(lo, hi), loss)) << lo << "-" << hi;
+    }
+  }
+}
+
+topo::TransitStubParams lossy_transit_stub() {
+  topo::TransitStubParams tp;
+  tp.transit_domains = 2;
+  tp.routers_per_transit = 2;
+  tp.stub_domains_per_transit_router = 2;
+  tp.routers_per_stub = 3;
+  tp.loss_max = 0.02;
+  return tp;
+}
+
+/// Builds a lossy transit-stub topology with `num_hosts` hosts into `ts` and
+/// `hosts`, the arena way run_once does.
+void build_into(topo::TransitStubTopology& ts, std::vector<NodeId>& hosts,
+                std::uint64_t seed, std::size_t num_hosts) {
+  util::Rng rng(seed);
+  topo::make_transit_stub(lossy_transit_stub(), rng, ts);
+  topo::HostAttachment hp;
+  hp.num_hosts = num_hosts;
+  topo::attach_hosts_into(ts.graph, ts.stub_routers, hp, rng, hosts);
+}
+
+GraphUnderlay lossy_underlay(std::uint64_t seed, std::size_t num_hosts) {
+  util::Rng rng(seed);
+  topo::HostAttachment hp;
+  hp.num_hosts = num_hosts;
+  return topo::make_transit_stub_underlay(lossy_transit_stub(), hp, rng);
+}
+
 /// Adds a link to an underlay's graph through the arena release/rebind
 /// path — the only way a GraphUnderlay's topology changes once built.
 void add_link_via_rebind(GraphUnderlay& u, NodeId a, NodeId b, double delay) {
@@ -176,51 +214,28 @@ void add_link_via_rebind(GraphUnderlay& u, NodeId a, NodeId b, double delay) {
 }
 
 TEST(RoutingFastPath, GraphUnderlayPairCacheMatchesRouter) {
-  util::Rng rng(41);
-  topo::TransitStubParams tp;
-  tp.transit_domains = 2;
-  tp.routers_per_transit = 2;
-  tp.stub_domains_per_transit_router = 2;
-  tp.routers_per_stub = 3;
-  tp.loss_max = 0.02;
-  topo::HostAttachment hp;
-  hp.num_hosts = 24;
-  GraphUnderlay u = topo::make_transit_stub_underlay(tp, hp, rng);
-
+  GraphUnderlay u = lossy_underlay(41, 24);
   const auto check_all_pairs = [&u] {
-    // A fresh Router shares no cache state with the underlay's pair cache.
+    // A fresh Router shares no memo with the underlay.
+    expect_pairs_match_router(u);
     const Router fresh(u.graph());
     for (HostId a = 0; a < u.num_hosts(); ++a) {
       for (HostId b = 0; b < u.num_hosts(); ++b) {
-        const NodeId va = u.host_vertex(a);
-        const NodeId vb = u.host_vertex(b);
-        if (a <= b) {
-          // The cache computes the canonical low -> high orientation:
-          // agreement there is exact.
-          EXPECT_EQ(u.delay(a, b), fresh.delay(va, vb));
-          EXPECT_EQ(u.loss(a, b), fresh.path_loss(va, vb));
-        } else {
-          // The reverse orientation walks the same links in the opposite
-          // order; the sum/product may differ in the last ulps.
-          EXPECT_NEAR(u.delay(a, b), fresh.delay(va, vb), 1e-12);
-          EXPECT_NEAR(u.loss(a, b), fresh.path_loss(va, vb), 1e-12);
-        }
-        EXPECT_EQ(u.path_hops(a, b), fresh.hop_count(va, vb));
         std::vector<LinkId> visited;
         u.for_each_path_link(a, b, [&visited](LinkId l) { visited.push_back(l); });
-        EXPECT_EQ(visited, fresh.path(va, vb));
+        EXPECT_EQ(visited, fresh.path(u.host_vertex(a), u.host_vertex(b)));
       }
     }
   };
   check_all_pairs();
 
-  // Warm cache, then reseat a topology with one more link and require
+  // Warm memo, then reseat a topology with one more link and require
   // recomputation.
   const NodeId v0 = u.host_vertex(0);
   const NodeId v1 = u.host_vertex(1);
   add_link_via_rebind(u, v0, v1, 0.0001);
   check_all_pairs();
-  EXPECT_EQ(u.path_hops(0, 1), 1u);  // the new direct link must win
+  EXPECT_EQ(u.path(0, 1).size(), 1u);  // the new direct link must win
 }
 
 TEST(RoutingFastPath, PairCacheIsSymmetricOnUndirectedGraphs) {
@@ -237,9 +252,70 @@ TEST(RoutingFastPath, PairCacheIsSymmetricOnUndirectedGraphs) {
     for (HostId b = a + 1; b < u.num_hosts(); ++b) {
       EXPECT_EQ(u.delay(a, b), u.delay(b, a));
       EXPECT_EQ(u.loss(a, b), u.loss(b, a));
-      EXPECT_EQ(u.path_hops(a, b), u.path_hops(b, a));
+      EXPECT_EQ(u.path(a, b).size(), u.path(b, a).size());
     }
   }
+}
+
+TEST(RoutingFastPath, PairMemoFillsDelayAndLossOnTheirOwnReads) {
+  // Two copies of one lossy topology: one reads every pair's loss before
+  // any delay, the other every delay before any loss, each first read in
+  // the high -> low orientation. Neither order may change a value.
+  const GraphUnderlay loss_first = lossy_underlay(81, 20);
+  const GraphUnderlay delay_first = lossy_underlay(81, 20);
+  ASSERT_FALSE(loss_first.zero_loss());
+  double loss_sum = 0.0;
+  for (HostId lo = 0; lo < loss_first.num_hosts(); ++lo) {
+    for (HostId hi = lo + 1; hi < loss_first.num_hosts(); ++hi) {
+      loss_sum += loss_first.loss(hi, lo);
+      EXPECT_TRUE(std::isfinite(delay_first.delay(hi, lo)));
+    }
+  }
+  EXPECT_GT(loss_sum, 0.0);
+  expect_pairs_match_router(loss_first);
+  expect_pairs_match_router(delay_first);
+}
+
+TEST(RoutingFastPath, RebindReadsFreshPairsAtEveryHostCount) {
+  topo::TransitStubTopology ts;
+  std::vector<NodeId> hosts;
+  build_into(ts, hosts, 91, 24);
+  GraphUnderlay u(std::move(ts.graph), std::move(hosts));
+  expect_pairs_match_router(u);  // fills every slot
+
+  // Each reseat is a new seed: a stale tree or pair slot reads the old
+  // topology's value. Fewer hosts shift every triangle row; more grow it.
+  const auto reseat = [&](std::uint64_t seed, std::size_t num_hosts) {
+    u.release(ts.graph, hosts);
+    build_into(ts, hosts, seed, num_hosts);
+    u.rebind(std::move(ts.graph), std::move(hosts));
+    ASSERT_EQ(u.num_hosts(), num_hosts);
+    expect_pairs_match_router(u);
+  };
+  reseat(92, 12);
+  reseat(93, 30);
+  const std::size_t warm = u.arena_capacity_bytes();
+  reseat(93, 30);
+  EXPECT_EQ(u.arena_capacity_bytes(), warm);
+}
+
+TEST(RoutingFastPath, UnreachablePairReadsInfiniteDelayAndZeroLoss) {
+  // Two components: hosts 0 and 1 share one, host 2 sits in the other.
+  Graph g;
+  g.add_nodes(4);
+  g.add_link(0, 1, 0.010, 0.1);
+  g.add_link(2, 3, 0.010, 0.1);
+  const GraphUnderlay loss_first(g, {0, 1, 2});
+  const GraphUnderlay delay_first(std::move(g), {0, 1, 2});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int read = 0; read < 2; ++read) {  // the fill, then the memo
+    EXPECT_TRUE(same_bits(loss_first.loss(2, 0), 0.0));
+    EXPECT_TRUE(same_bits(loss_first.delay(0, 2), inf));
+    EXPECT_TRUE(same_bits(delay_first.delay(2, 0), inf));
+    EXPECT_TRUE(same_bits(delay_first.loss(0, 2), 0.0));
+  }
+  EXPECT_TRUE(same_bits(loss_first.loss(0, 1), delay_first.loss(1, 0)));
+  EXPECT_NEAR(loss_first.loss(0, 1), 0.1, 1e-15);
 }
 
 TEST(RoutingFastPath, MatrixUnderlayVisitorMatchesPath) {

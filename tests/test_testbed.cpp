@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "baselines/hmtp_protocol.hpp"
 #include "core/vdm_protocol.hpp"
@@ -413,6 +414,44 @@ TEST(Controller, FlashBurstExpandsOverUnusedHosts) {
   EXPECT_EQ(report.overhead, 0x1.e0d402bf5232dp-6);
   EXPECT_EQ(report.mst_ratio, 0x1.79b8d451ce13dp+0);
   EXPECT_EQ(sum_of(report.startup_times), 0x1.1c15c86d65dacp+2);
+}
+
+TEST(Controller, RejectsMoreThanTwoToThe32ChunksBeforeTheFirstEvent) {
+  // 1e7 chunks/s until a terminate at 500 s is 5e9 chunks, past the 32-bit
+  // per-member chunk records.
+  util::Rng rng(33);
+  PoolParams pp;
+  pp.num_nodes = 8;
+  pp.frac_unresponsive = pp.frac_no_ping_out = pp.frac_agent_broken = 0.0;
+  const NodePool pool = make_pool(pp, topo::us_regions(), rng);
+  Scenario sc;
+  sc.end_time = overlay::parse_trace("1 join 1\n2 join 2\n500 terminate\n",
+                                     sc.events);
+  core::VdmProtocol vdm;
+  overlay::DelayMetric metric;
+  ControllerParams cp;
+  cp.chunk_rate = 1e7;
+  {
+    sim::Simulator simulator;
+    MainController controller(simulator, pool.topology.underlay, vdm, metric,
+                              cp, util::Rng(34));
+    try {
+      controller.run(sc);
+      ADD_FAILURE() << "a 5e9-chunk run was accepted";
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("chunk_rate"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(simulator.now(), 0.0);  // no event ran
+  }
+  // Without a data plane the rate streams nothing, so the run goes ahead.
+  cp.data_plane = false;
+  sim::Simulator simulator;
+  MainController controller(simulator, pool.topology.underlay, vdm, metric, cp,
+                            util::Rng(34));
+  const SessionReport report = controller.run(sc);
+  EXPECT_EQ(report.final_tree.members, 3u);
+  EXPECT_EQ(report.totals.chunks_emitted, 0u);
 }
 
 TEST(FlakyMetric, SlowsMeasurementsOfLazyTargets) {

@@ -7,6 +7,7 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -122,9 +123,21 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
       // undefined int casts and blame the first join's degree.
       {"--members 50 --seeds 1 --degree-avg inf", "average"},
       {"--members 50 --seeds 1 --degree-avg 1e12", "average"},
-      {"--members 50 --seeds 1 --degree-avg nan", "average"}};
+      {"--members 50 --seeds 1 --degree-avg nan", "average"},
+      // More than 2^32 chunks in one run overflow the 32-bit per-member
+      // chunk records; both runs used to never return.
+      {"--underlay coord-plane --members 16 --seeds 1 --join-phase 100 "
+       "--total-time 500 --interval 100 --settle 20 --chunk-rate 1e300",
+       "chunk_rate"},
+      {"--underlay coord-plane --members 16 --seeds 1 --join-phase 100 "
+       "--total-time 500 --interval 100 --settle 20 --chunk-rate 1e7",
+       "chunk_rate"}};
   for (const auto& [args, field] : cases) {
+    const auto t0 = std::chrono::steady_clock::now();
     const CliResult r = run_vdmsim(args);
+    // A rejection comes before the first event, not after a long run.
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5))
+        << args;
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, "rejected config")) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, field)) << args << "\n" << r.output;
