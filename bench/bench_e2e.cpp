@@ -172,7 +172,8 @@ BENCHMARK(BM_RunOnceArena)->Arg(200)->Unit(benchmark::kMillisecond);
 /// with every router link's loss drawn up to 2 % (Chapter 4), 2 chunks/s.
 /// The only e2e row whose chunks take the lossy flood (every other row's
 /// underlay is lossless, so its chunks are counted); allocs_per_iter and
-/// arena_grow_per_iter must read 0 here too.
+/// arena_grow_per_iter must read 0 here too. trees_per_iter is the run's
+/// Dijkstra tree count (RunResult::net_trees), deterministic per seed.
 void BM_RunOnceLossy(benchmark::State& state) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kTransitStub;
@@ -182,7 +183,8 @@ void BM_RunOnceLossy(benchmark::State& state) {
   cfg.session.chunk_rate = 2.0;
   cfg.scenario.target_members = static_cast<std::size_t>(state.range(0));
   cfg.seed = 7;
-  run_warm(state, cfg);
+  const experiments::RunResult last = run_warm(state, cfg);
+  state.counters["trees_per_iter"] = static_cast<double>(last.net_trees);
 }
 BENCHMARK(BM_RunOnceLossy)->Arg(512)->Unit(benchmark::kMillisecond);
 

@@ -34,16 +34,15 @@ GraphUnderlay::PairMemo& GraphUnderlay::memo(HostId lo, HostId hi) const {
 }
 
 // Both reads use the canonical low -> high orientation: on an undirected
-// graph both directions traverse the same links, so memoizing one makes the
-// value deterministic in query order and exactly symmetric (the reverse walk
-// could differ in the last ulps of the delay sum / loss product).
+// graph both directions traverse the same links, so reading one makes the
+// value exactly symmetric (the reverse tree could differ in the last ulps
+// of the delay sum / loss product).
 
 sim::Time GraphUnderlay::delay(HostId a, HostId b) const {
   if (a == b) return 0.0;
   if (a > b) std::swap(a, b);
-  PairMemo& m = memo(a, b);
-  if (std::isnan(m.delay)) m.delay = router_.delay(hosts_[a], hosts_[b]);
-  return m.delay;
+  VDM_REQUIRE(b < hosts_.size());
+  return router_.delay(hosts_[a], hosts_[b]);
 }
 
 double GraphUnderlay::loss(HostId a, HostId b) const {
@@ -77,7 +76,8 @@ void GraphUnderlay::rebind(Graph graph, std::vector<NodeId> hosts) {
   VDM_REQUIRE_MSG(!hosts_.empty(), "an underlay needs at least one host");
   for (const NodeId v : hosts_) VDM_REQUIRE(v < graph_.num_nodes());
   // Cleared here rather than on a version change: a caller may swap in a
-  // fresh Graph object whose version matches the old one.
+  // fresh Graph object whose version matches the old one. The router drops
+  // its transit index with its trees and rebuilds both on the next read.
   router_.clear_cache();
   pairs_.clear();
   zero_loss_ = all_links_lossless(graph_);

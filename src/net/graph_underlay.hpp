@@ -16,13 +16,13 @@ namespace vdm::net {
 /// generators create them as leaves hanging off stub routers with access
 /// links, matching how GT-ITM experiments place end systems.
 ///
-/// Host-pair delays and losses are memoized in a flat triangular table of
-/// {delay, loss} slots, one per unordered pair, each value NaN until its
-/// first read: a delay fills from the router tree's distance in O(1), a
-/// loss from one walk along the path. Repeated probes of the same pair —
-/// the common case under refinement, churn, and the per-chunk data plane —
-/// are a single array read. The table is sized on its first read and
-/// cleared by rebind(), the only way the graph changes.
+/// A host-pair delay is an O(1) read of the router's tree (through the
+/// hosts' access links). Host-pair losses are memoized in a flat triangular
+/// table, one 8-byte slot per unordered pair, NaN until its first read
+/// fills it from one walk along the path: repeated loss probes of the same
+/// pair — the common case under refinement, churn, and the per-chunk data
+/// plane — are a single array read. The table is sized on the first loss
+/// read and cleared by rebind(), the only way the graph changes.
 class GraphUnderlay final : public Underlay {
  public:
   /// Takes ownership of the graph. `hosts` maps HostId -> graph vertex.
@@ -57,7 +57,7 @@ class GraphUnderlay final : public Underlay {
   // ------------------------------------------------------------ arena reuse
   // A sweep worker runs many seeds of the same configuration; rebuilding the
   // underlay from scratch each seed re-allocates the graph, the router's
-  // dense tree cache and the O(n^2) pair cache. release()/rebind() instead
+  // dense tree cache and the O(n^2) pair loss cache. release()/rebind() instead
   // shuttle the graph buffers out to the topology generator and back, so a
   // steady-state rebuild performs zero scaffolding allocations.
 
@@ -76,13 +76,12 @@ class GraphUnderlay final : public Underlay {
   std::size_t arena_capacity_bytes() const;
 
  private:
-  /// One unordered host pair's values in canonical low -> high orientation,
-  /// each NaN until its first read.
+  /// One unordered host pair's loss in canonical low -> high orientation,
+  /// NaN until its first read.
   struct PairMemo {
-    double delay = std::numeric_limits<double>::quiet_NaN();
     double loss = std::numeric_limits<double>::quiet_NaN();
   };
-  static_assert(sizeof(PairMemo) == 16);
+  static_assert(sizeof(PairMemo) == 8);
 
   /// The memo of hosts lo < hi, sizing the table on the first read.
   PairMemo& memo(HostId lo, HostId hi) const;

@@ -13,7 +13,7 @@ namespace vdm::net {
 /// falls out of the same accounting as stress does on a router graph.
 ///
 /// delay()/loss() are already O(1) matrix reads (this substrate is given
-/// the full host-pair table that GraphUnderlay fills one value at a time);
+/// the full host-pair table that GraphUnderlay derives from its routes);
 /// the fast-path work here is the allocation-free pseudo-link visitor and
 /// an O(log n) link -> pair inversion via precomputed triangle row offsets.
 class MatrixUnderlay final : public Underlay {

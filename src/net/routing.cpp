@@ -23,11 +23,11 @@ void Router::heap_sift_up(std::size_t pos) const {
     const std::size_t parent = (pos - 1) / kHeapArity;
     if (heap_[parent].key <= e.key) break;
     heap_[pos] = heap_[parent];
-    heap_pos_[heap_[pos].node] = static_cast<std::uint32_t>(pos);
+    heap_pos_[heap_[pos].slot] = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
   heap_[pos] = e;
-  heap_pos_[e.node] = static_cast<std::uint32_t>(pos);
+  heap_pos_[e.slot] = static_cast<std::uint32_t>(pos);
 }
 
 void Router::heap_sift_down(std::size_t pos) const {
@@ -43,11 +43,11 @@ void Router::heap_sift_down(std::size_t pos) const {
     }
     if (heap_[best].key >= e.key) break;
     heap_[pos] = heap_[best];
-    heap_pos_[heap_[pos].node] = static_cast<std::uint32_t>(pos);
+    heap_pos_[heap_[pos].slot] = static_cast<std::uint32_t>(pos);
     pos = best;
   }
   heap_[pos] = e;
-  heap_pos_[e.node] = static_cast<std::uint32_t>(pos);
+  heap_pos_[e.slot] = static_cast<std::uint32_t>(pos);
 }
 
 const Router::Sssp& Router::tree_for(NodeId src) const {
@@ -57,58 +57,83 @@ const Router::Sssp& Router::tree_for(NodeId src) const {
   }
   const std::size_t n = graph_.num_nodes();
   VDM_REQUIRE(src < n);
+  // Built lazily, so seating a topology costs nothing until its first read.
+  if (transit_index_.empty()) index_transit();
   if (trees_.size() < n) trees_.resize(n);
   Sssp& sssp = trees_[src];
   if (sssp.dist.empty()) recompute_tree(src, sssp);
   return sssp;
 }
 
-void Router::recompute_tree(NodeId src, Sssp& sssp) const {
+void Router::index_transit() const {
   const std::size_t n = graph_.num_nodes();
+  transit_index_.assign(n, kNotTransit);
+  transit_nodes_.clear();
+  for (NodeId v = 0; v < n; ++v) {
+    if (graph_.degree(v) < 2) continue;
+    transit_index_[v] = static_cast<std::uint32_t>(transit_nodes_.size());
+    transit_nodes_.push_back(v);
+  }
+}
+
+void Router::recompute_tree(NodeId src, Sssp& sssp) const {
+  ++trees_computed_;
+  const std::size_t t = transit_nodes_.size();
 
   // assign() reuses the previously grown capacity, so recomputing a tree
   // after an invalidation allocates nothing in steady state.
-  sssp.dist.assign(n, kInf);
-  sssp.parent_link.assign(n, kInvalidLink);
-  sssp.dist[src] = 0.0;
+  sssp.dist.assign(t + 1, kInf);
+  sssp.parent_link.assign(t + 1, kInvalidLink);
 
-  // Dijkstra on an indexed 4-ary heap with decrease-key: every node is in
-  // the heap at most once (no lazy duplicates to pop and skip), and sifts
-  // touch a quarter of the levels a binary heap would. Two pruning rules
-  // keep the heap small without changing any computed distance:
-  //   - settled nodes (non-negative weights) can never improve, and
-  //   - degree-1 nodes can never transit traffic, so their distance is
-  //     final the moment their only neighbor relaxes them. Host leaves —
-  //     the majority of vertices in generated topologies — therefore never
-  //     enter the heap at all.
-  // The relaxation arithmetic (`settled key + arc delay`, strict
-  // improvement) is identical to the lazy-heap version, so distances and
-  // parents are bit-for-bit unchanged.
+  // Dijkstra over the transit vertices on an indexed 4-ary heap with
+  // decrease-key: every vertex is in the heap at most once (no lazy
+  // duplicates to pop and skip), and sifts touch a quarter of the levels a
+  // binary heap would. Settled vertices (non-negative weights) can never
+  // improve. Leaves never transit traffic, so their arcs are skipped: a
+  // leaf's distance is read through its access link instead (delay()),
+  // the same `neighbour's key + arc delay` sum the relaxation would store.
   heap_.clear();
-  heap_pos_.assign(n, kUnseen);
-  heap_.push_back({0.0, src});
-  heap_pos_[src] = 0;
+  heap_pos_.assign(t, kUnseen);
+  const std::uint32_t s = transit_index_[src];
+  if (s != kNotTransit) {
+    sssp.dist[s] = 0.0;
+    heap_.push_back({0.0, s});
+    heap_pos_[s] = 0;
+  } else if (graph_.degree(src) == 1) {
+    // A leaf source: the state a pop of the source would leave, with its
+    // neighbour relaxed to `0 + access delay`.
+    const Graph::Arc& access = graph_.arcs(src)[0];
+    const std::uint32_t up = transit_index_[access.to];
+    if (up != kNotTransit) {
+      const double nd = 0.0 + access.delay;
+      sssp.dist[up] = nd;
+      sssp.parent_link[up] = access.link;
+      heap_.push_back({nd, up});
+      heap_pos_[up] = 0;
+    }
+  }
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    heap_pos_[top.node] = kSettled;
+    heap_pos_[top.slot] = kSettled;
     const HeapEntry tail = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
       heap_[0] = tail;
-      heap_pos_[tail.node] = 0;
+      heap_pos_[tail.slot] = 0;
       heap_sift_down(0);
     }
-    for (const Graph::Arc& arc : graph_.arcs(top.node)) {
+    for (const Graph::Arc& arc : graph_.arcs(transit_nodes_[top.slot])) {
+      const std::uint32_t to = transit_index_[arc.to];
+      if (to == kNotTransit) continue;  // a leaf: read through its link
       const double nd = top.key + arc.delay;
-      if (nd < sssp.dist[arc.to]) {
-        sssp.dist[arc.to] = nd;
-        sssp.parent_link[arc.to] = arc.link;
-        const std::uint32_t pos = heap_pos_[arc.to];
-        if (pos == kSettled) continue;       // defensive; cannot happen
-        if (graph_.degree(arc.to) <= 1) continue;  // leaf: settled in place
+      if (nd < sssp.dist[to]) {
+        sssp.dist[to] = nd;
+        sssp.parent_link[to] = arc.link;
+        const std::uint32_t pos = heap_pos_[to];
+        if (pos == kSettled) continue;  // defensive; cannot happen
         if (pos == kUnseen) {
-          heap_.push_back({nd, arc.to});
-          heap_pos_[arc.to] = static_cast<std::uint32_t>(heap_.size() - 1);
+          heap_.push_back({nd, to});
+          heap_pos_[to] = static_cast<std::uint32_t>(heap_.size() - 1);
           heap_sift_up(heap_.size() - 1);
         } else {
           heap_[pos].key = nd;
@@ -121,7 +146,17 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
 
 double Router::delay(NodeId src, NodeId dst) const {
   if (src == dst) return 0.0;
-  return tree_for(src).dist[dst];
+  const Sssp& sssp = tree_for(src);
+  const std::uint32_t slot = transit_index_[dst];
+  if (slot != kNotTransit) return sssp.dist[slot];
+  // A leaf: its neighbour's distance plus the access link, the sum the
+  // neighbour's relaxation would store; an isolated vertex and a leaf
+  // hanging off another leaf (other than src) are unreachable.
+  const std::span<const Graph::Arc> access = graph_.arcs(dst);
+  if (access.empty()) return kInf;
+  if (access[0].to == src) return 0.0 + access[0].delay;
+  const std::uint32_t up = transit_index_[access[0].to];
+  return up == kNotTransit ? kInf : sssp.dist[up] + access[0].delay;
 }
 
 std::vector<LinkId> Router::path(NodeId src, NodeId dst) const {
@@ -138,15 +173,20 @@ double Router::path_loss(NodeId src, NodeId dst) const {
 }
 
 void Router::clear_cache() const {
-  // clear() keeps each tree's capacity: recomputing allocates nothing.
+  // clear() keeps each buffer's capacity: recomputing allocates nothing.
   for (Sssp& t : trees_) {
     t.dist.clear();
     t.parent_link.clear();
   }
+  transit_index_.clear();
+  transit_nodes_.clear();
+  trees_computed_ = 0;
 }
 
 std::size_t Router::cache_capacity_bytes() const {
   std::size_t bytes = trees_.capacity() * sizeof(Sssp) +
+                      transit_index_.capacity() * sizeof(std::uint32_t) +
+                      transit_nodes_.capacity() * sizeof(NodeId) +
                       heap_.capacity() * sizeof(HeapEntry) +
                       heap_pos_.capacity() * sizeof(std::uint32_t) +
                       path_scratch_.capacity() * sizeof(LinkId);

@@ -1045,28 +1045,40 @@ Session::ChunkTally Session::flood_chunk(sim::Time now, sim::Time buffered_now) 
   FloodOrder& order = scratch_.flood_order;
   if (order.version != tree().shape_version()) build_flood_order();
   FloodTable& fl = tree().flood();
+  // A store through `delivered` (a char type) may alias anything, so every
+  // array pointer, the bound and the rng state live in locals: otherwise
+  // each would be reloaded from memory on every entry and draw.
+  const std::size_t n = order.child.size();
+  const net::HostId* const child = order.child.data();
+  const std::uint32_t* const up = order.up.data();
+  const double* const loss = order.loss.data();
+  const sim::Time* const receiving_since = fl.receiving_since.data();
+  const sim::Time* const in_session_since = fl.in_session_since.data();
+  std::uint32_t* const missed = fl.missed.data();
   std::uint8_t* const delivered = order.delivered.data();
+  util::Rng rng = rng_;
   std::uint64_t transmissions = 0;
   std::uint64_t expected = 0;
   std::uint64_t received = 0;
   delivered[0] = 1;
-  for (std::size_t i = 0; i < order.child.size(); ++i) {
-    const net::HostId c = order.child[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const net::HostId c = child[i];
     bool got = false;
-    if (delivered[order.up[i]] != 0) {
+    if (delivered[up[i]] != 0) {
       ++transmissions;
-      if (buffered_now >= fl.receiving_since[c]) got = !rng_.chance(order.loss[i]);
+      if (buffered_now >= receiving_since[c]) got = !rng.chance(loss[i]);
     }
     delivered[i + 1] = got ? 1 : 0;
-    if (now >= fl.in_session_since[c]) {
+    if (now >= in_session_since[c]) {
       ++expected;
       if (got) {
         ++received;
       } else {
-        ++fl.missed[c];
+        ++missed[c];
       }
     }
   }
+  rng_ = rng;
   return {transmissions, expected, received};
 }
 

@@ -1,6 +1,7 @@
 #include "testbed/controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 
 #include "baselines/mst_overlay.hpp"
@@ -55,13 +56,19 @@ MainController::MainController(sim::Reactor& reactor,
 SessionReport MainController::run(const Scenario& scenario) {
   VDM_REQUIRE_MSG(!scenario.events.empty(), "scenario has no events");
   overlay::check_chunk_budget(session_params(params_), scenario.end_time);
+  // The capture loop below steps by measure_interval: 0, NaN or a step that
+  // rounds away against t would schedule captures forever.
+  const sim::Time interval = params_.measure_interval;
+  VDM_REQUIRE_MSG(std::isfinite(interval) && interval > 0.0 &&
+                      scenario.end_time / interval < 0x1p32,
+                  "measure_interval must be finite and > 0, with fewer than "
+                  "2^32 captures before the scenario's end time");
   sim::Reactor& reactor = session_.reactor();
   session_.start();
   overlay::EventExecutor executor(session_, member_flags_);
   executor.schedule(scenario.events, scenario.end_time);
   // Periodic snapshots, then a final one exactly at terminate.
-  for (sim::Time t = params_.measure_interval; t < scenario.end_time;
-       t += params_.measure_interval) {
+  for (sim::Time t = interval; t < scenario.end_time; t += interval) {
     reactor.schedule_at(t, [this] {
       collector_.capture(session_.reactor().now());
     });

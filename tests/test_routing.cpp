@@ -160,6 +160,21 @@ TEST(Router, PathDelaysSumToDistance) {
   }
 }
 
+TEST(Router, CountsOneTreePerSourceUntilClearCache) {
+  const Graph g = topo::make_line(5, 0.010);
+  Router r(g);
+  EXPECT_EQ(r.trees_computed(), 0u);
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
+  EXPECT_DOUBLE_EQ(r.delay(0, 2), 0.020);  // the same source's tree
+  EXPECT_EQ(r.trees_computed(), 1u);
+  EXPECT_EQ(r.path(1, 4).size(), 3u);
+  EXPECT_EQ(r.trees_computed(), 2u);
+  r.clear_cache();
+  EXPECT_EQ(r.trees_computed(), 0u);
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
+  EXPECT_EQ(r.trees_computed(), 1u);
+}
+
 TEST(Router, ClearCacheStillCorrect) {
   const Graph g = topo::make_line(5, 0.010);
   Router r(g);

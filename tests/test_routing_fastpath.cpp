@@ -1,11 +1,14 @@
 // Property tests for the zero-allocation routing fast path: the dense
-// Router tree memo, the visitor API, and the GraphUnderlay host-pair memo
-// must all agree with a plain reference Dijkstra — on random Waxman and
-// transit-stub graphs, again after Graph version bumps clear every tree,
-// and after rebind() seats a topology of another size.
+// Router tree memo over transit vertices, reads through leaves' access
+// links, the visitor API, and the GraphUnderlay host-pair loss memo must
+// all agree bit for bit with a plain reference Dijkstra over every vertex —
+// on random Waxman and transit-stub graphs with hosts attached, on small
+// hand-built leaf cases, again after Graph version bumps clear every tree,
+// and after rebind() seats a topology of another size or of equal version.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -72,36 +75,50 @@ double reference_loss(const Graph& g, const RefSssp& ref, NodeId src, NodeId dst
   return 1.0 - deliver;
 }
 
+/// Bitwise equality: unlike ==, a NaN that leaked out of a memo fails it.
+/// Float Dijkstra distances do not depend on the heap's pop order, so the
+/// reference's `dist` is an exact oracle.
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// One read src -> dst against the reference tree of src, bit for bit:
+/// delay, path_loss, path() and the for_each_link visitor.
+void expect_read_matches_reference(const Graph& g, const Router& r,
+                                   const RefSssp& ref, NodeId a, NodeId b) {
+  EXPECT_TRUE(same_bits(r.delay(a, b), ref.dist[b])) << "src=" << a << " dst=" << b;
+  std::vector<LinkId> visited;
+  r.for_each_link(a, b, [&visited](LinkId l) { visited.push_back(l); });
+  if (ref.dist[b] == kInf) {
+    EXPECT_TRUE(r.path(a, b).empty());
+    EXPECT_TRUE(visited.empty());
+    EXPECT_TRUE(same_bits(r.path_loss(a, b), 0.0));
+    return;
+  }
+  EXPECT_TRUE(same_bits(r.path_loss(a, b), reference_loss(g, ref, a, b)))
+      << "src=" << a << " dst=" << b;
+
+  // path() must be the reference chain in forward order, and the visitor
+  // sees exactly the same sequence without allocating.
+  std::vector<LinkId> ref_path;
+  for (NodeId at = b; at != a; at = ref.parent_node[at]) {
+    ref_path.push_back(ref.parent_link[at]);
+  }
+  std::reverse(ref_path.begin(), ref_path.end());
+  EXPECT_EQ(r.path(a, b), ref_path) << "src=" << a << " dst=" << b;
+  EXPECT_EQ(visited, ref_path) << "src=" << a << " dst=" << b;
+}
+
 /// Full agreement check between Router fast path and the reference on a
-/// sample of node pairs.
+/// sample of ordered vertex pairs (every pair, self pairs included, with
+/// both strides 1).
 void expect_matches_reference(const Graph& g, const Router& r,
-                              std::size_t pair_stride) {
+                              std::size_t src_stride, std::size_t dst_stride = 3) {
   const auto n = static_cast<NodeId>(g.num_nodes());
-  for (NodeId a = 0; a < n; a += static_cast<NodeId>(pair_stride)) {
+  for (NodeId a = 0; a < n; a += static_cast<NodeId>(src_stride)) {
     const RefSssp ref = reference_dijkstra(g, a);
-    for (NodeId b = 0; b < n; b += 3) {
-      if (a == b) continue;
-      EXPECT_DOUBLE_EQ(r.delay(a, b), ref.dist[b]) << "src=" << a << " dst=" << b;
-      if (ref.dist[b] == kInf) {
-        EXPECT_TRUE(r.path(a, b).empty());
-        EXPECT_EQ(r.path_loss(a, b), 0.0);
-        continue;
-      }
-      EXPECT_DOUBLE_EQ(r.path_loss(a, b), reference_loss(g, ref, a, b));
-
-      // path() must be the reference chain in forward order.
-      const std::vector<LinkId> path = r.path(a, b);
-      std::vector<LinkId> ref_path;
-      for (NodeId at = b; at != a; at = ref.parent_node[at]) {
-        ref_path.push_back(ref.parent_link[at]);
-      }
-      std::reverse(ref_path.begin(), ref_path.end());
-      EXPECT_EQ(path, ref_path);
-
-      // The visitor sees exactly the same sequence without allocating.
-      std::vector<LinkId> visited;
-      r.for_each_link(a, b, [&visited](LinkId l) { visited.push_back(l); });
-      EXPECT_EQ(visited, path);
+    for (NodeId b = 0; b < n; b += static_cast<NodeId>(dst_stride)) {
+      expect_read_matches_reference(g, r, ref, a, b);
     }
   }
 }
@@ -152,13 +169,9 @@ TEST(RoutingFastPath, SurvivesGraphVersionBumps) {
   }
 }
 
-/// Bitwise equality: unlike ==, a NaN that leaked out of a memo fails it.
-bool same_bits(double x, double y) {
-  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-}
-
 /// Every host pair of `u`, read in both orientations, equals a fresh
-/// Router's delay and loss on the low -> high vertices, bit for bit.
+/// Router's delay and loss on the low -> high vertices, bit for bit, and
+/// every ordered pair's path and visitor equal the fresh Router's path.
 void expect_pairs_match_router(const GraphUnderlay& u) {
   const Router fresh(u.graph());
   for (HostId lo = 0; lo < u.num_hosts(); ++lo) {
@@ -171,6 +184,16 @@ void expect_pairs_match_router(const GraphUnderlay& u) {
       EXPECT_TRUE(same_bits(u.delay(hi, lo), delay)) << lo << "-" << hi;
       EXPECT_TRUE(same_bits(u.loss(hi, lo), loss)) << lo << "-" << hi;
       EXPECT_TRUE(same_bits(u.loss(lo, hi), loss)) << lo << "-" << hi;
+    }
+  }
+  for (HostId a = 0; a < u.num_hosts(); ++a) {
+    for (HostId b = 0; b < u.num_hosts(); ++b) {
+      const std::vector<LinkId> path =
+          fresh.path(u.host_vertex(a), u.host_vertex(b));
+      std::vector<LinkId> visited;
+      u.for_each_path_link(a, b, [&visited](LinkId l) { visited.push_back(l); });
+      EXPECT_EQ(u.path(a, b), path) << a << "->" << b;
+      EXPECT_EQ(visited, path) << a << "->" << b;
     }
   }
 }
@@ -214,27 +237,16 @@ void add_link_via_rebind(GraphUnderlay& u, NodeId a, NodeId b, double delay) {
 }
 
 TEST(RoutingFastPath, GraphUnderlayPairCacheMatchesRouter) {
+  // A fresh Router shares no memo with the underlay.
   GraphUnderlay u = lossy_underlay(41, 24);
-  const auto check_all_pairs = [&u] {
-    // A fresh Router shares no memo with the underlay.
-    expect_pairs_match_router(u);
-    const Router fresh(u.graph());
-    for (HostId a = 0; a < u.num_hosts(); ++a) {
-      for (HostId b = 0; b < u.num_hosts(); ++b) {
-        std::vector<LinkId> visited;
-        u.for_each_path_link(a, b, [&visited](LinkId l) { visited.push_back(l); });
-        EXPECT_EQ(visited, fresh.path(u.host_vertex(a), u.host_vertex(b)));
-      }
-    }
-  };
-  check_all_pairs();
+  expect_pairs_match_router(u);
 
   // Warm memo, then reseat a topology with one more link and require
-  // recomputation.
+  // recomputation. The two hosts become transit vertices (two links each).
   const NodeId v0 = u.host_vertex(0);
   const NodeId v1 = u.host_vertex(1);
   add_link_via_rebind(u, v0, v1, 0.0001);
-  check_all_pairs();
+  expect_pairs_match_router(u);
   EXPECT_EQ(u.path(0, 1).size(), 1u);  // the new direct link must win
 }
 
@@ -257,7 +269,7 @@ TEST(RoutingFastPath, PairCacheIsSymmetricOnUndirectedGraphs) {
   }
 }
 
-TEST(RoutingFastPath, PairMemoFillsDelayAndLossOnTheirOwnReads) {
+TEST(RoutingFastPath, PairMemoHoldsLossesOnlyAndDelayReadsLeaveItUnfilled) {
   // Two copies of one lossy topology: one reads every pair's loss before
   // any delay, the other every delay before any loss, each first read in
   // the high -> low orientation. Neither order may change a value.
@@ -272,6 +284,16 @@ TEST(RoutingFastPath, PairMemoFillsDelayAndLossOnTheirOwnReads) {
     }
   }
   EXPECT_GT(loss_sum, 0.0);
+
+  // Delay reads are router-tree reads: the pair table is still unsized, so
+  // the first loss read (on a source whose tree is built) grows the arena
+  // by exactly one 8-byte slot per host pair and nothing else.
+  const std::size_t n = delay_first.num_hosts();
+  const std::size_t after_delays = delay_first.arena_capacity_bytes();
+  EXPECT_GT(delay_first.loss(1, 0), 0.0);
+  EXPECT_EQ(delay_first.arena_capacity_bytes() - after_delays,
+            n * (n - 1) / 2 * sizeof(double));
+
   expect_pairs_match_router(loss_first);
   expect_pairs_match_router(delay_first);
 }
@@ -316,6 +338,134 @@ TEST(RoutingFastPath, UnreachablePairReadsInfiniteDelayAndZeroLoss) {
   }
   EXPECT_TRUE(same_bits(loss_first.loss(0, 1), delay_first.loss(1, 0)));
   EXPECT_NEAR(loss_first.loss(0, 1), 0.1, 1e-15);
+}
+
+/// A router graph with hosts hung off `candidates` by attach_hosts_into,
+/// the way run_once builds it, and a per-vertex host flag.
+struct HostedGraph {
+  Graph graph;
+  std::vector<NodeId> hosts;
+  std::vector<std::uint8_t> is_host;
+};
+
+HostedGraph hosted(Graph graph, const std::vector<NodeId>& candidates,
+                   std::size_t num_hosts, double access_loss, util::Rng& rng) {
+  HostedGraph h{std::move(graph), {}, {}};
+  topo::HostAttachment hp;
+  hp.num_hosts = num_hosts;
+  hp.loss_max = access_loss;
+  topo::attach_hosts_into(h.graph, candidates, hp, rng, h.hosts);
+  h.is_host.assign(h.graph.num_nodes(), 0);
+  for (const NodeId v : h.hosts) h.is_host[v] = 1;
+  return h;
+}
+
+/// Every ordered vertex pair against the reference, requiring reachable
+/// reads of each kind: host -> host, host -> router and router -> host.
+void expect_hosted_reads_match_reference(const HostedGraph& h) {
+  const Router r(h.graph);
+  const auto n = static_cast<NodeId>(h.graph.num_nodes());
+  std::size_t reads[2][2] = {};  // [src is host][dst is host]
+  for (NodeId a = 0; a < n; ++a) {
+    const RefSssp ref = reference_dijkstra(h.graph, a);
+    for (NodeId b = 0; b < n; ++b) {
+      expect_read_matches_reference(h.graph, r, ref, a, b);
+      if (a != b && ref.dist[b] != kInf) ++reads[h.is_host[a]][h.is_host[b]];
+    }
+  }
+  EXPECT_GT(reads[1][1], 0u);
+  EXPECT_GT(reads[1][0], 0u);
+  EXPECT_GT(reads[0][1], 0u);
+}
+
+TEST(RoutingFastPath, HostReadsMatchReferenceBitwiseOnTransitStub) {
+  util::Rng rng(101);
+  topo::TransitStubTopology ts = topo::make_transit_stub(lossy_transit_stub(), rng);
+  expect_hosted_reads_match_reference(
+      hosted(std::move(ts.graph), ts.stub_routers, 30, 0.01, rng));
+}
+
+TEST(RoutingFastPath, HostReadsMatchReferenceBitwiseOnWaxman) {
+  // Hosts land on every router, as run_once places them on Waxman graphs.
+  util::Rng rng(102);
+  topo::WaxmanParams wp;
+  wp.num_routers = 40;
+  wp.loss_max = 0.02;
+  Graph g = topo::make_waxman(wp, rng).graph;
+  std::vector<NodeId> routers(g.num_nodes());
+  for (NodeId v = 0; v < routers.size(); ++v) routers[v] = v;
+  expect_hosted_reads_match_reference(hosted(std::move(g), routers, 50, 0.0, rng));
+}
+
+TEST(RoutingFastPath, LeafEdgeCasesMatchReferenceBitwise) {
+  Graph g;
+  g.add_nodes(9);
+  // Routers 0 and 1, and router 2: degree 1, without hosts.
+  g.add_link(0, 1, 0.011, 0.01);
+  g.add_link(1, 2, 0.007, 0.02);
+  // Hosts 3 and 4 on one router.
+  g.add_link(3, 0, 0.003, 0.001);
+  g.add_link(0, 4, 0.005, 0.002);
+  // Host 5 with two parallel access links: a transit vertex.
+  g.add_link(5, 1, 0.013, 0.003);
+  const LinkId fast = g.add_link(1, 5, 0.009, 0.004);
+  // Leaves 7 and 8 form a component of their own; 6 is isolated.
+  const LinkId pair = g.add_link(7, 8, 0.004, 0.006);
+  const Router r(g);
+  expect_matches_reference(g, r, 1, 1);
+
+  EXPECT_TRUE(same_bits(r.delay(7, 8), 0.0 + 0.004));
+  EXPECT_TRUE(same_bits(r.delay(8, 7), 0.0 + 0.004));
+  EXPECT_EQ(r.path(8, 7), std::vector<LinkId>{pair});
+  EXPECT_TRUE(same_bits(r.delay(3, 4), (0.0 + 0.003) + 0.005));
+  EXPECT_EQ(r.path(1, 5), std::vector<LinkId>{fast});
+  EXPECT_EQ(r.delay(7, 0), kInf);
+  EXPECT_EQ(r.delay(0, 8), kInf);
+  EXPECT_EQ(r.delay(6, 3), kInf);
+  EXPECT_EQ(r.delay(3, 6), kInf);
+}
+
+TEST(RoutingFastPath, TreesWithoutTransitVerticesStayMemoized) {
+  // No vertex has two links: every tree holds only its spare slot, and a
+  // computed tree must still read as current.
+  Graph g;
+  g.add_nodes(3);
+  g.add_link(0, 1, 0.004, 0.1);
+  const Router r(g);
+  expect_matches_reference(g, r, 1, 1);
+  EXPECT_EQ(r.trees_computed(), 3u);  // one per source
+  expect_matches_reference(g, r, 1, 1);
+  EXPECT_EQ(r.trees_computed(), 3u);
+}
+
+TEST(RoutingFastPath, RebindToAnEqualVersionGraphReindexesTransitVertices) {
+  // Two fresh graphs built by the same sequence of mutations share a
+  // version() but not their leaves, so only rebind()'s clear_cache() can
+  // tell the router that its transit index is stale.
+  const auto build = [](NodeId shift) {
+    const auto v = [shift](NodeId i) { return (i + shift) % 8; };
+    Graph g;
+    g.add_nodes(8);
+    g.add_link(v(0), v(1), 0.010, 0.01);  // routers v(0)..v(3) in a line
+    g.add_link(v(1), v(2), 0.020, 0.02);
+    g.add_link(v(2), v(3), 0.030, 0.03);
+    g.add_link(v(4), v(1), 0.001, 0.001);  // hosts v(4)..v(6); v(7) isolated
+    g.add_link(v(5), v(2), 0.002, 0.002);
+    g.add_link(v(6), v(2), 0.003, 0.003);
+    return g;
+  };
+  Graph first = build(0);
+  Graph second = build(3);
+  ASSERT_EQ(first.version(), second.version());
+
+  GraphUnderlay u(std::move(first), {4, 5, 6, 0, 3, 7});
+  expect_pairs_match_router(u);  // indexes the first graph
+  Graph husk;
+  std::vector<NodeId> hosts;
+  u.release(husk, hosts);
+  u.rebind(std::move(second), {7, 0, 1, 3, 6, 2});
+  expect_pairs_match_router(u);
+  EXPECT_TRUE(same_bits(u.delay(0, 1), (0.0 + 0.001) + 0.020 + 0.002));
 }
 
 TEST(RoutingFastPath, MatrixUnderlayVisitorMatchesPath) {

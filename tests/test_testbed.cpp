@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -452,6 +454,41 @@ TEST(Controller, RejectsMoreThanTwoToThe32ChunksBeforeTheFirstEvent) {
   const SessionReport report = controller.run(sc);
   EXPECT_EQ(report.final_tree.members, 3u);
   EXPECT_EQ(report.totals.chunks_emitted, 0u);
+}
+
+TEST(Controller, RejectsACaptureCadenceThatNeverEndsBeforeTheFirstEvent) {
+  // Zero, negative, NaN or infinite intervals, and a step that rounds away
+  // against t, would schedule captures forever (or never step at all).
+  util::Rng rng(35);
+  PoolParams pp;
+  pp.num_nodes = 8;
+  pp.frac_unresponsive = pp.frac_no_ping_out = pp.frac_agent_broken = 0.0;
+  const NodePool pool = make_pool(pp, topo::us_regions(), rng);
+  Scenario sc;
+  sc.end_time = overlay::parse_trace("1 join 1\n2 join 2\n500 terminate\n",
+                                     sc.events);
+  core::VdmProtocol vdm;
+  overlay::DelayMetric metric;
+  for (const double interval :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e-300}) {
+    ControllerParams cp;
+    cp.measure_interval = interval;
+    sim::Simulator simulator;
+    MainController controller(simulator, pool.topology.underlay, vdm, metric,
+                              cp, util::Rng(36));
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      controller.run(sc);
+      ADD_FAILURE() << "measure_interval " << interval << " was accepted";
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("measure_interval"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+        << interval;
+    EXPECT_EQ(simulator.now(), 0.0) << interval;  // no event ran
+  }
 }
 
 TEST(FlakyMetric, SlowsMeasurementsOfLazyTargets) {

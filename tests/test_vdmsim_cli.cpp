@@ -195,4 +195,18 @@ TEST(VdmsimCli, TrajectoryAndProfileCountersArePinned) {
       << r.output;
 }
 
+TEST(VdmsimCli, ProfileCountsRouterTrees) {
+  // One Dijkstra tree per source vertex the run reads from, on the 64-member
+  // transit-stub run; coordinate underlays build no router.
+  const CliResult ts = run_vdmsim(
+      "--underlay transit-stub --members 64 --seeds 1 --profile");
+  ASSERT_EQ(ts.exit_code, 0) << ts.output;
+  EXPECT_TRUE(contains(ts.output, "  underlay: router trees 92\n")) << ts.output;
+  const CliResult coord = run_vdmsim(
+      "--underlay coord-plane --members 64 --seeds 1 --profile");
+  ASSERT_EQ(coord.exit_code, 0) << coord.output;
+  EXPECT_TRUE(contains(coord.output, "  underlay: router trees 0\n"))
+      << coord.output;
+}
+
 }  // namespace
