@@ -81,6 +81,11 @@ struct RunConfig {
   /// reconnect, refine) reports per-iteration steps (vdmsim --trace-joins).
   /// Not owned; must outlive the run. Leave null for normal runs.
   overlay::WalkObserver* walk_observer = nullptr;
+  /// Membership sink: records the run's attaches and detaches (vdmsim
+  /// --journal). It keeps the first run it sees, so a sweep records its
+  /// first seed. Not owned; must outlive the run. Leave null for normal
+  /// runs.
+  overlay::MembershipJournal* journal = nullptr;
 
   std::uint64_t seed = 1;
 };

@@ -56,13 +56,13 @@ std::vector<AggregateResult> run_grid(std::span<const RunConfig> points,
   if (points.empty()) return {};
   const std::size_t total = points.size() * num_seeds;
 
-  // A walk observer (vdmsim --trace-joins) is an external sink written from
-  // inside every run; concurrent runs would interleave its records. Clamp
-  // the sweep to one worker whenever any point installs one, regardless of
-  // what `options.threads` asks for.
+  // A walk observer (vdmsim --trace-joins) or a journal (--journal) is an
+  // external sink written from inside every run; concurrent runs would
+  // interleave its records. Clamp the sweep to one worker whenever any
+  // point installs one, regardless of what `options.threads` asks for.
   std::size_t thread_cap = options.threads;
   for (const RunConfig& p : points) {
-    if (p.walk_observer != nullptr) {
+    if (p.walk_observer != nullptr || p.journal != nullptr) {
       thread_cap = 1;
       break;
     }

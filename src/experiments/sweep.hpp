@@ -39,8 +39,8 @@ struct SweepOptions {
 /// (steady-state sweeps allocate no scaffolding after each worker's first
 /// run of a shape).
 ///
-/// A point with a walk_observer clamps the whole sweep to one worker (the
-/// observer is a shared external sink); callers that let users pick a
+/// A point with a walk_observer or a journal clamps the whole sweep to one
+/// worker (either is a shared external sink); callers that let users pick a
 /// thread count should surface that override rather than apply it silently.
 ///
 /// The first exception cancels the remaining tasks and is rethrown here.

@@ -150,9 +150,11 @@ void Session::start() {
     scratch_.placement.bind(underlay_, params_.source);
     scratch_.placement.insert(params_.source);
   }
-  // The placement index follows every attach and detach; over a lossy
-  // control plane the failure detector re-samples at every parent change.
-  if (params_.join_mode != JoinMode::kSequential ||
+  // The placement index and the journal follow every attach and detach;
+  // over a lossy control plane the failure detector re-samples at every
+  // parent change.
+  if (journal_ != nullptr) journal_->start(reactor_);
+  if (params_.join_mode != JoinMode::kSequential || journal_ != nullptr ||
       (params_.faults.heartbeat_period > 0.0 && params_.faults.lossy_control)) {
     tree().set_observer(this);
   }
@@ -809,6 +811,7 @@ void Session::arm_detector(net::HostId h, sim::Time at, bool verdict) {
 }
 
 void Session::on_attach(net::HostId child, net::HostId parent) {
+  if (journal_ != nullptr) journal_->on_attach(child, parent);
   if (params_.join_mode != JoinMode::kSequential) {
     scratch_.placement.on_attach(child, parent);
   }
@@ -834,6 +837,7 @@ void Session::on_attach(net::HostId child, net::HostId parent) {
 }
 
 void Session::on_detach(net::HostId child, net::HostId parent) {
+  if (journal_ != nullptr) journal_->on_detach(child, parent);
   if (params_.join_mode != JoinMode::kSequential) {
     scratch_.placement.on_detach(child, parent);
   }
