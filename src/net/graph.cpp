@@ -1,10 +1,48 @@
 #include "net/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 
 #include "util/require.hpp"
 
 namespace vdm::net {
+
+namespace {
+
+/// `d` rounded to the nearest multiple of Graph::kDelayStep, ties to even,
+/// for 0 <= d < 2^22 (larger d give 2^22 or more). Adding 2^52 to
+/// d / step leaves no bits below the units, so the sum rounds there;
+/// subtracting 2^52 back and scaling are exact. No libm call, and
+/// -ffp-contract=off keeps it free of FMA.
+double to_delay_grid(double d) {
+  return ((d * 0x1p30 + 0x1p52) - 0x1p52) * Graph::kDelayStep;
+}
+
+}  // namespace
+
+UnionFind::UnionFind(std::vector<NodeId>& parent, std::size_t n)
+    : parent_(parent), sets_(n) {
+  parent_.resize(n);
+  std::iota(parent_.begin(), parent_.end(), NodeId{0});
+}
+
+NodeId UnionFind::find(NodeId x) {
+  while (parent_[x] != x) {
+    parent_[x] = parent_[parent_[x]];  // path halving
+    x = parent_[x];
+  }
+  return x;
+}
+
+bool UnionFind::unite(NodeId a, NodeId b) {
+  a = find(a);
+  b = find(b);
+  if (a == b) return false;
+  parent_[a] = b;
+  --sets_;
+  return true;
+}
 
 NodeId Graph::add_node() {
   mark_structural();
@@ -22,9 +60,16 @@ NodeId Graph::add_nodes(std::size_t count) {
 LinkId Graph::add_link(NodeId a, NodeId b, double delay, double loss) {
   VDM_REQUIRE(a < num_nodes_ && b < num_nodes_);
   VDM_REQUIRE_MSG(a != b, "self-loops are not physical links");
-  VDM_REQUIRE(delay > 0.0);
+  VDM_REQUIRE_MSG(std::isfinite(delay) && delay > 0.0,
+                  "link delay must be finite and > 0");
   VDM_REQUIRE(loss >= 0.0 && loss < 1.0);
-  links_.push_back(Link{a, b, delay, loss});
+  // Rounding is monotone and maps 2^22 to itself, so this one check also
+  // rejects a delay past the rounding form's range.
+  const double stored = std::max(to_delay_grid(delay), kDelayStep);
+  VDM_REQUIRE_MSG(delay_sum_ + stored < kDelaySumLimit,
+                  "link delay would bring the graph's summed delay to 2^22 s");
+  delay_sum_ += stored;
+  links_.push_back(Link{a, b, stored, loss});
   mark_structural();
   return static_cast<LinkId>(links_.size() - 1);
 }
@@ -60,6 +105,7 @@ void Graph::rebuild_adjacency() const {
 void Graph::clear() {
   num_nodes_ = 0;
   links_.clear();
+  delay_sum_ = 0.0;
   offsets_.clear();
   arcs_.clear();
   mark_structural();
@@ -73,30 +119,17 @@ std::size_t Graph::capacity_bytes() const {
 }
 
 bool Graph::connected() const {
-  std::vector<char> seen;
-  std::vector<NodeId> stack;
-  return connected(seen, stack);
+  std::vector<NodeId> parent;
+  return connected(parent);
 }
 
-bool Graph::connected(std::vector<char>& seen, std::vector<NodeId>& stack) const {
+bool Graph::connected(std::vector<NodeId>& parent) const {
   if (num_nodes_ <= 1) return true;
-  seen.assign(num_nodes_, 0);
-  stack.clear();
-  stack.push_back(0);
-  seen[0] = 1;
-  std::size_t visited = 1;
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    for (const Arc& arc : arcs(n)) {
-      if (!seen[arc.to]) {
-        seen[arc.to] = 1;
-        ++visited;
-        stack.push_back(arc.to);
-      }
-    }
+  UnionFind sets(parent, num_nodes_);
+  for (const Link& l : links_) {
+    if (sets.unite(l.a, l.b) && sets.sets() == 1) return true;
   }
-  return visited == num_nodes_;
+  return false;
 }
 
 }  // namespace vdm::net

@@ -20,21 +20,51 @@ struct Link {
   NodeId other(NodeId n) const { return n == a ? b : a; }
 };
 
+/// Disjoint sets over vertex ids, kept in a caller-owned parent array so
+/// that a generator reusing the array allocates nothing once it is warm.
+class UnionFind {
+ public:
+  /// Resets `parent` to `n` singleton sets (capacity kept) and works on it.
+  UnionFind(std::vector<NodeId>& parent, std::size_t n);
+
+  NodeId find(NodeId x);
+  /// Merges the sets of `a` and `b`; false if they already were one.
+  bool unite(NodeId a, NodeId b);
+  std::size_t sets() const { return sets_; }
+
+ private:
+  std::vector<NodeId>& parent_;
+  std::size_t sets_;
+};
+
 /// Undirected weighted multigraph used as the physical network.
 ///
 /// Storage is struct-of-arrays with a CSR-style adjacency built lazily on
 /// first query, so construction (topology generators appending links) stays
 /// O(1) amortized and routing scans are cache-friendly.
+///
+/// Delays live on a dyadic grid: add_link stores each one rounded to a
+/// multiple of kDelayStep, and keeps the graph's summed delay below
+/// kDelaySumLimit. Every path's delay is then a sum of grid multiples below
+/// 2^22 s, which a double holds exactly, so any order of summation gives
+/// the same bits (DESIGN.md §3, "Delays on a dyadic grid").
 class Graph {
  public:
+  /// The delay grid's step, 2^-30 s (~0.93 ns).
+  static constexpr double kDelayStep = 0x1p-30;
+  /// Exclusive bound on the sum of every link's stored delay, 2^22 s.
+  static constexpr double kDelaySumLimit = 0x1p22;
+
   /// Adds an isolated vertex and returns its id.
   NodeId add_node();
 
   /// Adds `count` vertices; returns the id of the first.
   NodeId add_nodes(std::size_t count);
 
-  /// Adds an undirected link. Requires distinct existing endpoints,
-  /// delay > 0 and loss in [0, 1).
+  /// Adds an undirected link. Requires distinct existing endpoints, a
+  /// finite delay > 0 that keeps the graph's summed delay below
+  /// kDelaySumLimit, and loss in [0, 1). The delay is stored rounded to the
+  /// nearest multiple of kDelayStep, and at least one step.
   LinkId add_link(NodeId a, NodeId b, double delay, double loss = 0.0);
 
   std::size_t num_nodes() const { return num_nodes_; }
@@ -58,10 +88,10 @@ class Graph {
   /// True if the graph is connected (trivially true when empty).
   bool connected() const;
 
-  /// Scratch variant: runs the same DFS through caller-provided visited /
-  /// stack buffers, so generators validating every arena rebuild pay no
-  /// allocation once the buffers are warm.
-  bool connected(std::vector<char>& seen, std::vector<NodeId>& stack) const;
+  /// Scratch variant: unites the links' endpoints in a UnionFind over the
+  /// caller's `parent` buffer, so generators validating every arena
+  /// rebuild pay no allocation once it is warm. Builds no adjacency.
+  bool connected(std::vector<NodeId>& parent) const;
 
   /// Monotone counter bumped on every mutation (nodes or links added,
   /// clear()); routing caches use it to detect staleness. Links never change
@@ -87,6 +117,7 @@ class Graph {
 
   std::size_t num_nodes_ = 0;
   std::vector<Link> links_;
+  double delay_sum_ = 0.0;  // exact: a sum of grid multiples below 2^22
   std::uint64_t version_ = 0;
 
   mutable bool adjacency_dirty_ = true;

@@ -33,10 +33,10 @@ GraphUnderlay::PairMemo& GraphUnderlay::memo(HostId lo, HostId hi) const {
                 static_cast<std::size_t>(lo) * (lo + 1) / 2 + (hi - lo - 1)];
 }
 
-// Both reads use the canonical low -> high orientation: on an undirected
-// graph both directions traverse the same links, so reading one makes the
-// value exactly symmetric (the reverse tree could differ in the last ulps
-// of the delay sum / loss product).
+// Both reads use the canonical low -> high orientation, so reading one
+// makes the value exactly symmetric. Delays would agree anyway (every sum
+// is exact on the Graph's delay grid), but the reverse tree may break a
+// tie for another path, or multiply the same losses in another order.
 
 sim::Time GraphUnderlay::delay(HostId a, HostId b) const {
   if (a == b) return 0.0;

@@ -1,14 +1,12 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/require.hpp"
 
 namespace vdm::net {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Arity of the Dijkstra heap — same shallow-tree tradeoff as the event
 /// engine's slab heap.
 constexpr std::size_t kHeapArity = 4;
@@ -50,7 +48,7 @@ void Router::heap_sift_down(std::size_t pos) const {
   heap_pos_[e.slot] = static_cast<std::uint32_t>(pos);
 }
 
-const Router::Sssp& Router::tree_for(NodeId src) const {
+Router::Origin Router::origin(NodeId src) const {
   if (cached_version_ != graph_.version()) {
     clear_cache();
     cached_version_ = graph_.version();
@@ -59,10 +57,22 @@ const Router::Sssp& Router::tree_for(NodeId src) const {
   VDM_REQUIRE(src < n);
   // Built lazily, so seating a topology costs nothing until its first read.
   if (transit_index_.empty()) index_transit();
+  Origin o{nullptr, src, 0.0, kInvalidLink};
+  if (transit_index_[src] == kNotTransit) {
+    // Every path from a leaf leaves through its access link, so it reads
+    // the tree of the router there. Adding the link's delay to every key of
+    // that tree keeps every comparison on the delay grid, so a tree rooted
+    // at the leaf itself would hold the same links.
+    const std::span<const Graph::Arc> access = graph_.arcs(src);
+    if (!access.empty() && transit_index_[access[0].to] != kNotTransit) {
+      o = {nullptr, access[0].to, access[0].delay, access[0].link};
+    }
+  }
   if (trees_.size() < n) trees_.resize(n);
-  Sssp& sssp = trees_[src];
-  if (sssp.dist.empty()) recompute_tree(src, sssp);
-  return sssp;
+  Sssp& sssp = trees_[o.root];
+  if (sssp.dist.empty()) recompute_tree(o.root, sssp);
+  o.tree = &sssp;
+  return o;
 }
 
 void Router::index_transit() const {
@@ -76,13 +86,13 @@ void Router::index_transit() const {
   }
 }
 
-void Router::recompute_tree(NodeId src, Sssp& sssp) const {
+void Router::recompute_tree(NodeId root, Sssp& sssp) const {
   ++trees_computed_;
   const std::size_t t = transit_nodes_.size();
 
   // assign() reuses the previously grown capacity, so recomputing a tree
   // after an invalidation allocates nothing in steady state.
-  sssp.dist.assign(t + 1, kInf);
+  sssp.dist.assign(t + 1, kUnreachable);
   sssp.parent_link.assign(t + 1, kInvalidLink);
 
   // Dijkstra over the transit vertices on an indexed 4-ary heap with
@@ -94,23 +104,11 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
   // the same `neighbour's key + arc delay` sum the relaxation would store.
   heap_.clear();
   heap_pos_.assign(t, kUnseen);
-  const std::uint32_t s = transit_index_[src];
+  const std::uint32_t s = transit_index_[root];
   if (s != kNotTransit) {
     sssp.dist[s] = 0.0;
     heap_.push_back({0.0, s});
     heap_pos_[s] = 0;
-  } else if (graph_.degree(src) == 1) {
-    // A leaf source: the state a pop of the source would leave, with its
-    // neighbour relaxed to `0 + access delay`.
-    const Graph::Arc& access = graph_.arcs(src)[0];
-    const std::uint32_t up = transit_index_[access.to];
-    if (up != kNotTransit) {
-      const double nd = 0.0 + access.delay;
-      sssp.dist[up] = nd;
-      sssp.parent_link[up] = access.link;
-      heap_.push_back({nd, up});
-      heap_pos_[up] = 0;
-    }
   }
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
@@ -146,17 +144,22 @@ void Router::recompute_tree(NodeId src, Sssp& sssp) const {
 
 double Router::delay(NodeId src, NodeId dst) const {
   if (src == dst) return 0.0;
-  const Sssp& sssp = tree_for(src);
-  const std::uint32_t slot = transit_index_[dst];
-  if (slot != kNotTransit) return sssp.dist[slot];
-  // A leaf: its neighbour's distance plus the access link, the sum the
-  // neighbour's relaxation would store; an isolated vertex and a leaf
-  // hanging off another leaf (other than src) are unreachable.
-  const std::span<const Graph::Arc> access = graph_.arcs(dst);
-  if (access.empty()) return kInf;
-  if (access[0].to == src) return 0.0 + access[0].delay;
-  const std::uint32_t up = transit_index_[access[0].to];
-  return up == kNotTransit ? kInf : sssp.dist[up] + access[0].delay;
+  const Origin o = origin(src);
+  std::uint32_t slot = transit_index_[dst];
+  double tail = 0.0;
+  if (slot == kNotTransit) {
+    // A leaf: its router's distance plus the access link; an isolated
+    // vertex and a leaf hanging off another leaf (other than src) are
+    // unreachable.
+    const std::span<const Graph::Arc> access = graph_.arcs(dst);
+    if (access.empty()) return kUnreachable;
+    if (access[0].to == src) return access[0].delay;
+    slot = transit_index_[access[0].to];
+    if (slot == kNotTransit) return kUnreachable;
+    tail = access[0].delay;
+  }
+  // Exact on the delay grid, so the grouping does not matter.
+  return (o.lead + o.tree->dist[slot]) + tail;
 }
 
 std::vector<LinkId> Router::path(NodeId src, NodeId dst) const {

@@ -133,8 +133,9 @@ void make_transit_stub(const TransitStubParams& p, util::Rng& rng,
     }
   }
 
-  // stub_scratch doubles as the DFS stack: its stub-domain duty ended above.
-  VDM_REQUIRE_MSG(g.connected(topo.visited_scratch, topo.stub_scratch),
+  // stub_scratch doubles as the union-find parents: its stub-domain duty
+  // ended above.
+  VDM_REQUIRE_MSG(g.connected(topo.stub_scratch),
                   "generator must produce a connected graph");
 }
 

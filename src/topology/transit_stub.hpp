@@ -59,7 +59,6 @@ struct TransitStubTopology {
   std::vector<net::NodeId> order_scratch;
   std::vector<std::vector<net::NodeId>> transit_scratch;
   std::vector<net::NodeId> stub_scratch;
-  std::vector<char> visited_scratch;  ///< connectivity-check DFS buffer
 };
 
 /// Builds the router graph. Deterministic in `rng`.

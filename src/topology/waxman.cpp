@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "util/require.hpp"
 
@@ -15,31 +14,6 @@ double dist(const std::pair<double, double>& a, const std::pair<double, double>&
   const double dy = a.second - b.second;
   return std::sqrt(dx * dx + dy * dy);
 }
-
-/// Disjoint-set over node ids for the connectivity repair pass.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  bool unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent_[a] = b;
-    return true;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
 
 }  // namespace
 
@@ -62,17 +36,17 @@ void make_waxman(const WaxmanParams& p, util::Rng& rng, WaxmanTopology& topo) {
   }
 
   const double L = std::sqrt(2.0);
-  UnionFind uf(p.num_routers);
-  auto add = [&](std::size_t u, std::size_t v) {
+  net::UnionFind uf(topo.sets_scratch, p.num_routers);
+  auto add = [&](net::NodeId u, net::NodeId v) {
     const double d = dist(topo.coords[u], topo.coords[v]);
     const double delay = std::max(p.min_delay, d * p.delay_per_unit);
     const double loss = p.loss_max > 0.0 ? rng.uniform(p.loss_min, p.loss_max) : 0.0;
-    topo.graph.add_link(static_cast<net::NodeId>(u), static_cast<net::NodeId>(v), delay, loss);
+    topo.graph.add_link(u, v, delay, loss);
     uf.unite(u, v);
   };
 
-  for (std::size_t u = 0; u < p.num_routers; ++u) {
-    for (std::size_t v = u + 1; v < p.num_routers; ++v) {
+  for (net::NodeId u = 0; u < p.num_routers; ++u) {
+    for (net::NodeId v = u + 1; v < p.num_routers; ++v) {
       const double prob = p.alpha * std::exp(-dist(topo.coords[u], topo.coords[v]) / (p.beta * L));
       if (rng.chance(prob)) add(u, v);
     }
@@ -83,10 +57,10 @@ void make_waxman(const WaxmanParams& p, util::Rng& rng, WaxmanTopology& topo) {
   bool merged = true;
   while (merged) {
     merged = false;
-    std::size_t best_u = 0, best_v = 0;
+    net::NodeId best_u = 0, best_v = 0;
     double best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t u = 0; u < p.num_routers && best_d > 0.0; ++u) {
-      for (std::size_t v = u + 1; v < p.num_routers; ++v) {
+    for (net::NodeId u = 0; u < p.num_routers && best_d > 0.0; ++u) {
+      for (net::NodeId v = u + 1; v < p.num_routers; ++v) {
         if (uf.find(u) == uf.find(v)) continue;
         const double d = dist(topo.coords[u], topo.coords[v]);
         if (d < best_d) {
@@ -102,7 +76,8 @@ void make_waxman(const WaxmanParams& p, util::Rng& rng, WaxmanTopology& topo) {
     }
   }
 
-  VDM_REQUIRE(topo.graph.connected(topo.visited_scratch, topo.stack_scratch));
+  // Every link went through `uf`, so one set left means connected.
+  VDM_REQUIRE_MSG(uf.sets() == 1, "generator must produce a connected graph");
 }
 
 }  // namespace vdm::topo

@@ -32,10 +32,9 @@ struct WaxmanTopology {
   /// Unit-square coordinates, index = NodeId.
   std::vector<std::pair<double, double>> coords;
 
-  // Connectivity-check working buffers; kept here so the arena variant's
-  // final validation is allocation-free once warm.
-  std::vector<char> visited_scratch;
-  std::vector<net::NodeId> stack_scratch;
+  // The connectivity repair's union-find parents; kept here so the arena
+  // variant is allocation-free once warm.
+  std::vector<net::NodeId> sets_scratch;
 };
 
 WaxmanTopology make_waxman(const WaxmanParams& params, util::Rng& rng);

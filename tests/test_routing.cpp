@@ -14,11 +14,12 @@ namespace {
 
 TEST(Router, LineTopologyDistances) {
   const Graph g = topo::make_line(5, 0.010);
+  const double d = g.link(0).delay;  // 0.010 on the delay grid
   Router r(g);
   EXPECT_DOUBLE_EQ(r.delay(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
-  EXPECT_DOUBLE_EQ(r.delay(4, 0), 0.040);
-  EXPECT_DOUBLE_EQ(r.delay(1, 3), 0.020);
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
+  EXPECT_DOUBLE_EQ(r.delay(4, 0), 4 * d);
+  EXPECT_DOUBLE_EQ(r.delay(1, 3), 2 * d);
 }
 
 TEST(Router, LinePathLinksInOrder) {
@@ -40,10 +41,11 @@ TEST(Router, SelfPathIsEmpty) {
 
 TEST(Router, RingTakesShorterArc) {
   const Graph g = topo::make_ring(6, 0.010);
+  const double d = g.link(0).delay;
   Router r(g);
-  EXPECT_DOUBLE_EQ(r.delay(0, 2), 0.020);  // not 4 hops the long way
+  EXPECT_DOUBLE_EQ(r.delay(0, 2), 2 * d);  // not 4 hops the long way
   EXPECT_EQ(r.path(0, 2).size(), 2u);
-  EXPECT_DOUBLE_EQ(r.delay(0, 5), 0.010);  // wrap-around link
+  EXPECT_DOUBLE_EQ(r.delay(0, 5), d);  // wrap-around link
   EXPECT_EQ(r.path(0, 5).size(), 1u);
 }
 
@@ -51,10 +53,10 @@ TEST(Router, PicksLowerDelayOverFewerHops) {
   Graph g;
   g.add_nodes(3);
   g.add_link(0, 2, 0.100);               // direct but slow
-  g.add_link(0, 1, 0.010);
-  g.add_link(1, 2, 0.010);               // two fast hops
+  const LinkId first = g.add_link(0, 1, 0.010);
+  const LinkId second = g.add_link(1, 2, 0.010);  // two fast hops
   Router r(g);
-  EXPECT_DOUBLE_EQ(r.delay(0, 2), 0.020);
+  EXPECT_DOUBLE_EQ(r.delay(0, 2), g.link(first).delay + g.link(second).delay);
   EXPECT_EQ(r.path(0, 2).size(), 2u);
 }
 
@@ -64,7 +66,7 @@ TEST(Router, ParallelLinksUseCheapest) {
   g.add_link(0, 1, 0.050);
   const LinkId fast = g.add_link(0, 1, 0.010);
   Router r(g);
-  EXPECT_DOUBLE_EQ(r.delay(0, 1), 0.010);
+  EXPECT_DOUBLE_EQ(r.delay(0, 1), g.link(fast).delay);
   ASSERT_EQ(r.path(0, 1).size(), 1u);
   EXPECT_EQ(r.path(0, 1)[0], fast);
 }
@@ -91,18 +93,19 @@ TEST(Router, PathLossCompounds) {
 TEST(Router, CacheInvalidatesOnGraphMutation) {
   Graph g;
   g.add_nodes(2);
-  g.add_link(0, 1, 0.050);
+  const LinkId slow = g.add_link(0, 1, 0.050);
   Router r(g);
-  EXPECT_DOUBLE_EQ(r.delay(0, 1), 0.050);
-  g.add_link(0, 1, 0.010);  // bump version with a faster parallel link
-  EXPECT_DOUBLE_EQ(r.delay(0, 1), 0.010);
+  EXPECT_DOUBLE_EQ(r.delay(0, 1), g.link(slow).delay);
+  // Bump the version with a faster parallel link.
+  const LinkId fast = g.add_link(0, 1, 0.010);
+  EXPECT_DOUBLE_EQ(r.delay(0, 1), g.link(fast).delay);
 }
 
 TEST(Router, GridDistancesAreManhattan) {
   const Graph g = topo::make_grid(4, 4, 0.010);
   Router r(g);
   // (0,0) -> (3,3): 6 hops of 10ms.
-  EXPECT_NEAR(r.delay(0, 15), 0.060, 1e-12);
+  EXPECT_NEAR(r.delay(0, 15), 6 * g.link(0).delay, 1e-12);
   EXPECT_EQ(r.path(0, 15).size(), 6u);
 }
 
@@ -162,25 +165,28 @@ TEST(Router, PathDelaysSumToDistance) {
 
 TEST(Router, CountsOneTreePerSourceUntilClearCache) {
   const Graph g = topo::make_line(5, 0.010);
+  const double d = g.link(0).delay;
   Router r(g);
   EXPECT_EQ(r.trees_computed(), 0u);
-  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
-  EXPECT_DOUBLE_EQ(r.delay(0, 2), 0.020);  // the same source's tree
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
+  EXPECT_DOUBLE_EQ(r.delay(0, 2), 2 * d);  // the same source's tree
   EXPECT_EQ(r.trees_computed(), 1u);
+  // Leaf 0 reads the tree of vertex 1, at the other end of its one link.
   EXPECT_EQ(r.path(1, 4).size(), 3u);
-  EXPECT_EQ(r.trees_computed(), 2u);
+  EXPECT_EQ(r.trees_computed(), 1u);
   r.clear_cache();
   EXPECT_EQ(r.trees_computed(), 0u);
-  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
   EXPECT_EQ(r.trees_computed(), 1u);
 }
 
 TEST(Router, ClearCacheStillCorrect) {
   const Graph g = topo::make_line(5, 0.010);
+  const double d = g.link(0).delay;
   Router r(g);
-  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
   r.clear_cache();
-  EXPECT_DOUBLE_EQ(r.delay(0, 4), 0.040);
+  EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
 }
 
 }  // namespace

@@ -362,16 +362,31 @@ HostedGraph hosted(Graph graph, const std::vector<NodeId>& candidates,
 
 /// Every ordered vertex pair against the reference, requiring reachable
 /// reads of each kind: host -> host, host -> router and router -> host.
+/// Host sources read first: they share their access routers' trees, one
+/// Dijkstra run per distinct router.
 void expect_hosted_reads_match_reference(const HostedGraph& h) {
   const Router r(h.graph);
   const auto n = static_cast<NodeId>(h.graph.num_nodes());
   std::size_t reads[2][2] = {};  // [src is host][dst is host]
-  for (NodeId a = 0; a < n; ++a) {
+  const auto reads_from = [&](NodeId a) {
     const RefSssp ref = reference_dijkstra(h.graph, a);
     for (NodeId b = 0; b < n; ++b) {
       expect_read_matches_reference(h.graph, r, ref, a, b);
       if (a != b && ref.dist[b] != kInf) ++reads[h.is_host[a]][h.is_host[b]];
     }
+  };
+  std::vector<NodeId> access_routers;
+  for (const NodeId a : h.hosts) {
+    reads_from(a);
+    access_routers.push_back(h.graph.arcs(a)[0].to);
+  }
+  std::sort(access_routers.begin(), access_routers.end());
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(access_routers.begin(), access_routers.end()) - access_routers.begin());
+  EXPECT_LT(distinct, h.hosts.size());  // some routers carry several hosts
+  EXPECT_EQ(r.trees_computed(), distinct);
+  for (NodeId a = 0; a < n; ++a) {
+    if (!h.is_host[a]) reads_from(a);
   }
   EXPECT_GT(reads[1][1], 0u);
   EXPECT_GT(reads[1][0], 0u);
@@ -397,6 +412,38 @@ TEST(RoutingFastPath, HostReadsMatchReferenceBitwiseOnWaxman) {
   expect_hosted_reads_match_reference(hosted(std::move(g), routers, 50, 0.0, rng));
 }
 
+/// delay(a, b) and delay(b, a) between host vertices, bit for bit: the
+/// two reads sum the same links from opposite ends, so only exact sums
+/// agree. Without the delay grid they part in the last bits.
+void expect_host_delays_symmetric_bitwise(const HostedGraph& h) {
+  const Router r(h.graph);
+  std::size_t reachable = 0;
+  for (const NodeId a : h.hosts) {
+    for (const NodeId b : h.hosts) {
+      EXPECT_TRUE(same_bits(r.delay(a, b), r.delay(b, a))) << a << " " << b;
+      if (a != b && r.delay(a, b) < kInf) ++reachable;
+    }
+  }
+  EXPECT_EQ(reachable, h.hosts.size() * (h.hosts.size() - 1));
+}
+
+TEST(RoutingFastPath, HostDelaysAreSymmetricBitwiseOnTransitStub) {
+  util::Rng rng(103);
+  topo::TransitStubTopology ts = topo::make_transit_stub(lossy_transit_stub(), rng);
+  expect_host_delays_symmetric_bitwise(
+      hosted(std::move(ts.graph), ts.stub_routers, 60, 0.01, rng));
+}
+
+TEST(RoutingFastPath, HostDelaysAreSymmetricBitwiseOnWaxman) {
+  util::Rng rng(104);
+  topo::WaxmanParams wp;
+  wp.num_routers = 60;
+  Graph g = topo::make_waxman(wp, rng).graph;
+  std::vector<NodeId> routers(g.num_nodes());
+  for (NodeId v = 0; v < routers.size(); ++v) routers[v] = v;
+  expect_host_delays_symmetric_bitwise(hosted(std::move(g), routers, 60, 0.0, rng));
+}
+
 TEST(RoutingFastPath, LeafEdgeCasesMatchReferenceBitwise) {
   Graph g;
   g.add_nodes(9);
@@ -404,8 +451,8 @@ TEST(RoutingFastPath, LeafEdgeCasesMatchReferenceBitwise) {
   g.add_link(0, 1, 0.011, 0.01);
   g.add_link(1, 2, 0.007, 0.02);
   // Hosts 3 and 4 on one router.
-  g.add_link(3, 0, 0.003, 0.001);
-  g.add_link(0, 4, 0.005, 0.002);
+  const LinkId host3 = g.add_link(3, 0, 0.003, 0.001);
+  const LinkId host4 = g.add_link(0, 4, 0.005, 0.002);
   // Host 5 with two parallel access links: a transit vertex.
   g.add_link(5, 1, 0.013, 0.003);
   const LinkId fast = g.add_link(1, 5, 0.009, 0.004);
@@ -414,10 +461,11 @@ TEST(RoutingFastPath, LeafEdgeCasesMatchReferenceBitwise) {
   const Router r(g);
   expect_matches_reference(g, r, 1, 1);
 
-  EXPECT_TRUE(same_bits(r.delay(7, 8), 0.0 + 0.004));
-  EXPECT_TRUE(same_bits(r.delay(8, 7), 0.0 + 0.004));
+  const auto stored = [&g](LinkId l) { return g.link(l).delay; };
+  EXPECT_TRUE(same_bits(r.delay(7, 8), 0.0 + stored(pair)));
+  EXPECT_TRUE(same_bits(r.delay(8, 7), 0.0 + stored(pair)));
   EXPECT_EQ(r.path(8, 7), std::vector<LinkId>{pair});
-  EXPECT_TRUE(same_bits(r.delay(3, 4), (0.0 + 0.003) + 0.005));
+  EXPECT_TRUE(same_bits(r.delay(3, 4), (0.0 + stored(host3)) + stored(host4)));
   EXPECT_EQ(r.path(1, 5), std::vector<LinkId>{fast});
   EXPECT_EQ(r.delay(7, 0), kInf);
   EXPECT_EQ(r.delay(0, 8), kInf);
@@ -465,7 +513,9 @@ TEST(RoutingFastPath, RebindToAnEqualVersionGraphReindexesTransitVertices) {
   u.release(husk, hosts);
   u.rebind(std::move(second), {7, 0, 1, 3, 6, 2});
   expect_pairs_match_router(u);
-  EXPECT_TRUE(same_bits(u.delay(0, 1), (0.0 + 0.001) + 0.020 + 0.002));
+  // Links 3, 1 and 4: v(4) - v(1) - v(2) - v(5).
+  const auto stored = [&u](LinkId l) { return u.graph().link(l).delay; };
+  EXPECT_TRUE(same_bits(u.delay(0, 1), (0.0 + stored(3)) + stored(1) + stored(4)));
 }
 
 TEST(RoutingFastPath, MatrixUnderlayVisitorMatchesPath) {

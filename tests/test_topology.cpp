@@ -220,7 +220,9 @@ TEST(Waxman, DelayProportionalToDistance) {
     const auto& ca = t.coords[l.a];
     const auto& cb = t.coords[l.b];
     const double d = std::hypot(ca.first - cb.first, ca.second - cb.second);
-    EXPECT_NEAR(l.delay, std::max(p.min_delay, d * p.delay_per_unit), 1e-12);
+    // Stored on the graph's 2^-30 s delay grid.
+    const double want = std::nearbyint(std::max(p.min_delay, d * p.delay_per_unit) * 0x1p30) * 0x1p-30;
+    EXPECT_NEAR(l.delay, want, 1e-12);
   }
 }
 

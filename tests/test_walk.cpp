@@ -646,77 +646,77 @@ struct GoldenRun {
 
 constexpr GoldenRun kGoldens[] = {
     {"fig3-vdm",
-     {0x1.03489695d5145p+1, 0x1.835e50d79435ep+2, 0x1.28aac54e39a5p+1,
-      0x1.571c4ad74abfep+1, 0x1.4f6b5886bcf9dp+2, 0x1p+0,
+     {0x1.03489695d5145p+1, 0x1.835e50d79435ep+2, 0x1.28aac512f793cp+1,
+      0x1.571c4a8c12e19p+1, 0x1.4f6b583a4ae64p+2, 0x1p+0,
       0x1.7047dc11f7047p+2, 0x1.b17f126789p+2, 0x1.59435e50d7943p+3,
       0x1.0765cc70e93f9p-2, 0x1.1eef03da864cfp-7, 0x1.507019de95d3dp-2,
-      0x1.bd4fc9f7f6905p+1, 0x1.25ee56359e71fp+1, 0x1.664d7696f627ap+2,
-      0x1.add62870d85e5p-1, 0x1.29f241f7d9f5dp+2, 0x0p+0,
+      0x1.bd4fc9df0d794p+1, 0x1.25ee5637d508fp+1, 0x1.664d76cap+2,
+      0x1.add6285c4bda1p-1, 0x1.29f241f6p+2, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.9104e50ad22e8p+0, 0x1.88p+5}},
+      0x1.9104e513955c8p+0, 0x1.88p+5}},
     {"fig3-hmtp",
-     {0x1.cf5fd1e087bf9p+0, 0x1.179435e50d794p+2, 0x1.3a1030885ce25p+1,
-      0x1.4eae20b07f6d3p+1, 0x1.1217572287192p+2, 0x1p+0,
+     {0x1.cf5fd1e087bf9p+0, 0x1.179435e50d794p+2, 0x1.3a1030518fd27p+1,
+      0x1.4eae20740f18cp+1, 0x1.121756ea52ffcp+2, 0x1p+0,
       0x1.d411f7047dc11p+2, 0x1.12f9bc84e1a03p+3, 0x1.ad79435e50d79p+3,
       0x1.3405e9d39be9dp-2, 0x1.a2b0dfd487c04p-2, 0x1.cad2ba79cd56cp+3,
-      0x1.265a243fc6025p+1, 0x1.6297b1695f43bp+1, 0x1.98ea0dfd2f98cp+2,
-      0x1.6f68bba60d8e7p-1, 0x1.9306c0eb2cef8p+1, 0x0p+0,
+      0x1.265a242f9435ep+1, 0x1.6297b16cddfc7p+1, 0x1.98ea0dfep+2,
+      0x1.6f68bb9e0f83ep-1, 0x1.9306c0fcp+1, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.2647be5d44e65p+0, 0x1.88p+5}},
+      0x1.2647be6e31db7p+0, 0x1.88p+5}},
     {"fig3-btp",
-     {0x1.131fb688d19bdp+1, 0x1.b5e50d79435e5p+2, 0x1.8aedb418b321bp+1,
-      0x1.c22bab0e1be6ap+1, 0x1.2960e28816f7ap+3, 0x1p+0,
+     {0x1.131fb688d19bdp+1, 0x1.b5e50d79435e5p+2, 0x1.8aedb3d8a5623p+1,
+      0x1.c22baac47baafp+1, 0x1.2960e26186ba6p+3, 0x1p+0,
       0x1.4835e50d79436p+2, 0x1.8acce0aa03ff3p+2, 0x1.5ca1af286bca2p+3,
       0x1.0bdab20deb51p-2, 0x1.46be87751d363p-4, 0x1.81366f05edadp+1,
-      0x1.152e2ecb2c158p+2, 0x1.0e9aa07b3087fp+0, 0x1.4dad5da9085bep+1,
-      0x1.67aa0381a1aacp-1, 0x1.c8350ec23437ep+0, 0x0p+0,
+      0x1.152e2ec5286bdp+2, 0x1.0e9aa0933ea84p+0, 0x1.4dad5de4p+1,
+      0x1.67aa037435e51p-1, 0x1.c8350ed8p+0, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.1a405fd0f64d4p+1, 0x1.88p+5}},
+      0x1.1a405fd7ede29p+1, 0x1.88p+5}},
     {"fig3-random",
-     {0x1.4c226464d25c2p+1, 0x1.0d79435e50d79p+4, 0x1.09b1bfd9ce1bbp+2,
-      0x1.4b39af455a51dp+2, 0x1.2ce0504ea2e6p+4, 0x1p+0,
+     {0x1.4c226464d25c2p+1, 0x1.0d79435e50d79p+4, 0x1.09b1bfaf56079p+2,
+      0x1.4b39af09fc1c8p+2, 0x1.2ce04fe65247p+4, 0x1p+0,
       0x1.9f9435e50d794p+1, 0x1.f424fd07fc6afp+1, 0x1.abca1af286bcap+2,
       0x1.c79dc364c0f0fp-3, 0x1.b824cc9aa138p-9, 0x1.14bfdd81e2e5ap-3,
-      0x1.c229be1bbb54p+2, 0x1.83075734d41efp+0, 0x1.9d8672654a3e6p+1,
-      0x1.44044cbb3af3bp+0, 0x1.9be891a58bd18p+1, 0x0p+0,
+      0x1.c229be201af28p+2, 0x1.8307573a8479cp+0, 0x1.9d867264p+1,
+      0x1.44044cbcb376cp+0, 0x1.9be891a4p+1, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.ec0f272e4ed53p+1, 0x1.88p+5}},
+      0x1.ec0f275741bacp+1, 0x1.88p+5}},
     {"degree2-vdm",
-     {0x1.fb9c9cdb71c3dp+0, 0x1.179435e50d794p+2, 0x1.53352943c1af3p+2,
-      0x1.6bffb337b002p+2, 0x1.b26d3ddb52ae3p+3, 0x1p+0,
+     {0x1.fb9c9cdb71c3dp+0, 0x1.179435e50d794p+2, 0x1.5335294179fb2p+2,
+      0x1.6bffb34292ccep+2, 0x1.b26d3debd8879p+3, 0x1p+0,
       0x1.68b3a62ce98b3p+3, 0x1.9435e50d79436p+3, 0x1.c79435e50d794p+4,
       0x1.1226e380de565p-8, 0x1.3fcef53dec701p-8, 0x1.df64c87d09298p-3,
-      0x1.be701ae8b1885p+1, 0x1.398e113e72621p+2, 0x1.6fe693842fcbap+4,
-      0x1.218cafaf876dap+0, 0x1.419c7bd5d77a7p+4, 0x0p+0,
+      0x1.be701ae86bca2p+1, 0x1.398e113aa0be8p+2, 0x1.6fe6939p+4,
+      0x1.218cafa15f15fp+0, 0x1.419c7bc1p+4, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.066d9c46e7341p+1, 0x1.88p+5}},
+      0x1.066d9c3f26ea3p+1, 0x1.88p+5}},
     {"degree2-hmtp",
-     {0x1.2203a18c15419p+1, 0x1.15e50d79435e5p+3, 0x1.4ebf086804f4p+3,
-      0x1.29864286c4d27p+3, 0x1.11682f8c496bfp+5, 0x1p+0,
+     {0x1.2203a18c15419p+1, 0x1.15e50d79435e5p+3, 0x1.4ebf084b9956bp+3,
+      0x1.29864276df835p+3, 0x1.11682f6c243bdp+5, 0x1p+0,
       0x1.974c59d31674dp+3, 0x1.8p+3, 0x1.de50d79435e51p+4,
       0x1.fdb96f8cbdaf3p-11, 0x1.0470bff5fcd4ep-1, 0x1.875a46102b1dcp+4,
-      0x1.42e12b4a56118p+2, 0x1.2f5d76075f598p+3, 0x1.99737efd91576p+4,
-      0x1.93002626b7aa7p-1, 0x1.793fd9200633cp+0, 0x0p+0,
+      0x1.42e12b4486bcap+2, 0x1.2f5d760805f41p+3, 0x1.99737f038p+4,
+      0x1.93002622d2d2dp-1, 0x1.793fd93p+0, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.54e5b419d2384p+1, 0x1.88p+5}},
+      0x1.54e5b40ae4cc2p+1, 0x1.88p+5}},
     {"degree2-btp",
-     {0x1.16da425cf8273p+1, 0x1.b5e50d79435e5p+2, 0x1.872e0034b0c83p+2,
-      0x1.67be7fc05ea1ap+3, 0x1.637200b7822e1p+5, 0x1p+0,
+     {0x1.16da425cf8273p+1, 0x1.b5e50d79435e5p+2, 0x1.872e005da7a56p+2,
+      0x1.67be8049c764dp+3, 0x1.63720227c0a78p+5, 0x1p+0,
       0x1.c4d79435e50d9p+2, 0x1.435e50d79435dp+3, 0x1.1a1af286bca1bp+4,
       0x1.d8e6c87a0da1bp-12, 0x1.94de599b110d8p-5, 0x1.303a34d11c908p+1,
-      0x1.1f7e939c01f21p+2, 0x1.0211bcc04b8eap+2, 0x1.c90b4543bfb0fp+3,
-      0x1.453be118f2205p-1, 0x1.18d1bf9335804p+0, 0x0p+0,
+      0x1.1f7e9399p+2, 0x1.0211bcbfd6536p+2, 0x1.c90b451fp+3,
+      0x1.453be11492492p-1, 0x1.18d1bfap+0, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.2c4fe05f20ea4p+1, 0x1.88p+5}},
+      0x1.2c4fe05401ed3p+1, 0x1.88p+5}},
     {"degree2-random",
-     {0x1.46925f76726f1p+1, 0x1.dca1af286bca2p+3, 0x1.34eb2302b269cp+3,
-      0x1.cf51be14ff667p+3, 0x1.05709b6354611p+7, 0x1p+0,
+     {0x1.46925f76726f1p+1, 0x1.dca1af286bca2p+3, 0x1.34eb2350703cfp+3,
+      0x1.cf51be60583cdp+3, 0x1.05709c7ef462cp+7, 0x1p+0,
       0x1.67a62ce98b3a7p+2, 0x1.373dfa9c4b73dp+3, 0x1.aa1af286bca1bp+3,
       0x1.133cf427a5f5ep-11, 0x1.befff9b99bbap-10, 0x1.50089f87469a3p-4,
-      0x1.d3f17e613fff8p+2, 0x1.71235f57292dfp+1, 0x1.74151565fdff9p+2,
-      0x1.f7df665627794p-1, 0x1.699ef9874f292p+1, 0x0p+0,
+      0x1.d3f17e579435ep+2, 0x1.71235f526b29bp+1, 0x1.74151546p+2,
+      0x1.f7df664af8af9p-1, 0x1.699ef98p+1, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.e8a17b7933e9bp+1, 0x1.88p+5}},
+      0x1.e8a17b60371c4p+1, 0x1.88p+5}},
     {"fig5-vdmr",
      {0x1p+0, 0x1p+0, 0x1.2b7d4d1a81953p+0,
       0x1.4aafce7c8acc5p+0, 0x1.f68eea3f52a76p+0, 0x1.63375ed88fe23p-1,
@@ -758,23 +758,23 @@ constexpr GoldenRun kGoldens[] = {
     // session's (tests/test_detector.cpp checks it against the detector
     // that ticked every probe, in distribution).
     {"crash-vdm",
-     {0x1.e4c37c99bf56p+0, 0x1.e50d79435e50dp+2, 0x1.da19430ac28cdp+0,
-      0x1.0b0beb2a42p+1, 0x1.46f86b2bfde52p+2, 0x1p+0,
+     {0x1.e4c37c99bf56p+0, 0x1.e50d79435e50dp+2, 0x1.da1942e4ae459p+0,
+      0x1.0b0beb162068p+1, 0x1.46f86b05e2463p+2, 0x1p+0,
       0x1.ee2ce98b3a62dp+1, 0x1.1aa06551d12adp+2, 0x1.e1af286bca1afp+2,
       0x1.17483cec409d1p-8, 0x1.0266306de3ac8p+0, 0x1.815f1fcc42d45p+5,
-      0x1.b1fc2de2946fep+1, 0x1.988edf0022f7p+0, 0x1.a678a6ea32b34p+1,
-      0x1.bf7250c4d42aep-1, 0x1.7fb0a6d9ae89fp+1, 0x1.8378eb08cc565p+1,
-      0x1.bc28bbc62d8p+1, 0x1.f3557f3a01611p+1, 0x1.900355f839dfep+2,
-      0x1.f39a28805a95p+0, 0x1.88p+5}},
+      0x1.b1fc2dcf9435ep+1, 0x1.988edef9d89d9p+0, 0x1.a678a6d8p+1,
+      0x1.bf7250b1702ep-1, 0x1.7fb0a6e8p+1, 0x1.8378eb08cc565p+1,
+      0x1.bc28bbc62d8p+1, 0x1.f3557f352861dp+1, 0x1.900355ea886p+2,
+      0x1.f39a287b39fd5p+0, 0x1.88p+5}},
     {"crash-hmtp",
-     {0x1.c06216dab9df4p+0, 0x1.9af286bca1af3p+2, 0x1.b988eaab2146cp+0,
-      0x1.d35a2aae52aadp+0, 0x1.bf44e8f1a24b3p+1, 0x1p+0,
+     {0x1.c06216dab9df4p+0, 0x1.9af286bca1af3p+2, 0x1.b988ea98d5063p+0,
+      0x1.d35a2a9aeb7a2p+0, 0x1.bf44e8d8aef8fp+1, 0x1p+0,
       0x1.ee2ce98b3a62dp+1, 0x1.16034baac2f1ep+2, 0x1.e1af286bca1afp+2,
       0x1.e7372c8eb6a79p-9, 0x1.410c9bb265d81p+0, 0x1.df1f64c87d093p+5,
-      0x1.31757771d26c5p+1, 0x1.d0a222c298973p+0, 0x1.231bb5cbf5545p+2,
-      0x1.cedd64c9db8d3p-1, 0x1.eaa49836027a8p+1, 0x1.7cd8ec0543f7ap+1,
-      0x1.bf1398763cp+1, 0x1.f0904537badadp+1, 0x1.d167488d0c9d4p+2,
-      0x1.21a23ac40726dp+0, 0x1.88p+5}},
+      0x1.3175776850d79p+1, 0x1.d0a222bbcddfcp+0, 0x1.231bb5d2p+2,
+      0x1.cedd64b64d936p-1, 0x1.eaa4982cp+1, 0x1.7cd8ec0543f7ap+1,
+      0x1.bf1398763cp+1, 0x1.f0904532d75c7p+1, 0x1.d16748880b6p+2,
+      0x1.21a23ab57e35ep+0, 0x1.88p+5}},
     {"flash-heartbeat-vdm",
      {0x0p+0, 0x0p+0, 0x1.5bcd61d52a81fp+1,
       0x1.900b06b1297dfp+1, 0x1.481ca0c0354c8p+4, 0x1p+0,
@@ -787,14 +787,14 @@ constexpr GoldenRun kGoldens[] = {
     // Recorded while the driver still scheduled the batched timeline on the
     // reactor directly, before every timeline compiled to an event list.
     {"fig4-batched-vdml",
-     {0x1.5ac7fa99b248bp+1, 0x1.3p+4, 0x1.7c947680f1598p+1,
-      0x1.054a015e10eb8p+2, 0x1.3c0a31510879dp+4, 0x1p+0,
+     {0x1.5ac7fa99b248bp+1, 0x1.3p+4, 0x1.7c94769b16dbfp+1,
+      0x1.054a017d9662cp+2, 0x1.3c0a3228fd579p+4, 0x1p+0,
       0x1.2c88888888888p+2, 0x1.6ef6495268a7ep+2, 0x1.2p+3,
       0x1.51289b3fb5b72p-3, 0x1.f0dbbe68923c4p-2, 0x1.3620c49ba5e36p+5,
-      0x1.6b1e2889ef5fap+3, 0x1.4143b66d7bec4p+1, 0x1.d9a3e29a6b035p+2,
+      0x1.6b1e28878p+3, 0x1.4143b66a4b175p+1, 0x1.d9a3e2a07ae12p+2,
       0x0p+0, 0x0p+0, 0x0p+0,
       0x0p+0, 0x0p+0, 0x0p+0,
-      0x1.2269617bd8b9ap+2, 0x1.e4p+6}},
+      0x1.2269616533e73p+2, 0x1.e4p+6}},
 };
 
 class WalkGolden : public ::testing::TestWithParam<std::size_t> {};

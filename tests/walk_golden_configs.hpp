@@ -11,7 +11,9 @@
 // tests/test_walk.cpp were recorded on the pre-TreeWalk protocol loops, the
 // flash-heartbeat one on the heap-timer heartbeats that preceded the
 // per-host timer slab, the batched one on the reactor-scheduled timeline
-// that preceded the compiled event lists.
+// that preceded the compiled event lists. The transit-stub corners' delay-
+// derived scalars were re-recorded when link delays moved onto the
+// 2^-30 s grid; tests/test_journal.cpp pins that their trees did not move.
 
 #include <cstdint>
 #include <string>
