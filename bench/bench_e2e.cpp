@@ -173,7 +173,9 @@ BENCHMARK(BM_RunOnceArena)->Arg(200)->Unit(benchmark::kMillisecond);
 /// The only e2e row whose chunks take the lossy flood (every other row's
 /// underlay is lossless, so its chunks are counted); allocs_per_iter and
 /// arena_grow_per_iter must read 0 here too. trees_per_iter is the run's
-/// Dijkstra tree count (RunResult::net_trees), deterministic per seed.
+/// Dijkstra tree count (RunResult::net_trees) and settled_per_iter the
+/// vertices those trees settled (RunResult::net_settled), both
+/// deterministic per seed.
 void BM_RunOnceLossy(benchmark::State& state) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kTransitStub;
@@ -185,6 +187,7 @@ void BM_RunOnceLossy(benchmark::State& state) {
   cfg.seed = 7;
   const experiments::RunResult last = run_warm(state, cfg);
   state.counters["trees_per_iter"] = static_cast<double>(last.net_trees);
+  state.counters["settled_per_iter"] = static_cast<double>(last.net_settled);
 }
 BENCHMARK(BM_RunOnceLossy)->Arg(512)->Unit(benchmark::kMillisecond);
 

@@ -496,7 +496,10 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   r.sim_events = simulator.executed();
   r.sim_periodic_fires = simulator.periodic_fires();
   const std::optional<net::GraphUnderlay>& graph = scratch.impl_->graph_underlay;
-  if (graph && underlay == &*graph) r.net_trees = graph->router().trees_computed();
+  if (graph && underlay == &*graph) {
+    r.net_trees = graph->router().trees_computed();
+    r.net_settled = graph->router().vertices_settled();
+  }
   r.totals = session.totals();
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;

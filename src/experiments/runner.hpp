@@ -134,8 +134,10 @@ struct RunResult {
   std::uint64_t sim_events = 0;
   std::uint64_t sim_periodic_fires = 0;
   /// Shortest-path trees the router graph's Router computed during the run
-  /// (net::Router::trees_computed); 0 on coordinate and matrix underlays.
+  /// (net::Router::trees_computed) and the vertices they settled
+  /// (net::Router::vertices_settled); 0 on coordinate and matrix underlays.
   std::uint64_t net_trees = 0;
+  std::uint64_t net_settled = 0;
   /// The session's whole-run counts (Session::totals()): messages, chunks,
   /// joins, and timer work such as heartbeat ticks and crash verdicts.
   overlay::Session::Counters totals;

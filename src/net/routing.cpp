@@ -57,7 +57,7 @@ Router::Origin Router::origin(NodeId src) const {
   VDM_REQUIRE(src < n);
   // Built lazily, so seating a topology costs nothing until its first read.
   if (transit_index_.empty()) index_transit();
-  Origin o{nullptr, src, 0.0, kInvalidLink};
+  if (trees_.size() < n) trees_.resize(n);
   if (transit_index_[src] == kNotTransit) {
     // Every path from a leaf leaves through its access link, so it reads
     // the tree of the router there. Adding the link's delay to every key of
@@ -65,54 +65,148 @@ Router::Origin Router::origin(NodeId src) const {
     // at the leaf itself would hold the same links.
     const std::span<const Graph::Arc> access = graph_.arcs(src);
     if (!access.empty() && transit_index_[access[0].to] != kNotTransit) {
-      o = {nullptr, access[0].to, access[0].delay, access[0].link};
+      return {&tree(access[0].to), access[0].delay, access[0].link};
     }
   }
-  if (trees_.size() < n) trees_.resize(n);
-  Sssp& sssp = trees_[o.root];
-  if (sssp.dist.empty()) recompute_tree(o.root, sssp);
-  o.tree = &sssp;
-  return o;
+  return {&tree(src), 0.0, kInvalidLink};
+}
+
+const Router::Sssp& Router::tree(NodeId root) const {
+  Sssp& sssp = trees_[root];
+  if (sssp.dist.empty()) recompute_tree(root, sssp);
+  return sssp;
+}
+
+bool Router::reach(Origin& o, std::uint32_t slot,
+                   std::vector<const Sssp*>* chain) const {
+  while (!o.tree->region.holds(slot)) {
+    const Region& region = o.tree->region;
+    if (region.entry == kInvalidLink) return false;
+    if (chain != nullptr) chain->push_back(o.tree);
+    // Every path out of the region starts with the path to its head (slot
+    // 0 of the tree) and the entry bridge, so it continues in the tree of
+    // the bridge's far end. The sums are exact on the delay grid, so the
+    // lead plus that tree's distances are a source-rooted tree's.
+    const Link& bridge = graph_.link(region.entry);
+    const NodeId gate = bridge.other(transit_nodes_[region.begin]);
+    o = {&tree(gate), o.lead + o.tree->dist[0] + bridge.delay, kInvalidLink};
+  }
+  return true;
 }
 
 void Router::index_transit() const {
   const std::size_t n = graph_.num_nodes();
   transit_index_.assign(n, kNotTransit);
-  transit_nodes_.clear();
+  std::size_t t = 0;
   for (NodeId v = 0; v < n; ++v) {
     if (graph_.degree(v) < 2) continue;
-    transit_index_[v] = static_cast<std::uint32_t>(transit_nodes_.size());
-    transit_nodes_.push_back(v);
+    transit_index_[v] = kUnnumbered;
+    ++t;
   }
+  transit_nodes_.resize(t);
+  regions_.resize(t);
+  low_.resize(t);
+  std::uint32_t next = 0;
+  std::size_t bridges = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (transit_index_[v] != kUnnumbered) continue;
+    const std::uint32_t begin = next;
+    next = number_component(v, begin);
+    // Re-root below the deepest bridge whose lower side holds more than
+    // half the component, so that every bridge's lower side, its region,
+    // is its lighter one. Such sides nest along one root path, so the
+    // deepest is the one with the largest slot.
+    const std::size_t size = next - begin;
+    std::uint32_t heavy = begin;
+    for (std::uint32_t s = begin + 1; s < next; ++s) {
+      if (low_[s] == s && 2 * std::size_t{regions_[s].end - s} > size) heavy = s;
+    }
+    if (heavy != begin) {
+      const NodeId root = transit_nodes_[heavy];
+      for (std::uint32_t s = begin; s < next; ++s) {
+        transit_index_[transit_nodes_[s]] = kUnnumbered;
+      }
+      number_component(root, begin);
+    }
+    // Innermost regions, in preorder: the lower side of a bridge is a
+    // region of its own, and any other slot lies in its DFS parent's.
+    for (std::uint32_t s = begin + 1; s < next; ++s) {
+      if (low_[s] == s) {
+        ++bridges;
+        continue;
+      }
+      const NodeId up = graph_.link(regions_[s].entry).other(transit_nodes_[s]);
+      regions_[s] = regions_[transit_index_[up]];
+    }
+  }
+  // A walk crosses each bridge at most once.
+  chain_.reserve(bridges);
+}
+
+std::uint32_t Router::number_component(NodeId root, std::uint32_t next) const {
+  const auto enter = [this, &next](NodeId v, LinkId in) {
+    transit_index_[v] = next;
+    transit_nodes_[next] = v;
+    regions_[next] = {next, next, in};
+    low_[next] = next;
+    dfs_.push_back({next, 0});
+    ++next;
+  };
+  enter(root, kInvalidLink);
+  while (!dfs_.empty()) {
+    const std::uint32_t s = dfs_.back().slot;
+    const std::span<const Graph::Arc> arcs = graph_.arcs(transit_nodes_[s]);
+    if (dfs_.back().arc < arcs.size()) {
+      const Graph::Arc& arc = arcs[dfs_.back().arc++];
+      const std::uint32_t to = transit_index_[arc.to];
+      // Only the link the search came in by is skipped: a parallel link to
+      // the same parent is a back edge, so a doubled link is no bridge.
+      if (to == kNotTransit || arc.link == regions_[s].entry) continue;
+      if (to == kUnnumbered) {
+        enter(arc.to, arc.link);
+      } else {
+        low_[s] = std::min(low_[s], to);
+      }
+      continue;
+    }
+    regions_[s].end = next;
+    dfs_.pop_back();
+    if (!dfs_.empty()) {
+      const std::uint32_t up = dfs_.back().slot;
+      low_[up] = std::min(low_[up], low_[s]);
+    }
+  }
+  return next;
 }
 
 void Router::recompute_tree(NodeId root, Sssp& sssp) const {
   ++trees_computed_;
-  const std::size_t t = transit_nodes_.size();
+  const std::uint32_t s = transit_index_[root];
+  // A root that is no transit vertex reaches none: its region is empty.
+  sssp.region = s == kNotTransit ? Region{} : regions_[s];
+  const std::uint32_t begin = sssp.region.begin;
+  const std::size_t size = sssp.region.end - begin;
 
   // assign() reuses the previously grown capacity, so recomputing a tree
   // after an invalidation allocates nothing in steady state.
-  sssp.dist.assign(t + 1, kUnreachable);
-  sssp.parent_link.assign(t + 1, kInvalidLink);
+  sssp.dist.assign(size + 1, kUnreachable);
+  sssp.parent_link.assign(size + 1, kInvalidLink);
 
-  // Dijkstra over the transit vertices on an indexed 4-ary heap with
-  // decrease-key: every vertex is in the heap at most once (no lazy
-  // duplicates to pop and skip), and sifts touch a quarter of the levels a
-  // binary heap would. Settled vertices (non-negative weights) can never
-  // improve. Leaves never transit traffic, so their arcs are skipped: a
-  // leaf's distance is read through its access link instead (delay()),
-  // the same `neighbour's key + arc delay` sum the relaxation would store.
+  // Dijkstra over the region on an indexed 4-ary heap with decrease-key:
+  // every vertex is in the heap at most once (no lazy duplicates to pop
+  // and skip), and sifts touch a quarter of the levels a binary heap
+  // would. Settled vertices (non-negative weights) can never improve.
   heap_.clear();
-  heap_pos_.assign(t, kUnseen);
-  const std::uint32_t s = transit_index_[root];
+  heap_pos_.assign(size, kUnseen);
   if (s != kNotTransit) {
-    sssp.dist[s] = 0.0;
-    heap_.push_back({0.0, s});
-    heap_pos_[s] = 0;
+    sssp.dist[s - begin] = 0.0;
+    heap_.push_back({0.0, s - begin});
+    heap_pos_[s - begin] = 0;
   }
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
     heap_pos_[top.slot] = kSettled;
+    ++vertices_settled_;
     const HeapEntry tail = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
@@ -120,9 +214,12 @@ void Router::recompute_tree(NodeId root, Sssp& sssp) const {
       heap_pos_[tail.slot] = 0;
       heap_sift_down(0);
     }
-    for (const Graph::Arc& arc : graph_.arcs(transit_nodes_[top.slot])) {
-      const std::uint32_t to = transit_index_[arc.to];
-      if (to == kNotTransit) continue;  // a leaf: read through its link
+    for (const Graph::Arc& arc : graph_.arcs(transit_nodes_[begin + top.slot])) {
+      // Outside [0, size) after the shift (kNotTransit included): a leaf,
+      // read through its link, or the far end of the region's entry
+      // bridge, read through the tree there.
+      const std::uint32_t to = transit_index_[arc.to] - begin;
+      if (to >= size) continue;
       const double nd = top.key + arc.delay;
       if (nd < sssp.dist[to]) {
         sssp.dist[to] = nd;
@@ -144,7 +241,7 @@ void Router::recompute_tree(NodeId root, Sssp& sssp) const {
 
 double Router::delay(NodeId src, NodeId dst) const {
   if (src == dst) return 0.0;
-  const Origin o = origin(src);
+  Origin o = origin(src);
   std::uint32_t slot = transit_index_[dst];
   double tail = 0.0;
   if (slot == kNotTransit) {
@@ -158,8 +255,9 @@ double Router::delay(NodeId src, NodeId dst) const {
     if (slot == kNotTransit) return kUnreachable;
     tail = access[0].delay;
   }
+  if (!reach(o, slot, nullptr)) return kUnreachable;
   // Exact on the delay grid, so the grouping does not matter.
-  return (o.lead + o.tree->dist[slot]) + tail;
+  return (o.lead + o.tree->dist[slot - o.tree->region.begin]) + tail;
 }
 
 std::vector<LinkId> Router::path(NodeId src, NodeId dst) const {
@@ -183,15 +281,21 @@ void Router::clear_cache() const {
   }
   transit_index_.clear();
   transit_nodes_.clear();
+  regions_.clear();
   trees_computed_ = 0;
+  vertices_settled_ = 0;
 }
 
 std::size_t Router::cache_capacity_bytes() const {
   std::size_t bytes = trees_.capacity() * sizeof(Sssp) +
                       transit_index_.capacity() * sizeof(std::uint32_t) +
                       transit_nodes_.capacity() * sizeof(NodeId) +
+                      regions_.capacity() * sizeof(Region) +
+                      low_.capacity() * sizeof(std::uint32_t) +
+                      dfs_.capacity() * sizeof(DfsFrame) +
                       heap_.capacity() * sizeof(HeapEntry) +
                       heap_pos_.capacity() * sizeof(std::uint32_t) +
+                      chain_.capacity() * sizeof(const Sssp*) +
                       path_scratch_.capacity() * sizeof(LinkId);
   for (const Sssp& t : trees_) {
     bytes += t.dist.capacity() * sizeof(double) +

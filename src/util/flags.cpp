@@ -84,11 +84,14 @@ double Flags::get_double(const std::string& name, double def) const {
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {
-  std::string v = get(name, "");
+  const std::string v = get(name, "");
   if (v.empty()) return def;
-  std::transform(v.begin(), v.end(), v.begin(),
+  std::string lower = v;
+  std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (lower == "1" || lower == "true" || lower == "yes" || lower == "on") return true;
+  if (lower == "0" || lower == "false" || lower == "no" || lower == "off") return false;
+  throw std::invalid_argument("--" + name + ": expected true or false, got '" + v + "'");
 }
 
 std::vector<std::string> Flags::unknown(

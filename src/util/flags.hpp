@@ -41,6 +41,9 @@ class Flags {
   /// too, so a negative value never wraps to a huge std::size_t.
   std::size_t get_count(const std::string& name, std::size_t def) const;
   double get_double(const std::string& name, double def) const;
+  /// 1/true/yes/on or 0/false/no/off, in any case; anything else throws
+  /// std::invalid_argument naming the flag (so `--csv stray`, which reads
+  /// "stray" as the value of --csv, is an error, not a silent false).
   bool get_bool(const std::string& name, bool def) const;
 
   /// Positional (non-flag) arguments in order of appearance.
@@ -58,9 +61,9 @@ class Flags {
 
 /// The body of a command-line program's main(): returns what `body`
 /// returns, but a malformed flag value (the std::invalid_argument the
-/// numeric getters throw, naming the flag) or a config the library rejects
-/// (util::InvariantError) ends in a one-line message on stderr and exit
-/// status 2 instead of std::terminate.
+/// numeric and boolean getters throw, naming the flag) or a config the
+/// library rejects (util::InvariantError) ends in a one-line message on
+/// stderr and exit status 2 instead of std::terminate.
 int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace vdm::util

@@ -164,20 +164,27 @@ TEST(Router, PathDelaysSumToDistance) {
 }
 
 TEST(Router, CountsOneTreePerSourceUntilClearCache) {
+  // Transit vertices 1 - 2 - 3: both links are bridges, and vertex 2 is on
+  // the heavier side of each, so vertices 1 and 3 are one-vertex regions.
   const Graph g = topo::make_line(5, 0.010);
   const double d = g.link(0).delay;
   Router r(g);
   EXPECT_EQ(r.trees_computed(), 0u);
+  EXPECT_EQ(r.vertices_settled(), 0u);
   EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
-  EXPECT_DOUBLE_EQ(r.delay(0, 2), 2 * d);  // the same source's tree
-  EXPECT_EQ(r.trees_computed(), 1u);
-  // Leaf 0 reads the tree of vertex 1, at the other end of its one link.
+  EXPECT_DOUBLE_EQ(r.delay(0, 2), 2 * d);  // the same source's trees
+  // Leaf 0 reads the tree of vertex 1, at the other end of its one link;
+  // that tree covers vertex 1 alone, so reads past it cross the bridge
+  // into the tree of vertex 2, which covers all three.
+  EXPECT_EQ(r.trees_computed(), 2u);
+  EXPECT_EQ(r.vertices_settled(), 1u + 3u);
   EXPECT_EQ(r.path(1, 4).size(), 3u);
-  EXPECT_EQ(r.trees_computed(), 1u);
+  EXPECT_EQ(r.trees_computed(), 2u);
   r.clear_cache();
   EXPECT_EQ(r.trees_computed(), 0u);
+  EXPECT_EQ(r.vertices_settled(), 0u);
   EXPECT_DOUBLE_EQ(r.delay(0, 4), 4 * d);
-  EXPECT_EQ(r.trees_computed(), 1u);
+  EXPECT_EQ(r.trees_computed(), 2u);
 }
 
 TEST(Router, ClearCacheStillCorrect) {

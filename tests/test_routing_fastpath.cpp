@@ -1,10 +1,13 @@
 // Property tests for the zero-allocation routing fast path: the dense
 // Router tree memo over transit vertices, reads through leaves' access
-// links, the visitor API, and the GraphUnderlay host-pair loss memo must
-// all agree bit for bit with a plain reference Dijkstra over every vertex —
-// on random Waxman and transit-stub graphs with hosts attached, on small
-// hand-built leaf cases, again after Graph version bumps clear every tree,
-// and after rebind() seats a topology of another size or of equal version.
+// links and across bridges into the next region's tree, the visitor API,
+// and the GraphUnderlay host-pair loss memo must all agree bit for bit with
+// a plain reference Dijkstra over every vertex — on random Waxman and
+// transit-stub graphs with hosts attached, on small hand-built leaf and
+// bridge cases, again after Graph version bumps clear every tree, and after
+// rebind() seats a topology of another size or of equal version. The tree
+// and settled-vertex counts are checked against a brute-force statement of
+// the bridge rule.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "metrics/tree_metrics.hpp"
@@ -121,6 +125,93 @@ void expect_matches_reference(const Graph& g, const Router& r,
       expect_read_matches_reference(g, r, ref, a, b);
     }
   }
+}
+
+/// Brute-force statement of the bridge rule. A bridge is a link between
+/// two transit vertices (two or more links) whose removal splits their
+/// component of the transit vertices; its region is its lighter side (on
+/// an even split, the side without the component's lowest vertex). For
+/// each transit vertex: the transit vertex count of its innermost region,
+/// the smallest that holds it, or of its whole component when it is on the
+/// heavier side of every bridge, and the far end of that region's bridge
+/// (kInvalidNode for a whole component).
+struct BridgeRegions {
+  std::vector<std::size_t> size;  // by vertex; 0 for non-transit vertices
+  std::vector<NodeId> gate;       // by vertex
+};
+
+BridgeRegions bridge_regions(const Graph& g) {
+  const std::size_t n = g.num_nodes();
+  const auto transit = [&g](NodeId v) { return g.degree(v) >= 2; };
+  // The transit vertices reachable from `from` without link `cut`.
+  const auto side = [&](NodeId from, LinkId cut) {
+    std::vector<char> seen(n, 0);
+    std::vector<NodeId> stack{from};
+    seen[from] = 1;
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      for (const Graph::Arc& arc : g.arcs(v)) {
+        if (arc.link == cut || !transit(arc.to) || seen[arc.to]) continue;
+        seen[arc.to] = 1;
+        stack.push_back(arc.to);
+      }
+    }
+    return seen;
+  };
+  BridgeRegions out{std::vector<std::size_t>(n, 0),
+                    std::vector<NodeId>(n, kInvalidNode)};
+  for (NodeId v = 0; v < n; ++v) {
+    if (!transit(v)) continue;
+    const std::vector<char> comp = side(v, kInvalidLink);
+    out.size[v] = static_cast<std::size_t>(std::count(comp.begin(), comp.end(), 1));
+  }
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const Link& link = g.link(l);
+    if (!transit(link.a) || !transit(link.b)) continue;
+    const std::vector<char> a_side = side(link.a, l);
+    if (a_side[link.b]) continue;  // a cycle (or a parallel link) joins them
+    const std::vector<char> comp = side(link.a, kInvalidLink);
+    std::size_t a_count = 0;
+    std::size_t comp_count = 0;
+    NodeId lowest = kInvalidNode;
+    for (NodeId v = 0; v < n; ++v) {
+      if (!comp[v]) continue;
+      ++comp_count;
+      if (a_side[v]) ++a_count;
+      if (lowest == kInvalidNode) lowest = v;
+    }
+    const std::size_t b_count = comp_count - a_count;
+    const bool a_is_region =
+        a_count < b_count || (a_count == b_count && !a_side[lowest]);
+    const std::size_t region = a_is_region ? a_count : b_count;
+    for (NodeId v = 0; v < n; ++v) {
+      if (!comp[v] || (a_side[v] != 0) != a_is_region || region >= out.size[v]) continue;
+      out.size[v] = region;
+      out.gate[v] = a_is_region ? link.b : link.a;
+    }
+  }
+  return out;
+}
+
+/// Trees and settled vertices of a fresh Router after reads from `roots`
+/// (tree roots: transit vertices, or a leaf's router) that reach past
+/// every bridge: each root's tree, and those of the far ends of the
+/// bridges out of each region on the way.
+struct TreeWork {
+  std::size_t trees = 0;
+  std::size_t settled = 0;
+};
+
+TreeWork expected_work(const BridgeRegions& br, const std::vector<NodeId>& roots) {
+  std::set<NodeId> computed;
+  for (NodeId at : roots) {
+    for (; at != kInvalidNode && computed.insert(at).second; at = br.gate[at]) {
+    }
+  }
+  TreeWork work{computed.size(), 0};
+  for (const NodeId v : computed) work.settled += br.size[v];
+  return work;
 }
 
 Graph waxman_graph(std::uint64_t seed, double loss_max) {
@@ -363,7 +454,8 @@ HostedGraph hosted(Graph graph, const std::vector<NodeId>& candidates,
 /// Every ordered vertex pair against the reference, requiring reachable
 /// reads of each kind: host -> host, host -> router and router -> host.
 /// Host sources read first: they share their access routers' trees, one
-/// Dijkstra run per distinct router.
+/// Dijkstra run per distinct router and one per far end of a bridge their
+/// reads cross (bridge_regions()).
 void expect_hosted_reads_match_reference(const HostedGraph& h) {
   const Router r(h.graph);
   const auto n = static_cast<NodeId>(h.graph.num_nodes());
@@ -380,11 +472,13 @@ void expect_hosted_reads_match_reference(const HostedGraph& h) {
     reads_from(a);
     access_routers.push_back(h.graph.arcs(a)[0].to);
   }
+  const TreeWork work = expected_work(bridge_regions(h.graph), access_routers);
   std::sort(access_routers.begin(), access_routers.end());
   const auto distinct = static_cast<std::size_t>(
       std::unique(access_routers.begin(), access_routers.end()) - access_routers.begin());
   EXPECT_LT(distinct, h.hosts.size());  // some routers carry several hosts
-  EXPECT_EQ(r.trees_computed(), distinct);
+  EXPECT_EQ(r.trees_computed(), work.trees);
+  EXPECT_EQ(r.vertices_settled(), work.settled);
   for (NodeId a = 0; a < n; ++a) {
     if (!h.is_host[a]) reads_from(a);
   }
@@ -516,6 +610,166 @@ TEST(RoutingFastPath, RebindToAnEqualVersionGraphReindexesTransitVertices) {
   // Links 3, 1 and 4: v(4) - v(1) - v(2) - v(5).
   const auto stored = [&u](LinkId l) { return u.graph().link(l).delay; };
   EXPECT_TRUE(same_bits(u.delay(0, 1), (0.0 + stored(3)) + stored(1) + stored(4)));
+}
+
+/// Hand-built router graph for the bridge cases: `links` between routers
+/// 0 .. routers - 1, then one host per entry of `host_routers`, every delay
+/// and loss drawn from `rng` (so no two paths tie).
+HostedGraph bridge_case(std::size_t routers,
+                        std::initializer_list<std::pair<NodeId, NodeId>> links,
+                        std::initializer_list<NodeId> host_routers,
+                        util::Rng& rng) {
+  HostedGraph h;
+  h.graph.add_nodes(routers);
+  for (const auto& [a, b] : links) {
+    h.graph.add_link(a, b, rng.uniform(0.001, 0.02), rng.uniform(0.0, 0.02));
+  }
+  for (const NodeId router : host_routers) {
+    const NodeId host = h.graph.add_node();
+    h.graph.add_link(host, router, rng.uniform(0.001, 0.005), rng.uniform(0.0, 0.01));
+    h.hosts.push_back(host);
+  }
+  h.is_host.assign(h.graph.num_nodes(), 0);
+  for (const NodeId v : h.hosts) h.is_host[v] = 1;
+  return h;
+}
+
+/// Trees and settled vertices of a fresh Router after one read.
+TreeWork first_read_work(const HostedGraph& h, NodeId src, NodeId dst) {
+  const Router r(h.graph);
+  r.delay(src, dst);
+  return {r.trees_computed(), r.vertices_settled()};
+}
+
+void expect_work(const TreeWork& got, std::size_t trees, std::size_t settled) {
+  EXPECT_EQ(got.trees, trees);
+  EXPECT_EQ(got.settled, settled);
+}
+
+TEST(RoutingFastPath, BridgeRegionsChainAlongALine) {
+  // Routers 0 .. 8 in a line with a host on each (two on router 0): every
+  // router link is a bridge and router 4 is on the heavier side of each, so
+  // the regions are {0}, {0, 1}, {0 .. 2}, {0 .. 3} (and their mirrors) and
+  // a read from router 0's host to router 8's crosses four bridges.
+  util::Rng rng(111);
+  const HostedGraph h = bridge_case(
+      9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 0}, rng);
+  expect_hosted_reads_match_reference(h);
+  expect_work(first_read_work(h, h.hosts[0], 0), 1, 1);
+  expect_work(first_read_work(h, h.hosts[0], h.hosts[8]), 5, 1 + 2 + 3 + 4 + 9);
+  expect_work(first_read_work(h, h.hosts[7], h.hosts[1]), 4, 2 + 3 + 4 + 9);
+}
+
+TEST(RoutingFastPath, BridgeRegionsRootTheNumberingOnTheHeavierSide) {
+  // A barbell: blob {0, 1, 2} (a triangle), the path 2 - 3 - 4 - 5, and
+  // blob {5 .. 10} (a hexagon with a chord). The search starts at vertex 0,
+  // in the smaller blob, and must move the numbering's root to the larger.
+  util::Rng rng(112);
+  const HostedGraph h = bridge_case(
+      11,
+      {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8},
+       {8, 9}, {9, 10}, {10, 5}, {5, 8}},
+      {0, 1, 3, 7, 10, 0}, rng);
+  expect_hosted_reads_match_reference(h);
+  expect_work(first_read_work(h, h.hosts[0], 1), 1, 3);
+  // Regions {0 .. 2}, {0 .. 3} and {0 .. 4}, then the whole graph.
+  expect_work(first_read_work(h, h.hosts[0], h.hosts[4]), 4, 3 + 4 + 5 + 11);
+  expect_work(first_read_work(h, h.hosts[4], h.hosts[0]), 1, 11);
+}
+
+TEST(RoutingFastPath, BridgeRegionsTreatAParallelGatewayAsNoBridge) {
+  // Core pentagon 0 .. 4. Stub {5, 6, 7} hangs off router 0 by a gateway
+  // doubled by a parallel link of longer delay: no bridge, so its routers'
+  // trees cover the whole graph. Stub {8, 9, 10} hangs off router 2 by a
+  // single gateway, a bridge.
+  util::Rng rng(113);
+  HostedGraph h = bridge_case(
+      11,
+      {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 6}, {6, 7}, {7, 5}, {5, 0},
+       {8, 9}, {9, 10}, {10, 8}, {8, 2}},
+      {6, 7, 9, 3, 6}, rng);
+  const LinkId gateway = 8;  // {5, 0}
+  h.graph.add_link(0, 5, h.graph.link(gateway).delay + 0.003, 0.01);
+  expect_hosted_reads_match_reference(h);
+  expect_work(first_read_work(h, h.hosts[0], 5), 1, 11);
+  expect_work(first_read_work(h, h.hosts[2], h.hosts[0]), 2, 3 + 11);
+}
+
+TEST(RoutingFastPath, BridgeRegionsStayInsideTheirComponent) {
+  // Two components, each with a pendant region: triangle {0, 1, 2} off
+  // square {3 .. 6}, and router 7 off triangle {8, 9, 10}. Reads between
+  // them climb to their component's whole tree and find nothing.
+  util::Rng rng(114);
+  const HostedGraph h = bridge_case(
+      11,
+      {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 3}, {7, 8},
+       {8, 9}, {9, 10}, {10, 8}},
+      {0, 1, 5, 7, 9, 9}, rng);
+  expect_hosted_reads_match_reference(h);
+  expect_work(first_read_work(h, h.hosts[3], h.hosts[0]), 2, 1 + 4);
+  expect_work(first_read_work(h, h.hosts[0], 1), 1, 3);
+  expect_work(first_read_work(h, h.hosts[0], h.hosts[4]), 2, 3 + 7);
+}
+
+TEST(RoutingFastPath, BridgeRegionsNestInsideAStubDomain) {
+  // Stub router 0 hangs off stub triangle {1, 2, 3} by an internal bridge,
+  // and the stub off core pentagon {4 .. 8} by gateway 3 - 4: a read from
+  // router 0's host to the core crosses two bridges.
+  util::Rng rng(115);
+  const HostedGraph h = bridge_case(
+      9,
+      {{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8},
+       {8, 4}},
+      {0, 2, 6, 6}, rng);
+  expect_hosted_reads_match_reference(h);
+  expect_work(first_read_work(h, h.hosts[0], 0), 1, 1);
+  expect_work(first_read_work(h, h.hosts[0], h.hosts[1]), 2, 1 + 4);
+  expect_work(first_read_work(h, h.hosts[0], h.hosts[2]), 3, 1 + 4 + 9);
+}
+
+TEST(RoutingFastPath, FirstReadFromAStubHostSettlesOnlyItsRegion) {
+  // The paper's 792-router graph: each stub domain hangs off its transit
+  // router by one gateway bridge, so a stub host's first read settles its
+  // region only, at most its stub domain.
+  util::Rng rng(116);
+  const topo::TransitStubParams params;
+  topo::TransitStubTopology ts = topo::make_transit_stub(params, rng);
+  ASSERT_EQ(ts.graph.num_nodes(), 792u);
+  const HostedGraph h = hosted(std::move(ts.graph), ts.stub_routers, 256, 0.01, rng);
+  const BridgeRegions br = bridge_regions(h.graph);
+  const Router r(h.graph);
+  for (const NodeId host : h.hosts) {
+    const NodeId router = h.graph.arcs(host)[0].to;
+    r.clear_cache();
+    EXPECT_LT(r.delay(host, router), kInf);
+    EXPECT_EQ(r.trees_computed(), 1u);
+    EXPECT_EQ(r.vertices_settled(), br.size[router]) << "host " << host;
+    EXPECT_LE(br.size[router], params.routers_per_stub) << "host " << host;
+  }
+}
+
+TEST(RoutingFastPath, RegionBuffersKeepTheirCapacityAcrossRebinds) {
+  // Reads along a line (chains four bridges deep) grow every buffer of the
+  // router once: clearing its trees, or reseating the graph the way a
+  // same-size rebuild does, reuses them all.
+  util::Rng rng(117);
+  HostedGraph h = bridge_case(
+      9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}},
+      {0, 8, 1, 7, 2, 6, 3, 5, 4}, rng);
+  GraphUnderlay u(std::move(h.graph), std::move(h.hosts));
+  expect_pairs_match_router(u);
+  const std::size_t warm = u.arena_capacity_bytes();
+  EXPECT_GT(u.router().cache_capacity_bytes(), 0u);
+  u.router().clear_cache();
+  expect_pairs_match_router(u);
+  EXPECT_EQ(u.arena_capacity_bytes(), warm);
+  Graph graph;
+  std::vector<NodeId> hosts;
+  u.release(graph, hosts);
+  u.rebind(std::move(graph), std::move(hosts));
+  expect_pairs_match_router(u);
+  EXPECT_EQ(u.arena_capacity_bytes(), warm);
 }
 
 TEST(RoutingFastPath, MatrixUnderlayVisitorMatchesPath) {

@@ -93,6 +93,20 @@ TEST(Flags, BoolParsesCommonSpellings) {
   EXPECT_TRUE(make_flags({"--a=1"}).get_bool("a", false));
   EXPECT_FALSE(make_flags({"--a=0"}).get_bool("a", true));
   EXPECT_FALSE(make_flags({"--a=no"}).get_bool("a", true));
+  EXPECT_TRUE(make_flags({"--a=Yes"}).get_bool("a", false));
+  EXPECT_FALSE(make_flags({"--a=False"}).get_bool("a", true));
+  EXPECT_FALSE(make_flags({"--a=OFF"}).get_bool("a", true));
+  // Any other value is an error naming the flag, not a silent false: a
+  // bare flag followed by a stray word takes the word as its value.
+  EXPECT_THROW(make_flags({"--a", "stray"}).get_bool("a", false),
+               std::invalid_argument);
+  EXPECT_THROW(make_flags({"--a=2"}).get_bool("a", false), std::invalid_argument);
+  try {
+    make_flags({"--csv", "stray"}).get_bool("csv", false);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--csv"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Flags, PositionalArguments) {

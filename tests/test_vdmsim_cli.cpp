@@ -146,6 +146,17 @@ TEST(VdmsimCli, RejectedConfigExitsTwo) {
     EXPECT_TRUE(contains(r.output, "rejected config")) << args << "\n" << r.output;
     EXPECT_TRUE(contains(r.output, field)) << args << "\n" << r.output;
   }
+  // A boolean flag's value that is no true or false spelling is a malformed
+  // value, named in the message: the parser reads "stray" as the value of
+  // --csv, which used to read as false and print the table.
+  for (const char* args :
+       {"--underlay coord-plane --members 16 --seeds 1 --csv stray",
+        "--underlay coord-plane --members 16 --seeds 1 --csv 2"}) {
+    const CliResult r = run_vdmsim(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_TRUE(contains(r.output, "--csv")) << args << "\n" << r.output;
+    EXPECT_FALSE(contains(r.output, "members")) << args << "\n" << r.output;
+  }
 }
 
 TEST(VdmsimCli, MisspeltFlagExitsTwoNamingIt) {
@@ -250,16 +261,21 @@ TEST(VdmsimCli, TrajectoryAndProfileCountersArePinned) {
 }
 
 TEST(VdmsimCli, ProfileCountsRouterTrees) {
-  // One Dijkstra tree per access router of the hosts the run reads from,
-  // on the 64-member transit-stub run; coordinate underlays build no router.
+  // On the 64-member transit-stub run, one Dijkstra tree per access router
+  // of the hosts the run reads from (87, each over its stub domain's
+  // region of 6 to 8 routers), and one per transit router, at the far end
+  // of the stub domains' gateway bridges (24, each over all 782 transit
+  // vertices); coordinate underlays build no router.
   const CliResult ts = run_vdmsim(
       "--underlay transit-stub --members 64 --seeds 1 --profile");
   ASSERT_EQ(ts.exit_code, 0) << ts.output;
-  EXPECT_TRUE(contains(ts.output, "  underlay: router trees 87\n")) << ts.output;
+  EXPECT_TRUE(contains(ts.output,
+                       "  underlay: router trees 111, vertices settled 19455\n"))
+      << ts.output;
   const CliResult coord = run_vdmsim(
       "--underlay coord-plane --members 64 --seeds 1 --profile");
   ASSERT_EQ(coord.exit_code, 0) << coord.output;
-  EXPECT_TRUE(contains(coord.output, "  underlay: router trees 0\n"))
+  EXPECT_TRUE(contains(coord.output, "  underlay: router trees 0, vertices settled 0\n"))
       << coord.output;
 }
 

@@ -85,8 +85,8 @@ int usage() {
       "               serial; results are bit-identical for any value)\n"
       "  --profile    print a per-phase wall-time footer (join / refine /\n"
       "               flood / metrics, summed across seeds) after the table,\n"
-      "               with event (periodic / one-shot), timer and router\n"
-      "               tree counts\n"
+      "               with event (periodic / one-shot), timer, router tree\n"
+      "               and settled-vertex counts\n"
       "  --quiet      suppress the per-seed progress line on stderr\n"
       "  --trace-joins  print one line per tree-walk step (forces --threads 1;\n"
       "               pair with small --members/--seeds, it is verbose)\n"
@@ -364,7 +364,7 @@ int run_cli(int argc, char** argv) {
     double join = 0.0, refine = 0.0, flood = 0.0, metrics_t = 0.0;
     unsigned long long events = 0, periodic = 0, heartbeats = 0,
                        refine_ticks = 0, verdicts_true = 0, verdicts_false = 0,
-                       trees = 0;
+                       trees = 0, settled = 0;
     for (const RunResult& r : agg.runs) {
       join += r.profile_join_secs;
       refine += r.profile_refine_secs;
@@ -377,6 +377,7 @@ int run_cli(int argc, char** argv) {
       verdicts_true += r.totals.verdicts_true;
       verdicts_false += r.totals.verdicts_false;
       trees += r.net_trees;
+      settled += r.net_settled;
     }
     std::printf(
         "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
@@ -384,11 +385,11 @@ int run_cli(int argc, char** argv) {
         "  sim events %llu (periodic %llu, one-shot %llu)\n"
         "  timers: heartbeat ticks %llu, refine ticks %llu, verdicts %llu true"
         " / %llu false\n"
-        "  underlay: router trees %llu\n"
+        "  underlay: router trees %llu, vertices settled %llu\n"
         "  run-threads %d, sweep workers %zu\n",
         agg.runs.size(), join, refine, flood, metrics_t, events, periodic,
         events - periodic, heartbeats, refine_ticks, verdicts_true,
-        verdicts_false, trees, cfg.session.threads, sweep.threads);
+        verdicts_false, trees, settled, cfg.session.threads, sweep.threads);
   }
 
   if (want_trajectory && !agg.runs.empty()) {
