@@ -158,6 +158,8 @@ BENCHMARK(BM_RunOnceCrashChurn)->Arg(200)->Unit(benchmark::kMillisecond);
 /// sweep worker executes. arena_grow_per_iter must be exactly 0: after the
 /// warmup run the scratch owns every buffer the run shape needs, so repeat
 /// runs rebuild topology, routing state and collector storage in place.
+/// The 2048-member row is BM_RunOnceTransitStub/2048 on a warm arena, the
+/// zero-allocation gate of the largest transit-stub shape.
 void BM_RunOnceArena(benchmark::State& state) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kTransitStub;
@@ -166,7 +168,7 @@ void BM_RunOnceArena(benchmark::State& state) {
   cfg.seed = 7;
   run_warm(state, cfg);
 }
-BENCHMARK(BM_RunOnceArena)->Arg(200)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunOnceArena)->Arg(200)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 /// The paper_lossy_512 shape on a warm arena: VDM-L on the transit-stub
 /// with every router link's loss drawn up to 2 % (Chapter 4), 2 chunks/s.

@@ -69,6 +69,7 @@ Outcome run(overlay::Protocol& protocol, std::size_t viewers, double churn,
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
+  flags.reject_unknown({"viewers", "churn", "seed"});
   const auto viewers = flags.get_count("viewers", 80);
   const double churn = flags.get_double("churn", 0.05);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));

@@ -65,6 +65,7 @@ Outcome run(const overlay::MetricProvider& metric, std::size_t members,
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
+  flags.reject_unknown({"members", "seed"});
   const auto members = flags.get_count("members", 60);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
 

@@ -40,6 +40,7 @@ void print_tree(const overlay::Membership& tree, net::HostId node,
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
+  flags.reject_unknown({"members", "seed"});
   const auto members = flags.get_count("members", 30);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
 

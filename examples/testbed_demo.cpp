@@ -30,6 +30,7 @@ namespace {
 
 int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
+  flags.reject_unknown({"nodes", "members", "seed", "scenario", "protocol", "dot"});
   const auto pool_size = flags.get_count("nodes", 80);
   const auto members = flags.get_count("members", 30);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));

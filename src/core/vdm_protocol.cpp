@@ -22,7 +22,6 @@ namespace {
 /// Case III descend > Case II splice > Case I attach > saturated fallback.
 struct VdmJoinPolicy {
   const VdmConfig& config;
-  VdmProtocol::CaseStats& cases;
   /// Slots the joiner can offer adopted children (fixed at walk start).
   int free_slots = 0;
   /// Case II outcome: the decided adoptions, viewing walk scratch.
@@ -78,7 +77,6 @@ struct VdmJoinPolicy {
     // Case III dominates Case II: continue the search from the closest
     // directional child (§3.2, Scenario III).
     if (best3 != net::kInvalidHost) {
-      ++cases.case3_descents;
       return TreeWalk::Action::descend(WalkDecision::kDirectionalDescend, best3,
                                        best3_dist);
     }
@@ -93,8 +91,6 @@ struct VdmJoinPolicy {
       if (case2.size() > static_cast<std::size_t>(free_slots)) {
         case2.resize(static_cast<std::size_t>(free_slots));
       }
-      ++cases.case2_splice;
-      cases.case2_adoptions += case2.size();
       adoptions = std::span<const WalkAdoption>(case2);
       return TreeWalk::Action::stop(WalkDecision::kSplice, w.cur(), d_ncur);
     }
@@ -102,20 +98,13 @@ struct VdmJoinPolicy {
     // Case I everywhere: attach to the current node if it can take us
     // (during refinement the node's current parent counts as having room).
     if (w.can_accept(w.cur())) {
-      ++cases.case1_attach;
       return TreeWalk::Action::stop(WalkDecision::kAttach, w.cur(), d_ncur);
     }
 
     // Otherwise the closest child with a free slot (§3.2: "it connects to
     // the closest free child"), and if every child is saturated too, keep
     // descending through the closest subtree that still has capacity.
-    const TreeWalk::Action fallback = w.saturated_fallback(dist);
-    if (fallback.kind == TreeWalk::Action::Kind::kStop) {
-      ++cases.full_fallback_child;
-    } else {
-      ++cases.full_fallback_descend;
-    }
-    return fallback;
+    return w.saturated_fallback(dist);
   }
 };
 
@@ -124,10 +113,8 @@ struct VdmJoinPolicy {
 struct VdmPipeline final
     : overlay::PolicyPipeline<VdmPipeline, VdmJoinPolicy> {
   const VdmConfig& config;
-  VdmProtocol::CaseStats& cases;
 
-  VdmPipeline(const VdmConfig& cfg, VdmProtocol::CaseStats& cs)
-      : config(cfg), cases(cs) {}
+  explicit VdmPipeline(const VdmConfig& cfg) : config(cfg) {}
 
   VdmJoinPolicy make_policy(TreeWalk& walk) const {
     const overlay::MemberState& nm =
@@ -137,7 +124,7 @@ struct VdmPipeline final
     // always ends up with an uplink).
     const int free_slots =
         nm.degree_limit - static_cast<int>(nm.children.size()) - 1;
-    return VdmJoinPolicy{config, cases, free_slots, {}};
+    return VdmJoinPolicy{config, free_slots, {}};
   }
 
   std::span<const WalkAdoption> adoptions(
@@ -192,7 +179,7 @@ struct VdmPipeline final
 
 VdmProtocol::VdmProtocol(const VdmConfig& config)
     : config_(config),
-      pipeline_(std::make_unique<VdmPipeline>(config_, case_stats_)) {}
+      pipeline_(std::make_unique<VdmPipeline>(config_)) {}
 
 OpStats VdmProtocol::execute_refine(Session& session, net::HostId node) {
   OpStats stats;

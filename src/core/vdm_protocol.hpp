@@ -69,23 +69,9 @@ class VdmProtocol final : public overlay::Protocol {
 
   const VdmConfig& config() const { return config_; }
 
-  /// Cumulative counts of how join searches resolved — the observability
-  /// hook behind the ablation benches (which case does the work?).
-  struct CaseStats {
-    std::uint64_t case1_attach = 0;      ///< attached to the queried node
-    std::uint64_t case2_splice = 0;      ///< spliced in, adopting children
-    std::uint64_t case2_adoptions = 0;   ///< children adopted across splices
-    std::uint64_t case3_descents = 0;    ///< Case III descent steps
-    std::uint64_t full_fallback_child = 0;  ///< attached to closest free child
-    std::uint64_t full_fallback_descend = 0;  ///< all children saturated
-  };
-  const CaseStats& case_stats() const { return case_stats_; }
-  void reset_case_stats() { case_stats_ = CaseStats{}; }
-
  private:
   VdmConfig config_;
-  CaseStats case_stats_;
-  /// Built with the protocol; it holds references to the two members above.
+  /// Built with the protocol; it holds a reference to the config above.
   std::unique_ptr<overlay::PipelineSupport> pipeline_;
 };
 

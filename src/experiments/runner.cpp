@@ -160,10 +160,10 @@ struct RunScratch::Impl {
 
   /// Cached protocol / metric objects, rebuilt only when the config fields
   /// that shape them change — the steady-state bench loop (identical config
-  /// every iteration) reuses them. Protocols carry no behavior-affecting
-  /// run state (their case counters are documented as cumulative), so reuse
-  /// cannot perturb results. CachedMetric is deliberately NOT cached: its
-  /// time-stamped measurement cache must not survive a simulator reset.
+  /// every iteration) reuses them. Protocols carry no behavior-affecting run
+  /// state, so reuse cannot perturb results. CachedMetric is deliberately
+  /// NOT cached: its time-stamped measurement cache must not survive a
+  /// simulator reset.
   struct ProtocolKey {
     Proto protocol;
     double vdm_epsilon, vdm_case2_descend_ratio;

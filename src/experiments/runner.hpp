@@ -213,9 +213,9 @@ AggregateResult run_many(const RunConfig& config, std::size_t num_seeds,
                          std::size_t threads = 0, double confidence = 0.90);
 
 /// Reads the VDM_FULL environment knob: returns `fast` seeds normally and
-/// `full` (paper-scale) seeds when VDM_FULL=1. Lets `for b in build/bench/*`
-/// finish quickly by default. Callers pass the result as the default of
-/// `flags.get_count("seeds", ...)`, whose VDM_SEEDS fallback wins over it.
+/// `full` (paper-scale) seeds when VDM_FULL=1. Lets `bench/figures` finish
+/// quickly by default; its entries take the result as the seed count when
+/// neither --seeds nor VDM_SEEDS gives one.
 std::size_t default_seeds(std::size_t fast, std::size_t full);
 
 }  // namespace vdm::experiments

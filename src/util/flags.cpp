@@ -94,15 +94,15 @@ bool Flags::get_bool(const std::string& name, bool def) const {
   throw std::invalid_argument("--" + name + ": expected true or false, got '" + v + "'");
 }
 
-std::vector<std::string> Flags::unknown(
-    std::initializer_list<std::string_view> known) const {
-  std::vector<std::string> out;
+void Flags::reject_unknown(std::initializer_list<std::string_view> known) const {
+  std::string names;
   for (const auto& [name, value] : values_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
-      out.push_back(name);
+      if (!names.empty()) names += "; ";
+      names += "unknown flag --" + name;
     }
   }
-  return out;
+  if (!names.empty()) throw std::invalid_argument(names);
 }
 
 int run_main(int argc, char** argv, int (*body)(int, char**)) {

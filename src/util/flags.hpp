@@ -49,10 +49,10 @@ class Flags {
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Flags given on the command line whose names are not in `known`, so a
-  /// binary can reject a misspelt flag instead of ignoring it.
-  std::vector<std::string> unknown(
-      std::initializer_list<std::string_view> known) const;
+  /// Throws std::invalid_argument naming every flag given on the command
+  /// line whose name is not in `known`, so a misspelt flag ends the program
+  /// (exit 2 through run_main) instead of being ignored.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

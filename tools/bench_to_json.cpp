@@ -266,17 +266,15 @@ int main(int argc, char** argv) {
   const vdm::util::Flags flags(argc, argv);
   // A misspelt flag must not pass silently: "--max-regres 5" would record
   // an ungated entry and turn the CI perf gate off.
-  const std::vector<std::string> unknown =
-      flags.unknown({"label", "in", "out", "require", "max-regress"});
-  if (!unknown.empty()) return usage_error("unknown flag --" + unknown.front());
-  if (!flags.positional().empty()) {
-    return usage_error("unexpected argument '" + flags.positional().front() + "'");
-  }
   double max_regress = 0.0;
   try {
+    flags.reject_unknown({"label", "in", "out", "require", "max-regress"});
     max_regress = flags.get_double("max-regress", 0.0);
   } catch (const std::invalid_argument& e) {
     return usage_error(e.what());
+  }
+  if (!flags.positional().empty()) {
+    return usage_error("unexpected argument '" + flags.positional().front() + "'");
   }
   const std::string label = flags.get("label", "unlabeled");
   const std::string in_path = flags.get("in", "");

@@ -118,7 +118,7 @@ int run_cli(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   // Every flag read below. Any other is a typo that would otherwise run a
   // different experiment than the one asked for.
-  const std::vector<std::string> unknown = flags.unknown(
+  flags.reject_unknown(
       {"help", "protocol", "underlay", "substrate", "metric", "members",
        "nodes", "churn", "join-phase", "total-time", "interval", "settle",
        "degree-avg", "degree-min", "degree-max", "chunk-rate", "join-mode",
@@ -129,13 +129,6 @@ int run_cli(int argc, char** argv) {
        "workload", "mean-session", "pareto-alpha", "diurnal-period",
        "diurnal-amplitude", "save-trace", "trajectory", "journal", "mst",
        "no-mst", "quiet", "seeds", "threads", "trace-joins", "csv"});
-  if (!unknown.empty()) {
-    for (const std::string& name : unknown) {
-      std::cerr << "unknown flag --" << name << '\n';
-    }
-    std::cerr << "(see --help)\n";
-    return 2;
-  }
   if (flags.get_bool("help", false)) return usage();
 
   RunConfig cfg;
