@@ -302,10 +302,10 @@ BENCHMARK(BM_FlashCrowd)
     ->Unit(benchmark::kMillisecond);
 
 /// A small paper-style grid (three overlay sizes x 4 seeds) through
-/// run_grid. threads:1 is the serial reference; threads:0 lets the shared
-/// pool size itself to the hardware — on a multi-core host the ratio of the
-/// two rows is the sweep speedup (this is also what the determinism tests
-/// pin: both rows produce bit-identical aggregates).
+/// run_grid. threads:1 is the serial reference; threads:4 caps the pool at
+/// the four workers BM_RunManyScaling gates, so the row does not depend on
+/// the host's thread count. Their ratio is the sweep speedup (both rows
+/// produce bit-identical aggregates, as the determinism tests pin).
 void BM_SweepGrid(benchmark::State& state) {
   std::vector<experiments::RunConfig> points;
   for (const std::size_t members : {64, 128, 200}) {
@@ -331,7 +331,7 @@ void BM_SweepGrid(benchmark::State& state) {
 BENCHMARK(BM_SweepGrid)
     ->ArgName("threads")
     ->Arg(1)
-    ->Arg(0)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// Strong scaling of a single-point seed sweep as the worker cap doubles.

@@ -1,16 +1,13 @@
 // Reproduces the paper's evaluation figures, plus ablations and two sweeps
 // beyond the paper, as console tables:
 //
-//   figures [ENTRY...] [--seeds N] [--members N] [--threads N] [--seed N]
-//           [--mean-session S]
+//   figures [ENTRY...] [FLAG...]
 //
 // Each entry prints the series its figures plot, one banner and table per
 // panel, with the paper's expectation quoted above the table. No entry name
-// runs every entry, in the order of kEntries (`--help` lists them). Each
-// entry keeps its own defaults; `--members`, `--seed` and `--mean-session`
-// apply to the entries that have such a knob. Defaults finish in seconds;
-// VDM_FULL=1 (or --seeds) restores paper-scale seed counts. Any other flag
-// or entry name exits 2. See EXPERIMENTS.md for measured-vs-paper verdicts.
+// runs every entry, in the order of kEntries; `--help` lists them and the
+// flags (kFlags), which each entry reads with its own defaults. VDM_FULL=1
+// restores paper-scale seed counts. See EXPERIMENTS.md for verdicts.
 
 #include <cstdint>
 #include <functional>
@@ -44,9 +41,8 @@ namespace {
 
 // ------------------------------------------------------------------ options
 
-/// The command line's flags, parsed once before any entry runs. An unset
-/// flag (neither given nor in its VDM_<NAME> variable) takes the reading
-/// entry's own default.
+/// The command line's flags, parsed once before any entry runs. A flag not
+/// given takes the reading entry's own default.
 struct Options {
   std::optional<std::size_t> seeds, members;
   std::optional<std::int64_t> seed;
@@ -59,23 +55,16 @@ struct Options {
   }
 };
 
-template <class T>
-std::optional<T> given(const util::Flags& flags, const std::string& name,
-                       T (util::Flags::*get)(const std::string&, T) const) {
-  if (flags.get(name, "").empty()) return std::nullopt;
-  return (flags.*get)(name, T{});
-}
-
 Options parse_options(const util::Flags& flags) {
   Options o;
-  o.seeds = given(flags, "seeds", &util::Flags::get_count);
+  if (flags.has("seeds")) o.seeds = flags.get_count("seeds");
   if (o.seeds == std::size_t{0}) {
     throw std::invalid_argument("--seeds: expected at least 1, got '0'");
   }
-  o.members = given(flags, "members", &util::Flags::get_count);
-  o.seed = given(flags, "seed", &util::Flags::get_int);
-  o.mean_session = given(flags, "mean-session", &util::Flags::get_double);
-  o.threads = flags.get_count("threads", 0);
+  if (flags.has("members")) o.members = flags.get_count("members");
+  if (flags.has("seed")) o.seed = flags.get_int("seed");
+  if (flags.has("mean-session")) o.mean_session = flags.get_double("mean-session");
+  o.threads = flags.get_count("threads");
   return o;
 }
 
@@ -1096,16 +1085,27 @@ constexpr Entry kEntries[] = {
     {"ablation_extensions", ablation_extensions},
 };
 
-int run_cli(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  flags.reject_unknown({"help", "seeds", "members", "threads", "seed", "mean-session"});
-  if (flags.get_bool("help", false)) {
-    std::cout << "usage: figures [ENTRY...] [--seeds N] [--members N] [--threads N]\n"
-                 "               [--seed N] [--mean-session S]\n"
-                 "entries (none named = all, in this order):\n";
-    for (const Entry& e : kEntries) std::cout << "  " << e.name << '\n';
-    return 0;
-  }
+constexpr util::Flag kFlags[] = {
+    {"seeds", "N", "", "seeds per point (default: the entry's own, or VDM_FULL=1's)"},
+    {"members", "N", "", "overlay size, in the entries that have one"},
+    {"threads", "N", "0", "worker cap for the seed sweeps; 0 = hardware"},
+    {"seed", "N", "", "seed of fig5_sample_tree's run"},
+    {"mean-session", "S", "", "mean session length of fig_churn_trace, s"},
+};
+
+void list_entries(std::ostream& out) {
+  out << "\nentries (none named = all, in this order):\n";
+  for (const Entry& e : kEntries) out << "  " << e.name << '\n';
+}
+
+constexpr util::Usage kUsage{
+    .operands = "[ENTRY...]",
+    .about = "Prints the paper's figures, ablations and sweeps as tables.",
+    .flags = kFlags,
+    .more = list_entries,
+};
+
+int run_cli(const util::Flags& flags) {
   std::vector<const Entry*> chosen;
   for (const std::string& name : flags.positional()) {
     const Entry* found = nullptr;
@@ -1127,4 +1127,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, kUsage, run_cli); }

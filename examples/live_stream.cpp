@@ -4,7 +4,7 @@
 // viewer experience (loss, startup) and the network bill (stress, usage,
 // control overhead) side by side.
 //
-//   ./build/examples/live_stream [--viewers N] [--churn 0.05] [--seed S]
+//   ./build/examples/live_stream [FLAG...]   (--help lists them)
 
 #include <iostream>
 
@@ -67,12 +67,14 @@ Outcome run(overlay::Protocol& protocol, std::size_t viewers, double churn,
   return o;
 }
 
-int run_cli(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  flags.reject_unknown({"viewers", "churn", "seed"});
-  const auto viewers = flags.get_count("viewers", 80);
-  const double churn = flags.get_double("churn", 0.05);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
+constexpr util::Flag kFlags[] = {{"viewers", "N", "80", "audience size"},
+                                 {"churn", "X", "0.05", "fraction replaced per slot"},
+                                 {"seed", "S", "21", "topology and session seed"}};
+
+int run_cli(const util::Flags& flags) {
+  const auto viewers = flags.get_count("viewers");
+  const double churn = flags.get_double("churn");
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   std::cout << "Live stream: 1 source, " << viewers << " churning viewers ("
             << 100 * churn << "% per slot), one shared 792-router topology\n\n";
@@ -103,4 +105,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, {.flags = kFlags}, run_cli); }

@@ -4,7 +4,7 @@
 // virtual distance interpolates. This example runs all three on one lossy
 // topology and shows the per-target trade-off.
 //
-//   ./build/examples/metric_aware [--members N] [--seed S]
+//   ./build/examples/metric_aware [FLAG...]   (--help lists them)
 
 #include <iostream>
 #include <memory>
@@ -63,11 +63,12 @@ Outcome run(const overlay::MetricProvider& metric, std::size_t members,
   return o;
 }
 
-int run_cli(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  flags.reject_unknown({"members", "seed"});
-  const auto members = flags.get_count("members", 60);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+constexpr util::Flag kFlags[] = {{"members", "N", "60", "session members"},
+                                 {"seed", "S", "5", "topology and session seed"}};
+
+int run_cli(const util::Flags& flags) {
+  const auto members = flags.get_count("members");
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   std::cout << "Metric-aware VDM trees on a lossy 792-router topology ("
             << members << " members, link error up to 2%)\n\n";
@@ -96,4 +97,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, {.flags = kFlags}, run_cli); }

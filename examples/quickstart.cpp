@@ -2,7 +2,7 @@
 // session with 30 members joining over two minutes, and print the tree and
 // its quality metrics.
 //
-//   ./build/examples/quickstart [--members N] [--seed S]
+//   ./build/examples/quickstart [FLAG...]   (--help lists them)
 
 #include <iostream>
 
@@ -38,11 +38,12 @@ void print_tree(const overlay::Membership& tree, net::HostId node,
   }
 }
 
-int run_cli(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  flags.reject_unknown({"members", "seed"});
-  const auto members = flags.get_count("members", 30);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+constexpr util::Flag kFlags[] = {{"members", "N", "30", "session members"},
+                                 {"seed", "S", "7", "topology and session seed"}};
+
+int run_cli(const util::Flags& flags) {
+  const auto members = flags.get_count("members");
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   // 1. A transit-stub "Internet" with enough end hosts for the session.
   util::Rng rng(seed);
@@ -98,4 +99,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, {.flags = kFlags}, run_cli); }

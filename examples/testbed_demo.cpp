@@ -3,9 +3,7 @@
 // scenario file to disk, replay it through the MainController, and inspect
 // the resulting overlay tree and session statistics.
 //
-//   ./build/examples/testbed_demo [--nodes 80] [--members 30] [--seed S]
-//                                 [--scenario out.scn] [--protocol vdm|hmtp]
-//                                 [--dot tree.dot]
+//   ./build/examples/testbed_demo [FLAG...]   (--help lists them)
 
 #include <fstream>
 #include <iostream>
@@ -28,14 +26,19 @@ using namespace vdm;
 
 namespace {
 
-int run_cli(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  flags.reject_unknown({"nodes", "members", "seed", "scenario", "protocol", "dot"});
-  const auto pool_size = flags.get_count("nodes", 80);
-  const auto members = flags.get_count("members", 30);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
-  const std::string scenario_path = flags.get("scenario", "");
-  const std::string protocol_name = flags.get("protocol", "vdm");
+constexpr util::Flag kFlags[] = {{"nodes", "N", "80", "deployment pool size"},
+                                 {"members", "N", "30", "session members"},
+                                 {"seed", "S", "3", "pool and scenario seed"},
+                                 {"scenario", "FILE", "", "also write the scenario here"},
+                                 {"protocol", "NAME", "vdm", "vdm | hmtp"},
+                                 {"dot", "FILE", "", "write the final tree as DOT"}};
+
+int run_cli(const util::Flags& flags) {
+  const auto pool_size = flags.get_count("nodes");
+  const auto members = flags.get_count("members");
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  const std::string scenario_path = flags.get("scenario");
+  const std::string protocol_name = flags.get("protocol");
 
   util::Rng root(seed);
   util::Rng pool_rng = root.split(1);
@@ -123,7 +126,7 @@ int run_cli(int argc, char** argv) {
   std::cout << '\n';
   t.print(std::cout);
 
-  const std::string dot_path = flags.get("dot", "");
+  const std::string dot_path = flags.get("dot");
   if (!dot_path.empty()) {
     std::ofstream dot(dot_path);
     testbed::write_dot(controller.session().tree(), 0, pool.topology, dot);
@@ -135,4 +138,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, {.flags = kFlags}, run_cli); }

@@ -406,7 +406,8 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   overlay::SessionParams sp = config.session;
   sp.source = 0;
   overlay::Session session(simulator, *underlay, protocol, metric, sp, session_rng);
-  session.set_journal(config.journal);
+  if (config.journal != nullptr) config.journal->start(simulator);
+  session.set_observer(config.journal);
   // Adopt the arena's warm buffers; swapped back after the final metrics read.
   session.swap_scratch(scratch.impl_->session);
   metrics::Collector collector(session, scratch.impl_->collector);

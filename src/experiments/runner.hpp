@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "metrics/collector.hpp"
+#include "overlay/journal.hpp"
 #include "overlay/scenario.hpp"
 #include "overlay/session.hpp"
 #include "overlay/workload.hpp"
@@ -215,7 +216,7 @@ AggregateResult run_many(const RunConfig& config, std::size_t num_seeds,
 /// Reads the VDM_FULL environment knob: returns `fast` seeds normally and
 /// `full` (paper-scale) seeds when VDM_FULL=1. Lets `bench/figures` finish
 /// quickly by default; its entries take the result as the seed count when
-/// neither --seeds nor VDM_SEEDS gives one.
+/// --seeds does not give one.
 std::size_t default_seeds(std::size_t fast, std::size_t full);
 
 }  // namespace vdm::experiments

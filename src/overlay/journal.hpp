@@ -22,7 +22,7 @@ struct JournalRow {
 /// Records every attach and detach of one run, in the order the tree made
 /// them, with the simulated time of each: what moved, and when, once a
 /// golden moves. Session forwards each mutation to it beside the placement
-/// index (Session::set_journal); recording reads the clock and nothing
+/// index (Session::set_observer); recording reads the clock and nothing
 /// else, so a run with a journal is bit-identical to one without.
 ///
 /// A journal keeps the first run it is started for and ignores later ones,

@@ -5,7 +5,6 @@
 
 #include "net/underlay.hpp"
 #include "overlay/detector.hpp"
-#include "overlay/journal.hpp"
 #include "overlay/membership.hpp"
 #include "overlay/metric.hpp"
 #include "overlay/placement.hpp"
@@ -290,10 +289,10 @@ class Session : private MembershipObserver {
   /// Activates the source and starts the data stream. Call once, first.
   void start();
 
-  /// Installs (or clears, with nullptr) a journal that start() starts on
-  /// this session's clock and every attach and detach is forwarded to. Not
-  /// owned; it must outlive the run.
-  void set_journal(MembershipJournal* journal) { journal_ = journal; }
+  /// Installs (or clears) the one sink every attach and detach is forwarded
+  /// to; the tree's observer slot is the session's own, claimed in start().
+  /// Not owned; it must outlive the run.
+  void set_observer(MembershipObserver* observer) { observer_ = observer; }
 
   /// Stops the data stream and all refinement timers (end of experiment).
   void stop();
@@ -609,7 +608,7 @@ class Session : private MembershipObserver {
   Counters totals_;
   PhaseProfile profile_;
   bool started_ = false;
-  MembershipJournal* journal_ = nullptr;
+  MembershipObserver* observer_ = nullptr;
 };
 
 }  // namespace vdm::overlay

@@ -23,27 +23,13 @@ void make_coord_into(const CoordParams& params, util::Rng& rng,
     return;
   }
 
-  // Geo mode: the same weighted-hub pick + normal scatter that
-  // make_geo_into uses for host placement, so coordinate-substrate pools
-  // cluster like the PlanetLab-style ones do.
-  const std::span<const GeoRegion> regions =
-      params.regions.empty() ? us_regions() : params.regions;
-  double total_weight = 0.0;
-  for (const auto& r : regions) total_weight += r.weight;
-  VDM_REQUIRE(total_weight > 0.0);
-
+  // Geo mode: make_geo_into's host placement, so coordinate-substrate
+  // pools cluster like the PlanetLab-style ones do.
+  const HubScatter scatter(params.regions, params.scatter_deg);
   for (std::size_t h = 0; h < params.num_hosts; ++h) {
-    double pick = rng.uniform(0.0, total_weight);
-    std::size_t region = 0;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      pick -= regions[r].weight;
-      if (pick <= 0.0) {
-        region = r;
-        break;
-      }
-    }
-    x.push_back(regions[region].lat_deg + rng.normal(0.0, params.scatter_deg));
-    y.push_back(regions[region].lon_deg + rng.normal(0.0, params.scatter_deg));
+    const GeoHost host = scatter.draw(rng);
+    x.push_back(host.lat_deg);
+    y.push_back(host.lon_deg);
   }
 }
 

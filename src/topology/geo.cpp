@@ -49,6 +49,27 @@ double great_circle_km(double lat1, double lon1, double lat2, double lon2) {
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(a)));
 }
 
+HubScatter::HubScatter(std::span<const GeoRegion> hubs, double scatter)
+    : regions(hubs.empty() ? us_regions() : hubs), scatter_deg(scatter) {
+  for (const auto& r : regions) total_weight += r.weight;
+  VDM_REQUIRE(total_weight > 0.0);
+}
+
+GeoHost HubScatter::draw(util::Rng& rng) const {
+  double pick = rng.uniform(0.0, total_weight);
+  std::size_t region = 0;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    pick -= regions[r].weight;
+    if (pick <= 0.0) {
+      region = r;
+      break;
+    }
+  }
+  const double lat = regions[region].lat_deg + rng.normal(0.0, scatter_deg);
+  const double lon = regions[region].lon_deg + rng.normal(0.0, scatter_deg);
+  return GeoHost{lat, lon, region};
+}
+
 GeoTopology make_geo(const GeoParams& params, util::Rng& rng) {
   std::vector<GeoHost> hosts;
   std::vector<double> delay;
@@ -70,30 +91,10 @@ void make_geo_into(const GeoParams& params, util::Rng& rng,
                    std::vector<GeoHost>& hosts, std::vector<double>& delay,
                    std::vector<double>& loss) {
   VDM_REQUIRE(params.num_hosts >= 2);
-  const std::span<const GeoRegion> regions =
-      params.regions.empty() ? us_regions() : params.regions;
-  double total_weight = 0.0;
-  for (const auto& r : regions) total_weight += r.weight;
-  VDM_REQUIRE(total_weight > 0.0);
-
+  const HubScatter scatter(params.regions, params.scatter_deg);
   hosts.clear();
   hosts.reserve(params.num_hosts);
-  for (std::size_t h = 0; h < params.num_hosts; ++h) {
-    double pick = rng.uniform(0.0, total_weight);
-    std::size_t region = 0;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      pick -= regions[r].weight;
-      if (pick <= 0.0) {
-        region = r;
-        break;
-      }
-    }
-    hosts.push_back(GeoHost{
-        regions[region].lat_deg + rng.normal(0.0, params.scatter_deg),
-        regions[region].lon_deg + rng.normal(0.0, params.scatter_deg),
-        region,
-    });
-  }
+  for (std::size_t h = 0; h < params.num_hosts; ++h) hosts.push_back(scatter.draw(rng));
 
   const std::size_t n = params.num_hosts;
   delay.assign(n * n, 0.0);

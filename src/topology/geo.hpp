@@ -61,6 +61,18 @@ struct GeoTopology {
   net::MatrixUnderlay underlay;
 };
 
+/// The geo model's host placement, shared by make_geo_into and
+/// make_coord_into: a hub picked by weight (`uniform(0, total weight)`),
+/// then a normal scatter of `scatter_deg` degrees in latitude, then in
+/// longitude. Empty `hubs` means us_regions(); the weights must sum to > 0.
+struct HubScatter {
+  HubScatter(std::span<const GeoRegion> hubs, double scatter);
+  GeoHost draw(util::Rng& rng) const;
+
+  std::span<const GeoRegion> regions;
+  double total_weight = 0.0, scatter_deg = 0.0;
+};
+
 /// Great-circle distance in km (haversine, Earth radius 6371 km).
 double great_circle_km(double lat1, double lon1, double lat2, double lon2);
 

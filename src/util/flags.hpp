@@ -3,8 +3,9 @@
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
-#include <map>
+#include <optional>
+#include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -21,49 +22,76 @@ bool parse_whole(std::string_view text, T& out) {
   return ec == std::errc{} && ptr == end;
 }
 
-/// Minimal command-line flag parser for example and bench binaries.
+/// One row of a program's flag table, the one place a flag is declared.
+struct Flag {
+  std::string_view name;   ///< spelt `--name`
+  std::string_view value;  ///< placeholder ("N", "FILE"); empty: a boolean
+  std::string_view def;    ///< default (a boolean's is false); empty: none
+  std::string_view help;   ///< --help text; '\n' starts an indented line
+};
+
+/// A program's command line: its flag table (`--help` is implied) and what
+/// --help prints around it.
+struct Usage {
+  std::string_view operands = {};  ///< "[ENTRY...]"; empty: takes no word
+  std::string_view about = {};     ///< printed under the usage line
+  std::span<const Flag> flags = {};
+  void (*more)(std::ostream&) = nullptr;  ///< printed after the table
+};
+
+/// The command line read against one flag table.
 ///
-/// Accepts `--name=value`, `--name value`, and bare `--name` (boolean true).
-/// Values not supplied on the command line fall back to an environment
-/// variable `VDM_<NAME>` (uppercased, dashes to underscores), then to the
-/// caller's default. This lets the paper-scale knobs (seeds, node counts)
-/// be raised fleet-wide with env vars without editing every invocation.
+/// Accepts `--name=value` and `--name value` for a flag with a value, and
+/// bare `--name` for a boolean, which never takes the next word. The
+/// constructor throws std::invalid_argument naming every undeclared flag in
+/// one message; unless --help is given, also for a flag left without its
+/// value, and for a positional word in a program that takes none (naming
+/// the boolean it follows: `--csv stray`). A value comes only from the
+/// command line or the table's default. Reading a name the table does not
+/// declare throws std::logic_error.
 class Flags {
  public:
-  Flags(int argc, const char* const* argv);
+  Flags(int argc, const char* const* argv, const Usage& usage);
 
-  bool has(const std::string& name) const;
-  std::string get(const std::string& name, const std::string& def) const;
+  /// `--name` was given. Absent, a flag without a default reads as "".
+  bool has(std::string_view name) const;
+  std::string get(std::string_view name) const;  // the value, else the default
   /// Numeric getters read the whole value: a non-number or trailing
   /// garbage ("12abc") throws std::invalid_argument naming the flag.
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  std::int64_t get_int(std::string_view name) const;
   /// A count or size: as get_int, but a sign ("-3", "+3") is rejected
   /// too, so a negative value never wraps to a huge std::size_t.
-  std::size_t get_count(const std::string& name, std::size_t def) const;
-  double get_double(const std::string& name, double def) const;
-  /// 1/true/yes/on or 0/false/no/off, in any case; anything else throws
-  /// std::invalid_argument naming the flag (so `--csv stray`, which reads
-  /// "stray" as the value of --csv, is an error, not a silent false).
-  bool get_bool(const std::string& name, bool def) const;
+  std::size_t get_count(std::string_view name) const;
+  double get_double(std::string_view name) const;
+  /// False when absent; a given value must be 1/true/yes/on or 0/false/
+  /// no/off in any case (`--csv=off`), or std::invalid_argument names it.
+  bool get_bool(std::string_view name) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
+  /// argv[0], the path the program was started by.
+  const std::string& program() const { return program_; }
 
-  /// Throws std::invalid_argument naming every flag given on the command
-  /// line whose name is not in `known`, so a misspelt flag ends the program
-  /// (exit 2 through run_main) instead of being ignored.
-  void reject_unknown(std::initializer_list<std::string_view> known) const;
+  /// The usage line, `usage.about`, each flag with its default, `usage.more`.
+  void print_help(std::ostream& out, std::string_view program, const Usage& usage) const;
 
  private:
-  std::map<std::string, std::string> values_;
+  std::size_t row(std::string_view name) const;  // std::logic_error if undeclared
+  std::string_view text(std::string_view name) const;  // the value or default
+
+  std::vector<Flag> table_;  // the program's rows, then --help
+  std::vector<std::optional<std::string>> values_;  // one per row
   std::vector<std::string> positional_;
+  std::string program_;
 };
 
-/// The body of a command-line program's main(): returns what `body`
-/// returns, but a malformed flag value (the std::invalid_argument the
-/// numeric and boolean getters throw, naming the flag) or a config the
-/// library rejects (util::InvariantError) ends in a one-line message on
-/// stderr and exit status 2 instead of std::terminate.
-int run_main(int argc, char** argv, int (*body)(int, char**));
+/// The body of a command-line program's main(): reads the command line
+/// against `usage` and returns what `body` returns. --help prints the help
+/// on stdout and exits 0 before `body` runs. A usage error
+/// (std::invalid_argument naming the flag or word) ends in that message
+/// and the usage line on stderr, a config the library rejects
+/// (util::InvariantError) in a one-line message, both with exit status 2
+/// instead of std::terminate.
+int run_main(int argc, char** argv, const Usage& usage, int (*body)(const Flags&));
 
 }  // namespace vdm::util

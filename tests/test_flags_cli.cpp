@@ -1,10 +1,11 @@
-// Runs the real `figures` runner and a real example binary with bad
-// arguments: a malformed flag value, a misspelt flag or (figures) an unknown
-// entry must end in a one-line message naming it and exit status 2, never
-// std::terminate or a run with the argument ignored. Also runs every
-// figures entry once at one seed. The binary paths are injected by CMake
-// (BENCH_BINARY_PATH, EXAMPLE_BINARY_PATH) when the bench and example
-// targets are built.
+// Runs the real programs: `--help` must print a usage line and exit 0 in
+// each, and in `figures` and an example a malformed flag value, a misspelt
+// flag or (figures) an unknown entry must end in a message naming it and
+// exit status 2, never std::terminate or a run with the argument ignored.
+// Also runs every figures entry once at one seed. The binary paths are
+// injected by CMake (VDMSIM_BINARY_PATH, VDMD_BINARY_PATH,
+// BENCH_TO_JSON_BINARY_PATH, and BENCH_BINARY_PATH and EXAMPLE_BINARY_PATH
+// when the bench and example targets are built).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -47,7 +49,37 @@ void expect_malformed_values_exit_two(const std::string& binary,
   }
 }
 
+TEST(FlagsCli, EveryProgramAnswersHelp) {
+  const std::pair<std::string, std::string> programs[] = {
+      {VDMSIM_BINARY_PATH, "vdmsim"},
+      {VDMD_BINARY_PATH, "vdmd"},
+      {BENCH_TO_JSON_BINARY_PATH, "bench_to_json"},
 #ifdef BENCH_BINARY_PATH
+      {BENCH_BINARY_PATH, "figures"},
+#endif
+#ifdef EXAMPLE_BINARY_PATH
+      {EXAMPLE_BINARY_PATH, "quickstart"},
+#endif
+  };
+  for (const auto& [binary, name] : programs) {
+    const CliResult r = run_binary(binary, "--help");
+    EXPECT_EQ(r.exit_code, 0) << name << "\n" << r.output;
+    EXPECT_EQ(r.output.rfind("usage: " + name + " ", 0), 0u) << r.output;
+    EXPECT_NE(r.output.find("  --help "), std::string::npos) << r.output;
+  }
+}
+
+#ifdef BENCH_BINARY_PATH
+TEST(FlagsCli, FiguresHelpBeforeAnEntryListsTheEntries) {
+  // A boolean never takes the next word: the entry name stays an entry,
+  // and --help runs nothing.
+  const CliResult r = run_binary(BENCH_BINARY_PATH, "--help fig3_nodes");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("  fig3_churn\n  fig3_nodes\n"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("  ablation_extensions\n"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("==="), std::string::npos) << r.output;
+}
+
 TEST(FlagsCli, BenchExitsTwoOnMalformedValue) {
   expect_malformed_values_exit_two(BENCH_BINARY_PATH, "--seeds");
 }
@@ -94,6 +126,12 @@ TEST(FlagsCli, ExampleExitsTwoOnMalformedValue) {
 TEST(FlagsCli, ExampleExitsTwoOnMisspeltFlag) {
   expect_exit_two_naming(EXAMPLE_BINARY_PATH, "--bogus 1 --members 8",
                          "unknown flag --bogus");
+}
+
+TEST(FlagsCli, ExampleExitsTwoOnStrayWord) {
+  // The example takes no positional word; it used to run and ignore it.
+  expect_exit_two_naming(EXAMPLE_BINARY_PATH, "--members 8 stray",
+                         "unexpected argument 'stray'");
 }
 #endif
 

@@ -145,6 +145,13 @@ TEST(VdmdLoopback, ScenarioFileDrivesJoinsLeavesAndFlashBursts) {
   EXPECT_EQ(count_matching(lines, "vdmd: clean shutdown"), 1);
 }
 
+TEST(VdmdLoopback, MisspeltFlagExitsTwoNamingIt) {
+  const RunResult r = run_vdmd("--source --agnets 4");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag --agnets"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("listening"), std::string::npos) << r.output;
+}
+
 TEST(VdmdLoopback, UsageErrorsExitNonZeroWithoutHanging) {
   // Each must print usage and exit 2 before any socket or agent exists.
   for (const char* args :

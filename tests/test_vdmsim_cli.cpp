@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -167,6 +168,25 @@ TEST(VdmsimCli, MisspeltFlagExitsTwoNamingIt) {
   EXPECT_TRUE(contains(r.output, "unknown flag --membrs")) << r.output;
   EXPECT_TRUE(contains(r.output, "unknown flag --bogus")) << r.output;
   EXPECT_FALSE(contains(r.output, "hopcount")) << r.output;
+}
+
+TEST(VdmsimCli, StrayWordExitsTwoNamingIt) {
+  // vdmsim takes no positional word; it used to run and ignore it.
+  const CliResult r = run_vdmsim("stray --underlay coord-plane --members 16 --seeds 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_TRUE(contains(r.output, "unexpected argument 'stray'")) << r.output;
+  EXPECT_FALSE(contains(r.output, "hopcount")) << r.output;
+}
+
+TEST(VdmsimCli, FlagsComeOnlyFromTheCommandLine) {
+  // VDM_NODES used to stand in for --nodes, which outranks --members.
+  ::setenv("VDM_NODES", "40", 1);
+  const CliResult r = run_vdmsim(
+      "--underlay coord-plane --members 16 --seeds 1 --join-phase 400 "
+      "--total-time 1200 --interval 200 --settle 50");
+  ::unsetenv("VDM_NODES");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_TRUE(contains(r.output, "vdm on coord-plane, 16 members,")) << r.output;
 }
 
 TEST(VdmsimCli, EveryFlagInHelpIsAccepted) {

@@ -1,22 +1,17 @@
 // Converts google-benchmark console output into the repo's perf-trajectory
-// file. Reads the console table (stdin or --in), extracts every benchmark
-// row, and appends one labeled run entry to a JSON array (--out, default
-// BENCH_e2e.json in the current directory), creating the file on first use:
+// file: reads the console table, extracts every benchmark row, and appends
+// one labeled run entry to a JSON array, creating the file on first use
+// (`bench_to_json --help` lists the flags):
 //
 //   ./build/bench/bench_e2e | ./build/tools/bench_to_json --label fastpath
 //
-// --require <substring>[,<substring>...] makes the conversion fail unless
-// every listed substring matches some parsed row name — use it to guarantee
-// mandatory benchmarks (e.g. the crash-churn and flash-crowd runs) actually
-// made it into the trajectory.
-//
-// --max-regress <pct> is the perf gate: before recording, every parsed row
-// is compared against the most recent trajectory entry with a different
-// label (the previous PR's run). If any shared benchmark's real time grew
-// by more than <pct> percent, a comparison table is printed, nothing is
-// written, and the exit code is non-zero. Benchmarks new in this run (no
-// baseline row) are listed but never fail the gate. An unknown flag, a
-// stray argument or a malformed --max-regress prints usage and exits 2.
+// --max-regress is the perf gate: every parsed row is compared against the
+// most recent entry with a different label (the previous PR's run). If a
+// shared benchmark's real time grew by more than the given percentage, a
+// comparison table is printed, nothing is written, and the exit code is
+// non-zero; rows new in this run are listed but never fail the gate. An
+// unknown flag, a stray argument or a malformed --max-regress prints usage
+// and exits 2.
 //
 // The trajectory file is an array of
 //   {"label", "recorded_at_utc", "results": {name: {"real_time_ms",
@@ -253,32 +248,28 @@ bool check_regressions(const std::vector<BenchRow>& rows, const std::string& bas
   return ok;
 }
 
-int usage_error(const std::string& why) {
-  std::cerr << "bench_to_json: " << why << "\n"
-            << "usage: bench_to_json [--label NAME] [--in FILE] [--out FILE]\n"
-            << "                     [--require NAME[,NAME...]] [--max-regress PCT]\n";
-  return 2;
-}
+// A misspelt flag must not pass silently: "--max-regres 5" would record an
+// ungated entry and turn the CI perf gate off.
+constexpr vdm::util::Flag kFlags[] = {
+    {"label", "NAME", "unlabeled", "the entry's label; replaces an entry of that label"},
+    {"in", "FILE", "", "benchmark console output to read (default: stdin)"},
+    {"out", "FILE", "BENCH_e2e.json", "trajectory file to append to"},
+    {"require", "NAME[,NAME...]", "", "fail unless each substring matches a parsed row"},
+    {"max-regress", "PCT", "",
+     "fail, recording nothing, if a row's real time grew by more than\n"
+     "PCT percent over the latest entry of another label"},
+};
 
-}  // namespace
+constexpr vdm::util::Usage kUsage{.about = "Adds a bench run to a trajectory.",
+                                  .flags = kFlags};
 
-int main(int argc, char** argv) {
-  const vdm::util::Flags flags(argc, argv);
-  // A misspelt flag must not pass silently: "--max-regres 5" would record
-  // an ungated entry and turn the CI perf gate off.
-  double max_regress = 0.0;
-  try {
-    flags.reject_unknown({"label", "in", "out", "require", "max-regress"});
-    max_regress = flags.get_double("max-regress", 0.0);
-  } catch (const std::invalid_argument& e) {
-    return usage_error(e.what());
-  }
-  if (!flags.positional().empty()) {
-    return usage_error("unexpected argument '" + flags.positional().front() + "'");
-  }
-  const std::string label = flags.get("label", "unlabeled");
-  const std::string in_path = flags.get("in", "");
-  const std::string out_path = flags.get("out", "BENCH_e2e.json");
+int run_cli(const vdm::util::Flags& flags) {
+  // Read before any file is touched, so a malformed gate records nothing.
+  const bool gated = flags.has("max-regress");
+  const double max_regress = gated ? flags.get_double("max-regress") : 0.0;
+  const std::string label = flags.get("label");
+  const std::string in_path = flags.get("in");
+  const std::string out_path = flags.get("out");
 
   std::ifstream in_file;
   if (!in_path.empty()) {
@@ -301,7 +292,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Comma-separated list; every substring must match some parsed row.
-  const std::string required = flags.get("require", "");
+  const std::string required = flags.get("require");
   for (std::size_t pos = 0; pos < required.size();) {
     const std::size_t comma = required.find(',', pos);
     const std::string one =
@@ -350,7 +341,7 @@ int main(int argc, char** argv) {
   // Perf gate: compare against the most recent entry recorded under a
   // different label — the previous PR's trajectory point — before letting
   // this run into the file.
-  if (flags.has("max-regress")) {
+  if (gated) {
     const std::string* baseline = nullptr;
     for (const std::string& e : entries) {
       if (entry_label(e) != label) baseline = &e;
@@ -394,3 +385,7 @@ int main(int argc, char** argv) {
             << out_path << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return vdm::util::run_main(argc, argv, kUsage, run_cli); }

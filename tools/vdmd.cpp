@@ -2,9 +2,9 @@
 //
 // One binary, two roles:
 //
-//   vdmd --source --agents N [--spawn] [--scenario FILE] ...
+//   vdmd --source [FLAG...]        (vdmd --help lists the flags)
 //     The controller: the dissertation's MainController over real UDP. It
-//     waits for N agents to hello on 127.0.0.1, builds a MeasuredUnderlay
+//     waits for --agents agents to hello on 127.0.0.1, builds a MeasuredUnderlay
 //     whose delays are real probed RTTs, and runs the UNCHANGED protocol
 //     core (Session / TreeWalk / Membership, the same objects every
 //     simulation uses) on a UdpReactor. Every tree mutation the protocol
@@ -61,77 +61,76 @@ constexpr int kPingAttempts = 3;
 constexpr double kAgentProbeTimeout = 2.0;
 constexpr double kHeartbeatPeriod = 0.5;
 
+/// The command line, as read_options reads it from kFlags (which holds
+/// each flag's meaning and default).
 struct Options {
-  bool source = false;
-  bool agent = false;
-  std::string controller;     // --agent: "ip:port" of the controller
-  std::size_t agents = 4;     // --source: how many agents to expect
-  bool spawn = false;         // --source: fork/exec our own agents
-  std::string scenario_path;  // --source: scenario file (verbs) to execute
-  double chunk_rate = 10.0;
-  double stream_secs = 3.0;   // synthesized scenario: stream time after joins
-  double deadline = 60.0;     // hard wall-clock cap on the whole run
-  std::uint16_t port = 0;     // --source listen port (0 = ephemeral)
-  std::string port_file;      // --source: write "ip:port\n" here when bound
-  int degree = 4;             // degree limit handed to every join
-  bool verbose = false;
+  bool source = false, agent = false, spawn = false, verbose = false;
+  std::string self, controller, scenario_path, port_file;  // self: argv[0], for --spawn
+  std::size_t agents = 0;
+  double chunk_rate = 0.0, stream_secs = 0.0, deadline = 0.0;
+  std::uint16_t port = 0;
+  int degree = 0;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " --source [--agents N] [--spawn]\n"
-      << "           [--scenario FILE] [--chunk-rate R] [--stream-secs S]\n"
-      << "           [--deadline D] [--port P] [--port-file PATH]\n"
-      << "           [--degree K] [--verbose]\n"
-      << "       " << argv0 << " --agent --controller IP:PORT [--deadline D]\n";
-  std::exit(2);
+/// Every flag vdmd reads, for both roles; --help prints this table.
+constexpr util::Flag kFlags[] = {
+    {"source", "", "", "run the controller"},
+    {"agent", "", "", "run an agent relay (needs --controller)"},
+    {"controller", "IP:PORT", "", "--agent: the controller's address"},
+    {"agents", "N", "4", "--source: agents to expect, in [1, 65535]"},
+    {"spawn", "", "", "--source: fork and exec the agents"},
+    {"scenario", "FILE", "", "--source: trace to run (default: all join, then --stream-secs)"},
+    {"chunk-rate", "R", "10", "chunks per second, in (0, 1000]"},
+    {"stream-secs", "S", "3", "streaming time after the synthesized joins, finite"},
+    {"deadline", "D", "60", "hard wall-clock cap on the whole run, s, finite"},
+    {"port", "P", "0", "--source: listen port, in [0, 65535]; 0 = ephemeral"},
+    {"port-file", "PATH", "", "--source: write \"ip:port\" here once bound"},
+    {"degree", "K", "4", "degree limit handed to every join, in [1, 65535]"},
+    {"verbose", "", "", "log at info level"},
+};
+
+constexpr util::Usage kUsage{.about = "The real-socket VDM daemon: a controller or an agent.",
+                             .flags = kFlags};
+
+/// `--name`'s value, which must lie in [lo, hi]; anything else throws
+/// std::invalid_argument naming the flag (exit 2 through run_main).
+template <typename T>
+T in_range(const util::Flags& flags, const char* name, T lo, T hi, const char* want) {
+  T out{};
+  const std::string v = flags.get(name);
+  if (!util::parse_whole(v, out) || !(out >= lo && out <= hi)) {
+    throw std::invalid_argument("--" + std::string(name) + ": expected " + want +
+                                ", got '" + v + "'");
+  }
+  return out;
 }
 
-Options parse_options(int argc, char** argv) {
+Options read_options(const util::Flags& flags) {
   constexpr double kPositive = std::numeric_limits<double>::min();
   constexpr double kFinite = std::numeric_limits<double>::max();
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    // Numbers parse whole (util::parse_whole, as in util::Flags) and must
-    // lie in [lo, hi]; anything else names the option and exits 2.
-    const auto number = [&](auto lo, auto hi, const char* want) {
-      const std::string v = value();
-      decltype(lo) out{};
-      if (!util::parse_whole(v, out) || !(out >= lo && out <= hi)) {
-        std::cerr << "vdmd: " << arg << ": expected " << want << ", got '" << v
-                  << "'\n";
-        usage(argv[0]);
-      }
-      return out;
-    };
-    if (arg == "--source") opt.source = true;
-    else if (arg == "--agent") opt.agent = true;
-    else if (arg == "--controller") opt.controller = value();
-    else if (arg == "--agents")
-      opt.agents = number(std::size_t{1}, std::size_t{65535}, "a count in [1, 65535]");
-    else if (arg == "--spawn") opt.spawn = true;
-    else if (arg == "--scenario") opt.scenario_path = value();
-    else if (arg == "--chunk-rate")
-      opt.chunk_rate = number(kPositive, 1000.0, "a rate in (0, 1000]");
-    else if (arg == "--stream-secs")
-      opt.stream_secs = number(0.0, kFinite, "a finite number >= 0");
-    else if (arg == "--deadline")
-      opt.deadline = number(kPositive, kFinite, "a finite number > 0");
-    else if (arg == "--port")
-      opt.port = number(std::uint16_t{0}, std::uint16_t{65535}, "a port in [0, 65535]");
-    else if (arg == "--port-file") opt.port_file = value();
-    else if (arg == "--degree")
-      opt.degree = number(1, 65535, "a degree in [1, 65535]");
-    else if (arg == "--verbose") opt.verbose = true;
-    else usage(argv[0]);
+  const Options opt{
+      .source = flags.get_bool("source"),
+      .agent = flags.get_bool("agent"),
+      .spawn = flags.get_bool("spawn"),
+      .verbose = flags.get_bool("verbose"),
+      .self = flags.program(),
+      .controller = flags.get("controller"),
+      .scenario_path = flags.get("scenario"),
+      .port_file = flags.get("port-file"),
+      .agents = in_range(flags, "agents", std::size_t{1}, std::size_t{65535},
+                         "a count in [1, 65535]"),
+      .chunk_rate = in_range(flags, "chunk-rate", kPositive, 1000.0, "a rate in (0, 1000]"),
+      .stream_secs = in_range(flags, "stream-secs", 0.0, kFinite, "a finite number >= 0"),
+      .deadline = in_range(flags, "deadline", kPositive, kFinite, "a finite number > 0"),
+      .port = in_range(flags, "port", std::uint16_t{0}, std::uint16_t{65535},
+                       "a port in [0, 65535]"),
+      .degree = in_range(flags, "degree", 1, 65535, "a degree in [1, 65535]")};
+  if (opt.source == opt.agent) {
+    throw std::invalid_argument("give exactly one of --source and --agent");
   }
-  if (opt.source == opt.agent) usage(argv[0]);
-  if (opt.agent && opt.controller.empty()) usage(argv[0]);
+  if (opt.agent && opt.controller.empty()) {
+    throw std::invalid_argument("--agent needs --controller IP:PORT");
+  }
   return opt;
 }
 
@@ -391,17 +390,13 @@ class Controller final : public transport::ProbeService,
     testbed::MainController controller(reactor_, underlay, protocol, metric,
                                        params, util::Rng(1));
     session_ = &controller.session();
+    session_->set_observer(this);  // mirror every tree change to the agents
 
     // Scenario timestamps are relative to "now": setup (hello gathering)
     // already burned wall clock, and the reactor clock never rewinds.
     const double base = reactor_.now() + 0.1;
     for (overlay::WorkloadEvent& e : scenario_.events) e.at += base;
     scenario_.end_time += base;
-    // Session::start() resets the tree, which clears the observer slot; the
-    // mirror must be installed after that but before the first join fires.
-    // A zero-delay timer lands exactly in that window (scenario events are
-    // shifted >= 0.1s into the future).
-    reactor_.schedule_in(0.0, [this] { session_->tree().set_observer(this); });
     transport::PeriodicTimer stream(reactor_, 1.0 / opt_.chunk_rate,
                                     [this] { emit_chunk(); });
     testbed::SessionReport report;
@@ -518,7 +513,7 @@ class Controller final : public transport::ProbeService,
       const pid_t pid = ::fork();
       VDM_REQUIRE_MSG(pid >= 0, "fork failed");
       if (pid == 0) {
-        ::execlp(argv0_.c_str(), argv0_.c_str(), "--agent", "--controller",
+        ::execlp(opt_.self.c_str(), opt_.self.c_str(), "--agent", "--controller",
                  addr.c_str(), "--deadline", deadline.c_str(),
                  static_cast<char*>(nullptr));
         std::perror("vdmd: execlp");
@@ -713,10 +708,6 @@ class Controller final : public transport::ProbeService,
     return depth;
   }
 
- public:
-  std::string argv0_ = "vdmd";
-
- private:
   Options opt_;
   testbed::Scenario scenario_;
   transport::UdpReactor reactor_;
@@ -736,6 +727,27 @@ class Controller final : public transport::ProbeService,
   std::uint64_t probes_issued_ = 0;
 };
 
+/// Usage errors (util::Flags, read_options, a malformed --scenario) exit
+/// 2; a failure once sockets exist exits 1.
+int run(const util::Flags& flags) {
+  const Options opt = read_options(flags);
+  if (opt.verbose) util::set_log_level(util::LogLevel::kInfo);
+  try {
+    if (opt.agent) return Agent(opt).run(opt.deadline);
+    testbed::Scenario scenario;
+    try {
+      scenario = load_scenario(opt);
+    } catch (const util::InvariantError& e) {
+      std::cerr << "vdmd: --scenario " << opt.scenario_path << ": " << e.what() << "\n";
+      return 2;
+    }
+    return Controller(opt, std::move(scenario)).run();
+  } catch (const std::exception& e) {
+    std::cerr << "vdmd: fatal: " << e.what() << "\n";
+    return 1;
+  }
+}
+
 }  // namespace
 }  // namespace vdm
 
@@ -743,26 +755,5 @@ int main(int argc, char** argv) {
   using namespace vdm;
   // Agents outlive a controller that dies mid-send; never crash on EPIPE.
   ::signal(SIGPIPE, SIG_IGN);
-  const Options opt = parse_options(argc, argv);
-  if (opt.verbose) util::set_log_level(util::LogLevel::kInfo);
-  try {
-    if (opt.agent) {
-      Agent agent(opt);
-      return agent.run(opt.deadline);
-    }
-    testbed::Scenario scenario;
-    try {
-      scenario = load_scenario(opt);
-    } catch (const util::InvariantError& e) {
-      std::cerr << "vdmd: --scenario " << opt.scenario_path << ": " << e.what()
-                << "\n";
-      return 2;
-    }
-    Controller controller(opt, std::move(scenario));
-    controller.argv0_ = argv[0];
-    return controller.run();
-  } catch (const std::exception& e) {
-    std::cerr << "vdmd: fatal: " << e.what() << "\n";
-    return 1;
-  }
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -11,10 +11,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "experiments/runner.hpp"
 #include "experiments/sweep.hpp"
@@ -28,72 +32,63 @@ using namespace vdm::experiments;
 
 namespace {
 
-int usage() {
-  std::cout <<
-      "vdmsim — Virtual Direction Multicast experiment driver\n\n"
-      "  --protocol   vdm | vdm-r | hmtp | btp | random     (default vdm)\n"
-      "  --underlay   transit-stub | waxman | geo-us | geo-world |\n"
-      "               coord-us | coord-world | coord-plane   (default transit-stub)\n"
-      "               (--substrate is an accepted alias; coord-* underlays\n"
-      "               compute delay O(1) from coordinates — use them for\n"
-      "               large overlays, e.g. --underlay coord-plane --nodes 65536)\n"
-      "  --metric     delay | loss | blend | cached-delay | cached-loss (default delay)\n"
-      "  --members    overlay size (--nodes is an alias)    (default 200)\n"
-      "  --churn      fraction replaced per interval        (default 0.05)\n"
-      "  --degree-min / --degree-max  child capacity bounds (default 2 / 5)\n"
-      "  --degree-avg fractional average degree (overrides min/max)\n"
-      "  --join-phase / --total-time / --interval / --settle  timeline (s)\n"
-      "  --chunk-rate data chunks per second                (default 1)\n"
-      "  --join-mode  sequential | locating | concurrent    (default sequential)\n"
-      "               locating: placement-index entry point; concurrent:\n"
-      "               locating + batched same-timestamp join pipeline\n"
-      "  --flash      N burst arrivals at one instant on top of --members\n"
-      "               (default 0; --flash-at sets the instant, default =\n"
-      "               end of the join phase)\n"
-      "  --workload   slots | poisson | diurnal | pareto | trace:<file>\n"
-      "               membership process (default slots = the paper's churn\n"
-      "               timeline); every kind runs as an explicit event list\n"
-      "               — see README for the trace format\n"
-      "  --mean-session   mean member session length, s     (default 2000)\n"
-      "  --pareto-alpha   Pareto session shape, > 1         (default 1.5)\n"
-      "  --diurnal-period / --diurnal-amplitude  arrival-rate wave\n"
-      "               (defaults 4000 s / 0.8)\n"
-      "  --save-trace <file>  write the first seed's event list as a trace,\n"
-      "               any workload (replay it bit-identically with\n"
-      "               --workload trace:<file>)\n"
-      "  --trajectory print the first seed's per-measurement time series\n"
-      "               (t, continuity, outage, overhead, members)\n"
-      "  --journal <file>  write the first seed's tree changes as CSV:\n"
-      "               t (hexfloat), attach | detach, child, parent\n"
-      "  --link-loss  per-link error ceiling                (default 0)\n"
-      "  --probe-noise RTT measurement noise std-dev        (default 0)\n"
-      "  --hmtp-period / --no-hmtp-refine / --foster-child  HMTP controls\n"
-      "  --buffer     playout buffer seconds               (default 0)\n"
-      "  --crash-frac fraction of departures that crash    (default 0)\n"
-      "  --heartbeat-period  parent probe period, s; 0 = instant detection\n"
-      "  --heartbeat-misses  probes missed before declaring death (default 3)\n"
-      "  --heartbeat-timeout wait after the last miss, s    (default 0.5)\n"
-      "  --control-loss extra loss on control exchanges (enables retries)\n"
-      "  --retry-timeout initial retransmission timeout, s  (default 0.25)\n"
-      "  --mst / --no-mst  force the O(N^2) final-tree MST-ratio baseline\n"
-      "               on/off (auto: off above 4096 members)\n"
-      "  --seeds      independent repetitions               (default 8)\n"
-      "  --seed       base seed                             (default 1)\n"
-      "  --threads    worker cap for the seed sweep; 0 = hardware (default 0)\n"
-      "  --run-threads  worker threads for the collector's tree-measurement\n"
-      "               reads inside one seed; 0 = hardware (default 1 =\n"
-      "               serial; results are bit-identical for any value)\n"
-      "  --profile    print a per-phase wall-time footer (join / refine /\n"
-      "               flood / metrics, summed across seeds) after the table,\n"
-      "               with event (periodic / one-shot), timer, router tree\n"
-      "               and settled-vertex counts\n"
-      "  --quiet      suppress the per-seed progress line on stderr\n"
-      "  --trace-joins  print one line per tree-walk step (forces --threads 1;\n"
-      "               pair with small --members/--seeds, it is verbose)\n"
-      "  --csv        emit machine-readable CSV instead of a table\n"
-      "  --help       this text\n";
-  return 0;
-}
+/// Every flag vdmsim reads, with its default; --help prints this table.
+constexpr util::Flag kFlags[] = {
+    {"protocol", "NAME", "vdm", "vdm | vdm-r | hmtp | btp | random"},
+    {"underlay", "NAME", "transit-stub",
+     "transit-stub | waxman | geo-us | geo-world | coord-us |\n"
+     "coord-world | coord-plane (coord-*: O(1) delays, for large N)"},
+    {"substrate", "NAME", "", "alias of --underlay"},
+    {"metric", "NAME", "delay", "delay | loss | blend | cached-delay | cached-loss"},
+    {"members", "N", "200", "overlay size"},
+    {"nodes", "N", "", "alias of --members"},
+    {"churn", "X", "0.05", "fraction replaced per interval"},
+    {"degree-min", "N", "2", "child capacity lower bound"},
+    {"degree-max", "N", "5", "child capacity upper bound"},
+    {"degree-avg", "X", "", "fractional average degree (overrides min/max)"},
+    {"join-phase", "S", "2000", "timeline: join phase, s"},
+    {"total-time", "S", "10000", "timeline: run length, s"},
+    {"interval", "S", "400", "timeline: churn interval, s"},
+    {"settle", "S", "100", "timeline: settle time, s"},
+    {"chunk-rate", "R", "1", "data chunks per second"},
+    {"join-mode", "NAME", "sequential", "sequential | locating | concurrent (see README)"},
+    {"flash", "N", "0", "burst arrivals at one instant on top of --members"},
+    {"flash-at", "S", "", "the burst's instant (default: end of the join phase)"},
+    {"workload", "KIND", "slots", "slots | poisson | diurnal | pareto | trace:<file>"},
+    {"mean-session", "S", "2000", "mean member session length, s"},
+    {"pareto-alpha", "X", "1.5", "Pareto session shape, > 1"},
+    {"diurnal-period", "S", "4000", "arrival-rate wave period, s"},
+    {"diurnal-amplitude", "X", "0.8", "arrival-rate wave amplitude"},
+    {"save-trace", "FILE", "",
+     "write the first seed's events as a trace (replay: --workload trace:FILE)"},
+    {"trajectory", "", "", "print the first seed's per-measurement time series"},
+    {"journal", "FILE", "", "write the first seed's tree changes as CSV"},
+    {"link-loss", "X", "0", "per-link error ceiling"},
+    {"probe-noise", "X", "0", "RTT measurement noise std-dev"},
+    {"hmtp-period", "S", "30", "HMTP refinement period, s"},
+    {"no-hmtp-refine", "", "", "turn HMTP refinement off"},
+    {"foster-child", "", "", "HMTP foster-child quick start"},
+    {"buffer", "S", "0", "playout buffer, s"},
+    {"crash-frac", "X", "0", "fraction of departures that crash"},
+    {"heartbeat-period", "S", "0", "parent probe period, s; 0 = instant detection"},
+    {"heartbeat-misses", "N", "3", "probes missed before declaring death"},
+    {"heartbeat-timeout", "S", "0.5", "wait after the last miss, s"},
+    {"control-loss", "X", "", "extra loss on control exchanges (enables retries)"},
+    {"retry-timeout", "S", "0.25", "initial retransmission timeout, s"},
+    {"mst", "", "", "force the O(N^2) MST-ratio baseline on\n(auto: off above 4096 members)"},
+    {"no-mst", "", "", "force the MST-ratio baseline off"},
+    {"seeds", "N", "8", "independent repetitions"},
+    {"seed", "N", "1", "base seed"},
+    {"threads", "N", "0", "worker cap for the seed sweep; 0 = hardware"},
+    {"run-threads", "N", "1", "workers for one seed's tree measurement; 0 = hardware"},
+    {"profile", "", "", "print wall time per phase and work counts after the table"},
+    {"quiet", "", "", "suppress the per-seed progress line on stderr"},
+    {"trace-joins", "", "", "print every tree-walk step (forces --threads 1; verbose)"},
+    {"csv", "", "", "emit machine-readable CSV instead of a table"},
+};
+
+constexpr util::Usage kUsage{.about = "Virtual Direction Multicast experiments.",
+                             .flags = kFlags};
 
 /// --trace-joins sink: one line per walk iteration across every join,
 /// reconnection and refinement walk of the run.
@@ -110,157 +105,103 @@ class StdoutWalkTrace final : public overlay::WalkObserver {
   }
 };
 
-/// The whole CLI. Malformed numbers (util::Flags throws
-/// std::invalid_argument) and configs the library rejects
-/// (util::InvariantError) propagate to util::run_main, which turns them into
-/// exit 2.
-int run_cli(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  // Every flag read below. Any other is a typo that would otherwise run a
-  // different experiment than the one asked for.
-  flags.reject_unknown(
-      {"help", "protocol", "underlay", "substrate", "metric", "members",
-       "nodes", "churn", "join-phase", "total-time", "interval", "settle",
-       "degree-avg", "degree-min", "degree-max", "chunk-rate", "join-mode",
-       "flash", "flash-at", "link-loss", "probe-noise", "hmtp-period",
-       "no-hmtp-refine", "foster-child", "buffer", "crash-frac",
-       "heartbeat-period", "heartbeat-misses", "heartbeat-timeout",
-       "control-loss", "retry-timeout", "run-threads", "profile", "seed",
-       "workload", "mean-session", "pareto-alpha", "diurnal-period",
-       "diurnal-amplitude", "save-trace", "trajectory", "journal", "mst",
-       "no-mst", "quiet", "seeds", "threads", "trace-joins", "csv"});
-  if (flags.get_bool("help", false)) return usage();
-
-  RunConfig cfg;
-  const std::string proto = flags.get("protocol", "vdm");
-  if (proto == "vdm") {
-    cfg.protocol = Proto::kVdm;
-  } else if (proto == "vdm-r") {
-    cfg.protocol = Proto::kVdmRefine;
-  } else if (proto == "hmtp") {
-    cfg.protocol = Proto::kHmtp;
-  } else if (proto == "btp") {
-    cfg.protocol = Proto::kBtp;
-  } else if (proto == "random") {
-    cfg.protocol = Proto::kRandom;
-  } else {
-    std::cerr << "unknown --protocol '" << proto << "' (see --help)\n";
-    return 2;
+/// The value `--flag` names among `names`; any other throws naming it.
+template <typename E>
+E choose(std::string_view flag, const std::string& value,
+         std::initializer_list<std::pair<std::string_view, E>> names) {
+  for (const auto& [name, e] : names) {
+    if (value == name) return e;
   }
+  throw std::invalid_argument("unknown --" + std::string(flag) + " '" + value +
+                              "' (see --help)");
+}
 
+/// The whole CLI. Malformed values (std::invalid_argument) and configs the
+/// library rejects (util::InvariantError) exit 2 through util::run_main.
+int run_cli(const util::Flags& flags) {
+  RunConfig cfg;
+  const std::string proto = flags.get("protocol");
+  cfg.protocol = choose<Proto>("protocol", proto,
+                               {{"vdm", Proto::kVdm}, {"vdm-r", Proto::kVdmRefine},
+                                {"hmtp", Proto::kHmtp}, {"btp", Proto::kBtp},
+                                {"random", Proto::kRandom}});
   // --underlay is the documented spelling; --substrate stays as an alias so
   // existing scripts keep working. Unknown values are a hard usage error —
   // silently falling back to a default would bench the wrong substrate.
-  const std::string substrate = flags.has("underlay")
-                                    ? flags.get("underlay", "transit-stub")
-                                    : flags.get("substrate", "transit-stub");
-  if (substrate == "transit-stub") {
-    cfg.substrate = Substrate::kTransitStub;
-  } else if (substrate == "waxman") {
-    cfg.substrate = Substrate::kWaxman;
-  } else if (substrate == "geo-us") {
-    cfg.substrate = Substrate::kGeoUs;
-  } else if (substrate == "geo-world") {
-    cfg.substrate = Substrate::kGeoWorld;
-  } else if (substrate == "coord-us") {
-    cfg.substrate = Substrate::kCoordUs;
-  } else if (substrate == "coord-world") {
-    cfg.substrate = Substrate::kCoordWorld;
-  } else if (substrate == "coord-plane") {
-    cfg.substrate = Substrate::kCoordPlane;
-  } else {
-    std::cerr << "unknown --underlay '" << substrate << "' (see --help)\n";
-    return 2;
-  }
+  const std::string substrate =
+      flags.get(flags.has("substrate") && !flags.has("underlay") ? "substrate" : "underlay");
+  cfg.substrate = choose<Substrate>(
+      "underlay", substrate,
+      {{"transit-stub", Substrate::kTransitStub}, {"waxman", Substrate::kWaxman},
+       {"geo-us", Substrate::kGeoUs}, {"geo-world", Substrate::kGeoWorld},
+       {"coord-us", Substrate::kCoordUs}, {"coord-world", Substrate::kCoordWorld},
+       {"coord-plane", Substrate::kCoordPlane}});
+  cfg.metric = choose<Metric>(
+      "metric", flags.get("metric"),
+      {{"delay", Metric::kDelay}, {"loss", Metric::kLoss}, {"blend", Metric::kBlend},
+       {"cached-delay", Metric::kCachedDelay}, {"cached-loss", Metric::kCachedLoss}});
 
-  const std::string metric = flags.get("metric", "delay");
-  if (metric == "delay") {
-    cfg.metric = Metric::kDelay;
-  } else if (metric == "loss") {
-    cfg.metric = Metric::kLoss;
-  } else if (metric == "blend") {
-    cfg.metric = Metric::kBlend;
-  } else if (metric == "cached-delay") {
-    cfg.metric = Metric::kCachedDelay;
-  } else if (metric == "cached-loss") {
-    cfg.metric = Metric::kCachedLoss;
-  } else {
-    std::cerr << "unknown --metric '" << metric << "' (see --help)\n";
-    return 2;
-  }
-
-  cfg.scenario.target_members = flags.has("nodes")
-                                     ? flags.get_count("nodes", 200)
-                                     : flags.get_count("members", 200);
-  cfg.scenario.churn_rate = flags.get_double("churn", 0.05);
-  cfg.scenario.join_phase = flags.get_double("join-phase", 2000.0);
-  cfg.scenario.total_time = flags.get_double("total-time", 10000.0);
-  cfg.scenario.churn_interval = flags.get_double("interval", 400.0);
-  cfg.scenario.settle_time = flags.get_double("settle", 100.0);
-  if (flags.has("degree-avg")) {
-    cfg.scenario.degrees = overlay::DegreeSpec::average(flags.get_double("degree-avg", 4.0));
-  } else {
-    cfg.scenario.degrees = overlay::DegreeSpec::uniform(
-        static_cast<int>(flags.get_int("degree-min", 2)),
-        static_cast<int>(flags.get_int("degree-max", 5)));
-  }
-  cfg.session.chunk_rate = flags.get_double("chunk-rate", 1.0);
-  const std::string join_mode = flags.get("join-mode", "sequential");
-  if (join_mode == "sequential") {
-    cfg.session.join_mode = overlay::JoinMode::kSequential;
-  } else if (join_mode == "locating") {
-    cfg.session.join_mode = overlay::JoinMode::kLocating;
-  } else if (join_mode == "concurrent") {
-    cfg.session.join_mode = overlay::JoinMode::kConcurrent;
-  } else {
-    std::cerr << "unknown --join-mode '" << join_mode << "' (see --help)\n";
-    return 2;
-  }
-  cfg.scenario.flash_count = flags.get_count("flash", 0);
-  cfg.scenario.flash_at =
-      flags.get_double("flash-at", cfg.scenario.join_phase);
-  cfg.link_loss_max = flags.get_double("link-loss", 0.0);
-  cfg.probe_noise = flags.get_double("probe-noise", 0.0);
-  cfg.hmtp_refine_period = flags.get_double("hmtp-period", 30.0);
-  cfg.hmtp_refinement = !flags.get_bool("no-hmtp-refine", false);
-  cfg.hmtp_foster_child = flags.get_bool("foster-child", false);
-  cfg.session.buffer_seconds = flags.get_double("buffer", 0.0);
-  cfg.scenario.crash_fraction = flags.get_double("crash-frac", 0.0);
-  cfg.session.faults.heartbeat_period = flags.get_double("heartbeat-period", 0.0);
-  cfg.session.faults.heartbeat_misses =
-      static_cast<int>(flags.get_int("heartbeat-misses", 3));
-  cfg.session.faults.heartbeat_timeout = flags.get_double("heartbeat-timeout", 0.5);
+  cfg.scenario.target_members = flags.get_count(flags.has("nodes") ? "nodes" : "members");
+  cfg.scenario.churn_rate = flags.get_double("churn");
+  cfg.scenario.join_phase = flags.get_double("join-phase");
+  cfg.scenario.total_time = flags.get_double("total-time");
+  cfg.scenario.churn_interval = flags.get_double("interval");
+  cfg.scenario.settle_time = flags.get_double("settle");
+  cfg.scenario.degrees =
+      flags.has("degree-avg")
+          ? overlay::DegreeSpec::average(flags.get_double("degree-avg"))
+          : overlay::DegreeSpec::uniform(static_cast<int>(flags.get_int("degree-min")),
+                                         static_cast<int>(flags.get_int("degree-max")));
+  cfg.session.chunk_rate = flags.get_double("chunk-rate");
+  cfg.session.join_mode = choose<overlay::JoinMode>(
+      "join-mode", flags.get("join-mode"),
+      {{"sequential", overlay::JoinMode::kSequential},
+       {"locating", overlay::JoinMode::kLocating},
+       {"concurrent", overlay::JoinMode::kConcurrent}});
+  cfg.scenario.flash_count = flags.get_count("flash");
+  cfg.scenario.flash_at = flags.has("flash-at") ? flags.get_double("flash-at")
+                                                : cfg.scenario.join_phase;
+  cfg.link_loss_max = flags.get_double("link-loss");
+  cfg.probe_noise = flags.get_double("probe-noise");
+  cfg.hmtp_refine_period = flags.get_double("hmtp-period");
+  cfg.hmtp_refinement = !flags.get_bool("no-hmtp-refine");
+  cfg.hmtp_foster_child = flags.get_bool("foster-child");
+  cfg.session.buffer_seconds = flags.get_double("buffer");
+  cfg.scenario.crash_fraction = flags.get_double("crash-frac");
+  cfg.session.faults.heartbeat_period = flags.get_double("heartbeat-period");
+  cfg.session.faults.heartbeat_misses = static_cast<int>(flags.get_int("heartbeat-misses"));
+  cfg.session.faults.heartbeat_timeout = flags.get_double("heartbeat-timeout");
   if (flags.has("control-loss")) {
     cfg.session.faults.lossy_control = true;
-    cfg.session.faults.control_loss_extra = flags.get_double("control-loss", 0.0);
+    cfg.session.faults.control_loss_extra = flags.get_double("control-loss");
   }
-  cfg.session.faults.retry_timeout = flags.get_double("retry-timeout", 0.25);
-  cfg.session.threads = static_cast<int>(flags.get_int("run-threads", 1));
-  cfg.session.profile = flags.get_bool("profile", false);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  cfg.session.faults.retry_timeout = flags.get_double("retry-timeout");
+  cfg.session.threads = static_cast<int>(flags.get_int("run-threads"));
+  cfg.session.profile = flags.get_bool("profile");
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
-  const std::string workload = flags.get("workload", "slots");
+  const std::string workload = flags.get("workload");
   if (!overlay::parse_workload_kind(workload, cfg.workload)) {
-    std::cerr << "unknown --workload '" << workload << "' (see --help)\n";
-    return 2;
+    throw std::invalid_argument("unknown --workload '" + workload + "' (see --help)");
   }
-  cfg.workload.mean_session = flags.get_double("mean-session", 2000.0);
-  cfg.workload.pareto_alpha = flags.get_double("pareto-alpha", 1.5);
-  cfg.workload.diurnal_period = flags.get_double("diurnal-period", 4000.0);
-  cfg.workload.diurnal_amplitude = flags.get_double("diurnal-amplitude", 0.8);
-  const std::string save_trace = flags.get("save-trace", "");
+  cfg.workload.mean_session = flags.get_double("mean-session");
+  cfg.workload.pareto_alpha = flags.get_double("pareto-alpha");
+  cfg.workload.diurnal_period = flags.get_double("diurnal-period");
+  cfg.workload.diurnal_amplitude = flags.get_double("diurnal-amplitude");
+  const bool quiet = flags.get_bool("quiet");
+  const std::string save_trace = flags.get("save-trace");
   if (!save_trace.empty()) {
     std::vector<overlay::WorkloadEvent> events;
     workload_events(cfg, events);
     overlay::write_trace_file(save_trace, events, cfg.scenario.total_time);
-    if (!flags.get_bool("quiet", false)) {
+    if (!quiet) {
       std::cerr << "wrote " << events.size() << " events (seed " << cfg.seed
                 << ") to " << save_trace << '\n';
     }
   }
-  const bool want_trajectory = flags.get_bool("trajectory", false);
+  const bool want_trajectory = flags.get_bool("trajectory");
   cfg.keep_epochs = want_trajectory;
-  const std::string journal_path = flags.get("journal", "");
+  const std::string journal_path = flags.get("journal");
   std::ofstream journal_out;
   overlay::MembershipJournal journal;
   if (!journal_path.empty()) {
@@ -277,20 +218,20 @@ int run_cli(int argc, char** argv) {
   // above 4096 members; --mst / --no-mst override in either direction.
   cfg.compute_mst_ratio =
       cfg.scenario.target_members + cfg.scenario.flash_count <= 4096;
-  if (flags.get_bool("mst", false)) cfg.compute_mst_ratio = true;
-  if (flags.get_bool("no-mst", false)) cfg.compute_mst_ratio = false;
-  if (!cfg.compute_mst_ratio && !flags.get_bool("no-mst", false) &&
-      !flags.get_bool("quiet", false)) {
+  const bool no_mst = flags.get_bool("no-mst");
+  if (flags.get_bool("mst")) cfg.compute_mst_ratio = true;
+  if (no_mst) cfg.compute_mst_ratio = false;
+  if (!cfg.compute_mst_ratio && !no_mst && !quiet) {
     std::cerr << "note: skipping O(N^2) mst_ratio above 4096 members "
                  "(--mst forces it)\n";
   }
 
-  const auto seeds = flags.get_count("seeds", 8);
+  const auto seeds = flags.get_count("seeds");
 
   SweepOptions sweep;
-  sweep.threads = flags.get_count("threads", 0);
+  sweep.threads = flags.get_count("threads");
   StdoutWalkTrace trace;
-  if (flags.get_bool("trace-joins", false)) {
+  if (flags.get_bool("trace-joins")) {
     cfg.walk_observer = &trace;
     if (sweep.threads != 1) {
       std::cerr << "note: --trace-joins serializes the sweep; overriding "
@@ -302,7 +243,7 @@ int run_cli(int argc, char** argv) {
   // run_grid runs a journaled sweep on one worker; the footer says so.
   if (cfg.journal != nullptr) sweep.threads = 1;
   const auto start = std::chrono::steady_clock::now();
-  if (!flags.get_bool("quiet", false)) {
+  if (!quiet) {
     sweep.progress = [start](std::size_t done, std::size_t total) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -343,7 +284,8 @@ int run_cli(int argc, char** argv) {
   }
   if (cfg.compute_mst_ratio) row("mst_ratio", agg.mst_ratio);
 
-  if (flags.get_bool("csv", false)) {
+  const bool csv = flags.get_bool("csv");
+  if (csv) {
     t.print_csv(std::cout);
   } else {
     std::cout << proto << " on " << substrate << ", "
@@ -399,7 +341,7 @@ int run_cli(int argc, char** argv) {
                     util::Table::fmt(outage, 3), util::Table::fmt(e.overhead, 5),
                     std::to_string(e.members)});
     }
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       traj.print_csv(std::cout);
     } else {
       std::cout << "\ntrajectory (seed " << cfg.seed << ")\n\n";
@@ -411,4 +353,4 @@ int run_cli(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run_cli); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, kUsage, run_cli); }
