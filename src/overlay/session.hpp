@@ -290,8 +290,8 @@ class Session : private MembershipObserver {
   void start();
 
   /// Installs (or clears) the one sink every attach and detach is forwarded
-  /// to; the tree's observer slot is the session's own, claimed in start().
-  /// Not owned; it must outlive the run.
+  /// to. Call before start(), which claims the tree's one observer slot for
+  /// the session. Not owned; it must outlive the run.
   void set_observer(MembershipObserver* observer) { observer_ = observer; }
 
   /// Stops the data stream and all refinement timers (end of experiment).
