@@ -9,6 +9,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "baselines/hmtp_protocol.hpp"
 #include "core/vdm_protocol.hpp"
@@ -39,6 +40,9 @@ int run_cli(const util::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const std::string scenario_path = flags.get("scenario");
   const std::string protocol_name = flags.get("protocol");
+  if (protocol_name != "vdm" && protocol_name != "hmtp") {
+    throw std::invalid_argument("unknown --protocol '" + protocol_name + "' (see --help)");
+  }
 
   util::Rng root(seed);
   util::Rng pool_rng = root.split(1);

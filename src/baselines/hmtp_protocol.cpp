@@ -53,8 +53,7 @@ struct HmtpSearchPolicy {
       // to the current node than the child is), descending would hang N
       // below C while the data doubles back — attach to the current node
       // and let refinement re-hang C later (§3.5 Scenario I/II).
-      if (config.u_turn_rule &&
-          d_cur < tree.stored_child_distance(w.cur(), kids[closest])) {
+      if (d_cur < tree.stored_child_distance(w.cur(), kids[closest])) {
         if (w.can_accept(w.cur())) {
           return TreeWalk::Action::stop(WalkDecision::kUturnAttach, w.cur(),
                                         d_cur);

@@ -18,13 +18,6 @@ struct HmtpConfig {
   /// A refinement switch must improve the parent distance by this relative
   /// margin to fire (hysteresis against measurement jitter).
   double switch_margin = 0.05;
-  /// The dissertation's U-turn rule (§3.5 Scenario I/II): when the newcomer
-  /// appears to lie *between* the current node and its closest child
-  /// (d(N,cur) < d(cur,C)), HMTP attaches to the current node "so that C
-  /// can find N in the refinement stage" instead of descending — it has no
-  /// Case II splice. This is what VDM's directionality fixes in one shot;
-  /// disable to get the plain greedy-descent HMTP of Zhang et al.
-  bool u_turn_rule = true;
   /// Foster-child quick start (§2.4.7): "A node connects root at the
   /// beginning to start stream immediately. Then, it jumps to ideal parent
   /// when it is found." With this on, the joiner's startup time is one

@@ -79,7 +79,6 @@ std::unique_ptr<overlay::Protocol> build_protocol(const RunConfig& cfg) {
       baselines::HmtpConfig hc;
       hc.refinement = cfg.hmtp_refinement;
       hc.refinement_period = cfg.hmtp_refine_period;
-      hc.u_turn_rule = cfg.hmtp_u_turn_rule;
       hc.foster_child = cfg.hmtp_foster_child;
       protocol = std::make_unique<baselines::HmtpProtocol>(hc);
       break;
@@ -96,6 +95,9 @@ std::unique_ptr<overlay::Protocol> build_protocol(const RunConfig& cfg) {
   return protocol;
 }
 
+/// How long the kCached* metrics keep a measurement.
+constexpr sim::Time kMetricCacheTtl = sim::seconds(300);
+
 std::unique_ptr<overlay::MetricProvider> build_metric(const RunConfig& cfg,
                                                       const sim::Reactor& clock) {
   switch (cfg.metric) {
@@ -108,10 +110,10 @@ std::unique_ptr<overlay::MetricProvider> build_metric(const RunConfig& cfg,
     case Metric::kCachedDelay:
       return std::make_unique<overlay::CachedMetric>(
           std::make_unique<overlay::DelayMetric>(cfg.probe_noise), clock,
-          cfg.metric_cache_ttl);
+          kMetricCacheTtl);
     case Metric::kCachedLoss:
       return std::make_unique<overlay::CachedMetric>(
-          std::make_unique<overlay::LossMetric>(), clock, cfg.metric_cache_ttl);
+          std::make_unique<overlay::LossMetric>(), clock, kMetricCacheTtl);
   }
   VDM_REQUIRE_MSG(false, "unknown metric");
   return nullptr;
@@ -170,7 +172,7 @@ struct RunScratch::Impl {
     sim::Time vdm_refine_period;
     bool hmtp_refinement;
     sim::Time hmtp_refine_period;
-    bool hmtp_u_turn_rule, hmtp_foster_child;
+    bool hmtp_foster_child;
     bool operator==(const ProtocolKey&) const = default;
   };
   std::optional<ProtocolKey> protocol_key;
@@ -325,7 +327,6 @@ overlay::Protocol& cached_protocol(RunScratch::Impl& s, const RunConfig& cfg) {
       cfg.vdm_refine_period,
       cfg.hmtp_refinement,
       cfg.hmtp_refine_period,
-      cfg.hmtp_u_turn_rule,
       cfg.hmtp_foster_child};
   if (!s.protocol || s.protocol_key != key) {
     s.protocol = build_protocol(cfg);

@@ -61,10 +61,7 @@ struct RunConfig {
   sim::Time vdm_refine_period = sim::minutes(3);
   bool hmtp_refinement = true;
   sim::Time hmtp_refine_period = sim::seconds(30);
-  bool hmtp_u_turn_rule = true;
   bool hmtp_foster_child = false;
-  /// TTL of the cached measurement service (kCached* metrics).
-  sim::Time metric_cache_ttl = sim::seconds(300);
 
   /// Compute the final-tree MST ratio (Figure 5.31). The baseline is an
   /// O(N^2) Prim pass over the surviving members — negligible at paper
@@ -211,7 +208,7 @@ struct AggregateResult {
 /// run_grid (sweep.hpp) with a single grid point: shared task pool,
 /// per-worker arenas, deterministic index-ordered aggregation.
 AggregateResult run_many(const RunConfig& config, std::size_t num_seeds,
-                         std::size_t threads = 0, double confidence = 0.90);
+                         std::size_t threads = 0);
 
 /// Reads the VDM_FULL environment knob: returns `fast` seeds normally and
 /// `full` (paper-scale) seeds when VDM_FULL=1. Lets `bench/figures` finish

@@ -11,12 +11,13 @@ namespace vdm::experiments {
 
 namespace {
 
-AggregateResult aggregate_runs(std::vector<RunResult> runs, double confidence) {
+/// Summarizes every field with a 90 % interval, the paper's.
+AggregateResult aggregate_runs(std::vector<RunResult> runs) {
   auto summarize_field = [&](double RunResult::* field) {
     std::vector<double> v;
     v.reserve(runs.size());
     for (const RunResult& r : runs) v.push_back(r.*field);
-    return util::summarize(v, confidence);
+    return util::summarize(v, 0.90);
   };
 
   AggregateResult agg;
@@ -94,17 +95,15 @@ std::vector<AggregateResult> run_grid(std::span<const RunConfig> points,
     const auto first = std::make_move_iterator(
         runs.begin() + static_cast<std::ptrdiff_t>(p * num_seeds));
     out.push_back(aggregate_runs(
-        std::vector<RunResult>(first, first + static_cast<std::ptrdiff_t>(num_seeds)),
-        options.confidence));
+        std::vector<RunResult>(first, first + static_cast<std::ptrdiff_t>(num_seeds))));
   }
   return out;
 }
 
 AggregateResult run_many(const RunConfig& config, std::size_t num_seeds,
-                         std::size_t threads, double confidence) {
+                         std::size_t threads) {
   SweepOptions options;
   options.threads = threads;
-  options.confidence = confidence;
   std::vector<AggregateResult> aggs =
       run_grid(std::span<const RunConfig>(&config, 1), num_seeds, options);
   return std::move(aggs.front());

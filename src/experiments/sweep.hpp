@@ -14,8 +14,6 @@ struct SweepOptions {
   /// Worker cap for this sweep; 0 = hardware concurrency. Workers beyond
   /// the flattened task count never start.
   std::size_t threads = 0;
-  /// Confidence level of the per-point aggregation intervals.
-  double confidence = 0.90;
   /// Called after every finished (point, seed) task with the completed and
   /// total task counts. Serialized (never concurrent with itself), but the
   /// completion order across tasks is unspecified.

@@ -94,13 +94,14 @@ Session::Session(sim::Reactor& reactor, const net::Underlay& underlay,
                     "heartbeat_timeout must be finite and >= 0");
   }
   if (f.lossy_control) {
-    VDM_REQUIRE_MSG(std::isfinite(f.retry_timeout) && f.retry_timeout >= 0.0,
+    const sim::RetryPolicy& r = f.retry;
+    VDM_REQUIRE_MSG(std::isfinite(r.timeout) && r.timeout >= 0.0,
                     "retry_timeout must be finite and >= 0");
-    VDM_REQUIRE_MSG(std::isfinite(f.retry_timeout_max) && f.retry_timeout_max >= 0.0,
+    VDM_REQUIRE_MSG(std::isfinite(r.timeout_max) && r.timeout_max >= 0.0,
                     "retry_timeout_max must be finite and >= 0");
-    VDM_REQUIRE_MSG(std::isfinite(f.backoff_factor) && f.backoff_factor > 0.0,
+    VDM_REQUIRE_MSG(std::isfinite(r.backoff_factor) && r.backoff_factor > 0.0,
                     "backoff_factor must be finite and > 0");
-    VDM_REQUIRE_MSG(f.max_retries >= 0, "max_retries must be >= 0");
+    VDM_REQUIRE_MSG(r.max_retries >= 0, "max_retries must be >= 0");
   }
 }
 
@@ -567,13 +568,13 @@ sim::Time Session::lossy_elapsed(net::HostId from, net::HostId with, int message
       1.0 - (1.0 - underlay_.loss(from, with)) * (1.0 - f.control_loss_extra);
   if (p <= 0.0) return base;
   sim::Time waited = 0.0;
-  double timeout = f.retry_timeout;
-  for (int attempt = 0; attempt < f.max_retries; ++attempt) {
+  sim::Time timeout = f.retry.timeout;
+  for (int attempt = 0; attempt < f.retry.max_retries; ++attempt) {
     const bool lost = rng_.chance(p) || rng_.chance(p);  // request, then reply
     if (!lost) return waited + base;
     stats.messages += messages;  // the retransmission
     waited += timeout;
-    timeout = std::min(timeout * f.backoff_factor, f.retry_timeout_max);
+    timeout = f.retry.next_timeout(timeout);
   }
   // Retries exhausted: the control channel is reliable-with-retries — loss
   // manifests as latency and message overhead, never as protocol failure —

@@ -10,6 +10,7 @@
 #include "overlay/placement.hpp"
 #include "overlay/protocol.hpp"
 #include "overlay/walk.hpp"
+#include "sim/retry.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -60,17 +61,13 @@ struct FaultParams {
   /// Control-plane loss applied on top of the underlay path loss (models
   /// overloaded end hosts dropping datagrams, as on PlanetLab).
   double control_loss_extra = 0.0;
-  /// Initial retransmission timeout; each retry multiplies it by
-  /// backoff_factor up to retry_timeout_max, for at most max_retries
-  /// retransmissions (after which the exchange is assumed through — the
-  /// control channel is reliable-with-retries, loss shows up as latency
-  /// and message overhead, not as protocol failure). With lossy_control on,
-  /// both timeouts must be finite and >= 0, backoff_factor finite and > 0,
-  /// and max_retries >= 0.
-  double retry_timeout = 0.25;
-  double backoff_factor = 2.0;
-  double retry_timeout_max = 4.0;
-  int max_retries = 8;
+  /// The retransmission schedule of a lost exchange, for at most
+  /// max_retries retransmissions (after which the exchange is assumed
+  /// through — the control channel is reliable-with-retries, loss shows up
+  /// as latency and message overhead, not as protocol failure). With
+  /// lossy_control on, both timeouts must be finite and >= 0,
+  /// backoff_factor finite and > 0, and max_retries >= 0.
+  sim::RetryPolicy retry;
 };
 
 /// Tunables of one multicast session.

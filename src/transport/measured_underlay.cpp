@@ -26,18 +26,4 @@ sim::Time MeasuredUnderlay::delay(net::HostId a, net::HostId b) const {
   return one_way;
 }
 
-void MeasuredUnderlay::put(net::HostId a, net::HostId b, double rtt_seconds) {
-  const double one_way = rtt_seconds > 0.0 ? rtt_seconds / 2.0 : 1e-6;
-  cache_at(a, b) = one_way;
-  cache_at(b, a) = one_way;
-}
-
-void MeasuredUnderlay::invalidate(net::HostId h) {
-  VDM_REQUIRE(h < num_hosts_);
-  for (std::size_t other = 0; other < num_hosts_; ++other) {
-    delay_cache_[static_cast<std::size_t>(h) * num_hosts_ + other] = -1.0;
-    delay_cache_[other * num_hosts_ + h] = -1.0;
-  }
-}
-
 }  // namespace vdm::transport

@@ -9,8 +9,8 @@
 namespace vdm::transport {
 
 /// Measures a real round-trip time between two hosts, blocking until the
-/// probe transaction completes (vdmd implements this with a Ping/Pong
-/// exchange over UDP, retried per RetryPolicy). Returns seconds.
+/// probe completes (vdmd pings, or asks an agent to ping, through
+/// UdpReactor::exchange). Returns seconds.
 class ProbeService {
  public:
   virtual ~ProbeService() = default;
@@ -43,13 +43,6 @@ class MeasuredUnderlay final : public net::Underlay {
   double link_delay(net::LinkId) const override { return 0.0; }
   std::size_t num_links() const override { return 0; }
   bool zero_loss() const override { return true; }
-
-  /// Pre-seeds the cache (symmetric), bypassing the probe. Tests and the
-  /// controller's join fast-path use this when an RTT is already known.
-  void put(net::HostId a, net::HostId b, double rtt_seconds);
-
-  /// Drops a host's cached measurements so rejoin after crash re-probes.
-  void invalidate(net::HostId h);
 
   std::size_t probes_issued() const { return probes_issued_; }
 

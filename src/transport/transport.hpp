@@ -27,23 +27,6 @@ class Transport {
   virtual PeerAddr local_addr() const = 0;
 };
 
-/// Retransmission policy of request/response exchanges over the lossy
-/// transport: initial timeout, exponential backoff with a cap, bounded
-/// retries. Field-for-field the PR 3 lossy-control-plane policy
-/// (overlay::FaultParams retry knobs) — the daemon retries for real with
-/// the same schedule the simulator charges for.
-struct RetryPolicy {
-  sim::Time timeout = 0.25;
-  double backoff_factor = 2.0;
-  sim::Time timeout_max = 4.0;
-  int max_retries = 8;
-
-  sim::Time next_timeout(sim::Time current) const {
-    const sim::Time t = current * backoff_factor;
-    return t < timeout_max ? t : timeout_max;
-  }
-};
-
 /// RAII periodic timer over any sim::Reactor: runs `fn` every `interval`
 /// seconds (> 0) starting at now() + interval, until destroyed or
 /// stop()ped; stop() from inside a tick suppresses the re-arm. For timers

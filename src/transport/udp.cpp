@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -237,10 +238,27 @@ std::size_t UdpReactor::pump_io(sim::Time max_wait) {
   }
 }
 
+std::optional<sim::Time> UdpReactor::exchange(const sim::RetryPolicy& policy,
+                                              sim::Time deadline,
+                                              util::FunctionRef<void()> send,
+                                              util::FunctionRef<bool()> answered) {
+  sim::Time timeout = policy.timeout;
+  for (int retries = 0; now() < deadline; ++retries) {
+    const sim::Time sent = now();
+    send();
+    const sim::Time wait_until = std::min(deadline, sent + timeout);
+    while (!answered() && now() < wait_until) pump_io(wait_until - now());
+    if (answered()) return now() - sent;
+    if (retries >= policy.max_retries) break;
+    timeout = policy.next_timeout(timeout);
+  }
+  return std::nullopt;
+}
+
 // --------------------------------------------------------------- RetrySender
 
 RetrySender::RetrySender(sim::Reactor& reactor, Transport& transport,
-                         BufferPool& buffers, RetryPolicy policy)
+                         BufferPool& buffers, sim::RetryPolicy policy)
     : reactor_(reactor),
       transport_(transport),
       buffers_(buffers),

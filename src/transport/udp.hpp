@@ -5,13 +5,16 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/retry.hpp"
 #include "sim/simulator.hpp"
 #include "transport/transport.hpp"
+#include "util/function_ref.hpp"
 #include "wire/wire.hpp"
 
 namespace vdm::transport {
@@ -103,9 +106,6 @@ class UdpReactor final : public sim::Reactor {
 
   /// Breaks out of run_until at the next pump.
   void stop() { stopped_ = true; }
-  bool stopped() const { return stopped_; }
-  /// Re-arms a stopped reactor for another run_until.
-  void resume() { stopped_ = false; }
 
   /// Registers a socket; every datagram that arrives while the reactor runs
   /// (or pumps) is decoded-agnostically handed to `handler`.
@@ -117,6 +117,19 @@ class UdpReactor final : public sim::Reactor {
   /// inside a timer callback (a nested timer dispatch could re-enter the
   /// protocol core; a nested I/O dispatch cannot).
   std::size_t pump_io(sim::Time max_wait);
+
+  /// One blocking request/reply exchange over pump_io, so it too may run
+  /// inside a timer callback: calls `send`, then services socket I/O until
+  /// `answered()` or the attempt's wait ends, and retries. The first wait
+  /// is `policy.timeout`, each later one policy.next_timeout of the one
+  /// before, for at most 1 + policy.max_retries attempts; no wait runs past
+  /// now() == `deadline`, and no attempt starts there. Returns the answered
+  /// attempt's round trip (from its send to the pump that delivered the
+  /// answer), or nullopt when the exchange gave up.
+  std::optional<sim::Time> exchange(const sim::RetryPolicy& policy,
+                                    sim::Time deadline,
+                                    util::FunctionRef<void()> send,
+                                    util::FunctionRef<bool()> answered);
 
   BufferPool& buffers() { return buffers_; }
 
@@ -138,15 +151,15 @@ class UdpReactor final : public sim::Reactor {
 
 /// Reliable-with-retries request sender over an unreliable transport: each
 /// tracked request keeps its encoded frame in a recycled pool buffer and
-/// retransmits on a RetryPolicy schedule until complete(token) or retries
-/// exhaust (a WARN log, matching the simulator's reliable-with-retries
-/// semantics where exhaustion is latency, not failure). Each retransmission
+/// retransmits on a sim::RetryPolicy schedule until complete(token) or
+/// retries exhaust (a WARN log, matching the simulator's reliable-with-
+/// retries semantics where exhaustion is latency, not failure). Each retransmission
 /// is a one-shot that schedules the next at its own deadline plus the next
 /// backoff timeout.
 class RetrySender {
  public:
   RetrySender(sim::Reactor& reactor, Transport& transport, BufferPool& buffers,
-              RetryPolicy policy);
+              sim::RetryPolicy policy);
   ~RetrySender();
   RetrySender(const RetrySender&) = delete;
   RetrySender& operator=(const RetrySender&) = delete;
@@ -187,7 +200,7 @@ class RetrySender {
   sim::Reactor& reactor_;
   Transport& transport_;
   BufferPool& buffers_;
-  RetryPolicy policy_;
+  sim::RetryPolicy policy_;
   std::unordered_map<std::uint32_t, Pending> pending_;
   std::uint32_t last_token_ = 0;
   std::uint64_t retransmissions_ = 0;

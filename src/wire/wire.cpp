@@ -1,7 +1,11 @@
 #include "wire/wire.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstring>
+#include <iterator>
+#include <type_traits>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -9,32 +13,68 @@ namespace vdm::wire {
 
 namespace {
 
-// Field-by-field little-endian writer/reader. Bounds are checked once per
-// field; the reader records the exact offset of the first missing byte so
-// decode errors can name it.
+// A message's fields, in declaration order, are its payload: each integer
+// little-endian in its own width, a double as its IEEE-754 bits in a u64,
+// and a byte span as the rest of the payload. Encode and decode both walk
+// the fields through each_field, so the two cannot disagree.
+
+/// Converts to any field type, so `M{AnyField{}, ...}` compiles for as
+/// many initializers as the aggregate M has fields, and no more.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // declared only: named in unevaluated operands
+};
+
+template <typename M, typename... Counted>
+constexpr std::size_t field_count() {
+  if constexpr (requires { M{Counted{}..., AnyField{}}; }) {
+    return field_count<M, Counted..., AnyField>();
+  } else {
+    return sizeof...(Counted);
+  }
+}
+
+/// Calls `f` on each field of `m` in declaration order until one returns
+/// false; true when none did.
+template <typename M, typename F>
+bool each_field(M& m, F&& f) {
+  constexpr std::size_t n = field_count<std::remove_const_t<M>>();
+  if constexpr (n == 1) {
+    auto& [a] = m;
+    return f(a);
+  } else if constexpr (n == 2) {
+    auto& [a, b] = m;
+    return f(a) && f(b);
+  } else if constexpr (n == 3) {
+    auto& [a, b, c] = m;
+    return f(a) && f(b) && f(c);
+  } else if constexpr (n == 4) {
+    auto& [a, b, c, d] = m;
+    return f(a) && f(b) && f(c) && f(d);
+  } else {
+    static_assert(n == 6, "each_field takes messages of 1 to 4 or 6 fields");
+    auto& [a, b, c, d, e, g] = m;
+    return f(a) && f(b) && f(c) && f(d) && f(e) && f(g);
+  }
+}
+
+// Field writer and reader. The writer checks room once per field; the
+// reader goes byte by byte and stops at the first missing one, so a decode
+// error names its exact offset.
 
 class Writer {
  public:
   explicit Writer(std::span<std::byte> out) : out_(out) {}
 
-  void u8(std::uint8_t v) {
-    VDM_REQUIRE_MSG(pos_ + 1 <= out_.size(), "wire encode buffer too small");
-    out_[pos_++] = static_cast<std::byte>(v);
+  template <std::unsigned_integral T>
+  void put(T v) {
+    VDM_REQUIRE_MSG(pos_ + sizeof(T) <= out_.size(), "wire encode buffer too small");
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out_[pos_++] = static_cast<std::byte>(v >> (8 * i));
+    }
   }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void bytes(std::span<const std::byte> b) {
+  void put(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+  void put(std::span<const std::byte> b) {
     VDM_REQUIRE_MSG(pos_ + b.size() <= out_.size(),
                     "wire encode buffer too small");
     // An empty span may carry a null data pointer, which memcpy must never
@@ -60,182 +100,42 @@ class Reader {
   Reader(std::span<const std::byte> in, std::size_t start, std::size_t end)
       : in_(in), pos_(start), end_(end) {}
 
-  bool u8(std::uint8_t& v) {
-    if (pos_ + 1 > end_) return fail();
-    v = static_cast<std::uint8_t>(in_[pos_++]);
+  template <std::unsigned_integral T>
+  bool get(T& v) {
+    v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      if (pos_ == end_) return false;
+      v |= static_cast<T>(std::to_integer<T>(in_[pos_++]) << (8 * i));
+    }
     return true;
   }
-  bool u16(std::uint16_t& v) {
-    std::uint8_t lo = 0, hi = 0;
-    if (!u8(lo) || !u8(hi)) return false;
-    v = static_cast<std::uint16_t>(lo | (hi << 8));
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    std::uint16_t lo = 0, hi = 0;
-    if (!u16(lo) || !u16(hi)) return false;
-    v = static_cast<std::uint32_t>(lo) |
-        (static_cast<std::uint32_t>(hi) << 16);
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    std::uint32_t lo = 0, hi = 0;
-    if (!u32(lo) || !u32(hi)) return false;
-    v = static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-    return true;
-  }
-  bool f64(double& v) {
+  bool get(double& v) {
     std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
+    if (!get(bits)) return false;
     v = std::bit_cast<double>(bits);
     return true;
   }
-  /// The rest of the payload as a view (chunk bodies).
-  std::span<const std::byte> rest() {
-    const std::span<const std::byte> r = in_.subspan(pos_, end_ - pos_);
+  /// The rest of the payload, as a view into the frame.
+  bool get(std::span<const std::byte>& v) {
+    v = in_.subspan(pos_, end_ - pos_);
     pos_ = end_;
-    return r;
+    return true;
   }
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return end_ - pos_; }
-  bool failed() const { return failed_; }
 
  private:
-  bool fail() {
-    failed_ = true;
-    return false;
-  }
   std::span<const std::byte> in_;
   std::size_t pos_;
   std::size_t end_;
-  bool failed_ = false;
 };
-
-void encode_body(const Hello& m, Writer& w) { w.u16(m.listen_port); }
-void encode_body(const Welcome& m, Writer& w) {
-  w.u32(m.host_id);
-  w.u32(m.num_hosts);
-}
-void encode_body(const ProbeRequest& m, Writer& w) {
-  w.u32(m.token);
-  w.u32(m.target_host);
-  w.u32(m.target_ip);
-  w.u16(m.target_port);
-}
-void encode_body(const ProbeReply& m, Writer& w) {
-  w.u32(m.token);
-  w.u32(m.target_host);
-  w.f64(m.rtt_seconds);
-}
-void encode_body(const Ping& m, Writer& w) { w.u32(m.token); }
-void encode_body(const Pong& m, Writer& w) { w.u32(m.token); }
-void encode_body(const SetParent& m, Writer& w) {
-  w.u32(m.token);
-  w.u32(m.parent_host);
-  w.u32(m.parent_ip);
-  w.u16(m.parent_port);
-}
-void encode_body(const Adopt& m, Writer& w) {
-  w.u32(m.token);
-  w.u32(m.child_host);
-  w.u32(m.child_ip);
-  w.u16(m.child_port);
-}
-void encode_body(const DropChild& m, Writer& w) {
-  w.u32(m.token);
-  w.u32(m.child_host);
-}
-void encode_body(const Ack& m, Writer& w) { w.u32(m.token); }
-void encode_body(const Heartbeat& m, Writer& w) {
-  w.u32(m.from_host);
-  w.u32(m.seq);
-}
-void encode_body(const HeartbeatAck& m, Writer& w) { w.u32(m.seq); }
-void encode_body(const Chunk& m, Writer& w) {
-  VDM_REQUIRE_MSG(m.payload.size() + 12 <= kMaxPayload,
-                  "chunk payload exceeds kMaxPayload");
-  w.u32(m.seq);
-  w.f64(m.emitted_at);
-  w.bytes(m.payload);
-}
-void encode_body(const StatsRequest& m, Writer& w) { w.u32(m.token); }
-void encode_body(const StatsReply& m, Writer& w) {
-  w.u32(m.token);
-  w.u32(m.host);
-  w.u64(m.chunks_received);
-  w.u64(m.chunks_relayed);
-  w.u64(m.heartbeats_sent);
-  w.u64(m.control_received);
-}
-void encode_body(const Shutdown& m, Writer& w) { w.u32(m.token); }
-
-template <typename M>
-bool decode_body(M&, Reader&);
-
-template <>
-bool decode_body(Hello& m, Reader& r) { return r.u16(m.listen_port); }
-template <>
-bool decode_body(Welcome& m, Reader& r) {
-  return r.u32(m.host_id) && r.u32(m.num_hosts);
-}
-template <>
-bool decode_body(ProbeRequest& m, Reader& r) {
-  return r.u32(m.token) && r.u32(m.target_host) && r.u32(m.target_ip) &&
-         r.u16(m.target_port);
-}
-template <>
-bool decode_body(ProbeReply& m, Reader& r) {
-  return r.u32(m.token) && r.u32(m.target_host) && r.f64(m.rtt_seconds);
-}
-template <>
-bool decode_body(Ping& m, Reader& r) { return r.u32(m.token); }
-template <>
-bool decode_body(Pong& m, Reader& r) { return r.u32(m.token); }
-template <>
-bool decode_body(SetParent& m, Reader& r) {
-  return r.u32(m.token) && r.u32(m.parent_host) && r.u32(m.parent_ip) &&
-         r.u16(m.parent_port);
-}
-template <>
-bool decode_body(Adopt& m, Reader& r) {
-  return r.u32(m.token) && r.u32(m.child_host) && r.u32(m.child_ip) &&
-         r.u16(m.child_port);
-}
-template <>
-bool decode_body(DropChild& m, Reader& r) {
-  return r.u32(m.token) && r.u32(m.child_host);
-}
-template <>
-bool decode_body(Ack& m, Reader& r) { return r.u32(m.token); }
-template <>
-bool decode_body(Heartbeat& m, Reader& r) {
-  return r.u32(m.from_host) && r.u32(m.seq);
-}
-template <>
-bool decode_body(HeartbeatAck& m, Reader& r) { return r.u32(m.seq); }
-template <>
-bool decode_body(Chunk& m, Reader& r) {
-  if (!r.u32(m.seq) || !r.f64(m.emitted_at)) return false;
-  m.payload = r.rest();
-  return true;
-}
-template <>
-bool decode_body(StatsRequest& m, Reader& r) { return r.u32(m.token); }
-template <>
-bool decode_body(StatsReply& m, Reader& r) {
-  return r.u32(m.token) && r.u32(m.host) && r.u64(m.chunks_received) &&
-         r.u64(m.chunks_relayed) && r.u64(m.heartbeats_sent) &&
-         r.u64(m.control_received);
-}
-template <>
-bool decode_body(Shutdown& m, Reader& r) { return r.u32(m.token); }
 
 template <typename M>
 DecodeError decode_as(std::span<const std::byte> frame, std::size_t payload_len,
                       Message& out) {
   Reader r(frame, kHeaderBytes, kHeaderBytes + payload_len);
   M m{};
-  if (!decode_body(m, r)) {
+  if (!each_field(m, [&r](auto& field) { return r.get(field); })) {
     // The reader stopped at the first byte it could not fetch.
     return {DecodeStatus::kShortPayload, r.pos(), 0, payload_len};
   }
@@ -246,28 +146,29 @@ DecodeError decode_as(std::span<const std::byte> frame, std::size_t payload_len,
   return {};
 }
 
+/// decode_as for the alternative at index `i` (type byte `i` + 1).
+template <std::size_t... I>
+DecodeError decode_alternative(std::size_t i, std::span<const std::byte> frame,
+                               std::size_t payload_len, Message& out,
+                               std::index_sequence<I...>) {
+  using Decoder = DecodeError (*)(std::span<const std::byte>, std::size_t, Message&);
+  static constexpr Decoder kDecoders[] = {
+      &decode_as<std::variant_alternative_t<I, Message>>...};
+  return kDecoders[i](frame, payload_len, out);
+}
+
+/// In Type order.
+constexpr const char* kTypeNames[] = {
+    "hello", "welcome", "probe-request", "probe-reply", "ping", "pong",
+    "set-parent", "adopt", "drop-child", "ack", "heartbeat", "heartbeat-ack",
+    "chunk", "stats-request", "stats-reply", "shutdown"};
+static_assert(std::size(kTypeNames) == kMaxType);
+
 }  // namespace
 
 const char* type_name(Type t) {
-  switch (t) {
-    case Type::kHello: return "hello";
-    case Type::kWelcome: return "welcome";
-    case Type::kProbeRequest: return "probe-request";
-    case Type::kProbeReply: return "probe-reply";
-    case Type::kPing: return "ping";
-    case Type::kPong: return "pong";
-    case Type::kSetParent: return "set-parent";
-    case Type::kAdopt: return "adopt";
-    case Type::kDropChild: return "drop-child";
-    case Type::kAck: return "ack";
-    case Type::kHeartbeat: return "heartbeat";
-    case Type::kHeartbeatAck: return "heartbeat-ack";
-    case Type::kChunk: return "chunk";
-    case Type::kStatsRequest: return "stats-request";
-    case Type::kStatsReply: return "stats-reply";
-    case Type::kShutdown: return "shutdown";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(t);
+  return i >= 1 && i <= kMaxType ? kTypeNames[i - 1] : "?";
 }
 
 Type type_of(const Message& m) {
@@ -277,12 +178,19 @@ Type type_of(const Message& m) {
 
 std::size_t encode(const Message& m, std::span<std::byte> out) {
   Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(type_of(m)));
+  w.put(kMagic);
+  w.put(kVersion);
+  w.put(static_cast<std::uint8_t>(type_of(m)));
   const std::size_t len_at = w.pos();
-  w.u16(0);  // patched below
-  std::visit([&w](const auto& body) { encode_body(body, w); }, m);
+  w.put(std::uint16_t{0});  // patched below
+  std::visit(
+      [&w](const auto& body) {
+        each_field(body, [&w](const auto& field) {
+          w.put(field);
+          return true;
+        });
+      },
+      m);
   const std::size_t payload = w.pos() - kHeaderBytes;
   VDM_REQUIRE_MSG(payload <= kMaxPayload, "wire payload exceeds kMaxPayload");
   w.patch_u16(len_at, static_cast<std::uint16_t>(payload));
@@ -306,10 +214,10 @@ DecodeError decode(std::span<const std::byte> frame, Message& out) {
   std::uint8_t version = 0;
   std::uint8_t type = 0;
   std::uint16_t length = 0;
-  h.u16(magic);
-  h.u8(version);
-  h.u8(type);
-  h.u16(length);
+  h.get(magic);
+  h.get(version);
+  h.get(type);
+  h.get(length);
   if (magic != kMagic) return {DecodeStatus::kBadMagic, 0, kMagic, magic};
   if (version != kVersion) {
     return {DecodeStatus::kBadVersion, 2, kVersion, version};
@@ -328,25 +236,8 @@ DecodeError decode(std::span<const std::byte> frame, Message& out) {
     return {DecodeStatus::kTrailingBytes, kHeaderBytes + length,
             kHeaderBytes + length, frame.size()};
   }
-  switch (static_cast<Type>(type)) {
-    case Type::kHello: return decode_as<Hello>(frame, length, out);
-    case Type::kWelcome: return decode_as<Welcome>(frame, length, out);
-    case Type::kProbeRequest: return decode_as<ProbeRequest>(frame, length, out);
-    case Type::kProbeReply: return decode_as<ProbeReply>(frame, length, out);
-    case Type::kPing: return decode_as<Ping>(frame, length, out);
-    case Type::kPong: return decode_as<Pong>(frame, length, out);
-    case Type::kSetParent: return decode_as<SetParent>(frame, length, out);
-    case Type::kAdopt: return decode_as<Adopt>(frame, length, out);
-    case Type::kDropChild: return decode_as<DropChild>(frame, length, out);
-    case Type::kAck: return decode_as<Ack>(frame, length, out);
-    case Type::kHeartbeat: return decode_as<Heartbeat>(frame, length, out);
-    case Type::kHeartbeatAck: return decode_as<HeartbeatAck>(frame, length, out);
-    case Type::kChunk: return decode_as<Chunk>(frame, length, out);
-    case Type::kStatsRequest: return decode_as<StatsRequest>(frame, length, out);
-    case Type::kStatsReply: return decode_as<StatsReply>(frame, length, out);
-    case Type::kShutdown: return decode_as<Shutdown>(frame, length, out);
-  }
-  return {DecodeStatus::kBadType, 3, kMaxType, type};
+  return decode_alternative(type - 1U, frame, length, out,
+                            std::make_index_sequence<std::variant_size_v<Message>>{});
 }
 
 std::string describe(const DecodeError& err) {

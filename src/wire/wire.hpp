@@ -62,6 +62,11 @@ inline constexpr std::uint8_t kMaxType = static_cast<std::uint8_t>(Type::kShutdo
 const char* type_name(Type t);
 
 // ------------------------------------------------------------- message types
+//
+// A message's fields, in declaration order, are its payload, and nothing
+// else lists them: encode and decode both walk them (wire.cpp, each_field).
+// Integers travel little-endian in their own width, doubles as their bits;
+// a byte span, only ever the last field, takes the rest of the payload.
 
 struct Hello {
   std::uint16_t listen_port = 0;

@@ -159,7 +159,7 @@ TEST(Heartbeat, FalsePositiveDetachesAndRejoins) {
   f.heartbeat_timeout = 0.5;
   f.lossy_control = true;
   f.control_loss_extra = 1.0;
-  f.max_retries = 1;
+  f.retry.max_retries = 1;
   FaultHarness h(line_underlay({0.0, 0.06, 0.1}), f);
   h.session.join(1, 8);
   h.session.join(2, 8);
@@ -183,10 +183,10 @@ TEST(LossyControl, ChargesRetriesWithExponentialBackoff) {
   FaultParams f;
   f.lossy_control = true;
   f.control_loss_extra = 1.0;
-  f.retry_timeout = 0.25;
-  f.backoff_factor = 2.0;
-  f.retry_timeout_max = 4.0;
-  f.max_retries = 2;
+  f.retry.timeout = 0.25;
+  f.retry.backoff_factor = 2.0;
+  f.retry.timeout_max = 4.0;
+  f.retry.max_retries = 2;
   FaultHarness h(line_underlay({0.0, 10.0}), f);
   const TimingRecord rec = h.session.join(1, 4);
   EXPECT_EQ(rec.messages, 18);                 // 3 exchanges x 2 msgs x 3 sends
@@ -197,10 +197,10 @@ TEST(LossyControl, BackoffIsCappedAtRetryTimeoutMax) {
   FaultParams f;
   f.lossy_control = true;
   f.control_loss_extra = 1.0;
-  f.retry_timeout = 1.0;
-  f.backoff_factor = 2.0;
-  f.retry_timeout_max = 2.0;
-  f.max_retries = 4;  // waits 1 + 2 + 2 + 2 (capped), not 1 + 2 + 4 + 8
+  f.retry.timeout = 1.0;
+  f.retry.backoff_factor = 2.0;
+  f.retry.timeout_max = 2.0;
+  f.retry.max_retries = 4;  // waits 1 + 2 + 2 + 2 (capped), not 1 + 2 + 4 + 8
   FaultHarness h(line_underlay({0.0, 10.0}), f);
   const TimingRecord rec = h.session.join(1, 4);
   EXPECT_DOUBLE_EQ(rec.duration, 3 * (10.0 + 7.0));
@@ -218,10 +218,10 @@ TEST(LossyControl, RejectsMalformedRetrySettings) {
     void (*set)(FaultParams&, double);
     double value;
   };
-  const auto cap = [](FaultParams& f, double v) { f.retry_timeout_max = v; };
-  const auto backoff = [](FaultParams& f, double v) { f.backoff_factor = v; };
+  const auto cap = [](FaultParams& f, double v) { f.retry.timeout_max = v; };
+  const auto backoff = [](FaultParams& f, double v) { f.retry.backoff_factor = v; };
   const auto retries = [](FaultParams& f, double v) {
-    f.max_retries = static_cast<int>(v);
+    f.retry.max_retries = static_cast<int>(v);
   };
   for (const Bad& bad : {Bad{"retry_timeout_max", cap, -1.0},
                          Bad{"retry_timeout_max", cap, nan},
@@ -322,8 +322,8 @@ TEST(Faults, InertKnobsDoNotPerturbRunOnce) {
   tweaked.session.faults.heartbeat_misses = 7;
   tweaked.session.faults.heartbeat_timeout = 9.0;
   tweaked.session.faults.control_loss_extra = 0.5;  // inert: lossy_control off
-  tweaked.session.faults.retry_timeout = 3.0;
-  tweaked.session.faults.max_retries = 1;
+  tweaked.session.faults.retry.timeout = 3.0;
+  tweaked.session.faults.retry.max_retries = 1;
 
   const experiments::RunResult a = experiments::run_once(base);
   const experiments::RunResult b = experiments::run_once(tweaked);

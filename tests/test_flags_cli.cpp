@@ -1,11 +1,11 @@
 // Runs the real programs: `--help` must print a usage line and exit 0 in
-// each, and in `figures` and an example a malformed flag value, a misspelt
-// flag or (figures) an unknown entry must end in a message naming it and
-// exit status 2, never std::terminate or a run with the argument ignored.
-// Also runs every figures entry once at one seed. The binary paths are
-// injected by CMake (VDMSIM_BINARY_PATH, VDMD_BINARY_PATH,
-// BENCH_TO_JSON_BINARY_PATH, and BENCH_BINARY_PATH and EXAMPLE_BINARY_PATH
-// when the bench and example targets are built).
+// each, and in `figures` and the examples a malformed flag value, a
+// misspelt flag, an unknown value or (figures) an unknown entry must end in
+// a message naming it and exit status 2, never std::terminate or a run with
+// the argument ignored. Also runs every figures entry once at one seed. The
+// binary paths are injected by CMake (VDMSIM_BINARY_PATH, VDMD_BINARY_PATH,
+// BENCH_TO_JSON_BINARY_PATH, and BENCH_BINARY_PATH, EXAMPLE_BINARY_PATH and
+// TESTBED_DEMO_BINARY_PATH when the bench and example targets are built).
 
 #include <gtest/gtest.h>
 
@@ -132,6 +132,13 @@ TEST(FlagsCli, ExampleExitsTwoOnStrayWord) {
   // The example takes no positional word; it used to run and ignore it.
   expect_exit_two_naming(EXAMPLE_BINARY_PATH, "--members 8 stray",
                          "unexpected argument 'stray'");
+}
+
+TEST(FlagsCli, TestbedDemoExitsTwoOnUnknownProtocol) {
+  // Only vdm and hmtp exist; a misspelt name used to run a VDM session.
+  expect_exit_two_naming(TESTBED_DEMO_BINARY_PATH,
+                         "--protocol hmpt --nodes 30 --members 10",
+                         "unknown --protocol 'hmpt'");
 }
 #endif
 

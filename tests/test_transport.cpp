@@ -1,6 +1,7 @@
 // Transport tests (DESIGN.md §14): PeriodicTimer's equivalence with a
-// chain of one-shots, the UdpReactor over real loopback sockets, and
-// the RetrySender's retransmission schedule (driven deterministically on the
+// chain of one-shots, the UdpReactor and its blocking exchange over real
+// loopback sockets, the MeasuredUnderlay's probe cache, and the
+// RetrySender's retransmission schedule (driven deterministically on the
 // DES backend, the simulator itself).
 
 #include <gtest/gtest.h>
@@ -8,10 +9,14 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "sim/retry.hpp"
 #include "sim/simulator.hpp"
+#include "transport/measured_underlay.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
 #include "util/require.hpp"
@@ -275,6 +280,154 @@ TEST(UdpReactor, PumpIoDeliversDatagramsButFiresNoTimers) {
   EXPECT_EQ(timer_fired, 1);
 }
 
+// ---------------------------------------------------- UdpReactor::exchange
+
+constexpr sim::Time kNoDeadline = std::numeric_limits<sim::Time>::infinity();
+
+/// A requester and a responder socket on one reactor. The responder echoes
+/// each request back, except the first `drop_first`; the requester's
+/// handler marks the exchange answered.
+struct ExchangeRig {
+  transport::UdpReactor reactor;
+  transport::UdpSocket requester{PeerAddr{0x7f000001, 0}};
+  transport::UdpSocket responder{PeerAddr{0x7f000001, 0}};
+  int drop_first = 0;
+  int requests = 0;  // requests the responder received
+  bool answered = false;
+
+  ExchangeRig() {
+    reactor.add_socket(requester, [this](const PeerAddr&, std::span<const std::byte>) {
+      answered = true;
+    });
+    reactor.add_socket(responder,
+                       [this](const PeerAddr& from, std::span<const std::byte> frame) {
+                         if (++requests > drop_first) responder.send(from, frame);
+                       });
+  }
+
+  std::optional<sim::Time> exchange(const sim::RetryPolicy& policy,
+                                    sim::Time deadline) {
+    return reactor.exchange(
+        policy, deadline,
+        [this] {
+          std::array<std::byte, wire::kMaxFrame> buf;
+          const std::size_t n = wire::encode(wire::Ping{.token = 1}, buf);
+          requester.send(responder.local_addr(),
+                         std::span<const std::byte>(buf.data(), n));
+        },
+        [this] { return answered; });
+  }
+};
+
+TEST(UdpReactor, ExchangeIsAnsweredOnALaterAttemptWhenTheFirstIsDropped) {
+  ExchangeRig rig;
+  rig.drop_first = 1;
+  const sim::RetryPolicy policy{.timeout = 0.05, .max_retries = 3};
+  const sim::Time start = rig.reactor.now();
+  const std::optional<sim::Time> rtt = rig.exchange(policy, kNoDeadline);
+  ASSERT_TRUE(rtt.has_value());
+  EXPECT_EQ(rig.requests, 2);
+  // The round trip counts from the answered attempt's send, which came
+  // after the whole first wait.
+  const sim::Time elapsed = rig.reactor.now() - start;
+  EXPECT_GE(elapsed, policy.timeout);
+  EXPECT_GE(*rtt, 0.0);
+  EXPECT_LE(*rtt, elapsed - policy.timeout);
+}
+
+TEST(UdpReactor, ExchangeGivesUpAfterThePolicysAttempts) {
+  ExchangeRig rig;
+  rig.drop_first = std::numeric_limits<int>::max();
+  const sim::RetryPolicy policy{.timeout = 0.01, .max_retries = 2};
+  const sim::Time start = rig.reactor.now();
+  EXPECT_FALSE(rig.exchange(policy, kNoDeadline).has_value());
+  // Waits of 0.01, 0.02 and 0.04 s; then nothing more is sent.
+  EXPECT_GE(rig.reactor.now() - start, 0.07);
+  rig.reactor.pump_io(0.05);
+  EXPECT_EQ(rig.requests, 3);
+  EXPECT_FALSE(rig.answered);
+}
+
+TEST(UdpReactor, ExchangeNeverRunsPastItsDeadline) {
+  // Unbounded retries from 0.1 s: only the deadline can end the exchange,
+  // and without the clamp its second wait would end 0.15 s past it.
+  ExchangeRig rig;
+  rig.drop_first = std::numeric_limits<int>::max();
+  const sim::RetryPolicy policy{.timeout = 0.1,
+                                .max_retries = std::numeric_limits<int>::max()};
+  const sim::Time deadline = rig.reactor.now() + 0.15;
+  EXPECT_FALSE(rig.exchange(policy, deadline).has_value());
+  EXPECT_GE(rig.reactor.now(), deadline);
+  EXPECT_LT(rig.reactor.now(), deadline + 0.1);
+  EXPECT_LE(rig.requests, 2);  // 2 unless the first wait overslept the deadline
+}
+
+TEST(UdpReactor, ExchangeFiresNoTimerWhileItWaits) {
+  ExchangeRig rig;
+  rig.drop_first = 1;  // wait out one timeout and retry
+  int fired = 0;
+  rig.reactor.schedule_in(0.0, [&] { ++fired; });
+  ASSERT_TRUE(rig.exchange(sim::RetryPolicy{.timeout = 0.05}, kNoDeadline).has_value());
+  EXPECT_EQ(fired, 0);  // due all along; it waits for run_until
+  rig.reactor.run_until(rig.reactor.now());
+  EXPECT_EQ(fired, 1);
+}
+
+// ----------------------------------------------------------- MeasuredUnderlay
+
+/// Answers every probe with `rtt` and counts the probes, by unordered pair.
+class CountingProbes final : public transport::ProbeService {
+ public:
+  double probe_rtt(net::HostId a, net::HostId b) override {
+    ++probes;
+    pairs.emplace_back(std::min(a, b), std::max(a, b));
+    return rtt;
+  }
+  double rtt = 0.024;
+  std::size_t probes = 0;
+  std::vector<std::pair<net::HostId, net::HostId>> pairs;
+};
+
+TEST(MeasuredUnderlay, ProbesEachUnorderedPairOnce) {
+  CountingProbes probes;
+  transport::MeasuredUnderlay underlay(5, probes);
+  for (int round = 0; round < 2; ++round) {
+    for (net::HostId a = 0; a < 5; ++a) {
+      for (net::HostId b = 0; b < 5; ++b) {
+        if (a != b) underlay.delay(a, b);
+      }
+    }
+  }
+  EXPECT_EQ(probes.probes, 10u);  // 5 choose 2
+  std::sort(probes.pairs.begin(), probes.pairs.end());
+  EXPECT_EQ(std::adjacent_find(probes.pairs.begin(), probes.pairs.end()),
+            probes.pairs.end());
+  EXPECT_EQ(underlay.probes_issued(), probes.probes);
+}
+
+TEST(MeasuredUnderlay, BothDirectionsReadHalfTheRtt) {
+  CountingProbes probes;
+  transport::MeasuredUnderlay underlay(3, probes);
+  EXPECT_EQ(underlay.delay(2, 1), 0.012);
+  EXPECT_EQ(underlay.delay(1, 2), 0.012);
+  EXPECT_EQ(probes.probes, 1u);
+  EXPECT_EQ(underlay.loss(1, 2), 0.0);
+  EXPECT_THROW(underlay.delay(1, 1), util::InvariantError);
+}
+
+TEST(MeasuredUnderlay, NonPositiveRttIsStoredAsOneMicrosecond) {
+  CountingProbes probes;
+  transport::MeasuredUnderlay underlay(3, probes);
+  probes.rtt = 0.0;
+  EXPECT_EQ(underlay.delay(0, 1), 1e-6);
+  EXPECT_EQ(underlay.delay(1, 0), 1e-6);
+  probes.rtt = -0.5;
+  EXPECT_EQ(underlay.delay(2, 0), 1e-6);
+  EXPECT_EQ(underlay.delay(0, 2), 1e-6);
+  EXPECT_EQ(probes.probes, 2u);
+  EXPECT_EQ(underlay.probes_issued(), 2u);
+}
+
 // ---------------------------------------------------------------- RetrySender
 
 /// In-memory transport: records every frame so the retransmission schedule
@@ -298,7 +451,7 @@ TEST(RetrySender, RetransmitsOnScheduleUntilCompleted) {
   sim::Simulator sim;
   RecordingTransport transport;
   transport::BufferPool pool;
-  transport::RetryPolicy policy;  // 0.25s, x2, cap 4s, 8 retries
+  sim::RetryPolicy policy;  // 0.25s, x2, cap 4s, 8 retries
   transport::RetrySender sender(sim, transport, pool, policy);
 
   const std::uint32_t token = sender.next_token();
@@ -330,7 +483,7 @@ TEST(RetrySender, GivesUpAfterRetryBudget) {
   sim::Simulator sim;
   RecordingTransport transport;
   transport::BufferPool pool;
-  transport::RetryPolicy policy;
+  sim::RetryPolicy policy;
   policy.max_retries = 3;
   transport::RetrySender sender(sim, transport, pool, policy);
 
@@ -350,7 +503,7 @@ TEST(RetrySender, BackoffCapsAtTimeoutMax) {
   sim::Simulator sim;
   RecordingTransport transport;
   transport::BufferPool pool;
-  transport::RetryPolicy policy;  // 0.25 -> 0.5 -> 1 -> 2 -> 4 -> 4 -> ...
+  sim::RetryPolicy policy;  // 0.25 -> 0.5 -> 1 -> 2 -> 4 -> 4 -> ...
   transport::RetrySender sender(sim, transport, pool, policy);
 
   const std::uint32_t token = sender.next_token();
@@ -371,7 +524,7 @@ TEST(RetrySender, OneTimerPerRequestForLife) {
   sim::Simulator sim;
   RecordingTransport transport;
   transport::BufferPool pool;
-  transport::RetrySender sender(sim, transport, pool, transport::RetryPolicy{});
+  transport::RetrySender sender(sim, transport, pool, sim::RetryPolicy{});
   const std::uint32_t token = sender.next_token();
   sender.send_tracked(token, PeerAddr{0x7f000001, 1}, wire::Ack{.token = token});
   const std::size_t slab_bytes = sim.capacity_bytes();
@@ -388,7 +541,7 @@ TEST(RetrySender, DuplicateTokenTrips) {
   RecordingTransport transport;
   transport::BufferPool pool;
   transport::RetrySender sender(sim, transport, pool,
-                                transport::RetryPolicy{});
+                                sim::RetryPolicy{});
   const std::uint32_t token = sender.next_token();
   sender.send_tracked(token, PeerAddr{0x7f000001, 1}, wire::Ack{.token = token});
   EXPECT_THROW(
@@ -402,7 +555,7 @@ TEST(RetrySender, CancelAllReleasesEveryBuffer) {
   RecordingTransport transport;
   transport::BufferPool pool;
   transport::RetrySender sender(sim, transport, pool,
-                                transport::RetryPolicy{});
+                                sim::RetryPolicy{});
   for (int i = 0; i < 5; ++i) {
     const std::uint32_t token = sender.next_token();
     sender.send_tracked(token, PeerAddr{0x7f000001, 1}, wire::Ack{.token = token});

@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -161,6 +163,24 @@ TEST(VdmdLoopback, UsageErrorsExitNonZeroWithoutHanging) {
         "--source --chunk-rate 0", "--source --chunk-rate abc",
         "--source --chunk-rate nan", "--source --deadline 0"}) {
     EXPECT_EQ(run_vdmd(args).exit_code, 2) << args;
+  }
+  // A flag the chosen role never reads is named, not ignored. The short
+  // deadlines bound a run that wrongly starts.
+  const std::string agent = "--agent --controller 127.0.0.1:9 --deadline 1 ";
+  for (const auto& [args, flag] : std::initializer_list<std::pair<std::string, std::string>>{
+           {agent + "--agents 4", "--agents"},
+           {agent + "--spawn", "--spawn"},
+           {agent + "--scenario trace.txt", "--scenario"},
+           {agent + "--chunk-rate 5", "--chunk-rate"},
+           {agent + "--stream-secs 1", "--stream-secs"},
+           {agent + "--port 9000", "--port"},
+           {agent + "--port-file port.txt", "--port-file"},
+           {agent + "--degree 3", "--degree"},
+           {"--source --agents 1 --deadline 1 --controller 127.0.0.1:9", "--controller"}}) {
+    const RunResult r = run_vdmd(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("never reads " + flag), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("listening"), std::string::npos) << r.output;
   }
   // A malformed scenario file is rejected up front, naming its line.
   const std::string path = testing::TempDir() + "vdmd_bad_scenario.txt";

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "util/require.hpp"
@@ -96,6 +99,42 @@ TEST(Wire, CatalogueCoversEveryType) {
 
 TEST(Wire, RoundTripEveryMessageType) {
   for (const Message& m : all_messages()) expect_round_trip(m);
+}
+
+TEST(Wire, FrameBytesArePinned) {
+  // The exact version-2 frame of every exemplar, in all_messages() order.
+  // A field swapped, resized or dropped on both the encode and the decode
+  // side still round-trips; it moves these bytes.
+  const char* const kFrames[] = {
+      "4d560201020043b0",                                  // hello
+      "4d56020208001100000021000000",                      // welcome
+      "4d5602030e00efbeadde090000000100007f61ea",          // probe-request
+      "4d56020410000700000009000000e6b5faf8b048893f",      // probe-reply
+      "4d5602050400ffffffff",                              // ping
+      "4d560206040001000000",                              // pong
+      "4d5602070e0037000000020000000100007f409c",          // set-parent
+      "4d5602080e0038000000150000000100007f419c",          // adopt
+      "4d56020908003900000015000000",                      // drop-child
+      "4d56020a040039000000",                              // ack
+      "4d56020b08000800000000040000",                      // heartbeat
+      "4d56020c040000040000",                              // heartbeat-ack
+      "4d56020d1100630000000000000000002940deadbeef42",    // chunk
+      "4d56020e04004d000000",                              // stats-request
+      "4d56020f28004d00000004000000a086010000000000efcdab90785634122a0000"
+      "00000000000700000000000000",                        // stats-reply
+      "4d560210040058000000",                              // shutdown
+  };
+  const std::vector<Message> all = all_messages();
+  ASSERT_EQ(all.size(), std::size(kFrames));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    std::string hex;
+    for (const std::byte b : encode_to_vec(all[i])) {
+      char two[3];
+      std::snprintf(two, sizeof(two), "%02x", std::to_integer<unsigned>(b));
+      hex += two;
+    }
+    EXPECT_EQ(hex, kFrames[i]) << type_name(type_of(all[i]));
+  }
 }
 
 TEST(Wire, RoundTripDefaultConstructedMessages) {

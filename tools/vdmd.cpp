@@ -9,8 +9,8 @@
 //     core (Session / TreeWalk / Membership, the same objects every
 //     simulation uses) on a UdpReactor. Every tree mutation the protocol
 //     decides is mirrored to the agents as SetParent / Adopt / DropChild
-//     (acked, retried per the PR 3 lossy-control-plane policy), and the
-//     controller streams real chunks to its tree children.
+//     (acked, retried per sim::RetryPolicy), and the controller streams
+//     real chunks to its tree children.
 //
 //   vdmd --agent --controller ip:port
 //     A thin relay: hellos in, answers pings and probe requests, obeys
@@ -27,19 +27,24 @@
 #include <algorithm>
 #include <array>
 #include <csignal>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/vdm_protocol.hpp"
 #include "overlay/metric.hpp"
 #include "overlay/session.hpp"
 #include "overlay/workload.hpp"
+#include "sim/retry.hpp"
 #include "testbed/controller.hpp"
 #include "transport/measured_underlay.hpp"
 #include "transport/transport.hpp"
@@ -55,16 +60,24 @@ namespace {
 
 using transport::PeerAddr;
 
-constexpr double kHelloTimeout = 0.2;
-constexpr double kPingTimeout = 0.3;
-constexpr int kPingAttempts = 3;
-constexpr double kAgentProbeTimeout = 2.0;
+/// Retry schedules of the blocking calls, each from 0.3 s (0.2 s for the
+/// hello), doubling up to 4 s: a hello retries until --deadline, a ping
+/// tries three times, and a delegated probe or a stats request retries for
+/// kRequestDeadline.
+constexpr int kUntilDeadline = std::numeric_limits<int>::max();
+constexpr sim::RetryPolicy kHelloRetry{.timeout = 0.2, .max_retries = kUntilDeadline};
+constexpr sim::RetryPolicy kPingRetry{.timeout = 0.3, .max_retries = 2};
+constexpr sim::RetryPolicy kRequestRetry{.timeout = 0.3, .max_retries = kUntilDeadline};
+constexpr double kRequestDeadline = 2.0;
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+/// The RTT a probe reports once it gives up.
+constexpr double kUnansweredRtt = 1.0;
 constexpr double kHeartbeatPeriod = 0.5;
 
 /// The command line, as read_options reads it from kFlags (which holds
 /// each flag's meaning and default).
 struct Options {
-  bool source = false, agent = false, spawn = false, verbose = false;
+  bool agent = false, spawn = false, verbose = false;  // agent: else the controller
   std::string self, controller, scenario_path, port_file;  // self: argv[0], for --spawn
   std::size_t agents = 0;
   double chunk_rate = 0.0, stream_secs = 0.0, deadline = 0.0;
@@ -72,7 +85,9 @@ struct Options {
   int degree = 0;
 };
 
-/// Every flag vdmd reads, for both roles; --help prints this table.
+/// Every flag vdmd reads; --help prints this table. A row whose help starts
+/// with "--source: " or "--agent: " is read by that role only, and the
+/// other role rejects it.
 constexpr util::Flag kFlags[] = {
     {"source", "", "", "run the controller"},
     {"agent", "", "", "run an agent relay (needs --controller)"},
@@ -80,12 +95,12 @@ constexpr util::Flag kFlags[] = {
     {"agents", "N", "4", "--source: agents to expect, in [1, 65535]"},
     {"spawn", "", "", "--source: fork and exec the agents"},
     {"scenario", "FILE", "", "--source: trace to run (default: all join, then --stream-secs)"},
-    {"chunk-rate", "R", "10", "chunks per second, in (0, 1000]"},
-    {"stream-secs", "S", "3", "streaming time after the synthesized joins, finite"},
+    {"chunk-rate", "R", "10", "--source: chunks per second, in (0, 1000]"},
+    {"stream-secs", "S", "3", "--source: streaming time after the synthesized joins, finite"},
     {"deadline", "D", "60", "hard wall-clock cap on the whole run, s, finite"},
     {"port", "P", "0", "--source: listen port, in [0, 65535]; 0 = ephemeral"},
     {"port-file", "PATH", "", "--source: write \"ip:port\" here once bound"},
-    {"degree", "K", "4", "degree limit handed to every join, in [1, 65535]"},
+    {"degree", "K", "4", "--source: degree limit handed to every join, in [1, 65535]"},
     {"verbose", "", "", "log at info level"},
 };
 
@@ -108,9 +123,25 @@ T in_range(const util::Flags& flags, const char* name, T lo, T hi, const char* w
 Options read_options(const util::Flags& flags) {
   constexpr double kPositive = std::numeric_limits<double>::min();
   constexpr double kFinite = std::numeric_limits<double>::max();
+  const bool source = flags.get_bool("source");
+  const bool agent = flags.get_bool("agent");
+  if (source == agent) {
+    throw std::invalid_argument("give exactly one of --source and --agent");
+  }
+  // A flag the chosen role never reads would be ignored: name them all.
+  const std::string_view other_role = agent ? "--source: " : "--agent: ";
+  std::string unread;
+  for (const util::Flag& f : kFlags) {
+    if (f.help.starts_with(other_role) && flags.has(f.name)) {
+      unread += " --" + std::string(f.name);
+    }
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument(std::string(agent ? "--agent" : "--source") +
+                                " never reads" + unread);
+  }
   const Options opt{
-      .source = flags.get_bool("source"),
-      .agent = flags.get_bool("agent"),
+      .agent = agent,
       .spawn = flags.get_bool("spawn"),
       .verbose = flags.get_bool("verbose"),
       .self = flags.program(),
@@ -125,9 +156,6 @@ Options read_options(const util::Flags& flags) {
       .port = in_range(flags, "port", std::uint16_t{0}, std::uint16_t{65535},
                        "a port in [0, 65535]"),
       .degree = in_range(flags, "degree", 1, 65535, "a degree in [1, 65535]")};
-  if (opt.source == opt.agent) {
-    throw std::invalid_argument("give exactly one of --source and --agent");
-  }
   if (opt.agent && opt.controller.empty()) {
     throw std::invalid_argument("--agent needs --controller IP:PORT");
   }
@@ -153,35 +181,142 @@ testbed::Scenario load_scenario(const Options& opt) {
   return scenario;
 }
 
-void send_message(transport::UdpSocket& sock, const PeerAddr& to,
-                  const wire::Message& m) {
-  std::array<std::byte, wire::kMaxFrame> buf;
-  const std::size_t n = wire::encode(m, buf);
-  sock.send(to, std::span<const std::byte>(buf.data(), n));
-}
+// ----------------------------------------------------------------- peer core
 
-// ---------------------------------------------------------------- agent role
-
-/// The per-node relay: keeps a parent, a child set and counters, and reacts
-/// to every controller/peer message. All state mutations happen inside the
-/// reactor's single-threaded dispatch.
-class Agent {
+/// What both roles do the same way: one socket on 127.0.0.1 and the
+/// reactor that polls it, the one send path, decode and dispatch, blocking
+/// calls, the ping, and the answers to Ping and Heartbeat. A role derives
+/// from Peer<Role>, takes the core's handlers in with `using Peer::handle`
+/// and adds its own; a message that no handler names is dropped.
+template <typename Role>
+class Peer {
  public:
-  Agent(const Options& opt)
-      : controller_(transport::parse_peer(opt.controller)),
-        sock_(PeerAddr{0x7f000001, 0}) {
+  explicit Peer(std::uint16_t port) : sock_(PeerAddr{0x7f000001, port}) {
     reactor_.add_socket(sock_, [this](const PeerAddr& from,
                                       std::span<const std::byte> frame) {
       on_datagram(from, frame);
     });
   }
 
+ protected:
+  void send(const PeerAddr& to, const wire::Message& m) {
+    std::array<std::byte, wire::kMaxFrame> buf;
+    sock_.send(to, std::span<const std::byte>(buf.data(), wire::encode(m, buf)));
+  }
+
+  /// Sends `request`, under a fresh token on each attempt if it carries
+  /// one, and waits (UdpReactor::exchange) for the `Reply` with that token,
+  /// or for any `Reply` to a request without one. nullopt once `policy` or
+  /// `deadline` gives up; `rtt`, if given, receives the answered attempt's
+  /// round trip.
+  template <typename Reply, typename Request>
+  std::optional<Reply> call(const PeerAddr& to, Request request,
+                            const sim::RetryPolicy& policy, sim::Time deadline,
+                            sim::Time* rtt = nullptr) {
+    Awaited awaited{.type = wire::type_of(Reply{})};
+    // A handler may call while another call waits (an agent pings for a
+    // probe request); the inner call takes the replies until it returns.
+    Awaited* const outer = std::exchange(awaited_, &awaited);
+    const std::optional<sim::Time> took = reactor_.exchange(
+        policy, deadline,
+        [&] {
+          if constexpr (requires { request.token; }) {
+            request.token = awaited.token = ++last_token_;
+          }
+          send(to, request);
+        },
+        [&] { return awaited.reply.has_value(); });
+    awaited_ = outer;
+    if (!took) return std::nullopt;
+    if (rtt != nullptr) *rtt = *took;
+    return std::get<Reply>(*awaited.reply);
+  }
+
+  /// The round trip of a Ping/Pong exchange with `to`; kUnansweredRtt once
+  /// all three attempts time out.
+  double ping(const PeerAddr& to) {
+    sim::Time rtt = kUnansweredRtt;
+    if (!call<wire::Pong>(to, wire::Ping{}, kPingRetry, kNoDeadline, &rtt)) {
+      VDM_WARN() << "vdmd: ping of " << transport::format_peer(to) << " timed out";
+    }
+    return rtt;
+  }
+
+  // Catch-all: a message this role never acts on.
+  template <typename M>
+  void handle(const PeerAddr&, const M&) {}
+  void handle(const PeerAddr& from, const wire::Ping& m) {
+    send(from, wire::Pong{.token = m.token});
+  }
+  void handle(const PeerAddr& from, const wire::Heartbeat& m) {
+    send(from, wire::HeartbeatAck{.seq = m.seq});
+  }
+
+  transport::UdpReactor reactor_;
+  transport::UdpSocket sock_;
+  std::uint64_t frames_received_ = 0;
+
+ private:
+  /// The reply a call waits for.
+  struct Awaited {
+    wire::Type type;
+    std::uint32_t token = 0;  // 0: the request carries none
+    std::optional<wire::Message> reply = std::nullopt;
+  };
+
+  static std::uint32_t token_of(const wire::Message& m) {
+    return std::visit(
+        [](const auto& body) -> std::uint32_t {
+          if constexpr (requires { body.token; }) {
+            return body.token;
+          } else {
+            return 0;
+          }
+        },
+        m);
+  }
+
+  void on_datagram(const PeerAddr& from, std::span<const std::byte> frame) {
+    wire::Message m;
+    const wire::DecodeError err = wire::decode(frame, m);
+    if (!err.ok()) {
+      VDM_WARN() << "vdmd: dropping frame: " << wire::describe(err);
+      return;
+    }
+    ++frames_received_;
+    if (awaited_ != nullptr && wire::type_of(m) == awaited_->type &&
+        token_of(m) == awaited_->token) {
+      awaited_->reply = m;
+      return;
+    }
+    std::visit([&](const auto& body) { static_cast<Role&>(*this).handle(from, body); },
+               m);
+  }
+
+  Awaited* awaited_ = nullptr;
+  std::uint32_t last_token_ = 0;
+};
+
+// ---------------------------------------------------------------- agent role
+
+/// The per-node relay: keeps a parent, a child set and counters, and reacts
+/// to every controller/peer message. All state mutations happen inside the
+/// reactor's single-threaded dispatch.
+class Agent final : public Peer<Agent> {
+ public:
+  explicit Agent(const Options& opt)
+      : Peer(0), controller_(transport::parse_peer(opt.controller)) {}
+
   int run(double deadline) {
-    if (!hello(deadline)) {
+    const std::optional<wire::Welcome> welcome = call<wire::Welcome>(
+        controller_, wire::Hello{.listen_port = sock_.local_addr().port},
+        kHelloRetry, deadline);
+    if (!welcome) {
       std::cerr << "vdmd-agent: no welcome from "
                 << transport::format_peer(controller_) << "\n";
       return 1;
     }
+    host_id_ = welcome->host_id;
     transport::PeriodicTimer heartbeat(reactor_, kHeartbeatPeriod,
                                        [this] { heartbeat_tick(); });
     reactor_.run_until(deadline);
@@ -189,156 +324,70 @@ class Agent {
   }
 
  private:
-  bool hello(double deadline) {
-    double timeout = kHelloTimeout;
-    while (reactor_.now() < deadline && host_id_ == net::kInvalidHost) {
-      send_message(sock_, controller_,
-                   wire::Hello{.listen_port = sock_.local_addr().port});
-      const double wait_until = std::min(deadline, reactor_.now() + timeout);
-      while (reactor_.now() < wait_until && host_id_ == net::kInvalidHost) {
-        reactor_.pump_io(wait_until - reactor_.now());
-      }
-      timeout = retry_.next_timeout(timeout);
-    }
-    return host_id_ != net::kInvalidHost;
-  }
+  friend class Peer<Agent>;
+  using Peer::handle;
 
   void heartbeat_tick() {
     if (parent_ == net::kInvalidHost) return;
-    ++heartbeats_sent_;
-    send_message(sock_, parent_addr_,
-                 wire::Heartbeat{.from_host = host_id_, .seq = heartbeat_seq_++});
+    send(parent_addr_,
+         wire::Heartbeat{.from_host = host_id_,
+                         .seq = static_cast<std::uint32_t>(heartbeats_sent_++)});
   }
 
-  /// Blocking ping transaction against a peer agent; returns the RTT of the
-  /// first answered ping, or a large sentinel when all attempts time out.
-  double ping_rtt(const PeerAddr& target) {
-    double timeout = kPingTimeout;
-    for (int attempt = 0; attempt < kPingAttempts; ++attempt) {
-      const std::uint32_t token = ++ping_token_;
-      awaited_pong_ = token;
-      pong_seen_ = false;
-      const double t0 = reactor_.now();
-      send_message(sock_, target, wire::Ping{.token = token});
-      const double wait_until = reactor_.now() + timeout;
-      while (!pong_seen_ && reactor_.now() < wait_until) {
-        reactor_.pump_io(wait_until - reactor_.now());
-      }
-      if (pong_seen_) return reactor_.now() - t0;
-      timeout = retry_.next_timeout(timeout);
-    }
-    return 1.0;
-  }
-
-  void on_datagram(const PeerAddr& from, std::span<const std::byte> frame) {
-    wire::Message m;
-    const wire::DecodeError err = wire::decode(frame, m);
-    if (!err.ok()) {
-      VDM_WARN() << "vdmd-agent: dropping frame: " << wire::describe(err);
-      return;
-    }
-    ++control_received_;
-    std::visit([&](auto& body) { handle(from, body); }, m);
-  }
-
-  // Catch-all: message types an agent never receives (Hello, Ack etc.).
-  template <typename M>
-  void handle(const PeerAddr&, const M&) {}
-
-  void handle(const PeerAddr&, const wire::Welcome& m) {
-    host_id_ = m.host_id;
-  }
-  void handle(const PeerAddr& from, const wire::Ping& m) {
-    send_message(sock_, from, wire::Pong{.token = m.token});
-  }
-  void handle(const PeerAddr&, const wire::Pong& m) {
-    if (m.token == awaited_pong_) pong_seen_ = true;
-  }
   void handle(const PeerAddr& from, const wire::ProbeRequest& m) {
-    // Duplicate request (our reply was lost): answer from the cache without
-    // re-probing, so controller retries converge fast.
-    const auto it = probe_cache_.find(m.token);
-    const double rtt =
-        it != probe_cache_.end()
-            ? it->second
-            : ping_rtt(PeerAddr{m.target_ip, m.target_port});
-    probe_cache_[m.token] = rtt;
-    send_message(sock_, from,
-                 wire::ProbeReply{.token = m.token,
-                                  .target_host = m.target_host,
-                                  .rtt_seconds = rtt});
+    send(from, wire::ProbeReply{.token = m.token,
+                                .target_host = m.target_host,
+                                .rtt_seconds = ping(PeerAddr{m.target_ip, m.target_port})});
   }
   void handle(const PeerAddr& from, const wire::SetParent& m) {
     parent_ = m.parent_host;
     parent_addr_ = PeerAddr{m.parent_ip, m.parent_port};
-    send_message(sock_, from, wire::Ack{.token = m.token});
+    send(from, wire::Ack{.token = m.token});
   }
   void handle(const PeerAddr& from, const wire::Adopt& m) {
-    if (std::find(child_ids_.begin(), child_ids_.end(), m.child_host) ==
-        child_ids_.end()) {
-      child_ids_.push_back(m.child_host);
-      child_addrs_.push_back(PeerAddr{m.child_ip, m.child_port});
+    if (std::ranges::find(children_, m.child_host, &Child::host) == children_.end()) {
+      children_.push_back({m.child_host, PeerAddr{m.child_ip, m.child_port}});
     }
-    send_message(sock_, from, wire::Ack{.token = m.token});
+    send(from, wire::Ack{.token = m.token});
   }
   void handle(const PeerAddr& from, const wire::DropChild& m) {
-    const auto it = std::find(child_ids_.begin(), child_ids_.end(), m.child_host);
-    if (it != child_ids_.end()) {
-      const std::size_t at = static_cast<std::size_t>(it - child_ids_.begin());
-      child_ids_.erase(it);
-      child_addrs_.erase(child_addrs_.begin() + static_cast<std::ptrdiff_t>(at));
-    }
-    send_message(sock_, from, wire::Ack{.token = m.token});
-  }
-  void handle(const PeerAddr& from, const wire::Heartbeat& m) {
-    send_message(sock_, from, wire::HeartbeatAck{.seq = m.seq});
+    std::erase_if(children_, [&](const Child& c) { return c.host == m.child_host; });
+    send(from, wire::Ack{.token = m.token});
   }
   void handle(const PeerAddr&, const wire::Chunk& m) {
     ++chunks_received_;
-    // Relay down: re-encode once, fan out to every adopted child.
-    std::array<std::byte, wire::kMaxFrame> buf;
-    const std::size_t n = wire::encode(wire::Message{m}, buf);
-    for (const PeerAddr& child : child_addrs_) {
-      sock_.send(child, std::span<const std::byte>(buf.data(), n));
+    for (const Child& child : children_) {  // relay down the tree
+      send(child.addr, m);
       ++chunks_relayed_;
     }
   }
   void handle(const PeerAddr& from, const wire::StatsRequest& m) {
-    send_message(sock_, from,
-                 wire::StatsReply{.token = m.token,
-                                  .host = host_id_,
-                                  .chunks_received = chunks_received_,
-                                  .chunks_relayed = chunks_relayed_,
-                                  .heartbeats_sent = heartbeats_sent_,
-                                  .control_received = control_received_});
+    send(from, wire::StatsReply{.token = m.token,
+                                .host = host_id_,
+                                .chunks_received = chunks_received_,
+                                .chunks_relayed = chunks_relayed_,
+                                .heartbeats_sent = heartbeats_sent_,
+                                .control_received = frames_received_});
   }
   void handle(const PeerAddr& from, const wire::Shutdown& m) {
-    send_message(sock_, from, wire::Ack{.token = m.token});
+    send(from, wire::Ack{.token = m.token});
     clean_exit_ = true;
     reactor_.stop();
   }
 
   PeerAddr controller_;
-  transport::UdpReactor reactor_;
-  transport::UdpSocket sock_;
-  transport::RetryPolicy retry_;
-
   net::HostId host_id_ = net::kInvalidHost;
   net::HostId parent_ = net::kInvalidHost;
   PeerAddr parent_addr_;
-  std::vector<net::HostId> child_ids_;
-  std::vector<PeerAddr> child_addrs_;
+  struct Child {
+    net::HostId host;
+    PeerAddr addr;
+  };
+  std::vector<Child> children_;
 
-  std::uint32_t ping_token_ = 0;
-  std::uint32_t awaited_pong_ = 0;
-  bool pong_seen_ = false;
-  std::unordered_map<std::uint32_t, double> probe_cache_;
-
-  std::uint32_t heartbeat_seq_ = 0;
   std::uint64_t heartbeats_sent_ = 0;
   std::uint64_t chunks_received_ = 0;
   std::uint64_t chunks_relayed_ = 0;
-  std::uint64_t control_received_ = 0;
   bool clean_exit_ = false;
 };
 
@@ -347,18 +396,15 @@ class Agent {
 /// The controller: ProbeService for the MeasuredUnderlay (real RTTs via the
 /// agents), MembershipObserver mirroring every protocol decision out to the
 /// agents, and the real chunk stream.
-class Controller final : public transport::ProbeService,
+class Controller final : public Peer<Controller>,
+                         public transport::ProbeService,
                          public overlay::MembershipObserver {
  public:
   Controller(const Options& opt, testbed::Scenario scenario)
-      : opt_(opt),
+      : Peer(opt.port),
+        opt_(opt),
         scenario_(std::move(scenario)),
-        sock_(PeerAddr{0x7f000001, opt.port}),
-        retry_(reactor_, sock_, reactor_.buffers(), transport::RetryPolicy{}) {
-    reactor_.add_socket(sock_, [this](const PeerAddr& from,
-                                      std::span<const std::byte> frame) {
-      on_datagram(from, frame);
-    });
+        retry_(reactor_, sock_, reactor_.buffers(), sim::RetryPolicy{}) {
     agents_.resize(opt.agents + 1);  // index == HostId; 0 is the controller
     agents_[0].addr = sock_.local_addr();
     agents_[0].ready = true;
@@ -411,12 +457,12 @@ class Controller final : public transport::ProbeService,
     stream.stop();
 
     std::cout << "vdmd: members=" << session_->tree().alive_count()
-              << " depth=" << tree_depth() << std::endl;
+              << " depth=" << report.final_tree.hop_max << std::endl;
     std::cout << "vdmd: chunks emitted=" << chunks_emitted_
               << " fanned=" << chunks_fanned_ << std::endl;
     std::cout << "vdmd: control messages (modeled)="
               << report.totals.control_messages
-              << " probes=" << probes_issued_
+              << " probes=" << underlay.probes_issued()
               << " retransmissions=" << retry_.retransmissions()
               << " give-ups=" << retry_.give_ups() << std::endl;
 
@@ -431,31 +477,18 @@ class Controller final : public transport::ProbeService,
 
   // ---------------------------------------------------- ProbeService (real)
   double probe_rtt(net::HostId a, net::HostId b) override {
-    ++probes_issued_;
     VDM_REQUIRE(a < agents_.size() && b < agents_.size());
-    if (a == 0 || b == 0) return controller_ping(a == 0 ? b : a);
-    // Delegated probe: ask agent a to ping agent b. Manual retry loop —
-    // we are inside a blocked transaction, so only I/O pumps run here.
-    double timeout = kPingTimeout;
-    const double deadline = reactor_.now() + kAgentProbeTimeout;
-    while (reactor_.now() < deadline) {
-      const std::uint32_t token = retry_.next_token();
-      awaited_probe_ = token;
-      probe_result_.reset();
-      send_message(sock_, agents_[a].addr,
-                   wire::ProbeRequest{.token = token,
-                                      .target_host = b,
-                                      .target_ip = agents_[b].addr.ip,
-                                      .target_port = agents_[b].addr.port});
-      const double wait_until = std::min(deadline, reactor_.now() + timeout);
-      while (!probe_result_ && reactor_.now() < wait_until) {
-        reactor_.pump_io(wait_until - reactor_.now());
-      }
-      if (probe_result_) return *probe_result_;
-      timeout = transport::RetryPolicy{}.next_timeout(timeout);
-    }
+    if (a == 0 || b == 0) return ping(agents_[a == 0 ? b : a].addr);
+    // Delegated: agent a pings agent b and reports the round trip.
+    const std::optional<wire::ProbeReply> reply = call<wire::ProbeReply>(
+        agents_[a].addr,
+        wire::ProbeRequest{.target_host = b,
+                           .target_ip = agents_[b].addr.ip,
+                           .target_port = agents_[b].addr.port},
+        kRequestRetry, reactor_.now() + kRequestDeadline);
+    if (reply) return reply->rtt_seconds;
     VDM_WARN() << "vdmd: probe " << a << "->" << b << " timed out";
-    return 1.0;
+    return kUnansweredRtt;
   }
 
   // ------------------------------------------- MembershipObserver (mirror)
@@ -485,11 +518,13 @@ class Controller final : public transport::ProbeService,
   }
 
  private:
+  friend class Peer<Controller>;
+  using Peer::handle;
+
   struct AgentSlot {
     PeerAddr addr;
     bool ready = false;
     pid_t pid = -1;
-    std::optional<wire::StatsReply> stats;
   };
 
   /// Stamps a fresh token into `m` and sends it through the acked/retried
@@ -500,10 +535,10 @@ class Controller final : public transport::ProbeService,
     retry_.send_tracked(m.token, agents_[to].addr, wire::Message{m});
   }
 
-  std::size_t ready_agents() const {
-    std::size_t n = 0;
-    for (const AgentSlot& a : agents_) n += a.ready ? 1 : 0;
-    return n - 1;  // minus the controller itself
+  std::size_t ready_agents() const {  // not counting the controller itself
+    return static_cast<std::size_t>(
+        std::count_if(agents_.begin() + 1, agents_.end(),
+                      [](const AgentSlot& a) { return a.ready; }));
   }
 
   void spawn_agents() {
@@ -533,49 +568,35 @@ class Controller final : public transport::ProbeService,
 
   void emit_chunk() {
     if (session_ == nullptr) return;
-    const overlay::MemberState& self = session_->tree().member(0);
     std::array<std::byte, 64> payload;
     payload.fill(std::byte{0x5a});
-    std::array<std::byte, wire::kMaxFrame> buf;
-    const std::size_t n = wire::encode(
-        wire::Chunk{.seq = ++chunk_seq_,
-                    .emitted_at = reactor_.now(),
-                    .payload = payload},
-        buf);
-    ++chunks_emitted_;
-    for (const net::HostId child : self.children) {
-      sock_.send(agents_[child].addr, std::span<const std::byte>(buf.data(), n));
+    const wire::Chunk chunk{
+        .seq = static_cast<std::uint32_t>(++chunks_emitted_),
+        .emitted_at = reactor_.now(),
+        .payload = payload};
+    for (const net::HostId child : session_->tree().member(0).children) {
+      send(agents_[child].addr, chunk);
       ++chunks_fanned_;
     }
   }
 
-  /// One blocking request/reply transaction with every agent.
+  /// One blocking stats call to every agent.
   bool collect_stats() {
     bool all = true;
     for (std::size_t h = 1; h < agents_.size(); ++h) {
-      double timeout = kPingTimeout;
-      const double deadline = reactor_.now() + kAgentProbeTimeout;
-      agents_[h].stats.reset();
-      while (reactor_.now() < deadline && !agents_[h].stats) {
-        const std::uint32_t token = retry_.next_token();
-        send_message(sock_, agents_[h].addr, wire::StatsRequest{.token = token});
-        const double wait_until = std::min(deadline, reactor_.now() + timeout);
-        while (!agents_[h].stats && reactor_.now() < wait_until) {
-          reactor_.pump_io(wait_until - reactor_.now());
-        }
-        timeout = transport::RetryPolicy{}.next_timeout(timeout);
-      }
-      if (agents_[h].stats) {
-        const wire::StatsReply& s = *agents_[h].stats;
-        std::cout << "vdmd: stats host=" << h
-                  << " received=" << s.chunks_received
-                  << " relayed=" << s.chunks_relayed
-                  << " heartbeats=" << s.heartbeats_sent
-                  << " control=" << s.control_received << std::endl;
-      } else {
+      const std::optional<wire::StatsReply> s = call<wire::StatsReply>(
+          agents_[h].addr, wire::StatsRequest{}, kRequestRetry,
+          reactor_.now() + kRequestDeadline);
+      if (!s) {
         std::cerr << "vdmd: no stats from host " << h << "\n";
         all = false;
+        continue;
       }
+      std::cout << "vdmd: stats host=" << h
+                << " received=" << s->chunks_received
+                << " relayed=" << s->chunks_relayed
+                << " heartbeats=" << s->heartbeats_sent
+                << " control=" << s->control_received << std::endl;
     }
     return all;
   }
@@ -588,7 +609,6 @@ class Controller final : public transport::ProbeService,
     }
     const double deadline = reactor_.now() + 5.0;
     while (retry_.in_flight() > 0 && reactor_.now() < deadline) {
-      reactor_.resume();
       reactor_.run_until(reactor_.now() + 0.05);
     }
   }
@@ -621,110 +641,34 @@ class Controller final : public transport::ProbeService,
     return all || kill_now;
   }
 
-  double controller_ping(net::HostId target) {
-    double timeout = kPingTimeout;
-    for (int attempt = 0; attempt < kPingAttempts; ++attempt) {
-      const std::uint32_t token = retry_.next_token();
-      awaited_pong_ = token;
-      pong_seen_ = false;
-      const double t0 = reactor_.now();
-      send_message(sock_, agents_[target].addr, wire::Ping{.token = token});
-      const double wait_until = reactor_.now() + timeout;
-      while (!pong_seen_ && reactor_.now() < wait_until) {
-        reactor_.pump_io(wait_until - reactor_.now());
-      }
-      if (pong_seen_) return reactor_.now() - t0;
-      timeout = transport::RetryPolicy{}.next_timeout(timeout);
-    }
-    VDM_WARN() << "vdmd: ping of host " << target << " timed out";
-    return 1.0;
-  }
-
-  void on_datagram(const PeerAddr& from, std::span<const std::byte> frame) {
-    wire::Message m;
-    const wire::DecodeError err = wire::decode(frame, m);
-    if (!err.ok()) {
-      VDM_WARN() << "vdmd: dropping frame: " << wire::describe(err);
-      return;
-    }
-    std::visit([&](auto& body) { handle(from, body); }, m);
-  }
-
-  template <typename M>
-  void handle(const PeerAddr&, const M&) {}
-
   void handle(const PeerAddr& from, const wire::Hello&) {
     // Source addr IS the agent's socket (one socket per agent); a duplicate
     // hello (lost welcome) just gets the same id again.
-    for (std::size_t h = 1; h < agents_.size(); ++h) {
-      if (agents_[h].ready && agents_[h].addr == from) {
-        send_welcome(static_cast<net::HostId>(h), from);
-        return;
-      }
+    const auto agents = std::span(agents_).subspan(1);
+    auto slot = std::ranges::find_if(
+        agents, [&](const AgentSlot& a) { return a.ready && a.addr == from; });
+    if (slot == agents.end()) slot = std::ranges::find(agents, false, &AgentSlot::ready);
+    if (slot == agents.end()) {
+      VDM_WARN() << "vdmd: hello from " << transport::format_peer(from)
+                 << " but the roster is full";
+      return;
     }
-    for (std::size_t h = 1; h < agents_.size(); ++h) {
-      if (!agents_[h].ready) {
-        agents_[h].ready = true;
-        agents_[h].addr = from;
-        send_welcome(static_cast<net::HostId>(h), from);
-        return;
-      }
-    }
-    VDM_WARN() << "vdmd: hello from " << transport::format_peer(from)
-               << " but the roster is full";
-  }
-  void send_welcome(net::HostId h, const PeerAddr& to) {
-    send_message(sock_, to,
-                 wire::Welcome{.host_id = h,
-                               .num_hosts = static_cast<std::uint32_t>(
-                                   agents_.size())});
-  }
-  void handle(const PeerAddr&, const wire::Pong& m) {
-    if (m.token == awaited_pong_) pong_seen_ = true;
-  }
-  void handle(const PeerAddr&, const wire::ProbeReply& m) {
-    if (m.token == awaited_probe_) probe_result_ = m.rtt_seconds;
+    slot->ready = true;
+    slot->addr = from;
+    send(from, wire::Welcome{
+                   .host_id = static_cast<net::HostId>(slot - agents.begin() + 1),
+                   .num_hosts = static_cast<std::uint32_t>(agents_.size())});
   }
   void handle(const PeerAddr&, const wire::Ack& m) { retry_.complete(m.token); }
-  void handle(const PeerAddr& from, const wire::Heartbeat& m) {
-    send_message(sock_, from, wire::HeartbeatAck{.seq = m.seq});
-  }
-  void handle(const PeerAddr&, const wire::StatsReply& m) {
-    if (m.host >= 1 && m.host < agents_.size()) agents_[m.host].stats = m;
-  }
-
-  int tree_depth() const {
-    int depth = 0;
-    for (std::size_t h = 0; h < agents_.size(); ++h) {
-      int d = 0;
-      net::HostId cur = static_cast<net::HostId>(h);
-      if (!session_->tree().member(cur).alive) continue;
-      while (session_->tree().member(cur).parent != net::kInvalidHost) {
-        cur = session_->tree().member(cur).parent;
-        ++d;
-      }
-      depth = std::max(depth, d);
-    }
-    return depth;
-  }
 
   Options opt_;
   testbed::Scenario scenario_;
-  transport::UdpReactor reactor_;
-  transport::UdpSocket sock_;
   transport::RetrySender retry_;
   std::vector<AgentSlot> agents_;
   overlay::Session* session_ = nullptr;
 
-  std::uint32_t awaited_pong_ = 0;
-  bool pong_seen_ = false;
-  std::uint32_t awaited_probe_ = 0;
-  std::optional<double> probe_result_;
-
-  std::uint32_t chunk_seq_ = 0;
   std::uint64_t chunks_emitted_ = 0;
   std::uint64_t chunks_fanned_ = 0;
-  std::uint64_t probes_issued_ = 0;
 };
 
 /// Usage errors (util::Flags, read_options, a malformed --scenario) exit

@@ -175,7 +175,7 @@ int run_cli(const util::Flags& flags) {
     cfg.session.faults.lossy_control = true;
     cfg.session.faults.control_loss_extra = flags.get_double("control-loss");
   }
-  cfg.session.faults.retry_timeout = flags.get_double("retry-timeout");
+  cfg.session.faults.retry.timeout = flags.get_double("retry-timeout");
   cfg.session.threads = static_cast<int>(flags.get_int("run-threads"));
   cfg.session.profile = flags.get_bool("profile");
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
